@@ -37,11 +37,12 @@ def cmd_check(args) -> int:
         return INPUT_ERR
     failures = 0
     lines = []
-    windows = dict(data.get("windows", {}))
-    windows.setdefault("arity_bound", 3)
-    windows.setdefault("length_bound", 2)
-    windows.setdefault("budget", 2_000_000)
     sorts, symseqs, operads, families, algebras = {}, {}, {}, {}, {}
+    try:
+        windows = docmod.parse_windows(data)
+    except InputError as e:
+        print(f"parse error in windows: {e}")
+        return INPUT_ERR
     try:
         for name, values in data.get("sorts", {}).items():
             sorts[name] = ssorted(docmod.dec(v) for v in values)
@@ -255,6 +256,14 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for budgets and windows: a usage error (exit 2) unless >= 1."""
+    try:
+        return docmod.positive_int(int(text), "value")
+    except (ValueError, InputError):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opdbim",
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("outer")
     p.add_argument("inner")
-    p.add_argument("--arity-bound", type=int, default=None)
+    p.add_argument("--arity-bound", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_compose)
 
@@ -278,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("seq")
     p.add_argument("family")
-    p.add_argument("--arity-bound", type=int, default=None)
+    p.add_argument("--arity-bound", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval)
 
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["algebras", "bimodules", "module-maps"])
     p.add_argument("names", nargs="+")
     p.add_argument("--cells", default="[]")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_count)
 
@@ -309,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--length-bound", type=int, default=None)
-    p.add_argument("--arity-bound", type=int, default=None)
+    p.add_argument("--length-bound", type=_positive_int, default=None)
+    p.add_argument("--arity-bound", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_exponential)
 

@@ -196,15 +196,29 @@ class Document:
     bimodules: dict
 
 
+WINDOW_DEFAULTS = {"arity_bound": 3, "length_bound": 2, "budget": 2_000_000}
+
+
+def positive_int(value, what: str) -> int:
+    """``value`` if it is an integer of at least 1 (not a bool), else InputError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def parse_windows(data: dict) -> dict:
+    """The document's windows over their defaults, each a positive integer."""
+    windows = dict(WINDOW_DEFAULTS)
+    windows.update(data.get("windows", {}))
+    for name, value in windows.items():
+        positive_int(value, f"window {name!r}")
+    return windows
+
+
 def parse_document(data: dict) -> Document:
     if data.get("version") != FORMAT_VERSION:
         raise InputError(f"unsupported document version {data.get('version')!r}")
-    windows = dict(data.get("windows", {}))
-    windows.setdefault("arity_bound", 3)
-    windows.setdefault("length_bound", 2)
-    windows.setdefault("budget", 2_000_000)
-    if windows["arity_bound"] < 1 or windows["length_bound"] < 1:
-        raise InputError("window parameters must be positive")
+    windows = parse_windows(data)
     sorts = {}
     for name, values in data.get("sorts", {}).items():
         sorts[name] = ssorted(dec(v) for v in values)
@@ -246,7 +260,7 @@ def enc_key(sort) -> str:
 
 
 def _parse_operad(odata: dict, sorts: dict, symseqs: dict, windows: dict) -> Operad:
-    n = odata.get("arity_bound", windows["arity_bound"])
+    n = positive_int(odata.get("arity_bound", windows["arity_bound"]), "operad arity_bound")
     if "builtin" in odata:
         name = odata["builtin"]
         if name == "unit":

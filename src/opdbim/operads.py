@@ -30,6 +30,7 @@ from .perms import (
     skey,
     ssorted,
     stab_gens,
+    young_classes,
 )
 from .symseq import (
     Composite,
@@ -593,6 +594,40 @@ def _cell_action_classes(op: Operad, cell_key, t: Family):
     return quotient(pairs, edges)
 
 
+def _cell_orbit_count(cell: YoungSet, sizes: dict) -> int:
+    """Number of orbits ``_cell_action_classes`` finds, counted by Burnside.
+
+    ``(1/|G|) sum_classes |class| * #fixed labels * #fixed input tuples``: a
+    tuple is fixed by a class representative iff it is constant on each cycle,
+    so the representative fixes ``prod_cycles |T_sort|`` tuples.  Nothing is
+    enumerated, so the count is cheap at any carrier size.
+    """
+    w = cell.word
+    order = fixed = 0
+    for rep, size in young_classes(w):
+        order += size
+        labels = cell.fixed_count(rep)
+        if not labels:
+            continue
+        tuples = 1
+        seen = [False] * len(w)
+        for i in range(len(w)):
+            if not seen[i]:
+                tuples *= sizes[w[i]]
+                j = i
+                while not seen[j]:
+                    seen[j] = True
+                    j = rep(j)
+        fixed += size * labels * tuples
+    if fixed % order:
+        raise ValidationError(f"cell at {w}: fixed points {fixed} not divisible by |G| = {order}")
+    return fixed // order
+
+
+# estimates longer than this many bits are written as a power, not in full
+_ESTIMATE_BITS = 4096
+
+
 def enumerate_algebras(
     op: Operad,
     sizes,
@@ -603,20 +638,39 @@ def enumerate_algebras(
 
     Equivariance is built in by assigning one value per orbit of
     (operation, input tuple) pairs; unit and associativity prune the search
-    as soon as every cell they mention has been assigned.
+    as soon as every cell they mention has been assigned.  The estimate
+    ``prod_cells |T_out| ** orbits`` is priced by Burnside counts before any
+    orbit table is built, so an over-budget call refuses without enumerating.
     """
     if isinstance(sizes, int):
         sizes = {x: sizes for x in op.sorts}
-    t = Family(op.sorts, {x: tuple(range(sizes.get(x, 0))) for x in op.sorts})
+    sizes = {x: max(0, sizes.get(x, 0)) for x in op.sorts}
     keys = [k for k in op.support() if len(k[0]) <= op.arity_bound and op.carrier.cells[k].size]
     keys.sort(key=lambda k: (len(k[0]), skey(k)))
-    orbit_data = {k: _cell_action_classes(op, k, t) for k in keys}
+    orbit_counts = {}
     total = 1
     for k in keys:
-        total *= max(1, len(t.sets[k[1]])) ** len(orbit_data[k].classes)
+        count = orbit_counts[k] = _cell_orbit_count(op.carrier.cells[k], sizes)
+        base = max(1, sizes[k[1]])
+        if count * (base.bit_length() - 1) > max(budget.bit_length(), _ESTIMATE_BITS):
+            # base ** count alone is past the budget and too long to write out
+            factor = "" if total == 1 else f"{total}*"
+            raise BudgetError(
+                f"algebra enumeration needs ~{factor}{base}**{count} tables, budget is {budget}"
+            )
+        total *= base**count
         if total > budget:
             raise BudgetError(
                 f"algebra enumeration needs ~{total} tables, budget is {budget}"
+            )
+
+    t = Family(op.sorts, {x: tuple(range(sizes[x])) for x in op.sorts})
+    orbit_data = {}
+    for k in keys:
+        q = orbit_data[k] = _cell_action_classes(op, k, t)
+        if len(q.classes) != orbit_counts[k]:
+            raise ValidationError(
+                f"cell {k}: Burnside count {orbit_counts[k]} != {len(q.classes)} enumerated orbits"
             )
 
     # associativity instances, scheduled by the last-assigned cell they touch

@@ -22,6 +22,7 @@ free symmetric monoidal category; functoriality tests pin it down.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
@@ -140,6 +141,55 @@ def is_canonical(w: Word) -> bool:
 def stab_gens(w: Word) -> tuple[int, ...]:
     """Adjacent transpositions (i, i+1) generating the Young stabilizer of w."""
     return tuple(i for i in range(len(w) - 1) if w[i] == w[i + 1])
+
+
+def _partitions(m: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``m`` into parts of size at most ``largest``, parts descending."""
+    if m == 0:
+        yield ()
+        return
+    for k in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
+
+
+def _centralizer_order(parts: tuple[int, ...]) -> int:
+    """``z_lambda = prod_k k^(a_k) a_k!``: the centralizer order of cycle type lambda."""
+    z = 1
+    for k in set(parts):
+        a = parts.count(k)
+        z *= k**a * math.factorial(a)
+    return z
+
+
+@lru_cache(maxsize=4096)
+def young_classes(w: Word) -> tuple[tuple[Perm, int], ...]:
+    """Conjugacy classes of the Young stabilizer of ``w`` as ``(representative, size)``.
+
+    The stabilizer is the product of the symmetric groups on the runs of equal
+    adjacent sorts (the group ``stab_gens`` generates), so a class is one cycle
+    type per run: there are ``prod p(m_i)`` classes for runs of lengths
+    ``m_i``.  A representative cycles consecutive positions; the class sizes
+    ``prod m_i! / z_lambda_i`` sum to the group order ``prod m_i!``.
+    """
+    per_run = []
+    offset = 0
+    for _sort, run in itertools.groupby(w):
+        m = len(tuple(run))
+        choices = []
+        for parts in _partitions(m, m):
+            images, start = [], offset
+            for k in parts:
+                images += [*range(start + 1, start + k), start]
+                start += k
+            choices.append((images, math.factorial(m) // _centralizer_order(parts)))
+        per_run.append(choices)
+        offset += m
+    out = []
+    for combo in itertools.product(*per_run):
+        images = tuple(i for run_images, _size in combo for i in run_images)
+        out.append((Perm(images), math.prod(size for _images, size in combo)))
+    return tuple(out)
 
 
 def stab_decompose(w: Word, p: Perm) -> list[int]:
@@ -274,6 +324,17 @@ class YoungSet:
         for t in reversed(stab_decompose(self.word, p)):
             label = self.gen_maps[t][label]
         return label
+
+    def fixed_count(self, p: Perm) -> int:
+        """Number of labels that ``p`` (an element of the stabilizer) fixes."""
+        path = tuple(reversed(stab_decompose(self.word, p)))
+        count = 0
+        for lab in self.labels:
+            image = lab
+            for t in path:
+                image = self.gen_maps[t][image]
+            count += image == lab
+        return count
 
     def act_gen(self, label: Label, i: int) -> Label:
         return self.gen_maps[i][label]

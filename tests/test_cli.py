@@ -219,3 +219,37 @@ def test_count_module_maps(tmp_path, capsys):
     assert code == 0 and "bimodule M: ok" in out
     code, out = run_cli(["count", path, "module-maps", "M", "M"], capsys)
     assert code == 0 and out.strip() == "module-maps\t4"
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "x"])
+def test_count_rejects_non_positive_budget_flag(tmp_path, capsys, budget):
+    # 0 used to fall back to the document's budget, -1 to exit 3
+    path = write_doc(tmp_path, BASE_DOC)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["count", path, "algebras", "A", "2", "--budget", budget])
+    assert exit_info.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [{"budget": "x"}, {"budget": 0}, {"budget": True}, {"arity_bound": "3"}, {"length_bound": -1}],
+)
+@pytest.mark.parametrize("argv", [["count", "{doc}", "algebras", "A", "2"], ["check", "{doc}"]])
+def test_bad_window_is_input_error(tmp_path, capsys, windows, argv):
+    data = json.loads(json.dumps(BASE_DOC))
+    data["windows"].update(windows)
+    path = write_doc(tmp_path, data)
+    code, out = run_cli([a.format(doc=path) for a in argv], capsys)
+    assert code == 2
+    assert "must be a positive integer" in out
+
+
+@pytest.mark.parametrize("argv", [["count", "{doc}", "algebras", "A", "2"], ["check", "{doc}"]])
+def test_bad_operad_arity_bound_is_input_error(tmp_path, capsys, argv):
+    data = json.loads(json.dumps(BASE_DOC))
+    data["operads"]["A"]["arity_bound"] = "3"
+    path = write_doc(tmp_path, data)
+    code, out = run_cli([a.format(doc=path) for a in argv], capsys)
+    assert code == 2
+    assert "must be a positive integer" in out

@@ -1,7 +1,11 @@
+import functools
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from opdbim.perms import InputError, ValidationError, YoungSet
 from opdbim.symseq import Family, SymSeq, compose_symseq, iso_symseq
@@ -189,6 +193,66 @@ def test_enumerate_algebras_budget():
 
     with pytest.raises(BudgetError):
         enumerate_algebras(com_operad(3), 30, budget=10)
+
+
+def test_budget_refuses_before_enumerating():
+    from opdbim.perms import BudgetError
+
+    # 40 ** 40 tables: priced by Burnside counts, refused before any orbit table
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=rf"needs ~{40**40} tables, budget is 5$"):
+        enumerate_algebras(assoc_operad(3), 40, budget=5)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_budget_refuses_huge_carrier():
+    from opdbim.perms import BudgetError
+
+    # listing the input pairs alone would need 10 ** 18 tuples
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"needs ~1000000\*\*1000000 tables, budget is 5$"):
+        enumerate_algebras(com_operad(3), 10**6, budget=5)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_burnside_mismatch_is_a_validation_error(monkeypatch):
+    import opdbim.operads as operads
+
+    real = operads._cell_orbit_count
+    monkeypatch.setattr(operads, "_cell_orbit_count", lambda cell, sizes: real(cell, sizes) + 1)
+    with pytest.raises(ValidationError, match="Burnside count"):
+        enumerate_algebras(com_operad(2), 2)
+
+
+@functools.lru_cache(maxsize=None)
+def burnside_operad(name):
+    from opdbim.catsym import exponential_operad, product_operad
+
+    return {
+        "com": lambda: com_operad(4),
+        "assoc": lambda: assoc_operad(4),
+        "magma": lambda: magma_operad(4),
+        "unit": lambda: unit_operad(("a", "b"), 3),
+        "exponential": lambda: exponential_operad(
+            unit_operad(("x",), 2), com_operad(2), length_bound=1, arity_bound=2
+        ),
+        "product": lambda: product_operad(assoc_operad(3), com_operad(3)),
+    }[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["com", "assoc", "magma", "unit", "exponential", "product"]),
+    st.data(),
+)
+def test_burnside_count_matches_enumerated_orbits(name, data):
+    from opdbim.operads import _cell_action_classes, _cell_orbit_count
+
+    op = burnside_operad(name)
+    sizes = {x: data.draw(st.integers(min_value=0, max_value=3)) for x in op.sorts}
+    t = Family(op.sorts, {x: tuple(range(n)) for x, n in sizes.items()})
+    for key, cell in op.carrier.cells.items():
+        assert _cell_orbit_count(cell, sizes) == len(_cell_action_classes(op, key, t).classes)
 
 
 def test_free_forgetful_adjunction_counts():

@@ -18,6 +18,7 @@ from opdbim.perms import (
     stab_decompose,
     stab_gens,
     word_arrows,
+    young_classes,
 )
 
 
@@ -193,3 +194,29 @@ def test_fingroupoid_two_object_iso():
     g = FinGroupoid(objects, hom, comp, {"p": "ip", "q": "iq"}, {"ip": "ip", "iq": "iq", "f": "g", "g": "f"})
     g.validate()
     assert g.compose("g", "f") == "ip"
+
+
+def cycle_type(w, p):
+    """Sorted (sort, length) pairs of the cycles of ``p``."""
+    seen, out = set(), []
+    for i in range(len(w)):
+        if i not in seen:
+            j, k = i, 0
+            while j not in seen:
+                seen.add(j)
+                j, k = p(j), k + 1
+            out.append((w[i], k))
+    return tuple(sorted(out))
+
+
+@given(words.map(lambda w: tuple(sorted(w))))
+def test_young_classes_partition_the_stabilizer(w):
+    classes = young_classes(w)
+    # brute force: group every stabilizer element by its cycle type per sort
+    counts = {}
+    for p in word_arrows(w, w):
+        counts[cycle_type(w, p)] = counts.get(cycle_type(w, p), 0) + 1
+    assert {cycle_type(w, rep): size for rep, size in classes} == counts
+    assert len(classes) == len(counts)
+    assert all(act_word(w, rep) == w for rep, _size in classes)
+
