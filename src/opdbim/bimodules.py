@@ -47,7 +47,7 @@ from .symseq import (
     right_unitor,
     right_unitor_inv,
 )
-from .operads import Algebra, Operad, OperadMorphism, unit_operad
+from .operads import Algebra, Operad, OperadMorphism, _u_word, unit_operad
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -877,10 +877,6 @@ def delta_lower(phi: OperadMorphism) -> SymSeq:
     for x in phi.src.sorts:
         cells[((u[x],), x)] = YoungSet.trivial((u[x],), (("pt", x),))
     return SymSeq(phi.dst.sorts, phi.src.sorts, cells)
-
-
-def _u_word(u: dict, w: Word) -> Word:
-    return tuple(u[s] for s in w)
 
 
 def u_circ(phi: OperadMorphism, validate: bool = True) -> Bimodule:

@@ -11,16 +11,20 @@ and every codomain arrow (covariant).  Composition, coherence maps, the
 evaluation 1-cell and the transpose bijection follow the same raw-tuple and
 quotient discipline as :mod:`.symseq`; groupoid arrows contribute the extra
 relation edges.
+
+Every map is total on the cells it holds.  Reading a cell or label a map
+lacks, or a raw outside a composite, raises ``ValidationError`` naming the
+cell; nothing is skipped.  ``cat_sum_split`` is the one windowed map: it
+leaves a cell out iff the untagged cell is not a cell of the part composite.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .perms import (
-    BudgetError,
     FinGroupoid,
     InputError,
     Perm,
@@ -28,14 +32,13 @@ from .perms import (
     Word,
     YoungSet,
     block_offsets,
-    compose,
     disjoint_union,
     quotient,
     skey,
     ssorted,
     stab_gens,
 )
-from .symseq import SymSeq, SymSeqMap
+from .symseq import Composite, SymSeq, label_differences
 from .operads import Operad, make_operad
 
 Arrow = tuple  # (perm images, component arrow ids indexed by target position)
@@ -165,15 +168,8 @@ def sw_embed_at(gpd: FinGroupoid, concat: Word, offset: int, a: Arrow, blocklen:
     ai, ac = a
     for t in range(blocklen):
         im[offset + t] = offset + ai[t]
-    out_word = list(concat)
-    for t in range(blocklen):
         comps[offset + t] = ac[t]
     return (tuple(im), tuple(comps))
-
-
-def arrow_target(gpd: FinGroupoid, v: Word, a: Arrow) -> Word:
-    im, cs = a
-    return tuple(gpd.dst[c] for c in cs)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +205,6 @@ class CatSymSeq:
 
     def max_arity(self) -> int:
         return max((len(w) for (w, _y), v in self.cells.items() if v), default=0)
-
-    def transport_dom(self, key, src_word: Word, arrow: Arrow) -> dict:
-        return self.dom_tr[key][(src_word, arrow)]
-
-    def transport_cod(self, key, arrow) -> dict:
-        return self.cod_tr[key][arrow]
 
     def validate(self) -> None:
         for key, labels in self.cells.items():
@@ -347,10 +337,20 @@ def cat_sum(f: CatSymSeq, g: CatSymSeq) -> CatSymSeq:
 class CatMap:
     src: CatSymSeq
     dst: CatSymSeq
-    comp: dict  # (word, out) -> {label: label}
+    comp: dict  # (word, out) -> {label: label}, total on each cell it holds
+
+    def cell(self, key) -> dict:
+        """Label map at ``key``; a cell the map does not hold is a law failure."""
+        m = self.comp.get(key)
+        if m is None:
+            raise ValidationError(f"map undefined at cell {key!r}")
+        return m
 
     def at(self, w: Word, y, label):
-        return self.comp[(w, y)][label]
+        m = self.cell((w, y))
+        if label not in m:
+            raise ValidationError(f"map undefined at cell {(w, y)!r}, label {label!r}")
+        return m[label]
 
     def validate(self) -> None:
         for key, labels in self.src.cells.items():
@@ -389,21 +389,14 @@ def cat_identity_map(f: CatSymSeq) -> CatMap:
 
 
 def cat_compose_maps(second: CatMap, first: CatMap) -> CatMap:
-    comp = {}
-    for key, m in first.comp.items():
-        if not first.src.cells.get(key):
-            continue
-        m2 = second.comp.get(key, {})
-        comp[key] = {l: m2[v] for l, v in m.items()}
+    """``second`` after ``first``, on the cells ``first`` holds; ``second`` must cover the images."""
+    comp = {key: {l: second.at(*key, v) for l, v in m.items()} for key, m in first.comp.items()}
     return CatMap(first.src, second.dst, comp)
 
 
 def cat_map_equal(a: CatMap, b: CatMap) -> bool:
-    for key, labels in a.src.cells.items():
-        for l in labels:
-            if a.comp.get(key, {}).get(l) != b.comp.get(key, {}).get(l):
-                return False
-    return True
+    """True iff both maps are defined and agree on every label of the source."""
+    return next(label_differences(a, b, a.src.cells.items()), None) is None
 
 
 def cat_map_inverse(m: CatMap) -> CatMap:
@@ -417,34 +410,13 @@ def cat_map_inverse(m: CatMap) -> CatMap:
 
 
 def cat_first_difference(a: CatMap, b: CatMap):
-    for key, labels in sorted(a.src.cells.items(), key=lambda kv: (len(kv[0][0]), skey(kv[0]))):
-        for l in labels:
-            va = a.comp.get(key, {}).get(l)
-            vb = b.comp.get(key, {}).get(l)
-            if va != vb:
-                return (key, l, va, vb)
-    return None
+    cells = sorted(a.src.cells.items(), key=lambda kv: (len(kv[0][0]), skey(kv[0])))
+    return next(label_differences(a, b, cells), None)
 
 
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CatComposite:
-    outer: CatSymSeq
-    inner: CatSymSeq
-    seq: CatSymSeq
-    raws: dict
-    cls: dict
-    reps: dict
-
-    def class_of(self, w: Word, y, raw):
-        return self.cls[(w, y)][raw]
-
-    def rep(self, w: Word, y, idx):
-        return self.reps[(w, y)][idx]
 
 
 def _cat_edges(outer: CatSymSeq, inner: CatSymSeq, key, raws):
@@ -509,7 +481,7 @@ def _iso_source_words(gpd: FinGroupoid, concat: Word) -> list[Word]:
     return sorted(seen, key=skey)
 
 
-def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = None) -> CatComposite:
+def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = None) -> Composite:
     if inner.cod.objects != outer.dom.objects:
         raise InputError("cat composition groupoid mismatch")
     dom = inner.dom
@@ -548,12 +520,12 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
         g2 = outer.cod_tr[(mid, key[1])][b][g]
         return cls_out[(key[0], outer.cod.dst[b])][(mid, g2, blocks, fs, arr)]
 
-    comp = CatComposite(outer, inner, seq, raws_out, cls_out, reps_out)
+    comp = Composite(outer, inner, seq, raws_out, cls_out, reps_out)
     _complete_transports(seq, dom_fn, cod_fn)
     return comp
 
 
-def cat_hcompose(beta: CatMap, alpha: CatMap, src: CatComposite, dst: CatComposite) -> CatMap:
+def cat_hcompose(beta: CatMap, alpha: CatMap, src: Composite, dst: Composite) -> CatMap:
     comp = {}
     for key, reps in src.reps.items():
         w, z = key
@@ -567,7 +539,7 @@ def cat_hcompose(beta: CatMap, alpha: CatMap, src: CatComposite, dst: CatComposi
     return CatMap(src.seq, dst.seq, comp)
 
 
-def cat_left_unitor(idf: CatComposite) -> CatMap:
+def cat_left_unitor(idf: Composite) -> CatMap:
     """``Id o F -> F``: transport along the shuffle, then along the unary arrow."""
     f = idf.inner
     comp = {}
@@ -584,7 +556,7 @@ def cat_left_unitor(idf: CatComposite) -> CatMap:
     return CatMap(idf.seq, f, comp)
 
 
-def cat_left_unitor_inv(idf: CatComposite) -> CatMap:
+def cat_left_unitor_inv(idf: Composite) -> CatMap:
     f = idf.inner
     cod = f.cod
     comp = {}
@@ -600,7 +572,7 @@ def cat_left_unitor_inv(idf: CatComposite) -> CatMap:
     return CatMap(f, idf.seq, comp)
 
 
-def cat_right_unitor(fid: CatComposite) -> CatMap:
+def cat_right_unitor(fid: Composite) -> CatMap:
     """``F o Id -> F``: absorb the unary arrows and the shuffle."""
     f = fid.outer
     dom = f.dom
@@ -618,7 +590,7 @@ def cat_right_unitor(fid: CatComposite) -> CatMap:
     return CatMap(fid.seq, f, comp)
 
 
-def cat_right_unitor_inv(fid: CatComposite) -> CatMap:
+def cat_right_unitor_inv(fid: Composite) -> CatMap:
     f = fid.outer
     dom = f.dom
     comp = {}
@@ -633,38 +605,23 @@ def cat_right_unitor_inv(fid: CatComposite) -> CatMap:
     return CatMap(f, fid.seq, comp)
 
 
-def cat_associator(hg: CatComposite, hg_f: CatComposite, gf: CatComposite, h_gf: CatComposite,
-                   partial: bool = False) -> CatMap:
+def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> CatMap:
     dom = gf.inner.dom
     f = gf.inner
     comp = {}
     for key, reps in hg_f.reps.items():
         w, t_out = key
         m = {}
-        try:
-            _fill_assoc_cell(hg, gf, h_gf, dom, f, key, reps, m)
-        except KeyError:
-            if partial:
-                continue
-            raise
-        comp[key] = m
-    return CatMap(hg_f.seq, h_gf.seq, comp)
-
-
-def _fill_assoc_cell(hg, gf, h_gf, dom, f, key, reps, m):
-        w, t_out = key
         for idx, raw in enumerate(reps):
             mid, q, blocks, fs, arr = raw
             zmid, h, yblocks, gs, tau = hg.rep(mid, t_out, q)
             sigma_tau = Perm(tau[0])
-            ylens = [len(d) for d in yblocks]
-            yoffs = block_offsets(ylens)
+            yoffs = block_offsets([len(d) for d in yblocks])
             new_blocks, new_fs, kappas, group_words = [], [], [], []
             for j, d in enumerate(yblocks):
-                picks = [sigma_tau(p) for p in range(yoffs[j], yoffs[j + 1])]
                 # cod-transport the inner labels along the components of tau
                 sub_blocks, sub_fs = [], []
-                for local, p in enumerate(range(yoffs[j], yoffs[j + 1])):
+                for p in range(yoffs[j], yoffs[j + 1]):
                     i = sigma_tau(p)
                     comp_arrow = tau[1][p]  # mid[i] -> (+yblocks)[p]
                     sub_blocks.append(blocks[i])
@@ -678,11 +635,11 @@ def _fill_assoc_cell(hg, gf, h_gf, dom, f, key, reps, m):
                 kappas.append(kap_arrow)
                 group_words.append(u)
             rearrange = sw_block_perm(dom, list(blocks), sigma_tau)
-            chi = sw_block_diag(
-                dom, [sw_inverse(dom, k) for k in kappas], group_words
-            )
+            chi = sw_block_diag(dom, [sw_inverse(dom, k) for k in kappas], group_words)
             arr2 = sw_compose(dom, sw_compose(dom, arr, rearrange), chi)
             m[idx] = h_gf.class_of(w, t_out, (zmid, h, tuple(new_blocks), tuple(new_fs), arr2))
+        comp[key] = m
+    return CatMap(hg_f.seq, h_gf.seq, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -832,15 +789,6 @@ def split_word(w: Word) -> tuple[Word, Word, Perm]:
     for j, i in enumerate(order):
         images[i] = j
     return zw, xw, Perm(tuple(images)).inverse()
-
-
-def c_adjoint_pair(z: FinGroupoid, x: FinGroupoid):
-    """Concatenation/splitting data of the monoidal equivalence on word objects.
-
-    Returns ``(merge, split)`` where ``merge(zw, xw)`` concatenates with tags
-    and ``split(w)`` recovers the parts with the interleaving permutation.
-    """
-    return merge_words, split_word
 
 
 @dataclass
@@ -1030,70 +978,34 @@ def _exp_arrow_source_word(x: FinGroupoid, alpha: Arrow, target_word: Word) -> W
 
 
 # ---------------------------------------------------------------------------
-# sum splitting and partial map plumbing
+# sum splitting
 # ---------------------------------------------------------------------------
 
 
-def cat_hcompose_partial(beta: CatMap, alpha: CatMap, src: CatComposite, dst: CatComposite) -> CatMap:
-    """Horizontal composite that silently omits cells where a component is undefined."""
-    comp = {}
-    for key, reps in src.reps.items():
-        w, z = key
-        m = {}
-        ok = True
-        for idx, raw in enumerate(reps):
-            mid, g, blocks, fs, arr = raw
-            try:
-                g2 = beta.comp[(mid, z)][g]
-                fs2 = tuple(alpha.comp[(b, y)][f] for b, y, f in zip(blocks, mid, fs))
-            except KeyError:
-                ok = False
-                break
-            m[idx] = dst.class_of(w, z, (mid, g2, blocks, fs2, arr))
-        if ok:
-            comp[key] = m
-    return CatMap(src.seq, dst.seq, comp)
+def _untag(w: Word) -> Word:
+    return tuple(o for (_t, o) in w)
 
 
-def cat_compose_partial(second: CatMap, first: CatMap) -> CatMap:
-    comp = {}
-    for key, m in first.comp.items():
-        m2 = second.comp.get(key)
-        if m2 is None:
-            continue
-        try:
-            comp[key] = {l: m2[v] for l, v in m.items()}
-        except KeyError:
-            continue
-    return CatMap(first.src, second.dst, comp)
+def cat_sum_split(sumcomp: Composite, left: Composite, right: Composite) -> CatMap:
+    """Canonical iso ``(F1 u G1) o (F2 u G2) -> (F1 o F2) u (G1 o G2)`` on a window.
 
-
-def cat_sum_split(sumcomp: CatComposite, left: CatComposite, right: CatComposite) -> CatMap:
-    """Canonical iso ``(F1 u G1) o (F2 u G2) -> (F1 o F2) u (G1 o G2)``.
-
-    Cells whose pure composite lies outside the materialized window are
-    omitted; downstream evaluation never reads them.
+    The one windowed map of the pipeline: a cell ``(w, (tag, z))`` of the sum
+    composite is left out iff ``(untagged w, z)`` is not a cell of the part
+    composite (``left`` for tag ``l``, ``right`` for tag ``r``).  Every raw of
+    a kept cell must have a class in the part, else ``ValidationError``.
     """
     comp = {}
     for key, reps in sumcomp.reps.items():
         w, z = key
-        tag = z[0]
-        part = left if tag == "l" else right
-        w2 = tuple(o for (_t, o) in w)
+        part = left if z[0] == "l" else right
+        w2 = _untag(w)
+        if (w2, z[1]) not in part.seq.cells:
+            continue
         m = {}
-        ok = True
-        for idx, raw in enumerate(reps):
-            mid, g, blocks, fs, arr = raw
-            mid2 = tuple(o for (_t, o) in mid)
-            blocks2 = tuple(tuple(o for (_t, o) in b) for b in blocks)
-            arr2 = (arr[0], tuple(c for (_t, c) in arr[1]))
-            try:
-                m[idx] = part.class_of(w2, z[1], (mid2, g, blocks2, fs, arr2))
-            except KeyError:
-                ok = False
-                break
-        if ok:
-            comp[key] = m
+        for idx, (mid, g, blocks, fs, arr) in enumerate(reps):
+            raw2 = (_untag(mid), g, tuple(_untag(b) for b in blocks), fs, (arr[0], _untag(arr[1])))
+            m[idx] = part.class_of(w2, z[1], raw2)
+        comp[key] = m
     return CatMap(sumcomp.seq, cat_sum(left.seq, right.seq), comp)
 
 
@@ -1102,14 +1014,9 @@ def cat_sum_maps(ml: CatMap, mr: CatMap, src_sum: CatSymSeq, dst_sum: CatSymSeq)
     for key, labels in src_sum.cells.items():
         if not labels:
             continue
-        (w, z) = key
-        tag = z[0]
-        w2 = tuple(o for (_t, o) in w)
-        part = ml if tag == "l" else mr
-        m = part.comp.get((w2, z[1]))
-        if m is None:
-            continue
-        comp[key] = dict(m)
+        w, z = key
+        part = ml if z[0] == "l" else mr
+        comp[key] = dict(part.cell((_untag(w), z[1])))
     return CatMap(src_sum, dst_sum, comp)
 
 
@@ -1124,7 +1031,7 @@ def collapse_map(
     y: FinGroupoid,
     expz: FinGroupoid,
     evdata: EvData,
-    compc: CatComposite,
+    compc: Composite,
     target: CatSymSeq,
 ) -> CatMap:
     """Collapse the evaluation coend onto the reindexed cells of ``F``."""
@@ -1133,16 +1040,6 @@ def collapse_map(
         w, yo = key
         vpart, xpart, _p = split_word(w)
         m = {}
-        try:
-            _fill_collapse_cell(f, x, y, expz, evdata, key, reps, vpart, xpart, m)
-        except KeyError:
-            continue
-        comp[key] = m
-    return CatMap(compc.seq, target, comp)
-
-
-def _fill_collapse_cell(f, x, y, expz, evdata, key, reps, vpart, xpart, m):
-        w, yo = key
         for idx, raw in enumerate(reps):
             mid, evlab, blocks, ss, arr = raw
             x0, gamma = evdata.reps[(mid, yo)][evlab]
@@ -1175,6 +1072,8 @@ def _fill_collapse_cell(f, x, y, expz, evdata, key, reps, vpart, xpart, m):
                 rho_comps.append(comps_a[q][1])
             rho = (tuple(rho_im), tuple(rho_comps))
             m[idx] = f.dom_tr[(vb, (xpart, yo))][(vpart, rho)][f1]
+        comp[key] = m
+    return CatMap(compc.seq, target, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1190,7 +1089,7 @@ class HomMonad:
     e: CatSymSeq
     mu: CatMap
     eta: CatMap
-    ee: CatComposite
+    ee: Composite
     evdata: EvData
 
 
@@ -1239,13 +1138,12 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
 
     ss = cat_compose(s_e, s_e, max_arity=capt)
     idxx = cat_compose(idx, idx, max_arity=capt)
-    ee2 = ee
-    split1 = cat_sum_split(ss, ee2, idxx)
+    split1 = cat_sum_split(ss, ee, idxx)
     u_idid = cat_left_unitor(idxx)
     smap = cat_sum_maps(cat_identity_map(ee.seq), u_idid, cat_sum(ee.seq, idxx.seq), sum_ee)
-    split_total = cat_compose_partial(smap, split1)
+    split_total = cat_compose_maps(smap, split1)
     c2 = cat_compose(evdata.seq, ss.seq, max_arity=capt)
-    m2 = cat_hcompose_partial(cat_identity_map(evdata.seq), cat_map_inverse(split_total), c1, c2)
+    m2 = cat_hcompose(cat_identity_map(evdata.seq), cat_map_inverse(split_total), c1, c2)
 
     evs = cat_compose(evdata.seq, s_e, max_arity=capt)
     c3 = cat_compose(evs.seq, s_e, max_arity=capt)
@@ -1253,7 +1151,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
 
     col_e = collapse_map(e, x, y, expz, evdata, evs, tc.seq)
     c4 = cat_compose(tc.seq, s_e, max_arity=capt)
-    m4 = cat_hcompose_partial(col_e, cat_identity_map(s_e), c3, c4)
+    m4 = cat_hcompose(col_e, cat_identity_map(s_e), c3, c4)
 
     evas = cat_compose(ev_a.seq, s_e, max_arity=capt)
     c5 = cat_compose(bcat, evas.seq, max_arity=capt)
@@ -1263,7 +1161,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     ev_atils = cat_compose(evdata.seq, atil_s.seq, max_arity=capt)
     assoc2 = cat_associator(ev_a, evas, atil_s, ev_atils)
     c6 = cat_compose(bcat, ev_atils.seq, max_arity=capt)
-    m6 = cat_hcompose_partial(cat_identity_map(bcat), assoc2, c5, c6)
+    m6 = cat_hcompose(cat_identity_map(bcat), assoc2, c5, c6)
 
     # interchange (Id u A) o (E u Id)  ->  (E u Id) o (Id u A)
     idz_e = cat_compose(idz, e, max_arity=arity_bound)
@@ -1281,32 +1179,32 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
         cat_sum(e, acat), cat_sum(e_idz.seq, idx_a.seq),
     )
     unsplit = cat_map_inverse(cat_sum_split(satil, e_idz, idx_a))
-    swap = cat_compose_partial(unsplit, cat_compose_partial(step2, cat_compose_partial(step, split_as)))
+    swap = cat_compose_maps(unsplit, cat_compose_maps(step2, cat_compose_maps(step, split_as)))
     ev_satil = cat_compose(evdata.seq, satil.seq, max_arity=capt)
     c7 = cat_compose(bcat, ev_satil.seq, max_arity=capt)
-    m7 = cat_hcompose_partial(
+    m7 = cat_hcompose(
         cat_identity_map(bcat),
-        cat_hcompose_partial(cat_identity_map(evdata.seq), swap, ev_atils, ev_satil),
+        cat_hcompose(cat_identity_map(evdata.seq), swap, ev_atils, ev_satil),
         c6, c7,
     )
 
     evs_atil = cat_compose(evs.seq, atil, max_arity=capt)
     assoc3 = cat_associator(evs, evs_atil, satil, ev_satil)
     c8 = cat_compose(bcat, evs_atil.seq, max_arity=capt)
-    m8 = cat_hcompose_partial(cat_identity_map(bcat), cat_map_inverse(assoc3), c7, c8)
+    m8 = cat_hcompose(cat_identity_map(bcat), cat_map_inverse(assoc3), c7, c8)
 
     t_atil = cat_compose(tc.seq, atil, max_arity=capt)
     c9 = cat_compose(bcat, t_atil.seq, max_arity=capt)
-    m9 = cat_hcompose_partial(
+    m9 = cat_hcompose(
         cat_identity_map(bcat),
-        cat_hcompose_partial(col_e, cat_identity_map(atil), evs_atil, t_atil),
+        cat_hcompose(col_e, cat_identity_map(atil), evs_atil, t_atil),
         c8, c9,
     )
 
     eva_atil = cat_compose(ev_a.seq, atil, max_arity=capt)
     b_evaatil = cat_compose(bcat, eva_atil.seq, max_arity=capt)
     c10 = cat_compose(bcat, b_evaatil.seq, max_arity=capt)
-    m10 = cat_hcompose_partial(
+    m10 = cat_hcompose(
         cat_identity_map(bcat), cat_associator(tc, t_atil, eva_atil, b_evaatil), c9, c10
     )
 
@@ -1315,9 +1213,9 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     assoc4 = cat_associator(ev_a, eva_atil, atil2, ev_atil2)
     b_evatil2 = cat_compose(bcat, ev_atil2.seq, max_arity=capt)
     c11 = cat_compose(bcat, b_evatil2.seq, max_arity=capt)
-    m11 = cat_hcompose_partial(
+    m11 = cat_hcompose(
         cat_identity_map(bcat),
-        cat_hcompose_partial(cat_identity_map(bcat), assoc4, b_evaatil, b_evatil2),
+        cat_hcompose(cat_identity_map(bcat), assoc4, b_evaatil, b_evatil2),
         c10, c11,
     )
 
@@ -1325,56 +1223,31 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     idz2 = cat_compose(idz, idz, max_arity=2)
     a2 = cat_compose(acat, acat, max_arity=a.arity_bound)
     split_aa = cat_sum_split(atil2, idz2, a2)
-    mu_a_comp = {}
-    for key, reps in a2.reps.items():
-        mu_a_comp[key] = {
-            idx_: a.mu.at(*key, a.comp2.class_of(*key, _strip_cat_raw(rep)))
-            for idx_, rep in enumerate(reps)
-        }
-    mu_a_cat = CatMap(a2.seq, acat, mu_a_comp)
-    mu_atil = cat_compose_partial(
-        cat_sum_maps(cat_left_unitor(idz2), mu_a_cat, cat_sum(idz2.seq, a2.seq), atil),
+    mu_atil = cat_compose_maps(
+        cat_sum_maps(cat_left_unitor(idz2), _operad_mu(a, a2, acat), cat_sum(idz2.seq, a2.seq), atil),
         split_aa,
     )
-    m12 = cat_hcompose_partial(
+    b_t = cat_compose(bcat, tc.seq, max_arity=capt)
+    m12 = cat_hcompose(
         cat_identity_map(bcat),
-        cat_hcompose_partial(
+        cat_hcompose(
             cat_identity_map(bcat),
-            cat_hcompose_partial(cat_identity_map(evdata.seq), mu_atil, ev_atil2, ev_a),
+            cat_hcompose(cat_identity_map(evdata.seq), mu_atil, ev_atil2, ev_a),
             b_evatil2, tc,
         ),
-        c11,
-        cat_compose(bcat, tc.seq, max_arity=capt),
+        c11, b_t,
     )
-    b_t = cat_compose(bcat, tc.seq, max_arity=capt)
     b2 = cat_compose(bcat, bcat, max_arity=b.arity_bound)
     bb_eva = cat_compose(b2.seq, ev_a.seq, max_arity=capt)
     m13 = cat_map_inverse(cat_associator(b2, bb_eva, tc, b_t))
-    mu_b_comp = {}
-    for key, reps in b2.reps.items():
-        mu_b_comp[key] = {
-            idx_: b.mu.at(*key, b.comp2.class_of(*key, _strip_cat_raw(rep)))
-            for idx_, rep in enumerate(reps)
-        }
-    mu_b_cat = CatMap(b2.seq, bcat, mu_b_comp)
-    m14 = cat_hcompose_partial(mu_b_cat, cat_identity_map(ev_a.seq), bb_eva, tc)
+    m14 = cat_hcompose(_operad_mu(b, b2, bcat), cat_identity_map(ev_a.seq), bb_eva, tc)
 
     chain = [m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14]
     mu_on_t = chain[0]
     for step_map in chain[1:]:
-        mu_on_t = cat_compose_partial(step_map, mu_on_t)
+        mu_on_t = cat_compose_maps(step_map, mu_on_t)
 
-    mu_comp = {}
-    for (zw, obj), labels in ee.seq.cells.items():
-        if not labels:
-            continue
-        xw, yo = obj
-        cxw, _tau = sw_canonical(x, xw)
-        src = mu_on_t.comp.get((merge_words(zw, cxw), yo))
-        if src is None:
-            raise ValidationError(f"hom monad multiplication undefined at {(zw, obj)}")
-        mu_comp[(zw, obj)] = dict(src)
-    mu_e = CatMap(ee.seq, e, mu_comp)
+    mu_e = _untranspose_map(mu_on_t, ee.seq, e, x)
 
     # --- unit ---------------------------------------------------------------
     s_id = cat_sum(idz, idx)
@@ -1384,16 +1257,15 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     idw = cat_id(w_gpd)
     ev_idw = cat_compose(evdata.seq, idw, max_arity=capt)
     idsum = _eta_sum_map(w_gpd, idw, s_id)
-    r1 = cat_compose_partial(
+    r1 = cat_compose_maps(
         col_id,
-        cat_compose_partial(
-            cat_hcompose_partial(cat_identity_map(evdata.seq), idsum, ev_idw, c_id),
+        cat_compose_maps(
+            cat_hcompose(cat_identity_map(evdata.seq), idsum, ev_idw, c_id),
             cat_right_unitor_inv(ev_idw),
         ),
     )
     eta_atil_comp = {}
     for key, labels in idw.cells.items():
-        (w0,), o1 = key[0], key[1]
         if key[0][0][0] == "l":
             eta_atil_comp[key] = {lab: lab[1] for lab in labels}
         else:
@@ -1406,28 +1278,18 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
         for key, labels in idy.cells.items()
     }
     eta_b_cat = CatMap(idy, bcat, eta_b_comp)
-    path2 = cat_compose_partial(
-        cat_hcompose_partial(eta_b_cat, cat_identity_map(ev_a.seq), idy_eva, tc),
-        cat_compose_partial(
+    path2 = cat_compose_maps(
+        cat_hcompose(eta_b_cat, cat_identity_map(ev_a.seq), idy_eva, tc),
+        cat_compose_maps(
             cat_left_unitor_inv(idy_eva),
-            cat_compose_partial(
-                cat_hcompose_partial(cat_identity_map(evdata.seq), eta_atil, ev_idw, ev_a),
+            cat_compose_maps(
+                cat_hcompose(cat_identity_map(evdata.seq), eta_atil, ev_idw, ev_a),
                 cat_right_unitor_inv(ev_idw),
             ),
         ),
     )
-    eta_on_t = cat_compose_partial(path2, cat_map_inverse(r1))
-    eta_comp = {}
-    for (zw, obj), labels in idz.cells.items():
-        if not labels:
-            continue
-        xw, yo = obj
-        cxw, _tau = sw_canonical(x, xw)
-        src = eta_on_t.comp.get((merge_words(zw, cxw), yo))
-        if src is None:
-            raise ValidationError(f"hom monad unit undefined at {(zw, obj)}")
-        eta_comp[(zw, obj)] = dict(src)
-    eta_e = CatMap(idz, e, eta_comp)
+    eta_on_t = cat_compose_maps(path2, cat_map_inverse(r1))
+    eta_e = _untranspose_map(eta_on_t, idz, e, x)
 
     hm = HomMonad(x, y, expz, e, mu_e, eta_e, ee, evdata)
     if validate:
@@ -1435,9 +1297,25 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     return hm
 
 
-def _strip_cat_raw(raw):
-    mid, g, blocks, fs, arr = raw
-    return (mid, g, blocks, fs, arr[0])
+def _operad_mu(op: Operad, comp2: Composite, target: CatSymSeq) -> CatMap:
+    """The multiplication of ``op`` on its embedded composite ``comp2``."""
+    comp = {}
+    for key, reps in comp2.reps.items():
+        comp[key] = {
+            idx: op.mu.at(*key, op.comp2.class_of(*key, (mid, g, blocks, fs, arr[0])))
+            for idx, (mid, g, blocks, fs, arr) in enumerate(reps)
+        }
+    return CatMap(comp2.seq, target, comp)
+
+
+def _untranspose_map(on_t: CatMap, src: CatSymSeq, dst: CatSymSeq, x: FinGroupoid) -> CatMap:
+    """Read a map between transposed sequences back as a map ``src -> dst``."""
+    comp = {}
+    for (zw, obj), labels in src.cells.items():
+        if labels:
+            cxw, _tau = sw_canonical(x, obj[0])
+            comp[(zw, obj)] = dict(on_t.cell((merge_words(zw, cxw), obj[1])))
+    return CatMap(src, dst, comp)
 
 
 def check_cat_monad(hm: HomMonad, cap: int) -> None:
@@ -1446,22 +1324,24 @@ def check_cat_monad(hm: HomMonad, cap: int) -> None:
     eee_l = cat_compose(ee.seq, e, max_arity=cap)
     eee_r = cat_compose(e, ee.seq, max_arity=cap)
     asc = cat_associator(ee, eee_l, ee, eee_r)
-    lhs = cat_compose_partial(mu, cat_hcompose_partial(mu, cat_identity_map(e), eee_l, ee))
-    rhs = cat_compose_partial(
-        mu, cat_compose_partial(cat_hcompose_partial(cat_identity_map(e), mu, eee_r, ee), asc)
+    lhs = cat_compose_maps(mu, cat_hcompose(mu, cat_identity_map(e), eee_l, ee))
+    rhs = cat_compose_maps(
+        mu, cat_compose_maps(cat_hcompose(cat_identity_map(e), mu, eee_r, ee), asc)
     )
     if not cat_map_equal(lhs, rhs):
         raise ValidationError(
             f"hom monad associativity fails: {cat_first_difference(lhs, rhs)}"
         )
     ide = cat_compose(idz, e, max_arity=cap)
-    lu = cat_compose_partial(mu, cat_hcompose_partial(eta, cat_identity_map(e), ide, ee))
-    if not cat_map_equal(lu, cat_left_unitor(ide)):
-        raise ValidationError("hom monad left unit law fails")
+    lu = cat_compose_maps(mu, cat_hcompose(eta, cat_identity_map(e), ide, ee))
+    lu_want = cat_left_unitor(ide)
+    if not cat_map_equal(lu, lu_want):
+        raise ValidationError(f"hom monad left unit law fails: {cat_first_difference(lu, lu_want)}")
     eid = cat_compose(e, idz, max_arity=cap)
-    ru = cat_compose_partial(mu, cat_hcompose_partial(cat_identity_map(e), eta, eid, ee))
-    if not cat_map_equal(ru, cat_right_unitor(eid)):
-        raise ValidationError("hom monad right unit law fails")
+    ru = cat_compose_maps(mu, cat_hcompose(cat_identity_map(e), eta, eid, ee))
+    ru_want = cat_right_unitor(eid)
+    if not cat_map_equal(ru, ru_want):
+        raise ValidationError(f"hom monad right unit law fails: {cat_first_difference(ru, ru_want)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1470,7 +1350,7 @@ def check_cat_monad(hm: HomMonad, cap: int) -> None:
 
 
 def operad_of_monad(expz: FinGroupoid, e: CatSymSeq, mu: CatMap, eta: CatMap,
-                    ee: CatComposite, arity_bound: int) -> Operad:
+                    ee: Composite, arity_bound: int) -> Operad:
     """Extract the operad on the object set: cells of the monad as an S-matrix."""
     cells = {}
     for (w, obj), labels in e.cells.items():

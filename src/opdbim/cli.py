@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .perms import BudgetError, InputError, ValidationError, skey, ssorted
-from .symseq import Family, analytic_eval, compose_symseq, series
+from .perms import BudgetError, InputError, ValidationError, ssorted
+from .symseq import analytic_eval, compose_symseq, series
 from .operads import enumerate_algebras
-from .bimodules import enumerate_bimodules, enumerate_bimodule_maps, check_bimodule_laws
+from .bimodules import enumerate_bimodules, enumerate_bimodule_maps
 from .catsym import exponential_operad, product_operad
 from . import doc as docmod
 
@@ -32,63 +31,25 @@ def cmd_check(args) -> int:
     """Validate each declaration in dependency order, one report line per name."""
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("version") != docmod.FORMAT_VERSION:
-        print(f"parse error: unsupported version {data.get('version')!r}")
-        return INPUT_ERR
-    failures = 0
-    lines = []
-    sorts, symseqs, operads, families, algebras = {}, {}, {}, {}, {}
-    try:
-        windows = docmod.parse_windows(data)
-    except InputError as e:
-        print(f"parse error in windows: {e}")
-        return INPUT_ERR
-    try:
-        for name, values in data.get("sorts", {}).items():
-            sorts[name] = ssorted(docmod.dec(v) for v in values)
-    except InputError as e:
-        print(f"parse error in sorts: {e}")
-        return INPUT_ERR
+    errors = []
 
-    def run(section, kind, builder, store):
-        nonlocal failures
-        for name in sorted(data.get(section, {})):
-            try:
-                store[name] = builder(name, data[section][name])
-                lines.append(f"{kind} {name}: ok")
-            except ValidationError as e:
-                lines.append(f"{kind} {name}: FAIL {e}")
-                failures += 1
-            except (InputError, KeyError) as e:
-                lines.append(f"{kind} {name}: parse error {e}")
-                failures += 1
-                raise SystemExit(INPUT_ERR)
-
-    def build_symseq(name, sdata):
-        sdata = dict(sdata)
-        if isinstance(sdata.get("dom"), str):
-            sdata["dom"] = [docmod.enc(s) for s in sorts[sdata["dom"]]]
-        if isinstance(sdata.get("cod"), str):
-            sdata["cod"] = [docmod.enc(s) for s in sorts[sdata["cod"]]]
-        return docmod.parse_symseq(sdata)
-
-    def build_family(name, fdata):
-        sets = {docmod._dec_key(k): tuple(docmod.dec(v) for v in vs) for k, vs in fdata.items()}
-        return Family(tuple(sets), sets)
+    def report(kind, name, error):
+        if error is None:
+            print(f"{kind} {name}: ok")
+            return
+        errors.append(error)
+        if isinstance(error, ValidationError):
+            print(f"{kind} {name}: FAIL {error}")
+        else:
+            print(f"{kind} {name}: parse error {error}")
 
     try:
-        run("symseqs", "symseq", build_symseq, symseqs)
-        run("operads", "operad", lambda n, d: docmod._parse_operad(d, sorts, symseqs, windows), operads)
-        run("families", "family", build_family, families)
-        run("algebras", "algebra", lambda n, d: docmod._parse_algebra(d, operads, families), algebras)
-        run("bimodules", "bimodule", lambda n, d: docmod._parse_bimodule(d, operads, symseqs), {})
-    except SystemExit:
-        for line in lines:
-            print(line)
+        docmod.parse_document(data, report)
+    except (InputError, KeyError) as e:
+        if not errors or errors[-1] is not e:
+            print(f"parse error: {e}")
         return INPUT_ERR
-    for line in lines:
-        print(line)
-    return LAW_FAIL if failures else OK
+    return LAW_FAIL if errors else OK
 
 
 def cmd_compose(args) -> int:

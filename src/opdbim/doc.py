@@ -9,10 +9,10 @@ normalized, which makes every command's output byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable
 
-from .perms import InputError, Perm, ValidationError, YoungSet, skey, ssorted, stab_gens
+from .perms import InputError, ValidationError, YoungSet, skey, ssorted, stab_gens
 from .symseq import Family, SymSeq, SymSeqMap, compose_symseq
 from .operads import (
     Algebra,
@@ -27,7 +27,7 @@ from .operads import (
     terminal_operad,
     unit_operad,
 )
-from .bimodules import Bimodule, make_bimodule, identity_bimodule
+from .bimodules import Bimodule
 
 FORMAT_VERSION = "1"
 
@@ -171,8 +171,9 @@ def parse_explicit_operad(data: dict) -> Operad:
         w = dec_word(entry["word"])
         x = dec(entry["out"])
         raw = dec_raw(entry["rep"])
-        cls = comp2.class_of(w, x, raw)
-        table[(w, x, cls)] = dec(entry["to"])
+        if raw not in comp2.cls.get((w, x), {}):
+            raise InputError(f"mu entry {entry['rep']} is not a raw of cell {(w, x)!r}")
+        table[(w, x, comp2.class_of(w, x, raw))] = dec(entry["to"])
 
     def mu_fn(key, raw):
         w, x = key
@@ -206,45 +207,77 @@ def positive_int(value, what: str) -> int:
     return value
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _section(data: dict, name: str) -> dict:
+    return _object(data.get(name, {}), f"section {name!r}")
+
+
 def parse_windows(data: dict) -> dict:
     """The document's windows over their defaults, each a positive integer."""
     windows = dict(WINDOW_DEFAULTS)
-    windows.update(data.get("windows", {}))
+    windows.update(_section(data, "windows"))
     for name, value in windows.items():
         positive_int(value, f"window {name!r}")
     return windows
 
 
-def parse_document(data: dict) -> Document:
+def _raise_error(kind: str, name: str, error) -> None:
+    if error is not None:
+        raise error
+
+
+def parse_document(data, report: Callable = _raise_error) -> Document:
+    """Build every declaration, section by section and by name within a section.
+
+    ``report(kind, name, error)`` is called once per declaration, with
+    ``error`` None once it is built.  When ``report`` returns on a
+    ``ValidationError`` the declaration is left out and the walk goes on; an
+    input error is raised after its report.  The default report raises.
+    """
+    data = _object(data, "document")
     if data.get("version") != FORMAT_VERSION:
         raise InputError(f"unsupported document version {data.get('version')!r}")
     windows = parse_windows(data)
-    sorts = {}
-    for name, values in data.get("sorts", {}).items():
-        sorts[name] = ssorted(dec(v) for v in values)
-    symseqs = {}
-    for name, sdata in data.get("symseqs", {}).items():
-        if isinstance(sdata.get("dom"), str):
-            sdata = dict(sdata)
-            sdata["dom"] = [enc(s) for s in sorts[sdata["dom"]]]
-        if isinstance(sdata.get("cod"), str):
-            sdata = dict(sdata)
-            sdata["cod"] = [enc(s) for s in sorts[sdata["cod"]]]
-        symseqs[name] = parse_symseq(sdata)
-    operads = {}
-    for name, odata in data.get("operads", {}).items():
-        operads[name] = _parse_operad(odata, sorts, symseqs, windows)
-    families = {}
-    for name, fdata in data.get("families", {}).items():
-        sets = {_dec_key(k_): tuple(dec(v) for v in vs) for k_, vs in fdata.items()}
-        families[name] = Family(tuple(sets), sets)
-    algebras = {}
-    for name, adata in data.get("algebras", {}).items():
-        algebras[name] = _parse_algebra(adata, operads, families)
-    bimodules = {}
-    for name, bdata in data.get("bimodules", {}).items():
-        bimodules[name] = _parse_bimodule(bdata, operads, symseqs)
-    return Document(windows, sorts, symseqs, operads, families, algebras, bimodules)
+    sorts = {name: ssorted(dec(v) for v in values) for name, values in _section(data, "sorts").items()}
+    doc = Document(windows, sorts, {}, {}, {}, {}, {})
+    builders = (
+        ("symseqs", "symseq", lambda d: _parse_named_symseq(d, sorts)),
+        ("operads", "operad", lambda d: _parse_operad(d, sorts, doc.symseqs, windows)),
+        ("families", "family", _parse_family),
+        ("algebras", "algebra", lambda d: _parse_algebra(d, doc.operads, doc.families)),
+        ("bimodules", "bimodule", lambda d: _parse_bimodule(d, doc.operads, doc.symseqs)),
+    )
+    for section, kind, build in builders:
+        store, decls = getattr(doc, section), _section(data, section)
+        for name in sorted(decls):
+            try:
+                store[name] = build(_object(decls[name], f"{kind} {name!r}"))
+            except (ValidationError, InputError, KeyError) as e:
+                report(kind, name, e)
+                if not isinstance(e, ValidationError):
+                    raise
+                continue
+            report(kind, name, None)
+    return doc
+
+
+def _parse_named_symseq(sdata: dict, sorts: dict) -> SymSeq:
+    """A symmetric sequence whose ``dom``/``cod`` may name a declared sort list."""
+    sdata = dict(sdata)
+    for end in ("dom", "cod"):
+        if isinstance(sdata.get(end), str):
+            sdata[end] = [enc(s) for s in sorts[sdata[end]]]
+    return parse_symseq(sdata)
+
+
+def _parse_family(fdata: dict) -> Family:
+    sets = {_dec_key(k): tuple(dec(v) for v in vs) for k, vs in fdata.items()}
+    return Family(tuple(sets), sets)
 
 
 def _dec_key(k: str):
@@ -253,10 +286,6 @@ def _dec_key(k: str):
         return dec(json.loads(k))
     except (json.JSONDecodeError, InputError):
         return k
-
-
-def enc_key(sort) -> str:
-    return json.dumps(enc(sort), sort_keys=True, separators=(",", ":"))
 
 
 def _parse_operad(odata: dict, sorts: dict, symseqs: dict, windows: dict) -> Operad:
@@ -378,37 +407,6 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
     from .bimodules import bimodule_from_maps
 
     return bimodule_from_maps(left, right, carrier, lam, rho, window, bm, ma)
-
-
-def serialize_bimodule(b: Bimodule) -> dict:
-    lam_entries = []
-    for key in sorted(b.bm.reps, key=lambda k: (len(k[0]), skey(k))):
-        for idx, raw in enumerate(b.bm.reps[key]):
-            lam_entries.append(
-                {
-                    "word": enc_word(key[0]),
-                    "out": enc(key[1]),
-                    "rep": enc_raw(raw),
-                    "to": enc(b.lam.at(*key, idx)),
-                }
-            )
-    rho_entries = []
-    for key in sorted(b.ma.reps, key=lambda k: (len(k[0]), skey(k))):
-        for idx, raw in enumerate(b.ma.reps[key]):
-            rho_entries.append(
-                {
-                    "word": enc_word(key[0]),
-                    "out": enc(key[1]),
-                    "rep": enc_raw(raw),
-                    "to": enc(b.rho.at(*key, idx)),
-                }
-            )
-    return {
-        "carrier": serialize_symseq(b.carrier),
-        "lambda": lam_entries,
-        "rho": rho_entries,
-        "window": b.window,
-    }
 
 
 def dumps(data) -> str:

@@ -26,6 +26,7 @@ from .perms import (
     block_diag,
     canonical_word,
     compose,
+    is_canonical,
     quotient,
     skey,
     ssorted,
@@ -67,9 +68,6 @@ class Operad:
 
     def eta_label(self, x):
         return self.eta.at((x,), x, ("id", x))
-
-    def mu_class(self, w: Word, x, cls: int):
-        return self.mu.at(w, x, cls)
 
     def support(self):
         return self.carrier.support()
@@ -285,7 +283,7 @@ def _norm_signature(signature) -> dict:
     out = {}
     for (v, o), names in signature.items():
         v = tuple(v)
-        if not is_canonical_word(v):
+        if not is_canonical(v):
             raise InputError(f"signature word {v} is not canonical")
         if len(v) == 0:
             raise InputError("nullary generators are rejected: free cells would be infinite")
@@ -293,10 +291,6 @@ def _norm_signature(signature) -> dict:
             raise InputError("unary generators are rejected: free cells would be infinite")
         out[(v, o)] = tuple(names)
     return out
-
-
-def is_canonical_word(w: Word) -> bool:
-    return all(skey(w[i]) <= skey(w[i + 1]) for i in range(len(w) - 1))
 
 
 def _free_cells(sorts, signature, arity_bound):

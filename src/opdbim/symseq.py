@@ -191,16 +191,33 @@ def compose_maps(second: SymSeqMap, first: SymSeqMap) -> SymSeqMap:
     return SymSeqMap(first.src, second.dst, comp)
 
 
+class _Undefined:
+    def __repr__(self):
+        return "<undefined>"
+
+
+UNDEFINED = _Undefined()  # reported value of a label a map leaves undefined
+
+
+def label_differences(a, b, cells: Iterable):
+    """Yield ``(cell, label, a value, b value)`` wherever maps ``a`` and ``b`` disagree.
+
+    ``cells`` yields ``(cell, labels)`` pairs of the common source.  A label
+    that either map leaves undefined is a difference, never a match, so two
+    maps that both miss a cell are not equal.  Works for maps of both layers.
+    """
+    for key, labels in cells:
+        ma, mb = a.comp.get(key, {}), b.comp.get(key, {})
+        for lab in labels:
+            va, vb = ma.get(lab, UNDEFINED), mb.get(lab, UNDEFINED)
+            if va is UNDEFINED or vb is UNDEFINED or va != vb:
+                yield key, lab, va, vb
+
+
 def map_equal(a: SymSeqMap, b: SymSeqMap) -> bool:
-    for key, cell in a.src.cells.items():
-        if cell.size == 0:
-            continue
-        ma = a.comp.get(key, {})
-        mb = b.comp.get(key, {})
-        for lab in cell.labels:
-            if ma.get(lab) != mb.get(lab):
-                return False
-    return True
+    """True iff both maps are defined and agree on every label of the source."""
+    cells = ((key, cell.labels) for key, cell in a.src.cells.items())
+    return next(label_differences(a, b, cells), None) is None
 
 
 def map_inverse(m: SymSeqMap) -> SymSeqMap:
@@ -211,13 +228,8 @@ def map_inverse(m: SymSeqMap) -> SymSeqMap:
 
 
 def first_map_difference(a: SymSeqMap, b: SymSeqMap):
-    for key, cell in sorted(a.src.cells.items(), key=lambda kv: (len(kv[0][0]), skey(kv[0]))):
-        for lab in cell.labels:
-            va = a.comp.get(key, {}).get(lab)
-            vb = b.comp.get(key, {}).get(lab)
-            if va != vb:
-                return (key, lab, va, vb)
-    return None
+    items = sorted(a.src.cells.items(), key=lambda kv: (len(kv[0][0]), skey(kv[0])))
+    return next(label_differences(a, b, ((key, cell.labels) for key, cell in items)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +239,11 @@ def first_map_difference(a: SymSeqMap, b: SymSeqMap):
 
 @dataclass
 class Composite:
-    """Materialized horizontal composite with its class structure."""
+    """Materialized horizontal composite with its class structure.
+
+    Shared by both layers: ``outer``, ``inner`` and ``seq`` are ``SymSeq`` here
+    and ``CatSymSeq`` in :mod:`.catsym`, whose raws end in a groupoid arrow.
+    """
 
     outer: SymSeq
     inner: SymSeq
@@ -237,7 +253,11 @@ class Composite:
     reps: dict   # (word, out) -> list of representative raws
 
     def class_of(self, w: Word, y, raw) -> int:
-        return self.cls[(w, y)][raw]
+        """Class of ``raw``; a raw outside the composite is a law failure."""
+        try:
+            return self.cls[(w, y)][raw]
+        except KeyError:
+            raise ValidationError(f"composite undefined at cell {(w, y)!r}, raw {raw!r}") from None
 
     def rep(self, w: Word, y, idx: int):
         return self.reps[(w, y)][idx]
@@ -423,11 +443,9 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
             zmid, h, yblocks, gs, tau = hg.rep(mid, t_out, q)
             tau_p = Perm(tau)
             lengths = [len(b) for b in blocks]
-            offs = block_offsets(lengths)
-            ylens = [len(d) for d in yblocks]
-            yoffs = block_offsets(ylens)
+            yoffs = block_offsets([len(d) for d in yblocks])
             # group the inner blocks by the outer block structure
-            new_blocks, new_fs, kappas, group_lens = [], [], [], []
+            new_blocks, new_fs, kappas = [], [], []
             for j, d in enumerate(yblocks):
                 picks = [tau_p(p) for p in range(yoffs[j], yoffs[j + 1])]
                 u = tuple(s for i in picks for s in blocks[i])
@@ -439,7 +457,6 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
                 new_blocks.append(e)
                 new_fs.append(gf.class_of(e, zj, gf_raw))
                 kappas.append(kappa)
-                group_lens.append(len(u))
             rearrange = block_perm(lengths, tau_p)
             chi = block_diag([k.inverse() for k in kappas])
             sig2 = compose(compose(Perm(sig), rearrange), chi)

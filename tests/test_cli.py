@@ -253,3 +253,17 @@ def test_bad_operad_arity_bound_is_input_error(tmp_path, capsys, argv):
     code, out = run_cli([a.format(doc=path) for a in argv], capsys)
     assert code == 2
     assert "must be a positive integer" in out
+
+
+@pytest.mark.parametrize(
+    "document",
+    [[], {"version": "1", "operads": []}, {"version": "1", "symseqs": {"F": []}}],
+    ids=["top-level-list", "section-list", "declaration-list"],
+)
+@pytest.mark.parametrize("argv", [["check", "{doc}"], ["series", "{doc}", "F", "2"]])
+def test_non_object_document_parts_are_input_errors(tmp_path, capsys, document, argv):
+    # check and the other commands share one parser, so they agree on exit 2
+    path = write_doc(tmp_path, document)
+    code, out = run_cli([a.format(doc=path) for a in argv], capsys)
+    assert code == 2
+    assert "must be a JSON object" in out

@@ -1,0 +1,114 @@
+"""Maps are total on the cells they hold: a missing cell is never skipped or matched."""
+
+import re
+
+import pytest
+
+from opdbim.perms import ValidationError, YoungSet
+from opdbim.symseq import UNDEFINED, SymSeq, SymSeqMap, first_map_difference, map_equal
+from opdbim.operads import com_operad, unit_operad
+from opdbim.catsym import (
+    CatMap,
+    cat_compose,
+    cat_compose_maps,
+    cat_first_difference,
+    cat_from_symseq,
+    cat_hcompose,
+    cat_id,
+    cat_identity_map,
+    cat_map_equal,
+    cat_sum,
+    cat_sum_split,
+    exponential_operad,
+    hom_monad,
+)
+
+STAR = "*"
+UNARY = ((STAR,), STAR)
+BINARY = ((STAR, STAR), STAR)
+
+
+def small_symseq():
+    cells = {
+        UNARY: YoungSet.trivial((STAR,), ("a",)),
+        BINARY: YoungSet.trivial((STAR, STAR), ("b",)),
+    }
+    return SymSeq((STAR,), (STAR,), cells)
+
+
+def without(m: CatMap, key) -> CatMap:
+    return CatMap(m.src, m.dst, {k: v for k, v in m.comp.items() if k != key})
+
+
+def test_map_equal_fails_when_both_maps_lack_a_cell():
+    f = small_symseq()
+    a, b = SymSeqMap(f, f, {}), SymSeqMap(f, f, {})
+    assert not map_equal(a, b)
+    assert first_map_difference(a, b) == (UNARY, "a", UNDEFINED, UNDEFINED)
+
+
+def test_cat_map_equal_fails_when_both_maps_lack_a_cell():
+    fc = cat_from_symseq(small_symseq())
+    ident = cat_identity_map(fc)
+    a, b = without(ident, BINARY), without(ident, BINARY)
+    assert not cat_map_equal(a, b)
+    assert cat_first_difference(a, b) == (BINARY, "b", UNDEFINED, UNDEFINED)
+    assert cat_map_equal(ident, cat_identity_map(fc))
+
+
+def test_cat_compose_maps_names_the_cell_read_outside_the_second_map():
+    fc = cat_from_symseq(small_symseq())
+    ident = cat_identity_map(fc)
+    with pytest.raises(ValidationError, match=re.escape(repr(BINARY))):
+        cat_compose_maps(without(ident, BINARY), ident)
+    missing_label = CatMap(fc, fc, {**ident.comp, UNARY: {}})
+    with pytest.raises(ValidationError, match=re.escape(f"{UNARY!r}, label 'a'")):
+        cat_compose_maps(missing_label, ident)
+
+
+def test_cat_hcompose_names_the_cell_read_outside_a_map_or_composite():
+    fc = cat_from_symseq(small_symseq())
+    ident = cat_identity_map(fc)
+    comp = cat_compose(fc, fc, max_arity=3)
+    with pytest.raises(ValidationError, match=re.escape(f"map undefined at cell {BINARY!r}")):
+        cat_hcompose(without(ident, BINARY), ident, comp, comp)
+    with pytest.raises(ValidationError, match=re.escape(f"map undefined at cell {UNARY!r}")):
+        cat_hcompose(ident, without(ident, UNARY), comp, comp)
+    smaller = cat_compose(fc, fc, max_arity=2)
+    with pytest.raises(ValidationError, match="composite undefined at cell"):
+        cat_hcompose(ident, ident, comp, smaller)
+
+
+def untag(w):
+    return tuple(o for (_t, o) in w)
+
+
+def test_cat_sum_split_omits_exactly_the_cells_missing_from_the_part():
+    # the split (E u Id_X) o (E u Id_X) -> (E o E) u (Id_X o Id_X) of the
+    # unit(x) / com(2) hom monad with both windows 2
+    hm = hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
+    idx = cat_id(hm.x)
+    s_e = cat_sum(hm.e, idx)
+    ss = cat_compose(s_e, s_e, max_arity=4)
+    idxx = cat_compose(idx, idx, max_arity=4)
+    split = cat_sum_split(ss, hm.ee, idxx)
+    parts = {"l": hm.ee, "r": idxx}
+    kept = {
+        (w, z) for (w, z) in ss.reps
+        if (untag(w), z[1]) in parts[z[0]].seq.cells
+    }
+    assert set(split.comp) == kept
+    assert 0 < len(kept) < len(ss.reps)
+    for key in kept:
+        assert set(split.comp[key]) == set(range(len(ss.reps[key])))
+        w, z = key
+        assert set(split.comp[key].values()) <= set(parts[z[0]].seq.cells[(untag(w), z[1])])
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="the hom monad unit is read off the canonical exponential sort "
+                          "and misses the arrows into ((y, x), z)")
+def test_exponential_of_a_two_sorted_source():
+    exp = exponential_operad(unit_operad(("x", "y"), 2), unit_operad(("z",), 2), 2, 2)
+    # one sort per word of length at most 2 over {x, y}, paired with z
+    assert len(exp.sorts) == 1 + 2 + 4
