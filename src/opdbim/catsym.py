@@ -10,7 +10,14 @@ transports along every word arrow between canonical words (contravariant)
 and every codomain arrow (covariant).  Composition, coherence maps, the
 evaluation 1-cell and the transpose bijection follow the same raw-tuple and
 quotient discipline as :mod:`.symseq`; groupoid arrows contribute the extra
-relation edges.
+relation edges, along generators only.  Per block word and per middle word
+those are the adjacent transpositions inside runs of equal objects, the
+non-identity automorphisms of each letter, and one arrow to each other
+isomorphic support word.  A coend needs only a generating set of arrows:
+transports are functorial, so the edges along a composite arrow form a path
+of generator edges, and the union-find finds the classes, representatives and
+class numbers that edges along every arrow would.  Arrow sets between words
+are enumerated once per groupoid instance (``sw_arrows``).
 
 Every map is total on the cells it holds.  Reading a cell or label a map
 lacks, or a raw outside a composite, raises ``ValidationError`` naming the
@@ -20,6 +27,7 @@ leaves a cell out iff the untagged cell is not a cell of the part composite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -79,8 +87,20 @@ def sw_is_canonical(gpd: FinGroupoid, word: Word) -> bool:
     return all(gpd.obj_index(word[i]) <= gpd.obj_index(word[i + 1]) for i in range(len(word) - 1))
 
 
-def sw_arrows(gpd: FinGroupoid, v: Word, w: Word) -> list[Arrow]:
-    """All arrows ``v -> w``: permutations with componentwise groupoid arrows."""
+def sw_arrows(gpd: FinGroupoid, v: Word, w: Word) -> tuple[Arrow, ...]:
+    """All arrows ``v -> w`` in ``skey`` order, enumerated once per groupoid instance.
+
+    The sorted tuple is kept in ``gpd.word_arrows``, so it lives exactly as
+    long as the groupoid.
+    """
+    arrows = gpd.word_arrows.get((v, w))
+    if arrows is None:
+        arrows = gpd.word_arrows[(v, w)] = tuple(sorted(_enumerate_arrows(gpd, v, w), key=skey))
+    return arrows
+
+
+def _enumerate_arrows(gpd: FinGroupoid, v: Word, w: Word) -> list[Arrow]:
+    """Arrows ``v -> w`` by backtracking: permutations with componentwise groupoid arrows."""
     n = len(v)
     if len(w) != n:
         return []
@@ -106,7 +126,6 @@ def sw_arrows(gpd: FinGroupoid, v: Word, w: Word) -> list[Arrow]:
             used[j] = False
 
     backtrack(0, [False] * n, [], [])
-    out.sort(key=skey)
     return out
 
 
@@ -419,53 +438,79 @@ def cat_first_difference(a: CatMap, b: CatMap):
 # ---------------------------------------------------------------------------
 
 
-def _cat_edges(outer: CatSymSeq, inner: CatSymSeq, key, raws):
-    w, z = key
+def _word_generators(gpd: FinGroupoid, v: Word, targets: list[Word]) -> list[tuple[Word, Arrow]]:
+    """``(target word, arrow)`` pairs generating every arrow from canonical ``v`` into ``targets``.
+
+    The adjacent transpositions inside runs of equal objects and the
+    non-identity automorphisms of each letter generate ``Aut(v)``; every arrow
+    ``v -> v2`` is one of those followed by the one arrow kept for ``v2``.
+    """
+    n = len(v)
+    gens = [(v, sw_perm_arrow(gpd, v, Perm.transposition(n, i))) for i in stab_gens(v)]
+    idcomps = tuple(gpd.ident[o] for o in v)
+    for p, o in enumerate(v):
+        for a in gpd.arrows(o, o):
+            if a != gpd.ident[o]:
+                gens.append((v, (tuple(range(n)), idcomps[:p] + (a,) + idcomps[p + 1 :])))
+    for v2 in targets:
+        arrows = sw_arrows(gpd, v, v2) if v2 != v and len(v2) == n else ()
+        if arrows:
+            gens.append((v2, arrows[0]))
+    return gens
+
+
+def _generator_table(seq: CatSymSeq) -> Callable:
+    """Memoised ``(word, out) -> [(target word, arrow, inverted transport)]`` over ``seq``.
+
+    The targets are the support words of ``seq`` at ``out``; the inverted
+    transport maps a label at ``word`` to its preimage at the target word.
+    """
+    support_words = functools.cache(seq.support_words)
+
+    @functools.cache
+    def generators(word: Word, out) -> list:
+        return [
+            (v2, a, {l: l2 for l2, l in seq.dom_tr[(v2, out)][(word, a)].items()})
+            for v2, a in _word_generators(seq.dom, word, support_words(out))
+        ]
+
+    return generators
+
+
+def _cat_edges(inner: CatSymSeq, z, raws, inner_gens: Callable, outer_gens: Callable) -> list:
+    """Coend relation edges of one cell, along generating arrows only.
+
+    A raw is related along an arrow of a block word (inner variable) or of
+    the middle word (middle variable).  Both relations are actions of the
+    word groupoids, because transports are functorial, so the edge along a
+    composite arrow is a path of edges along its factors.  Edges along the
+    arrows of ``_word_generators`` therefore generate the same equivalence as
+    edges along every arrow, and the union-find keeps the same classes.
+    """
     dom = inner.dom
-    mid_gpd = outer.dom
     edges = []
-    inner_words_by_out: dict = {}
-    outer_words_by_out: dict = {}
     for raw in raws:
         mid, g, blocks, fs, arr = raw
-        lengths = [len(b) for b in blocks]
-        # inner-variable relations: any arrow out of each block word
+        concat = tuple(o for b in blocks for o in b)
+        offs = block_offsets(len(b) for b in blocks)
+        # inner variable: (T_beta(f'), arr) ~ (f', arr then beta inside block i)
         for i, b in enumerate(blocks):
-            cell_key = (b, mid[i])
-            if mid[i] not in inner_words_by_out:
-                inner_words_by_out[mid[i]] = inner.support_words(mid[i])
-            for b2 in inner_words_by_out[mid[i]]:
-                if len(b2) != len(b):
-                    continue
-                for beta in sw_arrows(dom, b, b2):
-                    # (T_beta(f'), arr) ~ (f', arr then embed(beta))
-                    t_beta = inner.dom_tr[(b2, mid[i])][(b, beta)]
-                    inv = {v: k for k, v in t_beta.items()}
-                    f2 = inv[fs[i]]
-                    concat = tuple(o for bl in blocks for o in bl)
-                    emb = sw_embed_at(dom, concat, block_offsets(lengths)[i], beta, len(b))
-                    arr2 = sw_compose(dom, arr, emb)
-                    blocks2 = blocks[:i] + (b2,) + blocks[i + 1 :]
-                    edges.append((raw, (mid, g, blocks2, fs[:i] + (f2,) + fs[i + 1 :], arr2)))
-        # middle-variable relations: any arrow out of the middle word
-        if z not in outer_words_by_out:
-            outer_words_by_out[z] = outer.support_words(z)
-        for mid2 in outer_words_by_out[z]:
-            if len(mid2) != len(mid):
-                continue
-            for psi in sw_arrows(mid_gpd, mid, mid2):
-                t_psi = outer.dom_tr[(mid2, z)][(mid, psi)]
-                inv = {v: k for k, v in t_psi.items()}
-                g2 = inv[g]
-                sigma = Perm(psi[0])
-                blocks2 = tuple(blocks[sigma(i)] for i in range(len(blocks)))
-                fs2 = []
-                for i in range(len(blocks)):
-                    comp_arrow = psi[1][i]  # mid[sigma(i)] -> mid2[i]
-                    fs2.append(inner.cod_tr[(blocks[sigma(i)], mid[sigma(i)])][comp_arrow][fs[sigma(i)]])
-                bp = sw_block_perm(dom, list(blocks), sigma)
-                arr2 = sw_compose(dom, arr, bp)
-                edges.append((raw, (mid2, g2, blocks2, tuple(fs2), arr2)))
+            for b2, beta, inv in inner_gens(b, mid[i]):
+                emb = sw_embed_at(dom, concat, offs[i], beta, len(b))
+                blocks2 = blocks[:i] + (b2,) + blocks[i + 1 :]
+                fs2 = fs[:i] + (inv[fs[i]],) + fs[i + 1 :]
+                edges.append((raw, (mid, g, blocks2, fs2, sw_compose(dom, arr, emb))))
+        # middle variable: move whole blocks along psi, transport g and the fs
+        for mid2, psi, inv in outer_gens(mid, z):
+            sigma = Perm(psi[0])
+            order = [sigma(i) for i in range(len(blocks))]
+            blocks2 = tuple(blocks[j] for j in order)
+            # psi[1][i]: mid[sigma(i)] -> mid2[i]
+            fs2 = tuple(
+                inner.cod_tr[(blocks[j], mid[j])][psi[1][i]][fs[j]] for i, j in enumerate(order)
+            )
+            bp = sw_block_perm(dom, list(blocks), sigma)
+            edges.append((raw, (mid2, inv[g], blocks2, fs2, sw_compose(dom, arr, bp))))
     return edges
 
 
@@ -502,9 +547,10 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
                         for arr in arrows:
                             raws_by_cell.setdefault((cw, z), []).append((mid, g, blocks, fs, arr))
     cells, raws_out, cls_out, reps_out = {}, {}, {}, {}
+    inner_gens, outer_gens = _generator_table(inner), _generator_table(outer)
     for key in sorted(raws_by_cell, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
         raws = raws_by_cell[key]
-        q = quotient(raws, _cat_edges(outer, inner, key, raws))
+        q = quotient(raws, _cat_edges(inner, key[1], raws, inner_gens, outer_gens))
         cells[key] = tuple(range(len(q.classes)))
         raws_out[key] = raws
         cls_out[key] = q.class_index

@@ -43,7 +43,7 @@ def enc(value):
 
 def dec(value):
     if isinstance(value, dict):
-        if set(value) != {"t"}:
+        if set(value) != {"t"} or not isinstance(value["t"], list):
             raise InputError(f"bad encoded value {value!r}")
         return tuple(dec(v) for v in value["t"])
     if isinstance(value, list):
@@ -55,8 +55,46 @@ def enc_word(word):
     return [enc(s) for s in word]
 
 
-def dec_word(data):
-    return tuple(dec(s) for s in data)
+def dec_word(data, what: str = "word"):
+    return tuple(dec(s) for s in _array(data, what))
+
+
+# Type checks for the nested values of a document: a value of the wrong JSON
+# type is an InputError, never a TypeError from deep inside a parser.
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _pairs(value, what: str) -> list:
+    """A JSON list of two-element lists."""
+    for pair in _array(value, what):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputError(f"each entry of {what} must be a pair [a, b], got {pair!r}")
+    return value
+
+
+def _name(value, what: str):
+    """A plain JSON scalar used as a name or key (not a list or an object)."""
+    if isinstance(value, (list, dict)):
+        raise InputError(f"{what} must be a string or number, got {type(value).__name__}")
+    return value
+
+
+def _indices(value, what: str) -> tuple:
+    items = _array(value, what)
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in items):
+        raise InputError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(items)
 
 
 def serialize_symseq(f: SymSeq) -> dict:
@@ -85,18 +123,20 @@ def serialize_symseq(f: SymSeq) -> dict:
 
 
 def parse_symseq(data: dict) -> SymSeq:
-    dom = dec_word(data["dom"])
-    cod = dec_word(data["cod"])
+    data = _object(data, "symmetric sequence")
+    dom = dec_word(data["dom"], "dom")
+    cod = dec_word(data["cod"], "cod")
     cells = {}
-    for c in data["cells"]:
+    for c in _array(data["cells"], "cells"):
+        c = _object(c, "cell")
         w = dec_word(c["word"])
         y = dec(c["out"])
-        labels = tuple(dec(l) for l in c["labels"])
+        labels = tuple(dec(l) for l in _array(c["labels"], "labels"))
         gen_maps = {}
-        action = c.get("action", {})
+        action = _object(c.get("action", {}), "action")
         for i in stab_gens(w):
             if str(i) in action:
-                gen_maps[i] = {dec(a): dec(b) for a, b in action[str(i)]}
+                gen_maps[i] = {dec(a): dec(b) for a, b in _pairs(action[str(i)], f"action {i}")}
             else:
                 gen_maps[i] = {l: l for l in labels}
         cells[(w, y)] = YoungSet(w, labels, gen_maps)
@@ -116,12 +156,13 @@ def enc_raw(raw) -> dict:
 
 
 def dec_raw(data) -> tuple:
+    data = _object(data, "rep")
     return (
-        dec_word(data["mid"]),
+        dec_word(data["mid"], "mid"),
         dec(data["outer"]),
-        tuple(dec_word(b) for b in data["blocks"]),
-        tuple(dec(f) for f in data["inner"]),
-        tuple(data["sigma"]),
+        tuple(dec_word(b, "block") for b in _array(data["blocks"], "blocks")),
+        tuple(dec(f) for f in _array(data["inner"], "inner")),
+        _indices(data["sigma"], "sigma"),
     )
 
 
@@ -132,9 +173,10 @@ def enc_term(term):
 
 
 def dec_term(data):
+    data = _object(data, "term")
     if "var" in data:
-        return ("v", data["var"])
-    return ("g", data["op"], tuple(dec_term(t) for t in data["args"]))
+        return ("v", _name(data["var"], "var"))
+    return ("g", _name(data["op"], "op"), tuple(dec_term(t) for t in _array(data["args"], "args")))
 
 
 def serialize_operad(op: Operad) -> dict:
@@ -164,10 +206,11 @@ def serialize_operad(op: Operad) -> dict:
 
 def parse_explicit_operad(data: dict) -> Operad:
     carrier = parse_symseq(data["carrier"])
-    n = data["arity_bound"]
+    n = positive_int(data["arity_bound"], "operad arity_bound")
     comp2 = compose_symseq(carrier, carrier, max_arity=n)
     table: dict = {}
-    for entry in data["mu"]:
+    for entry in _array(data["mu"], "mu"):
+        entry = _object(entry, "mu entry")
         w = dec_word(entry["word"])
         x = dec(entry["out"])
         raw = dec_raw(entry["rep"])
@@ -182,7 +225,7 @@ def parse_explicit_operad(data: dict) -> Operad:
             raise InputError(f"mu entry missing for class {cls} at {key}")
         return table[(w, x, cls)]
 
-    eta_labels = {dec(a): dec(b) for a, b in data["eta"]}
+    eta_labels = {dec(a): dec(b) for a, b in _pairs(data["eta"], "eta")}
     return make_operad(carrier, mu_fn, eta_labels, n)
 
 
@@ -204,12 +247,6 @@ def positive_int(value, what: str) -> int:
     """``value`` if it is an integer of at least 1 (not a bool), else InputError."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InputError(f"{what} must be a positive integer, got {value!r}")
-    return value
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
 
 
@@ -243,7 +280,10 @@ def parse_document(data, report: Callable = _raise_error) -> Document:
     if data.get("version") != FORMAT_VERSION:
         raise InputError(f"unsupported document version {data.get('version')!r}")
     windows = parse_windows(data)
-    sorts = {name: ssorted(dec(v) for v in values) for name, values in _section(data, "sorts").items()}
+    sorts = {
+        name: ssorted(dec_word(values, f"sorts {name!r}"))
+        for name, values in _section(data, "sorts").items()
+    }
     doc = Document(windows, sorts, {}, {}, {}, {}, {})
     builders = (
         ("symseqs", "symseq", lambda d: _parse_named_symseq(d, sorts)),
@@ -276,7 +316,7 @@ def _parse_named_symseq(sdata: dict, sorts: dict) -> SymSeq:
 
 
 def _parse_family(fdata: dict) -> Family:
-    sets = {_dec_key(k): tuple(dec(v) for v in vs) for k, vs in fdata.items()}
+    sets = {_dec_key(k): dec_word(vs, f"family set {k!r}") for k, vs in fdata.items()}
     return Family(tuple(sets), sets)
 
 
@@ -293,8 +333,8 @@ def _parse_operad(odata: dict, sorts: dict, symseqs: dict, windows: dict) -> Ope
     if "builtin" in odata:
         name = odata["builtin"]
         if name == "unit":
-            key = odata.get("sorts", ("*",))
-            ss = sorts[key] if isinstance(key, str) else tuple(dec(s) for s in key)
+            key = odata.get("sorts", ["*"])
+            ss = sorts[key] if isinstance(key, str) else dec_word(key, "unit sorts")
             return unit_operad(ss, n)
         if name == "com":
             return com_operad(n)
@@ -306,25 +346,15 @@ def _parse_operad(odata: dict, sorts: dict, symseqs: dict, windows: dict) -> Ope
             return terminal_operad()
         raise InputError(f"unknown builtin operad {name!r}")
     if "free" in odata:
-        body = odata["free"]
-        ss = tuple(dec(s) for s in body["sorts"])
-        signature = {}
-        for g in body["generators"]:
-            key = (dec_word(g["word"]), dec(g["out"]))
-            signature.setdefault(key, ())
-            signature[key] = signature[key] + tuple(g["names"])
-        return free_operad(ss, signature, n)
+        body = _object(odata["free"], "free operad")
+        return free_operad(dec_word(body["sorts"], "sorts"), _signature(body), n)
     if "presented" in odata:
-        body = odata["presented"]
-        ss = tuple(dec(s) for s in body["sorts"])
-        signature = {}
-        for g in body["generators"]:
-            key = (dec_word(g["word"]), dec(g["out"]))
-            signature.setdefault(key, ())
-            signature[key] = signature[key] + tuple(g["names"])
-        relations = [
-            (dec_term(r["left"]), dec_term(r["right"])) for r in body["relations"]
-        ]
+        body = _object(odata["presented"], "presented operad")
+        ss, signature = dec_word(body["sorts"], "sorts"), _signature(body)
+        relations = []
+        for r in _array(body["relations"], "relations"):
+            r = _object(r, "relation")
+            relations.append((dec_term(r["left"]), dec_term(r["right"])))
         return presented_operad(ss, signature, relations, n)
     if "carrier" in odata:
         data = dict(odata)
@@ -336,30 +366,45 @@ def _parse_operad(odata: dict, sorts: dict, symseqs: dict, windows: dict) -> Ope
     raise InputError("operad declaration needs builtin/free/presented/carrier")
 
 
+def _signature(body: dict) -> dict:
+    """Generator names by ``(word, out)``, in declaration order."""
+    signature: dict = {}
+    for g in _array(body["generators"], "generators"):
+        g = _object(g, "generator")
+        key = (dec_word(g["word"]), dec(g["out"]))
+        names = tuple(_name(v, "generator name") for v in _array(g["names"], "names"))
+        signature[key] = signature.get(key, ()) + names
+    return signature
+
+
 def _parse_algebra(adata: dict, operads: dict, families: dict) -> Algebra:
-    op = operads[adata["operad"]]
-    fam = families[adata["family"]]
+    op = operads[_name(adata["operad"], "algebra operad")]
+    fam = families[_name(adata["family"], "algebra family")]
     act: dict = {}
-    for entry in adata.get("action", []):
+    for entry in _array(adata.get("action", []), "algebra action"):
+        entry = _object(entry, "algebra action entry")
         w = dec_word(entry["word"])
         x = dec(entry["out"])
         lab = dec(entry["label"])
-        args = tuple(dec(v) for v in entry["args"])
+        args = dec_word(entry["args"], "args")
         act.setdefault((w, x), {})[(lab, args)] = dec(entry["to"])
     return make_algebra(op, fam, act)
 
 
 def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
-    left = operads[bdata["left"]]
-    right = operads[bdata["right"]]
-    carrier = symseqs[bdata["carrier"]]
+    left = operads[_name(bdata["left"], "bimodule left")]
+    right = operads[_name(bdata["right"], "bimodule right")]
+    carrier = symseqs[_name(bdata["carrier"], "bimodule carrier")]
     window = bdata.get("window", min(left.arity_bound, right.arity_bound))
+    if isinstance(window, bool) or not isinstance(window, int):
+        raise InputError(f"bimodule window must be an integer, got {window!r}")
 
     def action_fn(entries):
         if entries == "induced":
             return None
         table = {}
-        for entry in entries:
+        for entry in _array(entries, "bimodule action"):
+            entry = _object(entry, "bimodule action entry")
             w = dec_word(entry["word"])
             x = dec(entry["out"])
             raw = dec_raw(entry["rep"])

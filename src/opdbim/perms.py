@@ -548,6 +548,9 @@ class FinGroupoid:
                 self.src[f] = a
                 self.dst[f] = b
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
+        # (v, w) -> arrows between words v -> w, filled by catsym.sw_arrows;
+        # not a field, so it takes no part in equality
+        self.word_arrows: dict = {}
 
     @staticmethod
     def discrete(objects: Iterable) -> "FinGroupoid":

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from opdbim.perms import FinGroupoid, Perm, YoungSet, disjoint_union
+from opdbim.perms import FinGroupoid, Perm, YoungSet, block_offsets, disjoint_union, quotient, skey
 from opdbim.symseq import SymSeq, compose_symseq, iso_symseq
 from opdbim.operads import com_operad, enumerate_algebras, operad_iso, terminal_operad, unit_operad
 from opdbim.catsym import (
@@ -29,8 +29,10 @@ from opdbim.catsym import (
     product_operad,
     split_word,
     sw_arrows,
+    sw_block_perm,
     sw_canonical,
     sw_compose,
+    sw_embed_at,
     sw_id,
     sw_inverse,
     transpose,
@@ -272,3 +274,123 @@ def test_exponential_with_nonunit_outer_operad():
     # length bound (the boundary caveat).
     sizes = {s: 1 if len(s[0]) == 0 else 2 for s in exp.sorts}
     assert enumerate_algebras(exp, sizes, budget=10_000_000) == 4
+
+
+# --- coend edges along generators, and the arrow-set memo --------------------
+
+
+def _all_arrow_edges(outer, inner, z, raws):
+    """The coend relation along every arrow out of each block word and the middle word."""
+    dom = inner.dom
+    edges = []
+    for raw in raws:
+        mid, g, blocks, fs, arr = raw
+        concat = tuple(o for b in blocks for o in b)
+        offs = block_offsets(len(b) for b in blocks)
+        for i, b in enumerate(blocks):
+            for b2 in inner.support_words(mid[i]):
+                for beta in sw_arrows(dom, b, b2):
+                    t_beta = inner.dom_tr[(b2, mid[i])][(b, beta)]
+                    f2 = {v: k for k, v in t_beta.items()}[fs[i]]
+                    arr2 = sw_compose(dom, arr, sw_embed_at(dom, concat, offs[i], beta, len(b)))
+                    blocks2 = blocks[:i] + (b2,) + blocks[i + 1 :]
+                    edges.append((raw, (mid, g, blocks2, fs[:i] + (f2,) + fs[i + 1 :], arr2)))
+        for mid2 in outer.support_words(z):
+            for psi in sw_arrows(outer.dom, mid, mid2):
+                t_psi = outer.dom_tr[(mid2, z)][(mid, psi)]
+                g2 = {v: k for k, v in t_psi.items()}[g]
+                sigma = Perm(psi[0])
+                order = [sigma(i) for i in range(len(blocks))]
+                fs2 = tuple(
+                    inner.cod_tr[(blocks[j], mid[j])][psi[1][i]][fs[j]] for i, j in enumerate(order)
+                )
+                arr2 = sw_compose(dom, arr, sw_block_perm(dom, list(blocks), sigma))
+                edges.append((raw, (mid2, g2, tuple(blocks[j] for j in order), fs2, arr2)))
+    return edges
+
+
+def _assert_all_arrow_partition(outer, inner, comp):
+    for key, raws in comp.raws.items():
+        q = quotient(raws, _all_arrow_edges(outer, inner, key[1], raws))
+        assert comp.cls[key] == q.class_index, key
+        assert comp.reps[key] == list(q.representative), key
+
+
+def _recorded_composites(monkeypatch, build):
+    """Every ``(outer, inner, composite)`` that ``cat_compose`` builds during ``build()``."""
+    import opdbim.catsym as catsym
+
+    built = []
+    original = catsym.cat_compose
+
+    def recording(outer, inner, max_arity=None):
+        comp = original(outer, inner, max_arity=max_arity)
+        built.append((outer, inner, comp))
+        return comp
+
+    monkeypatch.setattr(catsym, "cat_compose", recording)
+    build()
+    monkeypatch.undo()
+    return built
+
+
+def test_generator_edges_match_all_arrow_edges(monkeypatch):
+    # discrete: the generators are the adjacent transpositions inside runs
+    c = cat_from_symseq(com_operad(3).carrier)
+    _assert_all_arrow_partition(c, c, cat_compose(c, c, max_arity=3))
+    # every composite of the unit(x, 2) / com(2) hom monad, monad laws included
+    built = _recorded_composites(
+        monkeypatch, lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
+    )
+    assert len(built) > 40
+    for outer, inner, comp in built:
+        _assert_all_arrow_partition(outer, inner, comp)
+    # distinct isomorphic objects, such as ((x, y), z) and ((y, x), z), and
+    # non-trivial automorphisms, such as the swap of ((x, x), z)
+    expz = exp_object(FinGroupoid.discrete(("x", "y")), FinGroupoid.discrete(("z",)), 2)
+    assert expz.arrows((("x", "y"), "z"), (("y", "x"), "z"))
+    assert len(expz.arrows((("x", "x"), "z"), (("x", "x"), "z"))) == 2
+    idz = cat_id(expz)
+    _assert_all_arrow_partition(idz, idz, cat_compose(idz, idz, max_arity=2))
+
+
+def _fresh_arrows(gpd, v, w):
+    """Every arrow ``v -> w`` from scratch, in ``skey`` order."""
+    if len(v) != len(w):
+        return []
+    out = []
+    for images in itertools.permutations(range(len(v))):
+        for comps in itertools.product(*(gpd.arrows(v[images[i]], w[i]) for i in range(len(w)))):
+            out.append((images, comps))
+    return sorted(out, key=skey)
+
+
+def test_memoised_sw_arrows_match_a_fresh_enumeration():
+    expz = exp_object(FinGroupoid.discrete(("x", "y")), FinGroupoid.discrete(("z",)), 2)
+    xy, yx, xx = (("x", "y"), "z"), (("y", "x"), "z"), (("x", "x"), "z")
+    words = [(xx, xx), (xy, yx), (yx, xy), (xy, xy, xx), (xx, yx, xy), (xy,), ()]
+    for v in words:
+        for w in words:
+            arrows = sw_arrows(expz, v, w)
+            assert isinstance(arrows, tuple)
+            assert list(arrows) == _fresh_arrows(expz, v, w)
+            assert sw_arrows(expz, v, w) is arrows  # read back from the memo
+    assert len(sw_arrows(expz, (xx, xx), (xx, xx))) == 8  # 2! swaps times 2 x 2 letter auts
+    assert len(sw_arrows(expz, (xy, xy, xx), (xx, yx, xy))) == 4
+    # repeated letters over a discrete groupoid: the Young stabilizer
+    d = FinGroupoid.discrete(("a", "b"))
+    assert list(sw_arrows(d, ("a", "a", "b"), ("a", "a", "b"))) == _fresh_arrows(
+        d, ("a", "a", "b"), ("a", "a", "b")
+    )
+
+
+def test_sw_arrows_memo_is_per_groupoid():
+    iso = two_object_iso_groupoid()
+    disc = FinGroupoid.discrete(("p", "q"))
+    assert iso.objects == disc.objects
+    assert len(sw_arrows(iso, ("p", "p"), ("q", "q"))) == 2
+    assert sw_arrows(disc, ("p", "p"), ("q", "q")) == ()
+    assert sw_arrows(disc, ("p",), ("p",)) == (((0,), (("id", "p"),)),)
+    assert sw_arrows(iso, ("p",), ("p",)) == (((0,), ("ip",)),)
+    # the memo is not a field: filling it leaves equality alone
+    assert disc == FinGroupoid.discrete(("p", "q"))

@@ -267,3 +267,61 @@ def test_non_object_document_parts_are_input_errors(tmp_path, capsys, document, 
     code, out = run_cli([a.format(doc=path) for a in argv], capsys)
     assert code == 2
     assert "must be a JSON object" in out
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([[]], "cell must be a JSON object"),
+        ([{"word": ["*"], "out": "*", "labels": {"a": 1}}], "labels must be a JSON list"),
+        ("cells", "cells must be a JSON list"),
+        (
+            [{"word": ["*", "*"], "out": "*", "labels": ["b"], "action": {"0": [["b"]]}}],
+            "must be a pair",
+        ),
+    ],
+    ids=["cell-list", "labels-object", "cells-string", "action-not-pairs"],
+)
+@pytest.mark.parametrize("argv", [["check", "{doc}"], ["series", "{doc}", "F", "2"]])
+def test_wrongly_typed_cell_values_are_input_errors(tmp_path, capsys, cells, message, argv):
+    document = {"version": "1", "symseqs": {"F": {"dom": ["*"], "cod": ["*"], "cells": cells}}}
+    path = write_doc(tmp_path, document)
+    code, out = run_cli([a.format(doc=path) for a in argv], capsys)
+    assert code == 2
+    assert message in out
+
+
+@pytest.mark.parametrize(
+    "section, name, decl, message",
+    [
+        ("operads", "E", {"carrier": "I", "mu": [[]], "eta": [["*", "i"]]}, "mu entry must be a JSON object"),
+        (
+            "operads", "E",
+            {"carrier": "I", "eta": [["*", "i"]], "mu": [{
+                "word": ["*"], "out": "*", "to": "i",
+                "rep": {"mid": ["*"], "outer": "i", "blocks": [["*"]], "inner": ["i"], "sigma": [{"t": []}]},
+            }]},
+            "sigma must be a list of integers",
+        ),
+        (
+            "operads", "P",
+            {"presented": {"sorts": ["*"], "relations": [],
+                           "generators": [{"word": ["*", "*"], "out": "*", "names": "b"}]}},
+            "names must be a JSON list",
+        ),
+        ("algebras", "G", {"operad": "C", "family": "T", "action": {}}, "algebra action must be a JSON list"),
+        (
+            "bimodules", "M",
+            {"left": ["C"], "right": "C", "carrier": "F", "lambda": "induced", "rho": "induced"},
+            "bimodule left must be a string or number",
+        ),
+    ],
+    ids=["mu-entry-list", "sigma-objects", "names-string", "action-object", "left-list"],
+)
+def test_wrongly_typed_declaration_values_are_input_errors(tmp_path, capsys, section, name, decl, message):
+    data = json.loads(json.dumps(BASE_DOC))
+    data.setdefault(section, {})[name] = decl
+    path = write_doc(tmp_path, data)
+    code, out = run_cli(["check", path], capsys)
+    assert code == 2
+    assert message in out and "parse error" in out
