@@ -53,8 +53,11 @@ DEFAULT_BUDGET = 2_000_000
 
 
 def restrict_map(m: SymSeqMap, new_src: SymSeq, new_dst: Optional[SymSeq] = None) -> SymSeqMap:
-    """Re-key a 2-cell onto a smaller (re-capped) source composite."""
-    comp = {k: m.comp[k] for k in new_src.cells if k in m.comp}
+    """Re-key a 2-cell onto a smaller (re-capped) source composite.
+
+    ``m`` must hold every cell of ``new_src``; a missing one is a ``ValidationError``.
+    """
+    comp = {k: m.cell(*k) for k in new_src.cells}
     return SymSeqMap(new_src, new_dst if new_dst is not None else m.dst, comp)
 
 

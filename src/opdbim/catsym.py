@@ -19,10 +19,15 @@ of generator edges, and the union-find finds the classes, representatives and
 class numbers that edges along every arrow would.  Arrow sets between words
 are enumerated once per groupoid instance (``sw_arrows``).
 
-Every map is total on the cells it holds.  Reading a cell or label a map
-lacks, or a raw outside a composite, raises ``ValidationError`` naming the
-cell; nothing is skipped.  ``cat_sum_split`` is the one windowed map: it
-leaves a cell out iff the untagged cell is not a cell of the part composite.
+Maps are :class:`.symseq.SymSeqMap`, the one map type of both layers, and
+share its identity, composites, equality and inverse.  Every map is total on
+the cells it holds.  Reading a cell or label a map lacks, or a raw outside a
+composite, raises ``ValidationError`` naming the cell; nothing is skipped.
+Two maps of the hom monad are windowed: ``cat_sum_split`` leaves a cell out
+iff the untagged cell is not a cell of the part composite, and the
+associator behind ``m13`` misses the cells of ``B o T`` above the window of
+``B o B``.  Before either is inverted, ``_on_window`` restricts both ends to
+the cells the map holds, so ``map_inverse`` still checks a bijection.
 """
 
 from __future__ import annotations
@@ -46,7 +51,17 @@ from .perms import (
     ssorted,
     stab_gens,
 )
-from .symseq import Composite, SymSeq, label_differences
+from .symseq import (
+    Composite,
+    SymSeq,
+    SymSeqMap,
+    compose_maps,
+    first_map_difference,
+    hcompose_maps,
+    identity_map,
+    map_equal,
+    map_inverse,
+)
 from .operads import Operad, make_operad
 
 Arrow = tuple  # (perm images, component arrow ids indexed by target position)
@@ -266,6 +281,20 @@ class CatSymSeq:
                         if other[dm[l]] != dm2[m[l]]:
                             raise ValidationError(f"dom/cod interchange fails at {key}")
 
+    def check_equivariance(self, m: SymSeqMap) -> None:
+        """``ValidationError`` unless ``m``, total on ``self``, commutes with each transport."""
+        for key, labels in self.cells.items():
+            if not labels:
+                continue
+            mk = m.comp[key]
+            moves = [((v, key[1]), a, tm, m.dst.dom_tr[key][(v, a)])
+                     for (v, a), tm in self.dom_tr[key].items()]
+            moves += [((key[0], self.cod.dst[b]), b, tm, m.dst.cod_tr[key][b])
+                      for b, tm in self.cod_tr[key].items()]
+            for key2, arrow, tm, other in moves:
+                if any(m.comp[key2][tm[l]] != other[mk[l]] for l in labels):
+                    raise ValidationError(f"equivariance fails at cell {key} along {arrow}")
+
 
 def _complete_transports(seq: CatSymSeq, dom_arrow_fn: Callable, cod_arrow_fn: Callable) -> None:
     """Fill ``dom_tr``/``cod_tr`` from per-generator transport callbacks.
@@ -347,90 +376,6 @@ def cat_sum(f: CatSymSeq, g: CatSymSeq) -> CatSymSeq:
             }
             cod_tr[key2] = {(tag, b): dict(m) for b, m in part.cod_tr[(w, y)].items()}
     return CatSymSeq(dom, cod, cells, dom_tr, cod_tr)
-
-
-# maps between categorical symmetric sequences ------------------------------
-
-
-@dataclass
-class CatMap:
-    src: CatSymSeq
-    dst: CatSymSeq
-    comp: dict  # (word, out) -> {label: label}, total on each cell it holds
-
-    def cell(self, key) -> dict:
-        """Label map at ``key``; a cell the map does not hold is a law failure."""
-        m = self.comp.get(key)
-        if m is None:
-            raise ValidationError(f"map undefined at cell {key!r}")
-        return m
-
-    def at(self, w: Word, y, label):
-        m = self.cell((w, y))
-        if label not in m:
-            raise ValidationError(f"map undefined at cell {(w, y)!r}, label {label!r}")
-        return m[label]
-
-    def validate(self) -> None:
-        for key, labels in self.src.cells.items():
-            if not labels:
-                continue
-            m = self.comp.get(key)
-            if m is None or any(l not in m for l in labels):
-                raise ValidationError(f"cat map not total at {key}")
-            for (v, a), tm in self.src.dom_tr[key].items():
-                other = self.dst.dom_tr[key].get((v, a))
-                m2 = self.comp[(v, key[1])]
-                for l in labels:
-                    if m2[tm[l]] != other[m[l]]:
-                        raise ValidationError(f"cat map dom equivariance fails at {key}")
-            for b, tm in self.src.cod_tr[key].items():
-                other = self.dst.cod_tr[key].get(b)
-                key2 = (key[0], self.src.cod.dst[b])
-                m2 = self.comp[key2]
-                for l in labels:
-                    if m2[tm[l]] != other[m[l]]:
-                        raise ValidationError(f"cat map cod equivariance fails at {key}")
-
-    def is_bijective(self) -> bool:
-        for key, labels in self.src.cells.items():
-            tgt = self.dst.cells.get(key, ())
-            if len({self.comp[key][l] for l in labels}) != len(labels) or len(labels) != len(tgt):
-                return False
-        for key, tgt in self.dst.cells.items():
-            if tgt and len(self.src.cells.get(key, ())) != len(tgt):
-                return False
-        return True
-
-
-def cat_identity_map(f: CatSymSeq) -> CatMap:
-    return CatMap(f, f, {k: {l: l for l in labs} for k, labs in f.cells.items()})
-
-
-def cat_compose_maps(second: CatMap, first: CatMap) -> CatMap:
-    """``second`` after ``first``, on the cells ``first`` holds; ``second`` must cover the images."""
-    comp = {key: {l: second.at(*key, v) for l, v in m.items()} for key, m in first.comp.items()}
-    return CatMap(first.src, second.dst, comp)
-
-
-def cat_map_equal(a: CatMap, b: CatMap) -> bool:
-    """True iff both maps are defined and agree on every label of the source."""
-    return next(label_differences(a, b, a.src.cells.items()), None) is None
-
-
-def cat_map_inverse(m: CatMap) -> CatMap:
-    """Invert cellwise on the cells where the map is defined."""
-    comp = {}
-    for k, cm in m.comp.items():
-        if len(set(cm.values())) != len(cm):
-            raise ValidationError(f"cannot invert: not injective at {k}")
-        comp[k] = {v: l for l, v in cm.items()}
-    return CatMap(m.dst, m.src, comp)
-
-
-def cat_first_difference(a: CatMap, b: CatMap):
-    cells = sorted(a.src.cells.items(), key=lambda kv: (len(kv[0][0]), skey(kv[0])))
-    return next(label_differences(a, b, cells), None)
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +516,7 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
     return comp
 
 
-def cat_hcompose(beta: CatMap, alpha: CatMap, src: Composite, dst: Composite) -> CatMap:
-    comp = {}
-    for key, reps in src.reps.items():
-        w, z = key
-        m = {}
-        for idx, raw in enumerate(reps):
-            mid, g, blocks, fs, arr = raw
-            g2 = beta.at(mid, z, g)
-            fs2 = tuple(alpha.at(b, y, f) for b, y, f in zip(blocks, mid, fs))
-            m[idx] = dst.class_of(w, z, (mid, g2, blocks, fs2, arr))
-        comp[key] = m
-    return CatMap(src.seq, dst.seq, comp)
-
-
-def cat_left_unitor(idf: Composite) -> CatMap:
+def cat_left_unitor(idf: Composite) -> SymSeqMap:
     """``Id o F -> F``: transport along the shuffle, then along the unary arrow."""
     f = idf.inner
     comp = {}
@@ -599,10 +530,10 @@ def cat_left_unitor(idf: Composite) -> CatMap:
             lab = f.dom_tr[(b, mid[0])][(w, arr)][fs[0]]
             m[idx] = f.cod_tr[(w, mid[0])][g][lab]
         comp[key] = m
-    return CatMap(idf.seq, f, comp)
+    return SymSeqMap(idf.seq, f, comp)
 
 
-def cat_left_unitor_inv(idf: Composite) -> CatMap:
+def cat_left_unitor_inv(idf: Composite) -> SymSeqMap:
     f = idf.inner
     cod = f.cod
     comp = {}
@@ -615,10 +546,10 @@ def cat_left_unitor_inv(idf: Composite) -> CatMap:
             for lab in labels
         }
         comp[key] = m
-    return CatMap(f, idf.seq, comp)
+    return SymSeqMap(f, idf.seq, comp)
 
 
-def cat_right_unitor(fid: Composite) -> CatMap:
+def cat_right_unitor(fid: Composite) -> SymSeqMap:
     """``F o Id -> F``: absorb the unary arrows and the shuffle."""
     f = fid.outer
     dom = f.dom
@@ -633,10 +564,10 @@ def cat_right_unitor(fid: Composite) -> CatMap:
             total = sw_compose(dom, arr, d)
             m[idx] = f.dom_tr[(mid, y)][(w, total)][g]
         comp[key] = m
-    return CatMap(fid.seq, f, comp)
+    return SymSeqMap(fid.seq, f, comp)
 
 
-def cat_right_unitor_inv(fid: Composite) -> CatMap:
+def cat_right_unitor_inv(fid: Composite) -> SymSeqMap:
     f = fid.outer
     dom = f.dom
     comp = {}
@@ -648,10 +579,10 @@ def cat_right_unitor_inv(fid: Composite) -> CatMap:
         fs = tuple(dom.ident[o] for o in w)
         m = {lab: fid.class_of(w, y, (w, lab, blocks, fs, sw_id(dom, w))) for lab in labels}
         comp[key] = m
-    return CatMap(f, fid.seq, comp)
+    return SymSeqMap(f, fid.seq, comp)
 
 
-def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> CatMap:
+def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
     dom = gf.inner.dom
     f = gf.inner
     comp = {}
@@ -685,7 +616,7 @@ def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composit
             arr2 = sw_compose(dom, sw_compose(dom, arr, rearrange), chi)
             m[idx] = h_gf.class_of(w, t_out, (zmid, h, tuple(new_blocks), tuple(new_fs), arr2))
         comp[key] = m
-    return CatMap(hg_f.seq, h_gf.seq, comp)
+    return SymSeqMap(hg_f.seq, h_gf.seq, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +624,7 @@ def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composit
 # ---------------------------------------------------------------------------
 
 
-def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[CatMap]:
+def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[SymSeqMap]:
     """Global equivariant iso search with propagation along every transport."""
     keys = sorted(set(f.support()) | set(g.support()), key=skey)
     for key in keys:
@@ -710,28 +641,17 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[CatMap]:
         while queue:
             key, la = queue.pop()
             lb = mapping[(key, la)]
-            for (v, a), tm in f.dom_tr.get(key, {}).items():
-                key2 = (v, key[1])
-                xa = tm[la]
-                xb = g.dom_tr[key][(v, a)][lb]
+            moves = [((v, key[1]), tm[la], g.dom_tr[key][(v, a)][lb])
+                     for (v, a), tm in f.dom_tr.get(key, {}).items()]
+            moves += [((key[0], f.cod.dst[b]), tm[la], g.cod_tr[key][b][lb])
+                      for b, tm in f.cod_tr.get(key, {}).items()]
+            for key2, xa, xb in moves:
                 node = (key2, xa)
-                if node in mapping:
-                    if mapping[node] != xb:
-                        return None
-                else:
+                if node not in mapping:
                     mapping[node] = xb
                     queue.append(node)
-            for b, tm in f.cod_tr.get(key, {}).items():
-                key2 = (key[0], f.cod.dst[b])
-                xa = tm[la]
-                xb = g.cod_tr[key][b][lb]
-                node = (key2, xa)
-                if node in mapping:
-                    if mapping[node] != xb:
-                        return None
-                else:
-                    mapping[node] = xb
-                    queue.append(node)
+                elif mapping[node] != xb:
+                    return None
         return mapping
 
     def injective_per_cell(mapping):
@@ -743,14 +663,9 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[CatMap]:
         return True
 
     def search(mapping):
-        pending = None
-        for key in keys:
-            for la in f.labels(*key):
-                if (key, la) not in mapping:
-                    pending = (key, la)
-                    break
-            if pending:
-                break
+        pending = next(
+            ((key, la) for key in keys for la in f.labels(*key) if (key, la) not in mapping), None
+        )
         if pending is None:
             return mapping
         key, la = pending
@@ -769,7 +684,7 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[CatMap]:
     comp: dict = {}
     for (key, la), lb in res.items():
         comp.setdefault(key, {})[la] = lb
-    return CatMap(f, g, comp)
+    return SymSeqMap(f, g, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,13 +947,13 @@ def _untag(w: Word) -> Word:
     return tuple(o for (_t, o) in w)
 
 
-def cat_sum_split(sumcomp: Composite, left: Composite, right: Composite) -> CatMap:
+def cat_sum_split(sumcomp: Composite, left: Composite, right: Composite) -> SymSeqMap:
     """Canonical iso ``(F1 u G1) o (F2 u G2) -> (F1 o F2) u (G1 o G2)`` on a window.
 
-    The one windowed map of the pipeline: a cell ``(w, (tag, z))`` of the sum
-    composite is left out iff ``(untagged w, z)`` is not a cell of the part
-    composite (``left`` for tag ``l``, ``right`` for tag ``r``).  Every raw of
-    a kept cell must have a class in the part, else ``ValidationError``.
+    A windowed map: a cell ``(w, (tag, z))`` of the sum composite is left
+    out iff ``(untagged w, z)`` is not a cell of the part composite (``left``
+    for tag ``l``, ``right`` for tag ``r``).  Every raw of a kept cell must
+    have a class in the part, else ``ValidationError``.
     """
     comp = {}
     for key, reps in sumcomp.reps.items():
@@ -1052,18 +967,15 @@ def cat_sum_split(sumcomp: Composite, left: Composite, right: Composite) -> CatM
             raw2 = (_untag(mid), g, tuple(_untag(b) for b in blocks), fs, (arr[0], _untag(arr[1])))
             m[idx] = part.class_of(w2, z[1], raw2)
         comp[key] = m
-    return CatMap(sumcomp.seq, cat_sum(left.seq, right.seq), comp)
+    return SymSeqMap(sumcomp.seq, cat_sum(left.seq, right.seq), comp)
 
 
-def cat_sum_maps(ml: CatMap, mr: CatMap, src_sum: CatSymSeq, dst_sum: CatSymSeq) -> CatMap:
-    comp = {}
-    for key, labels in src_sum.cells.items():
-        if not labels:
-            continue
-        w, z = key
-        part = ml if z[0] == "l" else mr
-        comp[key] = dict(part.cell((_untag(w), z[1])))
-    return CatMap(src_sum, dst_sum, comp)
+def cat_sum_maps(ml: SymSeqMap, mr: SymSeqMap, src_sum: CatSymSeq, dst_sum: CatSymSeq) -> SymSeqMap:
+    comp = {
+        (w, z): dict((ml if z[0] == "l" else mr).cell(_untag(w), z[1]))
+        for (w, z), labels in src_sum.cells.items() if labels
+    }
+    return SymSeqMap(src_sum, dst_sum, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,7 +991,7 @@ def collapse_map(
     evdata: EvData,
     compc: Composite,
     target: CatSymSeq,
-) -> CatMap:
+) -> SymSeqMap:
     """Collapse the evaluation coend onto the reindexed cells of ``F``."""
     comp = {}
     for key, reps in compc.reps.items():
@@ -1119,7 +1031,7 @@ def collapse_map(
             rho = (tuple(rho_im), tuple(rho_comps))
             m[idx] = f.dom_tr[(vb, (xpart, yo))][(vpart, rho)][f1]
         comp[key] = m
-    return CatMap(compc.seq, target, comp)
+    return SymSeqMap(compc.seq, target, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,18 +1045,19 @@ class HomMonad:
     y: FinGroupoid
     expz: FinGroupoid
     e: CatSymSeq
-    mu: CatMap
-    eta: CatMap
+    mu: SymSeqMap
+    eta: SymSeqMap
     ee: Composite
     evdata: EvData
 
 
-def _eta_sum_map(w_gpd: FinGroupoid, idw, s_id: CatSymSeq) -> CatMap:
-    """Iso ``Id_{Z u X} -> Id_Z u Id_X`` stripping tags of unary arrows."""
-    comp = {}
-    for key, labels in idw.cells.items():
-        comp[key] = {lab: lab[1] for lab in labels}
-    return CatMap(idw, s_id, comp)
+def _on_window(m: SymSeqMap) -> SymSeqMap:
+    """``m`` between the cells it holds: both ends restricted to those cells."""
+    src, dst = (
+        CatSymSeq(s.dom, s.cod, {k: s.cells[k] for k in m.comp if k in s.cells}, s.dom_tr, s.cod_tr)
+        for s in (m.src, m.dst)
+    )
+    return SymSeqMap(src, dst, m.comp)
 
 
 def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
@@ -1156,6 +1069,11 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     """
     if not a.reduced or not b.reduced:
         raise InputError("the exponential pipeline requires reduced operads")
+    if b.arity_bound > arity_bound:
+        # E has cells up to B's arity, above the window E o Id_Z is built to
+        raise InputError(
+            f"arity window {arity_bound} is below the outer operad's arity bound {b.arity_bound}"
+        )
     x = FinGroupoid.discrete(a.sorts)
     y = FinGroupoid.discrete(b.sorts)
     expz = exp_object(x, y, length_bound)
@@ -1180,24 +1098,26 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     sum_ee = cat_sum(ee.seq, idx)
     c1 = cat_compose(evdata.seq, sum_ee, max_arity=capt)
     col_ee = collapse_map(ee.seq, x, y, expz, evdata, c1, tee)
-    m1 = cat_map_inverse(col_ee)
+    m1 = map_inverse(col_ee)
 
     ss = cat_compose(s_e, s_e, max_arity=capt)
     idxx = cat_compose(idx, idx, max_arity=capt)
     split1 = cat_sum_split(ss, ee, idxx)
     u_idid = cat_left_unitor(idxx)
-    smap = cat_sum_maps(cat_identity_map(ee.seq), u_idid, cat_sum(ee.seq, idxx.seq), sum_ee)
-    split_total = cat_compose_maps(smap, split1)
+    smap = cat_sum_maps(identity_map(ee.seq), u_idid, cat_sum(ee.seq, idxx.seq), sum_ee)
+    split_total = compose_maps(smap, split1)
     c2 = cat_compose(evdata.seq, ss.seq, max_arity=capt)
-    m2 = cat_hcompose(cat_identity_map(evdata.seq), cat_map_inverse(split_total), c1, c2)
+    m2 = hcompose_maps(
+        identity_map(evdata.seq), map_inverse(_on_window(split_total)), c1, c2
+    )
 
     evs = cat_compose(evdata.seq, s_e, max_arity=capt)
     c3 = cat_compose(evs.seq, s_e, max_arity=capt)
-    m3 = cat_map_inverse(cat_associator(evs, c3, ss, c2))
+    m3 = map_inverse(cat_associator(evs, c3, ss, c2))
 
     col_e = collapse_map(e, x, y, expz, evdata, evs, tc.seq)
     c4 = cat_compose(tc.seq, s_e, max_arity=capt)
-    m4 = cat_hcompose(col_e, cat_identity_map(s_e), c3, c4)
+    m4 = hcompose_maps(col_e, identity_map(s_e), c3, c4)
 
     evas = cat_compose(ev_a.seq, s_e, max_arity=capt)
     c5 = cat_compose(bcat, evas.seq, max_arity=capt)
@@ -1207,7 +1127,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     ev_atils = cat_compose(evdata.seq, atil_s.seq, max_arity=capt)
     assoc2 = cat_associator(ev_a, evas, atil_s, ev_atils)
     c6 = cat_compose(bcat, ev_atils.seq, max_arity=capt)
-    m6 = cat_hcompose(cat_identity_map(bcat), assoc2, c5, c6)
+    m6 = hcompose_maps(identity_map(bcat), assoc2, c5, c6)
 
     # interchange (Id u A) o (E u Id)  ->  (E u Id) o (Id u A)
     idz_e = cat_compose(idz, e, max_arity=arity_bound)
@@ -1224,34 +1144,34 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
         cat_right_unitor_inv(e_idz), cat_left_unitor_inv(idx_a),
         cat_sum(e, acat), cat_sum(e_idz.seq, idx_a.seq),
     )
-    unsplit = cat_map_inverse(cat_sum_split(satil, e_idz, idx_a))
-    swap = cat_compose_maps(unsplit, cat_compose_maps(step2, cat_compose_maps(step, split_as)))
+    unsplit = map_inverse(_on_window(cat_sum_split(satil, e_idz, idx_a)))
+    swap = compose_maps(unsplit, compose_maps(step2, compose_maps(step, split_as)))
     ev_satil = cat_compose(evdata.seq, satil.seq, max_arity=capt)
     c7 = cat_compose(bcat, ev_satil.seq, max_arity=capt)
-    m7 = cat_hcompose(
-        cat_identity_map(bcat),
-        cat_hcompose(cat_identity_map(evdata.seq), swap, ev_atils, ev_satil),
+    m7 = hcompose_maps(
+        identity_map(bcat),
+        hcompose_maps(identity_map(evdata.seq), swap, ev_atils, ev_satil),
         c6, c7,
     )
 
     evs_atil = cat_compose(evs.seq, atil, max_arity=capt)
     assoc3 = cat_associator(evs, evs_atil, satil, ev_satil)
     c8 = cat_compose(bcat, evs_atil.seq, max_arity=capt)
-    m8 = cat_hcompose(cat_identity_map(bcat), cat_map_inverse(assoc3), c7, c8)
+    m8 = hcompose_maps(identity_map(bcat), map_inverse(assoc3), c7, c8)
 
     t_atil = cat_compose(tc.seq, atil, max_arity=capt)
     c9 = cat_compose(bcat, t_atil.seq, max_arity=capt)
-    m9 = cat_hcompose(
-        cat_identity_map(bcat),
-        cat_hcompose(col_e, cat_identity_map(atil), evs_atil, t_atil),
+    m9 = hcompose_maps(
+        identity_map(bcat),
+        hcompose_maps(col_e, identity_map(atil), evs_atil, t_atil),
         c8, c9,
     )
 
     eva_atil = cat_compose(ev_a.seq, atil, max_arity=capt)
     b_evaatil = cat_compose(bcat, eva_atil.seq, max_arity=capt)
     c10 = cat_compose(bcat, b_evaatil.seq, max_arity=capt)
-    m10 = cat_hcompose(
-        cat_identity_map(bcat), cat_associator(tc, t_atil, eva_atil, b_evaatil), c9, c10
+    m10 = hcompose_maps(
+        identity_map(bcat), cat_associator(tc, t_atil, eva_atil, b_evaatil), c9, c10
     )
 
     atil2 = cat_compose(atil, atil, max_arity=capt)
@@ -1259,9 +1179,9 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     assoc4 = cat_associator(ev_a, eva_atil, atil2, ev_atil2)
     b_evatil2 = cat_compose(bcat, ev_atil2.seq, max_arity=capt)
     c11 = cat_compose(bcat, b_evatil2.seq, max_arity=capt)
-    m11 = cat_hcompose(
-        cat_identity_map(bcat),
-        cat_hcompose(cat_identity_map(bcat), assoc4, b_evaatil, b_evatil2),
+    m11 = hcompose_maps(
+        identity_map(bcat),
+        hcompose_maps(identity_map(bcat), assoc4, b_evaatil, b_evatil2),
         c10, c11,
     )
 
@@ -1269,29 +1189,29 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     idz2 = cat_compose(idz, idz, max_arity=2)
     a2 = cat_compose(acat, acat, max_arity=a.arity_bound)
     split_aa = cat_sum_split(atil2, idz2, a2)
-    mu_atil = cat_compose_maps(
+    mu_atil = compose_maps(
         cat_sum_maps(cat_left_unitor(idz2), _operad_mu(a, a2, acat), cat_sum(idz2.seq, a2.seq), atil),
         split_aa,
     )
     b_t = cat_compose(bcat, tc.seq, max_arity=capt)
-    m12 = cat_hcompose(
-        cat_identity_map(bcat),
-        cat_hcompose(
-            cat_identity_map(bcat),
-            cat_hcompose(cat_identity_map(evdata.seq), mu_atil, ev_atil2, ev_a),
+    m12 = hcompose_maps(
+        identity_map(bcat),
+        hcompose_maps(
+            identity_map(bcat),
+            hcompose_maps(identity_map(evdata.seq), mu_atil, ev_atil2, ev_a),
             b_evatil2, tc,
         ),
         c11, b_t,
     )
     b2 = cat_compose(bcat, bcat, max_arity=b.arity_bound)
     bb_eva = cat_compose(b2.seq, ev_a.seq, max_arity=capt)
-    m13 = cat_map_inverse(cat_associator(b2, bb_eva, tc, b_t))
-    m14 = cat_hcompose(_operad_mu(b, b2, bcat), cat_identity_map(ev_a.seq), bb_eva, tc)
+    m13 = map_inverse(_on_window(cat_associator(b2, bb_eva, tc, b_t)))
+    m14 = hcompose_maps(_operad_mu(b, b2, bcat), identity_map(ev_a.seq), bb_eva, tc)
 
     chain = [m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14]
     mu_on_t = chain[0]
     for step_map in chain[1:]:
-        mu_on_t = cat_compose_maps(step_map, mu_on_t)
+        mu_on_t = compose_maps(step_map, mu_on_t)
 
     mu_e = _untranspose_map(mu_on_t, ee.seq, e, x)
 
@@ -1302,48 +1222,46 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     col_id = collapse_map(idz, x, y, expz, evdata, c_id, t_id)
     idw = cat_id(w_gpd)
     ev_idw = cat_compose(evdata.seq, idw, max_arity=capt)
-    idsum = _eta_sum_map(w_gpd, idw, s_id)
-    r1 = cat_compose_maps(
+    # Id_{Z u X} -> Id_Z u Id_X: strip the tags of the unary arrows
+    idsum = SymSeqMap(idw, s_id, {k: {l: l[1] for l in labels} for k, labels in idw.cells.items()})
+    r1 = compose_maps(
         col_id,
-        cat_compose_maps(
-            cat_hcompose(cat_identity_map(evdata.seq), idsum, ev_idw, c_id),
+        compose_maps(
+            hcompose_maps(identity_map(evdata.seq), idsum, ev_idw, c_id),
             cat_right_unitor_inv(ev_idw),
         ),
     )
-    eta_atil_comp = {}
-    for key, labels in idw.cells.items():
-        if key[0][0][0] == "l":
-            eta_atil_comp[key] = {lab: lab[1] for lab in labels}
-        else:
-            xs = key[0][0][1]
-            eta_atil_comp[key] = {lab: a.eta_label(xs) for lab in labels}
-    eta_atil = CatMap(idw, atil, eta_atil_comp)
+    eta_atil_comp = {
+        key: {lab: lab[1] if key[0][0][0] == "l" else a.eta_label(key[0][0][1]) for lab in labels}
+        for key, labels in idw.cells.items()
+    }
+    eta_atil = SymSeqMap(idw, atil, eta_atil_comp)
     idy_eva = cat_compose(idy, ev_a.seq, max_arity=capt)
     eta_b_comp = {
         key: {lab: b.eta_label(key[1]) for lab in labels}
         for key, labels in idy.cells.items()
     }
-    eta_b_cat = CatMap(idy, bcat, eta_b_comp)
-    path2 = cat_compose_maps(
-        cat_hcompose(eta_b_cat, cat_identity_map(ev_a.seq), idy_eva, tc),
-        cat_compose_maps(
+    eta_b_cat = SymSeqMap(idy, bcat, eta_b_comp)
+    path2 = compose_maps(
+        hcompose_maps(eta_b_cat, identity_map(ev_a.seq), idy_eva, tc),
+        compose_maps(
             cat_left_unitor_inv(idy_eva),
-            cat_compose_maps(
-                cat_hcompose(cat_identity_map(evdata.seq), eta_atil, ev_idw, ev_a),
+            compose_maps(
+                hcompose_maps(identity_map(evdata.seq), eta_atil, ev_idw, ev_a),
                 cat_right_unitor_inv(ev_idw),
             ),
         ),
     )
-    eta_on_t = cat_compose_maps(path2, cat_map_inverse(r1))
+    eta_on_t = compose_maps(path2, map_inverse(r1))
     eta_e = _untranspose_map(eta_on_t, idz, e, x)
 
     hm = HomMonad(x, y, expz, e, mu_e, eta_e, ee, evdata)
     if validate:
-        check_cat_monad(hm, arity_bound)
+        check_cat_monad(hm, arity_bound, idz_e, e_idz)
     return hm
 
 
-def _operad_mu(op: Operad, comp2: Composite, target: CatSymSeq) -> CatMap:
+def _operad_mu(op: Operad, comp2: Composite, target: CatSymSeq) -> SymSeqMap:
     """The multiplication of ``op`` on its embedded composite ``comp2``."""
     comp = {}
     for key, reps in comp2.reps.items():
@@ -1351,43 +1269,40 @@ def _operad_mu(op: Operad, comp2: Composite, target: CatSymSeq) -> CatMap:
             idx: op.mu.at(*key, op.comp2.class_of(*key, (mid, g, blocks, fs, arr[0])))
             for idx, (mid, g, blocks, fs, arr) in enumerate(reps)
         }
-    return CatMap(comp2.seq, target, comp)
+    return SymSeqMap(comp2.seq, target, comp)
 
 
-def _untranspose_map(on_t: CatMap, src: CatSymSeq, dst: CatSymSeq, x: FinGroupoid) -> CatMap:
+def _untranspose_map(on_t: SymSeqMap, src: CatSymSeq, dst: CatSymSeq, x: FinGroupoid) -> SymSeqMap:
     """Read a map between transposed sequences back as a map ``src -> dst``."""
-    comp = {}
-    for (zw, obj), labels in src.cells.items():
-        if labels:
-            cxw, _tau = sw_canonical(x, obj[0])
-            comp[(zw, obj)] = dict(on_t.cell((merge_words(zw, cxw), obj[1])))
-    return CatMap(src, dst, comp)
+    comp = {
+        (zw, obj): dict(on_t.cell(merge_words(zw, sw_canonical(x, obj[0])[0]), obj[1]))
+        for (zw, obj), labels in src.cells.items() if labels
+    }
+    return SymSeqMap(src, dst, comp)
 
 
-def check_cat_monad(hm: HomMonad, cap: int) -> None:
+def check_cat_monad(hm: HomMonad, cap: int, ide: Composite, eid: Composite) -> None:
+    """Associativity and both unit laws of ``hm`` up to arity ``cap``.
+
+    ``ide`` and ``eid`` are ``Id_Z o E`` and ``E o Id_Z`` at that cap, as
+    ``hom_monad`` has built them for the interchange step.
+    """
     e, mu, eta, ee = hm.e, hm.mu, hm.eta, hm.ee
-    idz = eta.src
     eee_l = cat_compose(ee.seq, e, max_arity=cap)
     eee_r = cat_compose(e, ee.seq, max_arity=cap)
     asc = cat_associator(ee, eee_l, ee, eee_r)
-    lhs = cat_compose_maps(mu, cat_hcompose(mu, cat_identity_map(e), eee_l, ee))
-    rhs = cat_compose_maps(
-        mu, cat_compose_maps(cat_hcompose(cat_identity_map(e), mu, eee_r, ee), asc)
-    )
-    if not cat_map_equal(lhs, rhs):
-        raise ValidationError(
-            f"hom monad associativity fails: {cat_first_difference(lhs, rhs)}"
-        )
-    ide = cat_compose(idz, e, max_arity=cap)
-    lu = cat_compose_maps(mu, cat_hcompose(eta, cat_identity_map(e), ide, ee))
+    lhs = compose_maps(mu, hcompose_maps(mu, identity_map(e), eee_l, ee))
+    rhs = compose_maps(mu, compose_maps(hcompose_maps(identity_map(e), mu, eee_r, ee), asc))
+    if not map_equal(lhs, rhs):
+        raise ValidationError(f"hom monad associativity fails: {first_map_difference(lhs, rhs)}")
+    lu = compose_maps(mu, hcompose_maps(eta, identity_map(e), ide, ee))
     lu_want = cat_left_unitor(ide)
-    if not cat_map_equal(lu, lu_want):
-        raise ValidationError(f"hom monad left unit law fails: {cat_first_difference(lu, lu_want)}")
-    eid = cat_compose(e, idz, max_arity=cap)
-    ru = cat_compose_maps(mu, cat_hcompose(cat_identity_map(e), eta, eid, ee))
+    if not map_equal(lu, lu_want):
+        raise ValidationError(f"hom monad left unit law fails: {first_map_difference(lu, lu_want)}")
+    ru = compose_maps(mu, hcompose_maps(identity_map(e), eta, eid, ee))
     ru_want = cat_right_unitor(eid)
-    if not cat_map_equal(ru, ru_want):
-        raise ValidationError(f"hom monad right unit law fails: {cat_first_difference(ru, ru_want)}")
+    if not map_equal(ru, ru_want):
+        raise ValidationError(f"hom monad right unit law fails: {first_map_difference(ru, ru_want)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1395,7 +1310,7 @@ def check_cat_monad(hm: HomMonad, cap: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def operad_of_monad(expz: FinGroupoid, e: CatSymSeq, mu: CatMap, eta: CatMap,
+def operad_of_monad(expz: FinGroupoid, e: CatSymSeq, mu: SymSeqMap, eta: SymSeqMap,
                     ee: Composite, arity_bound: int) -> Operad:
     """Extract the operad on the object set: cells of the monad as an S-matrix."""
     cells = {}

@@ -116,18 +116,25 @@ def cmd_series(args) -> int:
 
 
 def _parse_sizes(arg: str):
-    if "=" not in arg:
-        return int(arg)
-    sizes = {}
-    for part in arg.split(","):
-        key, value = part.split("=")
-        sizes[docmod.dec(json.loads(key)) if key.startswith(("[", "{", '"')) else key] = int(value)
-    return sizes
+    """``N`` for every sort, or ``sort=N,...``; anything else is an InputError."""
+    try:
+        if "=" not in arg:
+            return int(arg)
+        sizes = {}
+        for part in arg.split(","):
+            key, value = part.split("=")
+            key = docmod.dec(json.loads(key)) if key.startswith(("[", "{", '"')) else key
+            sizes[key] = int(value)
+        return sizes
+    except ValueError:
+        raise InputError(f"sizes must be N or sort=N,..., got {arg!r}") from None
 
 
 def cmd_count(args) -> int:
     document = load_document(args.file)
     budget = args.budget or document.windows["budget"]
+    if len(args.names) != 2:
+        raise InputError(f"count {args.kind} takes two arguments, got {len(args.names)}")
     try:
         if args.kind == "algebras":
             op = document.operads[args.names[0]]
@@ -139,9 +146,7 @@ def cmd_count(args) -> int:
         elif args.kind == "bimodules":
             a = document.operads[args.names[0]]
             b = document.operads[args.names[1]]
-            cells = {}
-            for entry in json.loads(args.cells):
-                cells[(docmod.dec_word(entry["word"]), docmod.dec(entry["out"]))] = entry["size"]
+            cells = docmod.parse_cell_sizes(json.loads(args.cells))
             n = enumerate_bimodules(a, b, cells, budget=budget)
             _emit(f"bimodules\t{n}\n", args.out)
         elif args.kind == "module-maps":

@@ -97,6 +97,18 @@ def _indices(value, what: str) -> tuple:
     return tuple(items)
 
 
+def parse_cell_sizes(data) -> dict:
+    """Cell sizes ``{(word, out): size}`` from a JSON list of ``{word, out, size}`` objects."""
+    sizes = {}
+    for entry in _array(data, "cells"):
+        entry = _object(entry, "cell")
+        size = entry["size"]
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise InputError(f"cell size must be a non-negative integer, got {size!r}")
+        sizes[(dec_word(entry["word"]), dec(entry["out"]))] = size
+    return sizes
+
+
 def serialize_symseq(f: SymSeq) -> dict:
     cells = []
     for (w, y) in f.support():

@@ -7,6 +7,11 @@ enumerated, the coend relations are generated as edges and the quotient is
 taken with union-find.  Every coherence map (associator, unitors) is an
 explicit equivariant bijection on class representatives.
 
+``SymSeqMap`` is the one map type of both layers (this one and
+:mod:`.catsym`).  Every map is total on the cells it holds: reading a cell or
+label it lacks raises ``ValidationError`` naming both, and a map is inverted
+only when it is a bijection on every non-empty cell of either end.
+
 Composite raw tuples have the shape ``(mid, g, blocks, fs, sigma)`` where
 ``mid`` is a canonical word over the middle sorts, ``g`` a label of the outer
 cell at ``(mid, out)``, ``blocks`` canonical words over the inner domain,
@@ -91,6 +96,19 @@ class SymSeq:
         for cell in self.cells.values():
             cell.validate()
 
+    def check_equivariance(self, m: "SymSeqMap") -> None:
+        """``ValidationError`` unless ``m``, total on ``self``, commutes with Young generators."""
+        for key, cell in self.cells.items():
+            if not cell.size:
+                continue
+            mk, tgt = m.comp[key], m.dst.cells[key]
+            for i in stab_gens(key[0]):
+                for lab in cell.labels:
+                    if mk[cell.gen_maps[i][lab]] != tgt.gen_maps[i][mk[lab]]:
+                        raise ValidationError(
+                            f"equivariance fails at cell {key}, generator {i}, label {lab!r}"
+                        )
+
     def relabelled(self, order_key=None) -> "SymSeq":
         """Same sequence with label tuples reordered (tests enumeration independence)."""
         cells = {}
@@ -136,58 +154,67 @@ def transport(f: SymSeq, sigma: Perm, v: Word, w: Word, y) -> dict:
 
 @dataclass
 class SymSeqMap:
+    """A map of symmetric sequences of either layer, total on the cells it holds.
+
+    ``src`` and ``dst`` are ``SymSeq`` here and ``CatSymSeq`` in
+    :mod:`.catsym`; cells are read through ``labels(w, y)``, which both have.
+    Reading a cell or label the map lacks raises ``ValidationError`` naming it.
+    """
+
     src: SymSeq
     dst: SymSeq
     comp: dict  # (word, out) -> {label: label}
 
+    def cell(self, w: Word, y) -> dict:
+        try:
+            return self.comp[(w, y)]
+        except KeyError:
+            raise ValidationError(f"map undefined at cell {(w, y)!r}") from None
+
     def at(self, w: Word, y, label: Label) -> Label:
-        return self.comp[(w, y)][label]
+        try:
+            return self.comp[(w, y)][label]
+        except KeyError:
+            raise _undefined((w, y), label) from None
 
     def validate(self) -> None:
-        if set(self.src.dom) != set(self.dst.dom) or set(self.src.cod) != set(self.dst.cod):
+        """Same sorts at both ends, total and typed on the source, and equivariant."""
+        if self.src.dom != self.dst.dom or self.src.cod != self.dst.cod:
             raise ValidationError("map endpoints have different sorts")
-        for key, cell in self.src.cells.items():
-            if cell.size == 0:
-                continue
-            if key not in self.comp:
-                raise ValidationError(f"map undefined on cell {key}")
-            m = self.comp[key]
-            tgt = self.dst.cell(*key)
-            if tgt is None:
-                raise ValidationError(f"map hits empty target cell {key}")
-            for lab in cell.labels:
-                if lab not in m or m[lab] not in tgt._index:
-                    raise ValidationError(f"map not total/typed at {key}, {lab!r}")
-            for i in stab_gens(key[0]):
-                for lab in cell.labels:
-                    if m[cell.gen_maps[i][lab]] != tgt.gen_maps[i][m[lab]]:
-                        raise ValidationError(
-                            f"equivariance fails at cell {key}, generator {i}, label {lab!r}"
-                        )
+        for key in self.src.cells:
+            m, tgt = self.comp.get(key, {}), set(self.dst.labels(*key))
+            for lab in self.src.labels(*key):
+                if lab not in m or m[lab] not in tgt:
+                    raise ValidationError(f"map not total/typed at cell {key!r}, label {lab!r}")
+        self.src.check_equivariance(self)
 
     def is_bijective(self) -> bool:
-        for key, cell in self.src.cells.items():
-            tgt = self.dst.cell(*key)
-            imgs = {self.comp[key][lab] for lab in cell.labels}
-            if tgt is None or len(imgs) != cell.size or cell.size != tgt.size:
-                return False
-        for key, tgt in self.dst.cells.items():
-            if tgt.size and self.src.size(*key) != tgt.size:
+        """True iff every non-empty cell of either end is held, as a bijection."""
+        for key in self.src.cells.keys() | self.dst.cells.keys():
+            labels, m = self.src.labels(*key), self.comp.get(key, {})
+            images = {m[lab] for lab in labels if lab in m}
+            if not len(images) == len(labels) == len(self.dst.labels(*key)):
                 return False
         return True
 
 
+def _undefined(key, label) -> ValidationError:
+    return ValidationError(f"map undefined at cell {key!r}, label {label!r}")
+
+
 def identity_map(f: SymSeq) -> SymSeqMap:
-    return SymSeqMap(f, f, {key: {lab: lab for lab in cell.labels} for key, cell in f.cells.items()})
+    return SymSeqMap(f, f, {key: {lab: lab for lab in f.labels(*key)} for key in f.cells})
 
 
 def compose_maps(second: SymSeqMap, first: SymSeqMap) -> SymSeqMap:
+    """``second`` after ``first`` on the cells ``first`` holds; ``second`` must hold every image."""
     comp = {}
     for key, m in first.comp.items():
-        if first.src.size(*key) == 0:
-            continue
         m2 = second.comp.get(key, {})
-        comp[key] = {lab: m2[v] for lab, v in m.items()}
+        try:
+            comp[key] = {lab: m2[v] for lab, v in m.items()}
+        except KeyError as e:
+            raise _undefined(key, e.args[0]) from None
     return SymSeqMap(first.src, second.dst, comp)
 
 
@@ -199,16 +226,16 @@ class _Undefined:
 UNDEFINED = _Undefined()  # reported value of a label a map leaves undefined
 
 
-def label_differences(a, b, cells: Iterable):
-    """Yield ``(cell, label, a value, b value)`` wherever maps ``a`` and ``b`` disagree.
+def _label_differences(a: SymSeqMap, b: SymSeqMap, keys: Iterable):
+    """Yield ``(cell, label, a value, b value)`` wherever ``a`` and ``b`` disagree.
 
-    ``cells`` yields ``(cell, labels)`` pairs of the common source.  A label
-    that either map leaves undefined is a difference, never a match, so two
-    maps that both miss a cell are not equal.  Works for maps of both layers.
+    ``keys`` are cells of the common source.  A label that either map leaves
+    undefined is a difference, never a match, so two maps that both miss a
+    cell are not equal.
     """
-    for key, labels in cells:
+    for key in keys:
         ma, mb = a.comp.get(key, {}), b.comp.get(key, {})
-        for lab in labels:
+        for lab in a.src.labels(*key):
             va, vb = ma.get(lab, UNDEFINED), mb.get(lab, UNDEFINED)
             if va is UNDEFINED or vb is UNDEFINED or va != vb:
                 yield key, lab, va, vb
@@ -216,20 +243,18 @@ def label_differences(a, b, cells: Iterable):
 
 def map_equal(a: SymSeqMap, b: SymSeqMap) -> bool:
     """True iff both maps are defined and agree on every label of the source."""
-    cells = ((key, cell.labels) for key, cell in a.src.cells.items())
-    return next(label_differences(a, b, cells), None) is None
+    return next(_label_differences(a, b, a.src.cells), None) is None
 
 
 def map_inverse(m: SymSeqMap) -> SymSeqMap:
     if not m.is_bijective():
         raise ValidationError("cannot invert a non-bijective map")
-    comp = {key: {v: k for k, v in cm.items()} for key, cm in m.comp.items()}
-    return SymSeqMap(m.dst, m.src, comp)
+    return SymSeqMap(m.dst, m.src, {k: {v: l for l, v in c.items()} for k, c in m.comp.items()})
 
 
 def first_map_difference(a: SymSeqMap, b: SymSeqMap):
-    items = sorted(a.src.cells.items(), key=lambda kv: (len(kv[0][0]), skey(kv[0])))
-    return next(label_differences(a, b, ((key, cell.labels) for key, cell in items)), None)
+    keys = sorted(a.src.cells, key=lambda k: (len(k[0]), skey(k)))
+    return next(_label_differences(a, b, keys), None)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +383,8 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
 
 
 def hcompose_maps(beta: SymSeqMap, alpha: SymSeqMap, src: Composite, dst: Composite) -> SymSeqMap:
-    """Horizontal composite of 2-cells, acting on class representatives."""
-    if set(alpha.src.dom) != set(src.inner.dom) or set(beta.src.cod) != set(src.outer.cod):
+    """Horizontal composite of 2-cells of either layer, acting on class representatives."""
+    if alpha.src.dom != src.inner.dom or beta.src.cod != src.outer.cod:
         raise InputError("2-cells do not match the composite they are applied to")
     comp = {}
     for key, reps in src.reps.items():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -460,3 +461,10 @@ def test_restriction_and_extension_along_identity():
     }
     un = extension(phi, n)
     assert iso_symseq(un.bimodule.carrier, n.carrier) is not None
+
+
+def test_restrict_map_names_a_cell_the_map_lacks():
+    # com(2) has no multiplication above arity 2, so a window of 3 asks restrict_map
+    # for a cell of com o com that mu does not hold; it used to be a bare KeyError
+    with pytest.raises(ValidationError, match=re.escape(f"map undefined at cell {((STAR,) * 3, STAR)!r}")):
+        free_left_module(com_operad(2), (STAR,), id_symseq((STAR,)), window=3)

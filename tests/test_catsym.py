@@ -4,19 +4,18 @@ import random
 
 import pytest
 
-from opdbim.perms import FinGroupoid, Perm, YoungSet, block_offsets, disjoint_union, quotient, skey
-from opdbim.symseq import SymSeq, compose_symseq, iso_symseq
+from opdbim.perms import (
+    FinGroupoid, Perm, ValidationError, YoungSet, block_offsets, disjoint_union, quotient, skey,
+)
+from opdbim.symseq import SymSeq, SymSeqMap, compose_symseq, identity_map, iso_symseq
 from opdbim.operads import com_operad, enumerate_algebras, operad_iso, terminal_operad, unit_operad
 from opdbim.catsym import (
-    CatMap,
+    CatSymSeq,
     cat_compose,
     cat_from_symseq,
-    cat_hcompose,
     cat_id,
-    cat_identity_map,
     cat_iso,
     cat_left_unitor,
-    cat_map_equal,
     cat_right_unitor,
     cat_sum,
     ev_catsym,
@@ -81,6 +80,28 @@ def test_cat_id_two_object_groupoid():
     ident.validate()
     assert len(ident.labels(("p",), "q")) == 1
     assert len(ident.labels(("p",), "p")) == 1
+
+
+def test_cat_map_validate_checks_every_transport():
+    g = two_object_iso_groupoid()
+    ident = cat_id(g)
+    identity_map(ident).validate()
+    # two copies (arrow, 0) and (arrow, 1) of each label of Id, transported copywise
+
+    def copywise(tables):
+        return {
+            key: {arrow: {(l, c): (t[l], c) for l in t for c in (0, 1)} for arrow, t in trs.items()}
+            for key, trs in tables.items()
+        }
+
+    cells = {key: tuple((l, c) for c in (0, 1) for l in labs) for key, labs in ident.cells.items()}
+    double = CatSymSeq(g, g, cells, copywise(ident.dom_tr), copywise(ident.cod_tr))
+    double.validate()
+    first = {key: {l: (l, 0) for l in labels} for key, labels in ident.cells.items()}
+    SymSeqMap(ident, double, first).validate()
+    # one cell into the other copy: its transports to and from the other cells break
+    with pytest.raises(ValidationError, match="equivariance fails"):
+        SymSeqMap(ident, double, {**first, (("p",), "q"): {"f": ("f", 1)}}).validate()
 
 
 def test_cat_compose_discrete_specialization():
@@ -209,7 +230,7 @@ def test_operad_of_monad_on_identity():
     idz = cat_id(z)
     ee = cat_compose(idz, idz, max_arity=1)
     mu = cat_left_unitor(ee)
-    eta = cat_identity_map(idz)
+    eta = identity_map(idz)
     op = operad_of_monad(z, idz, mu, eta, ee, 1)
     sizes = {s: {0: 1, 1: 1, 2: 2}[len(s[0])] for s in op.sorts}
     assert enumerate_algebras(op, sizes) == 2  # Sigma_2-sets on a 2-set
@@ -232,6 +253,15 @@ def test_exponential_unit_laws():
     a = unit_operad(("x",), 2)
     exp_ta = exponential_operad(a, t, 2, 2)
     assert operad_iso(exp_ta, t) is not None
+
+
+def test_hom_monad_refuses_an_arity_window_below_the_outer_operad():
+    # E has cells up to the arity of B, above the window E o Id_Z is built to;
+    # this used to read a cell that composite never built and fail as a law
+    from opdbim.perms import InputError
+
+    with pytest.raises(InputError, match="window 2 is below the outer operad's arity bound 3"):
+        hom_monad(unit_operad(("x",), 2), com_operad(3), 2, 2)
 
 
 def test_exponential_requires_reduced():

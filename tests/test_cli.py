@@ -325,3 +325,21 @@ def test_wrongly_typed_declaration_values_are_input_errors(tmp_path, capsys, sec
     code, out = run_cli(["check", path], capsys)
     assert code == 2
     assert message in out and "parse error" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bimodules", "U1", "U2", "--cells", "[[]]"], "cell must be a JSON object"),
+        (["bimodules", "U1", "U2", "--cells", '{"a": 1}'], "cells must be a JSON list"),
+        (["algebras", "U1", "x=a"], "sizes must be N or sort=N"),
+        (["algebras", "U1"], "count algebras takes two arguments, got 1"),
+    ],
+    ids=["cells-list-of-lists", "cells-object", "size-not-an-integer", "size-left-out"],
+)
+def test_wrongly_typed_count_values_are_input_errors(tmp_path, capsys, argv, message):
+    # each of these used to end in a traceback with exit 1
+    path = write_doc(tmp_path, BASE_DOC)
+    code, out = run_cli(["count", path, *argv], capsys)
+    assert code == 2
+    assert out.startswith("input error:") and message in out

@@ -5,18 +5,22 @@ import re
 import pytest
 
 from opdbim.perms import ValidationError, YoungSet
-from opdbim.symseq import UNDEFINED, SymSeq, SymSeqMap, first_map_difference, map_equal
+from opdbim.symseq import (
+    UNDEFINED,
+    SymSeq,
+    SymSeqMap,
+    compose_maps,
+    compose_symseq,
+    first_map_difference,
+    hcompose_maps,
+    identity_map,
+    map_equal,
+)
 from opdbim.operads import com_operad, unit_operad
 from opdbim.catsym import (
-    CatMap,
     cat_compose,
-    cat_compose_maps,
-    cat_first_difference,
     cat_from_symseq,
-    cat_hcompose,
     cat_id,
-    cat_identity_map,
-    cat_map_equal,
     cat_sum,
     cat_sum_split,
     exponential_operad,
@@ -36,8 +40,8 @@ def small_symseq():
     return SymSeq((STAR,), (STAR,), cells)
 
 
-def without(m: CatMap, key) -> CatMap:
-    return CatMap(m.src, m.dst, {k: v for k, v in m.comp.items() if k != key})
+def without(m: SymSeqMap, key) -> SymSeqMap:
+    return SymSeqMap(m.src, m.dst, {k: v for k, v in m.comp.items() if k != key})
 
 
 def test_map_equal_fails_when_both_maps_lack_a_cell():
@@ -47,36 +51,51 @@ def test_map_equal_fails_when_both_maps_lack_a_cell():
     assert first_map_difference(a, b) == (UNARY, "a", UNDEFINED, UNDEFINED)
 
 
+def layers():
+    """The small sequence on the plain layer and on its discrete-groupoid embedding.
+
+    Each case below runs on both, with the composition of that layer.
+    """
+    f = small_symseq()
+    return ((f, compose_symseq), (cat_from_symseq(f), cat_compose))
+
+
 def test_cat_map_equal_fails_when_both_maps_lack_a_cell():
-    fc = cat_from_symseq(small_symseq())
-    ident = cat_identity_map(fc)
-    a, b = without(ident, BINARY), without(ident, BINARY)
-    assert not cat_map_equal(a, b)
-    assert cat_first_difference(a, b) == (BINARY, "b", UNDEFINED, UNDEFINED)
-    assert cat_map_equal(ident, cat_identity_map(fc))
+    for fc, _compose in layers():
+        ident = identity_map(fc)
+        a, b = without(ident, BINARY), without(ident, BINARY)
+        assert not map_equal(a, b)
+        assert first_map_difference(a, b) == (BINARY, "b", UNDEFINED, UNDEFINED)
+        assert map_equal(ident, identity_map(fc))
 
 
 def test_cat_compose_maps_names_the_cell_read_outside_the_second_map():
-    fc = cat_from_symseq(small_symseq())
-    ident = cat_identity_map(fc)
-    with pytest.raises(ValidationError, match=re.escape(repr(BINARY))):
-        cat_compose_maps(without(ident, BINARY), ident)
-    missing_label = CatMap(fc, fc, {**ident.comp, UNARY: {}})
-    with pytest.raises(ValidationError, match=re.escape(f"{UNARY!r}, label 'a'")):
-        cat_compose_maps(missing_label, ident)
+    for fc, _compose in layers():
+        ident = identity_map(fc)
+        with pytest.raises(ValidationError, match=re.escape(repr(BINARY))):
+            compose_maps(without(ident, BINARY), ident)
+        missing_label = SymSeqMap(fc, fc, {**ident.comp, UNARY: {}})
+        with pytest.raises(ValidationError, match=re.escape(f"{UNARY!r}, label 'a'")):
+            compose_maps(missing_label, ident)
+        # validate refuses the same maps, and passes the identity
+        ident.validate()
+        with pytest.raises(ValidationError, match=re.escape(f"{BINARY!r}, label 'b'")):
+            without(ident, BINARY).validate()
+        with pytest.raises(ValidationError, match=re.escape(f"{UNARY!r}, label 'a'")):
+            missing_label.validate()
 
 
 def test_cat_hcompose_names_the_cell_read_outside_a_map_or_composite():
-    fc = cat_from_symseq(small_symseq())
-    ident = cat_identity_map(fc)
-    comp = cat_compose(fc, fc, max_arity=3)
-    with pytest.raises(ValidationError, match=re.escape(f"map undefined at cell {BINARY!r}")):
-        cat_hcompose(without(ident, BINARY), ident, comp, comp)
-    with pytest.raises(ValidationError, match=re.escape(f"map undefined at cell {UNARY!r}")):
-        cat_hcompose(ident, without(ident, UNARY), comp, comp)
-    smaller = cat_compose(fc, fc, max_arity=2)
-    with pytest.raises(ValidationError, match="composite undefined at cell"):
-        cat_hcompose(ident, ident, comp, smaller)
+    for fc, compose in layers():
+        ident = identity_map(fc)
+        comp = compose(fc, fc, max_arity=3)
+        with pytest.raises(ValidationError, match=re.escape(f"map undefined at cell {BINARY!r}")):
+            hcompose_maps(without(ident, BINARY), ident, comp, comp)
+        with pytest.raises(ValidationError, match=re.escape(f"map undefined at cell {UNARY!r}")):
+            hcompose_maps(ident, without(ident, UNARY), comp, comp)
+        smaller = compose(fc, fc, max_arity=2)
+        with pytest.raises(ValidationError, match="composite undefined at cell"):
+            hcompose_maps(ident, ident, comp, smaller)
 
 
 def untag(w):
