@@ -36,6 +36,7 @@ from .symseq import (
     coequalize_maps,
     compose_maps,
     compose_symseq,
+    composite_of,
     first_map_difference,
     hcompose_maps,
     id_symseq,
@@ -141,7 +142,7 @@ def check_bimodule_laws(b: Bimodule) -> None:
     b.rho.validate()
     id_m = identity_map(m)
     # left module laws
-    comp2b = compose_symseq(bc, bc, max_arity=w)
+    comp2b = composite_of(b.left.comp2, bc, bc, w)
     mu_b = restrict_map(b.left.mu, comp2b.seq)
     bb_m = compose_symseq(comp2b.seq, m, max_arity=w)
     b_bm = compose_symseq(bc, b.bm.seq, max_arity=w)
@@ -158,7 +159,7 @@ def check_bimodule_laws(b: Bimodule) -> None:
     if not map_equal(lu, left_unitor(idy_m)):
         _fail("left action unit", first_map_difference(lu, left_unitor(idy_m)))
     # right module laws
-    comp2a = compose_symseq(ac, ac, max_arity=w)
+    comp2a = composite_of(b.right.comp2, ac, ac, w)
     mu_a = restrict_map(b.right.mu, comp2a.seq)
     ma_a = compose_symseq(b.ma.seq, ac, max_arity=w)
     m_aa = compose_symseq(m, comp2a.seq, max_arity=w)
@@ -231,7 +232,7 @@ def free_left_module(op: Operad, dom_sorts: Iterable, v: SymSeq,
     """The free left module ``A o V`` on a sequence ``V``, acting through ``mu``."""
     w = op.arity_bound if window is None else window
     av = compose_symseq(op.carrier, v, max_arity=w)
-    comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
+    comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
     aa_v = compose_symseq(comp2.seq, v, max_arity=w)
     a_av = compose_symseq(op.carrier, av.seq, max_arity=w)
     mu = restrict_map(op.mu, comp2.seq)
@@ -254,9 +255,9 @@ def free_bimodule(left: Operad, right: Operad, v: SymSeq,
     va = compose_symseq(v, ac, max_arity=w)
     bva = compose_symseq(bc, va.seq, max_arity=w)
     carrier = bva.seq
-    comp2b = compose_symseq(bc, bc, max_arity=w)
+    comp2b = composite_of(left.comp2, bc, bc, w)
     mu_b = restrict_map(left.mu, comp2b.seq)
-    comp2a = compose_symseq(ac, ac, max_arity=w)
+    comp2a = composite_of(right.comp2, ac, ac, w)
     mu_a = restrict_map(right.mu, comp2a.seq)
     b_bva = compose_symseq(bc, carrier, max_arity=w)
     bb_va = compose_symseq(comp2b.seq, va.seq, max_arity=w)
@@ -320,9 +321,9 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     bmid = mb.left
     n, m = nb.carrier, mb.carrier
     nm = compose_symseq(n, m, max_arity=w)
-    nb_ = compose_symseq(n, bmid.carrier, max_arity=w)
+    nb_ = composite_of(nb.ma, n, nb.right.carrier, w)
     nb_m = compose_symseq(nb_.seq, m, max_arity=w)
-    b_m = compose_symseq(bmid.carrier, m, max_arity=w)
+    b_m = composite_of(mb.bm, bmid.carrier, m, w)
     n_bm = compose_symseq(n, b_m.seq, max_arity=w)
     rho_n = restrict_map(nb.rho, nb_.seq)
     lam_m = restrict_map(mb.lam, b_m.seq)
@@ -346,7 +347,7 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     cc = nb.left.carrier
     c_q = compose_symseq(cc, carrier, max_arity=w)
     c_nm = compose_symseq(cc, nm.seq, max_arity=w)
-    c_n = compose_symseq(cc, n, max_arity=w)
+    c_n = composite_of(nb.bm, cc, n, w)
     cn_m = compose_symseq(c_n.seq, m, max_arity=w)
     asc = associator(c_n, cn_m, nm, c_nm)
     lam_n = restrict_map(nb.lam, c_n.seq)
@@ -368,7 +369,7 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     ac = mb.right.carrier
     q_a = compose_symseq(carrier, ac, max_arity=w)
     nm_a = compose_symseq(nm.seq, ac, max_arity=w)
-    m_a = compose_symseq(m, ac, max_arity=w)
+    m_a = composite_of(mb.ma, m, ac, w)
     n_ma = compose_symseq(n, m_a.seq, max_arity=w)
     asc2 = associator(nm, nm_a, m_a, n_ma)
     rho_m = restrict_map(mb.rho, m_a.seq)
@@ -488,8 +489,8 @@ def check_lax_monad_morphism(
     fa = compose_symseq(f, ac, max_arity=w)
     if phi.src is not bf.seq:
         phi = restrict_map(phi, bf.seq, fa.seq)
-    comp2b = compose_symseq(bc, bc, max_arity=w)
-    comp2a = compose_symseq(ac, ac, max_arity=w)
+    comp2b = composite_of(b.comp2, bc, bc, w)
+    comp2a = composite_of(a.comp2, ac, ac, w)
     bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
     b_bf = compose_symseq(bc, bf.seq, max_arity=w)
     b_fa = compose_symseq(bc, fa.seq, max_arity=w)
@@ -529,7 +530,7 @@ def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
         check_lax_monad_morphism(f, a, b, phi, w)
     ac, bc = a.carrier, b.carrier
     fa = compose_symseq(f, ac, max_arity=w)
-    comp2a = compose_symseq(ac, ac, max_arity=w)
+    comp2a = composite_of(a.comp2, ac, ac, w)
     fa_a = compose_symseq(fa.seq, ac, max_arity=w)
     f_aa = compose_symseq(f, comp2a.seq, max_arity=w)
     mu_a = restrict_map(a.mu, comp2a.seq)
@@ -560,8 +561,8 @@ def check_oplax_monad_morphism(
     bf = compose_symseq(bc, f, max_arity=w)
     if psi.src is not fa.seq:
         psi = restrict_map(psi, fa.seq, bf.seq)
-    comp2b = compose_symseq(bc, bc, max_arity=w)
-    comp2a = compose_symseq(ac, ac, max_arity=w)
+    comp2b = composite_of(b.comp2, bc, bc, w)
+    comp2a = composite_of(a.comp2, ac, ac, w)
     fa_a = compose_symseq(fa.seq, ac, max_arity=w)
     f_aa = compose_symseq(f, comp2a.seq, max_arity=w)
     bf_a = compose_symseq(bf.seq, ac, max_arity=w)
@@ -604,7 +605,7 @@ def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
         check_oplax_monad_morphism(f, a, b, psi, w)
     ac, bc = a.carrier, b.carrier
     bf = compose_symseq(bc, f, max_arity=w)
-    comp2b = compose_symseq(bc, bc, max_arity=w)
+    comp2b = composite_of(b.comp2, bc, bc, w)
     b_bf = compose_symseq(bc, bf.seq, max_arity=w)
     bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
     mu_b = restrict_map(b.mu, comp2b.seq)
@@ -808,7 +809,7 @@ def transport_adjunction(
 
     # collapse (U o B) o (B o F) -> U o (B o F) with the middle multiplication
     ub_bf = gf.nm  # compose(gprime.carrier, fprime.carrier)
-    comp2b = compose_symseq(bc, bc, max_arity=w)
+    comp2b = composite_of(b.comp2, bc, bc, w)
     mu_b = restrict_map(b.mu, comp2b.seq)
     b_bf = compose_symseq(bc, bf.seq, max_arity=w)
     u_b_bf = compose_symseq(u, b_bf.seq, max_arity=w)

@@ -46,10 +46,13 @@ from .perms import (
     YoungSet,
     block_offsets,
     disjoint_union,
+    index_positions,
+    index_quotient,
     quotient,
     skey,
     ssorted,
     stab_gens,
+    unknown_relation,
 )
 from .symseq import (
     Composite,
@@ -422,41 +425,46 @@ def _generator_table(seq: CatSymSeq) -> Callable:
     return generators
 
 
-def _cat_edges(inner: CatSymSeq, z, raws, inner_gens: Callable, outer_gens: Callable) -> list:
-    """Coend relation edges of one cell, along generating arrows only.
+def _cat_edges(inner: CatSymSeq, z, raws, pos, inner_gens: Callable, outer_gens: Callable):
+    """Coend relation edges of one cell, along generating arrows only, as index pairs.
 
-    A raw is related along an arrow of a block word (inner variable) or of
-    the middle word (middle variable).  Both relations are actions of the
-    word groupoids, because transports are functorial, so the edge along a
-    composite arrow is a path of edges along its factors.  Edges along the
-    arrows of ``_word_generators`` therefore generate the same equivalence as
-    edges along every arrow, and the union-find keeps the same classes.
+    ``pos`` maps each raw of ``raws`` to its index.  A raw is related along
+    an arrow of a block word (inner variable) or of the middle word (middle
+    variable).  Both relations are actions of the word groupoids, because
+    transports are functorial, so the edge along a composite arrow is a path
+    of edges along its factors.  Edges along the arrows of
+    ``_word_generators`` therefore generate the same equivalence as edges
+    along every arrow, and the union-find keeps the same classes.
     """
     dom = inner.dom
-    edges = []
-    for raw in raws:
+    for i, raw in enumerate(raws):
         mid, g, blocks, fs, arr = raw
         concat = tuple(o for b in blocks for o in b)
         offs = block_offsets(len(b) for b in blocks)
+        targets = []
         # inner variable: (T_beta(f'), arr) ~ (f', arr then beta inside block i)
-        for i, b in enumerate(blocks):
-            for b2, beta, inv in inner_gens(b, mid[i]):
-                emb = sw_embed_at(dom, concat, offs[i], beta, len(b))
-                blocks2 = blocks[:i] + (b2,) + blocks[i + 1 :]
-                fs2 = fs[:i] + (inv[fs[i]],) + fs[i + 1 :]
-                edges.append((raw, (mid, g, blocks2, fs2, sw_compose(dom, arr, emb))))
+        for k, b in enumerate(blocks):
+            for b2, beta, inv in inner_gens(b, mid[k]):
+                emb = sw_embed_at(dom, concat, offs[k], beta, len(b))
+                blocks2 = blocks[:k] + (b2,) + blocks[k + 1 :]
+                fs2 = fs[:k] + (inv[fs[k]],) + fs[k + 1 :]
+                targets.append((mid, g, blocks2, fs2, sw_compose(dom, arr, emb)))
         # middle variable: move whole blocks along psi, transport g and the fs
         for mid2, psi, inv in outer_gens(mid, z):
             sigma = Perm(psi[0])
-            order = [sigma(i) for i in range(len(blocks))]
+            order = [sigma(k) for k in range(len(blocks))]
             blocks2 = tuple(blocks[j] for j in order)
-            # psi[1][i]: mid[sigma(i)] -> mid2[i]
+            # psi[1][k]: mid[sigma(k)] -> mid2[k]
             fs2 = tuple(
-                inner.cod_tr[(blocks[j], mid[j])][psi[1][i]][fs[j]] for i, j in enumerate(order)
+                inner.cod_tr[(blocks[j], mid[j])][psi[1][k]][fs[j]] for k, j in enumerate(order)
             )
             bp = sw_block_perm(dom, list(blocks), sigma)
-            edges.append((raw, (mid2, inv[g], blocks2, fs2, sw_compose(dom, arr, bp))))
-    return edges
+            targets.append((mid2, inv[g], blocks2, fs2, sw_compose(dom, arr, bp)))
+        for target in targets:
+            j = pos.get(target)
+            if j is None:
+                raise unknown_relation(raw, target)
+            yield i, j
 
 
 def _iso_source_words(gpd: FinGroupoid, concat: Word) -> list[Word]:
@@ -495,11 +503,13 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
     inner_gens, outer_gens = _generator_table(inner), _generator_table(outer)
     for key in sorted(raws_by_cell, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
         raws = raws_by_cell[key]
-        q = quotient(raws, _cat_edges(inner, key[1], raws, inner_gens, outer_gens))
-        cells[key] = tuple(range(len(q.classes)))
+        pos = index_positions(raws)
+        edges = _cat_edges(inner, key[1], raws, pos, inner_gens, outer_gens)
+        label, roots = index_quotient(len(raws), edges)
+        cells[key] = tuple(range(len(roots)))
         raws_out[key] = raws
-        cls_out[key] = q.class_index
-        reps_out[key] = list(q.representative)
+        cls_out[key] = dict(zip(raws, label))
+        reps_out[key] = [raws[r] for r in roots]
     seq = CatSymSeq(dom, outer.cod, cells, {}, {})
 
     def dom_fn(key, v, a, cls):
@@ -511,7 +521,7 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
         g2 = outer.cod_tr[(mid, key[1])][b][g]
         return cls_out[(key[0], outer.cod.dst[b])][(mid, g2, blocks, fs, arr)]
 
-    comp = Composite(outer, inner, seq, raws_out, cls_out, reps_out)
+    comp = Composite(outer, inner, seq, raws_out, cls_out, reps_out, max_arity)
     _complete_transports(seq, dom_fn, cod_fn)
     return comp
 

@@ -140,7 +140,10 @@ def cmd_count(args) -> int:
             op = document.operads[args.names[0]]
             sizes = _parse_sizes(args.names[1])
             if isinstance(sizes, dict):
-                sizes = {s: sizes.get(_plain_sort_name(s), sizes.get(s, 0)) for s in op.sorts}
+                unknown = [s for s in sizes if s not in op.sorts]
+                if unknown:
+                    raise InputError(f"operad {args.names[0]!r} has no sort {unknown[0]!r}")
+                sizes = {s: sizes.get(s, 0) for s in op.sorts}
             n = enumerate_algebras(op, sizes, budget=budget)
             _emit(f"algebras\t{n}\n", args.out)
         elif args.kind == "bimodules":
@@ -164,10 +167,6 @@ def cmd_count(args) -> int:
         print(f"budget exceeded: {e}")
         return BUDGET_ERR
     return OK
-
-
-def _plain_sort_name(sort):
-    return sort if isinstance(sort, str) else None
 
 
 def cmd_product(args) -> int:

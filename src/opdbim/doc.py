@@ -102,6 +102,9 @@ def parse_cell_sizes(data) -> dict:
     sizes = {}
     for entry in _array(data, "cells"):
         entry = _object(entry, "cell")
+        missing = [k for k in ("word", "out", "size") if k not in entry]
+        if missing:
+            raise InputError(f"cell entry {entry!r} lacks {', '.join(map(repr, missing))}")
         size = entry["size"]
         if isinstance(size, bool) or not isinstance(size, int) or size < 0:
             raise InputError(f"cell size must be a non-negative integer, got {size!r}")

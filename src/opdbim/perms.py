@@ -393,41 +393,70 @@ class QuotientResult:
         return self.representative[self.class_index[element]]
 
 
-def quotient(elements: Iterable[Hashable], relations: Iterable[tuple]) -> QuotientResult:
-    """Union-find with path compression; representatives are minimal in input order."""
-    elements = tuple(elements)
+def index_positions(elements: tuple) -> dict:
+    """``element -> input index``; a repeated element is an ``InputError``."""
     pos = {e: i for i, e in enumerate(elements)}
     if len(pos) != len(elements):
         raise InputError("duplicate elements in quotient input")
-    parent = list(range(len(elements)))
+    return pos
 
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
 
-    for a, b in relations:
-        if a not in pos or b not in pos:
-            raise InputError(f"relation pair ({a!r}, {b!r}) mentions unknown element")
-        ra, rb = find(pos[a]), find(pos[b])
-        if ra != rb:
-            # keep the smaller input index as the root for determinism
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    groups: dict = {}
-    for i in range(len(elements)):
-        groups.setdefault(find(i), []).append(i)
-    roots = sorted(groups)
-    classes = tuple(tuple(elements[i] for i in groups[r]) for r in roots)
-    class_index = {}
-    for k, r in enumerate(roots):
-        for i in groups[r]:
-            class_index[elements[i]] = k
+def unknown_relation(a, b) -> InputError:
+    return InputError(f"relation pair ({a!r}, {b!r}) mentions unknown element")
+
+
+def index_quotient(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list, list]:
+    """Union-find on ``0..n-1`` along index pairs: ``(class of each index, root of each class)``.
+
+    The root of a class is its minimal index and classes are numbered in
+    root order, so the result depends only on the partition the pairs
+    generate.  Every parent pointer is at most its index (a merge hangs the
+    larger root under the smaller, path halving only shortcuts), so one
+    ascending pass resolves every index to its root.
+    """
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    label = [0] * n
+    roots: list = []
+    for i in range(n):
+        p = parent[i]
+        if p == i:
+            label[i] = len(roots)
+            roots.append(i)
+        else:
+            parent[i] = p = parent[p]
+            label[i] = label[p]
+    return label, roots
+
+
+def quotient(elements: Iterable[Hashable], relations: Iterable[tuple]) -> QuotientResult:
+    """Quotient by element pairs, over :func:`index_quotient`.
+
+    Representatives are minimal in input order.
+    """
+    elements = tuple(elements)
+    pos = index_positions(elements)
+
+    def pairs():
+        for a, b in relations:
+            if a not in pos or b not in pos:
+                raise unknown_relation(a, b)
+            yield pos[a], pos[b]
+
+    label, roots = index_quotient(len(elements), pairs())
+    groups: list = [[] for _ in roots]
+    for e, k in zip(elements, label):
+        groups[k].append(e)
+    classes = tuple(tuple(g) for g in groups)
+    class_index = {e: k for k, g in enumerate(classes) for e in g}
     representative = tuple(elements[r] for r in roots)
     return QuotientResult(elements, classes, class_index, representative)
 

@@ -2,10 +2,14 @@
 
 A symmetric sequence ``F: X -> Y`` is stored as a finite table of cells
 ``(canonical word over X, output sort in Y) -> YoungSet``.  Absent cells are
-empty.  Horizontal composition is computed exactly: raw tuples are
-enumerated, the coend relations are generated as edges and the quotient is
-taken with union-find.  Every coherence map (associator, unitors) is an
-explicit equivariant bijection on class representatives.
+empty; the support order is computed once, when the sequence is built.
+Horizontal composition is computed exactly: raw tuples are enumerated, the
+coend relations are generated as edges between raw indices and the quotient
+is taken with the index-pair union-find of :mod:`.perms`.  Every coherence map
+(associator, unitors) is an explicit equivariant bijection on class
+representatives.  A composite records the cap it was built with, so one that
+a participant already holds (an operad's ``comp2``, a bimodule's ``bm`` or
+``ma``) serves any lower cap by restriction (``composite_of``).
 
 ``SymSeqMap`` is the one map type of both layers (this one and
 :mod:`.catsym`).  Every map is total on the cells it holds: reading a cell or
@@ -24,29 +28,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
 from .perms import (
     InputError,
     Label,
     Perm,
-    QuotientResult,
     ValidationError,
     Word,
     YoungSet,
     act_word,
-    block_diag,
     block_offsets,
     block_perm,
     canonical_word,
     compose,
     embed_at,
     equivariant_iso_search,
-    is_canonical,
+    index_positions,
+    index_quotient,
     quotient,
     skey,
     ssorted,
     stab_gens,
+    unknown_relation,
     word_arrows,
 )
 
@@ -61,13 +66,25 @@ class SymSeq:
         self.dom = ssorted(self.dom)
         self.cod = ssorted(self.cod)
         dset, cset = set(self.dom), set(self.cod)
+        order_keys = []
         for (w, y), cell in self.cells.items():
-            if not is_canonical(w):
+            letters = tuple(map(skey, w))
+            if list(letters) != sorted(letters):
                 raise InputError(f"cell word {w} is not canonical")
-            if any(s not in dset for s in w) or y not in cset:
+            if not dset.issuperset(w) or y not in cset:
                 raise InputError(f"cell ({w}, {y!r}) uses unknown sorts")
             if cell.word != w:
                 raise InputError(f"cell at {w} carries mismatched word {cell.word}")
+            order_keys.append((len(w), letters, skey(y)))
+        # cells are never changed once the sequence is built, so sort them once:
+        # by arity, then word, then output
+        keys = list(self.cells)
+        order = sorted(range(len(keys)), key=order_keys.__getitem__)
+        self._support = tuple(keys[i] for i in order)
+        words: dict = {}
+        for w, y in self._support:
+            words.setdefault(y, []).append(w)
+        self._support_words = {y: tuple(ws) for y, ws in words.items()}
 
     def cell(self, w: Word, y) -> Optional[YoungSet]:
         return self.cells.get((w, y))
@@ -76,14 +93,12 @@ class SymSeq:
         cell = self.cells.get((w, y))
         return cell.labels if cell else ()
 
-    def support(self) -> list:
-        return sorted(self.cells, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1])))
+    def support(self) -> tuple:
+        return self._support
 
-    def support_words(self, y) -> list:
-        return sorted(
-            (w for (w, out) in self.cells if out == y),
-            key=lambda w: (len(w), skey(w)),
-        )
+    def support_words(self, y) -> tuple:
+        """Words of the cells at output ``y``, by arity, then word."""
+        return self._support_words.get(y, ())
 
     def max_arity(self) -> int:
         return max((len(w) for (w, _y) in self.cells), default=0)
@@ -268,6 +283,10 @@ class Composite:
 
     Shared by both layers: ``outer``, ``inner`` and ``seq`` are ``SymSeq`` here
     and ``CatSymSeq`` in :mod:`.catsym`, whose raws end in a groupoid arrow.
+    ``cap`` is the ``max_arity`` it was built with (``None``: no bound).  All
+    raws of a cell have total arity ``len(w)`` and each cell is quotiented on
+    its own, so the cells with words of length at most ``c`` are exactly the
+    composite at any cap ``c`` below ``cap`` (see :func:`composite_of`).
     """
 
     outer: SymSeq
@@ -276,6 +295,7 @@ class Composite:
     raws: dict   # (word, out) -> list of raw tuples
     cls: dict    # (word, out) -> {raw: class index}
     reps: dict   # (word, out) -> list of representative raws
+    cap: Optional[int] = None
 
     def class_of(self, w: Word, y, raw) -> int:
         """Class of ``raw``; a raw outside the composite is a law failure."""
@@ -288,45 +308,86 @@ class Composite:
         return self.reps[(w, y)][idx]
 
 
-def _raw_edges(outer: SymSeq, inner: SymSeq, key, raws):
-    """Coend relation edges among the raw tuples of one result cell."""
-    w, z = key
-    edges = []
+def composite_of(
+    held: Composite, outer: SymSeq, inner: SymSeq, max_arity: Optional[int]
+) -> Composite:
+    """``compose_symseq(outer, inner, max_arity)``, read off ``held`` when it can be.
+
+    ``held`` is a composite some participant already carries (an operad's
+    ``comp2``, a bimodule's ``bm`` or ``ma``).  It serves when it has these
+    very factors and was built at a cap that covers ``max_arity``: it is
+    then restricted to the words of length at most ``max_arity``, which is
+    exact because each cell is quotiented on its own.  Otherwise the
+    composite is built afresh.
+    """
+    covers = held.cap is None or (max_arity is not None and max_arity <= held.cap)
+    if held.outer is not outer or held.inner is not inner or not covers:
+        return compose_symseq(outer, inner, max_arity=max_arity)
+    keys = [k for k in held.seq.cells if max_arity is None or len(k[0]) <= max_arity]
+    if len(keys) == len(held.seq.cells):
+        return held
+    seq = SymSeq(held.seq.dom, held.seq.cod, {k: held.seq.cells[k] for k in keys})
+    return Composite(
+        outer,
+        inner,
+        seq,
+        {k: held.raws[k] for k in keys},
+        {k: held.cls[k] for k in keys},
+        {k: held.reps[k] for k in keys},
+        max_arity,
+    )
+
+
+def _picker(positions: tuple) -> Callable[[tuple], tuple]:
+    """The function ``seq -> tuple(seq[p] for p in positions)``."""
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    return lambda seq: tuple(seq[p] for p in positions)
+
+
+def _raw_edges(outer: SymSeq, inner: SymSeq, key, raws, pos):
+    """Coend relation edges among the raw tuples of one result cell, as index pairs.
+
+    ``pos`` maps each raw of ``raws`` to its index.  Every edge joins raw
+    ``i`` to the raw it becomes under one generating move: an adjacent
+    transposition inside a block (inner variable) or of the middle word
+    (middle variable).  The moves are planned once per ``(mid, blocks)``.
+    """
+    z = key[1]
     prepared: dict = {}
-    for raw in raws:
+    for i, raw in enumerate(raws):
         mid, g, blocks, fs, sig = raw
-        pkey = (mid, blocks)
-        plan = prepared.get(pkey)
+        plan = prepared.get((mid, blocks))
         if plan is None:
             lengths = [len(b) for b in blocks]
             offs = block_offsets(lengths)
             total = offs[-1]
             inner_moves = []
-            for i, b in enumerate(blocks):
-                cell = inner.cell(b, mid[i])
+            for k, b in enumerate(blocks):
+                cell = inner.cell(b, mid[k])
                 for t in stab_gens(b):
-                    emb = embed_at(total, offs[i], Perm.transposition(len(b), t)).images
-                    inner_moves.append((i, cell.gen_maps[t], emb))
+                    emb = embed_at(total, offs[k], Perm.transposition(len(b), t)).images
+                    inner_moves.append((k, cell.gen_maps[t], _picker(emb)))
             gcell = outer.cell(mid, z)
             mid_moves = []
             for t in stab_gens(mid):
                 psi = Perm.transposition(len(mid), t)
                 bp = block_perm(lengths, psi).images
-                blocks2 = tuple(blocks[psi(i)] for i in range(len(blocks)))
-                perm = tuple(psi(i) for i in range(len(blocks)))
-                mid_moves.append((gcell.gen_maps[t], blocks2, perm, bp))
-            plan = (inner_moves, mid_moves)
-            prepared[pkey] = plan
+                mid_moves.append((gcell.gen_maps[t], _picker(psi.images), _picker(bp)))
+            plan = prepared[(mid, blocks)] = (inner_moves, mid_moves)
         inner_moves, mid_moves = plan
-        for i, gmap, emb in inner_moves:
-            fs2 = fs[:i] + (gmap[fs[i]],) + fs[i + 1 :]
-            sig2 = tuple(sig[e] for e in emb)
-            edges.append((raw, (mid, g, blocks, fs2, sig2)))
-        for gmap, blocks2, perm, bp in mid_moves:
-            fs2 = tuple(fs[p] for p in perm)
-            sig2 = tuple(sig[e] for e in bp)
-            edges.append((raw, (mid, gmap[g], blocks2, fs2, sig2)))
-    return edges
+        for k, gmap, move in inner_moves:
+            target = (mid, g, blocks, fs[:k] + (gmap[fs[k]],) + fs[k + 1 :], move(sig))
+            j = pos.get(target)
+            if j is None:
+                raise unknown_relation(raw, target)
+            yield i, j
+        for gmap, swap, move in mid_moves:
+            target = (mid, gmap[g], swap(blocks), swap(fs), move(sig))
+            j = pos.get(target)
+            if j is None:
+                raise unknown_relation(raw, target)
+            yield i, j
 
 
 def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None) -> Composite:
@@ -348,38 +409,40 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
             total = sum(len(b) for b in blocks)
             if max_arity is not None and total > max_arity:
                 continue
+            fng = [inner.labels(b, y) for b, y in zip(blocks, mid)]
+            if not all(fng):
+                continue
             concat = tuple(s for b in blocks for s in b)
             w, _t = canonical_word(concat)
-            arrows = word_arrows(w, concat)
-            fng = [inner.labels(b, y) for b, y in zip(blocks, mid)]
-            for g in gcell.labels:
-                for fs in itertools.product(*fng):
-                    for sigma in arrows:
-                        raws_by_cell.setdefault((w, z), []).append(
-                            (mid, g, blocks, fs, sigma.images)
-                        )
+            images = [sigma.images for sigma in word_arrows(w, concat)]
+            raws_by_cell.setdefault((w, z), []).extend(
+                (mid, g, blocks, fs, sig)
+                for g in gcell.labels
+                for fs in itertools.product(*fng)
+                for sig in images
+            )
     cells = {}
     raws_out, cls_out, reps_out = {}, {}, {}
     for key in sorted(raws_by_cell, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
         raws = raws_by_cell[key]
-        q = quotient(raws, _raw_edges(outer, inner, key, raws))
+        pos = index_positions(raws)
+        label, roots = index_quotient(len(raws), _raw_edges(outer, inner, key, raws, pos))
+        cls = dict(zip(raws, label))
+        reps = [raws[r] for r in roots]
         w, z = key
-        n_classes = len(q.classes)
         gen_maps = {}
         for t in stab_gens(w):
             h = Perm.transposition(len(w), t).images
-            mapping = {}
-            for idx in range(n_classes):
-                mid, g, blocks, fs, sig = q.representative[idx]
-                sig2 = tuple(h[s] for s in sig)
-                mapping[idx] = q.class_index[(mid, g, blocks, fs, sig2)]
-            gen_maps[t] = mapping
-        cells[key] = YoungSet(w, tuple(range(n_classes)), gen_maps)
+            gen_maps[t] = {
+                idx: cls[(mid, g, blocks, fs, tuple(h[s] for s in sig))]
+                for idx, (mid, g, blocks, fs, sig) in enumerate(reps)
+            }
+        cells[key] = YoungSet(w, tuple(range(len(reps))), gen_maps)
         raws_out[key] = raws
-        cls_out[key] = q.class_index
-        reps_out[key] = list(q.representative)
+        cls_out[key] = cls
+        reps_out[key] = reps
     seq = SymSeq(inner.dom, outer.cod, cells)
-    return Composite(outer, inner, seq, raws_out, cls_out, reps_out)
+    return Composite(outer, inner, seq, raws_out, cls_out, reps_out, max_arity)
 
 
 def hcompose_maps(beta: SymSeqMap, alpha: SymSeqMap, src: Composite, dst: Composite) -> SymSeqMap:
@@ -458,37 +521,63 @@ def right_unitor_inv(fid: Composite) -> SymSeqMap:
 
 
 def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
-    """Canonical iso ``(H o G) o F -> H o (G o F)`` by regrouping blocks."""
+    """Canonical iso ``(H o G) o F -> H o (G o F)`` by regrouping blocks.
+
+    The regrouping of a raw ``(mid, q, blocks, fs, sig)`` of ``hg_f`` depends
+    only on its shape ``(mid, out, q, blocks)``; it is planned once per shape
+    (:func:`_regroup_plan`) and applied to each raw by tuple indexing.
+    """
+    plans: dict = {}
     comp = {}
     for key, reps in hg_f.reps.items():
         w, t_out = key
         m = {}
-        for idx, raw in enumerate(reps):
-            mid, q, blocks, fs, sig = raw
-            zmid, h, yblocks, gs, tau = hg.rep(mid, t_out, q)
-            tau_p = Perm(tau)
-            lengths = [len(b) for b in blocks]
-            yoffs = block_offsets([len(d) for d in yblocks])
-            # group the inner blocks by the outer block structure
-            new_blocks, new_fs, kappas = [], [], []
-            for j, d in enumerate(yblocks):
-                picks = [tau_p(p) for p in range(yoffs[j], yoffs[j + 1])]
-                u = tuple(s for i in picks for s in blocks[i])
-                e, kappa = canonical_word(u)
-                sub_blocks = tuple(blocks[i] for i in picks)
-                sub_fs = tuple(fs[i] for i in picks)
-                zj = zmid[j]
-                gf_raw = (d, gs[j], sub_blocks, sub_fs, kappa.images)
-                new_blocks.append(e)
-                new_fs.append(gf.class_of(e, zj, gf_raw))
-                kappas.append(kappa)
-            rearrange = block_perm(lengths, tau_p)
-            chi = block_diag([k.inverse() for k in kappas])
-            sig2 = compose(compose(Perm(sig), rearrange), chi)
-            new_raw = (zmid, h, tuple(new_blocks), tuple(new_fs), sig2.images)
-            m[idx] = h_gf.class_of(w, t_out, new_raw)
+        for idx, (mid, q, blocks, fs, sig) in enumerate(reps):
+            shape = (mid, t_out, q, blocks)
+            plan = plans.get(shape)
+            if plan is None:
+                plan = plans[shape] = _regroup_plan(hg.rep(mid, t_out, q), blocks)
+            zmid, h, new_blocks, groups, move = plan
+            new_fs = tuple(
+                gf.class_of(e, zj, (d, gj, sub_blocks, pick(fs), kappa))
+                for e, zj, d, gj, sub_blocks, pick, kappa in groups
+            )
+            m[idx] = h_gf.class_of(w, t_out, (zmid, h, new_blocks, new_fs, move(sig)))
         comp[key] = m
     return SymSeqMap(hg_f.seq, h_gf.seq, comp)
+
+
+def _regroup_plan(hg_raw, blocks: tuple):
+    """How :func:`associator` regroups the raws of one shape.
+
+    ``hg_raw = (zmid, h, yblocks, gs, tau)`` is the representative of the
+    ``H o G`` class.  The inner blocks are grouped by the outer block
+    structure: group ``j`` picks the blocks ``tau(p)`` for ``p`` in block
+    ``j`` of ``yblocks``, and ``kappa`` sorts their concatenation ``u`` to its
+    canonical word ``e``.  Returns ``(zmid, h, new blocks, groups, move)``:
+    each group is ``(e, zmid[j], yblocks[j], gs[j], picked blocks, picker of
+    the picked labels, kappa)``, and ``move`` reads a raw's arrow ``sig`` at
+    the images of ``rearrange o chi`` (the blocks moved into group order,
+    then each group sorted by the inverse of its ``kappa``).
+    """
+    zmid, h, yblocks, gs, tau = hg_raw
+    offs = block_offsets([len(b) for b in blocks])
+    yoffs = block_offsets([len(d) for d in yblocks])
+    groups, new_blocks, combined = [], [], []
+    for j, d in enumerate(yblocks):
+        picks = tau[yoffs[j] : yoffs[j + 1]]
+        u = tuple(s for i in picks for s in blocks[i])
+        e, kappa = canonical_word(u)
+        sub_blocks = tuple(blocks[i] for i in picks)
+        groups.append((e, zmid[j], d, gs[j], sub_blocks, _picker(picks), kappa.images))
+        new_blocks.append(e)
+        # letter r of u sits at position src[r] of concat(blocks) and at kappa(r) of e
+        src = [p for i in picks for p in range(offs[i], offs[i + 1])]
+        part = [0] * len(u)
+        for r, c in enumerate(kappa.images):
+            part[c] = src[r]
+        combined += part
+    return zmid, h, tuple(new_blocks), tuple(groups), _picker(tuple(combined))
 
 
 # ---------------------------------------------------------------------------

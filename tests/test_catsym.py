@@ -384,6 +384,35 @@ def test_generator_edges_match_all_arrow_edges(monkeypatch):
     _assert_all_arrow_partition(idz, idz, cat_compose(idz, idz, max_arity=2))
 
 
+def _assert_index_pairs_match_element_pairs(outer, inner, comp):
+    """The kernel's index-pair edges, handed to the element-pair ``quotient``, give its classes."""
+    from opdbim.catsym import _cat_edges, _generator_table
+    from opdbim.perms import index_positions
+
+    inner_gens, outer_gens = _generator_table(inner), _generator_table(outer)
+    for key, raws in comp.raws.items():
+        pairs = _cat_edges(inner, key[1], raws, index_positions(raws), inner_gens, outer_gens)
+        q = quotient(raws, [(raws[i], raws[j]) for i, j in pairs])
+        assert comp.cls[key] == q.class_index, key
+        assert comp.reps[key] == list(q.representative), key
+        assert comp.seq.cells[key] == tuple(range(len(q.classes))), key
+
+
+def test_index_pair_quotients_match_the_element_pair_quotient(monkeypatch):
+    built = _recorded_composites(
+        monkeypatch, lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
+    )
+    assert built
+    for outer, inner, comp in built:
+        _assert_index_pairs_match_element_pairs(outer, inner, comp)
+    c = cat_from_symseq(com_operad(4).carrier)
+    plain = compose_symseq(com_operad(4).carrier, com_operad(4).carrier, max_arity=4)
+    comp = cat_compose(c, c, max_arity=4)
+    _assert_index_pairs_match_element_pairs(c, c, comp)
+    # the discrete case has as many classes per cell as the plain layer
+    assert {k: len(v) for k, v in comp.reps.items()} == {k: len(v) for k, v in plain.reps.items()}
+
+
 def _fresh_arrows(gpd, v, w):
     """Every arrow ``v -> w`` from scratch, in ``skey`` order."""
     if len(v) != len(w):

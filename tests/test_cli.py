@@ -343,3 +343,27 @@ def test_wrongly_typed_count_values_are_input_errors(tmp_path, capsys, argv, mes
     code, out = run_cli(["count", path, *argv], capsys)
     assert code == 2
     assert out.startswith("input error:") and message in out
+
+
+def test_count_algebras_names_an_unknown_sort(tmp_path, capsys):
+    # a size for a sort the operad lacks used to be dropped: "algebras\t1", exit 0
+    path = write_doc(tmp_path, BASE_DOC)
+    code, out = run_cli(["count", path, "algebras", "A", "y=2"], capsys)
+    assert code == 2
+    assert out.startswith("input error:") and "'y'" in out
+    code, out = run_cli(["count", path, "algebras", "A", "*=2,y=1"], capsys)
+    assert code == 2 and "'y'" in out
+    code, out = run_cli(["count", path, "algebras", "A", "*=2"], capsys)
+    assert code == 0 and out.strip() == "algebras\t8"
+
+
+@pytest.mark.parametrize("missing", ["word", "out", "size"])
+def test_count_cells_entry_names_its_missing_key(tmp_path, capsys, missing):
+    # the KeyError used to be reported as "name resolution error: 'word'"
+    entry = {"word": ["x", "x"], "out": "y", "size": 2}
+    del entry[missing]
+    path = write_doc(tmp_path, BASE_DOC)
+    code, out = run_cli(["count", path, "bimodules", "U1", "U2", "--cells", json.dumps([entry])],
+                        capsys)
+    assert code == 2
+    assert out.startswith("input error:") and f"lacks {missing!r}" in out

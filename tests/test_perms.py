@@ -14,6 +14,7 @@ from opdbim.perms import (
     compose,
     disjoint_union,
     equivariant_iso_search,
+    index_quotient,
     quotient,
     stab_decompose,
     stab_gens,
@@ -220,3 +221,31 @@ def test_young_classes_partition_the_stabilizer(w):
     assert len(classes) == len(counts)
     assert all(act_word(w, rep) == w for rep, _size in classes)
 
+
+
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.permutations([f"e{i}" for i in range(n)]),
+            st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                     max_size=0 if n == 0 else 20),
+        )
+    )
+)
+def test_index_quotient_matches_the_element_quotient(case):
+    elements, pairs = tuple(case[0]), case[1]
+    label, roots = index_quotient(len(elements), pairs)
+    q = quotient(elements, [(elements[a], elements[b]) for a, b in pairs])
+    assert q.class_index == {e: label[i] for i, e in enumerate(elements)}
+    assert q.representative == tuple(elements[r] for r in roots)
+    assert q.classes == tuple(
+        tuple(e for i, e in enumerate(elements) if label[i] == k) for k in range(len(roots))
+    )
+    # roots are the minimal index of their class and number the classes in order
+    assert list(roots) == sorted(roots) and all(label[r] == k for k, r in enumerate(roots))
+    assert all(roots[label[i]] <= i for i in range(len(elements)))
+
+
+def test_quotient_rejects_duplicate_elements():
+    with pytest.raises(InputError, match="duplicate"):
+        quotient((1, 2, 1), [])

@@ -319,3 +319,100 @@ def test_unit_laws_hold_for_random_sequences(rng):
     ru = right_unitor(fid)
     ru.validate()
     assert ru.is_bijective()
+
+
+# --- composites reused at a lower cap, and the index-pair coend quotient ------
+
+from opdbim.operads import com_operad
+from opdbim.perms import block_offsets, block_perm, embed_at, quotient
+from opdbim.symseq import composite_of
+
+
+def _same_composite(a, b):
+    assert a.seq.cells == b.seq.cells
+    assert list(a.seq.cells) == list(b.seq.cells)
+    assert a.raws == b.raws
+    assert a.cls == b.cls
+    assert a.reps == b.reps
+
+
+def _cap_pairs():
+    com3 = com_operad(3).carrier
+    yield com3, com3, range(0, 5)
+    rng = random.Random(7)
+    for _ in range(6):
+        outer = rand_symseq(rng, max_arity=3, max_labels=2)
+        inner = rand_symseq(rng, max_arity=2, max_labels=2)
+        yield outer, inner, range(0, 4)
+
+
+def test_a_lower_cap_is_the_restriction_of_a_higher_one():
+    for outer, inner, caps in _cap_pairs():
+        for c in caps:
+            held = compose_symseq(outer, inner, max_arity=c + 1)
+            assert held.cap == c + 1
+            restricted = composite_of(held, outer, inner, c)
+            _same_composite(restricted, compose_symseq(outer, inner, max_arity=c))
+            assert restricted.cap == c or restricted is held
+            assert all(len(w) <= c for (w, _y) in restricted.seq.cells)
+            assert composite_of(held, outer, inner, c + 1) is held
+
+
+def test_composite_of_builds_afresh_unless_it_holds_the_factors_at_a_cap_that_covers():
+    com3 = com_operad(3).carrier
+    held = compose_symseq(com3, com3, max_arity=2)
+    larger = composite_of(held, com3, com3, 3)
+    assert larger is not held and larger.cap == 3
+    _same_composite(larger, compose_symseq(com3, com3, max_arity=3))
+    twin = SymSeq(com3.dom, com3.cod, dict(com3.cells))  # equal cells, another object
+    other = composite_of(held, twin, com3, 2)
+    assert other is not held and other.outer is twin
+    _same_composite(other, held)
+    com2 = com_seq(2)
+    capped = compose_symseq(com2, com2, max_arity=3)
+    assert composite_of(capped, com2, com2, None).cap is None
+    unbounded = compose_symseq(com2, com2)
+    _same_composite(composite_of(unbounded, com2, com2, 3), capped)
+    assert composite_of(unbounded, com2, com2, 4) is unbounded
+
+
+def _element_edges(outer, inner, key, raws):
+    """The coend relation of one cell as element pairs, along adjacent transpositions."""
+    z = key[1]
+    edges = []
+    for raw in raws:
+        mid, g, blocks, fs, sig = raw
+        lengths = [len(b) for b in blocks]
+        offs = block_offsets(lengths)
+        for i, b in enumerate(blocks):
+            for t in stab_gens(b):
+                move = embed_at(offs[-1], offs[i], Perm.transposition(len(b), t))
+                f2 = inner.cell(b, mid[i]).gen_maps[t][fs[i]]
+                sig2 = compose(Perm(sig), move).images
+                edges.append((raw, (mid, g, blocks, fs[:i] + (f2,) + fs[i + 1 :], sig2)))
+        for t in stab_gens(mid):
+            psi = Perm.transposition(len(mid), t)
+            g2 = outer.cell(mid, z).gen_maps[t][g]
+            blocks2 = tuple(blocks[psi(i)] for i in range(len(blocks)))
+            fs2 = tuple(fs[psi(i)] for i in range(len(blocks)))
+            sig2 = compose(Perm(sig), block_perm(lengths, psi)).images
+            edges.append((raw, (mid, g2, blocks2, fs2, sig2)))
+    return edges
+
+
+def _assert_element_quotients(comp):
+    for key, raws in comp.raws.items():
+        q = quotient(raws, _element_edges(comp.outer, comp.inner, key, raws))
+        assert comp.cls[key] == q.class_index, key
+        assert comp.reps[key] == list(q.representative), key
+        assert comp.seq.cells[key].labels == tuple(range(len(q.classes))), key
+
+
+def test_index_pair_quotients_match_the_element_pair_quotient():
+    com4 = com_operad(4).carrier
+    _assert_element_quotients(compose_symseq(com4, com4, max_arity=4))
+    rng = random.Random(11)
+    for _ in range(8):
+        outer = rand_symseq(rng, max_arity=3, max_labels=3)
+        inner = rand_symseq(rng, max_arity=2, max_labels=3)
+        _assert_element_quotients(compose_symseq(outer, inner, max_arity=4))
