@@ -17,12 +17,9 @@ from typing import Callable, Iterable, Optional
 from .perms import (
     BudgetError,
     InputError,
-    Perm,
     ValidationError,
     Word,
     YoungSet,
-    canonical_word,
-    compose,
     enumerate_equivariant_maps,
     skey,
     ssorted,
@@ -48,7 +45,15 @@ from .symseq import (
     right_unitor,
     right_unitor_inv,
 )
-from .operads import Algebra, Operad, OperadMorphism, _u_word, unit_operad
+from .operads import (
+    Algebra,
+    Operad,
+    OperadMorphism,
+    pulled_back_cells,
+    pulled_back_outputs,
+    reindex_raw,
+    unit_operad,
+)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -88,13 +93,11 @@ def make_bimodule(
     carrier: SymSeq,
     lam_fn: Callable,
     rho_fn: Callable,
-    window: Optional[int] = None,
-    validate: bool = True,
 ) -> Bimodule:
-    """Assemble a bimodule from action functions on composite representatives."""
+    """Assemble and law-check a bimodule from action functions on composite representatives."""
     if set(carrier.dom) != set(right.sorts) or set(carrier.cod) != set(left.sorts):
         raise InputError("bimodule carrier sorts do not match its operads")
-    w = min(left.arity_bound, right.arity_bound) if window is None else window
+    w = min(left.arity_bound, right.arity_bound)
     bm = compose_symseq(left.carrier, carrier, max_arity=w)
     ma = compose_symseq(carrier, right.carrier, max_arity=w)
     lam = SymSeqMap(
@@ -108,25 +111,7 @@ def make_bimodule(
         {key: {i: rho_fn(key, raw) for i, raw in enumerate(reps)} for key, reps in ma.reps.items()},
     )
     out = Bimodule(left, right, carrier, lam, rho, w, bm, ma)
-    if validate:
-        check_bimodule_laws(out)
-    return out
-
-
-def bimodule_from_maps(
-    left: Operad,
-    right: Operad,
-    carrier: SymSeq,
-    lam: SymSeqMap,
-    rho: SymSeqMap,
-    window: int,
-    bm: Composite,
-    ma: Composite,
-    validate: bool = True,
-) -> Bimodule:
-    out = Bimodule(left, right, carrier, lam, rho, window, bm, ma)
-    if validate:
-        check_bimodule_laws(out)
+    check_bimodule_laws(out)
     return out
 
 
@@ -209,7 +194,7 @@ def identity_bimodule(op: Operad) -> Bimodule:
 
 
 def left_module(op: Operad, dom_sorts: Iterable, carrier: SymSeq, lam_fn: Callable,
-                window: Optional[int] = None, validate: bool = True) -> Bimodule:
+                window: Optional[int] = None) -> Bimodule:
     """A left module as a bimodule over the unit operad on its domain."""
     w = op.arity_bound if window is None else window
     unit = unit_operad(ssorted(dom_sorts), max(w, 2))
@@ -222,8 +207,7 @@ def left_module(op: Operad, dom_sorts: Iterable, carrier: SymSeq, lam_fn: Callab
     )
     rho = right_unitor(ma)
     out = Bimodule(op, unit, carrier, lam, rho, w, bm, ma)
-    if validate:
-        check_bimodule_laws(out)
+    check_bimodule_laws(out)
     return out
 
 
@@ -320,7 +304,8 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     w = min(nb.window, mb.window)
     bmid = mb.left
     n, m = nb.carrier, mb.carrier
-    nm = compose_symseq(n, m, max_arity=w)
+    # an identity bimodule's carrier is the operad's, so N o M may be M's B o M or N's N o A
+    nm = composite_of(mb.bm if n is mb.bm.outer else nb.ma, n, m, w)
     nb_ = composite_of(nb.ma, n, nb.right.carrier, w)
     nb_m = compose_symseq(nb_.seq, m, max_arity=w)
     b_m = composite_of(mb.bm, bmid.carrier, m, w)
@@ -523,11 +508,10 @@ def check_lax_monad_morphism(
 
 
 def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
-                    window: Optional[int] = None, validate: bool = True) -> Bimodule:
+                    window: Optional[int] = None) -> Bimodule:
     """Carrier ``F o A`` with the free right action and phi-twisted left action."""
     w = min(a.arity_bound, b.arity_bound) if window is None else window
-    if validate:
-        check_lax_monad_morphism(f, a, b, phi, w)
+    check_lax_monad_morphism(f, a, b, phi, w)
     ac, bc = a.carrier, b.carrier
     fa = compose_symseq(f, ac, max_arity=w)
     comp2a = composite_of(a.comp2, ac, ac, w)
@@ -549,7 +533,9 @@ def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
             map_inverse(associator(bf, bf_a, fa, b_fa)),
         ),
     )
-    return bimodule_from_maps(b, a, fa.seq, lam, rho, w, b_fa, fa_a, validate=validate)
+    out = Bimodule(b, a, fa.seq, lam, rho, w, b_fa, fa_a)
+    check_bimodule_laws(out)
+    return out
 
 
 def check_oplax_monad_morphism(
@@ -598,11 +584,10 @@ def check_oplax_monad_morphism(
 
 
 def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
-                      window: Optional[int] = None, validate: bool = True) -> Bimodule:
+                      window: Optional[int] = None) -> Bimodule:
     """Carrier ``B o F`` with the free left action and psi-twisted right action."""
     w = min(a.arity_bound, b.arity_bound) if window is None else window
-    if validate:
-        check_oplax_monad_morphism(f, a, b, psi, w)
+    check_oplax_monad_morphism(f, a, b, psi, w)
     ac, bc = a.carrier, b.carrier
     bf = compose_symseq(bc, f, max_arity=w)
     comp2b = composite_of(b.comp2, bc, bc, w)
@@ -624,7 +609,9 @@ def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
             associator(bf, bf_a, fa, b_fa),
         ),
     )
-    return bimodule_from_maps(b, a, bf.seq, lam, rho, w, b_bf, bf_a, validate=validate)
+    out = Bimodule(b, a, bf.seq, lam, rho, w, b_bf, bf_a)
+    check_bimodule_laws(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -883,125 +870,44 @@ def delta_lower(phi: OperadMorphism) -> SymSeq:
     return SymSeq(phi.dst.sorts, phi.src.sorts, cells)
 
 
-def u_circ(phi: OperadMorphism, validate: bool = True) -> Bimodule:
+def u_circ(phi: OperadMorphism) -> Bimodule:
     """The ``(B, A)``-bimodule with cells ``B[u(w); y]``."""
     a, b, u = phi.src, phi.dst, phi.u
-    w_bound = min(a.arity_bound, b.arity_bound)
-    cells = {}
-    for (v, y), bcell in b.carrier.cells.items():
-        if bcell.size == 0:
-            continue
-        by_target: dict = {}
-        for x in a.sorts:
-            by_target.setdefault(u[x], []).append(x)
-        pre = [by_target.get(s, []) for s in v]
-        if any(not p for p in pre):
-            continue
-        for combo in itertools.product(*pre):
-            w, _t = canonical_word(tuple(combo))
-            key = (w, y)
-            if key in cells:
-                continue
-            cw_y, tau = canonical_word(_u_word(u, w))
-            gen_maps = {}
-            for i in stab_gens(w):
-                s_i = Perm.transposition(len(w), i)
-                h = compose(compose(tau, s_i), tau.inverse())
-                gen_maps[i] = {lab: bcell.act(lab, h) for lab in bcell.labels}
-            cells[key] = YoungSet(w, bcell.labels, gen_maps)
-    carrier = SymSeq(a.sorts, b.sorts, cells)
-
-    def to_b_raw(key, raw, labels_are_xi: bool):
-        """Map a composite raw over X-words to the corresponding B o B raw."""
-        w, y = key
-        mid, g, blocks, fs, sig = raw
-        if labels_are_xi:
-            # right action: inner labels are A-labels, push through xi first
-            fs = tuple(
-                phi.xi.at(bl, s, lab) for bl, s, lab in zip(blocks, mid, fs)
-            )
-            mid_y, tau_mid = canonical_word(_u_word(u, mid))
-            outer_label = g
-        else:
-            # left action: outer label is a B-label over a Y-word already
-            mid_y, tau_mid = mid, Perm.identity(len(mid))
-            outer_label = g
-        lengths = [len(bl) for bl in blocks]
-        perm_blocks = [blocks[tau_mid(p)] for p in range(len(blocks))]
-        canons = [canonical_word(_u_word(u, bl)) for bl in perm_blocks]
-        cw_y, tau_w = canonical_word(_u_word(u, w))
-        from .perms import block_perm, block_diag
-
-        rearr = block_perm(lengths, tau_mid)
-        bd = block_diag([c[1].inverse() for c in canons])
-        sig_y = compose(compose(compose(tau_w, Perm(sig)), rearr), bd)
-        raw_y = (
-            mid_y,
-            outer_label,
-            tuple(c[0] for c in canons),
-            tuple(fs[tau_mid(p)] for p in range(len(blocks))),
-            sig_y.images,
-        )
-        return (cw_y, y), raw_y
+    carrier = SymSeq(a.sorts, b.sorts, pulled_back_cells(b.carrier, u, a.sorts))
 
     def lam_fn(key, raw):
-        (cw_y, y), raw_y = to_b_raw(key, raw, labels_are_xi=False)
-        cls = b.comp2.class_of(cw_y, y, raw_y)
-        return b.mu.at(cw_y, y, cls)
+        # B o u° : the outer label is a B-label over a Y-word already
+        cw, raw_y = reindex_raw(raw, key[0], None, u)
+        return b.mu.at(cw, key[1], b.comp2.class_of(cw, key[1], raw_y))
 
     def rho_fn(key, raw):
-        (cw_y, y), raw_y = to_b_raw(key, raw, labels_are_xi=True)
-        cls = b.comp2.class_of(cw_y, y, raw_y)
-        return b.mu.at(cw_y, y, cls)
+        # u° o A : push the inner A-labels through xi first
+        mid, g, blocks, fs, sig = raw
+        fs = tuple(phi.xi.at(bl, s, lab) for bl, s, lab in zip(blocks, mid, fs))
+        cw, raw_y = reindex_raw((mid, g, blocks, fs, sig), key[0], u, u)
+        return b.mu.at(cw, key[1], b.comp2.class_of(cw, key[1], raw_y))
 
-    return make_bimodule(b, a, carrier, lam_fn, rho_fn, window=w_bound, validate=validate)
+    return make_bimodule(b, a, carrier, lam_fn, rho_fn)
 
 
-def u_lower_circ(phi: OperadMorphism, validate: bool = True) -> Bimodule:
+def u_lower_circ(phi: OperadMorphism) -> Bimodule:
     """The ``(A, B)``-bimodule with cells ``B[v; u(x)]``."""
     a, b, u = phi.src, phi.dst, phi.u
-    w_bound = min(a.arity_bound, b.arity_bound)
-    cells = {}
-    for (v, y), bcell in b.carrier.cells.items():
-        if bcell.size == 0:
-            continue
-        for x in a.sorts:
-            if u[x] != y:
-                continue
-            cells[(v, x)] = YoungSet(
-                v, bcell.labels, {i: dict(mm) for i, mm in bcell.gen_maps.items()}
-            )
-    carrier = SymSeq(b.sorts, a.sorts, cells)
+    carrier = SymSeq(b.sorts, a.sorts, pulled_back_outputs(b.carrier.cells, u, a.sorts))
 
     def lam_fn(key, raw):
         # A o (u_.) : push the outer A-label through xi, then multiply in B
         w, x = key
         mid, g, blocks, fs, sig = raw
-        blab = phi.xi.at(mid, x, g)
-        mid_y, tau_mid = canonical_word(_u_word(u, mid))
-        lengths = [len(bl) for bl in blocks]
-        from .perms import block_perm
-
-        rearr = block_perm(lengths, tau_mid)
-        sig_y = compose(Perm(sig), rearr)
-        raw_y = (
-            mid_y,
-            blab,
-            tuple(blocks[tau_mid(p)] for p in range(len(blocks))),
-            tuple(fs[tau_mid(p)] for p in range(len(blocks))),
-            sig_y.images,
-        )
-        cls = b.comp2.class_of(w, u[x], raw_y)
-        return b.mu.at(w, u[x], cls)
+        cw, raw_y = reindex_raw((mid, phi.xi.at(mid, x, g), blocks, fs, sig), w, u, None)
+        return b.mu.at(cw, u[x], b.comp2.class_of(cw, u[x], raw_y))
 
     def rho_fn(key, raw):
         # (u_.) o B : plain multiplication in B
         w, x = key
-        mid, g, blocks, fs, sig = raw
-        cls = b.comp2.class_of(w, u[x], (mid, g, blocks, fs, sig))
-        return b.mu.at(w, u[x], cls)
+        return b.mu.at(w, u[x], b.comp2.class_of(w, u[x], raw))
 
-    return make_bimodule(a, b, carrier, lam_fn, rho_fn, window=w_bound, validate=validate)
+    return make_bimodule(a, b, carrier, lam_fn, rho_fn)
 
 
 def restriction(phi: OperadMorphism, nb: Bimodule) -> Bimodule:
@@ -1010,43 +916,21 @@ def restriction(phi: OperadMorphism, nb: Bimodule) -> Bimodule:
     if nb.left is not b and nb.left.carrier.cells != b.carrier.cells:
         raise InputError("module is not a left module over the morphism target")
     n = nb.carrier
-    cells = {}
-    for (kw, y), cell in n.cells.items():
-        for x in a.sorts:
-            if u[x] == y and cell.size:
-                cells[(kw, x)] = YoungSet(
-                    kw, cell.labels, {i: dict(mm) for i, mm in cell.gen_maps.items()}
-                )
-    carrier = SymSeq(n.dom, a.sorts, cells)
+    carrier = SymSeq(n.dom, a.sorts, pulled_back_outputs(n.cells, u, a.sorts))
     w_bound = min(a.arity_bound, nb.window)
 
     def lam_fn(key, raw):
         kw, x = key
         mid, g, blocks, fs, sig = raw
-        blab = phi.xi.at(mid, x, g)
-        mid_y, tau_mid = canonical_word(_u_word(u, mid))
-        lengths = [len(bl) for bl in blocks]
-        from .perms import block_perm
-
-        rearr = block_perm(lengths, tau_mid)
-        sig2 = compose(Perm(sig), rearr)
-        raw_y = (
-            mid_y,
-            blab,
-            tuple(blocks[tau_mid(p)] for p in range(len(blocks))),
-            tuple(fs[tau_mid(p)] for p in range(len(blocks))),
-            sig2.images,
-        )
-        cls = nb.bm.class_of(kw, u[x], raw_y)
-        return nb.lam.at(kw, u[x], cls)
+        cw, raw_y = reindex_raw((mid, phi.xi.at(mid, x, g), blocks, fs, sig), kw, u, None)
+        return nb.lam.at(cw, u[x], nb.bm.class_of(cw, u[x], raw_y))
 
     return left_module(a, n.dom, carrier, lam_fn, window=w_bound)
 
 
-def extension(phi: OperadMorphism, mb: Bimodule, validate: bool = True) -> RelCompose:
+def extension(phi: OperadMorphism, mb: Bimodule) -> RelCompose:
     """Left adjoint of restriction: relative composition with ``u_circ``."""
-    uc = u_circ(phi, validate=validate)
-    return relative_compose(uc, mb, validate=validate)
+    return relative_compose(u_circ(phi), mb)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,9 +960,8 @@ def enumerate_bimodules(
     b: Operad,
     cell_sizes: dict,
     budget: int = DEFAULT_BUDGET,
-    return_bimodules: bool = False,
-):
-    """All (B, A)-bimodule structures on prescribed cell sizes, exhaustively."""
+) -> int:
+    """Number of (B, A)-bimodule structures on prescribed cell sizes, exhaustively."""
     keys = sorted(cell_sizes, key=lambda k: (len(k[0]), skey(k)))
     struct_choices = []
     total = 1
@@ -1089,7 +972,7 @@ def enumerate_bimodules(
         total *= max(1, len(structures))
         if total > budget:
             raise BudgetError("bimodule enumeration exceeded its budget")
-    found = []
+    found = 0
     for combo in itertools.product(*struct_choices):
         cells = {key: ys for key, ys in zip(keys, combo) if ys.size}
         carrier = SymSeq(a.sorts, b.sorts, cells)
@@ -1139,36 +1022,30 @@ def enumerate_bimodules(
                     check_bimodule_laws(cand)
                 except ValidationError:
                     continue
-                found.append(cand)
-    if return_bimodules:
-        return found
-    return len(found)
+                found += 1
+    return found
 
 
-def enumerate_bimodule_maps(
-    src: Bimodule, dst: Bimodule, budget: int = DEFAULT_BUDGET, return_maps: bool = False
-):
-    """All bimodule maps ``src -> dst``, by per-cell equivariant enumeration."""
+def enumerate_bimodule_maps(src: Bimodule, dst: Bimodule, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of bimodule maps ``src -> dst``, by per-cell equivariant enumeration."""
     keys = [k for k, c in src.carrier.cells.items() if c.size]
     per_cell = []
     total = 1
     for key in sorted(keys, key=lambda k: (len(k[0]), skey(k))):
         tgt = dst.carrier.cell(*key)
         if tgt is None:
-            return [] if return_maps else 0
+            return 0
         maps = enumerate_equivariant_maps(src.carrier.cells[key], tgt)
         per_cell.append((key, maps))
         total *= max(1, len(maps))
         if total > budget:
             raise BudgetError("bimodule map enumeration exceeded its budget")
-    found = []
+    found = 0
     for combo in itertools.product(*(ms for _k, ms in per_cell)):
         f = SymSeqMap(src.carrier, dst.carrier, {k: mm for (k, _), mm in zip(per_cell, combo)})
         try:
             check_bimodule_map(f, src, dst)
         except ValidationError:
             continue
-        found.append(f)
-    if return_maps:
-        return found
-    return len(found)
+        found += 1
+    return found

@@ -64,26 +64,11 @@ from .symseq import (
     identity_map,
     map_equal,
     map_inverse,
+    sum_symseq,
 )
 from .operads import Operad, make_operad
 
 Arrow = tuple  # (perm images, component arrow ids indexed by target position)
-
-
-@dataclass(frozen=True)
-class TruncParams:
-    """Finite windows for the exponential pipeline.
-
-    ``length_bound`` caps the word length of exponential sorts and
-    ``arity_bound`` caps the arity at which laws are verified.
-    """
-
-    length_bound: int
-    arity_bound: int
-
-    def __post_init__(self):
-        if self.length_bound < 1 or self.arity_bound < 1:
-            raise InputError("window parameters must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -1070,13 +1055,16 @@ def _on_window(m: SymSeqMap) -> SymSeqMap:
     return SymSeqMap(src, dst, m.comp)
 
 
-def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
-              validate: bool = True) -> HomMonad:
+def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomMonad:
     """The monad on ``[X, Y]`` whose algebras are the (B, A)-bimodules.
 
     Both multiplications and the unit are derived mechanically from the
     transpose bijection and the coherence maps; no closed formula is coded.
+    ``length_bound`` caps the word length of exponential sorts and
+    ``arity_bound`` the arity at which the monad laws are verified.
     """
+    if length_bound < 1 or arity_bound < 1:
+        raise InputError("window parameters must be at least 1")
     if not a.reduced or not b.reduced:
         raise InputError("the exponential pipeline requires reduced operads")
     if b.arity_bound > arity_bound:
@@ -1266,8 +1254,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int,
     eta_e = _untranspose_map(eta_on_t, idz, e, x)
 
     hm = HomMonad(x, y, expz, e, mu_e, eta_e, ee, evdata)
-    if validate:
-        check_cat_monad(hm, arity_bound, idz_e, e_idz)
+    check_cat_monad(hm, arity_bound, idz_e, e_idz)
     return hm
 
 
@@ -1349,13 +1336,10 @@ def operad_of_monad(expz: FinGroupoid, e: CatSymSeq, mu: SymSeqMap, eta: SymSeqM
     return make_operad(carrier, mu_fn, eta_labels, arity_bound)
 
 
-def exponential_operad(a: Operad, b: Operad, length_bound=None, arity_bound=None,
-                       params: Optional[TruncParams] = None, validate: bool = True) -> Operad:
+def exponential_operad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> Operad:
     """The operad whose algebras are the (B, A)-bimodules, within the windows."""
-    if params is None:
-        params = TruncParams(length_bound, arity_bound)
-    hm = hom_monad(a, b, params.length_bound, params.arity_bound, validate=validate)
-    return operad_of_monad(hm.expz, hm.e, hm.mu, hm.eta, hm.ee, params.arity_bound)
+    hm = hom_monad(a, b, length_bound, arity_bound)
+    return operad_of_monad(hm.expz, hm.e, hm.mu, hm.eta, hm.ee, arity_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -1365,8 +1349,6 @@ def exponential_operad(a: Operad, b: Operad, length_bound=None, arity_bound=None
 
 def product_operad(a: Operad, b: Operad) -> Operad:
     """Product in the bimodule bicategory: disjoint sorts, componentwise structure."""
-    from .symseq import sum_symseq
-
     carrier, tag1, tag2 = sum_symseq(a.carrier, b.carrier)
     n = min(a.arity_bound, b.arity_bound)
     inv1 = {v: k for k, v in tag1.items()}

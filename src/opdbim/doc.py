@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .perms import InputError, ValidationError, YoungSet, skey, ssorted, stab_gens
-from .symseq import Family, SymSeq, SymSeqMap, compose_symseq
+from .symseq import Family, SymSeq, SymSeqMap, compose_symseq, left_unitor, right_unitor
 from .operads import (
     Algebra,
     Operad,
@@ -27,7 +27,7 @@ from .operads import (
     terminal_operad,
     unit_operad,
 )
-from .bimodules import Bimodule
+from .bimodules import Bimodule, check_bimodule_laws
 
 FORMAT_VERSION = "1"
 
@@ -428,7 +428,6 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
 
     lam_table = action_fn(bdata["lambda"])
     rho_table = action_fn(bdata["rho"])
-    from .symseq import left_unitor, right_unitor
 
     bm = compose_symseq(left.carrier, carrier, max_arity=window)
     ma = compose_symseq(carrier, right.carrier, max_arity=window)
@@ -464,9 +463,9 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
                 for key, reps in ma.reps.items()
             },
         )
-    from .bimodules import bimodule_from_maps
-
-    return bimodule_from_maps(left, right, carrier, lam, rho, window, bm, ma)
+    out = Bimodule(left, right, carrier, lam, rho, window, bm, ma)
+    check_bimodule_laws(out)
+    return out
 
 
 def dumps(data) -> str:

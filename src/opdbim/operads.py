@@ -4,13 +4,23 @@ An operad carries an explicit multiplication ``mu`` defined on the
 materialized composite of its carrier with itself and a unit ``eta`` from the
 identity sequence.  Monad laws are verified by exhaustive comparison of
 2-cells on every composite cell of arity at most the operad's window; a
-failure reports the first offending cell and label.
+failure reports the first offending cell and label.  Every builder in this
+module law-checks what it builds; there is no switch to skip it.
+
+Change of base along a sort map ``u`` is written once: ``pulled_back_cells``
+gives the cells ``B[u(w); y]`` with the pulled-back Young action,
+``pulled_back_outputs`` the cells ``B[v; u(x)]``, and ``reindex_raw`` turns a
+composite raw over the source sorts into the raw of ``B o B`` it names.
+Canonical position ``j`` of ``u(w)`` holds input position ``tau^-1(j)``, where
+``tau: canonical(u(w)) -> u(w)`` is the arrow ``canonical_word`` returns.  The
+pullback operad here and ``u°``, ``u_∘`` and restriction in :mod:`.bimodules`
+all go through these functions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .perms import (
@@ -20,12 +30,12 @@ from .perms import (
     ValidationError,
     Word,
     YoungSet,
-    act_word,
     block_offsets,
     block_perm,
     block_diag,
     canonical_word,
     compose,
+    enumerate_equivariant_maps,
     is_canonical,
     quotient,
     skey,
@@ -35,7 +45,6 @@ from .perms import (
 )
 from .symseq import (
     Composite,
-    EvalResult,
     Family,
     SymSeq,
     SymSeqMap,
@@ -93,7 +102,6 @@ def make_operad(
     mu_fn: Callable,
     eta_labels: dict,
     arity_bound: int,
-    validate: bool = True,
 ) -> Operad:
     """Assemble and law-check an operad.
 
@@ -113,8 +121,7 @@ def make_operad(
         {((x,), x): {("id", x): eta_labels[x]} for x in sorts},
     )
     op = Operad(sorts, carrier, mu, eta, arity_bound, reduced, comp2, ident)
-    if validate:
-        check_monad_laws(op)
+    check_monad_laws(op)
     return op
 
 
@@ -451,9 +458,6 @@ class Algebra:
     family: Family
     act: dict  # (w, x) -> {(label, tvec): value}
 
-    def apply(self, w: Word, x, label, tvec):
-        return self.act[(w, x)][(label, tvec)]
-
 
 def _family_transport(tvec: tuple, p: Perm) -> tuple:
     return tuple(tvec[p(i)] for i in range(len(tvec)))
@@ -537,11 +541,11 @@ def check_algebra_laws(alg: Algebra, partial: bool = False) -> None:
                     )
 
 
-def make_algebra(op: Operad, family: Family, act: dict, partial: bool = False) -> Algebra:
+def make_algebra(op: Operad, family: Family, act: dict) -> Algebra:
     if set(family.sorts) != set(op.sorts):
         raise InputError("algebra carrier sorts do not match the operad")
     alg = Algebra(op, family, act)
-    check_algebra_laws(alg, partial=partial)
+    check_algebra_laws(alg)
     return alg
 
 
@@ -626,9 +630,8 @@ def enumerate_algebras(
     op: Operad,
     sizes,
     budget: int = DEFAULT_BUDGET,
-    return_algebras: bool = False,
-):
-    """Exhaustively enumerate algebra structures on carriers of the given sizes.
+) -> int:
+    """Exhaustively count algebra structures on carriers of the given sizes.
 
     Equivariance is built in by assigning one value per orbit of
     (operation, input tuple) pairs; unit and associativity prune the search
@@ -686,7 +689,6 @@ def enumerate_algebras(
         by_stage.setdefault(stage, []).append((key, idx, raw))
 
     eta_of = {x: op.eta_label(x) for x in op.sorts}
-    results = []
 
     def check_stage(stage, act):
         for key, idx, raw in by_stage.get(stage, ()):
@@ -704,10 +706,9 @@ def enumerate_algebras(
                     return False
         return True
 
-    def assign(i, assignment, act):
+    def assign(i, act) -> int:
         if i == len(keys):
-            results.append({k: dict(v) for k, v in assignment.items()})
-            return
+            return 1
         key = keys[i]
         w, x = key
         q = orbit_data[key]
@@ -722,29 +723,18 @@ def enumerate_algebras(
         choice_space = [
             (forced[ci],) if ci in forced else carrier_x for ci in range(n_classes)
         ]
+        found = 0
         for values in itertools.product(*choice_space):
-            assignment[key] = dict(enumerate(values))
             table = {}
             for pair in q.elements:
                 table[pair] = values[q.class_index[pair]]
             act[key] = table
             if check_stage(i, act):
-                assign(i + 1, assignment, act)
-        assignment.pop(key, None)
+                found += assign(i + 1, act)
         act.pop(key, None)
+        return found
 
-    assign(0, {}, {})
-    if return_algebras:
-        return [Algebra(op, t, expand_assignment(op, orbit_data, keys, t, r)) for r in results]
-    return len(results)
-
-
-def expand_assignment(op, orbit_data, keys, t, assignment):
-    act = {}
-    for k in keys:
-        q = orbit_data[k]
-        act[k] = {pair: assignment[k][q.class_index[pair]] for pair in q.elements}
-    return act
+    return assign(0, {})
 
 
 def enumerate_algebra_maps(src: Algebra, dst: Algebra, budget: int = DEFAULT_BUDGET):
@@ -775,12 +765,10 @@ def enumerate_algebra_maps(src: Algebra, dst: Algebra, budget: int = DEFAULT_BUD
                     return False
         return True
 
-    import itertools as _it
-
     per_sort = []
     for x, elems, choices in spaces:
-        per_sort.append([dict(zip(elems, combo)) for combo in _it.product(*choices)])
-    for combo in _it.product(*per_sort):
+        per_sort.append([dict(zip(elems, combo)) for combo in itertools.product(*choices)])
+    for combo in itertools.product(*per_sort):
         fmap = {x: combo[i] for i, (x, _e, _c) in enumerate(spaces)}
         if ok(fmap):
             found += 1
@@ -811,58 +799,96 @@ def _u_word(u: dict, w: Word) -> Word:
     return tuple(u[s] for s in w)
 
 
-def pullback_operad(op: Operad, u: dict, sorts_x: Iterable, arity_bound: int) -> Operad:
-    """The operad on the source sorts whose cells are ``B[u(w); u(x)]``."""
-    sorts_x = ssorted(sorts_x)
+def _sorted_image(u: Optional[dict], w: Word) -> tuple[Word, Perm]:
+    """``canonical_word(u(w))``; the sort map ``None`` is the identity."""
+    return canonical_word(w if u is None else _u_word(u, w))
+
+
+def pulled_back_cells(seq: SymSeq, u: dict, sorts_x: tuple, max_arity: Optional[int] = None) -> dict:
+    """The cells ``(w, y) -> seq[u(w); y]`` over canonical words ``w`` in ``sorts_x``.
+
+    A label keeps its place in the cell at the canonical word of ``u(w)``.
+    With ``tau: canonical(u(w)) -> u(w)``, position ``i`` of ``w`` is
+    position ``tau(i)`` there, so the generator ``s_i`` of the stabilizer of
+    ``w`` acts as ``h = tau o s_i o tau^-1``.  Only cells with words of length
+    at most ``max_arity`` (``None``: all) are pulled back.
+    """
     by_target: dict = {}
     for x in sorts_x:
         by_target.setdefault(u[x], []).append(x)
     cells = {}
-    for (v, y), bcell in op.carrier.cells.items():
-        if len(v) > arity_bound or bcell.size == 0:
+    for (v, y), cell in seq.cells.items():
+        if cell.size == 0 or (max_arity is not None and len(v) > max_arity):
             continue
-        pre_choices = []
-        for s in v:
-            pre_choices.append(by_target.get(s, []))
-        if any(not c for c in pre_choices):
-            continue
-        for combo in itertools.product(*pre_choices):
-            w, _t = canonical_word(tuple(combo))
-            for x in by_target.get(y, []):
-                key = (w, x)
-                if key in cells:
-                    continue
-                cw_y, tau = canonical_word(_u_word(u, w))
-                gen_maps = {}
-                for i in stab_gens(w):
-                    s_i = Perm.transposition(len(w), i)
-                    h = compose(compose(tau, s_i), tau.inverse())
-                    gen_maps[i] = {lab: bcell.act(lab, h) for lab in bcell.labels}
-                bc = op.carrier.cells[(cw_y, y)]
-                cells[key] = YoungSet(w, bc.labels, gen_maps)
-    carrier = SymSeq(sorts_x, sorts_x, cells)
+        for combo in itertools.product(*(by_target.get(s, ()) for s in v)):
+            w, _t = canonical_word(combo)
+            if (w, y) in cells:
+                continue
+            _cw, tau = _sorted_image(u, w)
+            tinv = tau.inverse()
+            gen_maps = {}
+            for i in stab_gens(w):
+                h = compose(compose(tau, Perm.transposition(len(w), i)), tinv)
+                gen_maps[i] = {lab: cell.act(lab, h) for lab in cell.labels}
+            cells[(w, y)] = YoungSet(w, cell.labels, gen_maps)
+    return cells
+
+
+def pulled_back_outputs(cells: dict, u: dict, sorts_x: tuple) -> dict:
+    """The non-empty cells ``(v, x) -> cells[(v, u(x))]``: only the output sort changes."""
+    out = {}
+    for (v, y), cell in cells.items():
+        for x in sorts_x:
+            if u[x] == y and cell.size:
+                out[(v, x)] = cell
+    return out
+
+
+def reindex_raw(raw, w: Word, u_mid: Optional[dict], u_blocks: Optional[dict]):
+    """Change of base of a composite raw along sort maps: the raw it names over the target sorts.
+
+    ``raw = (mid, g, blocks, fs, sigma)`` has result word ``w``.  ``u_mid``
+    maps the sorts of ``mid`` and ``u_blocks`` those of the blocks and of
+    ``w``; ``None`` is the identity, for a side already over the target
+    sorts.  ``g`` and every ``fs[i]`` must already be labels of the target
+    cells at the canonical words of ``u_mid(mid)`` and ``u_blocks(blocks[i])``
+    (a caller pushes labels through ``xi`` first).
+
+    The convention is the one of :func:`pulled_back_cells`: with
+    ``tau: canonical(u(v)) -> u(v)`` from ``canonical_word``, canonical
+    position ``j`` holds input position ``tau^-1(j)``.  So block ``j`` of the
+    result is ``blocks[tau_mid^-1(j)]``, each block is sorted by its own
+    ``tau^-1``, and the result word by its ``tau``.  Returns
+    ``(canonical(u_blocks(w)), raw over the target sorts)``.
+    """
+    mid, g, blocks, fs, sig = raw
+    mid_y, tau_mid = _sorted_image(u_mid, mid)
+    back = tau_mid.inverse()
+    canons = [_sorted_image(u_blocks, blocks[back(j)]) for j in range(len(blocks))]
+    cw, tau_w = _sorted_image(u_blocks, w)
+    move = block_perm([len(b) for b in blocks], back)
+    sort_blocks = block_diag([t.inverse() for _c, t in canons])
+    sig_y = compose(compose(compose(tau_w, Perm(sig)), move), sort_blocks)
+    raw_y = (
+        mid_y,
+        g,
+        tuple(c for c, _t in canons),
+        tuple(fs[back(j)] for j in range(len(blocks))),
+        sig_y.images,
+    )
+    return cw, raw_y
+
+
+def pullback_operad(op: Operad, u: dict, sorts_x: Iterable, arity_bound: int) -> Operad:
+    """The operad on the source sorts whose cells are ``B[u(w); u(x)]``."""
+    sorts_x = ssorted(sorts_x)
+    cells = pulled_back_cells(op.carrier, u, sorts_x, arity_bound)
+    carrier = SymSeq(sorts_x, sorts_x, pulled_back_outputs(cells, u, sorts_x))
 
     def mu_fn(key, raw):
         w, x = key
-        mid, b1, blocks, b2s, sig = raw
-        mid_y, tau_mid = canonical_word(_u_word(u, mid))
-        ublocks = [_u_word(u, b) for b in blocks]
-        lengths = [len(b) for b in blocks]
-        perm_blocks = [ublocks[tau_mid(p)] for p in range(len(blocks))]
-        canons = [canonical_word(b) for b in perm_blocks]
-        cw_y, tau_w = canonical_word(_u_word(u, w))
-        rearr = block_perm(lengths, tau_mid)
-        bd = block_diag([c[1].inverse() for c in canons])
-        sig_y = compose(compose(compose(tau_w, Perm(sig)), rearr), bd)
-        raw_y = (
-            mid_y,
-            b1,
-            tuple(c[0] for c in canons),
-            tuple(b2s[tau_mid(p)] for p in range(len(blocks))),
-            sig_y.images,
-        )
-        cls = op.comp2.class_of(cw_y, u[x], raw_y)
-        return op.mu.at(cw_y, u[x], cls)
+        cw, raw_y = reindex_raw(raw, w, u, u)
+        return op.mu.at(cw, u[x], op.comp2.class_of(cw, u[x], raw_y))
 
     eta_labels = {x: op.eta_label(u[x]) for x in sorts_x}
     return make_operad(carrier, mu_fn, eta_labels, arity_bound)
@@ -938,7 +964,7 @@ def restrict_algebra(phi: OperadMorphism, alg: Algebra) -> Algebra:
                 table[(lab, tvec)] = alg.act[(cw_y, u[x])][(blab, s_tv)]
         act[(w, x)] = table
     out = Algebra(a, fam, act)
-    check_algebra_laws(out, partial=True)
+    check_algebra_laws(out)
     return out
 
 
@@ -949,8 +975,6 @@ def restrict_algebra(phi: OperadMorphism, alg: Algebra) -> Algebra:
 
 def operad_iso(p: Operad, q: Operad, sort_map: Optional[dict] = None, budget: int = 100_000):
     """Search for an isomorphism of operads, returned as (sort map, cell maps)."""
-    from .perms import enumerate_equivariant_maps
-
     if len(p.sorts) != len(q.sorts):
         return None
     candidates = [sort_map] if sort_map else [

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 Sort = Hashable
 Word = tuple
@@ -336,9 +336,6 @@ class YoungSet:
             count += image == lab
         return count
 
-    def act_gen(self, label: Label, i: int) -> Label:
-        return self.gen_maps[i][label]
-
     def orbits(self) -> tuple[tuple, ...]:
         pairs = []
         for i in stab_gens(self.word):
@@ -599,11 +596,6 @@ class FinGroupoid:
     def compose(self, g, f):
         """Composite of ``f`` followed by ``g``."""
         return self.comp[(g, f)]
-
-    def is_discrete(self) -> bool:
-        return all(
-            a == b and len(arrows) == 1 for (a, b), arrows in self.hom.items() if arrows
-        )
 
     def validate(self) -> None:
         for (a, b), arrows in self.hom.items():

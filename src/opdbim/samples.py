@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
-from .perms import Perm, YoungSet, skey, ssorted, stab_gens
-from .symseq import SymSeq, SymSeqMap, compose_symseq
+from .perms import YoungSet, enumerate_equivariant_maps, skey, ssorted, stab_gens
+from .symseq import SymSeq, SymSeqMap
 from .operads import Operad, com_operad, unit_operad
 from .bimodules import _all_young_structures, free_bimodule, Bimodule
 
@@ -60,8 +59,6 @@ def rand_small_symseq(rng: random.Random, sorts=("*",)) -> SymSeq:
 
 
 def rand_equivariant_endo(rng: random.Random, cell: YoungSet) -> dict:
-    from .perms import enumerate_equivariant_maps
-
     maps = enumerate_equivariant_maps(cell, cell)
     return maps[rng.randrange(len(maps))]
 
