@@ -59,6 +59,7 @@ from .symseq import (
     SymSeq,
     SymSeqMap,
     compose_maps,
+    every_raw_held,
     first_map_difference,
     hcompose_maps,
     identity_map,
@@ -506,7 +507,7 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
         g2 = outer.cod_tr[(mid, key[1])][b][g]
         return cls_out[(key[0], outer.cod.dst[b])][(mid, g2, blocks, fs, arr)]
 
-    comp = Composite(outer, inner, seq, raws_out, cls_out, reps_out, max_arity)
+    comp = Composite(outer, inner, seq, raws_out, cls_out, reps_out, every_raw_held, max_arity)
     _complete_transports(seq, dom_fn, cod_fn)
     return comp
 

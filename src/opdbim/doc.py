@@ -229,9 +229,11 @@ def parse_explicit_operad(data: dict) -> Operad:
         w = dec_word(entry["word"])
         x = dec(entry["out"])
         raw = dec_raw(entry["rep"])
-        if raw not in comp2.cls.get((w, x), {}):
-            raise InputError(f"mu entry {entry['rep']} is not a raw of cell {(w, x)!r}")
-        table[(w, x, comp2.class_of(w, x, raw))] = dec(entry["to"])
+        try:
+            cls = comp2.class_of(w, x, raw)
+        except ValidationError:
+            raise InputError(f"mu entry {entry['rep']} is not a raw of cell {(w, x)!r}") from None
+        table[(w, x, cls)] = dec(entry["to"])
 
     def mu_fn(key, raw):
         w, x = key

@@ -983,7 +983,9 @@ def operad_iso(p: Operad, q: Operad, sort_map: Optional[dict] = None, budget: in
     for u in candidates:
         try:
             pb = pullback_operad(q, u, p.sorts, p.arity_bound)
-        except (ValidationError, KeyError, InputError):
+        except (KeyError, InputError):
+            # a pullback along a bijection of sorts is lawful, so a
+            # ValidationError here is a fault and goes up
             continue
         keys = [k for k, c in p.carrier.cells.items() if c.size]
         if set(keys) != set(k for k, c in pb.carrier.cells.items() if c.size):

@@ -249,6 +249,61 @@ def word_arrows(v: Word, w: Word) -> tuple[Perm, ...]:
     return tuple(out)
 
 
+def inverse_images(p: tuple) -> tuple:
+    """The inverse of a permutation given as an image tuple."""
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+@lru_cache(maxsize=4096)
+def sims_table(gens: tuple, n: int) -> tuple:
+    """Stabilizer chain of the group that ``gens`` generate, on the base ``0, 1, ..., n-1``.
+
+    ``gens`` are image tuples of degree ``n``, composed as functions.  Level
+    ``i`` lists ``(x, u)``, ascending in ``x``, for every ``x`` in the orbit of
+    ``i`` under the pointwise stabilizer of ``0..i-1``; ``u`` lies in that
+    stabilizer and ``u[i] == x``.  Every element of the group is exactly one
+    product ``u_0∘u_1∘...∘u_(n-1)`` of one entry per level.  The table is
+    filled by sifting (Furst, Hopcroft and Luks): each new entry is multiplied
+    by every entry, in both orders, and the products sifted in turn, so the
+    products of entries form a group when the work list runs dry.
+    """
+    ident = tuple(range(n))
+    levels = [{i: ident} for i in range(n)]
+    entries: list = []
+    todo = list(gens)
+    while todo:
+        h = todo.pop()
+        for i in range(n):
+            u = levels[i].get(h[i])
+            if u is None:
+                levels[i][h[i]] = h
+                entries.append(h)
+                todo += [tuple(h[j] for j in e) for e in entries]  # h∘e
+                todo += [tuple(e[j] for j in h) for e in entries]  # e∘h
+                break
+            if u is not ident:
+                inv = inverse_images(u)
+                h = tuple(inv[v] for v in h)  # u⁻¹∘h fixes 0..i
+    return tuple(tuple(sorted(level.items())) for level in levels)
+
+
+def coset_least(seq: tuple, table: tuple) -> tuple:
+    """Least of ``seq∘p`` over the group of ``table`` (see :func:`sims_table`).
+
+    ``seq`` has distinct entries.  Level by level, the entry ``u`` that
+    brings the least value to position ``i`` is applied; it fixes the
+    positions already chosen.
+    """
+    for level in table:
+        if len(level) > 1:
+            _x, u = min(level, key=lambda xu: seq[xu[0]])
+            seq = tuple(seq[p] for p in u)
+    return seq
+
+
 def block_offsets(lengths: Iterable[int]) -> list[int]:
     offs = [0]
     for n in lengths:
@@ -306,6 +361,16 @@ class YoungSet:
         self._index = {lab: k for k, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise InputError(f"duplicate labels in cell at {self.word}")
+        self._hash = None
+
+    def __hash__(self) -> int:
+        # by content, like equality: a cell is never changed once built
+        if self._hash is None:
+            images = tuple(
+                tuple(self.gen_maps[i].get(lab) for lab in self.labels) for i in sorted(self.gen_maps)
+            )
+            self._hash = hash((self.word, self.labels, images))
+        return self._hash
 
     @staticmethod
     def trivial(word: Word, labels: Iterable[Label]) -> "YoungSet":
@@ -319,6 +384,9 @@ class YoungSet:
 
     def index(self, label: Label) -> int:
         return self._index[label]
+
+    def __contains__(self, label) -> bool:
+        return label in self._index
 
     def act(self, label: Label, p: Perm) -> Label:
         for t in reversed(stab_decompose(self.word, p)):

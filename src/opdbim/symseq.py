@@ -3,9 +3,12 @@
 A symmetric sequence ``F: X -> Y`` is stored as a finite table of cells
 ``(canonical word over X, output sort in Y) -> YoungSet``.  Absent cells are
 empty; the support order is computed once, when the sequence is built.
-Horizontal composition is computed exactly: raw tuples are enumerated, the
-coend relations are generated as edges between raw indices and the quotient
-is taken with the index-pair union-find of :mod:`.perms`.  Every coherence map
+Horizontal composition is computed exactly, one raw tuple per coend class: a
+class is an orbit of ``Aut(mid) ⋉ ∏ Aut(block)``, and only its least raw in
+the enumeration order is built (sorted blocks, a label pair least in its
+orbit, an arrow least under the pair's stabilizer; see
+:func:`compose_symseq`).  ``Composite.class_of`` carries any other raw to
+that least raw before it looks it up.  Every coherence map
 (associator, unitors) is an explicit equivariant bijection on class
 representatives.  A composite records the cap it was built with, so one that
 a participant already holds (an operad's ``comp2``, a bimodule's ``bm`` or
@@ -26,8 +29,10 @@ image tuple of an arrow ``result_word -> concat(blocks)``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -43,16 +48,15 @@ from .perms import (
     block_perm,
     canonical_word,
     compose,
+    coset_least,
     embed_at,
     equivariant_iso_search,
-    index_positions,
-    index_quotient,
+    inverse_images,
     quotient,
+    sims_table,
     skey,
     ssorted,
     stab_gens,
-    unknown_relation,
-    word_arrows,
 )
 
 
@@ -283,6 +287,18 @@ class Composite:
 
     Shared by both layers: ``outer``, ``inner`` and ``seq`` are ``SymSeq`` here
     and ``CatSymSeq`` in :mod:`.catsym`, whose raws end in a groupoid arrow.
+    ``reps[key]`` lists one representative raw per class of cell ``key``, in
+    class order; the representative of a class is its least raw in the
+    enumeration order (middle word, block positions in ``support_words``,
+    label positions, arrow images).  ``raws[key]`` are the raws the kernel
+    enumerated: here exactly the representatives, in :mod:`.catsym` every
+    raw.  ``cls[key]`` maps raws to classes: it starts with every enumerated
+    raw, and :meth:`class_of` adds each other raw it is asked about once
+    ``canon`` has carried that raw to its representative.  ``canon(w, y,
+    raw)`` returns ``None`` for anything that is not a raw of cell
+    ``(w, y)``; in :mod:`.catsym` it always does, because there ``cls``
+    holds every raw from the start.
+
     ``cap`` is the ``max_arity`` it was built with (``None``: no bound).  All
     raws of a cell have total arity ``len(w)`` and each cell is quotiented on
     its own, so the cells with words of length at most ``c`` are exactly the
@@ -292,20 +308,32 @@ class Composite:
     outer: SymSeq
     inner: SymSeq
     seq: SymSeq
-    raws: dict   # (word, out) -> list of raw tuples
+    raws: dict   # (word, out) -> list of enumerated raw tuples
     cls: dict    # (word, out) -> {raw: class index}
     reps: dict   # (word, out) -> list of representative raws
+    canon: Callable = field(repr=False)  # (word, out, raw) -> representative of raw, or None
     cap: Optional[int] = None
 
     def class_of(self, w: Word, y, raw) -> int:
         """Class of ``raw``; a raw outside the composite is a law failure."""
-        try:
-            return self.cls[(w, y)][raw]
-        except KeyError:
-            raise ValidationError(f"composite undefined at cell {(w, y)!r}, raw {raw!r}") from None
+        table = self.cls.get((w, y))
+        if table is not None:
+            idx = table.get(raw)
+            if idx is None:
+                idx = table.get(self.canon(w, y, raw))
+                if idx is not None:
+                    table[raw] = idx
+            if idx is not None:
+                return idx
+        raise ValidationError(f"composite undefined at cell {(w, y)!r}, raw {raw!r}")
 
     def rep(self, w: Word, y, idx: int):
         return self.reps[(w, y)][idx]
+
+
+def every_raw_held(w: Word, y, raw) -> None:
+    """``canon`` of a composite whose ``cls`` holds every raw: a raw it lacks is none."""
+    return None
 
 
 def composite_of(
@@ -334,6 +362,7 @@ def composite_of(
         {k: held.raws[k] for k in keys},
         {k: held.cls[k] for k in keys},
         {k: held.reps[k] for k in keys},
+        held.canon,
         max_arity,
     )
 
@@ -345,104 +374,274 @@ def _picker(positions: tuple) -> Callable[[tuple], tuple]:
     return lambda seq: tuple(seq[p] for p in positions)
 
 
-def _raw_edges(outer: SymSeq, inner: SymSeq, key, raws, pos):
-    """Coend relation edges among the raw tuples of one result cell, as index pairs.
+@dataclass
+class _Shape:
+    """The orbit plan of the raws ``(mid, g, blocks, fs, sig)`` of one ``(mid, blocks)``.
 
-    ``pos`` maps each raw of ``raws`` to its index.  Every edge joins raw
-    ``i`` to the raw it becomes under one generating move: an adjacent
-    transposition inside a block (inner variable) or of the middle word
-    (middle variable).  The moves are planned once per ``(mid, blocks)``.
+    ``blocks`` is sorted within each run of equal letters of ``mid``.  ``H``
+    is the group generated by the swaps of equal adjacent blocks (under equal
+    middle letters) and the Young stabilizers of the blocks; it acts on a
+    label pair ``(g, fs)`` and on ``sig`` by ``sig -> sig∘pi`` for a
+    permutation ``pi`` of the concatenated positions.  Labels are held by
+    their positions in their cells, so a plan depends only on the structure
+    of the cells.  ``swaps`` and ``young`` are the generators of ``H`` as
+    ``(position, label permutation, pi)``.  ``least`` maps each pair that is
+    least in its ``H``-orbit, in
+    enumeration order, to the stabilizer chain (:func:`.perms.sims_table`)
+    of ``pi`` over its stabilizer and the arrows least in their cosets under
+    that chain (:func:`_least_arrows`): one raw per class.  ``path``, filled
+    on the first :meth:`locate`, sends every pair to its orbit's least pair
+    and ``pi`` of an element carrying the least pair to it.
     """
-    z = key[1]
-    prepared: dict = {}
-    for i, raw in enumerate(raws):
-        mid, g, blocks, fs, sig = raw
-        plan = prepared.get((mid, blocks))
-        if plan is None:
-            lengths = [len(b) for b in blocks]
-            offs = block_offsets(lengths)
-            total = offs[-1]
-            inner_moves = []
-            for k, b in enumerate(blocks):
-                cell = inner.cell(b, mid[k])
-                for t in stab_gens(b):
-                    emb = embed_at(total, offs[k], Perm.transposition(len(b), t)).images
-                    inner_moves.append((k, cell.gen_maps[t], _picker(emb)))
-            gcell = outer.cell(mid, z)
-            mid_moves = []
-            for t in stab_gens(mid):
-                psi = Perm.transposition(len(mid), t)
-                bp = block_perm(lengths, psi).images
-                mid_moves.append((gcell.gen_maps[t], _picker(psi.images), _picker(bp)))
-            plan = prepared[(mid, blocks)] = (inner_moves, mid_moves)
-        inner_moves, mid_moves = plan
-        for k, gmap, move in inner_moves:
-            target = (mid, g, blocks, fs[:k] + (gmap[fs[k]],) + fs[k + 1 :], move(sig))
-            j = pos.get(target)
-            if j is None:
-                raise unknown_relation(raw, target)
-            yield i, j
-        for gmap, swap, move in mid_moves:
-            target = (mid, gmap[g], swap(blocks), swap(fs), move(sig))
-            j = pos.get(target)
-            if j is None:
-                raise unknown_relation(raw, target)
-            yield i, j
+
+    word: Word
+    swaps: list
+    young: list
+    least: dict
+    path: Optional[dict] = None
+
+    def locate(self, x: tuple) -> tuple:
+        """``(least pair of the orbit of x, pi of an element carrying it to x)``."""
+        if self.path is None:
+            self.path = {y: (x0, py) for x0 in self.least for y, py in self.orbit(x0)[0].items()}
+        return self.path[x]
+
+    def orbit(self, x: tuple) -> tuple[dict, set]:
+        """``{pair: pi}`` over the ``H``-orbit of ``x``, and Schreier generators of ``pi`` on its stabilizer.
+
+        ``pi`` belongs to an element carrying ``x`` to the pair; a second
+        path to a pair gives the generator ``pi_x∘pi_s∘pi_y⁻¹``.
+        """
+        pis = {x: tuple(range(len(self.word)))}
+        queue = [x]
+        schreier = set()
+        for xg, xfs in queue:
+            px = pis[(xg, xfs)]
+            moved = [
+                ((gp[xg], xfs[:t] + (xfs[t + 1], xfs[t]) + xfs[t + 2 :]), pi) for t, gp, pi in self.swaps
+            ]
+            moved += [((xg, xfs[:k] + (fp[xfs[k]],) + xfs[k + 1 :]), pi) for k, fp, pi in self.young]
+            for y, pi in moved:
+                py = tuple(px[p] for p in pi)
+                old = pis.get(y)
+                if old is None:
+                    pis[y] = py
+                    queue.append(y)
+                elif old != py:
+                    schreier.add(tuple(py[p] for p in inverse_images(old)))
+        return pis, schreier
+
+
+@lru_cache(maxsize=4096)
+def _swap_images(lengths: tuple, t: int) -> tuple:
+    """Positions moved by swapping blocks ``t`` and ``t + 1``."""
+    return block_perm(list(lengths), Perm.transposition(len(lengths), t)).images
+
+
+@lru_cache(maxsize=4096)
+def _young_images(n: int, offset: int, length: int, t: int) -> tuple:
+    """Positions moved by the transposition ``t`` inside the block at ``offset``."""
+    return embed_at(n, offset, Perm.transposition(length, t)).images
+
+
+def _label_perm(cell: YoungSet, t: int) -> tuple:
+    """The generator ``t`` of ``cell`` on label positions."""
+    return tuple(cell.index(cell.gen_maps[t][lab]) for lab in cell.labels)
+
+
+# plans by (outer cell, inner cells, mid, blocks); cells hash and compare by
+# content, so equal cells of different sequences share one plan, which lives
+# as long as a composite that was built from it
+_SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _plan_shape(gcell: YoungSet, fcells: tuple, mid: Word, blocks: tuple) -> _Shape:
+    """Orbits of label pairs under ``H`` with the chain of each least pair's stabilizer."""
+    key = (gcell, fcells, mid, blocks)
+    shape = _SHAPES.get(key)
+    if shape is not None:
+        return shape
+    lengths = tuple(len(b) for b in blocks)
+    offs = block_offsets(lengths)
+    n = offs[-1]
+    concat = tuple(s for b in blocks for s in b)
+    w = canonical_word(concat)[0]
+    swaps = [
+        (t, _label_perm(gcell, t), _swap_images(lengths, t))
+        for t in stab_gens(mid)
+        if blocks[t] == blocks[t + 1]
+    ]
+    young = [
+        (k, _label_perm(fcells[k], t), _young_images(n, offs[k], len(b), t))
+        for k, b in enumerate(blocks)
+        for t in stab_gens(b)
+    ]
+    shape = _SHAPES[key] = _Shape(w, swaps, young, {})
+    seen: set = set()
+    for x0 in itertools.product(range(gcell.size), itertools.product(*(range(c.size) for c in fcells))):
+        if x0 not in seen:
+            pis, schreier = shape.orbit(x0)
+            seen.update(pis)
+            table = sims_table(tuple(sorted(schreier)), n)
+            shape.least[x0] = (table, _least_arrows(w, concat, table))
+    return shape
+
+
+@lru_cache(maxsize=4096)
+def _least_arrows(w: Word, concat: Word, table: tuple) -> tuple:
+    """Arrows ``w -> concat`` least in their cosets ``sig∘P``, and how ``Aut(w)`` moves them.
+
+    ``P`` is the group of ``table``.  Returns ``(arrows, moves)``: the least
+    arrows (image tuples) in increasing order, and for each generator ``t``
+    of the stabilizer of ``w`` the pair ``(t, targets)``, where
+    ``targets[j]`` is the index of the least arrow in the coset of
+    ``h_t∘arrows[j]``.  ``sig`` is least iff ``sig[i] < sig[x]`` for every
+    other ``x`` in the orbit of ``i`` at level ``i`` of the chain, so the
+    arrows are built position by position under those lower bounds.
+    """
+    n = len(w)
+    below = [[] for _ in range(n)]  # below[x]: positions whose value must be less
+    for i, level in enumerate(table):
+        for x, _u in level:
+            if x != i:
+                below[x].append(i)
+    slots: dict = {}
+    for p, s in enumerate(w):
+        slots.setdefault(s, []).append(p)
+    choices = [slots[s] for s in concat]
+    sig, used, arrows = [0] * n, [False] * n, []
+
+    def fill(i: int) -> None:
+        if i == n:
+            arrows.append(tuple(sig))
+            return
+        bound = max((sig[p] for p in below[i]), default=-1)
+        for v in choices[i]:
+            if v > bound and not used[v]:
+                used[v] = True
+                sig[i] = v
+                fill(i + 1)
+                used[v] = False
+
+    fill(0)
+    index = {a: j for j, a in enumerate(arrows)}
+    moves = []
+    for t in stab_gens(w):
+        h = Perm.transposition(n, t).images
+        moves.append((t, tuple(index[coset_least(tuple(h[s] for s in a), table)] for a in arrows)))
+    return tuple(arrows), tuple(moves)
+
+
+def _least_raw(outer: SymSeq, inner: SymSeq, shapes: dict, w: Word, z, raw):
+    """The least raw of the orbit of ``raw``, or ``None`` if it is not a raw of ``(w, z)``.
+
+    The blocks are sorted within each run of the middle word by swaps of
+    adjacent blocks, the label pair is carried to the least pair of its
+    ``H``-orbit, and ``sig`` to the least of its coset under that pair's
+    stabilizer.  ``shapes`` holds the plans the composite was built from.
+    """
+    if type(raw) is not tuple or len(raw) != 5:
+        return None
+    mid, g, blocks, fs, sig = raw
+    gcell = outer.cells.get((mid, z))
+    if gcell is None or g not in gcell or type(blocks) is not tuple or type(fs) is not tuple:
+        return None
+    if not len(mid) == len(blocks) == len(fs):
+        return None
+    fcells = []
+    for b, y, f in zip(blocks, mid, fs):
+        cell = inner.cells.get((b, y))
+        if cell is None or f not in cell:
+            return None
+        fcells.append(cell)
+    concat = tuple(s for b in blocks for s in b)
+    n = len(w)
+    if type(sig) is not tuple or len(sig) != n or len(concat) != n or set(sig) != set(range(n)):
+        return None
+    if any(w[p] != s for p, s in zip(sig, concat)):
+        return None
+    ranks = [inner.support_words(y).index(b) for b, y in zip(blocks, mid)]
+    blocks, fs, lengths = list(blocks), list(fs), [len(b) for b in blocks]
+    moved = True
+    while moved:
+        moved = False
+        for t in stab_gens(mid):
+            if ranks[t] > ranks[t + 1]:
+                sig = tuple(sig[p] for p in _swap_images(tuple(lengths), t))
+                g = gcell.gen_maps[t][g]
+                for seq in (ranks, blocks, fs, lengths, fcells):
+                    seq[t], seq[t + 1] = seq[t + 1], seq[t]
+                moved = True
+    blocks = tuple(blocks)
+    shape = shapes.get((mid, z, blocks))
+    if shape is None:
+        shape = _plan_shape(gcell, tuple(fcells), mid, blocks)
+    least, pi = shape.locate((gcell.index(g), tuple(map(YoungSet.index, fcells, fs))))
+    table, _arrows = shape.least[least]
+    sig = coset_least(tuple(sig[p] for p in inverse_images(pi)), table)
+    return (mid, gcell.labels[least[0]], blocks, _labels_at(fcells, least[1]), sig)
+
+
+def _labels_at(cells, positions: tuple) -> tuple:
+    return tuple(cell.labels[i] for cell, i in zip(cells, positions))
+
+
+def _sorted_block_tuples(mid: Word, inner: SymSeq):
+    """Block tuples over ``mid`` sorted within each run of equal letters, in product order."""
+    if not stab_gens(mid):
+        return itertools.product(*(inner.support_words(y) for y in mid))
+    runs = [
+        itertools.combinations_with_replacement(inner.support_words(y), len(tuple(run)))
+        for y, run in itertools.groupby(mid)
+    ]
+    return (tuple(b for run in combo for b in run) for combo in itertools.product(*runs))
 
 
 def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None) -> Composite:
-    """Composite ``outer o inner`` with all coends computed by quotienting.
+    """Composite ``outer o inner``, built from the least raw of each coend class.
 
-    With no bound the result carries every arity up to
-    ``outer.max_arity() * inner.max_arity()``; a bound restricts the result
-    words, never individual cells.
+    A class is an orbit of ``Aut(mid) ⋉ ∏ Aut(block)`` on the raws.  Its
+    least raw has its blocks sorted within each run of equal middle letters,
+    a label pair least in its orbit under the group ``H`` of that block
+    tuple, and an arrow least in its coset under the pair's stabilizer
+    (:class:`_Shape`).  Exactly those raws are built, each shape planned
+    once, in enumeration order, so representatives and class numbers are
+    those of the union-find over every raw.  With no bound the result
+    carries every arity up to ``outer.max_arity() * inner.max_arity()``; a
+    bound restricts the result words, never individual cells.
     """
     if set(inner.cod) != set(outer.dom):
         raise InputError("composition sort mismatch")
-    raws_by_cell: dict = {}
+    built: dict = {}  # (word, out) -> (representatives, {t: targets by index})
+    shapes: dict = {}  # (mid, out, blocks) -> plan
     for (mid, z) in outer.support():
         gcell = outer.cells[(mid, z)]
         if gcell.size == 0:
             continue
-        choices = [inner.support_words(y) for y in mid]
-        for blocks in itertools.product(*choices):
-            total = sum(len(b) for b in blocks)
-            if max_arity is not None and total > max_arity:
+        for blocks in _sorted_block_tuples(mid, inner):
+            if max_arity is not None and sum(len(b) for b in blocks) > max_arity:
                 continue
-            fng = [inner.labels(b, y) for b, y in zip(blocks, mid)]
-            if not all(fng):
+            fcells = tuple(inner.cells[(b, y)] for b, y in zip(blocks, mid))
+            if not all(c.size for c in fcells):
                 continue
-            concat = tuple(s for b in blocks for s in b)
-            w, _t = canonical_word(concat)
-            images = [sigma.images for sigma in word_arrows(w, concat)]
-            raws_by_cell.setdefault((w, z), []).extend(
-                (mid, g, blocks, fs, sig)
-                for g in gcell.labels
-                for fs in itertools.product(*fng)
-                for sig in images
-            )
-    cells = {}
-    raws_out, cls_out, reps_out = {}, {}, {}
-    for key in sorted(raws_by_cell, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
-        raws = raws_by_cell[key]
-        pos = index_positions(raws)
-        label, roots = index_quotient(len(raws), _raw_edges(outer, inner, key, raws, pos))
-        cls = dict(zip(raws, label))
-        reps = [raws[r] for r in roots]
-        w, z = key
-        gen_maps = {}
-        for t in stab_gens(w):
-            h = Perm.transposition(len(w), t).images
-            gen_maps[t] = {
-                idx: cls[(mid, g, blocks, fs, tuple(h[s] for s in sig))]
-                for idx, (mid, g, blocks, fs, sig) in enumerate(reps)
-            }
-        cells[key] = YoungSet(w, tuple(range(len(reps))), gen_maps)
-        raws_out[key] = raws
-        cls_out[key] = cls
+            shape = shapes[(mid, z, blocks)] = _plan_shape(gcell, fcells, mid, blocks)
+            reps, targets = built.setdefault((shape.word, z), ([], {}))
+            for (gi, fis), (_table, (arrows, moves)) in shape.least.items():
+                g, fs = gcell.labels[gi], _labels_at(fcells, fis)
+                base = len(reps)
+                reps += [(mid, g, blocks, fs, sig) for sig in arrows]
+                for t, js in moves:
+                    targets.setdefault(t, []).extend(base + j for j in js)
+    cells, cls_out, reps_out = {}, {}, {}
+    for key in sorted(built, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
+        reps, targets = built[key]
+        gen_maps = {t: dict(enumerate(targets[t])) for t in stab_gens(key[0])}
+        cells[key] = YoungSet(key[0], tuple(range(len(reps))), gen_maps)
+        cls_out[key] = {raw: idx for idx, raw in enumerate(reps)}
         reps_out[key] = reps
     seq = SymSeq(inner.dom, outer.cod, cells)
-    return Composite(outer, inner, seq, raws_out, cls_out, reps_out, max_arity)
+    canon = partial(_least_raw, outer, inner, shapes)
+    return Composite(outer, inner, seq, reps_out, cls_out, reps_out, canon, max_arity)
 
 
 def hcompose_maps(beta: SymSeqMap, alpha: SymSeqMap, src: Composite, dst: Composite) -> SymSeqMap:

@@ -332,3 +332,16 @@ def test_pullback_operad_shape():
 def test_operad_iso_certificates():
     assert operad_iso(com_operad(2), com_operad(2)) is not None
     assert operad_iso(com_operad(2), assoc_operad(2)) is None
+
+
+def test_operad_iso_lets_a_pullback_law_failure_through(monkeypatch):
+    # a pullback along a bijection of sorts is lawful, so a law failure there
+    # is a fault of the kernel, never "no isomorphism"
+    import opdbim.operads as operads
+
+    def faulty(*args, **kwargs):
+        raise ValidationError("pullback fault")
+
+    monkeypatch.setattr(operads, "pullback_operad", faulty)
+    with pytest.raises(ValidationError, match="pullback fault"):
+        operad_iso(com_operad(2), com_operad(2))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,10 +13,12 @@ from opdbim.perms import (
     act_word,
     canonical_word,
     compose,
+    coset_least,
     disjoint_union,
     equivariant_iso_search,
     index_quotient,
     quotient,
+    sims_table,
     stab_decompose,
     stab_gens,
     word_arrows,
@@ -249,3 +252,40 @@ def test_index_quotient_matches_the_element_quotient(case):
 def test_quotient_rejects_duplicate_elements():
     with pytest.raises(InputError, match="duplicate"):
         quotient((1, 2, 1), [])
+
+
+def _closure(gens, n):
+    """Every element of the group ``gens`` generate, by breadth-first products."""
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [
+            p for e in frontier for g in gens for p in [tuple(e[i] for i in g)] if p not in elements
+        ]
+        elements.update(frontier)
+    return elements
+
+
+def test_sims_table_and_coset_least_against_the_whole_group():
+    rng = random.Random(3)
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            p = list(range(n))
+            if n and rng.random() < 0.5:
+                i, j = rng.randrange(n), rng.randrange(n)
+                p[i], p[j] = p[j], p[i]
+            else:
+                rng.shuffle(p)
+            gens.append(tuple(p))
+        group = _closure(gens, n)
+        table = sims_table(tuple(gens), n)
+        assert math.prod(len(level) for level in table) == len(group)
+        for i, level in enumerate(table):
+            fixing = [p for p in group if p[:i] == tuple(range(i))]
+            assert [x for x, _u in level] == sorted({p[i] for p in fixing})
+            assert all(u in group and u[:i] == tuple(range(i)) and u[i] == x for x, u in level)
+        seq = list(range(n))
+        rng.shuffle(seq)
+        assert coset_least(tuple(seq), table) == min(tuple(seq[i] for i in p) for p in group)

@@ -321,19 +321,127 @@ def test_unit_laws_hold_for_random_sequences(rng):
     assert ru.is_bijective()
 
 
-# --- composites reused at a lower cap, and the index-pair coend quotient ------
+# --- composites reused at a lower cap, and the coend quotient of every raw ------
 
-from opdbim.operads import com_operad
-from opdbim.perms import block_offsets, block_perm, embed_at, quotient
+import itertools
+
+from opdbim.operads import assoc_operad, com_operad, magma_operad
+from opdbim.perms import (
+    InputError,
+    ValidationError,
+    block_offsets,
+    block_perm,
+    canonical_word,
+    embed_at,
+    quotient,
+    word_arrows,
+)
+from opdbim.samples import rand_bimodule, rand_operad, rand_young
+from opdbim.bimodules import relative_compose
 from opdbim.symseq import composite_of
 
 
+def _element_edges(outer, inner, key, raws):
+    """The coend relation of one cell as element pairs, along adjacent transpositions.
+
+    The moves of each ``(mid, blocks)`` are built once: a transposition inside
+    a block (inner variable) and one of the middle word (middle variable).
+    """
+    z = key[1]
+    moves = {}
+    edges = []
+    for raw in raws:
+        mid, g, blocks, fs, sig = raw
+        if (mid, blocks) not in moves:
+            lengths = [len(b) for b in blocks]
+            offs = block_offsets(lengths)
+            moves[(mid, blocks)] = (
+                [
+                    (i, t, embed_at(offs[-1], offs[i], Perm.transposition(len(b), t)).images)
+                    for i, b in enumerate(blocks)
+                    for t in stab_gens(b)
+                ],
+                [
+                    (t, Perm.transposition(len(mid), t), block_perm(lengths, Perm.transposition(len(mid), t)).images)
+                    for t in stab_gens(mid)
+                ],
+            )
+        inner_moves, mid_moves = moves[(mid, blocks)]
+        for i, t, move in inner_moves:
+            f2 = inner.cell(blocks[i], mid[i]).gen_maps[t][fs[i]]
+            sig2 = tuple(sig[p] for p in move)
+            edges.append((raw, (mid, g, blocks, fs[:i] + (f2,) + fs[i + 1 :], sig2)))
+        for t, psi, move in mid_moves:
+            g2 = outer.cell(mid, z).gen_maps[t][g]
+            blocks2 = tuple(blocks[psi(i)] for i in range(len(blocks)))
+            fs2 = tuple(fs[psi(i)] for i in range(len(blocks)))
+            edges.append((raw, (mid, g2, blocks2, fs2, tuple(sig[p] for p in move))))
+    return edges
+
+
+def _oracle(outer, inner, max_arity=None):
+    """The plain composite by brute force: ``{cell: (every raw, quotient)}``.
+
+    Every raw ``(mid, g, blocks, fs, sig)`` is enumerated, in the order that
+    defines representatives (middle word, block positions in
+    ``support_words``, label positions, arrow images), and each cell is
+    quotiented by the element pairs of :func:`_element_edges`.
+    """
+    raws_by_cell = {}
+    for (mid, z) in outer.support():
+        gcell = outer.cells[(mid, z)]
+        for blocks in itertools.product(*(inner.support_words(y) for y in mid)):
+            if max_arity is not None and sum(len(b) for b in blocks) > max_arity:
+                continue
+            fng = [inner.labels(b, y) for b, y in zip(blocks, mid)]
+            concat = tuple(s for b in blocks for s in b)
+            w, _t = canonical_word(concat)
+            raws = [
+                (mid, g, blocks, fs, sig.images)
+                for g in gcell.labels
+                for fs in itertools.product(*fng)
+                for sig in word_arrows(w, concat)
+            ]
+            if raws:
+                raws_by_cell.setdefault((w, z), []).extend(raws)
+    return {
+        key: (raws, quotient(raws, _element_edges(outer, inner, key, raws)))
+        for key, raws in raws_by_cell.items()
+    }
+
+
+def _assert_matches_oracle(comp):
+    """Same cells, representatives, labels and generator maps as the oracle;
+    ``class_of`` agrees with it on every raw."""
+    oracle = _oracle(comp.outer, comp.inner, comp.cap)
+    assert set(comp.seq.cells) == set(oracle)
+    for key, (raws, q) in oracle.items():
+        w = key[0]
+        assert comp.reps[key] == list(q.representative), key
+        cell = comp.seq.cells[key]
+        assert cell.labels == tuple(range(len(q.classes))), key
+        for t in stab_gens(w):
+            h = Perm.transposition(len(w), t).images
+            expected = {
+                idx: q.class_index[(mid, g, blocks, fs, tuple(h[s] for s in sig))]
+                for idx, (mid, g, blocks, fs, sig) in enumerate(q.representative)
+            }
+            assert cell.gen_maps[t] == expected, (key, t)
+        for raw in raws:
+            assert comp.class_of(*key, raw) == q.class_index[raw], (key, raw)
+
+
 def _same_composite(a, b):
+    """``a`` and ``b`` have the same cells and representatives, and ``class_of``
+    of both gives the oracle's class for every raw of ``b``'s factors."""
     assert a.seq.cells == b.seq.cells
     assert list(a.seq.cells) == list(b.seq.cells)
-    assert a.raws == b.raws
-    assert a.cls == b.cls
     assert a.reps == b.reps
+    oracle = _oracle(b.outer, b.inner, b.cap)
+    assert set(oracle) == set(b.seq.cells)
+    for key, (raws, q) in oracle.items():
+        for raw in raws:
+            assert a.class_of(*key, raw) == b.class_of(*key, raw) == q.class_index[raw], (key, raw)
 
 
 def _cap_pairs():
@@ -376,34 +484,9 @@ def test_composite_of_builds_afresh_unless_it_holds_the_factors_at_a_cap_that_co
     assert composite_of(unbounded, com2, com2, 4) is unbounded
 
 
-def _element_edges(outer, inner, key, raws):
-    """The coend relation of one cell as element pairs, along adjacent transpositions."""
-    z = key[1]
-    edges = []
-    for raw in raws:
-        mid, g, blocks, fs, sig = raw
-        lengths = [len(b) for b in blocks]
-        offs = block_offsets(lengths)
-        for i, b in enumerate(blocks):
-            for t in stab_gens(b):
-                move = embed_at(offs[-1], offs[i], Perm.transposition(len(b), t))
-                f2 = inner.cell(b, mid[i]).gen_maps[t][fs[i]]
-                sig2 = compose(Perm(sig), move).images
-                edges.append((raw, (mid, g, blocks, fs[:i] + (f2,) + fs[i + 1 :], sig2)))
-        for t in stab_gens(mid):
-            psi = Perm.transposition(len(mid), t)
-            g2 = outer.cell(mid, z).gen_maps[t][g]
-            blocks2 = tuple(blocks[psi(i)] for i in range(len(blocks)))
-            fs2 = tuple(fs[psi(i)] for i in range(len(blocks)))
-            sig2 = compose(Perm(sig), block_perm(lengths, psi)).images
-            edges.append((raw, (mid, g2, blocks2, fs2, sig2)))
-    return edges
-
-
 def _assert_element_quotients(comp):
-    for key, raws in comp.raws.items():
-        q = quotient(raws, _element_edges(comp.outer, comp.inner, key, raws))
-        assert comp.cls[key] == q.class_index, key
+    for key, (raws, q) in _oracle(comp.outer, comp.inner, comp.cap).items():
+        assert all(comp.class_of(*key, raw) == q.class_index[raw] for raw in raws), key
         assert comp.reps[key] == list(q.representative), key
         assert comp.seq.cells[key].labels == tuple(range(len(q.classes))), key
 
@@ -416,3 +499,131 @@ def test_index_pair_quotients_match_the_element_pair_quotient():
         outer = rand_symseq(rng, max_arity=3, max_labels=3)
         inner = rand_symseq(rng, max_arity=2, max_labels=3)
         _assert_element_quotients(compose_symseq(outer, inner, max_arity=4))
+
+
+# --- the orbit-minimum kernel against the oracle -------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, n", [(com_operad, 5), (assoc_operad, 4), (magma_operad, 4)], ids=["com5", "assoc4", "magma4"]
+)
+def test_triple_composites_match_the_oracle(make, n):
+    op = make(n)
+    a = op.carrier
+    _assert_matches_oracle(op.comp2)
+    for outer, inner in ((op.comp2.seq, a), (a, op.comp2.seq)):
+        for cap in range(1, n + 1):
+            _assert_matches_oracle(compose_symseq(outer, inner, max_arity=cap))
+
+
+def test_two_sorted_random_composites_match_the_oracle():
+    rng = random.Random(2024)
+    for _ in range(12):
+        outer = rand_symseq(rng, sorts=("a", "b"), max_arity=3, max_labels=3, n_cells=3)
+        inner = rand_symseq(rng, sorts=("a", "b"), max_arity=2, max_labels=3, n_cells=3)
+        _assert_matches_oracle(compose_symseq(outer, inner, max_arity=4))
+
+
+def _with_nullary(rng, f, sizes):
+    """``f`` with a nullary cell of ``sizes[y]`` trivially acted labels at each output ``y``."""
+    cells = dict(f.cells)
+    for y, k in sizes.items():
+        cells[((), y)] = rand_young(rng, (), k)
+    return SymSeq(f.dom, f.cod, cells)
+
+
+def test_composites_with_nullary_cells_match_the_oracle():
+    # swapping two empty blocks moves labels but no position of sig, so the
+    # action on sig is not free; a nullary outer cell gives an empty raw
+    rng = random.Random(5)
+    for sorts in (("*",), ("a", "b")):
+        for _ in range(5):
+            outer = rand_symseq(rng, sorts=sorts, max_arity=3, max_labels=3, n_cells=3)
+            inner = rand_symseq(rng, sorts=sorts, max_arity=2, max_labels=2, n_cells=2)
+            inner = _with_nullary(rng, inner, {y: rng.randint(1, 3) for y in sorts})
+            outer = _with_nullary(rng, outer, {sorts[0]: 1})
+            for cap in (1, 3):
+                _assert_matches_oracle(compose_symseq(outer, inner, max_arity=cap))
+
+
+def test_pentagon_bimodule_composites_match_the_oracle():
+    rng = random.Random(17)
+    window = 2
+    for _ in range(3):
+        ops = [rand_operad(rng, window) for _ in range(3)]
+        m = rand_bimodule(rng, ops[1], ops[0], window)
+        n = rand_bimodule(rng, ops[2], ops[1], window)
+        nm = relative_compose(n, m).bimodule
+        for op in ops:
+            _assert_matches_oracle(op.comp2)
+        for b in (m, n, nm):
+            _assert_matches_oracle(b.bm)
+            _assert_matches_oracle(b.ma)
+
+
+# --- class_of at its edges -----------------------------------------------------
+
+
+def _class_of_error(comp, w, y, raw):
+    with pytest.raises(ValidationError) as err:
+        comp.class_of(w, y, raw)
+    assert repr((w, y)) in str(err.value) and repr(raw) in str(err.value)
+
+
+def test_class_of_names_the_cell_and_the_raw_it_refuses():
+    com3 = com_operad(3).carrier
+    comp = compose_symseq(com3, com3, max_arity=3)
+    w, y = (STAR, STAR), STAR
+    good = ((STAR, STAR), 0, ((STAR,), (STAR,)), (0, 0), (1, 0))
+    assert comp.class_of(w, y, good) == 1  # class 0 is the one of mid (*,)
+    # a label outside its cell, outer and inner
+    _class_of_error(comp, w, y, ((STAR, STAR), 7, ((STAR,), (STAR,)), (0, 0), (0, 1)))
+    _class_of_error(comp, w, y, ((STAR, STAR), 0, ((STAR,), (STAR,)), (0, "x"), (0, 1)))
+    # a sig that is not an arrow w -> concat
+    for sig in ((0, 0), (0, 1, 2), (0,), (0, 2), ("a", "b")):
+        _class_of_error(comp, w, y, ((STAR, STAR), 0, ((STAR,), (STAR,)), (0, 0), sig))
+    # a block outside the inner support, and blocks that do not fit the middle word
+    _class_of_error(comp, w, y, ((STAR,), 0, ((STAR, STAR, STAR, STAR),), (0,), (0, 1)))
+    _class_of_error(comp, w, y, ((STAR,), 0, ((),), (0,), (0, 1)))
+    _class_of_error(comp, w, y, ((STAR, STAR), 0, ((STAR, STAR),), (0,), (0, 1)))
+    _class_of_error(comp, w, y, ((STAR,) * 4, 0, ((STAR,),) * 4, (0,) * 4, (0, 1)))
+    _class_of_error(comp, w, y, "not a raw")
+    # a word above the cap: a raw of com3 o com3 at arity 4, but not of this composite
+    w4 = (STAR,) * 4
+    raw4 = ((STAR, STAR), 0, ((STAR, STAR), (STAR, STAR)), (0, 0), (0, 1, 2, 3))
+    assert raw4 in compose_symseq(com3, com3, max_arity=4).reps[(w4, y)]
+    _class_of_error(comp, w4, y, raw4)
+    _class_of_error(composite_of(comp, com3, com3, 1), w, y, good)
+
+
+def test_a_mu_entry_that_is_not_a_raw_is_an_input_error():
+    from opdbim.doc import parse_explicit_operad, serialize_operad
+
+    data = serialize_operad(com_operad(2))
+    assert parse_explicit_operad(data).comp2.reps
+    entry = next(e for e in data["mu"] if len(e["word"]) == 2)
+    for field, value in (("outer", 9), ("sigma", [0, 0]), ("blocks", [["*", "*", "*"]])):
+        bad = {**data, "mu": [{**entry, "rep": {**entry["rep"], field: value}}]}
+        with pytest.raises(InputError, match="is not a raw of cell"):
+            parse_explicit_operad(bad)
+
+
+def test_equal_cells_share_a_plan_but_keep_their_own_labels():
+    # True == 1 and False == 0, so these cells are equal and share one plan;
+    # each composite still carries the label objects of its own cells
+    def seq(unary, binary):
+        return SymSeq((STAR,), (STAR,), {
+            ((STAR,), STAR): YoungSet.trivial((STAR,), (unary,)),
+            ((STAR, STAR), STAR): YoungSet.trivial((STAR, STAR), (binary,)),
+        })
+
+    ints, bools = seq(1, 0), seq(True, False)
+    assert ints.cells == bools.cells
+    a, b = compose_symseq(ints, ints, max_arity=3), compose_symseq(bools, bools, max_arity=3)
+    assert a.reps == b.reps
+    for comp, kind in ((a, int), (b, bool)):
+        for reps in comp.reps.values():
+            for _mid, g, _blocks, fs, _sig in reps:
+                assert type(g) is kind and all(type(f) is kind for f in fs)
+        raw = ((STAR, STAR), kind(0), ((STAR,), (STAR,)), (kind(1), kind(1)), (1, 0))
+        assert comp.class_of((STAR, STAR), STAR, raw) == 1
