@@ -367,3 +367,24 @@ def test_count_cells_entry_names_its_missing_key(tmp_path, capsys, missing):
                         capsys)
     assert code == 2
     assert out.startswith("input error:") and f"lacks {missing!r}" in out
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        {"mid": ["*"], "outer": "zzz", "blocks": [["*"]], "inner": ["i"], "sigma": [0]},
+        {"mid": ["*"], "outer": "i", "blocks": [["*"]], "inner": ["i"], "sigma": [1]},
+        {"mid": ["*"], "outer": "i", "blocks": [["*", "*"]], "inner": ["i"], "sigma": [0]},
+    ],
+    ids=["label-outside-its-cell", "sigma-not-an-arrow", "block-outside-the-support"],
+)
+def test_a_mu_entry_that_is_not_a_raw_exits_2(tmp_path, capsys, rep):
+    data = json.loads(json.dumps(BASE_DOC))
+    data["operads"]["E"] = {
+        "carrier": "I",
+        "eta": [["*", "i"]],
+        "mu": [{"word": ["*"], "out": "*", "to": "i", "rep": rep}],
+    }
+    code, out = run_cli(["check", write_doc(tmp_path, data)], capsys)
+    assert code == 2
+    assert "is not a raw of cell" in out
