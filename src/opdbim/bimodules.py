@@ -2,10 +2,18 @@
 
 A ``(B, A)``-bimodule is a symmetric sequence between the sort sets of two
 operads together with a left ``B``-action and a right ``A``-action that
-commute.  Relative composition quotients the plain composite by the
-two middle actions; its unit isomorphisms are split-fork bijections and the
-associator regroups representatives.  All laws are checked cell by cell
-within the smallest arity window of the participants.
+commute.  :func:`check_bimodule_laws` runs the one action-law check,
+:func:`.operads.check_action_laws`, once per side and then checks that the
+actions commute.  The free actions through ``mu`` are written once:
+:func:`free_left_action` on ``B o (B o F)`` and :func:`free_right_action` on
+``(F o A) o A``; the free bimodule, the free left module and the bimodules of
+lax and oplax monad morphisms are built from them.  Relative composition
+quotients the plain composite by the two middle actions; a map out of the
+plain composite that coequalizes them induces the map out of the relative
+composite (:func:`descend`), which gives both unit isomorphisms (split-fork
+bijections) and the units and counits of the adjunctions.  The associator
+regroups representatives.  All laws are checked cell by cell within the
+smallest arity window of the participants.
 """
 
 from __future__ import annotations
@@ -34,14 +42,14 @@ from .symseq import (
     compose_maps,
     compose_symseq,
     composite_of,
-    first_map_difference,
     hcompose_maps,
     id_symseq,
     identity_map,
     left_unitor,
     left_unitor_inv,
-    map_equal,
     map_inverse,
+    require_equal,
+    restrict_map,
     right_unitor,
     right_unitor_inv,
 )
@@ -49,22 +57,16 @@ from .operads import (
     Algebra,
     Operad,
     OperadMorphism,
+    check_action_laws,
+    mu_from_raws,
     pulled_back_cells,
     pulled_back_outputs,
     reindex_raw,
+    same_operad,
     unit_operad,
 )
 
 DEFAULT_BUDGET = 2_000_000
-
-
-def restrict_map(m: SymSeqMap, new_src: SymSeq, new_dst: Optional[SymSeq] = None) -> SymSeqMap:
-    """Re-key a 2-cell onto a smaller (re-capped) source composite.
-
-    ``m`` must hold every cell of ``new_src``; a missing one is a ``ValidationError``.
-    """
-    comp = {k: m.cell(*k) for k in new_src.cells}
-    return SymSeqMap(new_src, new_dst if new_dst is not None else m.dst, comp)
 
 
 @dataclass
@@ -100,75 +102,28 @@ def make_bimodule(
     w = min(left.arity_bound, right.arity_bound)
     bm = compose_symseq(left.carrier, carrier, max_arity=w)
     ma = compose_symseq(carrier, right.carrier, max_arity=w)
-    lam = SymSeqMap(
-        bm.seq,
-        carrier,
-        {key: {i: lam_fn(key, raw) for i, raw in enumerate(reps)} for key, reps in bm.reps.items()},
-    )
-    rho = SymSeqMap(
-        ma.seq,
-        carrier,
-        {key: {i: rho_fn(key, raw) for i, raw in enumerate(reps)} for key, reps in ma.reps.items()},
-    )
+    lam, rho = mu_from_raws(bm, lam_fn, carrier), mu_from_raws(ma, rho_fn, carrier)
     out = Bimodule(left, right, carrier, lam, rho, w, bm, ma)
     check_bimodule_laws(out)
     return out
 
 
-def _fail(name: str, diff) -> None:
-    key, lab, va, vb = diff
-    raise ValidationError(f"{name} fails at cell {key}, class {lab!r}: {va!r} != {vb!r}")
-
-
 def check_bimodule_laws(b: Bimodule) -> None:
+    """Each action is lawful (:func:`.operads.check_action_laws`), and the two commute."""
     w = b.window
-    bc, ac, m = b.left.carrier, b.right.carrier, b.carrier
+    bc, ac = b.left.carrier, b.right.carrier
     b.lam.validate()
     b.rho.validate()
-    id_m = identity_map(m)
-    # left module laws
-    comp2b = composite_of(b.left.comp2, bc, bc, w)
-    mu_b = restrict_map(b.left.mu, comp2b.seq)
-    bb_m = compose_symseq(comp2b.seq, m, max_arity=w)
-    b_bm = compose_symseq(bc, b.bm.seq, max_arity=w)
-    asc = associator(comp2b, bb_m, b.bm, b_bm)
-    lhs = compose_maps(b.lam, hcompose_maps(mu_b, id_m, bb_m, b.bm))
-    rhs = compose_maps(
-        b.lam, compose_maps(hcompose_maps(identity_map(bc), b.lam, b_bm, b.bm), asc)
-    )
-    if not map_equal(lhs, rhs):
-        _fail("left action associativity", first_map_difference(lhs, rhs))
-    idy_m = compose_symseq(id_symseq(b.left.sorts), m, max_arity=w)
-    eta_b = b.left.eta
-    lu = compose_maps(b.lam, hcompose_maps(eta_b, id_m, idy_m, b.bm))
-    if not map_equal(lu, left_unitor(idy_m)):
-        _fail("left action unit", first_map_difference(lu, left_unitor(idy_m)))
-    # right module laws
-    comp2a = composite_of(b.right.comp2, ac, ac, w)
-    mu_a = restrict_map(b.right.mu, comp2a.seq)
-    ma_a = compose_symseq(b.ma.seq, ac, max_arity=w)
-    m_aa = compose_symseq(m, comp2a.seq, max_arity=w)
-    asc2 = associator(b.ma, ma_a, comp2a, m_aa)
-    lhs2 = compose_maps(b.rho, hcompose_maps(b.rho, identity_map(ac), ma_a, b.ma))
-    rhs2 = compose_maps(
-        b.rho, compose_maps(hcompose_maps(id_m, mu_a, m_aa, b.ma), asc2)
-    )
-    if not map_equal(lhs2, rhs2):
-        _fail("right action associativity", first_map_difference(lhs2, rhs2))
-    m_idx = compose_symseq(m, id_symseq(b.right.sorts), max_arity=w)
-    ru = compose_maps(b.rho, hcompose_maps(id_m, b.right.eta, m_idx, b.ma))
-    if not map_equal(ru, right_unitor(m_idx)):
-        _fail("right action unit", first_map_difference(ru, right_unitor(m_idx)))
-    # commuting actions
+    check_action_laws(b.left, b.lam, b.bm, w, True, ("left action associativity", "left action unit"))
+    check_action_laws(b.right, b.rho, b.ma, w, False, ("right action associativity", "right action unit"))
     bm_a = compose_symseq(b.bm.seq, ac, max_arity=w)
     b_ma = compose_symseq(bc, b.ma.seq, max_arity=w)
-    asc3 = associator(b.bm, bm_a, b.ma, b_ma)
+    asc = associator(b.bm, bm_a, b.ma, b_ma)
     path1 = compose_maps(b.rho, hcompose_maps(b.lam, identity_map(ac), bm_a, b.ma))
     path2 = compose_maps(
-        b.lam, compose_maps(hcompose_maps(identity_map(bc), b.rho, b_ma, b.bm), asc3)
+        b.lam, compose_maps(hcompose_maps(identity_map(bc), b.rho, b_ma, b.bm), asc)
     )
-    if not map_equal(path1, path2):
-        _fail("commuting actions", first_map_difference(path1, path2))
+    require_equal("commuting actions", path1, path2)
 
 
 def check_bimodule_map(f: SymSeqMap, src: Bimodule, dst: Bimodule) -> None:
@@ -176,14 +131,10 @@ def check_bimodule_map(f: SymSeqMap, src: Bimodule, dst: Bimodule) -> None:
     f.validate()
     id_b = identity_map(src.left.carrier)
     id_a = identity_map(src.right.carrier)
-    lhs = compose_maps(f, src.lam)
     rhs = compose_maps(dst.lam, hcompose_maps(id_b, f, src.bm, dst.bm))
-    if not map_equal(lhs, rhs):
-        _fail("left module map square", first_map_difference(lhs, rhs))
-    lhs2 = compose_maps(f, src.rho)
+    require_equal("left module map square", compose_maps(f, src.lam), rhs)
     rhs2 = compose_maps(dst.rho, hcompose_maps(f, id_a, src.ma, dst.ma))
-    if not map_equal(lhs2, rhs2):
-        _fail("right module map square", first_map_difference(lhs2, rhs2))
+    require_equal("right module map square", compose_maps(f, src.rho), rhs2)
 
 
 def identity_bimodule(op: Operad) -> Bimodule:
@@ -193,6 +144,42 @@ def identity_bimodule(op: Operad) -> Bimodule:
     )
 
 
+def free_left_action(op: Operad, bf: Composite, w: int) -> tuple[Composite, SymSeqMap]:
+    """``(B o (B o F), lam)``: the free left action of ``B = op`` on ``bf = B o F``.
+
+    ``lam: B o (B o F) -> B o F`` regroups to ``(B o B) o F`` and multiplies
+    there through ``mu``.
+    """
+    f = bf.inner
+    comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
+    bb_f = compose_symseq(comp2.seq, f, max_arity=w)
+    b_bf = compose_symseq(op.carrier, bf.seq, max_arity=w)
+    mu = restrict_map(op.mu, comp2.seq)
+    lam = compose_maps(
+        hcompose_maps(mu, identity_map(f), bb_f, bf),
+        map_inverse(associator(comp2, bb_f, bf, b_bf)),
+    )
+    return b_bf, lam
+
+
+def free_right_action(fa: Composite, op: Operad, w: int) -> tuple[Composite, SymSeqMap]:
+    """``((F o A) o A, rho)``: the free right action of ``A = op`` on ``fa = F o A``.
+
+    ``rho: (F o A) o A -> F o A`` regroups to ``F o (A o A)`` and multiplies
+    there through ``mu``.
+    """
+    f = fa.outer
+    comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
+    fa_a = compose_symseq(fa.seq, op.carrier, max_arity=w)
+    f_aa = compose_symseq(f, comp2.seq, max_arity=w)
+    mu = restrict_map(op.mu, comp2.seq)
+    rho = compose_maps(
+        hcompose_maps(identity_map(f), mu, f_aa, fa),
+        associator(fa, fa_a, comp2, f_aa),
+    )
+    return fa_a, rho
+
+
 def left_module(op: Operad, dom_sorts: Iterable, carrier: SymSeq, lam_fn: Callable,
                 window: Optional[int] = None) -> Bimodule:
     """A left module as a bimodule over the unit operad on its domain."""
@@ -200,13 +187,7 @@ def left_module(op: Operad, dom_sorts: Iterable, carrier: SymSeq, lam_fn: Callab
     unit = unit_operad(ssorted(dom_sorts), max(w, 2))
     bm = compose_symseq(op.carrier, carrier, max_arity=w)
     ma = compose_symseq(carrier, unit.carrier, max_arity=w)
-    lam = SymSeqMap(
-        bm.seq,
-        carrier,
-        {key: {i: lam_fn(key, raw) for i, raw in enumerate(reps)} for key, reps in bm.reps.items()},
-    )
-    rho = right_unitor(ma)
-    out = Bimodule(op, unit, carrier, lam, rho, w, bm, ma)
+    out = Bimodule(op, unit, carrier, mu_from_raws(bm, lam_fn, carrier), right_unitor(ma), w, bm, ma)
     check_bimodule_laws(out)
     return out
 
@@ -216,14 +197,7 @@ def free_left_module(op: Operad, dom_sorts: Iterable, v: SymSeq,
     """The free left module ``A o V`` on a sequence ``V``, acting through ``mu``."""
     w = op.arity_bound if window is None else window
     av = compose_symseq(op.carrier, v, max_arity=w)
-    comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
-    aa_v = compose_symseq(comp2.seq, v, max_arity=w)
-    a_av = compose_symseq(op.carrier, av.seq, max_arity=w)
-    mu = restrict_map(op.mu, comp2.seq)
-    lam = compose_maps(
-        hcompose_maps(mu, identity_map(v), aa_v, av),
-        map_inverse(associator(comp2, aa_v, av, a_av)),
-    )
+    a_av, lam = free_left_action(op, av, w)
     unit = unit_operad(ssorted(dom_sorts), max(w, 2))
     ma = compose_symseq(av.seq, unit.carrier, max_arity=w)
     out = Bimodule(op, unit, av.seq, lam, right_unitor(ma), w, a_av, ma)
@@ -239,24 +213,10 @@ def free_bimodule(left: Operad, right: Operad, v: SymSeq,
     va = compose_symseq(v, ac, max_arity=w)
     bva = compose_symseq(bc, va.seq, max_arity=w)
     carrier = bva.seq
-    comp2b = composite_of(left.comp2, bc, bc, w)
-    mu_b = restrict_map(left.mu, comp2b.seq)
-    comp2a = composite_of(right.comp2, ac, ac, w)
-    mu_a = restrict_map(right.mu, comp2a.seq)
-    b_bva = compose_symseq(bc, carrier, max_arity=w)
-    bb_va = compose_symseq(comp2b.seq, va.seq, max_arity=w)
-    lam = compose_maps(
-        hcompose_maps(mu_b, identity_map(va.seq), bb_va, bva),
-        map_inverse(associator(comp2b, bb_va, bva, b_bva)),
-    )
+    b_bva, lam = free_left_action(left, bva, w)
+    va_a, inner = free_right_action(va, right, w)  # (V o A) o A -> V o A
     bva_a = compose_symseq(carrier, ac, max_arity=w)
-    va_a = compose_symseq(va.seq, ac, max_arity=w)
     b_vaa = compose_symseq(bc, va_a.seq, max_arity=w)
-    v_aa = compose_symseq(v, comp2a.seq, max_arity=w)
-    inner = compose_maps(
-        hcompose_maps(identity_map(v), mu_a, v_aa, va),
-        associator(va, va_a, comp2a, v_aa),
-    )  # (V o A) o A -> V o A
     rho = compose_maps(
         hcompose_maps(identity_map(bc), inner, b_vaa, bva),
         associator(bva, bva_a, va_a, b_vaa),
@@ -299,7 +259,7 @@ class RelCompose:
 
 def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCompose:
     """Composite over the middle operad, by the reflexive-coequalizer quotient."""
-    if nb.right is not mb.left and nb.right.carrier.cells != mb.left.carrier.cells:
+    if not same_operad(nb.right, mb.left):
         raise InputError("middle operads do not match")
     w = min(nb.window, mb.window)
     bmid = mb.left
@@ -320,13 +280,9 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     carrier, proj = coequalize_maps(e1, e2)
     lift = {}
     for key, cm in proj.comp.items():
-        sec = {}
+        sec = lift[key] = {}
         for cls_nm, cls_rel in cm.items():
-            if cls_rel not in sec:
-                sec[cls_rel] = cls_nm
-            else:
-                sec[cls_rel] = min(sec[cls_rel], cls_nm)
-        lift[key] = sec
+            sec[cls_rel] = min(sec.get(cls_rel, cls_nm), cls_nm)
 
     # induced left action of the outer operad
     cc = nb.left.carrier
@@ -339,16 +295,11 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     chain_l = compose_maps(
         proj, compose_maps(hcompose_maps(lam_n, identity_map(m), cn_m, nm), map_inverse(asc))
     )
-    lam_comp = {}
-    for key, reps in c_q.reps.items():
-        w_, z = key
-        table = {}
-        for idx, raw in enumerate(reps):
-            mid, g, blocks, qs, sig = raw
-            lifted = tuple(lift[(b, y)][q] for b, y, q in zip(blocks, mid, qs))
-            table[idx] = chain_l.at(w_, z, c_nm.class_of(w_, z, (mid, g, blocks, lifted, sig)))
-        lam_comp[key] = table
-    lam_rel = SymSeqMap(c_q.seq, carrier, lam_comp)
+
+    def lam_fn(key, raw):
+        mid, g, blocks, qs, sig = raw
+        lifted = tuple(lift[(b, y)][q] for b, y, q in zip(blocks, mid, qs))
+        return chain_l.at(*key, c_nm.class_of(*key, (mid, g, blocks, lifted, sig)))
 
     # induced right action of the inner operad
     ac = mb.right.carrier
@@ -361,32 +312,38 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     chain_r = compose_maps(
         proj, compose_maps(hcompose_maps(identity_map(n), rho_m, n_ma, nm), asc2)
     )
-    rho_comp = {}
-    for key, reps in q_a.reps.items():
-        w_, z = key
-        table = {}
-        for idx, raw in enumerate(reps):
-            mid, q, blocks, as_, sig = raw
-            lifted = lift[(mid, z)][q]
-            table[idx] = chain_r.at(w_, z, nm_a.class_of(w_, z, (mid, lifted, blocks, as_, sig)))
-        rho_comp[key] = table
-    rho_rel = SymSeqMap(q_a.seq, carrier, rho_comp)
 
+    def rho_fn(key, raw):
+        mid, q, blocks, as_, sig = raw
+        lifted = lift[(mid, key[1])][q]
+        return chain_r.at(*key, nm_a.class_of(*key, (mid, lifted, blocks, as_, sig)))
+
+    lam_rel, rho_rel = mu_from_raws(c_q, lam_fn, carrier), mu_from_raws(q_a, rho_fn, carrier)
     out = Bimodule(nb.left, mb.right, carrier, lam_rel, rho_rel, w, c_q, q_a)
     if validate:
         check_bimodule_laws(out)
     return RelCompose(out, nm, proj, lift)
 
 
+def descend(rel: RelCompose, m: SymSeqMap, dst: SymSeq) -> SymSeqMap:
+    """The map ``rel.bimodule.carrier -> dst`` that ``m: rel.nm.seq -> dst`` induces.
+
+    ``m`` is read at the least plain class of each relative class
+    (``rel.lift``); that it coequalizes the two middle actions is not checked
+    here.
+    """
+    comp = {
+        key: {cls: m.at(*key, nm_cls) for cls, nm_cls in sec.items()}
+        for key, sec in rel.lift.items()
+    }
+    return SymSeqMap(rel.bimodule.carrier, dst, comp)
+
+
 def rel_left_unitor(mb: Bimodule, rel: Optional[RelCompose] = None):
     """Split-fork iso ``B o_B M -> M`` induced by the left action."""
     if rel is None:
         rel = relative_compose(identity_bimodule(mb.left), mb, validate=False)
-    lam = restrict_map(mb.lam, rel.nm.seq, mb.carrier)
-    comp = {}
-    for key, sec in rel.lift.items():
-        comp[key] = {cls: lam.at(*key, nm_cls) for cls, nm_cls in sec.items()}
-    out = SymSeqMap(rel.bimodule.carrier, mb.carrier, comp)
+    out = descend(rel, mb.lam, mb.carrier)
     if not out.is_bijective():
         raise ValidationError("left unit map of a relative composite failed to biject")
     return out, rel
@@ -396,11 +353,7 @@ def rel_right_unitor(mb: Bimodule, rel: Optional[RelCompose] = None):
     """Split-fork iso ``M o_A A -> M`` induced by the right action."""
     if rel is None:
         rel = relative_compose(mb, identity_bimodule(mb.right), validate=False)
-    rho = restrict_map(mb.rho, rel.nm.seq, mb.carrier)
-    comp = {}
-    for key, sec in rel.lift.items():
-        comp[key] = {cls: rho.at(*key, nm_cls) for cls, nm_cls in sec.items()}
-    out = SymSeqMap(rel.bimodule.carrier, mb.carrier, comp)
+    out = descend(rel, mb.rho, mb.carrier)
     if not out.is_bijective():
         raise ValidationError("right unit map of a relative composite failed to biject")
     return out, rel
@@ -475,27 +428,19 @@ def check_lax_monad_morphism(
     if phi.src is not bf.seq:
         phi = restrict_map(phi, bf.seq, fa.seq)
     comp2b = composite_of(b.comp2, bc, bc, w)
-    comp2a = composite_of(a.comp2, ac, ac, w)
     bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
     b_bf = compose_symseq(bc, bf.seq, max_arity=w)
     b_fa = compose_symseq(bc, fa.seq, max_arity=w)
     bf_a = compose_symseq(bf.seq, ac, max_arity=w)
-    fa_a = compose_symseq(fa.seq, ac, max_arity=w)
-    f_aa = compose_symseq(f, comp2a.seq, max_arity=w)
+    fa_a, rho = free_right_action(fa, a, w)
     mu_b = restrict_map(b.mu, comp2b.seq)
-    mu_a = restrict_map(a.mu, comp2a.seq)
     s1 = compose_maps(phi, hcompose_maps(mu_b, identity_map(f), bb_f, bf))
     step = associator(comp2b, bb_f, bf, b_bf)
     step2 = hcompose_maps(identity_map(bc), phi, b_bf, b_fa)
     step3 = map_inverse(associator(bf, bf_a, fa, b_fa))
     step4 = hcompose_maps(phi, identity_map(ac), bf_a, fa_a)
-    step5 = associator(fa, fa_a, comp2a, f_aa)
-    step6 = hcompose_maps(identity_map(f), mu_a, f_aa, fa)
-    s2 = compose_maps(
-        step6, compose_maps(step5, compose_maps(step4, compose_maps(step3, compose_maps(step2, step))))
-    )
-    if not map_equal(s1, s2):
-        _fail("lax morphism multiplication square", first_map_difference(s1, s2))
+    s2 = compose_maps(rho, compose_maps(step4, compose_maps(step3, compose_maps(step2, step))))
+    require_equal("lax morphism multiplication square", s1, s2)
     idf = compose_symseq(id_symseq(b.sorts), f, max_arity=w)
     fid = compose_symseq(f, id_symseq(a.sorts), max_arity=w)
     u1 = compose_maps(phi, hcompose_maps(b.eta, identity_map(f), idf, bf))
@@ -503,8 +448,7 @@ def check_lax_monad_morphism(
         hcompose_maps(identity_map(f), a.eta, fid, fa),
         compose_maps(right_unitor_inv(fid), left_unitor(idf)),
     )
-    if not map_equal(u1, u2):
-        _fail("lax morphism unit triangle", first_map_difference(u1, u2))
+    require_equal("lax morphism unit triangle", u1, u2)
 
 
 def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
@@ -514,14 +458,7 @@ def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
     check_lax_monad_morphism(f, a, b, phi, w)
     ac, bc = a.carrier, b.carrier
     fa = compose_symseq(f, ac, max_arity=w)
-    comp2a = composite_of(a.comp2, ac, ac, w)
-    fa_a = compose_symseq(fa.seq, ac, max_arity=w)
-    f_aa = compose_symseq(f, comp2a.seq, max_arity=w)
-    mu_a = restrict_map(a.mu, comp2a.seq)
-    rho = compose_maps(
-        hcompose_maps(identity_map(f), mu_a, f_aa, fa),
-        associator(fa, fa_a, comp2a, f_aa),
-    )
+    fa_a, rho = free_right_action(fa, a, w)
     bf = compose_symseq(bc, f, max_arity=w)
     phi = restrict_map(phi, bf.seq, fa.seq)
     b_fa = compose_symseq(bc, fa.seq, max_arity=w)
@@ -547,31 +484,15 @@ def check_oplax_monad_morphism(
     bf = compose_symseq(bc, f, max_arity=w)
     if psi.src is not fa.seq:
         psi = restrict_map(psi, fa.seq, bf.seq)
-    comp2b = composite_of(b.comp2, bc, bc, w)
-    comp2a = composite_of(a.comp2, ac, ac, w)
-    fa_a = compose_symseq(fa.seq, ac, max_arity=w)
-    f_aa = compose_symseq(f, comp2a.seq, max_arity=w)
+    fa_a, rho = free_right_action(fa, a, w)
     bf_a = compose_symseq(bf.seq, ac, max_arity=w)
     b_fa = compose_symseq(bc, fa.seq, max_arity=w)
-    b_bf = compose_symseq(bc, bf.seq, max_arity=w)
-    bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
-    mu_b = restrict_map(b.mu, comp2b.seq)
-    mu_a = restrict_map(a.mu, comp2a.seq)
-    s1 = compose_maps(
-        psi,
-        compose_maps(
-            hcompose_maps(identity_map(f), mu_a, f_aa, fa),
-            associator(fa, fa_a, comp2a, f_aa),
-        ),
-    )
+    b_bf, lam = free_left_action(b, bf, w)
     t1 = hcompose_maps(psi, identity_map(ac), fa_a, bf_a)
     t2 = associator(bf, bf_a, fa, b_fa)
     t3 = hcompose_maps(identity_map(bc), psi, b_fa, b_bf)
-    t4 = map_inverse(associator(comp2b, bb_f, bf, b_bf))
-    t5 = hcompose_maps(mu_b, identity_map(f), bb_f, bf)
-    s2 = compose_maps(t5, compose_maps(t4, compose_maps(t3, compose_maps(t2, t1))))
-    if not map_equal(s1, s2):
-        _fail("oplax morphism multiplication square", first_map_difference(s1, s2))
+    s2 = compose_maps(lam, compose_maps(t3, compose_maps(t2, t1)))
+    require_equal("oplax morphism multiplication square", compose_maps(psi, rho), s2)
     fid = compose_symseq(f, id_symseq(a.sorts), max_arity=w)
     idf = compose_symseq(id_symseq(b.sorts), f, max_arity=w)
     u1 = compose_maps(psi, hcompose_maps(identity_map(f), a.eta, fid, fa))
@@ -579,8 +500,7 @@ def check_oplax_monad_morphism(
         hcompose_maps(b.eta, identity_map(f), idf, bf),
         compose_maps(left_unitor_inv(idf), right_unitor(fid)),
     )
-    if not map_equal(u1, u2):
-        _fail("oplax morphism unit triangle", first_map_difference(u1, u2))
+    require_equal("oplax morphism unit triangle", u1, u2)
 
 
 def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
@@ -590,14 +510,7 @@ def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
     check_oplax_monad_morphism(f, a, b, psi, w)
     ac, bc = a.carrier, b.carrier
     bf = compose_symseq(bc, f, max_arity=w)
-    comp2b = composite_of(b.comp2, bc, bc, w)
-    b_bf = compose_symseq(bc, bf.seq, max_arity=w)
-    bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
-    mu_b = restrict_map(b.mu, comp2b.seq)
-    lam = compose_maps(
-        hcompose_maps(mu_b, identity_map(f), bb_f, bf),
-        map_inverse(associator(comp2b, bb_f, bf, b_bf)),
-    )
+    b_bf, lam = free_left_action(b, bf, w)
     fa = compose_symseq(f, ac, max_arity=w)
     psi = restrict_map(psi, fa.seq, bf.seq)
     bf_a = compose_symseq(bf.seq, ac, max_arity=w)
@@ -645,9 +558,7 @@ def _check_triangles(adj: BimAdjunction) -> None:
     asc = rel_associator(adj.fg, fg_f, adj.gf, f_gf)
     m2 = rel_hcompose(adj.counit, identity_map(f.carrier), fg_f, id_f)
     tri1 = compose_maps(l_f, compose_maps(m2, compose_maps(map_inverse(asc), m1)))
-    lhs = compose_maps(tri1, map_inverse(r_f))
-    if not map_equal(lhs, identity_map(f.carrier)):
-        _fail("first triangle identity", first_map_difference(lhs, identity_map(f.carrier)))
+    require_equal("first triangle identity", compose_maps(tri1, map_inverse(r_f)), identity_map(f.carrier))
     # (eta U) ; assoc ; (U eps) == unitors, as maps U -> U
     id_u = relative_compose(identity_bimodule(a), u, validate=False)
     gf_u = relative_compose(adj.gf.bimodule, u, validate=False)
@@ -659,9 +570,7 @@ def _check_triangles(adj: BimAdjunction) -> None:
     asc2 = rel_associator(adj.gf, gf_u, adj.fg, u_fg)
     n2 = rel_hcompose(identity_map(u.carrier), adj.counit, u_fg, u_id)
     tri2 = compose_maps(r_u, compose_maps(n2, compose_maps(asc2, n1)))
-    lhs2 = compose_maps(tri2, map_inverse(l_u))
-    if not map_equal(lhs2, identity_map(u.carrier)):
-        _fail("second triangle identity", first_map_difference(lhs2, identity_map(u.carrier)))
+    require_equal("second triangle identity", compose_maps(tri2, map_inverse(l_u)), identity_map(u.carrier))
 
 
 def adjunction_from_operad(op: Operad) -> BimAdjunction:
@@ -676,20 +585,10 @@ def adjunction_from_operad(op: Operad) -> BimAdjunction:
     check_bimodule_laws(forg)
     gf = relative_compose(forg, free, validate=False)   # A o_A A
     fg = relative_compose(free, forg, validate=False)   # A o_1 A
-    # unit: Id -> A o_A A through eta and the split-fork section
-    mu_res = restrict_map(op.mu, gf.nm.seq, a)
-    qbar = {}
-    for key, sec in gf.lift.items():
-        qbar[key] = {cls: mu_res.at(*key, nm_cls) for cls, nm_cls in sec.items()}
-    qbar_map = SymSeqMap(gf.bimodule.carrier, a, qbar)
-    unit_map = compose_maps(map_inverse(qbar_map), op.eta)
+    # unit: Id -> A o_A A through eta and the inverse of the map mu induces
+    unit_map = compose_maps(map_inverse(descend(gf, op.mu, a)), op.eta)
     # counit: A o_1 A -> A through mu
-    mu_res2 = restrict_map(op.mu, fg.nm.seq, a)
-    counit = {}
-    for key, sec in fg.lift.items():
-        counit[key] = {cls: mu_res2.at(*key, nm_cls) for cls, nm_cls in sec.items()}
-    counit_map = SymSeqMap(fg.bimodule.carrier, a, counit)
-    adj = BimAdjunction(free, forg, unit_map, counit_map, gf, fg)
+    adj = BimAdjunction(free, forg, unit_map, descend(fg, op.mu, a), gf, fg)
     _check_triangles(adj)
     return adj
 
@@ -711,8 +610,7 @@ def check_sym_adjunction(f: SymSeq, u: SymSeq, eta: SymSeqMap, eps: SymSeqMap, w
         left_unitor(id_f),
         compose_maps(m2, compose_maps(map_inverse(asc), compose_maps(m1, right_unitor_inv(f_id)))),
     )
-    if not map_equal(tri1, identity_map(f)):
-        _fail("Sym adjunction triangle (left)", first_map_difference(tri1, identity_map(f)))
+    require_equal("Sym adjunction triangle (left)", tri1, identity_map(f))
     u_id = compose_symseq(u, id_symseq(u.dom), max_arity=w)
     id_u = compose_symseq(id_symseq(u.cod), u, max_arity=w)
     uf_u = compose_symseq(uf.seq, u, max_arity=w)
@@ -724,8 +622,7 @@ def check_sym_adjunction(f: SymSeq, u: SymSeq, eta: SymSeqMap, eps: SymSeqMap, w
         right_unitor(u_id),
         compose_maps(n2, compose_maps(asc2, compose_maps(n1, left_unitor_inv(id_u)))),
     )
-    if not map_equal(tri2, identity_map(u)):
-        _fail("Sym adjunction triangle (right)", first_map_difference(tri2, identity_map(u)))
+    require_equal("Sym adjunction triangle (right)", tri2, identity_map(u))
 
 
 def transport_adjunction(
@@ -794,30 +691,17 @@ def transport_adjunction(
     gf = relative_compose(gprime, fprime, validate=False)
     fg = relative_compose(fprime, gprime, validate=False)
 
-    # collapse (U o B) o (B o F) -> U o (B o F) with the middle multiplication
-    ub_bf = gf.nm  # compose(gprime.carrier, fprime.carrier)
-    comp2b = composite_of(b.comp2, bc, bc, w)
-    mu_b = restrict_map(b.mu, comp2b.seq)
-    b_bf = compose_symseq(bc, bf.seq, max_arity=w)
+    # unit: (U o B) o (B o F) -> U o (B o F) multiplies the middle, and descends
+    b_bf, collapse = free_left_action(b, bf, w)  # B o (B o F) -> B o F
     u_b_bf = compose_symseq(u, b_bf.seq, max_arity=w)
-    bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
-    collapse_inner = compose_maps(
-        hcompose_maps(mu_b, identity_map(f), bb_f, bf),
-        map_inverse(associator(comp2b, bb_f, bf, b_bf)),
-    )  # B o (B o F) -> B o F
     m = compose_maps(
-        hcompose_maps(identity_map(u), collapse_inner, u_b_bf, u_bf),
-        associator(ub, ub_bf, b_bf, u_b_bf),
-    )  # (U o B) o (B o F) -> U o (B o F)
-    mbar_comp = {
-        key: {cls: m.at(*key, nm_cls) for cls, nm_cls in sec.items()}
-        for key, sec in gf.lift.items()
-    }
-    mbar = SymSeqMap(gf.bimodule.carrier, u_bf.seq, mbar_comp)
-    unit_map = compose_maps(map_inverse(mbar), xi)
+        hcompose_maps(identity_map(u), collapse, u_b_bf, u_bf),
+        associator(ub, gf.nm, b_bf, u_b_bf),
+    )
+    unit_map = compose_maps(map_inverse(descend(gf, m, u_bf.seq)), xi)
 
-    # sigma: (B o F) o (U o B) -> B, descending to the counit
-    bf_ub = fg.nm
+    # counit: sigma: (B o F) o (U o B) -> B descends
+    comp2b = composite_of(b.comp2, bc, bc, w)
     f_ub = compose_symseq(f, ub.seq, max_arity=w)
     b_fub = compose_symseq(bc, f_ub.seq, max_arity=w)
     fu_b = compose_symseq(fu.seq, bc, max_arity=w)
@@ -828,21 +712,16 @@ def transport_adjunction(
         map_inverse(associator(fu, fu_b, ub, f_ub)),
     )  # F o (U o B) -> Id o B
     sigma = compose_maps(
-        mu_b,
+        restrict_map(b.mu, comp2b.seq),
         compose_maps(
             hcompose_maps(identity_map(bc), left_unitor(id_b), b_idb, comp2b),
             compose_maps(
                 hcompose_maps(identity_map(bc), inner2, b_fub, b_idb),
-                associator(bf, bf_ub, f_ub, b_fub),
+                associator(bf, fg.nm, f_ub, b_fub),
             ),
         ),
     )
-    counit_comp = {
-        key: {cls: sigma.at(*key, nm_cls) for cls, nm_cls in sec.items()}
-        for key, sec in fg.lift.items()
-    }
-    counit_map = SymSeqMap(fg.bimodule.carrier, bc, counit_comp)
-    adj = BimAdjunction(fprime, gprime, unit_map, counit_map, gf, fg)
+    adj = BimAdjunction(fprime, gprime, unit_map, descend(fg, sigma, bc), gf, fg)
     _check_triangles(adj)
     return adj
 
@@ -913,7 +792,7 @@ def u_lower_circ(phi: OperadMorphism) -> Bimodule:
 def restriction(phi: OperadMorphism, nb: Bimodule) -> Bimodule:
     """Pull a left dst-module back to a left src-module along the morphism."""
     a, b, u = phi.src, phi.dst, phi.u
-    if nb.left is not b and nb.left.carrier.cells != b.carrier.cells:
+    if not same_operad(nb.left, b):
         raise InputError("module is not a left module over the morphism target")
     n = nb.carrier
     carrier = SymSeq(n.dom, a.sorts, pulled_back_outputs(n.cells, u, a.sorts))
@@ -955,6 +834,20 @@ def _all_young_structures(w: Word, size: int):
     return out
 
 
+def _action_choices(om: Composite, carrier: SymSeq):
+    """Per cell of ``om``, the equivariant maps into ``carrier``; ``None`` if a non-empty cell has none."""
+    choices = []
+    for key in sorted(om.seq.cells, key=lambda k: (len(k[0]), skey(k))):
+        cell, tgt = om.seq.cells[key], carrier.cell(*key)
+        if tgt is None and cell.size == 0:
+            continue
+        maps = enumerate_equivariant_maps(cell, tgt) if tgt is not None else []
+        if not maps:
+            return None
+        choices.append((key, maps))
+    return choices
+
+
 def enumerate_bimodules(
     a: Operad,
     b: Operad,
@@ -979,34 +872,9 @@ def enumerate_bimodules(
         w_bound = min(a.arity_bound, b.arity_bound)
         bm = compose_symseq(b.carrier, carrier, max_arity=w_bound)
         ma = compose_symseq(carrier, a.carrier, max_arity=w_bound)
-        lam_choices, rho_choices = [], []
-        ok = True
-        for key in sorted(bm.seq.cells, key=lambda k: (len(k[0]), skey(k))):
-            tgt = carrier.cell(*key)
-            if tgt is None:
-                ok = bm.seq.cells[key].size == 0
-                if not ok:
-                    break
-                continue
-            maps = enumerate_equivariant_maps(bm.seq.cells[key], tgt)
-            if not maps:
-                ok = False
-                break
-            lam_choices.append((key, maps))
-        if ok:
-            for key in sorted(ma.seq.cells, key=lambda k: (len(k[0]), skey(k))):
-                tgt = carrier.cell(*key)
-                if tgt is None:
-                    ok = ma.seq.cells[key].size == 0
-                    if not ok:
-                        break
-                    continue
-                maps = enumerate_equivariant_maps(ma.seq.cells[key], tgt)
-                if not maps:
-                    ok = False
-                    break
-                rho_choices.append((key, maps))
-        if not ok:
+        lam_choices = _action_choices(bm, carrier)
+        rho_choices = None if lam_choices is None else _action_choices(ma, carrier)
+        if lam_choices is None or rho_choices is None:
             continue
         space = 1
         for _k, ms in lam_choices + rho_choices:

@@ -67,7 +67,7 @@ from .symseq import (
     map_inverse,
     sum_symseq,
 )
-from .operads import Operad, make_operad
+from .operads import Operad, make_operad, mu_from_raws
 
 Arrow = tuple  # (perm images, component arrow ids indexed by target position)
 
@@ -1261,13 +1261,12 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
 
 def _operad_mu(op: Operad, comp2: Composite, target: CatSymSeq) -> SymSeqMap:
     """The multiplication of ``op`` on its embedded composite ``comp2``."""
-    comp = {}
-    for key, reps in comp2.reps.items():
-        comp[key] = {
-            idx: op.mu.at(*key, op.comp2.class_of(*key, (mid, g, blocks, fs, arr[0])))
-            for idx, (mid, g, blocks, fs, arr) in enumerate(reps)
-        }
-    return SymSeqMap(comp2.seq, target, comp)
+
+    def fn(key, raw):
+        mid, g, blocks, fs, arr = raw
+        return op.mu.at(*key, op.comp2.class_of(*key, (mid, g, blocks, fs, arr[0])))
+
+    return mu_from_raws(comp2, fn, target)
 
 
 def _untranspose_map(on_t: SymSeqMap, src: CatSymSeq, dst: CatSymSeq, x: FinGroupoid) -> SymSeqMap:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .perms import InputError, ValidationError, YoungSet, skey, ssorted, stab_gens
-from .symseq import Family, SymSeq, SymSeqMap, compose_symseq, left_unitor, right_unitor
+from .symseq import Family, SymSeq, compose_symseq, left_unitor, right_unitor
 from .operads import (
     Algebra,
     Operad,
@@ -23,6 +23,7 @@ from .operads import (
     magma_operad,
     make_algebra,
     make_operad,
+    mu_from_raws,
     presented_operad,
     terminal_operad,
     unit_operad,
@@ -438,33 +439,13 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
             raise InputError("induced left action requires a unit operad")
         lam = left_unitor(bm)
     else:
-        lam = SymSeqMap(
-            bm.seq,
-            carrier,
-            {
-                key: {
-                    idx: lam_table[(key[0], key[1], raw)]
-                    for idx, raw in enumerate(reps)
-                }
-                for key, reps in bm.reps.items()
-            },
-        )
+        lam = mu_from_raws(bm, lambda key, raw: lam_table[(*key, raw)], carrier)
     if rho_table is None:
         if not right.is_unit_operad():
             raise InputError("induced right action requires a unit operad")
         rho = right_unitor(ma)
     else:
-        rho = SymSeqMap(
-            ma.seq,
-            carrier,
-            {
-                key: {
-                    idx: rho_table[(key[0], key[1], raw)]
-                    for idx, raw in enumerate(reps)
-                }
-                for key, reps in ma.reps.items()
-            },
-        )
+        rho = mu_from_raws(ma, lambda key, raw: rho_table[(*key, raw)], carrier)
     out = Bimodule(left, right, carrier, lam, rho, window, bm, ma)
     check_bimodule_laws(out)
     return out

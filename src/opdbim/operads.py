@@ -4,7 +4,10 @@ An operad carries an explicit multiplication ``mu`` defined on the
 materialized composite of its carrier with itself and a unit ``eta`` from the
 identity sequence.  Monad laws are verified by exhaustive comparison of
 2-cells on every composite cell of arity at most the operad's window; a
-failure reports the first offending cell and label.  Every builder in this
+failure reports the first offending cell and label.  The associativity and
+unit laws of an action are checked in one place, ``check_action_laws``: the
+monad laws are the operad's left action on its own carrier plus the right
+unit law, and a bimodule runs it once per side.  Every builder in this
 module law-checks what it builds; there is no switch to skip it.
 
 Change of base along a sort map ``u`` is written once: ``pulled_back_cells``
@@ -52,12 +55,15 @@ from .symseq import (
     associator,
     compose_maps,
     compose_symseq,
+    composite_of,
     first_map_difference,
     hcompose_maps,
     id_symseq,
     identity_map,
     left_unitor,
     map_equal,
+    require_equal,
+    restrict_map,
     right_unitor,
 )
 
@@ -89,12 +95,13 @@ class Operad:
         )
 
 
-def mu_from_raws(comp2: Composite, fn: Callable) -> SymSeqMap:
-    """Build the multiplication from a function on class representatives."""
-    comp = {}
-    for key, reps in comp2.reps.items():
-        comp[key] = {idx: fn(key, raw) for idx, raw in enumerate(reps)}
-    return SymSeqMap(comp2.seq, comp2.outer, comp)
+def mu_from_raws(comp: Composite, fn: Callable, target) -> SymSeqMap:
+    """The map ``comp.seq -> target`` given by ``fn(key, raw)`` on class representatives."""
+    return SymSeqMap(
+        comp.seq,
+        target,
+        {key: {idx: fn(key, raw) for idx, raw in enumerate(reps)} for key, reps in comp.reps.items()},
+    )
 
 
 def make_operad(
@@ -114,7 +121,7 @@ def make_operad(
     reduced = all(len(w) > 0 for (w, _x) in carrier.cells)
     ident = id_symseq(sorts)
     comp2 = compose_symseq(carrier, carrier, max_arity=arity_bound)
-    mu = mu_from_raws(comp2, mu_fn)
+    mu = mu_from_raws(comp2, mu_fn, carrier)
     eta = SymSeqMap(
         ident,
         carrier,
@@ -126,33 +133,59 @@ def make_operad(
 
 
 def check_monad_laws(op: Operad) -> None:
-    n = op.arity_bound
-    a = op.carrier
+    """The operad's left action on its own carrier, then the right unit law."""
     op.mu.validate()
     op.eta.validate()
-    comp2 = op.comp2
-    comp3l = compose_symseq(comp2.seq, a, max_arity=n)
-    comp3r = compose_symseq(a, comp2.seq, max_arity=n)
-    assoc = associator(comp2, comp3l, comp2, comp3r)
-    ida = identity_map(a)
-    lhs = compose_maps(op.mu, hcompose_maps(op.mu, ida, comp3l, comp2))
-    rhs = compose_maps(op.mu, compose_maps(hcompose_maps(ida, op.mu, comp3r, comp2), assoc))
-    diff = None if map_equal(lhs, rhs) else first_map_difference(lhs, rhs)
-    if diff is not None:
-        key, lab, va, vb = diff
-        raise ValidationError(
-            f"associativity fails at cell {key}, class {lab!r}: {va!r} != {vb!r}"
-        )
-    id_a = compose_symseq(op.ident, a, max_arity=n)
-    a_id = compose_symseq(a, op.ident, max_arity=n)
-    lu = compose_maps(op.mu, hcompose_maps(op.eta, ida, id_a, comp2))
-    if not map_equal(lu, left_unitor(id_a)):
-        key, lab, va, vb = first_map_difference(lu, left_unitor(id_a))
-        raise ValidationError(f"left unit law fails at cell {key}, class {lab!r}")
-    ru = compose_maps(op.mu, hcompose_maps(ida, op.eta, a_id, comp2))
-    if not map_equal(ru, right_unitor(a_id)):
-        key, lab, va, vb = first_map_difference(ru, right_unitor(a_id))
-        raise ValidationError(f"right unit law fails at cell {key}, class {lab!r}")
+    n = op.arity_bound
+    check_action_laws(op, op.mu, op.comp2, n, True, ("associativity", "left unit law"))
+    _check_unit_law(op, op.mu, op.comp2, n, False, "right unit law")
+
+
+def _in_order(left: bool, p, q) -> tuple:
+    """``(p, q)`` for a left action and ``(q, p)`` for a right one: ``p`` is the operad's side."""
+    return (p, q) if left else (q, p)
+
+
+def check_action_laws(op: Operad, act: SymSeqMap, om: Composite, w: int, left: bool, laws: tuple) -> None:
+    """Associativity and unit of an action of ``op`` up to arity ``w``; ``laws`` names the two.
+
+    ``act`` maps ``om.seq`` to ``M``, where ``om`` is ``op o M`` for a left
+    action (``left``) and ``M o op`` for a right one.  Associativity compares,
+    on the left bracketing ``(op o op) o M`` or ``(M o op) o op``, ``act``
+    after its inner step there (``mu o id`` or ``act o id``) with ``act``
+    after the associator and the inner step of the right bracketing
+    (``id o act`` or ``id o mu``).  A failure names the law, the first
+    differing cell and class, and both values.
+    """
+    m = om.inner if left else om.outer
+    comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
+    oo_m = compose_symseq(*_in_order(left, comp2.seq, m), max_arity=w)
+    o_om = compose_symseq(*_in_order(left, op.carrier, om.seq), max_arity=w)
+    by_mu = hcompose_maps(*_in_order(left, restrict_map(op.mu, comp2.seq), identity_map(m)), oo_m, om)
+    by_act = hcompose_maps(*_in_order(left, identity_map(op.carrier), act), o_om, om)
+    if left:
+        lhs, rhs = by_mu, compose_maps(by_act, associator(comp2, oo_m, om, o_om))
+    else:
+        lhs, rhs = by_act, compose_maps(by_mu, associator(om, o_om, comp2, oo_m))
+    require_equal(laws[0], compose_maps(act, lhs), compose_maps(act, rhs))
+    _check_unit_law(op, act, om, w, left, laws[1])
+
+
+def _check_unit_law(op: Operad, act: SymSeqMap, om: Composite, w: int, left: bool, law: str) -> None:
+    """``act`` after ``eta`` is the unitor of ``Id o M`` (``left``) or ``M o Id``."""
+    m = om.inner if left else om.outer
+    i_m = compose_symseq(*_in_order(left, op.ident, m), max_arity=w)
+    unit = compose_maps(act, hcompose_maps(*_in_order(left, op.eta, identity_map(m)), i_m, om))
+    require_equal(law, unit, left_unitor(i_m) if left else right_unitor(i_m))
+
+
+def same_operad(p: Operad, q: Operad) -> bool:
+    """One operad: ``p is q``, or equal cells and units and equal ``mu`` on every cell both hold."""
+    if p is q:
+        return True
+    if p.carrier.cells != q.carrier.cells or p.eta.comp != q.eta.comp:
+        return False
+    return all(p.mu.comp[k] == q.mu.comp[k] for k in p.mu.comp.keys() & q.mu.comp.keys())
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,22 @@ def map_equal(a: SymSeqMap, b: SymSeqMap) -> bool:
     return next(_label_differences(a, b, a.src.cells), None) is None
 
 
+def require_equal(law: str, a: SymSeqMap, b: SymSeqMap) -> None:
+    """``ValidationError`` naming ``law``, the first cell and class where ``a`` and ``b`` differ, and both values."""
+    if not map_equal(a, b):
+        key, lab, va, vb = first_map_difference(a, b)
+        raise ValidationError(f"{law} fails at cell {key}, class {lab!r}: {va!r} != {vb!r}")
+
+
+def restrict_map(m: SymSeqMap, new_src: SymSeq, new_dst: Optional[SymSeq] = None) -> SymSeqMap:
+    """Re-key a 2-cell onto a smaller (re-capped) source composite.
+
+    ``m`` must hold every cell of ``new_src``; a missing one is a ``ValidationError``.
+    """
+    comp = {k: m.cell(*k) for k in new_src.cells}
+    return SymSeqMap(new_src, new_dst if new_dst is not None else m.dst, comp)
+
+
 def map_inverse(m: SymSeqMap) -> SymSeqMap:
     if not m.is_bijective():
         raise ValidationError("cannot invert a non-bijective map")
@@ -318,11 +334,14 @@ class Composite:
         """Class of ``raw``; a raw outside the composite is a law failure."""
         table = self.cls.get((w, y))
         if table is not None:
-            idx = table.get(raw)
-            if idx is None:
-                idx = table.get(self.canon(w, y, raw))
-                if idx is not None:
-                    table[raw] = idx
+            try:
+                idx = table.get(raw)
+                if idx is None:
+                    idx = table.get(self.canon(w, y, raw))
+                    if idx is not None:
+                        table[raw] = idx
+            except TypeError:  # a list or other unhashable part: a raw of no cell
+                idx = None
             if idx is not None:
                 return idx
         raise ValidationError(f"composite undefined at cell {(w, y)!r}, raw {raw!r}")

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from opdbim.perms import Perm, ValidationError, YoungSet, canonical_word
+from opdbim.perms import InputError, Perm, ValidationError, YoungSet, canonical_word
 from opdbim.symseq import (
     Family,
     SymSeq,
@@ -16,7 +16,14 @@ from opdbim.symseq import (
     iso_symseq,
     map_equal,
 )
-from opdbim.operads import com_operad, unit_operad, operad_morphism, enumerate_algebras
+from opdbim.operads import (
+    com_operad,
+    enumerate_algebras,
+    identity_morphism,
+    make_operad,
+    operad_morphism,
+    unit_operad,
+)
 from opdbim.bimodules import (
     BimAdjunction,
     Bimodule,
@@ -35,6 +42,7 @@ from opdbim.bimodules import (
     free_left_module,
     identity_bimodule,
     left_module,
+    make_bimodule,
     rel_associator,
     rel_hcompose,
     rel_left_unitor,
@@ -468,3 +476,82 @@ def test_restrict_map_names_a_cell_the_map_lacks():
     # for a cell of com o com that mu does not hold; it used to be a bare KeyError
     with pytest.raises(ValidationError, match=re.escape(f"map undefined at cell {((STAR,) * 3, STAR)!r}")):
         free_left_module(com_operad(2), (STAR,), id_symseq((STAR,)), window=3)
+
+
+# --- one unary cell: each law failure names its law ----------------------------
+
+
+def _unary_operad(mul):
+    """Labels ``{e, a}`` on one unary cell, unit ``e``, ``mul(outer, inner)``."""
+    carrier = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("e", "a"))})
+    return make_operad(carrier, lambda key, raw: mul(raw[1], raw[3][0]), {STAR: "e"}, 1)
+
+
+def _z2():
+    return _unary_operad(lambda g, f: "e" if g == f else "a")  # a.a = e
+
+
+def _j():
+    return _unary_operad(lambda g, f: "a" if "a" in (g, f) else "e")  # a.a = a
+
+
+def _unary_bimodule(left, right, lam, rho):
+    """Labels ``{p, q}`` on one unary cell; ``lam(b, x)`` and ``rho(x, a)`` act on them."""
+    carrier = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("p", "q"))})
+    return make_bimodule(
+        left, right, carrier,
+        lambda key, raw: lam(raw[1], raw[3][0]),
+        lambda key, raw: rho(raw[1], raw[3][0]),
+    )
+
+
+def _unit():
+    return unit_operad((STAR,), 1)
+
+
+def _keep(b, x):
+    return x
+
+
+def test_constant_multiplication_fails_the_operad_left_unit_law():
+    with pytest.raises(ValidationError, match=r"^left unit law fails at cell"):
+        _unary_operad(lambda g, f: "a")  # associative, but e.e = a
+
+
+def test_keeping_the_inner_label_fails_the_operad_right_unit_law():
+    with pytest.raises(ValidationError, match=r"^right unit law fails at cell"):
+        _unary_operad(lambda g, f: f)  # associative and e.x = x, but a.e = e
+
+
+def test_constant_left_action_fails_the_left_action_unit():
+    with pytest.raises(ValidationError, match=r"^left action unit fails at cell"):
+        _unary_bimodule(_z2(), _unit(), lambda b, x: "p", lambda x, a: x)
+
+
+def test_constant_right_action_fails_the_right_action_unit():
+    with pytest.raises(ValidationError, match=r"^right action unit fails at cell"):
+        _unary_bimodule(_unit(), _z2(), _keep, lambda x, a: "p")
+
+
+def test_lawful_actions_that_do_not_commute_fail_commuting_actions():
+    def swap(b, x):
+        return {"p": "q", "q": "p"}[x] if b == "a" else x
+
+    def to_p(x, a):
+        return "p" if a == "a" else x
+
+    _unary_bimodule(_z2(), _unit(), swap, lambda x, a: x)
+    _unary_bimodule(_unit(), _j(), _keep, to_p)
+    with pytest.raises(ValidationError, match=r"^commuting actions fails at cell"):
+        _unary_bimodule(_z2(), _j(), swap, to_p)
+
+
+def test_middle_operads_on_equal_cells_but_other_products_are_refused():
+    # Z2 and J share their one cell {e, a} and differ only in a.a
+    z2, j = _z2(), _j()
+    assert z2.carrier.cells == j.carrier.cells
+    with pytest.raises(InputError, match="middle operads do not match"):
+        relative_compose(identity_bimodule(z2), identity_bimodule(j))
+    with pytest.raises(InputError, match="not a left module over the morphism target"):
+        restriction(identity_morphism(z2), identity_bimodule(j))
+    relative_compose(identity_bimodule(z2), identity_bimodule(z2))

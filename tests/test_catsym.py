@@ -453,3 +453,16 @@ def test_sw_arrows_memo_is_per_groupoid():
     assert sw_arrows(iso, ("p",), ("p",)) == (((0,), ("ip",)),)
     # the memo is not a field: filling it leaves equality alone
     assert disc == FinGroupoid.discrete(("p", "q"))
+
+
+def test_cat_class_of_names_the_cell_and_an_unhashable_raw():
+    # the categorical twin of the plain composite: a raw holding a list is no raw
+    c = cat_from_symseq(com_operad(2).carrier)
+    comp = cat_compose(c, c, max_arity=2)
+    key = next(k for k in comp.reps if len(k[0]) == 2)
+    mid, g, blocks, fs, arr = comp.reps[key][0]
+    assert comp.class_of(*key, (mid, g, blocks, fs, arr)) == 0
+    raw = (mid, g, blocks, fs, list(arr))
+    with pytest.raises(ValidationError) as err:
+        comp.class_of(*key, raw)
+    assert repr(key) in str(err.value) and repr(raw) in str(err.value)

@@ -580,7 +580,7 @@ def test_class_of_names_the_cell_and_the_raw_it_refuses():
     _class_of_error(comp, w, y, ((STAR, STAR), 7, ((STAR,), (STAR,)), (0, 0), (0, 1)))
     _class_of_error(comp, w, y, ((STAR, STAR), 0, ((STAR,), (STAR,)), (0, "x"), (0, 1)))
     # a sig that is not an arrow w -> concat
-    for sig in ((0, 0), (0, 1, 2), (0,), (0, 2), ("a", "b")):
+    for sig in ((0, 0), (0, 1, 2), (0,), (0, 2), ("a", "b"), [1, 0]):
         _class_of_error(comp, w, y, ((STAR, STAR), 0, ((STAR,), (STAR,)), (0, 0), sig))
     # a block outside the inner support, and blocks that do not fit the middle word
     _class_of_error(comp, w, y, ((STAR,), 0, ((STAR, STAR, STAR, STAR),), (0,), (0, 1)))
