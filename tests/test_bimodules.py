@@ -555,3 +555,54 @@ def test_middle_operads_on_equal_cells_but_other_products_are_refused():
     with pytest.raises(InputError, match="not a left module over the morphism target"):
         restriction(identity_morphism(z2), identity_bimodule(j))
     relative_compose(identity_bimodule(z2), identity_bimodule(z2))
+
+
+# --- (op)lax morphism and Sym adjunction laws: each failure names its law --------
+
+
+CELL = re.escape(str(((STAR,), STAR)))  # the one unary cell, as a failure prints it
+
+
+def _unary_twist(op, label_map, lax):
+    """``phi: B o F -> F o A`` (``lax``) or ``psi: F o A -> B o F`` for ``F = Id``, ``A = B = op``.
+
+    It reads the ``op`` label through the unitors and sends it along ``label_map``.
+    """
+    from opdbim.symseq import left_unitor, left_unitor_inv, right_unitor, right_unitor_inv
+
+    f = id_symseq((STAR,))
+    bf = compose_symseq(op.carrier, f, max_arity=1)
+    fa = compose_symseq(f, op.carrier, max_arity=1)
+    twist = SymSeqMap(op.carrier, op.carrier, {((STAR,), STAR): label_map})
+    if lax:
+        return f, compose_maps(left_unitor_inv(fa), compose_maps(twist, right_unitor(bf)))
+    return f, compose_maps(right_unitor_inv(bf), compose_maps(twist, left_unitor(fa)))
+
+
+@pytest.mark.parametrize("builder, lax, law", [
+    (bimodule_of_lax, True, "lax morphism"),
+    (bimodule_of_oplax, False, "oplax morphism"),
+])
+def test_morphism_laws_are_named(builder, lax, law):
+    z2, j = _z2(), _j()
+    f, keep = _unary_twist(z2, {"e": "e", "a": "a"}, lax)
+    builder(f, z2, z2, keep, window=1)
+    f, swap = _unary_twist(z2, {"e": "a", "a": "e"}, lax)
+    with pytest.raises(ValidationError, match=rf"^{law} multiplication square fails at cell {CELL}, class 0: 1 != 0$"):
+        builder(f, z2, z2, swap, window=1)
+    # a.a = a in J, so the constant map at a commutes with mu but not with eta
+    f, const = _unary_twist(j, {"e": "a", "a": "a"}, lax)
+    with pytest.raises(ValidationError, match=rf"^{law} unit triangle fails at cell {CELL}, class 0: 1 != 0$"):
+        builder(f, j, j, const, window=1)
+
+
+def test_sym_adjunction_left_triangle_is_named():
+    f = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("p", "q"))})
+    ff = compose_symseq(f, f, max_arity=1)
+    ident = id_symseq((STAR,))
+    eta = SymSeqMap(ident, ff.seq, {((STAR,), STAR): {("id", STAR): 0}})
+    eps = SymSeqMap(ff.seq, ident, {k: {c: ("id", STAR) for c in cell.labels} for k, cell in ff.seq.cells.items()})
+    unit = _unit()
+    law = r"^Sym adjunction triangle \(left\) fails at cell "
+    with pytest.raises(ValidationError, match=law + CELL + r", class 'q': 'p' != 'q'$"):
+        transport_adjunction(f, f, eta, eps, unit, unit, identity_map(unit.carrier), window=1)
