@@ -2,18 +2,23 @@
 
 A ``(B, A)``-bimodule is a symmetric sequence between the sort sets of two
 operads together with a left ``B``-action and a right ``A``-action that
-commute.  :func:`check_bimodule_laws` runs the one action-law check,
-:func:`.operads.check_action_laws`, once per side and then checks that the
-actions commute.  The free actions through ``mu`` are written once:
+commute.  :func:`bimodule_laws` builds the composites these laws read once per
+carrier and returns the check of a pair of actions on them: the one
+action-law check, :func:`.operads.action_laws`, once per side, and then that
+the actions commute.  :func:`check_bimodule_laws` runs it on one bimodule;
+enumeration checks every candidate pair of actions against one set of
+composites per carrier.  The free actions through ``mu`` are written once:
 :func:`free_left_action` on ``B o (B o F)`` and :func:`free_right_action` on
 ``(F o A) o A``; the free bimodule, the free left module and the bimodules of
-lax and oplax monad morphisms are built from them.  Relative composition
-quotients the plain composite by the two middle actions; a map out of the
-plain composite that coequalizes them induces the map out of the relative
-composite (:func:`descend`), which gives both unit isomorphisms (split-fork
-bijections) and the units and counits of the adjunctions.  The associator
-regroups representatives.  All laws are checked cell by cell within the
-smallest arity window of the participants.
+lax and oplax monad morphisms are built from them.  Those two builders check
+the morphism square and unit triangle, and :func:`transport_adjunction` the
+triangle identities in Sym, on the composites they build the structure from.
+Relative composition quotients the plain composite by the two middle actions;
+a map out of the plain composite that coequalizes them induces the map out of
+the relative composite (:func:`descend`), which gives both unit isomorphisms
+(split-fork bijections) and the units and counits of the adjunctions.  The
+associator regroups representatives.  All laws are checked cell by cell
+within the smallest arity window of the participants.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .operads import (
     Algebra,
     Operad,
     OperadMorphism,
-    check_action_laws,
+    action_laws,
     mu_from_raws,
     pulled_back_cells,
     pulled_back_outputs,
@@ -109,21 +114,35 @@ def make_bimodule(
 
 
 def check_bimodule_laws(b: Bimodule) -> None:
-    """Each action is lawful (:func:`.operads.check_action_laws`), and the two commute."""
-    w = b.window
-    bc, ac = b.left.carrier, b.right.carrier
-    b.lam.validate()
-    b.rho.validate()
-    check_action_laws(b.left, b.lam, b.bm, w, True, ("left action associativity", "left action unit"))
-    check_action_laws(b.right, b.rho, b.ma, w, False, ("right action associativity", "right action unit"))
-    bm_a = compose_symseq(b.bm.seq, ac, max_arity=w)
-    b_ma = compose_symseq(bc, b.ma.seq, max_arity=w)
-    asc = associator(b.bm, bm_a, b.ma, b_ma)
-    path1 = compose_maps(b.rho, hcompose_maps(b.lam, identity_map(ac), bm_a, b.ma))
-    path2 = compose_maps(
-        b.lam, compose_maps(hcompose_maps(identity_map(bc), b.rho, b_ma, b.bm), asc)
-    )
-    require_equal("commuting actions", path1, path2)
+    """Each action is lawful (:func:`.operads.action_laws`), and the two commute."""
+    bimodule_laws(b.left, b.right, b.bm, b.ma, b.window)(b.lam, b.rho)
+
+
+def bimodule_laws(left: Operad, right: Operad, bm: Composite, ma: Composite, w: int) -> Callable:
+    """The check of actions ``lam: bm.seq -> M`` and ``rho: ma.seq -> M`` on one carrier ``M``.
+
+    The composites the laws read, and the maps on them that read neither
+    action, are built here once; the returned ``check(lam, rho)`` runs each
+    action's laws and then checks that the two commute.
+    """
+    bc, ac = left.carrier, right.carrier
+    left_laws = action_laws(left, bm, w, True, ("left action associativity", "left action unit"))
+    right_laws = action_laws(right, ma, w, False, ("right action associativity", "right action unit"))
+    bm_a = compose_symseq(bm.seq, ac, max_arity=w)
+    b_ma = compose_symseq(bc, ma.seq, max_arity=w)
+    asc = associator(bm, bm_a, ma, b_ma)
+    id_b, id_a = identity_map(bc), identity_map(ac)
+
+    def check(lam: SymSeqMap, rho: SymSeqMap) -> None:
+        lam.validate()
+        rho.validate()
+        left_laws(lam)
+        right_laws(rho)
+        path1 = compose_maps(rho, hcompose_maps(lam, id_a, bm_a, ma))
+        path2 = compose_maps(lam, compose_maps(hcompose_maps(id_b, rho, b_ma, bm), asc))
+        require_equal("commuting actions", path1, path2)
+
+    return check
 
 
 def check_bimodule_map(f: SymSeqMap, src: Bimodule, dst: Bimodule) -> None:
@@ -284,12 +303,13 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
         for cls_nm, cls_rel in cm.items():
             sec[cls_rel] = min(sec.get(cls_rel, cls_nm), cls_nm)
 
-    # induced left action of the outer operad
+    # induced left action of the outer operad; when N is C acting on itself,
+    # C o (N o M) is n_bm and (C o N) o M is nb_m
     cc = nb.left.carrier
     c_q = compose_symseq(cc, carrier, max_arity=w)
-    c_nm = compose_symseq(cc, nm.seq, max_arity=w)
+    c_nm = composite_of(n_bm, cc, nm.seq, w)
     c_n = composite_of(nb.bm, cc, n, w)
-    cn_m = compose_symseq(c_n.seq, m, max_arity=w)
+    cn_m = composite_of(nb_m, c_n.seq, m, w)
     asc = associator(c_n, cn_m, nm, c_nm)
     lam_n = restrict_map(nb.lam, c_n.seq)
     chain_l = compose_maps(
@@ -301,12 +321,13 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
         lifted = tuple(lift[(b, y)][q] for b, y, q in zip(blocks, mid, qs))
         return chain_l.at(*key, c_nm.class_of(*key, (mid, g, blocks, lifted, sig)))
 
-    # induced right action of the inner operad
+    # induced right action of the inner operad; when M is A acting on itself,
+    # (N o M) o A is nb_m and N o (M o A) is n_bm
     ac = mb.right.carrier
     q_a = compose_symseq(carrier, ac, max_arity=w)
-    nm_a = compose_symseq(nm.seq, ac, max_arity=w)
+    nm_a = composite_of(nb_m, nm.seq, ac, w)
     m_a = composite_of(mb.ma, m, ac, w)
-    n_ma = compose_symseq(n, m_a.seq, max_arity=w)
+    n_ma = composite_of(n_bm, n, m_a.seq, w)
     asc2 = associator(nm, nm_a, m_a, n_ma)
     rho_m = restrict_map(mb.rho, m_a.seq)
     chain_r = compose_maps(
@@ -418,110 +439,75 @@ def rel_associator(
 # ---------------------------------------------------------------------------
 
 
-def check_lax_monad_morphism(
-    f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap, w: int
-) -> None:
-    """``phi: B o F -> F o A`` making the lax monad morphism squares commute."""
-    bc, ac = b.carrier, a.carrier
+def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
+                    window: Optional[int] = None) -> Bimodule:
+    """Carrier ``F o A`` with the free right action and phi-twisted left action.
+
+    ``phi: B o F -> F o A`` must be a lax monad morphism.  Its square and unit
+    triangle are checked on the composites that build the actions, before
+    the bimodule laws.
+    """
+    w = min(a.arity_bound, b.arity_bound) if window is None else window
+    ac, bc = a.carrier, b.carrier
     bf = compose_symseq(bc, f, max_arity=w)
     fa = compose_symseq(f, ac, max_arity=w)
-    if phi.src is not bf.seq:
-        phi = restrict_map(phi, bf.seq, fa.seq)
+    phi = restrict_map(phi, bf.seq, fa.seq)
+    fa_a, rho = free_right_action(fa, a, w)
+    b_fa = compose_symseq(bc, fa.seq, max_arity=w)
+    bf_a = compose_symseq(bf.seq, ac, max_arity=w)
+    # lam: B o (F o A) -> (B o F) o A -> (F o A) o A -> F o A
+    phi_a = hcompose_maps(phi, identity_map(ac), bf_a, fa_a)
+    lam = compose_maps(rho, compose_maps(phi_a, map_inverse(associator(bf, bf_a, fa, b_fa))))
     comp2b = composite_of(b.comp2, bc, bc, w)
     bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
     b_bf = compose_symseq(bc, bf.seq, max_arity=w)
-    b_fa = compose_symseq(bc, fa.seq, max_arity=w)
-    bf_a = compose_symseq(bf.seq, ac, max_arity=w)
-    fa_a, rho = free_right_action(fa, a, w)
-    mu_b = restrict_map(b.mu, comp2b.seq)
-    s1 = compose_maps(phi, hcompose_maps(mu_b, identity_map(f), bb_f, bf))
-    step = associator(comp2b, bb_f, bf, b_bf)
-    step2 = hcompose_maps(identity_map(bc), phi, b_bf, b_fa)
-    step3 = map_inverse(associator(bf, bf_a, fa, b_fa))
-    step4 = hcompose_maps(phi, identity_map(ac), bf_a, fa_a)
-    s2 = compose_maps(rho, compose_maps(step4, compose_maps(step3, compose_maps(step2, step))))
+    s1 = compose_maps(phi, hcompose_maps(restrict_map(b.mu, comp2b.seq), identity_map(f), bb_f, bf))
+    b_phi = hcompose_maps(identity_map(bc), phi, b_bf, b_fa)
+    s2 = compose_maps(lam, compose_maps(b_phi, associator(comp2b, bb_f, bf, b_bf)))
     require_equal("lax morphism multiplication square", s1, s2)
-    idf = compose_symseq(id_symseq(b.sorts), f, max_arity=w)
-    fid = compose_symseq(f, id_symseq(a.sorts), max_arity=w)
+    idf = compose_symseq(b.ident, f, max_arity=w)
+    fid = compose_symseq(f, a.ident, max_arity=w)
     u1 = compose_maps(phi, hcompose_maps(b.eta, identity_map(f), idf, bf))
     u2 = compose_maps(
         hcompose_maps(identity_map(f), a.eta, fid, fa),
         compose_maps(right_unitor_inv(fid), left_unitor(idf)),
     )
     require_equal("lax morphism unit triangle", u1, u2)
-
-
-def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
-                    window: Optional[int] = None) -> Bimodule:
-    """Carrier ``F o A`` with the free right action and phi-twisted left action."""
-    w = min(a.arity_bound, b.arity_bound) if window is None else window
-    check_lax_monad_morphism(f, a, b, phi, w)
-    ac, bc = a.carrier, b.carrier
-    fa = compose_symseq(f, ac, max_arity=w)
-    fa_a, rho = free_right_action(fa, a, w)
-    bf = compose_symseq(bc, f, max_arity=w)
-    phi = restrict_map(phi, bf.seq, fa.seq)
-    b_fa = compose_symseq(bc, fa.seq, max_arity=w)
-    bf_a = compose_symseq(bf.seq, ac, max_arity=w)
-    lam = compose_maps(
-        rho,
-        compose_maps(
-            hcompose_maps(phi, identity_map(ac), bf_a, fa_a),
-            map_inverse(associator(bf, bf_a, fa, b_fa)),
-        ),
-    )
     out = Bimodule(b, a, fa.seq, lam, rho, w, b_fa, fa_a)
     check_bimodule_laws(out)
     return out
 
 
-def check_oplax_monad_morphism(
-    f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap, w: int
-) -> None:
-    """``psi: F o A -> B o F`` making the oplax monad morphism squares commute."""
-    bc, ac = b.carrier, a.carrier
-    fa = compose_symseq(f, ac, max_arity=w)
+def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
+                      window: Optional[int] = None) -> Bimodule:
+    """Carrier ``B o F`` with the free left action and psi-twisted right action.
+
+    ``psi: F o A -> B o F`` must be an oplax monad morphism.  Its square and
+    unit triangle are checked on the composites that build the actions,
+    before the bimodule laws.
+    """
+    w = min(a.arity_bound, b.arity_bound) if window is None else window
+    ac, bc = a.carrier, b.carrier
     bf = compose_symseq(bc, f, max_arity=w)
-    if psi.src is not fa.seq:
-        psi = restrict_map(psi, fa.seq, bf.seq)
-    fa_a, rho = free_right_action(fa, a, w)
+    fa = compose_symseq(f, ac, max_arity=w)
+    psi = restrict_map(psi, fa.seq, bf.seq)
+    b_bf, lam = free_left_action(b, bf, w)
     bf_a = compose_symseq(bf.seq, ac, max_arity=w)
     b_fa = compose_symseq(bc, fa.seq, max_arity=w)
-    b_bf, lam = free_left_action(b, bf, w)
-    t1 = hcompose_maps(psi, identity_map(ac), fa_a, bf_a)
-    t2 = associator(bf, bf_a, fa, b_fa)
-    t3 = hcompose_maps(identity_map(bc), psi, b_fa, b_bf)
-    s2 = compose_maps(lam, compose_maps(t3, compose_maps(t2, t1)))
-    require_equal("oplax morphism multiplication square", compose_maps(psi, rho), s2)
-    fid = compose_symseq(f, id_symseq(a.sorts), max_arity=w)
-    idf = compose_symseq(id_symseq(b.sorts), f, max_arity=w)
+    # rho: (B o F) o A -> B o (F o A) -> B o (B o F) -> B o F
+    b_psi = hcompose_maps(identity_map(bc), psi, b_fa, b_bf)
+    rho = compose_maps(lam, compose_maps(b_psi, associator(bf, bf_a, fa, b_fa)))
+    fa_a, free_rho = free_right_action(fa, a, w)
+    s2 = compose_maps(rho, hcompose_maps(psi, identity_map(ac), fa_a, bf_a))
+    require_equal("oplax morphism multiplication square", compose_maps(psi, free_rho), s2)
+    fid = compose_symseq(f, a.ident, max_arity=w)
+    idf = compose_symseq(b.ident, f, max_arity=w)
     u1 = compose_maps(psi, hcompose_maps(identity_map(f), a.eta, fid, fa))
     u2 = compose_maps(
         hcompose_maps(b.eta, identity_map(f), idf, bf),
         compose_maps(left_unitor_inv(idf), right_unitor(fid)),
     )
     require_equal("oplax morphism unit triangle", u1, u2)
-
-
-def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
-                      window: Optional[int] = None) -> Bimodule:
-    """Carrier ``B o F`` with the free left action and psi-twisted right action."""
-    w = min(a.arity_bound, b.arity_bound) if window is None else window
-    check_oplax_monad_morphism(f, a, b, psi, w)
-    ac, bc = a.carrier, b.carrier
-    bf = compose_symseq(bc, f, max_arity=w)
-    b_bf, lam = free_left_action(b, bf, w)
-    fa = compose_symseq(f, ac, max_arity=w)
-    psi = restrict_map(psi, fa.seq, bf.seq)
-    bf_a = compose_symseq(bf.seq, ac, max_arity=w)
-    b_fa = compose_symseq(bc, fa.seq, max_arity=w)
-    rho = compose_maps(
-        lam,
-        compose_maps(
-            hcompose_maps(identity_map(bc), psi, b_fa, b_bf),
-            associator(bf, bf_a, fa, b_fa),
-        ),
-    )
     out = Bimodule(b, a, bf.seq, lam, rho, w, b_bf, bf_a)
     check_bimodule_laws(out)
     return out
@@ -593,8 +579,23 @@ def adjunction_from_operad(op: Operad) -> BimAdjunction:
     return adj
 
 
-def check_sym_adjunction(f: SymSeq, u: SymSeq, eta: SymSeqMap, eps: SymSeqMap, w: int) -> None:
-    """Triangle identities for an adjunction ``F -| U`` inside Sym."""
+def transport_adjunction(
+    f: SymSeq,
+    u: SymSeq,
+    eta: SymSeqMap,
+    eps: SymSeqMap,
+    a: Operad,
+    b: Operad,
+    xi: SymSeqMap,
+    window: Optional[int] = None,
+) -> BimAdjunction:
+    """Lift an adjunction ``F -| U`` in Sym along a monad map ``xi: A -> U(BF)``.
+
+    ``xi`` lands in the composite bracketed as ``U o (B o F)``.  The triangle
+    identities of ``F -| U`` in Sym are checked first, on the ``F o U`` and
+    the restricted ``eps`` that then build ``psi`` and ``phi``.
+    """
+    w = min(a.arity_bound, b.arity_bound) if window is None else window
     uf = compose_symseq(u, f, max_arity=w)
     fu = compose_symseq(f, u, max_arity=w)
     f_id = compose_symseq(f, id_symseq(f.dom), max_arity=w)
@@ -624,29 +625,10 @@ def check_sym_adjunction(f: SymSeq, u: SymSeq, eta: SymSeqMap, eps: SymSeqMap, w
     )
     require_equal("Sym adjunction triangle (right)", tri2, identity_map(u))
 
-
-def transport_adjunction(
-    f: SymSeq,
-    u: SymSeq,
-    eta: SymSeqMap,
-    eps: SymSeqMap,
-    a: Operad,
-    b: Operad,
-    xi: SymSeqMap,
-    window: Optional[int] = None,
-) -> BimAdjunction:
-    """Lift an adjunction ``F -| U`` in Sym along a monad map ``xi: A -> U(BF)``.
-
-    ``xi`` lands in the composite bracketed as ``U o (B o F)``.
-    """
-    w = min(a.arity_bound, b.arity_bound) if window is None else window
-    check_sym_adjunction(f, u, eta, eps, w)
     ac, bc = a.carrier, b.carrier
     bf = compose_symseq(bc, f, max_arity=w)
     u_bf = compose_symseq(u, bf.seq, max_arity=w)
     xi = restrict_map(xi, a.carrier, u_bf.seq)
-    fu = compose_symseq(f, u, max_arity=w)
-    eps = restrict_map(eps, fu.seq, id_symseq(f.cod))
 
     # psi: F o A -> B o F
     fa = compose_symseq(f, ac, max_arity=w)
@@ -691,12 +673,12 @@ def transport_adjunction(
     gf = relative_compose(gprime, fprime, validate=False)
     fg = relative_compose(fprime, gprime, validate=False)
 
-    # unit: (U o B) o (B o F) -> U o (B o F) multiplies the middle, and descends
-    b_bf, collapse = free_left_action(b, bf, w)  # B o (B o F) -> B o F
-    u_b_bf = compose_symseq(u, b_bf.seq, max_arity=w)
+    # unit: (U o B) o (B o F) -> U o (B o F) multiplies the middle through the
+    # free left action of F' = B o F, and descends
+    u_b_bf = compose_symseq(u, fprime.bm.seq, max_arity=w)
     m = compose_maps(
-        hcompose_maps(identity_map(u), collapse, u_b_bf, u_bf),
-        associator(ub, gf.nm, b_bf, u_b_bf),
+        hcompose_maps(identity_map(u), fprime.lam, u_b_bf, u_bf),
+        associator(ub, gf.nm, fprime.bm, u_b_bf),
     )
     unit_map = compose_maps(map_inverse(descend(gf, m, u_bf.seq)), xi)
 
@@ -854,7 +836,11 @@ def enumerate_bimodules(
     cell_sizes: dict,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Number of (B, A)-bimodule structures on prescribed cell sizes, exhaustively."""
+    """Number of (B, A)-bimodule structures on prescribed cell sizes, exhaustively.
+
+    Each carrier's law composites are built once (:func:`bimodule_laws`), and
+    every candidate pair of actions on it gets the full law check.
+    """
     keys = sorted(cell_sizes, key=lambda k: (len(k[0]), skey(k)))
     struct_choices = []
     total = 1
@@ -881,13 +867,13 @@ def enumerate_bimodules(
             space *= len(ms)
             if space > budget:
                 raise BudgetError("bimodule action enumeration exceeded its budget")
+        laws = bimodule_laws(b, a, bm, ma, w_bound)
         for lam_combo in itertools.product(*(ms for _k, ms in lam_choices)):
             lam = SymSeqMap(bm.seq, carrier, {k: mm for (k, _), mm in zip(lam_choices, lam_combo)})
             for rho_combo in itertools.product(*(ms for _k, ms in rho_choices)):
                 rho = SymSeqMap(ma.seq, carrier, {k: mm for (k, _), mm in zip(rho_choices, rho_combo)})
-                cand = Bimodule(b, a, carrier, lam, rho, w_bound, bm, ma)
                 try:
-                    check_bimodule_laws(cand)
+                    laws(lam, rho)
                 except ValidationError:
                     continue
                 found += 1

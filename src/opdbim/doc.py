@@ -109,7 +109,10 @@ def parse_cell_sizes(data) -> dict:
         size = entry["size"]
         if isinstance(size, bool) or not isinstance(size, int) or size < 0:
             raise InputError(f"cell size must be a non-negative integer, got {size!r}")
-        sizes[(dec_word(entry["word"]), dec(entry["out"]))] = size
+        key = (dec_word(entry["word"]), dec(entry["out"]))
+        if key in sizes:
+            raise InputError(f"cell {key!r} is declared twice")
+        sizes[key] = size
     return sizes
 
 
@@ -147,6 +150,8 @@ def parse_symseq(data: dict) -> SymSeq:
         c = _object(c, "cell")
         w = dec_word(c["word"])
         y = dec(c["out"])
+        if (w, y) in cells:
+            raise InputError(f"cell {(w, y)!r} is declared twice")
         labels = tuple(dec(l) for l in _array(c["labels"], "labels"))
         gen_maps = {}
         action = _object(c.get("action", {}), "action")
@@ -413,9 +418,7 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
     left = operads[_name(bdata["left"], "bimodule left")]
     right = operads[_name(bdata["right"], "bimodule right")]
     carrier = symseqs[_name(bdata["carrier"], "bimodule carrier")]
-    window = bdata.get("window", min(left.arity_bound, right.arity_bound))
-    if isinstance(window, bool) or not isinstance(window, int):
-        raise InputError(f"bimodule window must be an integer, got {window!r}")
+    window = positive_int(bdata.get("window", min(left.arity_bound, right.arity_bound)), "bimodule window")
 
     def action_fn(entries):
         if entries == "induced":

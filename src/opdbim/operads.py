@@ -5,10 +5,12 @@ materialized composite of its carrier with itself and a unit ``eta`` from the
 identity sequence.  Monad laws are verified by exhaustive comparison of
 2-cells on every composite cell of arity at most the operad's window; a
 failure reports the first offending cell and label.  The associativity and
-unit laws of an action are checked in one place, ``check_action_laws``: the
-monad laws are the operad's left action on its own carrier plus the right
-unit law, and a bimodule runs it once per side.  Every builder in this
-module law-checks what it builds; there is no switch to skip it.
+unit laws of an action are checked in one place, ``action_laws``: it builds
+the composites the laws read once per carrier and returns the check of an
+action on them.  The monad laws are the operad's left action on its own
+carrier plus the right unit law, and a bimodule runs it once per side.  Every
+builder in this module law-checks what it builds; there is no switch to skip
+it.
 
 Change of base along a sort map ``u`` is written once: ``pulled_back_cells``
 gives the cells ``B[u(w); y]`` with the pulled-back Young action,
@@ -137,8 +139,8 @@ def check_monad_laws(op: Operad) -> None:
     op.mu.validate()
     op.eta.validate()
     n = op.arity_bound
-    check_action_laws(op, op.mu, op.comp2, n, True, ("associativity", "left unit law"))
-    _check_unit_law(op, op.mu, op.comp2, n, False, "right unit law")
+    action_laws(op, op.comp2, n, True, ("associativity", "left unit law"))(op.mu)
+    _unit_law(op, op.comp2, n, False, "right unit law")(op.mu)
 
 
 def _in_order(left: bool, p, q) -> tuple:
@@ -146,37 +148,42 @@ def _in_order(left: bool, p, q) -> tuple:
     return (p, q) if left else (q, p)
 
 
-def check_action_laws(op: Operad, act: SymSeqMap, om: Composite, w: int, left: bool, laws: tuple) -> None:
-    """Associativity and unit of an action of ``op`` up to arity ``w``; ``laws`` names the two.
+def action_laws(op: Operad, om: Composite, w: int, left: bool, laws: tuple) -> Callable[[SymSeqMap], None]:
+    """The check of associativity and unit, named by ``laws``, of an action ``act: om.seq -> M``.
 
-    ``act`` maps ``om.seq`` to ``M``, where ``om`` is ``op o M`` for a left
-    action (``left``) and ``M o op`` for a right one.  Associativity compares,
-    on the left bracketing ``(op o op) o M`` or ``(M o op) o op``, ``act``
-    after its inner step there (``mu o id`` or ``act o id``) with ``act``
-    after the associator and the inner step of the right bracketing
-    (``id o act`` or ``id o mu``).  A failure names the law, the first
-    differing cell and class, and both values.
+    ``om`` is ``op o M`` for a left action (``left``) and ``M o op`` for a
+    right one.  Everything up to arity ``w`` that does not read ``act`` is
+    built here, once per carrier.  Associativity compares, on ``(op o op) o M``
+    or ``(M o op) o op``, ``act`` after its inner step there (``mu o id`` or
+    ``act o id``) with ``act`` after the associator and the inner step of the
+    other bracketing (``id o act`` or ``id o mu``).  A failure names the law,
+    the first differing cell and class, and both values.
     """
     m = om.inner if left else om.outer
     comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
     oo_m = compose_symseq(*_in_order(left, comp2.seq, m), max_arity=w)
     o_om = compose_symseq(*_in_order(left, op.carrier, om.seq), max_arity=w)
     by_mu = hcompose_maps(*_in_order(left, restrict_map(op.mu, comp2.seq), identity_map(m)), oo_m, om)
-    by_act = hcompose_maps(*_in_order(left, identity_map(op.carrier), act), o_om, om)
-    if left:
-        lhs, rhs = by_mu, compose_maps(by_act, associator(comp2, oo_m, om, o_om))
-    else:
-        lhs, rhs = by_act, compose_maps(by_mu, associator(om, o_om, comp2, oo_m))
-    require_equal(laws[0], compose_maps(act, lhs), compose_maps(act, rhs))
-    _check_unit_law(op, act, om, w, left, laws[1])
+    asc = associator(comp2, oo_m, om, o_om) if left else associator(om, o_om, comp2, oo_m)
+    fixed = by_mu if left else compose_maps(by_mu, asc)  # the side that does not read act
+    id_op, unit_law = identity_map(op.carrier), _unit_law(op, om, w, left, laws[1])
+
+    def check(act: SymSeqMap) -> None:
+        by_act = hcompose_maps(*_in_order(left, id_op, act), o_om, om)
+        lhs, rhs = (fixed, compose_maps(by_act, asc)) if left else (by_act, fixed)
+        require_equal(laws[0], compose_maps(act, lhs), compose_maps(act, rhs))
+        unit_law(act)
+
+    return check
 
 
-def _check_unit_law(op: Operad, act: SymSeqMap, om: Composite, w: int, left: bool, law: str) -> None:
-    """``act`` after ``eta`` is the unitor of ``Id o M`` (``left``) or ``M o Id``."""
+def _unit_law(op: Operad, om: Composite, w: int, left: bool, law: str) -> Callable[[SymSeqMap], None]:
+    """The check that ``act`` after ``eta`` is the unitor of ``Id o M`` (``left``) or ``M o Id``."""
     m = om.inner if left else om.outer
     i_m = compose_symseq(*_in_order(left, op.ident, m), max_arity=w)
-    unit = compose_maps(act, hcompose_maps(*_in_order(left, op.eta, identity_map(m)), i_m, om))
-    require_equal(law, unit, left_unitor(i_m) if left else right_unitor(i_m))
+    by_eta = hcompose_maps(*_in_order(left, op.eta, identity_map(m)), i_m, om)
+    unitor = left_unitor(i_m) if left else right_unitor(i_m)
+    return lambda act: require_equal(law, compose_maps(act, by_eta), unitor)
 
 
 def same_operad(p: Operad, q: Operad) -> bool:

@@ -606,3 +606,76 @@ def test_sym_adjunction_left_triangle_is_named():
     law = r"^Sym adjunction triangle \(left\) fails at cell "
     with pytest.raises(ValidationError, match=law + CELL + r", class 'q': 'p' != 'q'$"):
         transport_adjunction(f, f, eta, eps, unit, unit, identity_map(unit.carrier), window=1)
+
+
+# --- each law composite is built once -------------------------------------------
+
+
+@pytest.fixture
+def composite_keys(monkeypatch):
+    """The key ``(id(outer), id(inner), cap)`` of every ``compose_symseq`` call, in order.
+
+    The arguments are kept alive with the keys, so that no id is reused.
+    """
+    import opdbim.bimodules
+    import opdbim.operads
+    import opdbim.symseq
+
+    original = opdbim.symseq.compose_symseq
+    keys, held = [], []
+
+    def traced(outer, inner, max_arity=None):
+        keys.append((id(outer), id(inner), max_arity))
+        held.append((outer, inner))
+        return original(outer, inner, max_arity=max_arity)
+
+    for mod in (opdbim.symseq, opdbim.operads, opdbim.bimodules):
+        monkeypatch.setattr(mod, "compose_symseq", traced)
+    return keys
+
+
+def _repeats(keys, call):
+    """Run ``call`` and return the number of its ``compose_symseq`` calls that repeat an earlier one."""
+    keys.clear()
+    call()
+    return len(keys) - len(set(keys))
+
+
+def test_no_composite_is_built_twice(composite_keys):
+    from opdbim.symseq import left_unitor, left_unitor_inv, right_unitor, right_unitor_inv
+
+    com = com_operad(2)
+    f = id_symseq((STAR,))
+    bf = compose_symseq(com.carrier, f, max_arity=2)
+    fb = compose_symseq(f, com.carrier, max_arity=2)
+    phi = compose_maps(left_unitor_inv(fb), right_unitor(bf))
+    psi = compose_maps(right_unitor_inv(bf), left_unitor(fb))
+    assert _repeats(composite_keys, lambda: bimodule_of_lax(f, com, com, phi, window=2)) == 0
+    assert _repeats(composite_keys, lambda: bimodule_of_oplax(f, com, com, psi, window=2)) == 0
+    sizes = {((), "y"): 1, (("x",), "y"): 1, (("x", "x"), "y"): 2}
+    count = []
+    enum = lambda: count.append(enumerate_bimodules(unit_operad(("x",), 2), unit_operad(("y",), 2), sizes))
+    assert _repeats(composite_keys, enum) == 0
+    assert count == [2]
+    v = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("v",))})
+    m = free_bimodule(com, com, v, window=2)
+    assert _repeats(composite_keys, lambda: rel_left_unitor(m)) == 0
+    assert _repeats(composite_keys, lambda: rel_right_unitor(m)) == 0
+
+
+@pytest.mark.parametrize("left, right, expected", [(_z2, _j, 4), (_j, _j, 7)])
+def test_enumeration_matches_make_bimodule_on_one_unary_cell(left, right, expected):
+    # every pair of label functions (lam, rho) on {p, q}, checked one by one
+    b, a = left(), right()
+    labels = ("p", "q")
+    inputs = [(g, x) for g in ("e", "a") for x in labels]
+    functions = [dict(zip(inputs, images)) for images in itertools.product(labels, repeat=len(inputs))]
+    accepted = 0
+    for lam, rho in itertools.product(functions, repeat=2):
+        try:
+            _unary_bimodule(b, a, lambda g, x: lam[(g, x)], lambda x, h: rho[(h, x)])
+        except ValidationError:
+            continue
+        accepted += 1
+    assert accepted == expected
+    assert enumerate_bimodules(a, b, {((STAR,), STAR): 2}) == expected

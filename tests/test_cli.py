@@ -388,3 +388,46 @@ def test_a_mu_entry_that_is_not_a_raw_exits_2(tmp_path, capsys, rep):
     code, out = run_cli(["check", write_doc(tmp_path, data)], capsys)
     assert code == 2
     assert "is not a raw of cell" in out
+
+
+def _doc_with_bimodule(**fields):
+    data = json.loads(json.dumps(BASE_DOC))
+    data["symseqs"]["G"] = {
+        "dom": ["x"], "cod": ["y"],
+        "cells": [{"word": ["x", "x"], "out": "y", "labels": ["g0", "g1"], "action": {}}],
+    }
+    data["bimodules"] = {
+        "M": {"left": "U2", "right": "U1", "carrier": "G", "lambda": "induced", "rho": "induced", **fields}
+    }
+    return data
+
+
+@pytest.mark.parametrize("window", [0, -1, True, "2"])
+@pytest.mark.parametrize("argv", [["check", "{doc}"], ["count", "{doc}", "module-maps", "M", "M"]])
+def test_bad_bimodule_window_is_input_error(tmp_path, capsys, window, argv):
+    # a window of 0 or -1 used to pass, its laws checked on empty composites
+    path = write_doc(tmp_path, _doc_with_bimodule(window=window))
+    code, out = run_cli([a.format(doc=path) for a in argv], capsys)
+    assert code == 2
+    assert "bimodule window must be a positive integer" in out
+    path = write_doc(tmp_path, _doc_with_bimodule(window=2))
+    assert run_cli([a.format(doc=path) for a in argv], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["check", "{doc}"], ["series", "{doc}", "F", "2"]])
+def test_a_symseq_cell_declared_twice_is_input_error(tmp_path, capsys, argv):
+    # the last entry used to win: series printed size 2 at ((*,), *)
+    data = json.loads(json.dumps(BASE_DOC))
+    data["symseqs"]["F"]["cells"].append({"word": ["*"], "out": "*", "labels": ["b", "c"], "action": {}})
+    code, out = run_cli([a.format(doc=write_doc(tmp_path, data)) for a in argv], capsys)
+    assert code == 2
+    assert "cell (('*',), '*') is declared twice" in out
+
+
+def test_count_cells_declared_twice_is_input_error(tmp_path, capsys):
+    # the last size used to be counted
+    cells = [{"word": ["x", "x"], "out": "y", "size": 2}, {"word": ["x", "x"], "out": "y", "size": 1}]
+    path = write_doc(tmp_path, BASE_DOC)
+    code, out = run_cli(["count", path, "bimodules", "U1", "U2", "--cells", json.dumps(cells)], capsys)
+    assert code == 2
+    assert out.startswith("input error:") and "cell (('x', 'x'), 'y') is declared twice" in out
