@@ -8,16 +8,18 @@ order composition matches the permutation convention of :mod:`.perms`.
 A categorical symmetric sequence stores, per cell, a plain label tuple plus
 transports along every word arrow between canonical words (contravariant)
 and every codomain arrow (covariant).  Composition, coherence maps, the
-evaluation 1-cell and the transpose bijection follow the same raw-tuple and
-quotient discipline as :mod:`.symseq`; groupoid arrows contribute the extra
-relation edges, along generators only.  Per block word and per middle word
-those are the adjacent transpositions inside runs of equal objects, the
-non-identity automorphisms of each letter, and one arrow to each other
-isomorphic support word.  A coend needs only a generating set of arrows:
-transports are functorial, so the edges along a composite arrow form a path
-of generator edges, and the union-find finds the classes, representatives and
-class numbers that edges along every arrow would.  Arrow sets between words
-are enumerated once per groupoid instance (``sw_arrows``).
+evaluation 1-cell and the transpose bijection follow the same raw-tuple
+discipline as :mod:`.symseq`, and composition builds one raw per coend
+class.  A coend over a finite groupoid depends only on its skeleton: every
+raw is related to one whose middle word and blocks are the least support
+words isomorphic to them, with the blocks sorted within each run of the
+middle word.  There the automorphisms of a word in which the letter ``x``
+occurs ``m`` times form ``Aut(x) ≀ S_m``, so the orbit walk of
+:class:`.symseq._Shape` applies with groupoid arrows in place of
+permutations, and the arrows least under each label pair's stabilizer are
+found by closure on their indices.  ``Composite.class_of`` carries any other
+raw to that least raw (``canon``).  Arrow sets between words are enumerated
+once per groupoid instance (``sw_arrows``).
 
 Maps are :class:`.symseq.SymSeqMap`, the one map type of both layers, and
 share its identity, composites, equality and inverse.  Every map is total on
@@ -46,20 +48,19 @@ from .perms import (
     YoungSet,
     block_offsets,
     disjoint_union,
-    index_positions,
     index_quotient,
+    inverse_images,
     quotient,
     skey,
     ssorted,
     stab_gens,
-    unknown_relation,
 )
 from .symseq import (
     Composite,
     SymSeq,
     SymSeqMap,
+    _Shape,
     compose_maps,
-    every_raw_held,
     first_map_difference,
     hcompose_maps,
     identity_map,
@@ -141,17 +142,14 @@ def sw_compose(gpd: FinGroupoid, a1: Arrow, a2: Arrow) -> Arrow:
     """Diagram-order composite of ``a1: u -> v`` followed by ``a2: v -> w``."""
     im1, c1 = a1
     im2, c2 = a2
-    images = tuple(im1[j] for j in im2)
-    comps = tuple(gpd.compose(c2[i], c1[im2[i]]) for i in range(len(im2)))
-    return (images, comps)
+    table = gpd.comp  # (g, f) -> f followed by g
+    return (tuple(im1[j] for j in im2), tuple(table[(g, c1[j])] for g, j in zip(c2, im2)))
 
 
 def sw_inverse(gpd: FinGroupoid, a: Arrow) -> Arrow:
     im, cs = a
-    p = Perm(im)
-    pi = p.inverse()
-    comps = tuple(gpd.inv[cs[pi(j)]] for j in range(len(im)))
-    return (pi.images, comps)
+    inv = inverse_images(im)
+    return (inv, tuple(gpd.inv[cs[j]] for j in inv))
 
 
 def sw_perm_arrow(gpd: FinGroupoid, target: Word, p: Perm) -> Arrow:
@@ -208,23 +206,30 @@ class CatSymSeq:
     dom_tr: dict    # (word, out) -> {(src word, arrow): {label: label}}
     cod_tr: dict    # (word, out) -> {cod arrow: {label: label}}
 
+    def __post_init__(self):
+        # cells are never changed once the sequence is built, so sort the
+        # non-empty ones once: by arity, then word, then output
+        self._support = tuple(sorted(
+            (k for k, v in self.cells.items() if v),
+            key=lambda k: (len(k[0]), skey(k[0]), skey(k[1])),
+        ))
+        words: dict = {}
+        for w, y in self._support:
+            words.setdefault(y, []).append(w)
+        self._support_words = {y: tuple(ws) for y, ws in words.items()}
+
     def labels(self, w: Word, y) -> tuple:
         return self.cells.get((w, y), ())
 
     def size(self, w: Word, y) -> int:
         return len(self.cells.get((w, y), ()))
 
-    def support(self):
-        return sorted(
-            (k for k, v in self.cells.items() if v),
-            key=lambda k: (len(k[0]), skey(k[0]), skey(k[1])),
-        )
+    def support(self) -> tuple:
+        return self._support
 
-    def support_words(self, y) -> list:
-        return sorted(
-            {w for (w, out), v in self.cells.items() if out == y and v},
-            key=lambda w: (len(w), skey(w)),
-        )
+    def support_words(self, y) -> tuple:
+        """Words of the non-empty cells at output ``y``, by arity, then word."""
+        return self._support_words.get(y, ())
 
     def max_arity(self) -> int:
         return max((len(w) for (w, _y), v in self.cells.items() if v), default=0)
@@ -372,144 +377,377 @@ def cat_sum(f: CatSymSeq, g: CatSymSeq) -> CatSymSeq:
 # ---------------------------------------------------------------------------
 
 
-def _word_generators(gpd: FinGroupoid, v: Word, targets: list[Word]) -> list[tuple[Word, Arrow]]:
-    """``(target word, arrow)`` pairs generating every arrow from canonical ``v`` into ``targets``.
+def _components(gpd: FinGroupoid) -> dict:
+    """``object -> index of the first object isomorphic to it``."""
+    return {o: next(i for i, b in enumerate(gpd.objects) if gpd.arrows(b, o)) for o in gpd.objects}
 
-    The adjacent transpositions inside runs of equal objects and the
-    non-identity automorphisms of each letter generate ``Aut(v)``; every arrow
-    ``v -> v2`` is one of those followed by the one arrow kept for ``v2``.
+
+def _least_words(seq: CatSymSeq, comp: dict) -> dict:
+    """``(word, out) -> least support word at out isomorphic to word``, over the support of ``seq``.
+
+    ``comp`` maps each domain object to its component.  The support words
+    at an output are sorted, so the first of each isomorphism class is its
+    least.  When the support is closed under isomorphism, the letters of a
+    least word that are isomorphic are equal: were ``u`` and ``v`` two of
+    them, the word with every ``v`` made ``u`` or the one with every ``u``
+    made ``v`` would be less.  Its automorphisms then keep each letter, and
+    :func:`_aut_generators` generates them.
     """
-    n = len(v)
-    gens = [(v, sw_perm_arrow(gpd, v, Perm.transposition(n, i))) for i in stab_gens(v)]
-    idcomps = tuple(gpd.ident[o] for o in v)
-    for p, o in enumerate(v):
-        for a in gpd.arrows(o, o):
-            if a != gpd.ident[o]:
-                gens.append((v, (tuple(range(n)), idcomps[:p] + (a,) + idcomps[p + 1 :])))
-    for v2 in targets:
-        arrows = sw_arrows(gpd, v, v2) if v2 != v and len(v2) == n else ()
-        if arrows:
-            gens.append((v2, arrows[0]))
+    least, first = {}, {}
+    for w, y in seq.support():
+        w0 = first.setdefault((y, tuple(sorted(comp[o] for o in w))), w)
+        if w0 is w and len({comp[o] for o in w}) != len(set(w)):
+            raise ValidationError(f"support not closed under isomorphism at cell {(w, y)!r}")
+        least[(w, y)] = w0
+    return least
+
+
+def _aut_generators(gpd: FinGroupoid, w: Word) -> list[Arrow]:
+    """Arrows generating ``Aut(w)`` for a word whose isomorphic letters are equal.
+
+    They are the adjacent swaps of equal letters and the non-identity
+    automorphisms of each letter.
+    """
+    n = len(w)
+    gens = [sw_perm_arrow(gpd, w, Perm.transposition(n, t)) for t in stab_gens(w)]
+    idcomps = tuple(gpd.ident[o] for o in w)
+    for p, o in enumerate(w):
+        gens += [
+            (tuple(range(n)), idcomps[:p] + (a,) + idcomps[p + 1 :])
+            for a in gpd.arrows(o, o)
+            if a != gpd.ident[o]
+        ]
     return gens
 
 
-def _generator_table(seq: CatSymSeq) -> Callable:
-    """Memoised ``(word, out) -> [(target word, arrow, inverted transport)]`` over ``seq``.
+def _same(a):
+    """The step of a generator that leaves the arrow as it is."""
+    return a
 
-    The targets are the support words of ``seq`` at ``out``; the inverted
-    transport maps a label at ``word`` to its preimage at the target word.
+
+def _label_perm(table: dict, pos: dict) -> tuple:
+    """A transport table on the labels of one cell, as a permutation of their positions."""
+    return tuple(pos[table[lab]] for lab in pos)
+
+
+class _CatPlan:
+    """What :func:`cat_compose` plans once for ``outer o inner``, and its ``canon``.
+
+    A coend over a groupoid depends only on its skeleton.  Each middle word
+    and each block goes to its least isomorphic support word
+    (:func:`_least_words`); there the automorphisms of a word with ``m``
+    copies of a letter ``x`` form ``Aut(x) ≀ S_m``.  A ``(mid, blocks)``
+    with both least and the blocks sorted within each run of ``mid`` is a
+    slice, planned once as a :class:`.symseq._Shape` whose elements act on
+    arrows ``concat -> concat``.  Its ``least`` maps each least label pair to
+    the Schreier generators of the pair's stabilizer; the arrows of
+    ``sw_arrows(cw, concat)`` least under those are found by closure on their
+    indices, once per ``cw`` and stabilizer (:meth:`arrow_orbits`).
     """
-    support_words = functools.cache(seq.support_words)
 
-    @functools.cache
-    def generators(word: Word, out) -> list:
-        return [
-            (v2, a, {l: l2 for l2, l in seq.dom_tr[(v2, out)][(word, a)].items()})
-            for v2, a in _word_generators(seq.dom, word, support_words(out))
-        ]
+    def __init__(self, outer: CatSymSeq, inner: CatSymSeq):
+        self.outer, self.inner, self.dom = outer, inner, inner.dom
+        self.then, self.inverse = functools.partial(sw_compose, self.dom), functools.partial(sw_inverse, self.dom)
+        self.comp = _components(inner.dom)
+        self.least_mid = _least_words(outer, _components(outer.dom))
+        self.least_block = _least_words(inner, self.comp)
+        outs = {y for _w, y in inner.support()}
+        self.rank = {(w, y): i for y in outs for i, w in enumerate(inner.support_words(y))}
+        self.gpos: dict = {}     # outer cell -> {label: position}
+        self.fpos: dict = {}     # inner cell -> {label: position}
+        self.shapes: dict = {}   # (mid, out, blocks) -> _Shape
+        self.index: dict = {}    # (cw, concat) -> {arrow: position in sw_arrows}
+        self.orbits: dict = {}   # (cw, concat, generators) -> index_quotient of the arrows
+        self.words: dict = {}    # component multiset -> canonical words with it
 
-    return generators
+    def forget(self) -> None:
+        """Drop the plans of the slices; ``canon`` plans again the few that later callers ask about.
 
+        They are kept only while the composite is built, so that a composite
+        holds no more than its representatives once it is built.
+        """
+        for memo in (self.shapes, self.index, self.orbits, self.gpos, self.fpos, self.words):
+            memo.clear()
 
-def _cat_edges(inner: CatSymSeq, z, raws, pos, inner_gens: Callable, outer_gens: Callable):
-    """Coend relation edges of one cell, along generating arrows only, as index pairs.
+    def then_by(self, b: Arrow) -> Callable:
+        """The function ``a -> sw_compose(dom, a, b)``."""
+        return functools.partial(sw_compose, self.dom, a2=b)
 
-    ``pos`` maps each raw of ``raws`` to its index.  A raw is related along
-    an arrow of a block word (inner variable) or of the middle word (middle
-    variable).  Both relations are actions of the word groupoids, because
-    transports are functorial, so the edge along a composite arrow is a path
-    of edges along its factors.  Edges along the arrows of
-    ``_word_generators`` therefore generate the same equivalence as edges
-    along every arrow, and the union-find keeps the same classes.
-    """
-    dom = inner.dom
-    for i, raw in enumerate(raws):
-        mid, g, blocks, fs, arr = raw
+    def positions(self, cache: dict, seq: CatSymSeq, key) -> dict:
+        pos = cache.get(key)
+        if pos is None:
+            pos = cache[key] = {lab: i for i, lab in enumerate(seq.cells[key])}
+        return pos
+
+    def block_tuples(self, mid: Word):
+        """Tuples of least block words over ``mid``, sorted within each run, in product order."""
+        runs = []
+        for y, run in itertools.groupby(mid):
+            words = [w for w in self.inner.support_words(y) if self.least_block[(w, y)] == w]
+            runs.append(itertools.combinations_with_replacement(words, len(tuple(run))))
+        return (tuple(b for run in combo for b in run) for combo in itertools.product(*runs))
+
+    def iso_words(self, concat: Word) -> list:
+        """The canonical words isomorphic to ``concat``: per component, a multiset of its objects."""
+        key = tuple(sorted(self.comp[o] for o in concat))
+        words = self.words.get(key)
+        if words is None:
+            gpd, members = self.dom, {}
+            for o in gpd.objects:
+                members.setdefault(self.comp[o], []).append(o)
+            choices = [
+                itertools.combinations_with_replacement(members[c], len(tuple(run)))
+                for c, run in itertools.groupby(key)
+            ]
+            words = self.words[key] = [
+                tuple(sorted((o for part in combo for o in part), key=gpd.obj_index))
+                for combo in itertools.product(*choices)
+            ]
+        return words
+
+    def arrow_index(self, cw: Word, concat: Word) -> dict:
+        key = (cw, concat)
+        index = self.index.get(key)
+        if index is None:
+            index = self.index[key] = {a: i for i, a in enumerate(sw_arrows(self.dom, cw, concat))}
+        return index
+
+    def arrow_orbits(self, cw: Word, concat: Word, gens: frozenset) -> tuple:
+        """``(orbit of each index, least index of each orbit)`` of ``sw_arrows(cw, concat)`` under ``gens``.
+
+        An arrow ``a`` is related to ``a`` followed by each generator.
+        """
+        key = (cw, concat, gens)
+        orbits = self.orbits.get(key)
+        if orbits is None:
+            dom, arrows, index = self.dom, sw_arrows(self.dom, cw, concat), self.arrow_index(cw, concat)
+            pairs = ((i, index[sw_compose(dom, a, s)]) for i, a in enumerate(arrows) for s in gens)
+            orbits = self.orbits[key] = index_quotient(len(arrows), pairs)
+        return orbits
+
+    def shape(self, mid: Word, z, blocks: tuple) -> _Shape:
+        """The plan of a slice: its group ``H`` and the least pairs of its orbits.
+
+        ``H`` is generated by the swaps of equal adjacent blocks, the letter
+        automorphisms of ``mid`` and the automorphisms of each block.
+        """
+        shape = self.shapes.get((mid, z, blocks))
+        if shape is not None:
+            return shape
+        outer, inner, dom, mgpd = self.outer, self.inner, self.dom, self.outer.dom
+        gpos = self.positions(self.gpos, outer, (mid, z))
+        fkeys = tuple(zip(blocks, mid))
+        fpos = [self.positions(self.fpos, inner, k) for k in fkeys]
         concat = tuple(o for b in blocks for o in b)
         offs = block_offsets(len(b) for b in blocks)
-        targets = []
-        # inner variable: (T_beta(f'), arr) ~ (f', arr then beta inside block i)
+        one = sw_id(dom, concat)
+        gtr = outer.dom_tr[(mid, z)]
+        swaps = []
+        for t in stab_gens(mid):
+            if blocks[t] == blocks[t + 1]:
+                swap = Perm.transposition(len(mid), t)
+                g_back = gtr[(mid, sw_perm_arrow(mgpd, mid, swap))]  # the swap is its own inverse
+                swaps.append((t, _label_perm(g_back, gpos), self.then_by(sw_block_perm(dom, list(blocks), swap))))
+        moves = []
+        idmid = tuple(mgpd.ident[o] for o in mid)
+        for p, y in enumerate(mid):
+            for a in mgpd.arrows(y, y):
+                if a != mgpd.ident[y]:
+                    back = (tuple(range(len(mid))), idmid[:p] + (mgpd.inv[a],) + idmid[p + 1 :])
+                    f_fwd = inner.cod_tr[fkeys[p]][a]
+                    moves.append((p, _label_perm(gtr[(mid, back)], gpos), _label_perm(f_fwd, fpos[p]), _same))
+        fixed = tuple(range(len(gpos)))
         for k, b in enumerate(blocks):
-            for b2, beta, inv in inner_gens(b, mid[k]):
+            ftr = inner.dom_tr[fkeys[k]]
+            for beta in _aut_generators(dom, b):
+                f_back = ftr[(b, sw_inverse(dom, beta))]
                 emb = sw_embed_at(dom, concat, offs[k], beta, len(b))
-                blocks2 = blocks[:k] + (b2,) + blocks[k + 1 :]
-                fs2 = fs[:k] + (inv[fs[k]],) + fs[k + 1 :]
-                targets.append((mid, g, blocks2, fs2, sw_compose(dom, arr, emb)))
-        # middle variable: move whole blocks along psi, transport g and the fs
-        for mid2, psi, inv in outer_gens(mid, z):
-            sigma = Perm(psi[0])
-            order = [sigma(k) for k in range(len(blocks))]
-            blocks2 = tuple(blocks[j] for j in order)
-            # psi[1][k]: mid[sigma(k)] -> mid2[k]
-            fs2 = tuple(
-                inner.cod_tr[(blocks[j], mid[j])][psi[1][k]][fs[j]] for k, j in enumerate(order)
-            )
-            bp = sw_block_perm(dom, list(blocks), sigma)
-            targets.append((mid2, inv[g], blocks2, fs2, sw_compose(dom, arr, bp)))
-        for target in targets:
-            j = pos.get(target)
-            if j is None:
-                raise unknown_relation(raw, target)
-            yield i, j
+                moves.append((k, fixed, _label_perm(f_back, fpos[k]), self.then_by(emb)))
+        shape = self.shapes[(mid, z, blocks)] = _Shape(one, self.then, self.inverse, swaps, moves, {})
+        for x0, schreier in shape.least_pairs((len(gpos),) + tuple(len(f) for f in fpos)):
+            shape.least[x0] = frozenset(schreier)
+        return shape
 
+    def _along_mid(self, z, raw: tuple, mid2: Word, psi: Arrow) -> tuple:
+        """``raw`` moved along the middle arrow ``psi: mid -> mid2``: whole blocks move, labels transport."""
+        mid, g, blocks, fs, arr = raw
+        order = psi[0]  # block k of the result is block order[k] of raw; psi[1][k]: mid[order[k]] -> mid2[k]
+        g2 = self.outer.dom_tr[(mid, z)][(mid2, sw_inverse(self.outer.dom, psi))][g]
+        fs2 = tuple(self.inner.cod_tr[(blocks[j], mid[j])][c][fs[j]] for j, c in zip(order, psi[1]))
+        arr2 = sw_compose(self.dom, arr, sw_block_perm(self.dom, list(blocks), Perm(order)))
+        return mid2, g2, tuple(blocks[j] for j in order), fs2, arr2
 
-def _iso_source_words(gpd: FinGroupoid, concat: Word) -> list[Word]:
-    """Canonical words admitting an arrow into ``concat`` (objectwise isomorphic)."""
-    per_letter = []
-    for o in concat:
-        per_letter.append([o2 for o2 in gpd.objects if gpd.arrows(o2, o)])
-    seen = set()
-    for combo in itertools.product(*per_letter):
-        cw, _t = sw_canonical(gpd, combo)
-        seen.add(cw)
-    return sorted(seen, key=skey)
+    def least_raw(self, w: Word, z, raw):
+        """The least raw of the class of ``raw`` in cell ``(w, z)``, or ``None`` if it is not a raw there.
+
+        The categorical twin of :func:`.symseq.least_raw`: the middle word
+        goes to its least isomorphic word, each block to its own, the blocks
+        are sorted within each run, the label pair goes to the least pair of
+        its orbit, and the arrow to the least of its orbit under that pair's
+        stabilizer.
+        """
+        outer, inner, dom = self.outer, self.inner, self.dom
+        if type(raw) is not tuple or len(raw) != 5:
+            return None
+        mid, g, blocks, fs, arr = raw
+        if not outer.cells.get((mid, z)) or type(blocks) is not tuple or type(fs) is not tuple:
+            return None
+        if not len(mid) == len(blocks) == len(fs) or g not in self.positions(self.gpos, outer, (mid, z)):
+            return None
+        for key, f in zip(zip(blocks, mid), fs):
+            if not inner.cells.get(key) or f not in self.positions(self.fpos, inner, key):
+                return None
+        if arr not in self.arrow_index(w, tuple(o for b in blocks for o in b)):
+            return None
+        mid0 = self.least_mid[(mid, z)]
+        if mid0 != mid:
+            mid, g, blocks, fs, arr = self._along_mid(z, raw, mid0, sw_arrows(outer.dom, mid, mid0)[0])
+        blocks, fs = list(blocks), list(fs)
+        for k, y in enumerate(mid):
+            b, b0 = blocks[k], self.least_block[(blocks[k], y)]
+            if b0 != b:
+                rho = sw_arrows(dom, b0, b)[0]
+                fs[k] = inner.dom_tr[(b, y)][(b0, rho)][fs[k]]
+                concat = tuple(o for x in blocks for o in x)
+                offset = sum(len(x) for x in blocks[:k])
+                arr = sw_compose(dom, arr, sw_embed_at(dom, concat, offset, sw_inverse(dom, rho), len(b)))
+                blocks[k] = b0
+        order = sorted(range(len(mid)), key=lambda k: (mid.index(mid[k]), self.rank[(blocks[k], mid[k])]))
+        raw = (mid, g, tuple(blocks), tuple(fs), arr)
+        if order != list(range(len(mid))):
+            raw = self._along_mid(z, raw, mid, sw_perm_arrow(outer.dom, mid, Perm(tuple(order))))
+        mid, g, blocks, fs, arr = raw
+        fkeys = tuple(zip(blocks, mid))
+        shape = self.shape(mid, z, blocks)
+        pair = (self.gpos[(mid, z)][g], tuple(self.fpos[k][f] for k, f in zip(fkeys, fs)))
+        least, h = shape.locate(pair)
+        if h is not shape.one:
+            arr = sw_compose(dom, arr, sw_inverse(dom, h))
+        concat = tuple(o for b in blocks for o in b)
+        label, roots = self.arrow_orbits(w, concat, shape.least[least])
+        sig = sw_arrows(dom, w, concat)[roots[label[self.arrow_index(w, concat)[arr]]]]
+        fs0 = tuple(inner.cells[k][i] for k, i in zip(fkeys, least[1]))
+        return (mid, outer.cells[(mid, z)][least[0]], blocks, fs0, sig)
 
 
 def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = None) -> Composite:
+    """Composite ``outer o inner``, built from the least raw of each coend class.
+
+    The enumeration order of raws is the middle word in ``outer.support()``
+    order, the blocks in product order over ``inner.support_words``, then the
+    outer label, the inner labels and the arrow's index in
+    ``sw_arrows(cw, concat)``; a class is numbered by its least raw.  Only
+    those least raws are built, one slice at a time (:class:`_CatPlan`), so
+    representatives and class numbers are those of the union-find over every
+    raw.  ``canon`` carries any other raw to its least raw.  A bound
+    restricts the result words, never individual cells.
+    """
     if inner.cod.objects != outer.dom.objects:
         raise InputError("cat composition groupoid mismatch")
     dom = inner.dom
-    raws_by_cell: dict = {}
+    plan = _CatPlan(outer, inner)
+    built: dict = {}   # (word, out) -> (representatives, the group of each)
+    groups = []        # (concat, generators) of each (slice, least pair)
+    first: dict = {}   # (word, group) -> class of the group's first representative in that cell
     for (mid, z) in outer.support():
+        if plan.least_mid[(mid, z)] != mid:
+            continue
         glabels = outer.cells[(mid, z)]
-        choices = [inner.support_words(y) for y in mid]
-        for blocks in itertools.product(*choices):
-            total = sum(len(b) for b in blocks)
-            if max_arity is not None and total > max_arity:
+        for blocks in plan.block_tuples(mid):
+            if max_arity is not None and sum(len(b) for b in blocks) > max_arity:
                 continue
             concat = tuple(o for b in blocks for o in b)
-            fng = [inner.labels(b, y) for b, y in zip(blocks, mid)]
-            for cw in _iso_source_words(dom, concat):
-                arrows = sw_arrows(dom, cw, concat)
-                for g in glabels:
-                    for fs in itertools.product(*fng):
-                        for arr in arrows:
-                            raws_by_cell.setdefault((cw, z), []).append((mid, g, blocks, fs, arr))
-    cells, raws_out, cls_out, reps_out = {}, {}, {}, {}
-    inner_gens, outer_gens = _generator_table(inner), _generator_table(outer)
-    for key in sorted(raws_by_cell, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
-        raws = raws_by_cell[key]
-        pos = index_positions(raws)
-        edges = _cat_edges(inner, key[1], raws, pos, inner_gens, outer_gens)
-        label, roots = index_quotient(len(raws), edges)
-        cells[key] = tuple(range(len(roots)))
-        raws_out[key] = raws
-        cls_out[key] = dict(zip(raws, label))
-        reps_out[key] = [raws[r] for r in roots]
+            fcells = [inner.cells[(b, y)] for b, y in zip(blocks, mid)]
+            shape = plan.shape(mid, z, blocks)
+            cws = plan.iso_words(concat)
+            for x0, gens in shape.least.items():
+                g, fs = glabels[x0[0]], tuple(c[i] for c, i in zip(fcells, x0[1]))
+                group = len(groups)
+                groups.append((concat, gens))
+                for cw in cws:
+                    arrows = sw_arrows(dom, cw, concat)
+                    roots = plan.arrow_orbits(cw, concat, gens)[1]
+                    reps, origins = built.setdefault((cw, z), ([], []))
+                    first[(cw, group)] = len(reps)
+                    reps += [(mid, g, blocks, fs, arrows[r]) for r in roots]
+                    origins += [group] * len(roots)
+    cells, cls_out, reps_out = {}, {}, {}
+    for key in sorted(built, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
+        reps = reps_out[key] = built[key][0]
+        cells[key] = tuple(range(len(reps)))
+        cls_out[key] = {raw: idx for idx, raw in enumerate(reps)}
     seq = CatSymSeq(dom, outer.cod, cells, {}, {})
+    comp = Composite(outer, inner, seq, reps_out, cls_out, reps_out, plan.least_raw, max_arity)
+    targets: dict = {}  # (word, group) -> (first class, orbit of each arrow index, arrow index)
 
     def dom_fn(key, v, a, cls):
-        mid, g, blocks, fs, arr = reps_out[key][cls]
-        return cls_out[(v, key[1])][(mid, g, blocks, fs, sw_compose(dom, a, arr))]
+        # only the arrow moves, so the slice and the least pair stay
+        group = built[key][1][cls]
+        target = targets.get((v, group))
+        if target is None:
+            concat, gens = groups[group]
+            target = targets[(v, group)] = (
+                first[(v, group)], plan.arrow_orbits(v, concat, gens)[0], plan.arrow_index(v, concat)
+            )
+        base, label, index = target
+        return base + label[index[sw_compose(dom, a, reps_out[key][cls][4])]]
 
     def cod_fn(key, b, cls):
         mid, g, blocks, fs, arr = reps_out[key][cls]
         g2 = outer.cod_tr[(mid, key[1])][b][g]
-        return cls_out[(key[0], outer.cod.dst[b])][(mid, g2, blocks, fs, arr)]
+        return comp.class_of(key[0], outer.cod.dst[b], (mid, g2, blocks, fs, arr))
 
-    comp = Composite(outer, inner, seq, raws_out, cls_out, reps_out, every_raw_held, max_arity)
-    _complete_transports(seq, dom_fn, cod_fn)
+    _composite_transports(seq, _least_words(seq, plan.comp), dom_fn, cod_fn)
+    plan.forget()
     return comp
+
+
+def _composite_transports(seq: CatSymSeq, least: dict, dom_fn: Callable, cod_fn: Callable) -> None:
+    """Fill ``dom_tr``/``cod_tr`` of a composite, reading ``dom_fn`` along few arrows only.
+
+    Transports are functorial.  ``Aut(w)`` is generated by the conjugates,
+    along the first arrow ``s: w0 -> w`` from the least word isomorphic to
+    ``w``, of the :func:`_aut_generators` of ``w0``, so the table of each
+    automorphism is read off those of the generators.  Every arrow ``v -> w``
+    is the first one followed by an automorphism of ``w``, so its table is
+    the first one's after the automorphism's.  The tables come out as
+    :func:`_complete_transports` would make them, in the same order.
+    """
+    gpd = seq.dom
+    words: dict = {}
+    for key in seq.cells:
+        words.setdefault((key[1], least[key]), []).append(key[0])
+    for key, labels in seq.cells.items():
+        w, y = key
+        w0 = least[key]
+        gens = _aut_generators(gpd, w0)
+        if w0 != w:
+            s = sw_arrows(gpd, w0, w)[0]
+            s_inv = sw_inverse(gpd, s)
+            gens = [sw_compose(gpd, sw_compose(gpd, s_inv, g), s) for g in gens]
+        gens = [(g, {l: dom_fn(key, w, g, l) for l in labels}) for g in gens]
+        one, same = sw_id(gpd, w), {l: l for l in labels}
+        auts, queue = {one: same}, [one]
+        for c in queue:
+            tc = auts[c]
+            for g, tg in gens:
+                cg = sw_compose(gpd, c, g)
+                if cg not in auts:
+                    auts[cg] = {l: tc[tg[l]] for l in labels}
+                    queue.append(cg)
+        seq.dom_tr[key] = table = {}
+        for v in words[(y, w0)]:
+            if v == w:
+                t0, along = same, auts
+            else:
+                first = sw_arrows(gpd, v, w)[0]
+                t0 = {l: dom_fn(key, v, first, l) for l in labels}
+                along = {sw_compose(gpd, first, c): tc for c, tc in auts.items()}
+            for a in sw_arrows(gpd, v, w):
+                table[(v, a)] = {l: t0[along[a][l]] for l in labels}
+        seq.cod_tr[key] = {
+            b: {l: cod_fn(key, b, l) for l in labels} for y2 in seq.cod.objects for b in seq.cod.arrows(y, y2)
+        }
 
 
 def cat_left_unitor(idf: Composite) -> SymSeqMap:

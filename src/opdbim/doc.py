@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-from .perms import InputError, ValidationError, YoungSet, skey, ssorted, stab_gens
-from .symseq import Family, SymSeq, compose_symseq, left_unitor, right_unitor
+from .perms import InputError, ValidationError, YoungSet, is_canonical, skey, ssorted, stab_gens
+from .symseq import Family, SymSeq, compose_symseq, least_raw, left_unitor, right_unitor
 from .operads import (
     Algebra,
     Operad,
@@ -226,27 +226,28 @@ def serialize_operad(op: Operad) -> dict:
 
 
 def parse_explicit_operad(data: dict) -> Operad:
+    """The operad of an explicit ``mu`` table, each entry keyed on the least raw of its class.
+
+    ``make_operad`` reads ``mu`` on the least raws of its composite, so the
+    entries are resolved without building that composite here.
+    """
     carrier = parse_symseq(data["carrier"])
     n = positive_int(data["arity_bound"], "operad arity_bound")
-    comp2 = compose_symseq(carrier, carrier, max_arity=n)
     table: dict = {}
     for entry in _array(data["mu"], "mu"):
         entry = _object(entry, "mu entry")
         w = dec_word(entry["word"])
         x = dec(entry["out"])
         raw = dec_raw(entry["rep"])
-        try:
-            cls = comp2.class_of(w, x, raw)
-        except ValidationError:
-            raise InputError(f"mu entry {entry['rep']} is not a raw of cell {(w, x)!r}") from None
-        table[(w, x, cls)] = dec(entry["to"])
+        rep = least_raw(carrier, carrier, {}, w, x, raw) if len(w) <= n and is_canonical(w) else None
+        if rep is None:
+            raise InputError(f"mu entry {entry['rep']} is not a raw of cell {(w, x)!r}")
+        table[(w, x, rep)] = dec(entry["to"])
 
     def mu_fn(key, raw):
-        w, x = key
-        cls = comp2.class_of(w, x, raw)
-        if (w, x, cls) not in table:
-            raise InputError(f"mu entry missing for class {cls} at {key}")
-        return table[(w, x, cls)]
+        if (*key, raw) not in table:
+            raise InputError(f"mu entry missing for the class of {raw!r} at {key}")
+        return table[(*key, raw)]
 
     eta_labels = {dec(a): dec(b) for a, b in _pairs(data["eta"], "eta")}
     return make_operad(carrier, mu_fn, eta_labels, n)

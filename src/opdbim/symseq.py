@@ -306,14 +306,13 @@ class Composite:
     ``reps[key]`` lists one representative raw per class of cell ``key``, in
     class order; the representative of a class is its least raw in the
     enumeration order (middle word, block positions in ``support_words``,
-    label positions, arrow images).  ``raws[key]`` are the raws the kernel
-    enumerated: here exactly the representatives, in :mod:`.catsym` every
-    raw.  ``cls[key]`` maps raws to classes: it starts with every enumerated
-    raw, and :meth:`class_of` adds each other raw it is asked about once
-    ``canon`` has carried that raw to its representative.  ``canon(w, y,
-    raw)`` returns ``None`` for anything that is not a raw of cell
-    ``(w, y)``; in :mod:`.catsym` it always does, because there ``cls``
-    holds every raw from the start.
+    label positions, then the arrow's images here and its index in
+    ``sw_arrows`` in :mod:`.catsym`).  ``raws[key]`` are the raws the kernel
+    built: in both layers exactly the representatives.  ``cls[key]`` maps raws
+    to classes: it starts with the representatives, and :meth:`class_of` adds
+    each other raw it is asked about once ``canon`` has carried that raw to
+    its representative.  ``canon(w, y, raw)`` returns ``None`` for anything
+    that is not a raw of cell ``(w, y)``.
 
     ``cap`` is the ``max_arity`` it was built with (``None``: no bound).  All
     raws of a cell have total arity ``len(w)`` and each cell is quotiented on
@@ -324,7 +323,7 @@ class Composite:
     outer: SymSeq
     inner: SymSeq
     seq: SymSeq
-    raws: dict   # (word, out) -> list of enumerated raw tuples
+    raws: dict   # (word, out) -> list of the raw tuples built: the representatives
     cls: dict    # (word, out) -> {raw: class index}
     reps: dict   # (word, out) -> list of representative raws
     canon: Callable = field(repr=False)  # (word, out, raw) -> representative of raw, or None
@@ -348,11 +347,6 @@ class Composite:
 
     def rep(self, w: Word, y, idx: int):
         return self.reps[(w, y)][idx]
-
-
-def every_raw_held(w: Word, y, raw) -> None:
-    """``canon`` of a composite whose ``cls`` holds every raw: a raw it lacks is none."""
-    return None
 
 
 def composite_of(
@@ -398,24 +392,27 @@ class _Shape:
     """The orbit plan of the raws ``(mid, g, blocks, fs, sig)`` of one ``(mid, blocks)``.
 
     ``blocks`` is sorted within each run of equal letters of ``mid``.  ``H``
-    is the group generated by the swaps of equal adjacent blocks (under equal
-    middle letters) and the Young stabilizers of the blocks; it acts on a
-    label pair ``(g, fs)`` and on ``sig`` by ``sig -> sig∘pi`` for a
-    permutation ``pi`` of the concatenated positions.  Labels are held by
-    their positions in their cells, so a plan depends only on the structure
-    of the cells.  ``swaps`` and ``young`` are the generators of ``H`` as
-    ``(position, label permutation, pi)``.  ``least`` maps each pair that is
-    least in its ``H``-orbit, in
-    enumeration order, to the stabilizer chain (:func:`.perms.sims_table`)
-    of ``pi`` over its stabilizer and the arrows least in their cosets under
-    that chain (:func:`_least_arrows`): one raw per class.  ``path``, filled
-    on the first :meth:`locate`, sends every pair to its orbit's least pair
-    and ``pi`` of an element carrying the least pair to it.
+    is the group of the elements that keep ``(mid, blocks)``; it acts on a
+    label pair ``(g, fs)`` and on the arrow ``sig`` of a raw by ``sig ->
+    then(sig, pi)`` for an arrow ``pi: concat -> concat``.  Labels are held
+    by their positions in their cells.  The generators of ``H`` are
+    ``swaps``, ``(t, g permutation, step)``, which also swap the labels of
+    blocks ``t`` and ``t + 1``, and ``moves``, ``(k, g permutation, f
+    permutation, step)``, which move the label of block ``k``; ``step(pi)``
+    is ``then(pi, pi_gen)`` for the generator's own ``pi_gen``.  Here ``pi``
+    is an image tuple; :mod:`.catsym` holds groupoid arrows in its plans.
+    ``least`` maps each pair that is least in its
+    ``H``-orbit, in enumeration order, to what the layer keeps of its
+    stabilizer: the one raw per class is read from it.  ``path``, filled on
+    the first :meth:`locate`, sends every pair to its orbit's least pair and
+    ``pi`` of an element carrying the least pair to it.
     """
 
-    word: Word
+    one: tuple          # pi of the identity element
+    then: Callable      # (pi, pi2) -> pi followed by pi2
+    inverse: Callable   # pi -> its inverse
     swaps: list
-    young: list
+    moves: list
     least: dict
     path: Optional[dict] = None
 
@@ -429,26 +426,44 @@ class _Shape:
         """``{pair: pi}`` over the ``H``-orbit of ``x``, and Schreier generators of ``pi`` on its stabilizer.
 
         ``pi`` belongs to an element carrying ``x`` to the pair; a second
-        path to a pair gives the generator ``pi_x∘pi_s∘pi_y⁻¹``.
+        path to a pair ``y``, from a pair ``s`` along a generator, gives the
+        generator ``then(step(pi_s), inverse(pi_y))``.
         """
-        pis = {x: tuple(range(len(self.word)))}
+        pis = {x: self.one}
         queue = [x]
         schreier = set()
         for xg, xfs in queue:
             px = pis[(xg, xfs)]
             moved = [
-                ((gp[xg], xfs[:t] + (xfs[t + 1], xfs[t]) + xfs[t + 2 :]), pi) for t, gp, pi in self.swaps
+                ((gp[xg], xfs[:t] + (xfs[t + 1], xfs[t]) + xfs[t + 2 :]), step) for t, gp, step in self.swaps
             ]
-            moved += [((xg, xfs[:k] + (fp[xfs[k]],) + xfs[k + 1 :]), pi) for k, fp, pi in self.young]
-            for y, pi in moved:
-                py = tuple(px[p] for p in pi)
+            moved += [((gp[xg], xfs[:k] + (fp[xfs[k]],) + xfs[k + 1 :]), step) for k, gp, fp, step in self.moves]
+            for y, step in moved:
+                py = step(px)
                 old = pis.get(y)
                 if old is None:
                     pis[y] = py
                     queue.append(y)
                 elif old != py:
-                    schreier.add(tuple(py[p] for p in inverse_images(old)))
+                    schreier.add(self.then(py, self.inverse(old)))
         return pis, schreier
+
+    def least_pairs(self, sizes: tuple):
+        """``(least pair, Schreier generators of its stabilizer)`` for each orbit, in enumeration order.
+
+        ``sizes`` are the sizes of the outer cell and of each inner cell.
+        """
+        seen: set = set()
+        for x0 in itertools.product(range(sizes[0]), itertools.product(*(range(k) for k in sizes[1:]))):
+            if x0 not in seen:
+                pis, schreier = self.orbit(x0)
+                seen.update(pis)
+                yield x0, schreier
+
+
+def _then_images(p: tuple, q: tuple) -> tuple:
+    """The image tuple of ``p`` followed by ``q`` (diagram order)."""
+    return tuple(p[i] for i in q)
 
 
 @lru_cache(maxsize=4096)
@@ -486,23 +501,20 @@ def _plan_shape(gcell: YoungSet, fcells: tuple, mid: Word, blocks: tuple) -> _Sh
     concat = tuple(s for b in blocks for s in b)
     w = canonical_word(concat)[0]
     swaps = [
-        (t, _label_perm(gcell, t), _swap_images(lengths, t))
+        (t, _label_perm(gcell, t), _picker(_swap_images(lengths, t)))
         for t in stab_gens(mid)
         if blocks[t] == blocks[t + 1]
     ]
-    young = [
-        (k, _label_perm(fcells[k], t), _young_images(n, offs[k], len(b), t))
+    fixed = tuple(range(gcell.size))
+    moves = [
+        (k, fixed, _label_perm(fcells[k], t), _picker(_young_images(n, offs[k], len(b), t)))
         for k, b in enumerate(blocks)
         for t in stab_gens(b)
     ]
-    shape = _SHAPES[key] = _Shape(w, swaps, young, {})
-    seen: set = set()
-    for x0 in itertools.product(range(gcell.size), itertools.product(*(range(c.size) for c in fcells))):
-        if x0 not in seen:
-            pis, schreier = shape.orbit(x0)
-            seen.update(pis)
-            table = sims_table(tuple(sorted(schreier)), n)
-            shape.least[x0] = (table, _least_arrows(w, concat, table))
+    shape = _SHAPES[key] = _Shape(tuple(range(n)), _then_images, inverse_images, swaps, moves, {})
+    for x0, schreier in shape.least_pairs((gcell.size,) + tuple(c.size for c in fcells)):
+        table = sims_table(tuple(sorted(schreier)), n)
+        shape.least[x0] = (table, _least_arrows(w, concat, table))
     return shape
 
 
@@ -551,13 +563,15 @@ def _least_arrows(w: Word, concat: Word, table: tuple) -> tuple:
     return tuple(arrows), tuple(moves)
 
 
-def _least_raw(outer: SymSeq, inner: SymSeq, shapes: dict, w: Word, z, raw):
-    """The least raw of the orbit of ``raw``, or ``None`` if it is not a raw of ``(w, z)``.
+def least_raw(outer: SymSeq, inner: SymSeq, shapes: dict, w: Word, z, raw):
+    """The least raw of the orbit of ``raw``, or ``None`` if it is not a raw of ``(w, z)`` at any cap.
 
     The blocks are sorted within each run of the middle word by swaps of
     adjacent blocks, the label pair is carried to the least pair of its
     ``H``-orbit, and ``sig`` to the least of its coset under that pair's
-    stabilizer.  ``shapes`` holds the plans the composite was built from.
+    stabilizer.  ``shapes`` holds the plans a composite was built from, by
+    ``(mid, out, blocks)``; with none, each shape is planned (or read from
+    the shared plans) as ``raw`` needs it, and no composite is built.
     """
     if type(raw) is not tuple or len(raw) != 5:
         return None
@@ -644,7 +658,8 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
             if not all(c.size for c in fcells):
                 continue
             shape = shapes[(mid, z, blocks)] = _plan_shape(gcell, fcells, mid, blocks)
-            reps, targets = built.setdefault((shape.word, z), ([], {}))
+            w = canonical_word(tuple(s for b in blocks for s in b))[0]
+            reps, targets = built.setdefault((w, z), ([], {}))
             for (gi, fis), (_table, (arrows, moves)) in shape.least.items():
                 g, fs = gcell.labels[gi], _labels_at(fcells, fis)
                 base = len(reps)
@@ -659,7 +674,7 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
         cls_out[key] = {raw: idx for idx, raw in enumerate(reps)}
         reps_out[key] = reps
     seq = SymSeq(inner.dom, outer.cod, cells)
-    canon = partial(_least_raw, outer, inner, shapes)
+    canon = partial(least_raw, outer, inner, shapes)
     return Composite(outer, inner, seq, reps_out, cls_out, reps_out, canon, max_arity)
 
 

@@ -8,7 +8,9 @@ from opdbim.perms import (
     FinGroupoid, Perm, ValidationError, YoungSet, block_offsets, disjoint_union, quotient, skey,
 )
 from opdbim.symseq import SymSeq, SymSeqMap, compose_symseq, identity_map, iso_symseq
-from opdbim.operads import com_operad, enumerate_algebras, operad_iso, terminal_operad, unit_operad
+from opdbim.operads import (
+    assoc_operad, com_operad, enumerate_algebras, magma_operad, operad_iso, terminal_operad, unit_operad,
+)
 from opdbim.catsym import (
     CatSymSeq,
     cat_compose,
@@ -306,7 +308,7 @@ def test_exponential_with_nonunit_outer_operad():
     assert enumerate_algebras(exp, sizes, budget=10_000_000) == 4
 
 
-# --- coend edges along generators, and the arrow-set memo --------------------
+# --- the orbit-level kernel against an enumerate-and-quotient oracle ----------
 
 
 def _all_arrow_edges(outer, inner, z, raws):
@@ -339,11 +341,65 @@ def _all_arrow_edges(outer, inner, z, raws):
     return edges
 
 
-def _assert_all_arrow_partition(outer, inner, comp):
-    for key, raws in comp.raws.items():
-        q = quotient(raws, _all_arrow_edges(outer, inner, key[1], raws))
-        assert comp.cls[key] == q.class_index, key
+def _iso_words(gpd, word):
+    """Every canonical word with an arrow into ``word``."""
+    letters = [[o for o in gpd.objects if gpd.arrows(o, x)] for x in word]
+    return {sw_canonical(gpd, combo)[0] for combo in itertools.product(*letters)}
+
+
+def _cat_oracle(outer, inner, max_arity=None):
+    """The categorical composite by brute force: ``{cell: (every raw, quotient)}``.
+
+    Every raw ``(mid, g, blocks, fs, arr)`` is enumerated, in the order that
+    defines representatives (middle word in ``outer.support()`` order, blocks
+    in product order over ``inner.support_words``, outer label, inner labels,
+    arrow index in ``sw_arrows``), and each cell is quotiented along every
+    arrow of each block word and of the middle word.
+    """
+    dom = inner.dom
+    raws_by_cell = {}
+    for (mid, z) in outer.support():
+        for blocks in itertools.product(*(inner.support_words(y) for y in mid)):
+            if max_arity is not None and sum(len(b) for b in blocks) > max_arity:
+                continue
+            concat = tuple(o for b in blocks for o in b)
+            fng = [inner.labels(b, y) for b, y in zip(blocks, mid)]
+            for cw in _iso_words(dom, concat):
+                raws_by_cell.setdefault((cw, z), []).extend(
+                    (mid, g, blocks, fs, arr)
+                    for g in outer.labels(mid, z)
+                    for fs in itertools.product(*fng)
+                    for arr in sw_arrows(dom, cw, concat)
+                )
+    return {
+        key: (raws, quotient(raws, _all_arrow_edges(outer, inner, key[1], raws)))
+        for key, raws in raws_by_cell.items()
+    }
+
+
+def _assert_matches_cat_oracle(comp):
+    """Same cells, representatives, class numbers and transports as the oracle;
+    ``class_of`` agrees with it on every raw."""
+    oracle = _cat_oracle(comp.outer, comp.inner, comp.cap)
+    dom, outer = comp.inner.dom, comp.outer
+    assert set(comp.seq.cells) == set(oracle)
+    for key, (raws, q) in oracle.items():
+        w, z = key
         assert comp.reps[key] == list(q.representative), key
+        assert comp.seq.cells[key] == tuple(range(len(q.classes))), key
+        for (v, a), table in comp.seq.dom_tr[key].items():
+            index = oracle[(v, z)][1].class_index
+            want = {i: index[(m, g, b, fs, sw_compose(dom, a, arr))] for i, (m, g, b, fs, arr) in enumerate(q.representative)}
+            assert table == want, (key, v, a)
+        for b, table in comp.seq.cod_tr[key].items():
+            index = oracle[(w, outer.cod.dst[b])][1].class_index
+            want = {
+                i: index[(m, outer.cod_tr[(m, z)][b][g], bl, fs, arr)]
+                for i, (m, g, bl, fs, arr) in enumerate(q.representative)
+            }
+            assert table == want, (key, b)
+        for raw in raws:
+            assert comp.class_of(*key, raw) == q.class_index[raw], (key, raw)
 
 
 def _recorded_composites(monkeypatch, build):
@@ -365,52 +421,64 @@ def _recorded_composites(monkeypatch, build):
 
 
 def test_generator_edges_match_all_arrow_edges(monkeypatch):
-    # discrete: the generators are the adjacent transpositions inside runs
+    # the kernel builds one raw per class from generators of each slice's
+    # group; the oracle quotients every raw along every arrow
     c = cat_from_symseq(com_operad(3).carrier)
-    _assert_all_arrow_partition(c, c, cat_compose(c, c, max_arity=3))
+    _assert_matches_cat_oracle(cat_compose(c, c, max_arity=3))
     # every composite of the unit(x, 2) / com(2) hom monad, monad laws included
     built = _recorded_composites(
         monkeypatch, lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
     )
     assert built
-    for outer, inner, comp in built:
-        _assert_all_arrow_partition(outer, inner, comp)
+    for _outer, _inner, comp in built:
+        _assert_matches_cat_oracle(comp)
     # distinct isomorphic objects, such as ((x, y), z) and ((y, x), z), and
     # non-trivial automorphisms, such as the swap of ((x, x), z)
     expz = exp_object(FinGroupoid.discrete(("x", "y")), FinGroupoid.discrete(("z",)), 2)
     assert expz.arrows((("x", "y"), "z"), (("y", "x"), "z"))
     assert len(expz.arrows((("x", "x"), "z"), (("x", "x"), "z"))) == 2
     idz = cat_id(expz)
-    _assert_all_arrow_partition(idz, idz, cat_compose(idz, idz, max_arity=2))
-
-
-def _assert_index_pairs_match_element_pairs(outer, inner, comp):
-    """The kernel's index-pair edges, handed to the element-pair ``quotient``, give its classes."""
-    from opdbim.catsym import _cat_edges, _generator_table
-    from opdbim.perms import index_positions
-
-    inner_gens, outer_gens = _generator_table(inner), _generator_table(outer)
-    for key, raws in comp.raws.items():
-        pairs = _cat_edges(inner, key[1], raws, index_positions(raws), inner_gens, outer_gens)
-        q = quotient(raws, [(raws[i], raws[j]) for i, j in pairs])
-        assert comp.cls[key] == q.class_index, key
-        assert comp.reps[key] == list(q.representative), key
-        assert comp.seq.cells[key] == tuple(range(len(q.classes))), key
+    _assert_matches_cat_oracle(cat_compose(idz, idz, max_arity=2))
 
 
 def test_index_pair_quotients_match_the_element_pair_quotient(monkeypatch):
+    # every composite of the unit(x, 2) / assoc(2) hom monad against the oracle
     built = _recorded_composites(
-        monkeypatch, lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
+        monkeypatch, lambda: hom_monad(unit_operad(("x",), 2), assoc_operad(2), 2, 2)
     )
     assert built
-    for outer, inner, comp in built:
-        _assert_index_pairs_match_element_pairs(outer, inner, comp)
+    for _outer, _inner, comp in built:
+        _assert_matches_cat_oracle(comp)
     c = cat_from_symseq(com_operad(4).carrier)
     plain = compose_symseq(com_operad(4).carrier, com_operad(4).carrier, max_arity=4)
     comp = cat_compose(c, c, max_arity=4)
-    _assert_index_pairs_match_element_pairs(c, c, comp)
+    _assert_matches_cat_oracle(comp)
     # the discrete case has as many classes per cell as the plain layer
     assert {k: len(v) for k, v in comp.reps.items()} == {k: len(v) for k, v in plain.reps.items()}
+    # one raw per class is built
+    assert all(comp.raws[k] == comp.reps[k] for k in comp.reps)
+
+
+def _same_reps(plain, cat):
+    """Same non-empty cells and representatives, reading a plain ``sig`` as ``arr[0]``."""
+    cells = {k for k, cell in plain.seq.cells.items() if cell.size}
+    assert cells == {k for k, labels in cat.seq.cells.items() if labels}
+    for key in cells:
+        assert plain.reps[key] == [(m, g, b, fs, arr[0]) for m, g, b, fs, arr in cat.reps[key]], key
+    return len(cells)
+
+
+def test_cat_compose_on_discrete_groupoids_matches_compose_symseq():
+    for make in (com_operad, assoc_operad, magma_operad):
+        a = make(3).carrier
+        _same_reps(compose_symseq(a, a, max_arity=3), cat_compose(cat_from_symseq(a), cat_from_symseq(a), 3))
+    cells = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        f = rand_symseq(rng, ("a", "b"), 2, 3, 3)
+        g = rand_symseq(rng, ("a", "b"), 2, 3, 3)
+        cells += _same_reps(compose_symseq(f, g, 3), cat_compose(cat_from_symseq(f), cat_from_symseq(g), 3))
+    assert cells == 152
 
 
 def _fresh_arrows(gpd, v, w):
@@ -466,3 +534,55 @@ def test_cat_class_of_names_the_cell_and_an_unhashable_raw():
     with pytest.raises(ValidationError) as err:
         comp.class_of(*key, raw)
     assert repr(key) in str(err.value) and repr(raw) in str(err.value)
+
+
+def _cat_class_of_error(comp, w, y, raw):
+    with pytest.raises(ValidationError) as err:
+        comp.class_of(w, y, raw)
+    assert repr((w, y)) in str(err.value) and repr(raw) in str(err.value)
+
+
+def test_cat_class_of_names_the_cell_and_the_raw_it_refuses():
+    # the categorical twin of the plain composite's refusals
+    c = cat_from_symseq(com_operad(3).carrier)
+    comp = cat_compose(c, c, max_arity=3)
+    i = ("id", STAR)
+    w, y = (STAR, STAR), STAR
+    arr = ((1, 0), (i, i))
+    good = ((STAR, STAR), 0, ((STAR,), (STAR,)), (0, 0), arr)
+    assert comp.class_of(w, y, good) == 1  # class 0 is the one of mid (*,)
+    # a label outside its cell, outer and inner
+    _cat_class_of_error(comp, w, y, ((STAR, STAR), 7, ((STAR,), (STAR,)), (0, 0), arr))
+    _cat_class_of_error(comp, w, y, ((STAR, STAR), 0, ((STAR,), (STAR,)), (0, "x"), arr))
+    # a block outside the inner support, and blocks that do not fit the middle word
+    _cat_class_of_error(comp, w, y, ((STAR,), 0, ((STAR,) * 4,), (0,), arr))
+    _cat_class_of_error(comp, w, y, ((STAR,), 0, ((),), (0,), arr))
+    _cat_class_of_error(comp, w, y, ((STAR, STAR), 0, ((STAR, STAR),), (0,), arr))
+    _cat_class_of_error(comp, w, y, "not a raw")
+    # arrows whose target is not concat(blocks), or that are no arrows of w
+    for bad in (((0,), (i,)), ((0, 0), (i, i)), ((1, 0), (("id", "x"), i)), (1, 0)):
+        _cat_class_of_error(comp, w, y, ((STAR, STAR), 0, ((STAR,), (STAR,)), (0, 0), bad))
+    # a word above the cap: a raw of c o c at arity 4, but not of this composite
+    w4 = (STAR,) * 4
+    raw4 = ((STAR, STAR), 0, ((STAR, STAR), (STAR, STAR)), (0, 0), sw_id(c.dom, w4))
+    assert raw4 in cat_compose(c, c, max_arity=4).reps[(w4, y)]
+    _cat_class_of_error(comp, w4, y, raw4)
+    # over a groupoid with isomorphic objects: an arrow into another word
+    g = two_object_iso_groupoid()
+    ident_g = cat_id(g)
+    comp_g = cat_compose(ident_g, ident_g, max_arity=1)
+    key = (("p",), "q")
+    mid, lab, blocks, fs, arr_g = comp_g.reps[key][0]
+    assert blocks == (("p",),)
+    assert comp_g.class_of(*key, (mid, lab, blocks, fs, arr_g)) == 0
+    _cat_class_of_error(comp_g, *key, (mid, lab, blocks, fs, ((0,), ("f",))))
+
+
+def test_a_support_not_closed_under_isomorphism_is_refused():
+    # p and q are isomorphic, so the least word of the class of (p, q) would
+    # be (p, p) or (q, q); with (p, q) alone its swap with components would
+    # be missing from the generators of its automorphisms
+    g = two_object_iso_groupoid()
+    lonely = CatSymSeq(g, g, {(("p", "q"), "p"): ("c",)}, {}, {})
+    with pytest.raises(ValidationError, match="not closed under isomorphism"):
+        cat_compose(cat_id(g), lonely, max_arity=2)
