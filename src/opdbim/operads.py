@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Iterable, Optional
 
 from .perms import (
@@ -674,10 +675,17 @@ def enumerate_algebras(
     """Exhaustively count algebra structures on carriers of the given sizes.
 
     Equivariance is built in by assigning one value per orbit of
-    (operation, input tuple) pairs; unit and associativity prune the search
-    as soon as every cell they mention has been assigned.  The estimate
-    ``prod_cells |T_out| ** orbits`` is priced by Burnside counts before any
-    orbit table is built, so an over-budget call refuses without enumerating.
+    (operation, input tuple) pairs, cell by cell in order of arity.  Before
+    branching on a cell, every value a law forces is filled in: the unit law
+    fixes the identity's orbits, and an associativity instance whose outer
+    and block cells are already set fixes the composite's value at each input
+    tuple.  Only the remaining orbits are branched on, and a conflict between
+    forced values prunes the branch.  Every table tried is still checked
+    against every associativity instance as soon as every cell it mentions is
+    set, so the count is exact.  The estimate ``prod_cells |T_out| ** orbits``
+    is priced by Burnside counts before any orbit table is built, so an
+    over-budget call refuses without enumerating; it prices the unpruned
+    space, so it is an upper bound on the tables tried.
     """
     if isinstance(sizes, int):
         sizes = {x: sizes for x in op.sorts}
@@ -710,39 +718,54 @@ def enumerate_algebras(
                 f"cell {k}: Burnside count {orbit_counts[k]} != {len(q.classes)} enumerated orbits"
             )
 
-    # associativity instances, scheduled by the last-assigned cell they touch
+    # Associativity instances ``(key, outer, g, cells, rows)``.  Each row
+    # ``(pair, args)`` is the equation act[key][pair] == act[outer][(g, vals)]
+    # at one input tuple, with vals[j] = act[cells[j]][args[j]]: the block
+    # arguments are read off the arrow-permuted tuple once, here.  An
+    # instance is checked at the stage of the last-assigned cell it touches,
+    # and forces values of its composite cell when that cell comes after all
+    # the others.
     key_index = {k: i for i, k in enumerate(keys)}
-    instances = []
-    for key, reps in op.comp2.reps.items():
-        w, x = key
-        if len(w) > op.arity_bound or key not in key_index:
-            continue
-        for idx, raw in enumerate(reps):
-            mid, g, blocks, fs, sig = raw
-            involved = [key, (mid, x)] + [(b, y) for b, y in zip(blocks, mid)]
-            if any(k not in key_index for k in involved):
-                continue
-            stage = max(key_index[k] for k in involved)
-            instances.append((stage, key, idx, raw))
     by_stage: dict = {}
-    for stage, key, idx, raw in instances:
-        by_stage.setdefault(stage, []).append((key, idx, raw))
-
-    eta_of = {x: op.eta_label(x) for x in op.sorts}
-
-    def check_stage(stage, act):
-        for key, idx, raw in by_stage.get(stage, ()):
-            w, x = key
-            mid, g, blocks, fs, sig = raw
+    forcing: dict = {}
+    for key, reps in op.comp2.reps.items():
+        if key not in key_index:
+            continue
+        w, x = key
+        for idx, (mid, g, blocks, fs, sig) in enumerate(reps):
+            outer = (mid, x)
+            cells = tuple((b, y) for b, y in zip(blocks, mid))
+            if any(k not in key_index for k in (outer, *cells)):
+                continue
             sigma = Perm(sig)
             offs = block_offsets([len(b) for b in blocks])
             target = op.mu.at(w, x, idx)
+            rows = []
             for tvec in t.power(w):
                 concat = tuple(tvec[sigma(p)] for p in range(len(w)))
-                vals = []
-                for i, b in enumerate(blocks):
-                    vals.append(act[(b, mid[i])][(fs[i], concat[offs[i] : offs[i + 1]])])
-                if act[(w, x)][(target, tvec)] != act[(mid, x)][(g, tuple(vals))]:
+                args = tuple((f, concat[lo:hi]) for f, lo, hi in zip(fs, offs, offs[1:]))
+                rows.append(((target, tvec), args))
+            inst = (key, outer, g, cells, rows)
+            earlier = max(key_index[k] for k in (outer, *cells))
+            by_stage.setdefault(max(earlier, key_index[key]), []).append(inst)
+            if earlier < key_index[key]:
+                forcing.setdefault(key_index[key], []).append(inst)
+
+    eta_of = {x: op.eta_label(x) for x in op.sorts}
+
+    def composite_values(inst, act):
+        """``(pair, value)``: the value the outer side gives the composite at each row."""
+        _key, outer, g, cells, rows = inst
+        outer_table = act[outer]
+        tables = [act[c] for c in cells]
+        for pair, args in rows:
+            yield pair, outer_table[(g, tuple(map(getitem, tables, args)))]
+
+    def check_stage(stage, act):
+        for inst in by_stage.get(stage, ()):
+            table = act[inst[0]]
+            for pair, value in composite_values(inst, act):
+                if table[pair] != value:
                     return False
         return True
 
@@ -752,23 +775,21 @@ def enumerate_algebras(
         key = keys[i]
         w, x = key
         q = orbit_data[key]
-        carrier_x = t.sets[x]
-        n_classes = len(q.classes)
         forced: dict = {}
         if len(w) == 1 and w[0] == x:
-            for ci in range(n_classes):
-                lab, tvec = q.representative[ci]
+            for ci, (lab, tvec) in enumerate(q.representative):
                 if lab == eta_of[x]:
                     forced[ci] = tvec[0]
+        for inst in forcing.get(i, ()):
+            for pair, value in composite_values(inst, act):
+                if forced.setdefault(q.class_index[pair], value) != value:
+                    return 0
         choice_space = [
-            (forced[ci],) if ci in forced else carrier_x for ci in range(n_classes)
+            (forced[ci],) if ci in forced else t.sets[x] for ci in range(len(q.classes))
         ]
         found = 0
         for values in itertools.product(*choice_space):
-            table = {}
-            for pair in q.elements:
-                table[pair] = values[q.class_index[pair]]
-            act[key] = table
+            act[key] = {pair: values[ci] for pair, ci in q.class_index.items()}
             if check_stage(i, act):
                 found += assign(i + 1, act)
         act.pop(key, None)

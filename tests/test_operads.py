@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from opdbim.catsym import product_operad
 from opdbim.perms import InputError, ValidationError, YoungSet
+from opdbim.samples import rand_operad
 from opdbim.symseq import Family, SymSeq, compose_symseq, iso_symseq
 from opdbim.operads import (
     Algebra,
@@ -222,6 +224,145 @@ def test_burnside_mismatch_is_a_validation_error(monkeypatch):
     monkeypatch.setattr(operads, "_cell_orbit_count", lambda cell, sizes: real(cell, sizes) + 1)
     with pytest.raises(ValidationError, match="Burnside count"):
         enumerate_algebras(com_operad(2), 2)
+
+
+def unpruned_algebra_count(op, sizes):
+    """The search ``enumerate_algebras`` ran before it filled forced values.
+
+    It branches on every orbit of every cell except the identity's and only
+    then checks associativity, so it shares no forcing code with the kernel.
+    """
+    from opdbim.operads import _cell_action_classes
+    from opdbim.perms import Perm, block_offsets, skey
+
+    if isinstance(sizes, int):
+        sizes = {x: sizes for x in op.sorts}
+    sizes = {x: max(0, sizes.get(x, 0)) for x in op.sorts}
+    keys = [k for k in op.support() if len(k[0]) <= op.arity_bound and op.carrier.cells[k].size]
+    keys.sort(key=lambda k: (len(k[0]), skey(k)))
+    t = Family(op.sorts, {x: tuple(range(sizes[x])) for x in op.sorts})
+    orbit_data = {k: _cell_action_classes(op, k, t) for k in keys}
+    key_index = {k: i for i, k in enumerate(keys)}
+    by_stage = {}
+    for key, reps in op.comp2.reps.items():
+        w, x = key
+        if len(w) > op.arity_bound or key not in key_index:
+            continue
+        for idx, raw in enumerate(reps):
+            mid, g, blocks, fs, sig = raw
+            involved = [key, (mid, x)] + [(b, y) for b, y in zip(blocks, mid)]
+            if any(k not in key_index for k in involved):
+                continue
+            stage = max(key_index[k] for k in involved)
+            by_stage.setdefault(stage, []).append((key, idx, raw))
+    eta_of = {x: op.eta_label(x) for x in op.sorts}
+
+    def check_stage(stage, act):
+        for key, idx, raw in by_stage.get(stage, ()):
+            w, x = key
+            mid, g, blocks, fs, sig = raw
+            sigma = Perm(sig)
+            offs = block_offsets([len(b) for b in blocks])
+            target = op.mu.at(w, x, idx)
+            for tvec in t.power(w):
+                concat = tuple(tvec[sigma(p)] for p in range(len(w)))
+                vals = []
+                for i, b in enumerate(blocks):
+                    vals.append(act[(b, mid[i])][(fs[i], concat[offs[i] : offs[i + 1]])])
+                if act[(w, x)][(target, tvec)] != act[(mid, x)][(g, tuple(vals))]:
+                    return False
+        return True
+
+    def assign(i, act):
+        if i == len(keys):
+            return 1
+        key = keys[i]
+        w, x = key
+        q = orbit_data[key]
+        forced = {}
+        if len(w) == 1 and w[0] == x:
+            for ci in range(len(q.classes)):
+                lab, tvec = q.representative[ci]
+                if lab == eta_of[x]:
+                    forced[ci] = tvec[0]
+        choice_space = [
+            (forced[ci],) if ci in forced else t.sets[x] for ci in range(len(q.classes))
+        ]
+        found = 0
+        for values in itertools.product(*choice_space):
+            act[key] = {pair: values[q.class_index[pair]] for pair in q.elements}
+            if check_stage(i, act):
+                found += assign(i + 1, act)
+        act.pop(key, None)
+        return found
+
+    return assign(0, {})
+
+
+BUILTINS = {"assoc": assoc_operad, "com": com_operad, "magma": magma_operad}
+
+
+def _oracle_inputs():
+    for name in BUILTINS:
+        for size in (1, 2, 3):
+            yield f"{name}2-{size}", (name, 2), size
+        for size in (1, 2):
+            if (name, size) != ("magma", 2):  # the unpruned search runs for minutes
+                yield f"{name}3-{size}", (name, 3), size
+    for sizes in ({"x": 1, "y": 2}, {"x": 2, "y": 3}, {"x": 0, "y": 2}):
+        yield f"unit_xy2-{sizes['x']}{sizes['y']}", ("unit_xy", 2), sizes
+    for a, b in itertools.combinations_with_replacement(BUILTINS, 2):
+        yield f"{a}2x{b}2-2", ("product", a, b), 2
+    yield "com2xcom2-1", ("product", "com", "com"), 1
+    for window, sizes in ((2, (2, 3)), (3, (1, 2))):
+        for seed in range(3):
+            yield f"rand{window}-{seed}", ("rand", window, seed), sizes[seed % 2]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_operad(spec):
+    if spec[0] in BUILTINS:
+        return BUILTINS[spec[0]](spec[1])
+    if spec[0] == "unit_xy":
+        return unit_operad(("x", "y"), spec[1])
+    if spec[0] == "product":
+        return product_operad(BUILTINS[spec[1]](2), BUILTINS[spec[2]](2))
+    return rand_operad(random.Random(spec[2]), spec[1])
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [pytest.param(spec, sizes, id=name) for name, spec, sizes in _oracle_inputs()],
+)
+def test_forced_values_keep_the_count_of_the_unpruned_search(spec, sizes):
+    op = oracle_operad(spec)
+    if isinstance(sizes, int):
+        sizes = {x: sizes for x in op.sorts}
+    assert enumerate_algebras(op, sizes, budget=10**7) == unpruned_algebra_count(op, sizes)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_product_algebras_are_pairs_of_algebras(arity):
+    counts = {}
+    for a, b in itertools.combinations_with_replacement(BUILTINS, 2):
+        prod = product_operad(BUILTINS[a](arity), BUILTINS[b](arity))
+        counts[a, b] = enumerate_algebras(prod, 2, budget=10**14)
+        alone = [enumerate_algebras(BUILTINS[n](arity), 2, budget=10**7) for n in (a, b)]
+        assert counts[a, b] == alone[0] * alone[1], (a, b)
+    if arity == 3:
+        assert counts["assoc", "com"] == 48 == 8 * 6
+        assert counts["com", "com"] == 36 == 6 * 6
+
+
+def test_ternary_magma_operations_are_all_composites():
+    # every ternary operation of a magma is a composite of binary ones, so
+    # associativity forces the whole ternary cell: the count is the 16 binary
+    # tables on a 2-set
+    t0 = time.perf_counter()
+    assert enumerate_algebras(magma_operad(3), 2, budget=10**7) == 16
+    free = free_operad((STAR,), {((STAR, STAR), STAR): ("b",)}, 3)
+    assert enumerate_algebras(free, 2, budget=10**7) == 16
+    assert time.perf_counter() - t0 < 5
 
 
 @functools.lru_cache(maxsize=None)
