@@ -51,12 +51,10 @@ from .symseq import (
     id_symseq,
     identity_map,
     left_unitor,
-    left_unitor_inv,
     map_inverse,
     require_equal,
     restrict_map,
     right_unitor,
-    right_unitor_inv,
 )
 from .operads import (
     Algebra,
@@ -470,7 +468,7 @@ def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
     u1 = compose_maps(phi, hcompose_maps(b.eta, identity_map(f), idf, bf))
     u2 = compose_maps(
         hcompose_maps(identity_map(f), a.eta, fid, fa),
-        compose_maps(right_unitor_inv(fid), left_unitor(idf)),
+        compose_maps(map_inverse(right_unitor(fid)), left_unitor(idf)),
     )
     require_equal("lax morphism unit triangle", u1, u2)
     out = Bimodule(b, a, fa.seq, lam, rho, w, b_fa, fa_a)
@@ -505,7 +503,7 @@ def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
     u1 = compose_maps(psi, hcompose_maps(identity_map(f), a.eta, fid, fa))
     u2 = compose_maps(
         hcompose_maps(b.eta, identity_map(f), idf, bf),
-        compose_maps(left_unitor_inv(idf), right_unitor(fid)),
+        compose_maps(map_inverse(left_unitor(idf)), right_unitor(fid)),
     )
     require_equal("oplax morphism unit triangle", u1, u2)
     out = Bimodule(b, a, bf.seq, lam, rho, w, b_bf, bf_a)
@@ -609,7 +607,7 @@ def transport_adjunction(
     m2 = hcompose_maps(eps, identity_map(f), fu_f, id_f)
     tri1 = compose_maps(
         left_unitor(id_f),
-        compose_maps(m2, compose_maps(map_inverse(asc), compose_maps(m1, right_unitor_inv(f_id)))),
+        compose_maps(m2, compose_maps(map_inverse(asc), compose_maps(m1, map_inverse(right_unitor(f_id))))),
     )
     require_equal("Sym adjunction triangle (left)", tri1, identity_map(f))
     u_id = compose_symseq(u, id_symseq(u.dom), max_arity=w)
@@ -621,7 +619,7 @@ def transport_adjunction(
     n2 = hcompose_maps(identity_map(u), eps, u_fu, u_id)
     tri2 = compose_maps(
         right_unitor(u_id),
-        compose_maps(n2, compose_maps(asc2, compose_maps(n1, left_unitor_inv(id_u)))),
+        compose_maps(n2, compose_maps(asc2, compose_maps(n1, map_inverse(left_unitor(id_u))))),
     )
     require_equal("Sym adjunction triangle (right)", tri2, identity_map(u))
 

@@ -7,10 +7,12 @@ order composition matches the permutation convention of :mod:`.perms`.
 
 A categorical symmetric sequence stores, per cell, a plain label tuple plus
 transports along every word arrow between canonical words (contravariant)
-and every codomain arrow (covariant).  Composition, coherence maps, the
-evaluation 1-cell and the transpose bijection follow the same raw-tuple
-discipline as :mod:`.symseq`, and composition builds one raw per coend
-class.  A coend over a finite groupoid depends only on its skeleton: every
+and every codomain arrow (covariant).  Every builder fills them one way
+(``_fill_transports``): it reads them along generators of each word's
+automorphisms and one arrow per pair of isomorphic words, and composes the
+rest by functoriality.  Composition, coherence maps, the evaluation 1-cell
+and the transpose bijection follow the same raw-tuple discipline as
+:mod:`.symseq`, and composition builds one raw per coend class.  A coend over a finite groupoid depends only on its skeleton: every
 raw is related to one whose middle word and blocks are the least support
 words isomorphic to them, with the blocks sorted within each run of the
 middle word.  There the automorphisms of a word in which the letter ``x``
@@ -22,7 +24,8 @@ raw to that least raw (``canon``).  Arrow sets between words are enumerated
 once per groupoid instance (``sw_arrows``).
 
 Maps are :class:`.symseq.SymSeqMap`, the one map type of both layers, and
-share its identity, composites, equality and inverse.  Every map is total on
+share its identity, composites, equality and inverse; an inverse unitor is
+``map_inverse`` of the unitor.  Every map is total on
 the cells it holds.  Reading a cell or label a map lacks, or a raw outside a
 composite, raises ``ValidationError`` naming the cell; nothing is skipped.
 Two maps of the hom monad are windowed: ``cat_sum_split`` leaves a cell out
@@ -290,30 +293,6 @@ class CatSymSeq:
                     raise ValidationError(f"equivariance fails at cell {key} along {arrow}")
 
 
-def _complete_transports(seq: CatSymSeq, dom_arrow_fn: Callable, cod_arrow_fn: Callable) -> None:
-    """Fill ``dom_tr``/``cod_tr`` from per-generator transport callbacks.
-
-    ``dom_arrow_fn(key, src_word, arrow, label)`` and
-    ``cod_arrow_fn(key, arrow, label)`` must handle arbitrary arrows; this
-    helper just materializes the tables for every canonical word pair.
-    """
-    by_out: dict = {}
-    for (w, y), labels in seq.cells.items():
-        by_out.setdefault(y, []).append(w)
-    for key, labels in seq.cells.items():
-        w, y = key
-        seq.dom_tr[key] = {}
-        for v in by_out.get(y, []):
-            if len(v) != len(w):
-                continue
-            for a in sw_arrows(seq.dom, v, w):
-                seq.dom_tr[key][(v, a)] = {l: dom_arrow_fn(key, v, a, l) for l in labels}
-        seq.cod_tr[key] = {}
-        for y2 in seq.cod.objects:
-            for b in seq.cod.arrows(y, y2):
-                seq.cod_tr[key][b] = {l: cod_arrow_fn(key, b, l) for l in labels}
-
-
 def cat_from_symseq(f: SymSeq) -> CatSymSeq:
     """Embed an ordinary symmetric sequence along discrete groupoids."""
     dom = FinGroupoid.discrete(f.dom)
@@ -328,7 +307,7 @@ def cat_from_symseq(f: SymSeq) -> CatSymSeq:
     def cod_fn(key, b, label):
         return label
 
-    _complete_transports(seq, dom_fn, cod_fn)
+    _fill_transports(seq, dom_fn, cod_fn)
     return seq
 
 
@@ -348,7 +327,7 @@ def cat_id(gpd: FinGroupoid) -> CatSymSeq:
     def cod_fn(key, b, label):
         return gpd.compose(b, label)
 
-    _complete_transports(seq, dom_fn, cod_fn)
+    _fill_transports(seq, dom_fn, cod_fn)
     return seq
 
 
@@ -697,23 +676,24 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
         g2 = outer.cod_tr[(mid, key[1])][b][g]
         return comp.class_of(key[0], outer.cod.dst[b], (mid, g2, blocks, fs, arr))
 
-    _composite_transports(seq, _least_words(seq, plan.comp), dom_fn, cod_fn)
+    _fill_transports(seq, dom_fn, cod_fn)
     plan.forget()
     return comp
 
 
-def _composite_transports(seq: CatSymSeq, least: dict, dom_fn: Callable, cod_fn: Callable) -> None:
-    """Fill ``dom_tr``/``cod_tr`` of a composite, reading ``dom_fn`` along few arrows only.
+def _fill_transports(seq: CatSymSeq, dom_fn: Callable, cod_fn: Callable) -> None:
+    """Fill ``dom_tr``/``cod_tr`` of ``seq``, reading ``dom_fn(key, v, a, label)`` along few arrows only.
 
     Transports are functorial.  ``Aut(w)`` is generated by the conjugates,
-    along the first arrow ``s: w0 -> w`` from the least word isomorphic to
-    ``w``, of the :func:`_aut_generators` of ``w0``, so the table of each
-    automorphism is read off those of the generators.  Every arrow ``v -> w``
-    is the first one followed by an automorphism of ``w``, so its table is
-    the first one's after the automorphism's.  The tables come out as
-    :func:`_complete_transports` would make them, in the same order.
+    along the first arrow ``s: w0 -> w`` from the least support word
+    isomorphic to ``w`` (:func:`_least_words`), of the :func:`_aut_generators`
+    of ``w0``, so the table of each automorphism is read off those of the
+    generators.  Every arrow ``v -> w`` is the first one followed by an
+    automorphism of ``w``, so its table is the first one's after the
+    automorphism's.  ``cod_fn(key, b, label)`` is read along every arrow ``b``.
     """
     gpd = seq.dom
+    least = _least_words(seq, _components(gpd))
     words: dict = {}
     for key in seq.cells:
         words.setdefault((key[1], least[key]), []).append(key[0])
@@ -767,22 +747,6 @@ def cat_left_unitor(idf: Composite) -> SymSeqMap:
     return SymSeqMap(idf.seq, f, comp)
 
 
-def cat_left_unitor_inv(idf: Composite) -> SymSeqMap:
-    f = idf.inner
-    cod = f.cod
-    comp = {}
-    for key, labels in f.cells.items():
-        w, y = key
-        if not labels:
-            continue
-        m = {
-            lab: idf.class_of(w, y, ((y,), cod.ident[y], (w,), (lab,), sw_id(f.dom, w)))
-            for lab in labels
-        }
-        comp[key] = m
-    return SymSeqMap(f, idf.seq, comp)
-
-
 def cat_right_unitor(fid: Composite) -> SymSeqMap:
     """``F o Id -> F``: absorb the unary arrows and the shuffle."""
     f = fid.outer
@@ -799,21 +763,6 @@ def cat_right_unitor(fid: Composite) -> SymSeqMap:
             m[idx] = f.dom_tr[(mid, y)][(w, total)][g]
         comp[key] = m
     return SymSeqMap(fid.seq, f, comp)
-
-
-def cat_right_unitor_inv(fid: Composite) -> SymSeqMap:
-    f = fid.outer
-    dom = f.dom
-    comp = {}
-    for key, labels in f.cells.items():
-        w, y = key
-        if not labels:
-            continue
-        blocks = tuple((o,) for o in w)
-        fs = tuple(dom.ident[o] for o in w)
-        m = {lab: fid.class_of(w, y, (w, lab, blocks, fs, sw_id(dom, w))) for lab in labels}
-        comp[key] = m
-    return SymSeqMap(f, fid.seq, comp)
 
 
 def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
@@ -1067,7 +1016,7 @@ def ev_catsym(x: FinGroupoid, y: FinGroupoid, expz: FinGroupoid, length_bound: i
         return cls[(key[0], y.dst[b])][(x0, sw_compose(w_gpd, gamma, move))]
 
     data = EvData(seq, reps, cls)
-    _complete_transports(seq, dom_fn, cod_fn)
+    _fill_transports(seq, dom_fn, cod_fn)
     return data
 
 
@@ -1101,7 +1050,7 @@ def transpose(f: CatSymSeq, x: FinGroupoid, y: FinGroupoid) -> CatSymSeq:
         exp_arrow = ("e", sw_id(x, xw), b)
         return f.cod_tr[(vw, (xw, yo))][exp_arrow][label]
 
-    _complete_transports(seq, dom_fn, cod_fn)
+    _fill_transports(seq, dom_fn, cod_fn)
     return seq
 
 
@@ -1159,7 +1108,7 @@ def untranspose(g: CatSymSeq, v_gpd: FinGroupoid, x: FinGroupoid, expz: FinGroup
         lab = g.dom_tr[g_key(vw, obj)][(g_key(vw, (xw2, yo))[0], lifted)][label]
         return g.cod_tr[g_key(vw, (xw2, yo))][b][lab]
 
-    _complete_transports(seq, dom_fn, cod_fn)
+    _fill_transports(seq, dom_fn, cod_fn)
     return seq
 
 
@@ -1378,7 +1327,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
         cat_sum(idz_e.seq, a_idx.seq), cat_sum(e, acat),
     )
     step2 = cat_sum_maps(
-        cat_right_unitor_inv(e_idz), cat_left_unitor_inv(idx_a),
+        map_inverse(cat_right_unitor(e_idz)), map_inverse(cat_left_unitor(idx_a)),
         cat_sum(e, acat), cat_sum(e_idz.seq, idx_a.seq),
     )
     unsplit = map_inverse(_on_window(cat_sum_split(satil, e_idz, idx_a)))
@@ -1459,13 +1408,14 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     col_id = collapse_map(idz, x, y, expz, evdata, c_id, t_id)
     idw = cat_id(w_gpd)
     ev_idw = cat_compose(evdata.seq, idw, max_arity=capt)
+    ru_inv = map_inverse(cat_right_unitor(ev_idw))
     # Id_{Z u X} -> Id_Z u Id_X: strip the tags of the unary arrows
     idsum = SymSeqMap(idw, s_id, {k: {l: l[1] for l in labels} for k, labels in idw.cells.items()})
     r1 = compose_maps(
         col_id,
         compose_maps(
             hcompose_maps(identity_map(evdata.seq), idsum, ev_idw, c_id),
-            cat_right_unitor_inv(ev_idw),
+            ru_inv,
         ),
     )
     eta_atil_comp = {
@@ -1482,10 +1432,10 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     path2 = compose_maps(
         hcompose_maps(eta_b_cat, identity_map(ev_a.seq), idy_eva, tc),
         compose_maps(
-            cat_left_unitor_inv(idy_eva),
+            map_inverse(cat_left_unitor(idy_eva)),
             compose_maps(
                 hcompose_maps(identity_map(evdata.seq), eta_atil, ev_idw, ev_a),
-                cat_right_unitor_inv(ev_idw),
+                ru_inv,
             ),
         ),
     )
@@ -1508,11 +1458,23 @@ def _operad_mu(op: Operad, comp2: Composite, target: CatSymSeq) -> SymSeqMap:
 
 
 def _untranspose_map(on_t: SymSeqMap, src: CatSymSeq, dst: CatSymSeq, x: FinGroupoid) -> SymSeqMap:
-    """Read a map between transposed sequences back as a map ``src -> dst``."""
-    comp = {
-        (zw, obj): dict(on_t.cell(merge_words(zw, sw_canonical(x, obj[0])[0]), obj[1]))
-        for (zw, obj), labels in src.cells.items() if labels
-    }
+    """Read a map between transposed sequences back as a map ``src -> dst``.
+
+    Only canonical exponential sorts are transposed.  A cell at another sort
+    goes to the canonical one along the first arrow ``c`` of ``[X, Y]``,
+    through ``on_t``, and back along ``c``'s inverse.
+    """
+    expz, comp = src.cod, {}
+    for (zw, obj), labels in src.cells.items():
+        if not labels:
+            continue
+        obj0 = (sw_canonical(x, obj[0])[0], obj[1])
+        m = on_t.cell(merge_words(zw, obj0[0]), obj[1])
+        if obj0 != obj:
+            c = expz.arrows(obj, obj0)[0]
+            there, back = src.cod_tr[(zw, obj)][c], dst.cod_tr[(zw, obj0)][expz.inv[c]]
+            m = {lab: back[m[there[lab]]] for lab in labels}
+        comp[(zw, obj)] = dict(m)
     return SymSeqMap(src, dst, comp)
 
 

@@ -725,34 +725,6 @@ def right_unitor(fid: Composite) -> SymSeqMap:
     return SymSeqMap(fid.seq, f, comp)
 
 
-def left_unitor_inv(idf: Composite) -> SymSeqMap:
-    f = idf.inner
-    comp = {}
-    for key, cell in f.cells.items():
-        w, y = key
-        if cell.size == 0:
-            continue
-        ident = Perm.identity(len(w)).images
-        m = {lab: idf.class_of(w, y, ((y,), ("id", y), (w,), (lab,), ident)) for lab in cell.labels}
-        comp[key] = m
-    return SymSeqMap(f, idf.seq, comp)
-
-
-def right_unitor_inv(fid: Composite) -> SymSeqMap:
-    f = fid.outer
-    comp = {}
-    for key, cell in f.cells.items():
-        w, y = key
-        if cell.size == 0:
-            continue
-        blocks = tuple((x,) for x in w)
-        fs = tuple(("id", x) for x in w)
-        ident = Perm.identity(len(w)).images
-        m = {lab: fid.class_of(w, y, (w, lab, blocks, fs, ident)) for lab in cell.labels}
-        comp[key] = m
-    return SymSeqMap(f, fid.seq, comp)
-
-
 def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
     """Canonical iso ``(H o G) o F -> H o (G o F)`` by regrouping blocks.
 

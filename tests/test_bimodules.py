@@ -193,15 +193,15 @@ def test_bimodule_of_lax_identity():
     com = com_operad(2)
     # identity monad morphism: phi is the canonical iso B o Id -> Id o B sort of;
     # here F = Id and phi transports along the two unitors
-    from opdbim.symseq import left_unitor, right_unitor, left_unitor_inv, right_unitor_inv
+    from opdbim.symseq import left_unitor, map_inverse, right_unitor
 
     f = id_symseq((STAR,))
     bf = compose_symseq(com.carrier, f, max_arity=2)
     fb = compose_symseq(f, com.carrier, max_arity=2)
-    phi = compose_maps(left_unitor_inv(fb), right_unitor(bf))
+    phi = compose_maps(map_inverse(left_unitor(fb)), right_unitor(bf))
     lax = bimodule_of_lax(f, com, com, phi, window=2)
     assert iso_symseq(lax.carrier, com.carrier) is not None
-    oplax = bimodule_of_oplax(f, com, com, compose_maps(right_unitor_inv(bf), left_unitor(fb)), window=2)
+    oplax = bimodule_of_oplax(f, com, com, compose_maps(map_inverse(right_unitor(bf)), left_unitor(fb)), window=2)
     assert iso_symseq(oplax.carrier, com.carrier) is not None
 
 
@@ -239,17 +239,17 @@ def test_transport_identity_adjunction():
     com = com_operad(2)
     f = id_symseq((STAR,))
     ff = compose_symseq(f, f, max_arity=2)
-    from opdbim.symseq import left_unitor, left_unitor_inv
+    from opdbim.symseq import left_unitor, map_inverse
 
-    eta = left_unitor_inv(ff)
+    eta = map_inverse(left_unitor(ff))
     eps = left_unitor(ff)
     # xi: A -> Id o (A o Id): reindex along the unitors
     bf = compose_symseq(com.carrier, f, max_arity=2)
     u_bf = compose_symseq(f, bf.seq, max_arity=2)
-    from opdbim.symseq import right_unitor_inv
+    from opdbim.symseq import right_unitor
 
     a_id = compose_symseq(com.carrier, f, max_arity=2)
-    xi = compose_maps(left_unitor_inv(u_bf), right_unitor_inv(a_id))
+    xi = compose_maps(map_inverse(left_unitor(u_bf)), map_inverse(right_unitor(a_id)))
     xi = SymSeqMap(com.carrier, u_bf.seq, xi.comp)
     adj = transport_adjunction(f, f, eta, eps, com, com, xi, window=2)
     assert iso_symseq(adj.left.carrier, com.carrier) is not None
@@ -568,15 +568,15 @@ def _unary_twist(op, label_map, lax):
 
     It reads the ``op`` label through the unitors and sends it along ``label_map``.
     """
-    from opdbim.symseq import left_unitor, left_unitor_inv, right_unitor, right_unitor_inv
+    from opdbim.symseq import left_unitor, map_inverse, right_unitor
 
     f = id_symseq((STAR,))
     bf = compose_symseq(op.carrier, f, max_arity=1)
     fa = compose_symseq(f, op.carrier, max_arity=1)
     twist = SymSeqMap(op.carrier, op.carrier, {((STAR,), STAR): label_map})
     if lax:
-        return f, compose_maps(left_unitor_inv(fa), compose_maps(twist, right_unitor(bf)))
-    return f, compose_maps(right_unitor_inv(bf), compose_maps(twist, left_unitor(fa)))
+        return f, compose_maps(map_inverse(left_unitor(fa)), compose_maps(twist, right_unitor(bf)))
+    return f, compose_maps(map_inverse(right_unitor(bf)), compose_maps(twist, left_unitor(fa)))
 
 
 @pytest.mark.parametrize("builder, lax, law", [
@@ -642,14 +642,14 @@ def _repeats(keys, call):
 
 
 def test_no_composite_is_built_twice(composite_keys):
-    from opdbim.symseq import left_unitor, left_unitor_inv, right_unitor, right_unitor_inv
+    from opdbim.symseq import left_unitor, map_inverse, right_unitor
 
     com = com_operad(2)
     f = id_symseq((STAR,))
     bf = compose_symseq(com.carrier, f, max_arity=2)
     fb = compose_symseq(f, com.carrier, max_arity=2)
-    phi = compose_maps(left_unitor_inv(fb), right_unitor(bf))
-    psi = compose_maps(right_unitor_inv(bf), left_unitor(fb))
+    phi = compose_maps(map_inverse(left_unitor(fb)), right_unitor(bf))
+    psi = compose_maps(map_inverse(right_unitor(bf)), left_unitor(fb))
     assert _repeats(composite_keys, lambda: bimodule_of_lax(f, com, com, phi, window=2)) == 0
     assert _repeats(composite_keys, lambda: bimodule_of_oplax(f, com, com, psi, window=2)) == 0
     sizes = {((), "y"): 1, (("x",), "y"): 1, (("x", "x"), "y"): 2}

@@ -586,3 +586,111 @@ def test_a_support_not_closed_under_isomorphism_is_refused():
     lonely = CatSymSeq(g, g, {(("p", "q"), "p"): ("c",)}, {}, {})
     with pytest.raises(ValidationError, match="not closed under isomorphism"):
         cat_compose(cat_id(g), lonely, max_arity=2)
+
+
+@pytest.mark.parametrize(
+    "make_f",
+    [
+        lambda: cat_from_symseq(assoc_operad(3).carrier),
+        lambda: cat_id(two_object_iso_groupoid()),
+        lambda: cat_id(exp_object(FinGroupoid.discrete(("x", "y")), FinGroupoid.discrete(("z",)), 2)),
+    ],
+    ids=["assoc3", "iso-groupoid", "exp-object"],
+)
+def test_cat_unitors_send_each_unit_raw_to_its_label(make_f):
+    # the raw of a label between identities is the label's image under an
+    # inverse unitor; each unitor must send its class back to that label
+    f = make_f()
+    dom, cod = f.dom, f.cod
+    idf = cat_compose(cat_id(cod), f, max_arity=f.max_arity())
+    fid = cat_compose(f, cat_id(dom), max_arity=f.max_arity())
+    lu, ru = cat_left_unitor(idf), cat_right_unitor(fid)
+    for (w, y), labels in f.cells.items():
+        one = sw_id(dom, w)
+        units = (tuple((o,) for o in w), tuple(dom.ident[o] for o in w))
+        for lab in labels:
+            assert lu.at(w, y, idf.class_of(w, y, ((y,), cod.ident[y], (w,), (lab,), one))) == lab
+            assert ru.at(w, y, fid.class_of(w, y, (w, lab) + units + (one,))) == lab
+
+
+# --- every transport table read along generators equals the one read along every arrow ---
+
+
+def _complete_transports(seq, dom_arrow_fn, cod_arrow_fn):
+    """Fill ``dom_tr``/``cod_tr`` by calling the callbacks along every arrow between support words."""
+    by_out: dict = {}
+    for (w, y), labels in seq.cells.items():
+        by_out.setdefault(y, []).append(w)
+    for key, labels in seq.cells.items():
+        w, y = key
+        seq.dom_tr[key] = {}
+        for v in by_out.get(y, []):
+            if len(v) != len(w):
+                continue
+            for a in sw_arrows(seq.dom, v, w):
+                seq.dom_tr[key][(v, a)] = {l: dom_arrow_fn(key, v, a, l) for l in labels}
+        seq.cod_tr[key] = {}
+        for y2 in seq.cod.objects:
+            for b in seq.cod.arrows(y, y2):
+                seq.cod_tr[key][b] = {l: cod_arrow_fn(key, b, l) for l in labels}
+
+
+def _tables(tr):
+    """A transport table as nested lists, so that equality also compares the order of the entries."""
+    return [(key, [(a, list(m.items())) for a, m in arrows.items()]) for key, arrows in tr.items()]
+
+
+def _checked_fills(monkeypatch, build):
+    """The builders whose tables ``build()`` fills, each checked against :func:`_complete_transports`.
+
+    Composites are left out: ``cat_compose`` is checked against its own oracle above.
+    """
+    import opdbim.catsym as catsym
+
+    builders = []
+    original = catsym._fill_transports
+
+    def checked(seq, dom_fn, cod_fn):
+        original(seq, dom_fn, cod_fn)
+        builder = dom_fn.__qualname__.split(".")[0]
+        if builder != "cat_compose":
+            oracle = CatSymSeq(seq.dom, seq.cod, seq.cells, {}, {})
+            _complete_transports(oracle, dom_fn, cod_fn)
+            assert _tables(seq.dom_tr) == _tables(oracle.dom_tr), builder
+            assert _tables(seq.cod_tr) == _tables(oracle.cod_tr), builder
+            builders.append(builder)
+
+    monkeypatch.setattr(catsym, "_fill_transports", checked)
+    build()
+    monkeypatch.undo()
+    return builders
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: cat_from_symseq(com_operad(3).carrier), ["cat_from_symseq"]),
+        (lambda: cat_from_symseq(assoc_operad(3).carrier), ["cat_from_symseq"]),
+        (
+            lambda: cat_from_symseq(
+                rand_symseq(random.Random(7), sorts=("a", "b"), max_arity=3, max_labels=3, n_cells=4)
+            ),
+            ["cat_from_symseq"],
+        ),
+        (
+            lambda: cat_id(exp_object(FinGroupoid.discrete(("x", "y")), FinGroupoid.discrete(("z",)), 2)),
+            ["cat_id"],
+        ),
+        (
+            lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2),
+            ["cat_from_symseq", "cat_id", "ev_catsym", "transpose", "untranspose"],
+        ),
+        (
+            lambda: hom_monad(unit_operad(("x", "y"), 2), unit_operad(("z",), 2), 2, 2),
+            ["cat_from_symseq", "cat_id", "ev_catsym", "transpose", "untranspose"],
+        ),
+    ],
+    ids=["com3", "assoc3", "two-sorted", "exp-object-identity", "x2-com2", "xy-z"],
+)
+def test_transport_tables_match_the_tables_along_every_arrow(monkeypatch, build, want):
+    assert sorted(set(_checked_fills(monkeypatch, build))) == want

@@ -21,9 +21,10 @@ from opdbim.perms import (
     sims_table,
     stab_decompose,
     stab_gens,
-    word_arrows,
     young_classes,
 )
+
+from oracles import word_arrows
 
 
 perms = st.integers(min_value=0, max_value=5).flatmap(
