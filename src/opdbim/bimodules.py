@@ -281,8 +281,8 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     w = min(nb.window, mb.window)
     bmid = mb.left
     n, m = nb.carrier, mb.carrier
-    # an identity bimodule's carrier is the operad's, so N o M may be M's B o M or N's N o A
-    nm = composite_of(mb.bm if n is mb.bm.outer else nb.ma, n, m, w)
+    # beside an identity bimodule this is M's B o M or N's N o A, shared by content
+    nm = compose_symseq(n, m, max_arity=w)
     nb_ = composite_of(nb.ma, n, nb.right.carrier, w)
     nb_m = compose_symseq(nb_.seq, m, max_arity=w)
     b_m = composite_of(mb.bm, bmid.carrier, m, w)

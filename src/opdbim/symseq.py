@@ -14,6 +14,13 @@ representatives.  A composite records the cap it was built with, so one that
 a participant already holds (an operad's ``comp2``, a bimodule's ``bm`` or
 ``ma``) serves any lower cap by restriction (``composite_of``).
 
+A plain composite is a value, shared by content (hash-consing): while anyone
+holds it, :func:`compose_symseq` returns it for every pair of factors with
+the same cells, type for type (``SymSeq.content``), and the same cap.  So its
+``outer`` and ``inner`` may be twins of a caller's factors, and ``cls``, which
+``class_of`` grows lazily, grows on the shared object.  Each associator is
+built once per quadruple of composites and kept on ``(H o G) o F``.
+
 ``SymSeqMap`` is the one map type of both layers (this one and
 :mod:`.catsym`).  Every map is total on the cells it holds: reading a cell or
 label it lacks raises ``ValidationError`` naming both, and a map is inverted
@@ -89,6 +96,28 @@ class SymSeq:
         for w, y in self._support:
             words.setdefault(y, []).append(w)
         self._support_words = {y: tuple(ws) for y, ws in words.items()}
+        self._content = None
+
+    def content(self) -> tuple:
+        """A key that two sequences share iff their cells are the same, type for type.
+
+        It holds the sorts, and per cell in support order its word, output,
+        labels and the generator images as label positions.  Sorts, words and
+        labels come with their types (:func:`_types`): ``1 == True == 1.0``,
+        yet a composite built on ``bool`` labels must not serve ``int`` ones.
+        Computed once, since cells never change once the sequence is built.
+        """
+        if self._content is None:
+            cells = []
+            for key in self._support:
+                cell = self.cells[key]
+                images = tuple(
+                    (i, tuple(_position(cell, m.get(lab)) for lab in cell.labels))
+                    for i, m in sorted(cell.gen_maps.items())
+                )
+                cells.append((key, _types(key), cell.labels, tuple(map(_types, cell.labels)), images))
+            self._content = (self.dom, self.cod, _types(self.dom), _types(self.cod), tuple(cells))
+        return self._content
 
     def cell(self, w: Word, y) -> Optional[YoungSet]:
         return self.cells.get((w, y))
@@ -135,6 +164,26 @@ class SymSeq:
             labels = tuple(sorted(cell.labels, key=order_key or skey))
             cells[key] = YoungSet(cell.word, labels, {i: dict(m) for i, m in cell.gen_maps.items()})
         return SymSeq(self.dom, self.cod, cells)
+
+
+def _types(value):
+    """The type of ``value`` and, through tuples and frozensets, of each part.
+
+    Beside the value it tells ``1``, ``True`` and ``1.0`` apart, part by
+    part, for the label kinds :func:`perms.skey` orders.  A frozenset has no
+    order to line its parts' types up with, so each part comes paired with
+    its own.
+    """
+    if isinstance(value, tuple):
+        return (type(value), tuple(map(_types, value)))
+    if isinstance(value, frozenset):
+        return (type(value), frozenset((v, _types(v)) for v in value))
+    return type(value)
+
+
+def _position(cell: YoungSet, image):
+    """Position of the label ``image`` in ``cell``; anything else, with its types."""
+    return cell.index(image) if image in cell else (image, _types(image))
 
 
 def id_symseq(sorts: Iterable) -> SymSeq:
@@ -318,6 +367,12 @@ class Composite:
     raws of a cell have total arity ``len(w)`` and each cell is quotiented on
     its own, so the cells with words of length at most ``c`` are exactly the
     composite at any cap ``c`` below ``cap`` (see :func:`composite_of`).
+
+    A plain composite is a value: :func:`compose_symseq` hands every caller
+    whose factors have the same content the one object, for as long as
+    anyone holds it, so ``outer`` and ``inner`` may be twins of a caller's
+    factors, and ``cls`` grows on the shared object.  ``associators`` holds
+    each associator whose source it is (see :func:`associator`).
     """
 
     outer: SymSeq
@@ -328,6 +383,8 @@ class Composite:
     reps: dict   # (word, out) -> list of representative raws
     canon: Callable = field(repr=False)  # (word, out, raw) -> representative of raw, or None
     cap: Optional[int] = None
+    # (id(hg), id(gf), id(h_gf)) -> (hg, gf, h_gf, associator map)
+    associators: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def class_of(self, w: Word, y, raw) -> int:
         """Class of ``raw``; a raw outside the composite is a law failure."""
@@ -355,14 +412,15 @@ def composite_of(
     """``compose_symseq(outer, inner, max_arity)``, read off ``held`` when it can be.
 
     ``held`` is a composite some participant already carries (an operad's
-    ``comp2``, a bimodule's ``bm`` or ``ma``).  It serves when it has these
-    very factors and was built at a cap that covers ``max_arity``: it is
-    then restricted to the words of length at most ``max_arity``, which is
-    exact because each cell is quotiented on its own.  Otherwise the
-    composite is built afresh.
+    ``comp2``, a bimodule's ``bm`` or ``ma``).  It serves when its factors
+    have the content of these (``SymSeq.content``) and it was built at a cap
+    that covers ``max_arity``: it is then restricted to the words of length
+    at most ``max_arity``, which is exact because each cell is quotiented on
+    its own.  Otherwise the composite comes from :func:`compose_symseq`,
+    which returns a live composite of the same content when there is one.
     """
     covers = held.cap is None or (max_arity is not None and max_arity <= held.cap)
-    if held.outer is not outer or held.inner is not inner or not covers:
+    if not (covers and _twins(held.outer, outer) and _twins(held.inner, inner)):
         return compose_symseq(outer, inner, max_arity=max_arity)
     keys = [k for k in held.seq.cells if max_arity is None or len(k[0]) <= max_arity]
     if len(keys) == len(held.seq.cells):
@@ -378,6 +436,10 @@ def composite_of(
         held.canon,
         max_arity,
     )
+
+
+def _twins(a: SymSeq, b: SymSeq) -> bool:
+    return a is b or a.content() == b.content()
 
 
 def _picker(positions: tuple) -> Callable[[tuple], tuple]:
@@ -487,6 +549,9 @@ def _label_perm(cell: YoungSet, t: int) -> tuple:
 # content, so equal cells of different sequences share one plan, which lives
 # as long as a composite that was built from it
 _SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# composites by (outer content, inner content, max_arity), while anyone holds them
+_COMPOSITES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _plan_shape(gcell: YoungSet, fcells: tuple, mid: Word, blocks: tuple) -> _Shape:
@@ -642,9 +707,17 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
     those of the union-find over every raw.  With no bound the result
     carries every arity up to ``outer.max_arity() * inner.max_arity()``; a
     bound restricts the result words, never individual cells.
+
+    The composite is a value: while it lives, a call on factors of the same
+    content (``SymSeq.content``) and the same bound returns it again, so
+    its ``outer`` and ``inner`` may be twins of the caller's factors.
     """
     if set(inner.cod) != set(outer.dom):
         raise InputError("composition sort mismatch")
+    content = (outer.content(), inner.content(), max_arity)
+    held = _COMPOSITES.get(content)
+    if held is not None:
+        return held
     built: dict = {}  # (word, out) -> (representatives, {t: targets by index})
     shapes: dict = {}  # (mid, out, blocks) -> plan
     for (mid, z) in outer.support():
@@ -675,7 +748,9 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
         reps_out[key] = reps
     seq = SymSeq(inner.dom, outer.cod, cells)
     canon = partial(least_raw, outer, inner, shapes)
-    return Composite(outer, inner, seq, reps_out, cls_out, reps_out, canon, max_arity)
+    comp = Composite(outer, inner, seq, reps_out, cls_out, reps_out, canon, max_arity)
+    _COMPOSITES[content] = comp
+    return comp
 
 
 def hcompose_maps(beta: SymSeqMap, alpha: SymSeqMap, src: Composite, dst: Composite) -> SymSeqMap:
@@ -731,7 +806,16 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
     The regrouping of a raw ``(mid, q, blocks, fs, sig)`` of ``hg_f`` depends
     only on its shape ``(mid, out, q, blocks)``; it is planned once per shape
     (:func:`_regroup_plan`) and applied to each raw by tuple indexing.
+
+    The map is built once per quadruple of composites: ``hg_f`` keeps it,
+    with strong references to the other three, so their ids stay theirs and
+    a later call on the very same four objects returns it.  Composites are
+    shared by content (:func:`compose_symseq`), so that call is frequent.
     """
+    quadruple = (id(hg), id(gf), id(h_gf))
+    held = hg_f.associators.get(quadruple)
+    if held is not None:
+        return held[-1]
     plans: dict = {}
     comp = {}
     for key, reps in hg_f.reps.items():
@@ -749,7 +833,9 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
             )
             m[idx] = h_gf.class_of(w, t_out, (zmid, h, new_blocks, new_fs, move(sig)))
         comp[key] = m
-    return SymSeqMap(hg_f.seq, h_gf.seq, comp)
+    asc = SymSeqMap(hg_f.seq, h_gf.seq, comp)
+    hg_f.associators[quadruple] = (hg, gf, h_gf, asc)
+    return asc
 
 
 def _regroup_plan(hg_raw, blocks: tuple):

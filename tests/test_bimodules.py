@@ -611,37 +611,46 @@ def test_sym_adjunction_left_triangle_is_named():
 # --- each law composite is built once -------------------------------------------
 
 
-@pytest.fixture
-def composite_keys(monkeypatch):
-    """The key ``(id(outer), id(inner), cap)`` of every ``compose_symseq`` call, in order.
+def _content(seq):
+    """The cells of ``seq`` as text: equal for equal cells of equal types."""
+    return repr((seq.dom, seq.cod, sorted(seq.cells.items(), key=repr)))
 
-    The arguments are kept alive with the keys, so that no id is reused.
+
+@pytest.fixture
+def composite_builds(monkeypatch):
+    """Run a call and count the composites it builds again.
+
+    A call to ``compose_symseq`` builds again when an earlier call had
+    factors of the same content and the same cap but got another object.
+    Every result is kept alive, so a composite shared by content is still
+    there to be returned.
     """
     import opdbim.bimodules
     import opdbim.operads
     import opdbim.symseq
 
     original = opdbim.symseq.compose_symseq
-    keys, held = [], []
+    results: dict = {}
+    rebuilt = [0]
 
     def traced(outer, inner, max_arity=None):
-        keys.append((id(outer), id(inner), max_arity))
-        held.append((outer, inner))
-        return original(outer, inner, max_arity=max_arity)
+        out = original(outer, inner, max_arity=max_arity)
+        earlier = results.setdefault((_content(outer), _content(inner), max_arity), out)
+        rebuilt[-1] += earlier is not out
+        return out
 
     for mod in (opdbim.symseq, opdbim.operads, opdbim.bimodules):
         monkeypatch.setattr(mod, "compose_symseq", traced)
-    return keys
+
+    def builds_again(call) -> int:
+        rebuilt.append(0)
+        call()
+        return rebuilt[-1]
+
+    return builds_again
 
 
-def _repeats(keys, call):
-    """Run ``call`` and return the number of its ``compose_symseq`` calls that repeat an earlier one."""
-    keys.clear()
-    call()
-    return len(keys) - len(set(keys))
-
-
-def test_no_composite_is_built_twice(composite_keys):
+def test_no_composite_is_built_twice(composite_builds):
     from opdbim.symseq import left_unitor, map_inverse, right_unitor
 
     com = com_operad(2)
@@ -650,17 +659,17 @@ def test_no_composite_is_built_twice(composite_keys):
     fb = compose_symseq(f, com.carrier, max_arity=2)
     phi = compose_maps(map_inverse(left_unitor(fb)), right_unitor(bf))
     psi = compose_maps(map_inverse(right_unitor(bf)), left_unitor(fb))
-    assert _repeats(composite_keys, lambda: bimodule_of_lax(f, com, com, phi, window=2)) == 0
-    assert _repeats(composite_keys, lambda: bimodule_of_oplax(f, com, com, psi, window=2)) == 0
+    assert composite_builds(lambda: bimodule_of_lax(f, com, com, phi, window=2)) == 0
+    assert composite_builds(lambda: bimodule_of_oplax(f, com, com, psi, window=2)) == 0
     sizes = {((), "y"): 1, (("x",), "y"): 1, (("x", "x"), "y"): 2}
     count = []
     enum = lambda: count.append(enumerate_bimodules(unit_operad(("x",), 2), unit_operad(("y",), 2), sizes))
-    assert _repeats(composite_keys, enum) == 0
+    assert composite_builds(enum) == 0
     assert count == [2]
     v = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("v",))})
     m = free_bimodule(com, com, v, window=2)
-    assert _repeats(composite_keys, lambda: rel_left_unitor(m)) == 0
-    assert _repeats(composite_keys, lambda: rel_right_unitor(m)) == 0
+    assert composite_builds(lambda: rel_left_unitor(m)) == 0
+    assert composite_builds(lambda: rel_right_unitor(m)) == 0
 
 
 @pytest.mark.parametrize("left, right, expected", [(_z2, _j, 4), (_j, _j, 7)])

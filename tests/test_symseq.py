@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -503,9 +505,8 @@ def test_composite_of_builds_afresh_unless_it_holds_the_factors_at_a_cap_that_co
     assert larger is not held and larger.cap == 3
     _same_composite(larger, compose_symseq(com3, com3, max_arity=3))
     twin = SymSeq(com3.dom, com3.cod, dict(com3.cells))  # equal cells, another object
-    other = composite_of(held, twin, com3, 2)
-    assert other is not held and other.outer is twin
-    _same_composite(other, held)
+    assert composite_of(held, twin, com3, 2) is held
+    _assert_matches_oracle(replace(held, outer=twin))
     com2 = com_seq(2)
     capped = compose_symseq(com2, com2, max_arity=3)
     assert composite_of(capped, com2, com2, None).cap is None
@@ -657,3 +658,97 @@ def test_equal_cells_share_a_plan_but_keep_their_own_labels():
                 assert type(g) is kind and all(type(f) is kind for f in fs)
         raw = ((STAR, STAR), kind(0), ((STAR,), (STAR,)), (kind(1), kind(1)), (1, 0))
         assert comp.class_of((STAR, STAR), STAR, raw) == 1
+
+
+# --- composites shared by content ----------------------------------------------
+
+
+def _two_cells(unary, binary, sort=STAR):
+    return SymSeq((sort,), (sort,), {
+        ((sort,), sort): YoungSet.trivial((sort,), (unary,)),
+        ((sort, sort), sort): YoungSet.trivial((sort, sort), (binary,)),
+    })
+
+
+def _types(value):
+    """The type of ``value`` and, through tuples and frozensets, of each part."""
+    if isinstance(value, tuple):
+        return type(value), [_types(v) for v in value]
+    if isinstance(value, frozenset):
+        return type(value), sorted((repr(v), _types(v)) for v in value)
+    return type(value)
+
+
+def test_composites_are_shared_only_by_factors_of_the_same_types():
+    # the sequences of each group are equal under ==, yet their labels or sorts differ in type
+    kinds = [
+        (_two_cells(1, 0), _two_cells(True, False), _two_cells(1.0, 0.0)),
+        (_two_cells(frozenset({1}), frozenset({0})), _two_cells(frozenset({True}), frozenset({False}))),
+        (_two_cells(frozenset({1, 2.0}), "b"), _two_cells(frozenset({1.0, 2}), "b")),
+        (_two_cells((1, "a"), (0, "a")), _two_cells((True, "a"), (False, "a"))),
+        (_two_cells("u", "b", sort=1), _two_cells("u", "b", sort=True)),
+    ]
+    for seqs in kinds:
+        assert all(f.cells == seqs[0].cells and f.dom == seqs[0].dom for f in seqs)
+        comps = [compose_symseq(f, f, max_arity=3) for f in seqs]
+        assert len({id(c) for c in comps}) == len(comps)
+        for f, comp in zip(seqs, comps):
+            assert _types(comp.seq.dom) == _types(f.dom)
+            for reps in comp.reps.values():
+                for mid, g, blocks, fs, _sig in reps:
+                    assert _types(g) == _types(f.cells[(mid, mid[0])].labels[0])
+                    assert _types(mid) == _types(f.dom[:1] * len(mid))
+            twin = SymSeq(f.dom, f.cod, dict(f.cells))
+            assert compose_symseq(twin, f, max_arity=3) is comp
+
+
+def test_a_composite_served_to_twin_factors_matches_the_oracle():
+    rng = random.Random(23)
+    for _ in range(6):
+        outer = rand_symseq(rng, max_arity=3, max_labels=3)
+        inner = rand_symseq(rng, max_arity=2, max_labels=3)
+        held = compose_symseq(outer, inner, max_arity=4)
+        twins = [SymSeq(f.dom, f.cod, dict(f.cells)) for f in (outer, inner)]
+        served = compose_symseq(*twins, max_arity=4)
+        assert served is held
+        _assert_matches_oracle(replace(served, outer=twins[0], inner=twins[1]))
+        assert composite_of(held, *twins, 2).outer is twins[0]
+
+
+def _regrouped(h, g, f, cap):
+    """``(H o G, (H o G) o F, G o F, H o (G o F))`` at ``cap``."""
+    hg, gf = compose_symseq(h, g, max_arity=cap), compose_symseq(g, f, max_arity=cap)
+    return hg, compose_symseq(hg.seq, f, max_arity=cap), gf, compose_symseq(h, gf.seq, max_arity=cap)
+
+
+def test_a_composite_nobody_holds_leaves_the_memo():
+    from opdbim import symseq
+
+    f = _two_cells("p", "q")
+    comp = compose_symseq(f, f, max_arity=3)
+    assert symseq._COMPOSITES[(f.content(), f.content(), 3)] is comp
+    quadruple = _regrouped(f, f, f, 3)
+    assert quadruple[0] is comp
+    associator(*quadruple)  # (f o f) o f now holds comp, and its associator
+    del comp, quadruple
+    gc.collect()
+    assert not any(k[:2] == (f.content(), f.content()) for k in symseq._COMPOSITES)
+
+
+def test_the_associator_serves_only_its_own_quadruple():
+    h = single({1: 1, 2: 2})
+    g, f = com_seq(2), com_seq(2)
+    hg, hg_f, gf, h_gf = _regrouped(h, g, f, 3)
+    first = associator(hg, hg_f, gf, h_gf)
+    assert associator(hg, hg_f, gf, h_gf) is first
+    # H with its labels in the other order: the same regrouping into other classes
+    h2 = h.relabelled(order_key=lambda lab: [-ord(c) for c in lab])
+    h2_gf = compose_symseq(h2, gf.seq, max_arity=3)
+    assert h2_gf is not h_gf
+    other = associator(hg, hg_f, gf, h2_gf)
+    assert other is not first and other.dst is h2_gf.seq
+    assert other.comp != first.comp
+    assert other.is_bijective()
+    hg_f.associators.clear()
+    assert associator(hg, hg_f, gf, h2_gf).comp == other.comp
+
