@@ -98,14 +98,16 @@ class SymSeq:
         self._support_words = {y: tuple(ws) for y, ws in words.items()}
         self._content = None
 
-    def content(self) -> tuple:
-        """A key that two sequences share iff their cells are the same, type for type.
+    def content(self) -> "_Content":
+        """The interned token of the cells: one object per content, type for type.
 
-        It holds the sorts, and per cell in support order its word, output,
-        labels and the generator images as label positions.  Sorts, words and
-        labels come with their types (:func:`_types`): ``1 == True == 1.0``,
-        yet a composite built on ``bool`` labels must not serve ``int`` ones.
-        Computed once, since cells never change once the sequence is built.
+        Its key holds the sorts, and per cell in support order its word,
+        output, labels and the generator images as label positions.  Sorts,
+        words and labels come with their types (:func:`_types`): ``1 == True
+        == 1.0``, yet a composite built on ``bool`` labels must not serve
+        ``int`` ones.  ``_CONTENTS`` keeps one token per key while anything
+        holds it, so two sequences have the same content iff their tokens are
+        the same object, and a token hashes in O(1).
         """
         if self._content is None:
             cells = []
@@ -116,7 +118,11 @@ class SymSeq:
                     for i, m in sorted(cell.gen_maps.items())
                 )
                 cells.append((key, _types(key), cell.labels, tuple(map(_types, cell.labels)), images))
-            self._content = (self.dom, self.cod, _types(self.dom), _types(self.cod), tuple(cells))
+            key = (self.dom, self.cod, _types(self.dom), _types(self.cod), tuple(cells))
+            token = _CONTENTS.get(key)
+            if token is None:
+                token = _CONTENTS[key] = _Content()
+            self._content = token
         return self._content
 
     def cell(self, w: Word, y) -> Optional[YoungSet]:
@@ -164,6 +170,16 @@ class SymSeq:
             labels = tuple(sorted(cell.labels, key=order_key or skey))
             cells[key] = YoungSet(cell.word, labels, {i: dict(m) for i, m in cell.gen_maps.items()})
         return SymSeq(self.dom, self.cod, cells)
+
+
+class _Content:
+    """The token of one content (see :meth:`SymSeq.content`), compared by identity."""
+
+    __slots__ = ("__weakref__",)
+
+
+# content tokens by content key, while anything holds them
+_CONTENTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _types(value):
@@ -368,11 +384,12 @@ class Composite:
     its own, so the cells with words of length at most ``c`` are exactly the
     composite at any cap ``c`` below ``cap`` (see :func:`composite_of`).
 
-    A plain composite is a value: :func:`compose_symseq` hands every caller
-    whose factors have the same content the one object, for as long as
-    anyone holds it, so ``outer`` and ``inner`` may be twins of a caller's
-    factors, and ``cls`` grows on the shared object.  ``associators`` holds
-    each associator whose source it is (see :func:`associator`).
+    A plain composite is a value: :func:`compose_symseq` keeps it by the
+    content tokens of its factors and its cap, and hands it to every caller
+    whose factors have those tokens, for as long as anyone holds it, so
+    ``outer`` and ``inner`` may be twins of a caller's factors, and ``cls``
+    grows on the shared object.  ``associators`` holds each associator whose
+    source it is (see :func:`associator`).
     """
 
     outer: SymSeq
@@ -420,7 +437,7 @@ def composite_of(
     which returns a live composite of the same content when there is one.
     """
     covers = held.cap is None or (max_arity is not None and max_arity <= held.cap)
-    if not (covers and _twins(held.outer, outer) and _twins(held.inner, inner)):
+    if not (covers and held.outer.content() is outer.content() and held.inner.content() is inner.content()):
         return compose_symseq(outer, inner, max_arity=max_arity)
     keys = [k for k in held.seq.cells if max_arity is None or len(k[0]) <= max_arity]
     if len(keys) == len(held.seq.cells):
@@ -436,10 +453,6 @@ def composite_of(
         held.canon,
         max_arity,
     )
-
-
-def _twins(a: SymSeq, b: SymSeq) -> bool:
-    return a is b or a.content() == b.content()
 
 
 def _picker(positions: tuple) -> Callable[[tuple], tuple]:
@@ -550,7 +563,7 @@ def _label_perm(cell: YoungSet, t: int) -> tuple:
 # as long as a composite that was built from it
 _SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-# composites by (outer content, inner content, max_arity), while anyone holds them
+# composites by (outer content token, inner content token, max_arity), while anyone holds them
 _COMPOSITES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -708,9 +721,10 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
     carries every arity up to ``outer.max_arity() * inner.max_arity()``; a
     bound restricts the result words, never individual cells.
 
-    The composite is a value: while it lives, a call on factors of the same
-    content (``SymSeq.content``) and the same bound returns it again, so
-    its ``outer`` and ``inner`` may be twins of the caller's factors.
+    The composite is a value: while it lives, a call on factors with the
+    same content tokens (``SymSeq.content``) and the same bound returns it
+    again, so its ``outer`` and ``inner`` may be twins of the caller's
+    factors.
     """
     if set(inner.cod) != set(outer.dom):
         raise InputError("composition sort mismatch")
@@ -804,8 +818,9 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
     """Canonical iso ``(H o G) o F -> H o (G o F)`` by regrouping blocks.
 
     The regrouping of a raw ``(mid, q, blocks, fs, sig)`` of ``hg_f`` depends
-    only on its shape ``(mid, out, q, blocks)``; it is planned once per shape
-    (:func:`_regroup_plan`) and applied to each raw by tuple indexing.
+    only on the ``H o G`` representative of class ``q`` and on ``blocks``.
+    Its plan (:func:`_regroup_plan`) is shared by value across associators
+    and applied to each raw by tuple indexing.
 
     The map is built once per quadruple of composites: ``hg_f`` keeps it,
     with strong references to the other three, so their ids stay theirs and
@@ -816,17 +831,12 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
     held = hg_f.associators.get(quadruple)
     if held is not None:
         return held[-1]
-    plans: dict = {}
     comp = {}
     for key, reps in hg_f.reps.items():
         w, t_out = key
         m = {}
         for idx, (mid, q, blocks, fs, sig) in enumerate(reps):
-            shape = (mid, t_out, q, blocks)
-            plan = plans.get(shape)
-            if plan is None:
-                plan = plans[shape] = _regroup_plan(hg.rep(mid, t_out, q), blocks)
-            zmid, h, new_blocks, groups, move = plan
+            zmid, h, new_blocks, groups, move = _regroup_plan(hg.rep(mid, t_out, q), blocks)
             new_fs = tuple(
                 gf.class_of(e, zj, (d, gj, sub_blocks, pick(fs), kappa))
                 for e, zj, d, gj, sub_blocks, pick, kappa in groups
@@ -838,6 +848,7 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
     return asc
 
 
+@lru_cache(maxsize=4096)
 def _regroup_plan(hg_raw, blocks: tuple):
     """How :func:`associator` regroups the raws of one shape.
 
@@ -850,6 +861,10 @@ def _regroup_plan(hg_raw, blocks: tuple):
     the picked labels, kappa)``, and ``move`` reads a raw's arrow ``sig`` at
     the images of ``rearrange o chi`` (the blocks moved into group order,
     then each group sorted by the inverse of its ``kappa``).
+
+    Plans are cached by value, so a plan made for label ``1`` serves
+    ``True``: its labels only reach :meth:`Composite.class_of`, which
+    compares labels by value too and returns class indices.
     """
     zmid, h, yblocks, gs, tau = hg_raw
     offs = block_offsets([len(b) for b in blocks])

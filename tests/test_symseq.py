@@ -690,6 +690,7 @@ def test_composites_are_shared_only_by_factors_of_the_same_types():
     ]
     for seqs in kinds:
         assert all(f.cells == seqs[0].cells and f.dom == seqs[0].dom for f in seqs)
+        assert len({id(f.content()) for f in seqs}) == len(seqs)
         comps = [compose_symseq(f, f, max_arity=3) for f in seqs]
         assert len({id(c) for c in comps}) == len(comps)
         for f, comp in zip(seqs, comps):
@@ -709,6 +710,7 @@ def test_a_composite_served_to_twin_factors_matches_the_oracle():
         inner = rand_symseq(rng, max_arity=2, max_labels=3)
         held = compose_symseq(outer, inner, max_arity=4)
         twins = [SymSeq(f.dom, f.cod, dict(f.cells)) for f in (outer, inner)]
+        assert twins[0].content() is outer.content() and twins[1].content() is inner.content()
         served = compose_symseq(*twins, max_arity=4)
         assert served is held
         _assert_matches_oracle(replace(served, outer=twins[0], inner=twins[1]))
@@ -730,12 +732,17 @@ def test_a_composite_nobody_holds_leaves_the_memo():
     quadruple = _regrouped(f, f, f, 3)
     assert quadruple[0] is comp
     associator(*quadruple)  # (f o f) o f now holds comp, and its associator
-    del comp, quadruple
+    token = comp.seq.content()
+    key = next(k for k, v in symseq._CONTENTS.items() if v is token)
+    del comp, quadruple, token
     gc.collect()
     assert not any(k[:2] == (f.content(), f.content()) for k in symseq._COMPOSITES)
+    assert key not in symseq._CONTENTS
 
 
 def test_the_associator_serves_only_its_own_quadruple():
+    from opdbim import symseq
+
     h = single({1: 1, 2: 2})
     g, f = com_seq(2), com_seq(2)
     hg, hg_f, gf, h_gf = _regrouped(h, g, f, 3)
@@ -751,4 +758,25 @@ def test_the_associator_serves_only_its_own_quadruple():
     assert other.is_bijective()
     hg_f.associators.clear()
     assert associator(hg, hg_f, gf, h2_gf).comp == other.comp
+    # regroup plans are shared by value: rebuilt from an empty plan cache, the map is the same
+    symseq._regroup_plan.cache_clear()
+    hg_f.associators.clear()
+    assert associator(hg, hg_f, gf, h_gf).comp == first.comp
+
+    def regrouped_map(h):
+        hg, hg_f, gf, h_gf = _regrouped(h, g, f, 3)
+        hg_f.associators.clear()
+        return associator(hg, hg_f, gf, h_gf).comp
+
+    # H with labels 1 and True in swapped cells: the second reuses every plan made for the first
+    hs = (_two_cells(1, True), _two_cells(True, 1))
+    alone = []
+    for h in hs:
+        symseq._regroup_plan.cache_clear()
+        alone.append(regrouped_map(h))
+    symseq._regroup_plan.cache_clear()
+    assert regrouped_map(hs[0]) == alone[0]
+    misses = symseq._regroup_plan.cache_info().misses
+    assert regrouped_map(hs[1]) == alone[1]
+    assert symseq._regroup_plan.cache_info().misses == misses
 
