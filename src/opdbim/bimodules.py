@@ -46,7 +46,6 @@ from .symseq import (
     coequalize_maps,
     compose_maps,
     compose_symseq,
-    composite_of,
     hcompose_maps,
     id_symseq,
     identity_map,
@@ -168,7 +167,7 @@ def free_left_action(op: Operad, bf: Composite, w: int) -> tuple[Composite, SymS
     there through ``mu``.
     """
     f = bf.inner
-    comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
+    comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
     bb_f = compose_symseq(comp2.seq, f, max_arity=w)
     b_bf = compose_symseq(op.carrier, bf.seq, max_arity=w)
     mu = restrict_map(op.mu, comp2.seq)
@@ -186,7 +185,7 @@ def free_right_action(fa: Composite, op: Operad, w: int) -> tuple[Composite, Sym
     there through ``mu``.
     """
     f = fa.outer
-    comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
+    comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
     fa_a = compose_symseq(fa.seq, op.carrier, max_arity=w)
     f_aa = compose_symseq(f, comp2.seq, max_arity=w)
     mu = restrict_map(op.mu, comp2.seq)
@@ -283,9 +282,9 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     n, m = nb.carrier, mb.carrier
     # beside an identity bimodule this is M's B o M or N's N o A, shared by content
     nm = compose_symseq(n, m, max_arity=w)
-    nb_ = composite_of(nb.ma, n, nb.right.carrier, w)
+    nb_ = compose_symseq(n, nb.right.carrier, max_arity=w)
     nb_m = compose_symseq(nb_.seq, m, max_arity=w)
-    b_m = composite_of(mb.bm, bmid.carrier, m, w)
+    b_m = compose_symseq(bmid.carrier, m, max_arity=w)
     n_bm = compose_symseq(n, b_m.seq, max_arity=w)
     rho_n = restrict_map(nb.rho, nb_.seq)
     lam_m = restrict_map(mb.lam, b_m.seq)
@@ -305,9 +304,9 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     # C o (N o M) is n_bm and (C o N) o M is nb_m
     cc = nb.left.carrier
     c_q = compose_symseq(cc, carrier, max_arity=w)
-    c_nm = composite_of(n_bm, cc, nm.seq, w)
-    c_n = composite_of(nb.bm, cc, n, w)
-    cn_m = composite_of(nb_m, c_n.seq, m, w)
+    c_nm = compose_symseq(cc, nm.seq, max_arity=w)
+    c_n = compose_symseq(cc, n, max_arity=w)
+    cn_m = compose_symseq(c_n.seq, m, max_arity=w)
     asc = associator(c_n, cn_m, nm, c_nm)
     lam_n = restrict_map(nb.lam, c_n.seq)
     chain_l = compose_maps(
@@ -323,9 +322,9 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
     # (N o M) o A is nb_m and N o (M o A) is n_bm
     ac = mb.right.carrier
     q_a = compose_symseq(carrier, ac, max_arity=w)
-    nm_a = composite_of(nb_m, nm.seq, ac, w)
-    m_a = composite_of(mb.ma, m, ac, w)
-    n_ma = composite_of(n_bm, n, m_a.seq, w)
+    nm_a = compose_symseq(nm.seq, ac, max_arity=w)
+    m_a = compose_symseq(m, ac, max_arity=w)
+    n_ma = compose_symseq(n, m_a.seq, max_arity=w)
     asc2 = associator(nm, nm_a, m_a, n_ma)
     rho_m = restrict_map(mb.rho, m_a.seq)
     chain_r = compose_maps(
@@ -456,7 +455,7 @@ def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
     # lam: B o (F o A) -> (B o F) o A -> (F o A) o A -> F o A
     phi_a = hcompose_maps(phi, identity_map(ac), bf_a, fa_a)
     lam = compose_maps(rho, compose_maps(phi_a, map_inverse(associator(bf, bf_a, fa, b_fa))))
-    comp2b = composite_of(b.comp2, bc, bc, w)
+    comp2b = compose_symseq(bc, bc, max_arity=w)
     bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
     b_bf = compose_symseq(bc, bf.seq, max_arity=w)
     s1 = compose_maps(phi, hcompose_maps(restrict_map(b.mu, comp2b.seq), identity_map(f), bb_f, bf))
@@ -651,19 +650,18 @@ def transport_adjunction(
     b_fu = compose_symseq(bc, fu.seq, max_arity=w)
     b_id = compose_symseq(bc, id_symseq(f.cod), max_arity=w)
     ub = compose_symseq(u, bc, max_arity=w)
-    u_bid = compose_symseq(u, b_id.seq, max_arity=w)
     inner = compose_maps(
-        hcompose_maps(identity_map(bc), eps, b_fu, b_id),
-        associator(bf, bf_u, fu, b_fu),
-    )  # (B o F) o U -> B o Id
-    phi = compose_maps(
-        hcompose_maps(identity_map(u), right_unitor(b_id), u_bid, ub),
+        right_unitor(b_id),
         compose_maps(
-            hcompose_maps(identity_map(u), inner, u_bfu, u_bid),
-            compose_maps(
-                associator(u_bf, ubf_u, bf_u, u_bfu),
-                hcompose_maps(xi, identity_map(u), au, ubf_u),
-            ),
+            hcompose_maps(identity_map(bc), eps, b_fu, b_id),
+            associator(bf, bf_u, fu, b_fu),
+        ),
+    )  # (B o F) o U -> B
+    phi = compose_maps(
+        hcompose_maps(identity_map(u), inner, u_bfu, ub),
+        compose_maps(
+            associator(u_bf, ubf_u, bf_u, u_bfu),
+            hcompose_maps(xi, identity_map(u), au, ubf_u),
         ),
     )
     fprime = bimodule_of_oplax(f, a, b, psi, window=w)
@@ -681,24 +679,23 @@ def transport_adjunction(
     unit_map = compose_maps(map_inverse(descend(gf, m, u_bf.seq)), xi)
 
     # counit: sigma: (B o F) o (U o B) -> B descends
-    comp2b = composite_of(b.comp2, bc, bc, w)
+    comp2b = compose_symseq(bc, bc, max_arity=w)
     f_ub = compose_symseq(f, ub.seq, max_arity=w)
     b_fub = compose_symseq(bc, f_ub.seq, max_arity=w)
     fu_b = compose_symseq(fu.seq, bc, max_arity=w)
     id_b = compose_symseq(id_symseq(f.cod), bc, max_arity=w)
-    b_idb = compose_symseq(bc, id_b.seq, max_arity=w)
     inner2 = compose_maps(
-        hcompose_maps(eps, identity_map(bc), fu_b, id_b),
-        map_inverse(associator(fu, fu_b, ub, f_ub)),
-    )  # F o (U o B) -> Id o B
+        left_unitor(id_b),
+        compose_maps(
+            hcompose_maps(eps, identity_map(bc), fu_b, id_b),
+            map_inverse(associator(fu, fu_b, ub, f_ub)),
+        ),
+    )  # F o (U o B) -> B
     sigma = compose_maps(
         restrict_map(b.mu, comp2b.seq),
         compose_maps(
-            hcompose_maps(identity_map(bc), left_unitor(id_b), b_idb, comp2b),
-            compose_maps(
-                hcompose_maps(identity_map(bc), inner2, b_fub, b_idb),
-                associator(bf, fg.nm, f_ub, b_fub),
-            ),
+            hcompose_maps(identity_map(bc), inner2, b_fub, comp2b),
+            associator(bf, fg.nm, f_ub, b_fub),
         ),
     )
     adj = BimAdjunction(fprime, gprime, unit_map, descend(fg, sigma, bc), gf, fg)

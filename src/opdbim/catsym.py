@@ -30,9 +30,10 @@ the cells it holds.  Reading a cell or label a map lacks, or a raw outside a
 composite, raises ``ValidationError`` naming the cell; nothing is skipped.
 Two maps of the hom monad are windowed: ``cat_sum_split`` leaves a cell out
 iff the untagged cell is not a cell of the part composite, and the
-associator behind ``m13`` misses the cells of ``B o T`` above the window of
-``B o B``.  Before either is inverted, ``_on_window`` restricts both ends to
-the cells the map holds, so ``map_inverse`` still checks a bijection.
+associator ``(B o B) o Ev_A -> B o T`` misses the cells of ``B o T`` above
+the window of ``B o B``.  Before either is inverted, ``_on_window``
+restricts both ends to the cells the map holds, so ``map_inverse`` still
+checks a bijection.
 """
 
 from __future__ import annotations
@@ -803,81 +804,8 @@ def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composit
 
 
 # ---------------------------------------------------------------------------
-# iso search
-# ---------------------------------------------------------------------------
-
-
-def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[SymSeqMap]:
-    """Global equivariant iso search with propagation along every transport."""
-    keys = sorted(set(f.support()) | set(g.support()), key=skey)
-    for key in keys:
-        if len(f.labels(*key)) != len(g.labels(*key)):
-            return None
-    mapping: dict = {}
-
-    def propagate(seed_key, seed_a, seed_b, mapping):
-        queue = [(seed_key, seed_a)]
-        mapping = dict(mapping)
-        if mapping.get((seed_key, seed_a), seed_b) != seed_b:
-            return None
-        mapping[(seed_key, seed_a)] = seed_b
-        while queue:
-            key, la = queue.pop()
-            lb = mapping[(key, la)]
-            moves = [((v, key[1]), tm[la], g.dom_tr[key][(v, a)][lb])
-                     for (v, a), tm in f.dom_tr.get(key, {}).items()]
-            moves += [((key[0], f.cod.dst[b]), tm[la], g.cod_tr[key][b][lb])
-                      for b, tm in f.cod_tr.get(key, {}).items()]
-            for key2, xa, xb in moves:
-                node = (key2, xa)
-                if node not in mapping:
-                    mapping[node] = xb
-                    queue.append(node)
-                elif mapping[node] != xb:
-                    return None
-        return mapping
-
-    def injective_per_cell(mapping):
-        seen: dict = {}
-        for (key, la), lb in mapping.items():
-            if (key, lb) in seen and seen[(key, lb)] != la:
-                return False
-            seen[(key, lb)] = la
-        return True
-
-    def search(mapping):
-        pending = next(
-            ((key, la) for key in keys for la in f.labels(*key) if (key, la) not in mapping), None
-        )
-        if pending is None:
-            return mapping
-        key, la = pending
-        for lb in g.labels(*key):
-            ext = propagate(key, la, lb, mapping)
-            if ext is None or not injective_per_cell(ext):
-                continue
-            res = search(ext)
-            if res is not None:
-                return res
-        return None
-
-    res = search({})
-    if res is None:
-        return None
-    comp: dict = {}
-    for (key, la), lb in res.items():
-        comp.setdefault(key, {})[la] = lb
-    return SymSeqMap(f, g, comp)
-
-
-# ---------------------------------------------------------------------------
 # cartesian closed structure
 # ---------------------------------------------------------------------------
-
-
-def product_object(x: FinGroupoid, y: FinGroupoid) -> FinGroupoid:
-    """Binary product of objects: the coproduct of the groupoids."""
-    return disjoint_union(x, y)
 
 
 def exp_object(x: FinGroupoid, y: FinGroupoid, length_bound: int) -> FinGroupoid:
@@ -1243,6 +1171,11 @@ def _on_window(m: SymSeqMap) -> SymSeqMap:
     return SymSeqMap(src, dst, m.comp)
 
 
+def _chain(maps: list) -> SymSeqMap:
+    """``maps`` composed in diagram order: the first one is applied first."""
+    return functools.reduce(lambda first, then: compose_maps(then, first), maps)
+
+
 def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomMonad:
     """The monad on ``[X, Y]`` whose algebras are the (B, A)-bimodules.
 
@@ -1250,6 +1183,21 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     transpose bijection and the coherence maps; no closed formula is coded.
     ``length_bound`` caps the word length of exponential sorts and
     ``arity_bound`` the arity at which the monad laws are verified.
+
+    With ``S = E u Id_X``, ``A~ = Id_Z u A``, ``Ev_A = ev o A~`` and
+    ``T = B o Ev_A = transpose(E)``, the multiplication on ``T`` is eight
+    steps: (1) the inverse collapse ``transpose(E o E) -> ev o (E o E u
+    Id_X)``; (2) ``ev o`` the inverse sum split, into ``ev o (S o S)``; (3)
+    an inverse associator; (4) the collapse ``ev o S -> T``, then ``o S``;
+    (5) an associator, into ``B o (Ev_A o S)``; (6) ``B o`` the steps inside
+    ``B o -``: an associator, ``ev o`` the interchange ``A~ o S -> S o A~``,
+    an inverse associator, the collapse then ``o A~``, an associator into
+    ``B o (Ev_A o A~)``, and ``B o`` (an associator, then ``ev o`` the
+    multiplication of ``A~``); (7) the inverse of the windowed associator
+    ``(B o B) o Ev_A -> B o T``; (8) ``B``'s multiplication, then ``o Ev_A``.
+    Whiskering is functorial, ``(B o f) ; (B o g) = B o (f ; g)``, so each
+    run of steps inside ``B o -`` is composed first and whiskered once, and
+    no composite is built only to carry one step to the next.
     """
     if length_bound < 1 or arity_bound < 1:
         raise InputError("window parameters must be at least 1")
@@ -1309,11 +1257,10 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     c5 = cat_compose(bcat, evas.seq, max_arity=capt)
     m5 = cat_associator(tc, c4, evas, c5)
 
+    # the steps inside B o -, composed into one map Ev_A o S -> T (step 6)
     atil_s = cat_compose(atil, s_e, max_arity=capt)
     ev_atils = cat_compose(evdata.seq, atil_s.seq, max_arity=capt)
     assoc2 = cat_associator(ev_a, evas, atil_s, ev_atils)
-    c6 = cat_compose(bcat, ev_atils.seq, max_arity=capt)
-    m6 = hcompose_maps(identity_map(bcat), assoc2, c5, c6)
 
     # interchange (Id u A) o (E u Id)  ->  (E u Id) o (Id u A)
     idz_e = cat_compose(idz, e, max_arity=arity_bound)
@@ -1333,43 +1280,16 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     unsplit = map_inverse(_on_window(cat_sum_split(satil, e_idz, idx_a)))
     swap = compose_maps(unsplit, compose_maps(step2, compose_maps(step, split_as)))
     ev_satil = cat_compose(evdata.seq, satil.seq, max_arity=capt)
-    c7 = cat_compose(bcat, ev_satil.seq, max_arity=capt)
-    m7 = hcompose_maps(
-        identity_map(bcat),
-        hcompose_maps(identity_map(evdata.seq), swap, ev_atils, ev_satil),
-        c6, c7,
-    )
 
     evs_atil = cat_compose(evs.seq, atil, max_arity=capt)
     assoc3 = cat_associator(evs, evs_atil, satil, ev_satil)
-    c8 = cat_compose(bcat, evs_atil.seq, max_arity=capt)
-    m8 = hcompose_maps(identity_map(bcat), map_inverse(assoc3), c7, c8)
-
     t_atil = cat_compose(tc.seq, atil, max_arity=capt)
-    c9 = cat_compose(bcat, t_atil.seq, max_arity=capt)
-    m9 = hcompose_maps(
-        identity_map(bcat),
-        hcompose_maps(col_e, identity_map(atil), evs_atil, t_atil),
-        c8, c9,
-    )
-
     eva_atil = cat_compose(ev_a.seq, atil, max_arity=capt)
     b_evaatil = cat_compose(bcat, eva_atil.seq, max_arity=capt)
-    c10 = cat_compose(bcat, b_evaatil.seq, max_arity=capt)
-    m10 = hcompose_maps(
-        identity_map(bcat), cat_associator(tc, t_atil, eva_atil, b_evaatil), c9, c10
-    )
 
     atil2 = cat_compose(atil, atil, max_arity=capt)
     ev_atil2 = cat_compose(evdata.seq, atil2.seq, max_arity=capt)
     assoc4 = cat_associator(ev_a, eva_atil, atil2, ev_atil2)
-    b_evatil2 = cat_compose(bcat, ev_atil2.seq, max_arity=capt)
-    c11 = cat_compose(bcat, b_evatil2.seq, max_arity=capt)
-    m11 = hcompose_maps(
-        identity_map(bcat),
-        hcompose_maps(identity_map(bcat), assoc4, b_evaatil, b_evatil2),
-        c10, c11,
-    )
 
     # mu of (Id u A): unitor on the left part, operad multiplication on the right
     idz2 = cat_compose(idz, idz, max_arity=2)
@@ -1379,25 +1299,28 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
         cat_sum_maps(cat_left_unitor(idz2), _operad_mu(a, a2, acat), cat_sum(idz2.seq, a2.seq), atil),
         split_aa,
     )
-    b_t = cat_compose(bcat, tc.seq, max_arity=capt)
-    m12 = hcompose_maps(
-        identity_map(bcat),
+    inner = [
+        assoc2,
+        hcompose_maps(identity_map(evdata.seq), swap, ev_atils, ev_satil),
+        map_inverse(assoc3),
+        hcompose_maps(col_e, identity_map(atil), evs_atil, t_atil),
+        cat_associator(tc, t_atil, eva_atil, b_evaatil),
         hcompose_maps(
             identity_map(bcat),
-            hcompose_maps(identity_map(evdata.seq), mu_atil, ev_atil2, ev_a),
-            b_evatil2, tc,
+            compose_maps(hcompose_maps(identity_map(evdata.seq), mu_atil, ev_atil2, ev_a), assoc4),
+            b_evaatil, tc,
         ),
-        c11, b_t,
-    )
+    ]
+    b_t = cat_compose(bcat, tc.seq, max_arity=capt)
     b2 = cat_compose(bcat, bcat, max_arity=b.arity_bound)
     bb_eva = cat_compose(b2.seq, ev_a.seq, max_arity=capt)
-    m13 = map_inverse(_on_window(cat_associator(b2, bb_eva, tc, b_t)))
-    m14 = hcompose_maps(_operad_mu(b, b2, bcat), identity_map(ev_a.seq), bb_eva, tc)
-
-    chain = [m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14]
-    mu_on_t = chain[0]
-    for step_map in chain[1:]:
-        mu_on_t = compose_maps(step_map, mu_on_t)
+    chain = [
+        m1, m2, m3, m4, m5,
+        hcompose_maps(identity_map(bcat), _chain(inner), c5, b_t),
+        map_inverse(_on_window(cat_associator(b2, bb_eva, tc, b_t))),
+        hcompose_maps(_operad_mu(b, b2, bcat), identity_map(ev_a.seq), bb_eva, tc),
+    ]
+    mu_on_t = _chain(chain)
 
     mu_e = _untranspose_map(mu_on_t, ee.seq, e, x)
 
@@ -1411,13 +1334,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     ru_inv = map_inverse(cat_right_unitor(ev_idw))
     # Id_{Z u X} -> Id_Z u Id_X: strip the tags of the unary arrows
     idsum = SymSeqMap(idw, s_id, {k: {l: l[1] for l in labels} for k, labels in idw.cells.items()})
-    r1 = compose_maps(
-        col_id,
-        compose_maps(
-            hcompose_maps(identity_map(evdata.seq), idsum, ev_idw, c_id),
-            ru_inv,
-        ),
-    )
+    r1 = _chain([ru_inv, hcompose_maps(identity_map(evdata.seq), idsum, ev_idw, c_id), col_id])
     eta_atil_comp = {
         key: {lab: lab[1] if key[0][0][0] == "l" else a.eta_label(key[0][0][1]) for lab in labels}
         for key, labels in idw.cells.items()
@@ -1429,17 +1346,13 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
         for key, labels in idy.cells.items()
     }
     eta_b_cat = SymSeqMap(idy, bcat, eta_b_comp)
-    path2 = compose_maps(
+    eta_on_t = _chain([
+        map_inverse(r1),
+        ru_inv,
+        hcompose_maps(identity_map(evdata.seq), eta_atil, ev_idw, ev_a),
+        map_inverse(cat_left_unitor(idy_eva)),
         hcompose_maps(eta_b_cat, identity_map(ev_a.seq), idy_eva, tc),
-        compose_maps(
-            map_inverse(cat_left_unitor(idy_eva)),
-            compose_maps(
-                hcompose_maps(identity_map(evdata.seq), eta_atil, ev_idw, ev_a),
-                ru_inv,
-            ),
-        ),
-    )
-    eta_on_t = compose_maps(path2, map_inverse(r1))
+    ])
     eta_e = _untranspose_map(eta_on_t, idz, e, x)
 
     hm = HomMonad(x, y, expz, e, mu_e, eta_e, ee, evdata)

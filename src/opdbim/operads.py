@@ -58,7 +58,6 @@ from .symseq import (
     associator,
     compose_maps,
     compose_symseq,
-    composite_of,
     first_map_difference,
     hcompose_maps,
     id_symseq,
@@ -161,7 +160,7 @@ def action_laws(op: Operad, om: Composite, w: int, left: bool, laws: tuple) -> C
     the first differing cell and class, and both values.
     """
     m = om.inner if left else om.outer
-    comp2 = composite_of(op.comp2, op.carrier, op.carrier, w)
+    comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
     oo_m = compose_symseq(*_in_order(left, comp2.seq, m), max_arity=w)
     o_om = compose_symseq(*_in_order(left, op.carrier, om.seq), max_arity=w)
     by_mu = hcompose_maps(*_in_order(left, restrict_map(op.mu, comp2.seq), identity_map(m)), oo_m, om)

@@ -10,9 +10,8 @@ orbit, an arrow least under the pair's stabilizer; see
 :func:`compose_symseq`).  ``Composite.class_of`` carries any other raw to
 that least raw before it looks it up.  Every coherence map
 (associator, unitors) is an explicit equivariant bijection on class
-representatives.  A composite records the cap it was built with, so one that
-a participant already holds (an operad's ``comp2``, a bimodule's ``bm`` or
-``ma``) serves any lower cap by restriction (``composite_of``).
+representatives.  A composite records the cap it was built with, and each
+cap gets its own composite.
 
 A plain composite is a value, shared by content (hash-consing): while anyone
 holds it, :func:`compose_symseq` returns it for every pair of factors with
@@ -50,14 +49,11 @@ from .perms import (
     ValidationError,
     Word,
     YoungSet,
-    act_word,
     block_offsets,
     block_perm,
     canonical_word,
-    compose,
     coset_least,
     embed_at,
-    equivariant_iso_search,
     inverse_images,
     quotient,
     sims_table,
@@ -208,34 +204,6 @@ def id_symseq(sorts: Iterable) -> SymSeq:
     return SymSeq(sorts, sorts, cells)
 
 
-def eval_general(f: SymSeq, w: Word, y) -> tuple[tuple, Perm]:
-    """Labels of the canonical cell realizing ``f`` at ``(w, y)`` plus transport.
-
-    The transport ``t`` is the stable-sort arrow ``canonical(w) -> w``; along
-    an arrow ``sigma: v -> w`` labels pull back by the stabilizer element
-    ``compose(compose(t_v, sigma), t_w.inverse())`` of the canonical word.
-    """
-    if any(s not in set(f.dom) for s in w) or y not in set(f.cod):
-        raise InputError(f"({w}, {y!r}) outside the sorts of the sequence")
-    cw, t = canonical_word(w)
-    return f.labels(cw, y), t
-
-
-def transport(f: SymSeq, sigma: Perm, v: Word, w: Word, y) -> dict:
-    """Label map of the contravariant transport along ``sigma: v -> w``."""
-    if act_word(v, sigma) != w:
-        raise InputError("sigma is not an arrow v -> w")
-    cv, tv = canonical_word(v)
-    cw, tw = canonical_word(w)
-    if cv != cw:
-        raise InputError("v and w are not in the same orbit")
-    cell = f.cell(cv, y)
-    if cell is None:
-        return {}
-    h = compose(compose(tv, sigma), tw.inverse())
-    return {lab: cell.act(lab, h) for lab in cell.labels}
-
-
 @dataclass
 class SymSeqMap:
     """A map of symmetric sequences of either layer, total on the cells it holds.
@@ -382,7 +350,7 @@ class Composite:
     ``cap`` is the ``max_arity`` it was built with (``None``: no bound).  All
     raws of a cell have total arity ``len(w)`` and each cell is quotiented on
     its own, so the cells with words of length at most ``c`` are exactly the
-    composite at any cap ``c`` below ``cap`` (see :func:`composite_of`).
+    composite at any cap ``c`` below ``cap``.
 
     A plain composite is a value: :func:`compose_symseq` keeps it by the
     content tokens of its factors and its cap, and hands it to every caller
@@ -421,38 +389,6 @@ class Composite:
 
     def rep(self, w: Word, y, idx: int):
         return self.reps[(w, y)][idx]
-
-
-def composite_of(
-    held: Composite, outer: SymSeq, inner: SymSeq, max_arity: Optional[int]
-) -> Composite:
-    """``compose_symseq(outer, inner, max_arity)``, read off ``held`` when it can be.
-
-    ``held`` is a composite some participant already carries (an operad's
-    ``comp2``, a bimodule's ``bm`` or ``ma``).  It serves when its factors
-    have the content of these (``SymSeq.content``) and it was built at a cap
-    that covers ``max_arity``: it is then restricted to the words of length
-    at most ``max_arity``, which is exact because each cell is quotiented on
-    its own.  Otherwise the composite comes from :func:`compose_symseq`,
-    which returns a live composite of the same content when there is one.
-    """
-    covers = held.cap is None or (max_arity is not None and max_arity <= held.cap)
-    if not (covers and held.outer.content() is outer.content() and held.inner.content() is inner.content()):
-        return compose_symseq(outer, inner, max_arity=max_arity)
-    keys = [k for k in held.seq.cells if max_arity is None or len(k[0]) <= max_arity]
-    if len(keys) == len(held.seq.cells):
-        return held
-    seq = SymSeq(held.seq.dom, held.seq.cod, {k: held.seq.cells[k] for k in keys})
-    return Composite(
-        outer,
-        inner,
-        seq,
-        {k: held.raws[k] for k in keys},
-        {k: held.cls[k] for k in keys},
-        {k: held.reps[k] for k in keys},
-        held.canon,
-        max_arity,
-    )
 
 
 def _picker(positions: tuple) -> Callable[[tuple], tuple]:
@@ -956,50 +892,8 @@ def analytic_eval(f: SymSeq, t: Family, max_arity: Optional[int] = None) -> Eval
     return EvalResult(f, t, value, raws, cls, reps)
 
 
-def analytic_compose_iso(comp: Composite, t: Family, max_arity: Optional[int] = None):
-    """Explicit bijection ``(G o F)(T) -> G(F(T))`` on evaluation classes.
-
-    Returns ``(mapping, ev_comp, ev_inner, ev_outer)`` where ``mapping[y]``
-    sends classes of the composite's value to classes of the iterated value;
-    bijectivity is asserted.
-    """
-    g, f = comp.outer, comp.inner
-    ev_comp = analytic_eval(comp.seq, t, max_arity=max_arity)
-    ev_inner = analytic_eval(f, t, max_arity=max_arity)
-    ev_outer = analytic_eval(g, ev_inner.value, max_arity=max_arity)
-    mapping = {}
-    for z in g.cod:
-        m = {}
-        for idx, (w, cls, tvec) in enumerate(ev_comp.reps[z]):
-            mid, glab, blocks, fs, sig = comp.rep(w, z, cls)
-            sigma = Perm(sig)
-            concat_tv = tuple(tvec[sigma(p)] for p in range(len(w)))
-            offs = block_offsets([len(b) for b in blocks])
-            svec = tuple(
-                ev_inner.class_of(y, b, lab, concat_tv[offs[i]:offs[i + 1]])
-                for i, (b, y, lab) in enumerate(zip(blocks, mid, fs))
-            )
-            m[idx] = ev_outer.class_of(z, mid, glab, svec)
-        if len(set(m.values())) != len(m) or len(m) != len(ev_outer.value.sets[z]):
-            raise ValidationError(f"analytic composition map fails to biject at {z!r}")
-        mapping[z] = m
-    return mapping, ev_comp, ev_inner, ev_outer
-
-
-def family_map_image(ev_src: EvalResult, ev_dst: EvalResult, fam_map: dict) -> dict:
-    """Induced map on classes of a family map ``t: T -> T'`` (naturality data)."""
-    out = {}
-    for y in ev_src.seq.cod:
-        m = {}
-        for idx, (w, lab, tvec) in enumerate(ev_src.reps[y]):
-            tvec2 = tuple(fam_map[s][v] for s, v in zip(w, tvec))
-            m[idx] = ev_dst.class_of(y, w, lab, tvec2)
-        out[y] = m
-    return out
-
-
 # ---------------------------------------------------------------------------
-# coproducts, series, isomorphism
+# coproducts, series, coequalizers
 # ---------------------------------------------------------------------------
 
 
@@ -1048,25 +942,6 @@ def series(f: SymSeq, bound: int) -> list[tuple]:
             fact *= k
         rows.append((n, size, orbits, Fraction(size, fact)))
     return rows
-
-
-def iso_symseq(f: SymSeq, g: SymSeq) -> Optional[SymSeqMap]:
-    """Cell-by-cell equivariant iso, or None when any cell fails."""
-    if set(f.dom) != set(g.dom) or set(f.cod) != set(g.cod):
-        return None
-    comp = {}
-    keys = set(k for k, c in f.cells.items() if c.size) | set(
-        k for k, c in g.cells.items() if c.size
-    )
-    for key in keys:
-        a, b = f.cell(*key), g.cell(*key)
-        if a is None or b is None or a.size != b.size:
-            return None
-        m = equivariant_iso_search(a, b)
-        if m is None:
-            return None
-        comp[key] = m
-    return SymSeqMap(f, g, comp)
 
 
 def coequalize_maps(alpha: SymSeqMap, beta: SymSeqMap):

@@ -13,7 +13,6 @@ from opdbim.symseq import (
     compose_symseq,
     id_symseq,
     identity_map,
-    iso_symseq,
     map_equal,
 )
 from opdbim.operads import (
@@ -55,6 +54,7 @@ from opdbim.bimodules import (
     u_lower_circ,
 )
 from opdbim.samples import rand_bimodule, rand_operad
+from oracles import iso_symseq
 
 STAR = "*"
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 from opdbim.perms import (
     FinGroupoid, Perm, ValidationError, YoungSet, block_offsets, disjoint_union, quotient, skey,
 )
-from opdbim.symseq import SymSeq, SymSeqMap, compose_symseq, identity_map, iso_symseq
+from opdbim.symseq import SymSeq, SymSeqMap, compose_symseq, identity_map
 from opdbim.operads import (
     assoc_operad, com_operad, enumerate_algebras, magma_operad, operad_iso, terminal_operad, unit_operad,
 )
@@ -16,7 +17,6 @@ from opdbim.catsym import (
     cat_compose,
     cat_from_symseq,
     cat_id,
-    cat_iso,
     cat_left_unitor,
     cat_right_unitor,
     cat_sum,
@@ -26,7 +26,6 @@ from opdbim.catsym import (
     hom_monad,
     merge_words,
     operad_of_monad,
-    product_object,
     product_operad,
     split_word,
     sw_arrows,
@@ -40,6 +39,7 @@ from opdbim.catsym import (
     untranspose,
 )
 from opdbim.samples import rand_symseq
+from oracles import cat_iso, product_object
 
 STAR = "*"
 
@@ -264,6 +264,108 @@ def test_hom_monad_refuses_an_arity_window_below_the_outer_operad():
 
     with pytest.raises(InputError, match="window 2 is below the outer operad's arity bound 3"):
         hom_monad(unit_operad(("x",), 2), com_operad(3), 2, 2)
+
+
+def _table_digest(comp: dict) -> str:
+    rows = [
+        f"{key!r}|{lab!r}|{comp[key][lab]!r}"
+        for key in sorted(comp, key=repr)
+        for lab in sorted(comp[key], key=repr)
+    ]
+    return hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
+
+
+# (source, target, length_bound, arity_bound) -> sha256 of the mu and eta tables,
+# recorded from the chain that whiskered each step inside B o - on its own
+# (14 steps): the inputs of the exponential benchmark and the two-sorted source
+HOM_MONAD_TABLES = {
+    "x2-com2-2-2": (
+        lambda: (unit_operad(("x",), 2), com_operad(2), 2, 2),
+        "3ad0483a049710cdd274b98b318acb4647e5299b1a351d441254278e2d06f282",
+        "dae2416729ce04c9efe3b10f3b351a7fdc342dd952e0770ccf9636b481ef38cd",
+    ),
+    "x3-com3-1-3": (
+        lambda: (unit_operad(("x",), 3), com_operad(3), 1, 3),
+        "053eec248b85edd4b3eb611a8fdc8d665d726cea55029a4e6e6c668c29ca5098",
+        "ef7240c54497b7d481a6e02b3d4c55a879f8b487f171a1817f8e13401676f720",
+    ),
+    "x2-assoc2-2-2": (
+        lambda: (unit_operad(("x",), 2), assoc_operad(2), 2, 2),
+        "2f588d7c6cadaaea0ef43ad7759c86467c3a20157c3e6d76bf408cf2245e8202",
+        "dae2416729ce04c9efe3b10f3b351a7fdc342dd952e0770ccf9636b481ef38cd",
+    ),
+    "terminal-com2-2-2": (
+        lambda: (terminal_operad(), com_operad(2), 2, 2),
+        "fb1bc6590a437b234aac29775e6286a6d4050b24ca1a4ebec7d51e4d37c54353",
+        "f96d4266d7ce1f79387ab1e53a4ae21b54a4b2c9ccd1f4bf6382b7e7b9a52ab0",
+    ),
+    "x2-terminal-2-2": (  # T has no sorts, so neither has T^A: both tables are empty
+        lambda: (unit_operad(("x",), 2), terminal_operad(), 2, 2),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "x2-y2-2-2": (
+        lambda: (unit_operad(("x",), 2), unit_operad(("y",), 2), 2, 2),
+        "ec8a30acce0888463e12c0386122e2a84a1d66abaaaddff3cd964378e98b6981",
+        "65267ce07c1ff66406bb6c0b2456ef21220a4a3353bd32714f8e053af0583130",
+    ),
+    "xy2-z2-2-2": (
+        lambda: (unit_operad(("x", "y"), 2), unit_operad(("z",), 2), 2, 2),
+        "26102e7f28ed86e3076d3137225ae753b5f50dddf8cce31c6ac12e809d4fcf56",
+        "601992d1aca97f5a89a3444abe21bde9902d07f33ddcf91d53f114d04c9554fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HOM_MONAD_TABLES))
+def test_hom_monad_tables_match_the_recorded_ones(name):
+    args, mu_digest, eta_digest = HOM_MONAD_TABLES[name]
+    hm = hom_monad(*args())
+    assert (_table_digest(hm.mu.comp), _table_digest(hm.eta.comp)) == (mu_digest, eta_digest)
+
+
+def _meets(first, then) -> bool:
+    """``then`` starts where ``first`` ends: at the same sequence, or one of the
+    two is the other restricted to the cells a windowed map holds (``_on_window``)."""
+    a, b = first.dst, then.src
+    if a is b:
+        return True
+    return a.dom_tr is b.dom_tr and (
+        a.cells.items() <= b.cells.items() or b.cells.items() <= a.cells.items()
+    )
+
+
+def test_each_step_of_the_hom_monad_starts_where_the_last_one_ends(monkeypatch):
+    # on every source the kernel accepts today, the interchange, the inverse
+    # associator and the T o A~ associator send each class to the class of
+    # the same index, so the tables above do not see them left out or turned
+    # round; the sequences they run between do
+    import opdbim.catsym as catsym
+
+    chains = []
+    original = catsym._chain
+
+    def recording(maps):
+        chains.append(list(maps))
+        return original(maps)
+
+    monkeypatch.setattr(catsym, "_chain", recording)
+    for name in ("x2-com2-2-2", "x2-assoc2-2-2", "xy2-z2-2-2"):
+        hom_monad(*HOM_MONAD_TABLES[name][0]())
+    for maps in chains:
+        for i, (first, then) in enumerate(zip(maps, maps[1:])):
+            assert _meets(first, then), f"step {i + 1} ends where step {i + 2} does not start"
+    # mu: inside B o -, then the whole chain; eta: the transposed unit, then the whole chain
+    assert [len(maps) for maps in chains] == [6, 8, 3, 5] * 3
+
+
+def test_hom_monad_whiskers_the_steps_inside_b_once(monkeypatch):
+    # (B o f) ; (B o g) = B o (f ; g): the steps inside B o - are composed
+    # first, so no composite is built only as the source of the next whisker
+    built = _recorded_composites(
+        monkeypatch, lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
+    )
+    assert len(built) <= 36
 
 
 def test_exponential_requires_reduced():

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from opdbim.catsym import product_operad
 from opdbim.perms import InputError, ValidationError, YoungSet
 from opdbim.samples import rand_operad
-from opdbim.symseq import Family, SymSeq, compose_symseq, iso_symseq
+from opdbim.symseq import Family, SymSeq, compose_symseq
 from opdbim.operads import (
     Algebra,
     assoc_operad,
@@ -33,6 +33,7 @@ from opdbim.operads import (
     terminal_operad,
     unit_operad,
 )
+from oracles import iso_symseq
 
 STAR = "*"
 ASSOC_REL = (

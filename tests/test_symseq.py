@@ -10,27 +10,23 @@ from opdbim.symseq import (
     Family,
     SymSeq,
     SymSeqMap,
-    analytic_compose_iso,
     analytic_eval,
     associator,
     coequalize_maps,
     compose_maps,
     compose_symseq,
-    eval_general,
-    family_map_image,
     hcompose_maps,
     id_symseq,
     identity_map,
-    iso_symseq,
     left_unitor,
     map_equal,
     map_inverse,
     right_unitor,
     series,
     sum_symseq,
-    transport,
 )
 from opdbim.samples import rand_small_symseq, rand_symseq, reflexive_pair
+from oracles import analytic_compose_iso, eval_general, family_map_image, iso_symseq, transport, word_arrows
 
 STAR = "*"
 
@@ -368,9 +364,6 @@ from opdbim.perms import (
 )
 from opdbim.samples import rand_bimodule, rand_operad, rand_young
 from opdbim.bimodules import relative_compose
-from opdbim.symseq import composite_of
-
-from oracles import word_arrows
 
 
 def _element_edges(outer, inner, key, raws):
@@ -489,30 +482,16 @@ def _cap_pairs():
 def test_a_lower_cap_is_the_restriction_of_a_higher_one():
     for outer, inner, caps in _cap_pairs():
         for c in caps:
-            held = compose_symseq(outer, inner, max_arity=c + 1)
-            assert held.cap == c + 1
-            restricted = composite_of(held, outer, inner, c)
-            _same_composite(restricted, compose_symseq(outer, inner, max_arity=c))
-            assert restricted.cap == c or restricted is held
-            assert all(len(w) <= c for (w, _y) in restricted.seq.cells)
-            assert composite_of(held, outer, inner, c + 1) is held
-
-
-def test_composite_of_builds_afresh_unless_it_holds_the_factors_at_a_cap_that_covers():
-    com3 = com_operad(3).carrier
-    held = compose_symseq(com3, com3, max_arity=2)
-    larger = composite_of(held, com3, com3, 3)
-    assert larger is not held and larger.cap == 3
-    _same_composite(larger, compose_symseq(com3, com3, max_arity=3))
-    twin = SymSeq(com3.dom, com3.cod, dict(com3.cells))  # equal cells, another object
-    assert composite_of(held, twin, com3, 2) is held
-    _assert_matches_oracle(replace(held, outer=twin))
-    com2 = com_seq(2)
-    capped = compose_symseq(com2, com2, max_arity=3)
-    assert composite_of(capped, com2, com2, None).cap is None
-    unbounded = compose_symseq(com2, com2)
-    _same_composite(composite_of(unbounded, com2, com2, 3), capped)
-    assert composite_of(unbounded, com2, com2, 4) is unbounded
+            lower = compose_symseq(outer, inner, max_arity=c)
+            higher = compose_symseq(outer, inner, max_arity=c + 1)
+            assert (lower.cap, higher.cap) == (c, c + 1)
+            keys = [k for k in higher.seq.cells if len(k[0]) <= c]
+            assert list(lower.seq.cells) == keys
+            assert lower.seq.cells == {k: higher.seq.cells[k] for k in keys}
+            assert lower.reps == {k: higher.reps[k] for k in keys}
+            for key, (raws, q) in _oracle(outer, inner, c).items():
+                for raw in raws:
+                    assert lower.class_of(*key, raw) == higher.class_of(*key, raw) == q.class_index[raw]
 
 
 def _assert_element_quotients(comp):
@@ -624,7 +603,7 @@ def test_class_of_names_the_cell_and_the_raw_it_refuses():
     raw4 = ((STAR, STAR), 0, ((STAR, STAR), (STAR, STAR)), (0, 0), (0, 1, 2, 3))
     assert raw4 in compose_symseq(com3, com3, max_arity=4).reps[(w4, y)]
     _class_of_error(comp, w4, y, raw4)
-    _class_of_error(composite_of(comp, com3, com3, 1), w, y, good)
+    _class_of_error(compose_symseq(com3, com3, max_arity=1), w, y, good)
 
 
 def test_a_mu_entry_that_is_not_a_raw_is_an_input_error():
@@ -714,7 +693,7 @@ def test_a_composite_served_to_twin_factors_matches_the_oracle():
         served = compose_symseq(*twins, max_arity=4)
         assert served is held
         _assert_matches_oracle(replace(served, outer=twins[0], inner=twins[1]))
-        assert composite_of(held, *twins, 2).outer is twins[0]
+        assert compose_symseq(*twins, max_arity=2).outer is twins[0]
 
 
 def _regrouped(h, g, f, cap):
