@@ -7,12 +7,17 @@ order composition matches the permutation convention of :mod:`.perms`.
 
 A categorical symmetric sequence stores, per cell, a plain label tuple plus
 transports along every word arrow between canonical words (contravariant)
-and every codomain arrow (covariant).  Every builder fills them one way
-(``_fill_transports``): it reads them along generators of each word's
-automorphisms and one arrow per pair of isomorphic words, and composes the
-rest by functoriality.  Composition, coherence maps, the evaluation 1-cell
-and the transpose bijection follow the same raw-tuple discipline as
-:mod:`.symseq`, and composition builds one raw per coend class.  A coend over a finite groupoid depends only on its skeleton: every
+and every codomain arrow (covariant).  Every builder gives them one way
+(:func:`_read_on_demand`): a callback that reads the transport along any
+arrow, called on the labels of a cell the first time its table along that
+arrow is read, which is then kept.  Only a small share of the tables is
+ever read: the ``exponential`` benchmark's six operations read 592, where
+filling every table built 3,402 and ``cat_sum`` copied 1,000 more.  The
+tables cannot be iterated: a check along every arrow enumerates the arrows.
+Composition, coherence maps, the evaluation 1-cell and the transpose
+bijection follow the same raw-tuple discipline as :mod:`.symseq`, and
+composition builds one raw per coend class.  A coend over a finite groupoid
+depends only on its skeleton: every
 raw is related to one whose middle word and blocks are the least support
 words isomorphic to them, with the blocks sorted within each run of the
 middle word.  There the automorphisms of a word in which the letter ``x``
@@ -65,11 +70,10 @@ from .symseq import (
     SymSeqMap,
     _Shape,
     compose_maps,
-    first_map_difference,
     hcompose_maps,
     identity_map,
-    map_equal,
     map_inverse,
+    require_equal,
     sum_symseq,
 )
 from .operads import Operad, make_operad, mu_from_raws
@@ -207,8 +211,8 @@ class CatSymSeq:
     dom: FinGroupoid
     cod: FinGroupoid
     cells: dict     # (canonical word, out object) -> labels tuple
-    dom_tr: dict    # (word, out) -> {(src word, arrow): {label: label}}
-    cod_tr: dict    # (word, out) -> {cod arrow: {label: label}}
+    dom_tr: object  # [(word, out)][(src word, arrow)] -> {label: label}; not iterable
+    cod_tr: object  # [(word, out)][cod arrow] -> {label: label}; not iterable
 
     def __post_init__(self):
         # cells are never changed once the sequence is built, so sort the
@@ -238,60 +242,103 @@ class CatSymSeq:
     def max_arity(self) -> int:
         return max((len(w) for (w, _y), v in self.cells.items() if v), default=0)
 
+    def dom_arrows(self, key) -> list:
+        """Every ``(v, a)`` with ``a: v -> w`` from a support word ``v`` at the output of ``key = (w, y)``."""
+        w, y = key
+        return [(v, a) for v in self.support_words(y) if len(v) == len(w) for a in sw_arrows(self.dom, v, w)]
+
+    def cod_arrows(self, key) -> list:
+        """Every codomain arrow out of the output of ``key``."""
+        return [b for y2 in self.cod.objects for b in self.cod.arrows(key[1], y2)]
+
     def validate(self) -> None:
-        for key, labels in self.cells.items():
-            w, y = key
-            if not labels:
-                continue
-            drs = self.dom_tr.get(key, {})
-            idm = drs.get((w, sw_id(self.dom, w)))
-            if idm is None or any(idm[l] != l for l in labels):
+        """Identity, typing, functoriality and interchange of the transports along every arrow."""
+        dom, cod, dtr, ctr = self.dom, self.cod, self.dom_tr, self.cod_tr
+        for key in self.support():
+            (w, y), labels = key, self.cells[key]
+            if any(dtr[key][(w, sw_id(dom, w))][l] != l for l in labels):
                 raise ValidationError(f"identity transport wrong at {key}")
-            for (v, a), m in drs.items():
-                tgt_key = (v, y)
-                tgt = set(self.cells.get(tgt_key, ()))
-                if set(m) != set(labels) or any(x not in tgt for x in m.values()):
+            for v, a in self.dom_arrows(key):
+                m = dtr[key][(v, a)]
+                if set(m) != set(labels) or not set(m.values()) <= set(self.labels(v, y)):
                     raise ValidationError(f"dom transport mistyped at {key} along {a}")
-                # functoriality against every arrow into v
-                for (u, b), m2 in self.dom_tr.get(tgt_key, {}).items():
-                    ab = sw_compose(self.dom, b, a)
-                    m3 = drs.get((u, ab))
-                    if m3 is None:
-                        raise ValidationError(f"missing composite transport at {key}")
-                    for l in labels:
-                        if m2[m[l]] != m3[l]:
-                            raise ValidationError(f"dom functoriality fails at {key}")
-            for b, m in self.cod_tr.get(key, {}).items():
-                y2 = self.cod.dst[b]
-                tgt = set(self.cells.get((w, y2), ()))
-                if set(m) != set(labels) or any(x not in tgt for x in m.values()):
+                for u, b in self.dom_arrows((v, y)):
+                    if any(dtr[(v, y)][(u, b)][m[l]] != dtr[key][(u, sw_compose(dom, b, a))][l] for l in labels):
+                        raise ValidationError(f"dom functoriality fails at {key}")
+            for b in self.cod_arrows(key):
+                y2, m = cod.dst[b], ctr[key][b]
+                if set(m) != set(labels) or not set(m.values()) <= set(self.labels(w, y2)):
                     raise ValidationError(f"cod transport mistyped at {key} along {b}")
-                for b2, m2 in self.cod_tr.get((w, y2), {}).items():
-                    m3 = self.cod_tr[key].get(self.cod.compose(b2, b))
-                    for l in labels:
-                        if m2[m[l]] != m3[l]:
-                            raise ValidationError(f"cod functoriality fails at {key}")
-                # interchange with dom transports
-                for (v, a), dm in drs.items():
-                    other = self.cod_tr.get((v, y), {}).get(b)
-                    dm2 = self.dom_tr.get((w, y2), {}).get((v, a))
-                    for l in labels:
-                        if other[dm[l]] != dm2[m[l]]:
-                            raise ValidationError(f"dom/cod interchange fails at {key}")
+                for b2 in self.cod_arrows((w, y2)):
+                    if any(ctr[(w, y2)][b2][m[l]] != ctr[key][cod.compose(b2, b)][l] for l in labels):
+                        raise ValidationError(f"cod functoriality fails at {key}")
+                for v, a in self.dom_arrows(key):
+                    if any(ctr[(v, y)][b][dtr[key][(v, a)][l]] != dtr[(w, y2)][(v, a)][m[l]] for l in labels):
+                        raise ValidationError(f"dom/cod interchange fails at {key}")
 
     def check_equivariance(self, m: SymSeqMap) -> None:
-        """``ValidationError`` unless ``m``, total on ``self``, commutes with each transport."""
-        for key, labels in self.cells.items():
-            if not labels:
-                continue
-            mk = m.comp[key]
-            moves = [((v, key[1]), a, tm, m.dst.dom_tr[key][(v, a)])
-                     for (v, a), tm in self.dom_tr[key].items()]
-            moves += [((key[0], self.cod.dst[b]), b, tm, m.dst.cod_tr[key][b])
-                      for b, tm in self.cod_tr[key].items()]
+        """``ValidationError`` unless ``m``, total on ``self``, commutes with the transport along every arrow."""
+        for key in self.support():
+            labels, mk = self.cells[key], m.comp[key]
+            moves = [((v, key[1]), a, self.dom_tr[key][(v, a)], m.dst.dom_tr[key][(v, a)])
+                     for v, a in self.dom_arrows(key)]
+            moves += [((key[0], self.cod.dst[b]), b, self.cod_tr[key][b], m.dst.cod_tr[key][b])
+                      for b in self.cod_arrows(key)]
             for key2, arrow, tm, other in moves:
                 if any(m.comp[key2][tm[l]] != other[mk[l]] for l in labels):
                     raise ValidationError(f"equivariance fails at cell {key} along {arrow}")
+
+
+class _Tables:
+    """A mapping that builds each value when first read, by ``build(arg)``, and keeps it.
+
+    It cannot be iterated, so no walk sees only the values read so far.
+    """
+
+    __slots__ = ("build", "built")
+    __iter__ = None
+
+    def __init__(self, build: Callable):
+        self.build, self.built = build, {}
+
+    def __getitem__(self, arg):
+        value = self.built.get(arg)
+        if value is None:
+            value = self.built[arg] = self.build(arg)
+        return value
+
+
+def _read_on_demand(seq: CatSymSeq, dom_fn: Callable, cod_fn: Callable) -> CatSymSeq:
+    """``seq`` with tables built when first read: ``dom_tr[(w, y)][(v, a)]`` holds ``dom_fn((w, y), v, a, l)``
+    for an arrow ``a: v -> w`` from a support word, ``cod_tr[(w, y)][b]`` holds ``cod_fn((w, y), b, l)`` for an
+    arrow ``b`` out of ``y``, on each label ``l``; any other key or arrow raises ``KeyError``.
+
+    Neither callback may hold ``seq``, so reference counting alone frees it.
+    """
+    dom, cod, cells = seq.dom, seq.cod, seq.cells
+
+    def on_read(fn, is_arrow):
+        def cell(key):
+            labels = cells.get(key)
+            if not labels:
+                raise KeyError(key)
+
+            def along(arrow):
+                if not is_arrow(key, arrow):
+                    raise KeyError(arrow)
+                return {l: fn(key, arrow, l) for l in labels}
+
+            return _Tables(along)
+
+        return _Tables(cell)
+
+    def is_dom_arrow(key, arrow):
+        (v, a), w = arrow, key[0]
+        return len(v) == len(w) and bool(cells.get((v, key[1]))) and a in sw_arrows(dom, v, w)
+
+    seq.dom_tr = on_read(lambda key, arrow, label: dom_fn(key, *arrow, label), is_dom_arrow)
+    seq.cod_tr = on_read(cod_fn, lambda key, b: cod.src.get(b) == key[1])
+    return seq
 
 
 def cat_from_symseq(f: SymSeq) -> CatSymSeq:
@@ -308,8 +355,7 @@ def cat_from_symseq(f: SymSeq) -> CatSymSeq:
     def cod_fn(key, b, label):
         return label
 
-    _fill_transports(seq, dom_fn, cod_fn)
-    return seq
+    return _read_on_demand(seq, dom_fn, cod_fn)
 
 
 def cat_id(gpd: FinGroupoid) -> CatSymSeq:
@@ -328,28 +374,27 @@ def cat_id(gpd: FinGroupoid) -> CatSymSeq:
     def cod_fn(key, b, label):
         return gpd.compose(b, label)
 
-    _fill_transports(seq, dom_fn, cod_fn)
-    return seq
+    return _read_on_demand(seq, dom_fn, cod_fn)
 
 
 def cat_sum(f: CatSymSeq, g: CatSymSeq) -> CatSymSeq:
-    """Coproduct on tagged groupoids; mixed cells are empty."""
-    dom = disjoint_union(f.dom, g.dom)
-    cod = disjoint_union(f.cod, g.cod)
-    cells, dom_tr, cod_tr = {}, {}, {}
-    for tag, part in (("l", f), ("r", g)):
-        for (w, y), labels in part.cells.items():
-            if not labels:
-                continue
-            w2 = tuple((tag, o) for o in w)
-            key2 = (w2, (tag, y))
-            cells[key2] = labels
-            dom_tr[key2] = {
-                (tuple((tag, o) for o in v), (a[0], tuple((tag, c) for c in a[1]))): dict(m)
-                for (v, a), m in part.dom_tr[(w, y)].items()
-            }
-            cod_tr[key2] = {(tag, b): dict(m) for b, m in part.cod_tr[(w, y)].items()}
-    return CatSymSeq(dom, cod, cells, dom_tr, cod_tr)
+    """Coproduct on tagged groupoids; mixed cells are empty.  A transport is its part's, read untagged."""
+    parts = {"l": f, "r": g}
+    cells = {
+        (tuple((tag, o) for o in w), (tag, y)): labels
+        for tag, part in parts.items() for (w, y), labels in part.cells.items() if labels
+    }
+    seq = CatSymSeq(disjoint_union(f.dom, g.dom), disjoint_union(f.cod, g.cod), cells, {}, {})
+
+    def dom_fn(key, v, a, label):
+        (w, (tag, y)) = key
+        return parts[tag].dom_tr[(_untag(w), y)][(_untag(v), (a[0], _untag(a[1])))][label]
+
+    def cod_fn(key, b, label):
+        (w, (tag, y)) = key
+        return parts[tag].cod_tr[(_untag(w), y)][b[1]][label]
+
+    return _read_on_demand(seq, dom_fn, cod_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +486,7 @@ class _CatPlan:
         self.words: dict = {}    # component multiset -> canonical words with it
 
     def forget(self) -> None:
-        """Drop the plans of the slices; ``canon`` plans again the few that later callers ask about.
+        """Drop the plans of the slices; ``canon`` and the transport tables plan again the few read later.
 
         They are kept only while the composite is built, so that a composite
         holds no more than its representatives once it is built.
@@ -673,62 +718,14 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
         return base + label[index[sw_compose(dom, a, reps_out[key][cls][4])]]
 
     def cod_fn(key, b, cls):
+        # reads cls_out and the plan, not comp, so that the tables hold no cycle
         mid, g, blocks, fs, arr = reps_out[key][cls]
-        g2 = outer.cod_tr[(mid, key[1])][b][g]
-        return comp.class_of(key[0], outer.cod.dst[b], (mid, g2, blocks, fs, arr))
+        key2 = (key[0], outer.cod.dst[b])
+        return cls_out[key2][plan.least_raw(*key2, (mid, outer.cod_tr[(mid, key[1])][b][g], blocks, fs, arr))]
 
-    _fill_transports(seq, dom_fn, cod_fn)
+    _read_on_demand(seq, dom_fn, cod_fn)
     plan.forget()
     return comp
-
-
-def _fill_transports(seq: CatSymSeq, dom_fn: Callable, cod_fn: Callable) -> None:
-    """Fill ``dom_tr``/``cod_tr`` of ``seq``, reading ``dom_fn(key, v, a, label)`` along few arrows only.
-
-    Transports are functorial.  ``Aut(w)`` is generated by the conjugates,
-    along the first arrow ``s: w0 -> w`` from the least support word
-    isomorphic to ``w`` (:func:`_least_words`), of the :func:`_aut_generators`
-    of ``w0``, so the table of each automorphism is read off those of the
-    generators.  Every arrow ``v -> w`` is the first one followed by an
-    automorphism of ``w``, so its table is the first one's after the
-    automorphism's.  ``cod_fn(key, b, label)`` is read along every arrow ``b``.
-    """
-    gpd = seq.dom
-    least = _least_words(seq, _components(gpd))
-    words: dict = {}
-    for key in seq.cells:
-        words.setdefault((key[1], least[key]), []).append(key[0])
-    for key, labels in seq.cells.items():
-        w, y = key
-        w0 = least[key]
-        gens = _aut_generators(gpd, w0)
-        if w0 != w:
-            s = sw_arrows(gpd, w0, w)[0]
-            s_inv = sw_inverse(gpd, s)
-            gens = [sw_compose(gpd, sw_compose(gpd, s_inv, g), s) for g in gens]
-        gens = [(g, {l: dom_fn(key, w, g, l) for l in labels}) for g in gens]
-        one, same = sw_id(gpd, w), {l: l for l in labels}
-        auts, queue = {one: same}, [one]
-        for c in queue:
-            tc = auts[c]
-            for g, tg in gens:
-                cg = sw_compose(gpd, c, g)
-                if cg not in auts:
-                    auts[cg] = {l: tc[tg[l]] for l in labels}
-                    queue.append(cg)
-        seq.dom_tr[key] = table = {}
-        for v in words[(y, w0)]:
-            if v == w:
-                t0, along = same, auts
-            else:
-                first = sw_arrows(gpd, v, w)[0]
-                t0 = {l: dom_fn(key, v, first, l) for l in labels}
-                along = {sw_compose(gpd, first, c): tc for c, tc in auts.items()}
-            for a in sw_arrows(gpd, v, w):
-                table[(v, a)] = {l: t0[along[a][l]] for l in labels}
-        seq.cod_tr[key] = {
-            b: {l: cod_fn(key, b, l) for l in labels} for y2 in seq.cod.objects for b in seq.cod.arrows(y, y2)
-        }
 
 
 def cat_left_unitor(idf: Composite) -> SymSeqMap:
@@ -944,7 +941,7 @@ def ev_catsym(x: FinGroupoid, y: FinGroupoid, expz: FinGroupoid, length_bound: i
         return cls[(key[0], y.dst[b])][(x0, sw_compose(w_gpd, gamma, move))]
 
     data = EvData(seq, reps, cls)
-    _fill_transports(seq, dom_fn, cod_fn)
+    _read_on_demand(seq, dom_fn, cod_fn)
     return data
 
 
@@ -978,8 +975,7 @@ def transpose(f: CatSymSeq, x: FinGroupoid, y: FinGroupoid) -> CatSymSeq:
         exp_arrow = ("e", sw_id(x, xw), b)
         return f.cod_tr[(vw, (xw, yo))][exp_arrow][label]
 
-    _fill_transports(seq, dom_fn, cod_fn)
-    return seq
+    return _read_on_demand(seq, dom_fn, cod_fn)
 
 
 def untranspose(g: CatSymSeq, v_gpd: FinGroupoid, x: FinGroupoid, expz: FinGroupoid,
@@ -1036,8 +1032,7 @@ def untranspose(g: CatSymSeq, v_gpd: FinGroupoid, x: FinGroupoid, expz: FinGroup
         lab = g.dom_tr[g_key(vw, obj)][(g_key(vw, (xw2, yo))[0], lifted)][label]
         return g.cod_tr[g_key(vw, (xw2, yo))][b][lab]
 
-    _fill_transports(seq, dom_fn, cod_fn)
-    return seq
+    return _read_on_demand(seq, dom_fn, cod_fn)
 
 
 def _exp_arrow_source_word(x: FinGroupoid, alpha: Arrow, target_word: Word) -> Word:
@@ -1401,18 +1396,19 @@ def check_cat_monad(hm: HomMonad, cap: int, ide: Composite, eid: Composite) -> N
     eee_l = cat_compose(ee.seq, e, max_arity=cap)
     eee_r = cat_compose(e, ee.seq, max_arity=cap)
     asc = cat_associator(ee, eee_l, ee, eee_r)
-    lhs = compose_maps(mu, hcompose_maps(mu, identity_map(e), eee_l, ee))
-    rhs = compose_maps(mu, compose_maps(hcompose_maps(identity_map(e), mu, eee_r, ee), asc))
-    if not map_equal(lhs, rhs):
-        raise ValidationError(f"hom monad associativity fails: {first_map_difference(lhs, rhs)}")
-    lu = compose_maps(mu, hcompose_maps(eta, identity_map(e), ide, ee))
-    lu_want = cat_left_unitor(ide)
-    if not map_equal(lu, lu_want):
-        raise ValidationError(f"hom monad left unit law fails: {first_map_difference(lu, lu_want)}")
-    ru = compose_maps(mu, hcompose_maps(identity_map(e), eta, eid, ee))
-    ru_want = cat_right_unitor(eid)
-    if not map_equal(ru, ru_want):
-        raise ValidationError(f"hom monad right unit law fails: {first_map_difference(ru, ru_want)}")
+    require_equal(
+        "hom monad associativity",
+        compose_maps(mu, hcompose_maps(mu, identity_map(e), eee_l, ee)),
+        compose_maps(mu, compose_maps(hcompose_maps(identity_map(e), mu, eee_r, ee), asc)),
+    )
+    require_equal(
+        "hom monad left unit law",
+        compose_maps(mu, hcompose_maps(eta, identity_map(e), ide, ee)), cat_left_unitor(ide),
+    )
+    require_equal(
+        "hom monad right unit law",
+        compose_maps(mu, hcompose_maps(identity_map(e), eta, eid, ee)), cat_right_unitor(eid),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,12 @@ from .symseq import Family, SymSeq, compose_symseq, least_raw, left_unitor, righ
 from .operads import (
     Algebra,
     Operad,
-    assoc_operad,
-    com_operad,
+    builtin,
     free_operad,
-    magma_operad,
     make_algebra,
     make_operad,
     mu_from_raws,
     presented_operad,
-    terminal_operad,
-    unit_operad,
 )
 from .bimodules import Bimodule, check_bimodule_laws
 
@@ -356,19 +352,10 @@ def _parse_operad(odata: dict, sorts: dict, symseqs: dict, windows: dict) -> Ope
     n = positive_int(odata.get("arity_bound", windows["arity_bound"]), "operad arity_bound")
     if "builtin" in odata:
         name = odata["builtin"]
-        if name == "unit":
-            key = odata.get("sorts", ["*"])
-            ss = sorts[key] if isinstance(key, str) else dec_word(key, "unit sorts")
-            return unit_operad(ss, n)
-        if name == "com":
-            return com_operad(n)
-        if name == "assoc":
-            return assoc_operad(n)
-        if name == "magma":
-            return magma_operad(n)
-        if name == "terminal":
-            return terminal_operad()
-        raise InputError(f"unknown builtin operad {name!r}")
+        if name != "unit":
+            return builtin(name, n)
+        key = odata.get("sorts", ["*"])
+        return builtin(name, n, sorts[key] if isinstance(key, str) else dec_word(key, "unit sorts"))
     if "free" in odata:
         body = _object(odata["free"], "free operad")
         return free_operad(dec_word(body["sorts"], "sorts"), _signature(body), n)

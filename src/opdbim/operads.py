@@ -343,7 +343,6 @@ def _norm_signature(signature) -> dict:
 def _free_cells(sorts, signature, arity_bound):
     sorts = ssorted(sorts)
     cells = {}
-    cache_by_word = {}
     for n in range(1, arity_bound + 1):
         for combo in itertools.combinations_with_replacement(sorts, n):
             w = tuple(combo)
@@ -352,7 +351,6 @@ def _free_cells(sorts, signature, arity_bound):
                 ts = _free_terms(w, out, signature, cache)
                 if ts:
                     cells[(w, out)] = tuple(ts)
-            cache_by_word[w] = cache
     return sorts, cells
 
 

@@ -494,98 +494,53 @@ def quotient(elements: Iterable[Hashable], relations: Iterable[tuple]) -> Quotie
     return QuotientResult(elements, classes, class_index, representative)
 
 
-def equivariant_iso_search(a: YoungSet, b: YoungSet) -> Optional[dict]:
-    """First stabilizer-equivariant bijection ``labels(a) -> labels(b)``, or None.
+def _equivariant_maps(a: YoungSet, b: YoungSet, injective: bool) -> Iterator[dict]:
+    """Stabilizer-equivariant maps ``labels(a) -> labels(b)`` (only injective ones if asked), in search order.
 
-    Deterministic: orbits are processed in label order and candidate images
-    are tried in label order, with constraint propagation along generators.
+    The least unmapped label of ``a`` is tried on each label of ``b`` in
+    label order, and each choice is propagated along the generators.
     """
     if a.word != b.word:
         raise InputError(f"word mismatch: {a.word} vs {b.word}")
-    if a.size != b.size:
-        return None
     gens = stab_gens(a.word)
 
-    def extend(mapping, used, start_a, start_b):
-        # propagate the seed assignment through the generator action
-        queue = [start_a]
-        mapping = dict(mapping)
-        used = set(used)
-        mapping[start_a] = start_b
-        used.add(start_b)
+    def extend(mapping, x, y):
+        mapping, queue = {**mapping, x: y}, [x]
         while queue:
             x = queue.pop()
             for i in gens:
-                xa = a.gen_maps[i][x]
-                xb = b.gen_maps[i][mapping[x]]
-                if xa in mapping:
-                    if mapping[xa] != xb:
-                        return None
-                else:
-                    if xb in used:
-                        return None
-                    mapping[xa] = xb
-                    used.add(xb)
-                    queue.append(xa)
-        return mapping, used
-
-    def search(mapping, used):
-        pending = [x for x in a.labels if x not in mapping]
-        if not pending:
-            return mapping
-        x = pending[0]
-        for y in b.labels:
-            if y in used:
-                continue
-            ext = extend(mapping, used, x, y)
-            if ext is None:
-                continue
-            res = search(*ext)
-            if res is not None:
-                return res
-        return None
-
-    return search({}, set())
-
-
-def enumerate_equivariant_maps(a: YoungSet, b: YoungSet) -> list[dict]:
-    """All stabilizer-equivariant (not necessarily bijective) maps a -> b."""
-    if a.word != b.word:
-        raise InputError(f"word mismatch: {a.word} vs {b.word}")
-    gens = stab_gens(a.word)
-
-    def extend(mapping, start_a, start_b):
-        queue = [start_a]
-        mapping = dict(mapping)
-        mapping[start_a] = start_b
-        while queue:
-            x = queue.pop()
-            for i in gens:
-                xa = a.gen_maps[i][x]
-                xb = b.gen_maps[i][mapping[x]]
-                if xa in mapping:
-                    if mapping[xa] != xb:
-                        return None
-                else:
+                xa, xb = a.gen_maps[i][x], b.gen_maps[i][mapping[x]]
+                if xa not in mapping:
                     mapping[xa] = xb
                     queue.append(xa)
+                elif mapping[xa] != xb:
+                    return None
+        if injective and len(set(mapping.values())) != len(mapping):
+            return None
         return mapping
-
-    results: list[dict] = []
 
     def search(mapping):
         pending = [x for x in a.labels if x not in mapping]
         if not pending:
-            results.append(mapping)
+            yield mapping
             return
-        x = pending[0]
         for y in b.labels:
-            ext = extend(mapping, x, y)
+            ext = extend(mapping, pending[0], y)
             if ext is not None:
-                search(ext)
+                yield from search(ext)
 
-    search({})
-    return results
+    return search({})
+
+
+def equivariant_iso_search(a: YoungSet, b: YoungSet) -> Optional[dict]:
+    """First stabilizer-equivariant bijection ``labels(a) -> labels(b)``, or None (deterministic)."""
+    maps = _equivariant_maps(a, b, injective=True)
+    return next(maps, None) if a.size == b.size else None
+
+
+def enumerate_equivariant_maps(a: YoungSet, b: YoungSet) -> list[dict]:
+    """All stabilizer-equivariant (not necessarily bijective) maps a -> b."""
+    return list(_equivariant_maps(a, b, injective=False))
 
 
 @dataclass

@@ -166,10 +166,10 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[SymSeqMap]:
         while queue:
             key, la = queue.pop()
             lb = mapping[(key, la)]
-            moves = [((v, key[1]), tm[la], g.dom_tr[key][(v, a)][lb])
-                     for (v, a), tm in f.dom_tr.get(key, {}).items()]
-            moves += [((key[0], f.cod.dst[b]), tm[la], g.cod_tr[key][b][lb])
-                      for b, tm in f.cod_tr.get(key, {}).items()]
+            moves = [((v, key[1]), f.dom_tr[key][(v, a)][la], g.dom_tr[key][(v, a)][lb])
+                     for v, a in f.dom_arrows(key)]
+            moves += [((key[0], f.cod.dst[b]), f.cod_tr[key][b][la], g.cod_tr[key][b][lb])
+                      for b in f.cod_arrows(key)]
             for key2, xa, xb in moves:
                 node = (key2, xa)
                 if node not in mapping:

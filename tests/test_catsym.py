@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -14,12 +17,14 @@ from opdbim.operads import (
 )
 from opdbim.catsym import (
     CatSymSeq,
+    _read_on_demand,
     cat_compose,
     cat_from_symseq,
     cat_id,
     cat_left_unitor,
     cat_right_unitor,
     cat_sum,
+    check_cat_monad,
     ev_catsym,
     exp_object,
     exponential_operad,
@@ -89,15 +94,13 @@ def test_cat_map_validate_checks_every_transport():
     ident = cat_id(g)
     identity_map(ident).validate()
     # two copies (arrow, 0) and (arrow, 1) of each label of Id, transported copywise
-
-    def copywise(tables):
-        return {
-            key: {arrow: {(l, c): (t[l], c) for l in t for c in (0, 1)} for arrow, t in trs.items()}
-            for key, trs in tables.items()
-        }
-
     cells = {key: tuple((l, c) for c in (0, 1) for l in labs) for key, labs in ident.cells.items()}
-    double = CatSymSeq(g, g, cells, copywise(ident.dom_tr), copywise(ident.cod_tr))
+    double = CatSymSeq(g, g, cells, {}, {})
+    _read_on_demand(
+        double,
+        lambda key, v, a, lab: (ident.dom_tr[key][(v, a)][lab[0]], lab[1]),
+        lambda key, b, lab: (ident.cod_tr[key][b][lab[0]], lab[1]),
+    )
     double.validate()
     first = {key: {l: (l, 0) for l in labels} for key, labels in ident.cells.items()}
     SymSeqMap(ident, double, first).validate()
@@ -489,11 +492,12 @@ def _assert_matches_cat_oracle(comp):
         w, z = key
         assert comp.reps[key] == list(q.representative), key
         assert comp.seq.cells[key] == tuple(range(len(q.classes))), key
-        for (v, a), table in comp.seq.dom_tr[key].items():
+        for v, a in comp.seq.dom_arrows(key):
             index = oracle[(v, z)][1].class_index
             want = {i: index[(m, g, b, fs, sw_compose(dom, a, arr))] for i, (m, g, b, fs, arr) in enumerate(q.representative)}
-            assert table == want, (key, v, a)
-        for b, table in comp.seq.cod_tr[key].items():
+            assert comp.seq.dom_tr[key][(v, a)] == want, (key, v, a)
+        for b in comp.seq.cod_arrows(key):
+            table = comp.seq.cod_tr[key][b]
             index = oracle[(w, outer.cod.dst[b])][1].class_index
             want = {
                 i: index[(m, outer.cod_tr[(m, z)][b][g], bl, fs, arr)]
@@ -715,7 +719,7 @@ def test_cat_unitors_send_each_unit_raw_to_its_label(make_f):
             assert ru.at(w, y, fid.class_of(w, y, (w, lab) + units + (one,))) == lab
 
 
-# --- every transport table read along generators equals the one read along every arrow ---
+# --- transport tables are built when first read, from the builder's callbacks ---
 
 
 def _complete_transports(seq, dom_arrow_fn, cod_arrow_fn):
@@ -737,35 +741,43 @@ def _complete_transports(seq, dom_arrow_fn, cod_arrow_fn):
                 seq.cod_tr[key][b] = {l: cod_arrow_fn(key, b, l) for l in labels}
 
 
-def _tables(tr):
-    """A transport table as nested lists, so that equality also compares the order of the entries."""
-    return [(key, [(a, list(m.items())) for a, m in arrows.items()]) for key, arrows in tr.items()]
+def _read_along_every_arrow(seq):
+    """Every table of ``seq``, read along the arrows it enumerates, as nested lists (entry order counts)."""
+    return (
+        [(key, sorted((arrow, list(seq.dom_tr[key][arrow].items())) for arrow in seq.dom_arrows(key)))
+         for key in seq.support()],
+        [(key, sorted((b, list(seq.cod_tr[key][b].items())) for b in seq.cod_arrows(key)))
+         for key in seq.support()],
+    )
 
 
-def _checked_fills(monkeypatch, build):
-    """The builders whose tables ``build()`` fills, each checked against :func:`_complete_transports`.
-
-    Composites are left out: ``cat_compose`` is checked against its own oracle above.
-    """
+def _checked_reads(monkeypatch, build):
+    """The builders of the sequences ``build()`` makes, each read along every arrow and checked
+    against :func:`_complete_transports` run on the builder's own callbacks."""
     import opdbim.catsym as catsym
 
-    builders = []
-    original = catsym._fill_transports
+    made = []
+    original = catsym._read_on_demand
 
-    def checked(seq, dom_fn, cod_fn):
-        original(seq, dom_fn, cod_fn)
-        builder = dom_fn.__qualname__.split(".")[0]
-        if builder != "cat_compose":
-            oracle = CatSymSeq(seq.dom, seq.cod, seq.cells, {}, {})
-            _complete_transports(oracle, dom_fn, cod_fn)
-            assert _tables(seq.dom_tr) == _tables(oracle.dom_tr), builder
-            assert _tables(seq.cod_tr) == _tables(oracle.cod_tr), builder
-            builders.append(builder)
+    def recording(seq, dom_fn, cod_fn):
+        made.append((seq, dom_fn, cod_fn))
+        return original(seq, dom_fn, cod_fn)
 
-    monkeypatch.setattr(catsym, "_fill_transports", checked)
+    monkeypatch.setattr(catsym, "_read_on_demand", recording)
     build()
     monkeypatch.undo()
+    builders = []
+    for seq, dom_fn, cod_fn in made:
+        builder = dom_fn.__qualname__.split(".")[0]
+        oracle = CatSymSeq(seq.dom, seq.cod, seq.cells, {}, {})
+        _complete_transports(oracle, dom_fn, cod_fn)
+        assert _read_along_every_arrow(seq) == _read_along_every_arrow(oracle), builder
+        assert all(set(seq.dom_arrows(k)) == set(oracle.dom_tr[k]) for k in seq.support()), builder
+        builders.append(builder)
     return builders
+
+
+HOM_MONAD_BUILDERS = ["cat_compose", "cat_from_symseq", "cat_id", "cat_sum", "ev_catsym", "transpose", "untranspose"]
 
 
 @pytest.mark.parametrize(
@@ -783,16 +795,108 @@ def _checked_fills(monkeypatch, build):
             lambda: cat_id(exp_object(FinGroupoid.discrete(("x", "y")), FinGroupoid.discrete(("z",)), 2)),
             ["cat_id"],
         ),
-        (
-            lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2),
-            ["cat_from_symseq", "cat_id", "ev_catsym", "transpose", "untranspose"],
-        ),
-        (
-            lambda: hom_monad(unit_operad(("x", "y"), 2), unit_operad(("z",), 2), 2, 2),
-            ["cat_from_symseq", "cat_id", "ev_catsym", "transpose", "untranspose"],
-        ),
+        (lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2), HOM_MONAD_BUILDERS),
+        (lambda: hom_monad(unit_operad(("x", "y"), 2), unit_operad(("z",), 2), 2, 2), HOM_MONAD_BUILDERS),
     ],
     ids=["com3", "assoc3", "two-sorted", "exp-object-identity", "x2-com2", "xy-z"],
 )
 def test_transport_tables_match_the_tables_along_every_arrow(monkeypatch, build, want):
-    assert sorted(set(_checked_fills(monkeypatch, build))) == want
+    assert sorted(set(_checked_reads(monkeypatch, build))) == want
+
+
+def test_no_table_is_built_before_its_first_read():
+    seq = cat_from_symseq(assoc_operad(3).carrier)
+    assert seq.dom_tr.built == {} and seq.cod_tr.built == {}
+    key = ((STAR,) * 3, STAR)
+    swap = seq.dom_arrows(key)[1]
+    table = seq.dom_tr[key][swap]
+    assert seq.dom_tr[key][swap] is table  # kept once built
+    assert list(seq.dom_tr.built) == [key] and list(seq.dom_tr[key].built) == [swap]
+    assert seq.cod_tr.built == {}
+    # an arrow between other words, or into another cell, is no arrow of this cell
+    for bad in (((STAR, STAR), swap[1]), (key[0], sw_id(seq.dom, (STAR, STAR)))):
+        with pytest.raises(KeyError):
+            seq.dom_tr[key][bad]
+    with pytest.raises(KeyError):
+        seq.cod_tr[key][("id", "nowhere")]
+
+
+def test_transport_tables_cannot_be_iterated():
+    # iterating a table built on read would walk only the tables read so far
+    seq = cat_from_symseq(com_operad(2).carrier)
+    key = seq.support()[-1]
+    for tables in (seq.dom_tr, seq.dom_tr[key], seq.cod_tr, seq.cod_tr[key]):
+        with pytest.raises(TypeError):
+            iter(tables)
+        assert not hasattr(tables, "items")
+
+
+def _lazy_copy(seq, wrong=False):
+    """A fresh copy of ``seq``, none of its tables read; ``wrong`` leaves each label in place along
+    every arrow between two different words."""
+
+    def dom_fn(key, v, a, lab):
+        return lab if wrong and v != key[0] else seq.dom_tr[key][(v, a)][lab]
+
+    copy = CatSymSeq(seq.dom, seq.cod, dict(seq.cells), {}, {})
+    _read_on_demand(copy, dom_fn, lambda key, b, lab: seq.cod_tr[key][b][lab])
+    return copy
+
+
+def test_checks_along_every_arrow_read_the_tables_never_read_before():
+    # each check must enumerate the arrows itself: on fresh copies no table
+    # has been read, so a check that walked the tables read so far passes
+    ident = cat_id(two_object_iso_groupoid())
+    _lazy_copy(ident).validate()
+    with pytest.raises(ValidationError, match="dom transport mistyped"):
+        _lazy_copy(ident, wrong=True).validate()
+    src, dst = _lazy_copy(ident), _lazy_copy(ident, wrong=True)
+    with pytest.raises(ValidationError, match="equivariance fails"):
+        src.check_equivariance(SymSeqMap(src, dst, {k: {l: l for l in labs} for k, labs in src.cells.items()}))
+    # assoc(2) and a sequence of the same sizes on which the swap acts trivially
+    swapped = cat_from_symseq(assoc_operad(2).carrier)
+    cells = {key: YoungSet.trivial(key[0], labels) for key, labels in swapped.cells.items()}
+    trivial = cat_from_symseq(SymSeq((STAR,), (STAR,), cells))
+    assert cat_iso(_lazy_copy(swapped), _lazy_copy(swapped)) is not None
+    assert cat_iso(_lazy_copy(swapped), _lazy_copy(trivial)) is None
+
+
+def test_composites_and_transposes_are_freed_by_reference_counting():
+    # a callback that held its sequence would make a cycle that only the
+    # cyclic collector frees
+    g = two_object_iso_groupoid()
+    x, y = FinGroupoid.discrete((STAR,)), FinGroupoid.discrete(("o",))
+    gc.collect()
+    gc.disable()
+    try:
+        comp = cat_compose(cat_id(g), cat_id(g), max_arity=1)
+        t = transpose(cat_id(exp_object(x, y, 2)), x, y)
+        for seq in (comp.seq, t):
+            _read_along_every_arrow(seq)
+        refs = [weakref.ref(comp), weakref.ref(comp.seq), weakref.ref(t)]
+        del comp, seq, t
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def _corrupted(m, e):
+    """``m`` with the first label of its first cell whose target has two labels sent to the other one."""
+    key = next(k for k in sorted(m.comp, key=repr) if len(e.labels(*k)) >= 2)
+    lab = next(iter(m.comp[key]))
+    other = next(t for t in e.labels(*key) if t != m.comp[key][lab])
+    return SymSeqMap(m.src, m.dst, {**m.comp, key: {**m.comp[key], lab: other}})
+
+
+def test_a_corrupted_hom_monad_fails_naming_the_law_the_cell_and_the_class():
+    hm = hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
+    idz = cat_id(hm.expz)
+    ide, eid = cat_compose(idz, hm.e, max_arity=2), cat_compose(hm.e, idz, max_arity=2)
+    check_cat_monad(hm, 2, ide, eid)
+    with pytest.raises(ValidationError) as err:
+        check_cat_monad(dataclasses.replace(hm, mu=_corrupted(hm.mu, hm.e)), 2, ide, eid)
+    assert str(err.value) == (
+        "hom monad associativity fails at cell ((((), '*'), (('x', 'x'), '*')), (('x', 'x'), '*')), class 0: 1 != 0"
+    )
+    with pytest.raises(ValidationError, match=r"^hom monad left unit law fails at cell \(.+\), class .+: .+ != "):
+        check_cat_monad(dataclasses.replace(hm, eta=_corrupted(hm.eta, hm.e)), 2, ide, eid)

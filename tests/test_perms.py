@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 from opdbim.perms import (
     FinGroupoid,
     InputError,
+    ValidationError,
     Perm,
     YoungSet,
     act_word,
@@ -15,6 +17,7 @@ from opdbim.perms import (
     compose,
     coset_least,
     disjoint_union,
+    enumerate_equivariant_maps,
     equivariant_iso_search,
     index_quotient,
     quotient,
@@ -157,6 +160,49 @@ def test_equivariant_iso_search():
     found = equivariant_iso_search(swap, swap)
     for lab in ("p", "q"):
         assert found[swap.gen_maps[0][lab]] == swap.gen_maps[0][found[lab]]
+
+
+def _young_structures(word, n):
+    """Every action of the Young stabilizer of ``word`` on the labels ``0..n-1``."""
+    gens = stab_gens(word)
+    out = []
+    for images in itertools.product(itertools.permutations(range(n)), repeat=len(gens)):
+        ys = YoungSet(word, tuple(range(n)), {i: dict(enumerate(im)) for i, im in zip(gens, images)})
+        try:
+            ys.validate()
+        except ValidationError:
+            continue
+        out.append(ys)
+    return out
+
+
+def test_equivariant_map_searches_match_brute_force():
+    # every Young structure of words up to length 3 with up to 3 labels
+    pairs = 0
+    for word in [(), ("a",), ("a", "b"), ("a", "a"), ("a", "b", "c"), ("a", "a", "b"), ("a", "b", "b"), ("a", "a", "a")]:
+        structures = [ys for n in range(4) for ys in _young_structures(word, n)]
+        for a in structures:
+            for b in structures:
+                brute = [
+                    dict(zip(a.labels, images))
+                    for images in itertools.product(b.labels, repeat=a.size)
+                    if all(
+                        images[a.gen_maps[i][x]] == b.gen_maps[i][images[x]]
+                        for i in stab_gens(word) for x in a.labels
+                    )
+                ]
+                maps = enumerate_equivariant_maps(a, b)
+                assert sorted(map(sorted, map(dict.items, maps))) == sorted(map(sorted, map(dict.items, brute)))
+                assert len({tuple(sorted(m.items())) for m in maps}) == len(maps)
+                bijections = [m for m in maps if a.size == b.size and len(set(m.values())) == a.size]
+                assert equivariant_iso_search(a, b) == next(iter(bijections), None)
+                pairs += 1
+    # 4, 8 and 14 structures on words whose stabilizer is trivial, S_2 and S_3
+    assert pairs == 4 * 4**2 + 3 * 8**2 + 14**2
+    with pytest.raises(InputError, match="word mismatch"):
+        enumerate_equivariant_maps(YoungSet.trivial(("a",), (0,)), YoungSet.trivial(("b",), (0,)))
+    with pytest.raises(InputError, match="word mismatch"):
+        equivariant_iso_search(YoungSet.trivial(("a",), (0,)), YoungSet.trivial(("b",), (1, 2)))
 
 
 def test_young_validation_rejects_non_action():
