@@ -25,8 +25,12 @@ occurs ``m`` times form ``Aut(x) ≀ S_m``, so the orbit walk of
 :class:`.symseq._Shape` applies with groupoid arrows in place of
 permutations, and the arrows least under each label pair's stabilizer are
 found by closure on their indices.  ``Composite.class_of`` carries any other
-raw to that least raw (``canon``).  Arrow sets between words are enumerated
-once per groupoid instance (``sw_arrows``).
+raw to that least raw (``canon``).  What reads only the domain groupoid is
+computed once per groupoid instance and kept in its ``memo``
+(:func:`_per_groupoid`): arrow sets, built in ``skey`` order with no sort
+(``sw_arrows``), object ranks, letter automorphisms, isomorphic words, arrow
+orbits and the least pairs of each slice, so composites over one groupoid
+share them.
 
 Maps are :class:`.symseq.SymSeqMap`, the one map type of both layers, and
 share its identity, composites, equality and inverse; an inverse unitor is
@@ -46,7 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .perms import (
     FinGroupoid,
@@ -56,6 +60,7 @@ from .perms import (
     Word,
     YoungSet,
     block_offsets,
+    block_perm,
     disjoint_union,
     index_quotient,
     inverse_images,
@@ -86,6 +91,24 @@ Arrow = tuple  # (perm images, component arrow ids indexed by target position)
 # ---------------------------------------------------------------------------
 
 
+def _per_groupoid(fn: Callable) -> Callable:
+    """``fn(gpd, *key)`` computed once per groupoid instance and key, and kept in ``gpd.memo``.
+
+    ``fn`` reads nothing but the groupoid and the key, and returns no value
+    that holds the groupoid, so the memo lives and dies with it.
+    """
+    @functools.wraps(fn)
+    def read(gpd: FinGroupoid, *key):
+        memo = gpd.memo[fn.__name__]
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(gpd, *key)
+        return value
+
+    return read
+
+
+@_per_groupoid
 def sw_canonical(gpd: FinGroupoid, word: Word) -> tuple[Word, Perm]:
     """Sort by object order; returns (canonical, t) with word[i] == canonical[t(i)]."""
     order = sorted(range(len(word)), key=lambda i: (gpd.obj_index(word[i]), i))
@@ -100,46 +123,42 @@ def sw_is_canonical(gpd: FinGroupoid, word: Word) -> bool:
     return all(gpd.obj_index(word[i]) <= gpd.obj_index(word[i + 1]) for i in range(len(word) - 1))
 
 
+@_per_groupoid
 def sw_arrows(gpd: FinGroupoid, v: Word, w: Word) -> tuple[Arrow, ...]:
-    """All arrows ``v -> w`` in ``skey`` order, enumerated once per groupoid instance.
+    """All arrows ``v -> w`` in ``skey`` order, enumerated once per groupoid instance."""
+    return tuple(_enumerate_arrows(gpd, v, w))
 
-    The sorted tuple is kept in ``gpd.word_arrows``, so it lives exactly as
-    long as the groupoid.
+
+def _enumerate_arrows(gpd: FinGroupoid, v: Word, w: Word) -> Iterator[Arrow]:
+    """Arrows ``v -> w`` in ``skey`` order, with no sort: by images, then by components.
+
+    The permutations come in lexicographic order, each with the product of
+    the homs it picks, each hom sorted once per groupoid (:func:`_hom`).
     """
-    arrows = gpd.word_arrows.get((v, w))
-    if arrows is None:
-        arrows = gpd.word_arrows[(v, w)] = tuple(sorted(_enumerate_arrows(gpd, v, w), key=skey))
-    return arrows
+    if len(v) == len(w):
+        homs = [[_hom(gpd, a, b) for a in v] for b in w]  # homs[i][j]: v[j] -> w[i]
+        for im in itertools.permutations(range(len(v))):
+            yield from ((im, comps) for comps in itertools.product(*(homs[i][j] for i, j in enumerate(im))))
 
 
-def _enumerate_arrows(gpd: FinGroupoid, v: Word, w: Word) -> list[Arrow]:
-    """Arrows ``v -> w`` by backtracking: permutations with componentwise groupoid arrows."""
-    n = len(v)
-    if len(w) != n:
-        return []
-    out = []
-    # choose, for each target position i, a source position and an arrow
-    def backtrack(i, used, images, comps):
-        if i == n:
-            out.append((tuple(images), tuple(comps)))
-            return
-        for j in range(n):
-            if used[j]:
-                continue
-            arrows = gpd.arrows(v[j], w[i])
-            if not arrows:
-                continue
-            used[j] = True
-            images.append(j)
-            for a in arrows:
-                comps.append(a)
-                backtrack(i + 1, used, images, comps)
-                comps.pop()
-            images.pop()
-            used[j] = False
+@_per_groupoid
+def _hom(gpd: FinGroupoid, a, b) -> tuple:
+    """The arrows ``a -> b`` in ``skey`` order."""
+    return ssorted(gpd.arrows(a, b))
 
-    backtrack(0, [False] * n, [], [])
-    return out
+
+@_per_groupoid
+def _ranks(gpd: FinGroupoid) -> dict:
+    """``object -> rank`` in ``skey`` order; objects with equal ``skey`` share a rank."""
+    keys = {o: skey(o) for o in gpd.objects}
+    levels = {k: r for r, k in enumerate(sorted(set(keys.values())))}
+    return {o: levels[k] for o, k in keys.items()}
+
+
+def _cell_order(dom: FinGroupoid, cod: FinGroupoid) -> Callable:
+    """Sort key of cells: by arity, then word, then output in ``skey`` order, read off object ranks."""
+    drank, crank = _ranks(dom), _ranks(cod)
+    return lambda k: (len(k[0]), tuple(map(drank.__getitem__, k[0])), crank[k[1]])
 
 
 def sw_id(gpd: FinGroupoid, w: Word) -> Arrow:
@@ -167,17 +186,8 @@ def sw_perm_arrow(gpd: FinGroupoid, target: Word, p: Perm) -> Arrow:
 
 def sw_block_perm(gpd: FinGroupoid, blocks: list[Word], psi: Perm) -> Arrow:
     """Block-moving arrow ``concat(blocks) -> concat(blocks[psi(j)])``."""
-    lengths = [len(b) for b in blocks]
-    old = block_offsets(lengths)
-    new_blocks = [blocks[psi(j)] for j in range(len(blocks))]
-    new = block_offsets([len(b) for b in new_blocks])
-    total = old[-1]
-    im = [0] * total
-    for j in range(len(blocks)):
-        for t in range(len(new_blocks[j])):
-            im[new[j] + t] = old[psi(j)] + t
-    target = tuple(o for b in new_blocks for o in b)
-    return (tuple(im), tuple(gpd.ident[o] for o in target))
+    images = block_perm([len(b) for b in blocks], psi).images
+    return (images, tuple(gpd.ident[o] for j in range(len(blocks)) for o in blocks[psi(j)]))
 
 
 def sw_block_diag(gpd: FinGroupoid, arrows: list[Arrow], sources: list[Word]) -> Arrow:
@@ -217,10 +227,7 @@ class CatSymSeq:
     def __post_init__(self):
         # cells are never changed once the sequence is built, so sort the
         # non-empty ones once: by arity, then word, then output
-        self._support = tuple(sorted(
-            (k for k, v in self.cells.items() if v),
-            key=lambda k: (len(k[0]), skey(k[0]), skey(k[1])),
-        ))
+        self._support = tuple(sorted((k for k, v in self.cells.items() if v), key=_cell_order(self.dom, self.cod)))
         words: dict = {}
         for w, y in self._support:
             words.setdefault(y, []).append(w)
@@ -334,7 +341,7 @@ def _read_on_demand(seq: CatSymSeq, dom_fn: Callable, cod_fn: Callable) -> CatSy
 
     def is_dom_arrow(key, arrow):
         (v, a), w = arrow, key[0]
-        return len(v) == len(w) and bool(cells.get((v, key[1]))) and a in sw_arrows(dom, v, w)
+        return len(v) == len(w) and bool(cells.get((v, key[1]))) and a in _arrow_index(dom, v, w)
 
     seq.dom_tr = on_read(lambda key, arrow, label: dom_fn(key, *arrow, label), is_dom_arrow)
     seq.cod_tr = on_read(cod_fn, lambda key, b: cod.src.get(b) == key[1])
@@ -402,6 +409,7 @@ def cat_sum(f: CatSymSeq, g: CatSymSeq) -> CatSymSeq:
 # ---------------------------------------------------------------------------
 
 
+@_per_groupoid
 def _components(gpd: FinGroupoid) -> dict:
     """``object -> index of the first object isomorphic to it``."""
     return {o: next(i for i, b in enumerate(gpd.objects) if gpd.arrows(b, o)) for o in gpd.objects}
@@ -427,7 +435,8 @@ def _least_words(seq: CatSymSeq, comp: dict) -> dict:
     return least
 
 
-def _aut_generators(gpd: FinGroupoid, w: Word) -> list[Arrow]:
+@_per_groupoid
+def _aut_generators(gpd: FinGroupoid, w: Word) -> tuple[Arrow, ...]:
     """Arrows generating ``Aut(w)`` for a word whose isomorphic letters are equal.
 
     They are the adjacent swaps of equal letters and the non-identity
@@ -442,7 +451,56 @@ def _aut_generators(gpd: FinGroupoid, w: Word) -> list[Arrow]:
             for a in gpd.arrows(o, o)
             if a != gpd.ident[o]
         ]
-    return gens
+    return tuple(gens)
+
+
+@_per_groupoid
+def _iso_words(gpd: FinGroupoid, concat: Word) -> tuple:
+    """The canonical words isomorphic to ``concat``: per component, a multiset of its objects."""
+    comp, members = _components(gpd), {}
+    for o in gpd.objects:
+        members.setdefault(comp[o], []).append(o)
+    choices = [
+        itertools.combinations_with_replacement(members[c], len(tuple(run)))
+        for c, run in itertools.groupby(sorted(comp[o] for o in concat))
+    ]
+    combos = itertools.product(*choices)
+    return tuple(tuple(sorted((o for part in combo for o in part), key=gpd.obj_index)) for combo in combos)
+
+
+@_per_groupoid
+def _arrow_index(gpd: FinGroupoid, v: Word, w: Word) -> dict:
+    """``arrow -> its position in sw_arrows(gpd, v, w)``."""
+    return {a: i for i, a in enumerate(sw_arrows(gpd, v, w))}
+
+
+@_per_groupoid
+def _arrow_orbits(gpd: FinGroupoid, cw: Word, concat: Word, gens: frozenset) -> tuple:
+    """``(orbit of each index, least index of each orbit)`` of ``sw_arrows(gpd, cw, concat)`` under ``gens``.
+
+    An arrow ``a`` is related to ``a`` followed by each generator.
+    """
+    arrows, index = sw_arrows(gpd, cw, concat), _arrow_index(gpd, cw, concat)
+    pairs = ((i, index[sw_compose(gpd, a, s)]) for i, a in enumerate(arrows) for s in gens)
+    return index_quotient(len(arrows), pairs)
+
+
+@_per_groupoid
+def _slice(gpd: FinGroupoid, concat: Word, sizes: tuple, swaps: tuple, moves: tuple) -> dict:
+    """The least label pairs of a slice with Schreier generators of their stabilizers (:meth:`_CatPlan.shape`)."""
+    shape = _slice_shape(gpd, concat, swaps, moves, {})
+    return {x0: frozenset(schreier) for x0, schreier in shape.least_pairs(sizes)}
+
+
+def _slice_shape(gpd: FinGroupoid, concat: Word, swaps, moves, least: dict) -> _Shape:
+    """The :class:`.symseq._Shape` of a slice whose generators move ``concat`` by the given arrows."""
+    def step(b):
+        return _same if b is None else functools.partial(sw_compose, gpd, a2=b)
+
+    return _Shape(
+        sw_id(gpd, concat), functools.partial(sw_compose, gpd), functools.partial(sw_inverse, gpd),
+        [(t, gp, step(b)) for t, gp, b in swaps], [(k, gp, fp, step(b)) for k, gp, fp, b in moves], least,
+    )
 
 
 def _same(a):
@@ -456,47 +514,44 @@ def _label_perm(table: dict, pos: dict) -> tuple:
 
 
 class _CatPlan:
-    """What :func:`cat_compose` plans once for ``outer o inner``, and its ``canon``.
+    """What :func:`cat_compose` plans for ``outer o inner``, and its ``canon``.
 
     A coend over a groupoid depends only on its skeleton.  Each middle word
     and each block goes to its least isomorphic support word
     (:func:`_least_words`); there the automorphisms of a word with ``m``
     copies of a letter ``x`` form ``Aut(x) ≀ S_m``.  A ``(mid, blocks)``
     with both least and the blocks sorted within each run of ``mid`` is a
-    slice, planned once as a :class:`.symseq._Shape` whose elements act on
+    slice, planned as a :class:`.symseq._Shape` whose elements act on
     arrows ``concat -> concat``.  Its ``least`` maps each least label pair to
     the Schreier generators of the pair's stabilizer; the arrows of
     ``sw_arrows(cw, concat)`` least under those are found by closure on their
-    indices, once per ``cw`` and stabilizer (:meth:`arrow_orbits`).
+    indices (:func:`_arrow_orbits`).
+
+    Whatever depends only on the domain groupoid is kept in its memo and
+    shared by every composite over it: arrow sets and their indices, letter
+    automorphisms, isomorphic words, arrow orbits, and each slice's least
+    pairs, keyed by value (:meth:`shape`).  The plan itself holds only what
+    reads ``outer`` and ``inner``.
     """
 
     def __init__(self, outer: CatSymSeq, inner: CatSymSeq):
         self.outer, self.inner, self.dom = outer, inner, inner.dom
-        self.then, self.inverse = functools.partial(sw_compose, self.dom), functools.partial(sw_inverse, self.dom)
-        self.comp = _components(inner.dom)
         self.least_mid = _least_words(outer, _components(outer.dom))
-        self.least_block = _least_words(inner, self.comp)
+        self.least_block = _least_words(inner, _components(inner.dom))
         outs = {y for _w, y in inner.support()}
         self.rank = {(w, y): i for y in outs for i, w in enumerate(inner.support_words(y))}
         self.gpos: dict = {}     # outer cell -> {label: position}
         self.fpos: dict = {}     # inner cell -> {label: position}
         self.shapes: dict = {}   # (mid, out, blocks) -> _Shape
-        self.index: dict = {}    # (cw, concat) -> {arrow: position in sw_arrows}
-        self.orbits: dict = {}   # (cw, concat, generators) -> index_quotient of the arrows
-        self.words: dict = {}    # component multiset -> canonical words with it
 
     def forget(self) -> None:
-        """Drop the plans of the slices; ``canon`` and the transport tables plan again the few read later.
+        """Drop the slices' shapes and label positions; ``canon`` plans again the few slices read later.
 
         They are kept only while the composite is built, so that a composite
         holds no more than its representatives once it is built.
         """
-        for memo in (self.shapes, self.index, self.orbits, self.gpos, self.fpos, self.words):
+        for memo in (self.shapes, self.gpos, self.fpos):
             memo.clear()
-
-    def then_by(self, b: Arrow) -> Callable:
-        """The function ``a -> sw_compose(dom, a, b)``."""
-        return functools.partial(sw_compose, self.dom, a2=b)
 
     def positions(self, cache: dict, seq: CatSymSeq, key) -> dict:
         pos = cache.get(key)
@@ -512,49 +567,15 @@ class _CatPlan:
             runs.append(itertools.combinations_with_replacement(words, len(tuple(run))))
         return (tuple(b for run in combo for b in run) for combo in itertools.product(*runs))
 
-    def iso_words(self, concat: Word) -> list:
-        """The canonical words isomorphic to ``concat``: per component, a multiset of its objects."""
-        key = tuple(sorted(self.comp[o] for o in concat))
-        words = self.words.get(key)
-        if words is None:
-            gpd, members = self.dom, {}
-            for o in gpd.objects:
-                members.setdefault(self.comp[o], []).append(o)
-            choices = [
-                itertools.combinations_with_replacement(members[c], len(tuple(run)))
-                for c, run in itertools.groupby(key)
-            ]
-            words = self.words[key] = [
-                tuple(sorted((o for part in combo for o in part), key=gpd.obj_index))
-                for combo in itertools.product(*choices)
-            ]
-        return words
-
-    def arrow_index(self, cw: Word, concat: Word) -> dict:
-        key = (cw, concat)
-        index = self.index.get(key)
-        if index is None:
-            index = self.index[key] = {a: i for i, a in enumerate(sw_arrows(self.dom, cw, concat))}
-        return index
-
-    def arrow_orbits(self, cw: Word, concat: Word, gens: frozenset) -> tuple:
-        """``(orbit of each index, least index of each orbit)`` of ``sw_arrows(cw, concat)`` under ``gens``.
-
-        An arrow ``a`` is related to ``a`` followed by each generator.
-        """
-        key = (cw, concat, gens)
-        orbits = self.orbits.get(key)
-        if orbits is None:
-            dom, arrows, index = self.dom, sw_arrows(self.dom, cw, concat), self.arrow_index(cw, concat)
-            pairs = ((i, index[sw_compose(dom, a, s)]) for i, a in enumerate(arrows) for s in gens)
-            orbits = self.orbits[key] = index_quotient(len(arrows), pairs)
-        return orbits
-
     def shape(self, mid: Word, z, blocks: tuple) -> _Shape:
         """The plan of a slice: its group ``H`` and the least pairs of its orbits.
 
         ``H`` is generated by the swaps of equal adjacent blocks, the letter
-        automorphisms of ``mid`` and the automorphisms of each block.
+        automorphisms of ``mid`` and the automorphisms of each block.  The
+        least pairs and their Schreier generators depend only on ``concat``,
+        the cell sizes and the generators, each a label permutation with the
+        arrow it moves ``concat`` by (``None`` for none), so slices equal in
+        those share them through the memo of the domain groupoid.
         """
         shape = self.shapes.get((mid, z, blocks))
         if shape is not None:
@@ -565,14 +586,13 @@ class _CatPlan:
         fpos = [self.positions(self.fpos, inner, k) for k in fkeys]
         concat = tuple(o for b in blocks for o in b)
         offs = block_offsets(len(b) for b in blocks)
-        one = sw_id(dom, concat)
         gtr = outer.dom_tr[(mid, z)]
         swaps = []
         for t in stab_gens(mid):
             if blocks[t] == blocks[t + 1]:
                 swap = Perm.transposition(len(mid), t)
                 g_back = gtr[(mid, sw_perm_arrow(mgpd, mid, swap))]  # the swap is its own inverse
-                swaps.append((t, _label_perm(g_back, gpos), self.then_by(sw_block_perm(dom, list(blocks), swap))))
+                swaps.append((t, _label_perm(g_back, gpos), sw_block_perm(dom, list(blocks), swap)))
         moves = []
         idmid = tuple(mgpd.ident[o] for o in mid)
         for p, y in enumerate(mid):
@@ -580,17 +600,17 @@ class _CatPlan:
                 if a != mgpd.ident[y]:
                     back = (tuple(range(len(mid))), idmid[:p] + (mgpd.inv[a],) + idmid[p + 1 :])
                     f_fwd = inner.cod_tr[fkeys[p]][a]
-                    moves.append((p, _label_perm(gtr[(mid, back)], gpos), _label_perm(f_fwd, fpos[p]), _same))
+                    moves.append((p, _label_perm(gtr[(mid, back)], gpos), _label_perm(f_fwd, fpos[p]), None))
         fixed = tuple(range(len(gpos)))
         for k, b in enumerate(blocks):
             ftr = inner.dom_tr[fkeys[k]]
             for beta in _aut_generators(dom, b):
                 f_back = ftr[(b, sw_inverse(dom, beta))]
                 emb = sw_embed_at(dom, concat, offs[k], beta, len(b))
-                moves.append((k, fixed, _label_perm(f_back, fpos[k]), self.then_by(emb)))
-        shape = self.shapes[(mid, z, blocks)] = _Shape(one, self.then, self.inverse, swaps, moves, {})
-        for x0, schreier in shape.least_pairs((len(gpos),) + tuple(len(f) for f in fpos)):
-            shape.least[x0] = frozenset(schreier)
+                moves.append((k, fixed, _label_perm(f_back, fpos[k]), emb))
+        sizes = (len(gpos),) + tuple(len(f) for f in fpos)
+        least = _slice(dom, concat, sizes, tuple(swaps), tuple(moves))
+        shape = self.shapes[(mid, z, blocks)] = _slice_shape(dom, concat, swaps, moves, least)
         return shape
 
     def _along_mid(self, z, raw: tuple, mid2: Word, psi: Arrow) -> tuple:
@@ -622,7 +642,7 @@ class _CatPlan:
         for key, f in zip(zip(blocks, mid), fs):
             if not inner.cells.get(key) or f not in self.positions(self.fpos, inner, key):
                 return None
-        if arr not in self.arrow_index(w, tuple(o for b in blocks for o in b)):
+        if arr not in _arrow_index(dom, w, tuple(o for b in blocks for o in b)):
             return None
         mid0 = self.least_mid[(mid, z)]
         if mid0 != mid:
@@ -649,8 +669,8 @@ class _CatPlan:
         if h is not shape.one:
             arr = sw_compose(dom, arr, sw_inverse(dom, h))
         concat = tuple(o for b in blocks for o in b)
-        label, roots = self.arrow_orbits(w, concat, shape.least[least])
-        sig = sw_arrows(dom, w, concat)[roots[label[self.arrow_index(w, concat)[arr]]]]
+        label, roots = _arrow_orbits(dom, w, concat, shape.least[least])
+        sig = sw_arrows(dom, w, concat)[roots[label[_arrow_index(dom, w, concat)[arr]]]]
         fs0 = tuple(inner.cells[k][i] for k, i in zip(fkeys, least[1]))
         return (mid, outer.cells[(mid, z)][least[0]], blocks, fs0, sig)
 
@@ -684,38 +704,32 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
             concat = tuple(o for b in blocks for o in b)
             fcells = [inner.cells[(b, y)] for b, y in zip(blocks, mid)]
             shape = plan.shape(mid, z, blocks)
-            cws = plan.iso_words(concat)
+            cws = _iso_words(dom, concat)
             for x0, gens in shape.least.items():
                 g, fs = glabels[x0[0]], tuple(c[i] for c, i in zip(fcells, x0[1]))
                 group = len(groups)
                 groups.append((concat, gens))
                 for cw in cws:
                     arrows = sw_arrows(dom, cw, concat)
-                    roots = plan.arrow_orbits(cw, concat, gens)[1]
+                    roots = _arrow_orbits(dom, cw, concat, gens)[1]
                     reps, origins = built.setdefault((cw, z), ([], []))
                     first[(cw, group)] = len(reps)
                     reps += [(mid, g, blocks, fs, arrows[r]) for r in roots]
                     origins += [group] * len(roots)
     cells, cls_out, reps_out = {}, {}, {}
-    for key in sorted(built, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
+    for key in sorted(built, key=_cell_order(dom, outer.cod)):
         reps = reps_out[key] = built[key][0]
         cells[key] = tuple(range(len(reps)))
         cls_out[key] = {raw: idx for idx, raw in enumerate(reps)}
     seq = CatSymSeq(dom, outer.cod, cells, {}, {})
     comp = Composite(outer, inner, seq, reps_out, cls_out, reps_out, plan.least_raw, max_arity)
-    targets: dict = {}  # (word, group) -> (first class, orbit of each arrow index, arrow index)
 
     def dom_fn(key, v, a, cls):
         # only the arrow moves, so the slice and the least pair stay
         group = built[key][1][cls]
-        target = targets.get((v, group))
-        if target is None:
-            concat, gens = groups[group]
-            target = targets[(v, group)] = (
-                first[(v, group)], plan.arrow_orbits(v, concat, gens)[0], plan.arrow_index(v, concat)
-            )
-        base, label, index = target
-        return base + label[index[sw_compose(dom, a, reps_out[key][cls][4])]]
+        concat, gens = groups[group]
+        label = _arrow_orbits(dom, v, concat, gens)[0]
+        return first[(v, group)] + label[_arrow_index(dom, v, concat)[sw_compose(dom, a, reps_out[key][cls][4])]]
 
     def cod_fn(key, b, cls):
         # reads cls_out and the plan, not comp, so that the tables hold no cycle
@@ -807,38 +821,21 @@ def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composit
 
 def exp_object(x: FinGroupoid, y: FinGroupoid, length_bound: int) -> FinGroupoid:
     """Exponential object: words over the domain (reversed) paired with codomain objects."""
-    words = []
-    for n in range(length_bound + 1):
-        words.extend(itertools.product(x.objects, repeat=n))
+    words = [w for n in range(length_bound + 1) for w in itertools.product(x.objects, repeat=n)]
     objects = tuple((w, yo) for w in words for yo in y.objects)
     hom: dict = {}
+    for (w1, y1), (w2, y2) in itertools.product(objects, repeat=2):
+        # in skey order, as both factors are
+        arrows = tuple(("e", a, b) for a in sw_arrows(x, w2, w1) for b in _hom(y, y1, y2))
+        if arrows:
+            hom[((w1, y1), (w2, y2))] = arrows
+    ident = {(w, yo): ("e", sw_id(x, w), y.ident[yo]) for (w, yo) in objects}
+    inv = {("e", a, b): ("e", sw_inverse(x, a), y.inv[b]) for arrows in hom.values() for _e, a, b in arrows}
     comp: dict = {}
-    ident: dict = {}
-    inv: dict = {}
-    for (w1, y1) in objects:
-        for (w2, y2) in objects:
-            arrows = []
-            for a in sw_arrows(x, w2, w1):
-                for b in y.arrows(y1, y2):
-                    arrows.append(("e", a, b))
-            if arrows:
-                hom[((w1, y1), (w2, y2))] = tuple(sorted(arrows, key=skey))
-    for (w, yo) in objects:
-        ident[(w, yo)] = ("e", sw_id(x, w), y.ident[yo])
-    for ((w1, y1), (w2, y2)), arrows in hom.items():
-        for _e, a, b in arrows:
-            inv[("e", a, b)] = ("e", sw_inverse(x, a), y.inv[b])
-    for ((w1, y1), (w2, y2)), arrows1 in hom.items():
-        for ((w2b, y2b), (w3, y3)), arrows2 in hom.items():
-            if (w2b, y2b) != (w2, y2):
-                continue
-            for _e1, a1, b1 in arrows1:
-                for _e2, a2, b2 in arrows2:
-                    comp[(("e", a2, b2), ("e", a1, b1))] = (
-                        "e",
-                        sw_compose(x, a2, a1),
-                        y.compose(b2, b1),
-                    )
+    for (o1, o2), arrows1 in hom.items():
+        for o3 in objects:
+            for (e1, a1, b1), (e2, a2, b2) in itertools.product(arrows1, hom.get((o2, o3), ())):
+                comp[((e2, a2, b2), (e1, a1, b1))] = ("e", sw_compose(x, a2, a1), y.compose(b2, b1))
     return FinGroupoid(objects, hom, comp, ident, inv)
 
 

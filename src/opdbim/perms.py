@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Optional
@@ -422,9 +423,6 @@ class QuotientResult:
     class_index: dict       # element -> index into classes
     representative: tuple   # class index -> representative element
 
-    def rep_of(self, element) -> Hashable:
-        return self.representative[self.class_index[element]]
-
 
 def index_positions(elements: tuple) -> dict:
     """``element -> input index``; a repeated element is an ``InputError``."""
@@ -565,9 +563,10 @@ class FinGroupoid:
                 self.src[f] = a
                 self.dst[f] = b
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
-        # (v, w) -> arrows between words v -> w, filled by catsym.sw_arrows;
-        # not a field, so it takes no part in equality
-        self.word_arrows: dict = {}
+        # word-level data read off this groupoid alone, filled by catsym:
+        # kind -> {key: value}; no value holds the groupoid, and it is not
+        # a field, so it takes no part in equality
+        self.memo: defaultdict = defaultdict(dict)
 
     @staticmethod
     def discrete(objects: Iterable) -> "FinGroupoid":

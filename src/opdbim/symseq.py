@@ -159,14 +159,6 @@ class SymSeq:
                             f"equivariance fails at cell {key}, generator {i}, label {lab!r}"
                         )
 
-    def relabelled(self, order_key=None) -> "SymSeq":
-        """Same sequence with label tuples reordered (tests enumeration independence)."""
-        cells = {}
-        for key, cell in self.cells.items():
-            labels = tuple(sorted(cell.labels, key=order_key or skey))
-            cells[key] = YoungSet(cell.word, labels, {i: dict(m) for i, m in cell.gen_maps.items()})
-        return SymSeq(self.dom, self.cod, cells)
-
 
 class _Content:
     """The token of one content (see :meth:`SymSeq.content`), compared by identity."""

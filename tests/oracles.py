@@ -9,8 +9,10 @@ from opdbim.perms import (
     FinGroupoid,
     InputError,
     Perm,
+    QuotientResult,
     ValidationError,
     Word,
+    YoungSet,
     act_word,
     block_offsets,
     canonical_word,
@@ -53,6 +55,20 @@ def word_arrows(v: Word, w: Word) -> tuple[Perm, ...]:
         out.append(Perm(tuple(im)))
     out.sort(key=lambda p: p.images)
     return tuple(out)
+
+
+def relabelled(f: SymSeq, order_key=None) -> SymSeq:
+    """``f`` with label tuples reordered (tests enumeration independence)."""
+    cells = {}
+    for key, cell in f.cells.items():
+        labels = tuple(sorted(cell.labels, key=order_key or skey))
+        cells[key] = YoungSet(cell.word, labels, {i: dict(m) for i, m in cell.gen_maps.items()})
+    return SymSeq(f.dom, f.cod, cells)
+
+
+def rep_of(q: QuotientResult, element):
+    """The representative of the class of ``element`` in ``q``."""
+    return q.representative[q.class_index[element]]
 
 
 def eval_general(f: SymSeq, w: Word, y) -> tuple[tuple, Perm]:

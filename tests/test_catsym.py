@@ -17,6 +17,7 @@ from opdbim.operads import (
 )
 from opdbim.catsym import (
     CatSymSeq,
+    _enumerate_arrows,
     _read_on_demand,
     cat_compose,
     cat_from_symseq,
@@ -627,6 +628,125 @@ def test_sw_arrows_memo_is_per_groupoid():
     assert sw_arrows(iso, ("p",), ("p",)) == (((0,), ("ip",)),)
     # the memo is not a field: filling it leaves equality alone
     assert disc == FinGroupoid.discrete(("p", "q"))
+
+
+def two_isomorphic_objects():
+    """Objects ``q`` and ``p``, isomorphic, each with one automorphism besides its identity; a fresh
+    instance on each call, with its objects and every hom listed against ``skey`` order."""
+    objs = ("q", "p")
+    hom = {(a, b): (f"{a}{b}1", f"{a}{b}0") for a in objs for b in objs}
+    comp = {
+        (f"{b}{c}{k}", f"{a}{b}{j}"): f"{a}{c}{(j + k) % 2}"
+        for a, b, c in itertools.product(objs, repeat=3) for j in (0, 1) for k in (0, 1)
+    }
+    inv = {f"{a}{b}{k}": f"{b}{a}{k}" for a, b in hom for k in (0, 1)}
+    return FinGroupoid(objs, hom, comp, {o: f"{o}{o}0" for o in objs}, inv)
+
+
+def _exp_two_outputs():
+    expz = exp_object(FinGroupoid.discrete(("x", "y")), FinGroupoid.discrete(("u", "v")), 2)
+    return expz, [(("x", "y"), "u"), (("y", "x"), "u"), (("x", "x"), "v"), ((), "v")]
+
+
+def _exp_and_its_source():
+    expz, letters = _exp_two_outputs()
+    return disjoint_union(expz, FinGroupoid.discrete(("x", "y"))), [("l", o) for o in letters[:2]] + [("r", "x")]
+
+
+def _iso_pair():
+    return two_isomorphic_objects(), ["q", "p"]
+
+
+WORD_GROUPOIDS = pytest.mark.parametrize(
+    "make", [_exp_two_outputs, _exp_and_its_source, _iso_pair], ids=["exp-two-outputs", "exp-and-source", "iso-pair"]
+)
+
+
+@WORD_GROUPOIDS
+def test_arrows_are_enumerated_in_skey_order_without_a_sort(make):
+    # images first, then components: a kernel that ordered components first,
+    # or read a hom in the order it is listed, would break the least raws
+    gpd, letters = make()
+    gpd.validate()
+    for n in range(4):
+        words = list(itertools.product(letters, repeat=n))
+        for v, w in itertools.product(words, repeat=2):
+            arrows = list(sw_arrows(gpd, v, w))
+            assert arrows == sorted(_enumerate_arrows(gpd, v, w), key=skey) == _fresh_arrows(gpd, v, w)
+
+
+@WORD_GROUPOIDS
+def test_support_and_composite_cells_stay_in_skey_order(make):
+    # cells sort by object ranks, which must give the skey order of words and outputs
+    gpd, letters = make()
+    out = FinGroupoid.discrete(("o", 2, ("o", 1)))
+    words = [w for n in range(3) for w in itertools.product(letters, repeat=n)]
+    seq = CatSymSeq(gpd, out, {(w, y): ("c",) for w in words for y in out.objects}, {}, {})
+    _read_on_demand(seq, lambda key, v, a, lab: lab, lambda key, b, lab: lab)  # every arrow acts trivially
+    comp = cat_compose(cat_id(out), seq, max_arity=2)
+    for keys in (seq.support(), comp.seq.support(), comp.reps):
+        assert list(keys) == sorted(keys, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1])))
+
+
+def _read_through(seq, dom, cod):
+    """``seq`` over groupoids equal to its own, reading its tables."""
+    copy = CatSymSeq(dom, cod, dict(seq.cells), {}, {})
+    return _read_on_demand(
+        copy, lambda key, v, a, lab: seq.dom_tr[key][(v, a)][lab], lambda key, b, lab: seq.cod_tr[key][b][lab]
+    )
+
+
+def _twisted(gpd, twist):
+    """Two labels on each of ``(p,)`` and ``(q,)``; an arrow swaps them iff ``twist`` and its automorphism
+    part is not the identity."""
+    y = FinGroupoid.discrete(("y",))
+    seq = CatSymSeq(gpd, y, {(("p",), "y"): (0, 1), (("q",), "y"): (0, 1)}, {}, {})
+    return _read_on_demand(seq, lambda key, v, a, lab: lab ^ (twist and a[1][0][-1] == "1"), lambda key, b, lab: lab)
+
+
+def _twisted_composites(gpd):
+    # the slices of the two composites differ only in how the block automorphism moves the inner labels
+    idy = cat_id(FinGroupoid.discrete(("y",)))
+    return [lambda twist=twist: cat_compose(idy, _twisted(gpd, twist), max_arity=1) for twist in (True, False)]
+
+
+def _sum_composites(u):
+    # the hom monad's S o S and Ev o A~, over one instance of Z u X
+    x, y = FinGroupoid.discrete(("x",)), FinGroupoid.discrete(("y",))
+    expz = exp_object(x, y, 2)
+    t = _read_through(transpose(cat_id(expz), x, y), u, y)
+    s = _read_through(cat_sum(cat_id(expz), cat_id(x)), u, u)
+    return [lambda: cat_compose(s, s, max_arity=3), lambda: cat_compose(t, s, max_arity=3)]
+
+
+@pytest.mark.parametrize(
+    "make, build",
+    [
+        (two_isomorphic_objects, _twisted_composites),
+        (lambda: disjoint_union(exp_object(FinGroupoid.discrete(("x",)), FinGroupoid.discrete(("y",)), 2),
+                                FinGroupoid.discrete(("x",))), _sum_composites),
+    ],
+    ids=["twisted-blocks", "hom-monad-sums"],
+)
+def test_slice_plans_shared_within_a_groupoid_give_the_composite_built_alone(make, build):
+    warm, fresh = make(), make()
+    shared = [b() for b in build(warm)][-1]  # built after the others filled the memo of its groupoid
+    before = {kind: len(entries) for kind, entries in warm.memo.items()}
+    again = [b() for b in build(warm)][-1]
+    assert {kind: len(entries) for kind, entries in warm.memo.items()} == before  # every plan was shared
+    gc.collect()
+    gc.disable()
+    try:
+        alone = build(fresh)[-1]()  # the only composite over its groupoid
+        for comp in (shared, again):
+            assert comp.reps == alone.reps and comp.seq.cells == alone.seq.cells
+            assert _read_along_every_arrow(comp.seq) == _read_along_every_arrow(alone.seq)
+        # the memo holds nothing that holds its groupoid, so reference counting frees it
+        ref = weakref.ref(fresh)
+        del alone, fresh
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cat_class_of_names_the_cell_and_an_unhashable_raw():

@@ -33,7 +33,7 @@ from opdbim.operads import (
     terminal_operad,
     unit_operad,
 )
-from oracles import iso_symseq
+from oracles import iso_symseq, relabelled
 
 STAR = "*"
 ASSOC_REL = (
@@ -183,7 +183,7 @@ def test_enumerate_algebras_relabeling_invariance():
     com = com_operad(3)
     assert enumerate_algebras(com, 2) == enumerate_algebras(com, {STAR: 2})
     relab = make_operad(
-        com.carrier.relabelled(order_key=lambda v: -v if isinstance(v, int) else v),
+        relabelled(com.carrier, order_key=lambda v: -v if isinstance(v, int) else v),
         lambda key, raw: 0,
         {STAR: 0},
         3,

@@ -27,7 +27,7 @@ from opdbim.perms import (
     young_classes,
 )
 
-from oracles import word_arrows
+from oracles import rep_of, word_arrows
 
 
 perms = st.integers(min_value=0, max_value=5).flatmap(
@@ -90,7 +90,7 @@ def test_quotient_examples():
     assert q.classes == ((1,), (2,), (3,))
     q = quotient((1, 2, 3, 4), [(1, 2), (2, 3)])
     assert q.classes == ((1, 2, 3), (4,))
-    assert q.rep_of(3) == 1
+    assert rep_of(q, 3) == 1
 
 
 def test_quotient_unknown_element():

@@ -26,7 +26,9 @@ from opdbim.symseq import (
     sum_symseq,
 )
 from opdbim.samples import rand_small_symseq, rand_symseq, reflexive_pair
-from oracles import analytic_compose_iso, eval_general, family_map_image, iso_symseq, transport, word_arrows
+from oracles import (
+    analytic_compose_iso, eval_general, family_map_image, iso_symseq, relabelled, transport, word_arrows,
+)
 
 STAR = "*"
 
@@ -99,13 +101,13 @@ def test_compose_order_independence():
     f = rand_symseq(rng, max_arity=2, max_labels=3, n_cells=2)
     g = rand_symseq(rng, max_arity=2, max_labels=3, n_cells=2)
     base = compose_symseq(g, f, max_arity=4)
-    relabelled = compose_symseq(
-        g.relabelled(order_key=lambda v: repr(v)[::-1]),
-        f.relabelled(order_key=lambda v: repr(v)[::-1]),
+    reordered = compose_symseq(
+        relabelled(g, order_key=lambda v: repr(v)[::-1]),
+        relabelled(f, order_key=lambda v: repr(v)[::-1]),
         max_arity=4,
     )
     sizes = sorted((key, cell.size) for key, cell in base.seq.cells.items())
-    sizes2 = sorted((key, cell.size) for key, cell in relabelled.seq.cells.items())
+    sizes2 = sorted((key, cell.size) for key, cell in reordered.seq.cells.items())
     assert sizes == sizes2
 
 
@@ -728,7 +730,7 @@ def test_the_associator_serves_only_its_own_quadruple():
     first = associator(hg, hg_f, gf, h_gf)
     assert associator(hg, hg_f, gf, h_gf) is first
     # H with its labels in the other order: the same regrouping into other classes
-    h2 = h.relabelled(order_key=lambda lab: [-ord(c) for c in lab])
+    h2 = relabelled(h, order_key=lambda lab: [-ord(c) for c in lab])
     h2_gf = compose_symseq(h2, gf.seq, max_arity=3)
     assert h2_gf is not h_gf
     other = associator(hg, hg_f, gf, h2_gf)
