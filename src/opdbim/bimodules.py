@@ -5,7 +5,8 @@ operads together with a left ``B``-action and a right ``A``-action that
 commute.  :func:`bimodule_laws` builds the composites these laws read once per
 carrier and returns the check of a pair of actions on them: the one
 action-law check, :func:`.operads.action_laws`, once per side, and then that
-the actions commute.  :func:`check_bimodule_laws` runs it on one bimodule;
+the actions commute.  Every :class:`Bimodule` runs it on itself when it is
+built (:func:`check_bimodule_laws`), so no bimodule exists unchecked;
 enumeration checks every candidate pair of actions against one set of
 composites per carrier.  The free actions through ``mu`` are written once:
 :func:`free_left_action` on ``B o (B o F)`` and :func:`free_right_action` on
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .perms import (
     BudgetError,
@@ -73,6 +74,8 @@ DEFAULT_BUDGET = 2_000_000
 
 @dataclass
 class Bimodule:
+    """A ``(left, right)``-bimodule; its constructor runs :func:`check_bimodule_laws`."""
+
     left: Operad      # acts on the codomain side
     right: Operad     # acts on the domain side
     carrier: SymSeq
@@ -81,6 +84,9 @@ class Bimodule:
     window: int
     bm: Composite     # left.carrier o carrier
     ma: Composite     # carrier o right.carrier
+
+    def __post_init__(self):
+        check_bimodule_laws(self)
 
     @property
     def dom(self):
@@ -105,9 +111,7 @@ def make_bimodule(
     bm = compose_symseq(left.carrier, carrier, max_arity=w)
     ma = compose_symseq(carrier, right.carrier, max_arity=w)
     lam, rho = mu_from_raws(bm, lam_fn, carrier), mu_from_raws(ma, rho_fn, carrier)
-    out = Bimodule(left, right, carrier, lam, rho, w, bm, ma)
-    check_bimodule_laws(out)
-    return out
+    return Bimodule(left, right, carrier, lam, rho, w, bm, ma)
 
 
 def check_bimodule_laws(b: Bimodule) -> None:
@@ -196,50 +200,38 @@ def free_right_action(fa: Composite, op: Operad, w: int) -> tuple[Composite, Sym
     return fa_a, rho
 
 
-def left_module(op: Operad, dom_sorts: Iterable, carrier: SymSeq, lam_fn: Callable,
-                window: Optional[int] = None) -> Bimodule:
+def left_module(op: Operad, dom_sorts: Iterable, carrier: SymSeq, lam_fn: Callable, window: int) -> Bimodule:
     """A left module as a bimodule over the unit operad on its domain."""
-    w = op.arity_bound if window is None else window
-    unit = unit_operad(ssorted(dom_sorts), max(w, 2))
-    bm = compose_symseq(op.carrier, carrier, max_arity=w)
-    ma = compose_symseq(carrier, unit.carrier, max_arity=w)
-    out = Bimodule(op, unit, carrier, mu_from_raws(bm, lam_fn, carrier), right_unitor(ma), w, bm, ma)
-    check_bimodule_laws(out)
-    return out
+    unit = unit_operad(ssorted(dom_sorts), max(window, 2))
+    bm = compose_symseq(op.carrier, carrier, max_arity=window)
+    ma = compose_symseq(carrier, unit.carrier, max_arity=window)
+    return Bimodule(op, unit, carrier, mu_from_raws(bm, lam_fn, carrier), right_unitor(ma), window, bm, ma)
 
 
-def free_left_module(op: Operad, dom_sorts: Iterable, v: SymSeq,
-                     window: Optional[int] = None) -> Bimodule:
+def free_left_module(op: Operad, dom_sorts: Iterable, v: SymSeq, window: int) -> Bimodule:
     """The free left module ``A o V`` on a sequence ``V``, acting through ``mu``."""
-    w = op.arity_bound if window is None else window
-    av = compose_symseq(op.carrier, v, max_arity=w)
-    a_av, lam = free_left_action(op, av, w)
-    unit = unit_operad(ssorted(dom_sorts), max(w, 2))
-    ma = compose_symseq(av.seq, unit.carrier, max_arity=w)
-    out = Bimodule(op, unit, av.seq, lam, right_unitor(ma), w, a_av, ma)
-    check_bimodule_laws(out)
-    return out
+    av = compose_symseq(op.carrier, v, max_arity=window)
+    a_av, lam = free_left_action(op, av, window)
+    unit = unit_operad(ssorted(dom_sorts), max(window, 2))
+    ma = compose_symseq(av.seq, unit.carrier, max_arity=window)
+    return Bimodule(op, unit, av.seq, lam, right_unitor(ma), window, a_av, ma)
 
 
-def free_bimodule(left: Operad, right: Operad, v: SymSeq,
-                  window: Optional[int] = None) -> Bimodule:
+def free_bimodule(left: Operad, right: Operad, v: SymSeq, window: int) -> Bimodule:
     """The free ``(B, A)``-bimodule ``B o V o A`` with both actions by multiplication."""
-    w = min(left.arity_bound, right.arity_bound) if window is None else window
     bc, ac = left.carrier, right.carrier
-    va = compose_symseq(v, ac, max_arity=w)
-    bva = compose_symseq(bc, va.seq, max_arity=w)
+    va = compose_symseq(v, ac, max_arity=window)
+    bva = compose_symseq(bc, va.seq, max_arity=window)
     carrier = bva.seq
-    b_bva, lam = free_left_action(left, bva, w)
-    va_a, inner = free_right_action(va, right, w)  # (V o A) o A -> V o A
-    bva_a = compose_symseq(carrier, ac, max_arity=w)
-    b_vaa = compose_symseq(bc, va_a.seq, max_arity=w)
+    b_bva, lam = free_left_action(left, bva, window)
+    va_a, inner = free_right_action(va, right, window)  # (V o A) o A -> V o A
+    bva_a = compose_symseq(carrier, ac, max_arity=window)
+    b_vaa = compose_symseq(bc, va_a.seq, max_arity=window)
     rho = compose_maps(
         hcompose_maps(identity_map(bc), inner, b_vaa, bva),
         associator(bva, bva_a, va_a, b_vaa),
     )
-    out = Bimodule(left, right, carrier, lam, rho, w, b_bva, bva_a)
-    check_bimodule_laws(out)
-    return out
+    return Bimodule(left, right, carrier, lam, rho, window, b_bva, bva_a)
 
 
 def algebra_as_module(alg: Algebra) -> Bimodule:
@@ -273,8 +265,12 @@ class RelCompose:
     lift: dict           # (w, z) -> {class -> nm class of its representative}
 
 
-def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCompose:
-    """Composite over the middle operad, by the reflexive-coequalizer quotient."""
+def relative_compose(nb: Bimodule, mb: Bimodule) -> RelCompose:
+    """Composite over the middle operad, by the reflexive-coequalizer quotient.
+
+    The relative composite is a :class:`Bimodule`, so its induced actions are
+    law-checked when it is built.
+    """
     if not same_operad(nb.right, mb.left):
         raise InputError("middle operads do not match")
     w = min(nb.window, mb.window)
@@ -337,10 +333,7 @@ def relative_compose(nb: Bimodule, mb: Bimodule, validate: bool = True) -> RelCo
         return chain_r.at(*key, nm_a.class_of(*key, (mid, lifted, blocks, as_, sig)))
 
     lam_rel, rho_rel = mu_from_raws(c_q, lam_fn, carrier), mu_from_raws(q_a, rho_fn, carrier)
-    out = Bimodule(nb.left, mb.right, carrier, lam_rel, rho_rel, w, c_q, q_a)
-    if validate:
-        check_bimodule_laws(out)
-    return RelCompose(out, nm, proj, lift)
+    return RelCompose(Bimodule(nb.left, mb.right, carrier, lam_rel, rho_rel, w, c_q, q_a), nm, proj, lift)
 
 
 def descend(rel: RelCompose, m: SymSeqMap, dst: SymSeq) -> SymSeqMap:
@@ -357,20 +350,18 @@ def descend(rel: RelCompose, m: SymSeqMap, dst: SymSeq) -> SymSeqMap:
     return SymSeqMap(rel.bimodule.carrier, dst, comp)
 
 
-def rel_left_unitor(mb: Bimodule, rel: Optional[RelCompose] = None):
-    """Split-fork iso ``B o_B M -> M`` induced by the left action."""
-    if rel is None:
-        rel = relative_compose(identity_bimodule(mb.left), mb, validate=False)
+def rel_left_unitor(mb: Bimodule) -> tuple[SymSeqMap, RelCompose]:
+    """Split-fork iso ``B o_B M -> M`` induced by the left action, with the composite ``B o_B M``."""
+    rel = relative_compose(identity_bimodule(mb.left), mb)
     out = descend(rel, mb.lam, mb.carrier)
     if not out.is_bijective():
         raise ValidationError("left unit map of a relative composite failed to biject")
     return out, rel
 
 
-def rel_right_unitor(mb: Bimodule, rel: Optional[RelCompose] = None):
-    """Split-fork iso ``M o_A A -> M`` induced by the right action."""
-    if rel is None:
-        rel = relative_compose(mb, identity_bimodule(mb.right), validate=False)
+def rel_right_unitor(mb: Bimodule) -> tuple[SymSeqMap, RelCompose]:
+    """Split-fork iso ``M o_A A -> M`` induced by the right action, with the composite ``M o_A A``."""
+    rel = relative_compose(mb, identity_bimodule(mb.right))
     out = descend(rel, mb.rho, mb.carrier)
     if not out.is_bijective():
         raise ValidationError("right unit map of a relative composite failed to biject")
@@ -436,78 +427,70 @@ def rel_associator(
 # ---------------------------------------------------------------------------
 
 
-def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap,
-                    window: Optional[int] = None) -> Bimodule:
+def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap, window: int) -> Bimodule:
     """Carrier ``F o A`` with the free right action and phi-twisted left action.
 
     ``phi: B o F -> F o A`` must be a lax monad morphism.  Its square and unit
     triangle are checked on the composites that build the actions, before
     the bimodule laws.
     """
-    w = min(a.arity_bound, b.arity_bound) if window is None else window
     ac, bc = a.carrier, b.carrier
-    bf = compose_symseq(bc, f, max_arity=w)
-    fa = compose_symseq(f, ac, max_arity=w)
+    bf = compose_symseq(bc, f, max_arity=window)
+    fa = compose_symseq(f, ac, max_arity=window)
     phi = restrict_map(phi, bf.seq, fa.seq)
-    fa_a, rho = free_right_action(fa, a, w)
-    b_fa = compose_symseq(bc, fa.seq, max_arity=w)
-    bf_a = compose_symseq(bf.seq, ac, max_arity=w)
+    fa_a, rho = free_right_action(fa, a, window)
+    b_fa = compose_symseq(bc, fa.seq, max_arity=window)
+    bf_a = compose_symseq(bf.seq, ac, max_arity=window)
     # lam: B o (F o A) -> (B o F) o A -> (F o A) o A -> F o A
     phi_a = hcompose_maps(phi, identity_map(ac), bf_a, fa_a)
     lam = compose_maps(rho, compose_maps(phi_a, map_inverse(associator(bf, bf_a, fa, b_fa))))
-    comp2b = compose_symseq(bc, bc, max_arity=w)
-    bb_f = compose_symseq(comp2b.seq, f, max_arity=w)
-    b_bf = compose_symseq(bc, bf.seq, max_arity=w)
+    comp2b = compose_symseq(bc, bc, max_arity=window)
+    bb_f = compose_symseq(comp2b.seq, f, max_arity=window)
+    b_bf = compose_symseq(bc, bf.seq, max_arity=window)
     s1 = compose_maps(phi, hcompose_maps(restrict_map(b.mu, comp2b.seq), identity_map(f), bb_f, bf))
     b_phi = hcompose_maps(identity_map(bc), phi, b_bf, b_fa)
     s2 = compose_maps(lam, compose_maps(b_phi, associator(comp2b, bb_f, bf, b_bf)))
     require_equal("lax morphism multiplication square", s1, s2)
-    idf = compose_symseq(b.ident, f, max_arity=w)
-    fid = compose_symseq(f, a.ident, max_arity=w)
+    idf = compose_symseq(b.ident, f, max_arity=window)
+    fid = compose_symseq(f, a.ident, max_arity=window)
     u1 = compose_maps(phi, hcompose_maps(b.eta, identity_map(f), idf, bf))
     u2 = compose_maps(
         hcompose_maps(identity_map(f), a.eta, fid, fa),
         compose_maps(map_inverse(right_unitor(fid)), left_unitor(idf)),
     )
     require_equal("lax morphism unit triangle", u1, u2)
-    out = Bimodule(b, a, fa.seq, lam, rho, w, b_fa, fa_a)
-    check_bimodule_laws(out)
-    return out
+    return Bimodule(b, a, fa.seq, lam, rho, window, b_fa, fa_a)
 
 
-def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap,
-                      window: Optional[int] = None) -> Bimodule:
+def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap, window: int) -> Bimodule:
     """Carrier ``B o F`` with the free left action and psi-twisted right action.
 
     ``psi: F o A -> B o F`` must be an oplax monad morphism.  Its square and
     unit triangle are checked on the composites that build the actions,
     before the bimodule laws.
     """
-    w = min(a.arity_bound, b.arity_bound) if window is None else window
     ac, bc = a.carrier, b.carrier
-    bf = compose_symseq(bc, f, max_arity=w)
-    fa = compose_symseq(f, ac, max_arity=w)
+    bf = compose_symseq(bc, f, max_arity=window)
+    fa = compose_symseq(f, ac, max_arity=window)
     psi = restrict_map(psi, fa.seq, bf.seq)
-    b_bf, lam = free_left_action(b, bf, w)
-    bf_a = compose_symseq(bf.seq, ac, max_arity=w)
-    b_fa = compose_symseq(bc, fa.seq, max_arity=w)
+    b_bf, lam = free_left_action(b, bf, window)
+    bf_a = compose_symseq(bf.seq, ac, max_arity=window)
+    b_fa = compose_symseq(bc, fa.seq, max_arity=window)
     # rho: (B o F) o A -> B o (F o A) -> B o (B o F) -> B o F
     b_psi = hcompose_maps(identity_map(bc), psi, b_fa, b_bf)
     rho = compose_maps(lam, compose_maps(b_psi, associator(bf, bf_a, fa, b_fa)))
-    fa_a, free_rho = free_right_action(fa, a, w)
+    fa_a, free_rho = free_right_action(fa, a, window)
     s2 = compose_maps(rho, hcompose_maps(psi, identity_map(ac), fa_a, bf_a))
     require_equal("oplax morphism multiplication square", compose_maps(psi, free_rho), s2)
-    fid = compose_symseq(f, a.ident, max_arity=w)
-    idf = compose_symseq(b.ident, f, max_arity=w)
+    fid = compose_symseq(f, a.ident, max_arity=window)
+    idf = compose_symseq(b.ident, f, max_arity=window)
     u1 = compose_maps(psi, hcompose_maps(identity_map(f), a.eta, fid, fa))
     u2 = compose_maps(
         hcompose_maps(b.eta, identity_map(f), idf, bf),
         compose_maps(map_inverse(left_unitor(idf)), right_unitor(fid)),
     )
     require_equal("oplax morphism unit triangle", u1, u2)
-    out = Bimodule(b, a, bf.seq, lam, rho, w, b_bf, bf_a)
-    check_bimodule_laws(out)
-    return out
+    return Bimodule(b, a, bf.seq, lam, rho, window, b_bf, bf_a)
 
 
 # ---------------------------------------------------------------------------
@@ -529,26 +512,21 @@ class BimAdjunction:
 
 def _check_triangles(adj: BimAdjunction) -> None:
     f, u = adj.left, adj.right
-    a, b = f.right, f.left
     # (F eta) ; assoc^{-1} ; (eps F) == unitors, as maps F -> F
-    f_id = relative_compose(f, identity_bimodule(a), validate=False)
-    f_gf = relative_compose(f, adj.gf.bimodule, validate=False)
-    fg_f = relative_compose(adj.fg.bimodule, f, validate=False)
-    id_f = relative_compose(identity_bimodule(b), f, validate=False)
-    r_f, _ = rel_right_unitor(f, f_id)
-    l_f, _ = rel_left_unitor(f, id_f)
+    r_f, f_id = rel_right_unitor(f)
+    l_f, id_f = rel_left_unitor(f)
+    f_gf = relative_compose(f, adj.gf.bimodule)
+    fg_f = relative_compose(adj.fg.bimodule, f)
     m1 = rel_hcompose(identity_map(f.carrier), adj.unit, f_id, f_gf)
     asc = rel_associator(adj.fg, fg_f, adj.gf, f_gf)
     m2 = rel_hcompose(adj.counit, identity_map(f.carrier), fg_f, id_f)
     tri1 = compose_maps(l_f, compose_maps(m2, compose_maps(map_inverse(asc), m1)))
     require_equal("first triangle identity", compose_maps(tri1, map_inverse(r_f)), identity_map(f.carrier))
     # (eta U) ; assoc ; (U eps) == unitors, as maps U -> U
-    id_u = relative_compose(identity_bimodule(a), u, validate=False)
-    gf_u = relative_compose(adj.gf.bimodule, u, validate=False)
-    u_fg = relative_compose(u, adj.fg.bimodule, validate=False)
-    u_id = relative_compose(u, identity_bimodule(b), validate=False)
-    l_u, _ = rel_left_unitor(u, id_u)
-    r_u, _ = rel_right_unitor(u, u_id)
+    l_u, id_u = rel_left_unitor(u)
+    r_u, u_id = rel_right_unitor(u)
+    gf_u = relative_compose(adj.gf.bimodule, u)
+    u_fg = relative_compose(u, adj.fg.bimodule)
     n1 = rel_hcompose(adj.unit, identity_map(u.carrier), id_u, gf_u)
     asc2 = rel_associator(adj.gf, gf_u, adj.fg, u_fg)
     n2 = rel_hcompose(identity_map(u.carrier), adj.counit, u_fg, u_id)
@@ -564,10 +542,8 @@ def adjunction_from_operad(op: Operad) -> BimAdjunction:
     id_a = compose_symseq(unit.carrier, a, max_arity=op.arity_bound)
     free = Bimodule(op, unit, a, op.mu, right_unitor(a_id), op.arity_bound, op.comp2, a_id)
     forg = Bimodule(unit, op, a, left_unitor(id_a), op.mu, op.arity_bound, id_a, op.comp2)
-    check_bimodule_laws(free)
-    check_bimodule_laws(forg)
-    gf = relative_compose(forg, free, validate=False)   # A o_A A
-    fg = relative_compose(free, forg, validate=False)   # A o_1 A
+    gf = relative_compose(forg, free)   # A o_A A
+    fg = relative_compose(free, forg)   # A o_1 A
     # unit: Id -> A o_A A through eta and the inverse of the map mu induces
     unit_map = compose_maps(map_inverse(descend(gf, op.mu, a)), op.eta)
     # counit: A o_1 A -> A through mu
@@ -584,7 +560,7 @@ def transport_adjunction(
     a: Operad,
     b: Operad,
     xi: SymSeqMap,
-    window: Optional[int] = None,
+    window: int,
 ) -> BimAdjunction:
     """Lift an adjunction ``F -| U`` in Sym along a monad map ``xi: A -> U(BF)``.
 
@@ -592,13 +568,12 @@ def transport_adjunction(
     identities of ``F -| U`` in Sym are checked first, on the ``F o U`` and
     the restricted ``eps`` that then build ``psi`` and ``phi``.
     """
-    w = min(a.arity_bound, b.arity_bound) if window is None else window
-    uf = compose_symseq(u, f, max_arity=w)
-    fu = compose_symseq(f, u, max_arity=w)
-    f_id = compose_symseq(f, id_symseq(f.dom), max_arity=w)
-    id_f = compose_symseq(id_symseq(f.cod), f, max_arity=w)
-    f_uf = compose_symseq(f, uf.seq, max_arity=w)
-    fu_f = compose_symseq(fu.seq, f, max_arity=w)
+    uf = compose_symseq(u, f, max_arity=window)
+    fu = compose_symseq(f, u, max_arity=window)
+    f_id = compose_symseq(f, id_symseq(f.dom), max_arity=window)
+    id_f = compose_symseq(id_symseq(f.cod), f, max_arity=window)
+    f_uf = compose_symseq(f, uf.seq, max_arity=window)
+    fu_f = compose_symseq(fu.seq, f, max_arity=window)
     eta = restrict_map(eta, id_symseq(f.dom), uf.seq)
     eps = restrict_map(eps, fu.seq, id_symseq(f.cod))
     m1 = hcompose_maps(identity_map(f), eta, f_id, f_uf)
@@ -609,10 +584,10 @@ def transport_adjunction(
         compose_maps(m2, compose_maps(map_inverse(asc), compose_maps(m1, map_inverse(right_unitor(f_id))))),
     )
     require_equal("Sym adjunction triangle (left)", tri1, identity_map(f))
-    u_id = compose_symseq(u, id_symseq(u.dom), max_arity=w)
-    id_u = compose_symseq(id_symseq(u.cod), u, max_arity=w)
-    uf_u = compose_symseq(uf.seq, u, max_arity=w)
-    u_fu = compose_symseq(u, fu.seq, max_arity=w)
+    u_id = compose_symseq(u, id_symseq(u.dom), max_arity=window)
+    id_u = compose_symseq(id_symseq(u.cod), u, max_arity=window)
+    uf_u = compose_symseq(uf.seq, u, max_arity=window)
+    u_fu = compose_symseq(u, fu.seq, max_arity=window)
     n1 = hcompose_maps(eta, identity_map(u), id_u, uf_u)
     asc2 = associator(uf, uf_u, fu, u_fu)
     n2 = hcompose_maps(identity_map(u), eps, u_fu, u_id)
@@ -623,15 +598,15 @@ def transport_adjunction(
     require_equal("Sym adjunction triangle (right)", tri2, identity_map(u))
 
     ac, bc = a.carrier, b.carrier
-    bf = compose_symseq(bc, f, max_arity=w)
-    u_bf = compose_symseq(u, bf.seq, max_arity=w)
+    bf = compose_symseq(bc, f, max_arity=window)
+    u_bf = compose_symseq(u, bf.seq, max_arity=window)
     xi = restrict_map(xi, a.carrier, u_bf.seq)
 
     # psi: F o A -> B o F
-    fa = compose_symseq(f, ac, max_arity=w)
-    f_ubf = compose_symseq(f, u_bf.seq, max_arity=w)
-    fu_bf = compose_symseq(fu.seq, bf.seq, max_arity=w)
-    id_bf = compose_symseq(id_symseq(f.cod), bf.seq, max_arity=w)
+    fa = compose_symseq(f, ac, max_arity=window)
+    f_ubf = compose_symseq(f, u_bf.seq, max_arity=window)
+    fu_bf = compose_symseq(fu.seq, bf.seq, max_arity=window)
+    id_bf = compose_symseq(id_symseq(f.cod), bf.seq, max_arity=window)
     psi = compose_maps(
         left_unitor(id_bf),
         compose_maps(
@@ -643,13 +618,13 @@ def transport_adjunction(
         ),
     )
     # phi: A o U -> U o B
-    au = compose_symseq(ac, u, max_arity=w)
-    ubf_u = compose_symseq(u_bf.seq, u, max_arity=w)
-    bf_u = compose_symseq(bf.seq, u, max_arity=w)
-    u_bfu = compose_symseq(u, bf_u.seq, max_arity=w)
-    b_fu = compose_symseq(bc, fu.seq, max_arity=w)
-    b_id = compose_symseq(bc, id_symseq(f.cod), max_arity=w)
-    ub = compose_symseq(u, bc, max_arity=w)
+    au = compose_symseq(ac, u, max_arity=window)
+    ubf_u = compose_symseq(u_bf.seq, u, max_arity=window)
+    bf_u = compose_symseq(bf.seq, u, max_arity=window)
+    u_bfu = compose_symseq(u, bf_u.seq, max_arity=window)
+    b_fu = compose_symseq(bc, fu.seq, max_arity=window)
+    b_id = compose_symseq(bc, id_symseq(f.cod), max_arity=window)
+    ub = compose_symseq(u, bc, max_arity=window)
     inner = compose_maps(
         right_unitor(b_id),
         compose_maps(
@@ -664,14 +639,14 @@ def transport_adjunction(
             hcompose_maps(xi, identity_map(u), au, ubf_u),
         ),
     )
-    fprime = bimodule_of_oplax(f, a, b, psi, window=w)
-    gprime = bimodule_of_lax(u, b, a, phi, window=w)
-    gf = relative_compose(gprime, fprime, validate=False)
-    fg = relative_compose(fprime, gprime, validate=False)
+    fprime = bimodule_of_oplax(f, a, b, psi, window=window)
+    gprime = bimodule_of_lax(u, b, a, phi, window=window)
+    gf = relative_compose(gprime, fprime)
+    fg = relative_compose(fprime, gprime)
 
     # unit: (U o B) o (B o F) -> U o (B o F) multiplies the middle through the
     # free left action of F' = B o F, and descends
-    u_b_bf = compose_symseq(u, fprime.bm.seq, max_arity=w)
+    u_b_bf = compose_symseq(u, fprime.bm.seq, max_arity=window)
     m = compose_maps(
         hcompose_maps(identity_map(u), fprime.lam, u_b_bf, u_bf),
         associator(ub, gf.nm, fprime.bm, u_b_bf),
@@ -679,11 +654,11 @@ def transport_adjunction(
     unit_map = compose_maps(map_inverse(descend(gf, m, u_bf.seq)), xi)
 
     # counit: sigma: (B o F) o (U o B) -> B descends
-    comp2b = compose_symseq(bc, bc, max_arity=w)
-    f_ub = compose_symseq(f, ub.seq, max_arity=w)
-    b_fub = compose_symseq(bc, f_ub.seq, max_arity=w)
-    fu_b = compose_symseq(fu.seq, bc, max_arity=w)
-    id_b = compose_symseq(id_symseq(f.cod), bc, max_arity=w)
+    comp2b = compose_symseq(bc, bc, max_arity=window)
+    f_ub = compose_symseq(f, ub.seq, max_arity=window)
+    b_fub = compose_symseq(bc, f_ub.seq, max_arity=window)
+    fu_b = compose_symseq(fu.seq, bc, max_arity=window)
+    id_b = compose_symseq(id_symseq(f.cod), bc, max_arity=window)
     inner2 = compose_maps(
         left_unitor(id_b),
         compose_maps(

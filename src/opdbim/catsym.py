@@ -50,7 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .perms import (
     FinGroupoid,
@@ -349,9 +349,9 @@ def _read_on_demand(seq: CatSymSeq, dom_fn: Callable, cod_fn: Callable) -> CatSy
 
 
 def cat_from_symseq(f: SymSeq) -> CatSymSeq:
-    """Embed an ordinary symmetric sequence along discrete groupoids."""
+    """Embed an ordinary symmetric sequence along discrete groupoids, one groupoid if ``f.dom == f.cod``."""
     dom = FinGroupoid.discrete(f.dom)
-    cod = FinGroupoid.discrete(f.cod)
+    cod = dom if f.cod == f.dom else FinGroupoid.discrete(f.cod)
     cells = {key: cell.labels for key, cell in f.cells.items() if cell.size}
     seq = CatSymSeq(dom, cod, cells, {}, {})
 
@@ -385,7 +385,11 @@ def cat_id(gpd: FinGroupoid) -> CatSymSeq:
 
 
 def cat_sum(f: CatSymSeq, g: CatSymSeq) -> CatSymSeq:
-    """Coproduct on tagged groupoids; mixed cells are empty.  A transport is its part's, read untagged."""
+    """Coproduct on tagged groupoids; mixed cells are empty.  A transport is its part's, read untagged.
+
+    Its groupoids are the unions :func:`.perms.disjoint_union` keeps, so every
+    sum over the same groupoids, and every composite over it, shares one.
+    """
     parts = {"l": f, "r": g}
     cells = {
         (tuple((tag, o) for o in w), (tag, y)): labels
@@ -675,7 +679,7 @@ class _CatPlan:
         return (mid, outer.cells[(mid, z)][least[0]], blocks, fs0, sig)
 
 
-def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = None) -> Composite:
+def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: int) -> Composite:
     """Composite ``outer o inner``, built from the least raw of each coend class.
 
     The enumeration order of raws is the middle word in ``outer.support()``
@@ -684,7 +688,7 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
     ``sw_arrows(cw, concat)``; a class is numbered by its least raw.  Only
     those least raws are built, one slice at a time (:class:`_CatPlan`), so
     representatives and class numbers are those of the union-find over every
-    raw.  ``canon`` carries any other raw to its least raw.  A bound
+    raw.  ``canon`` carries any other raw to its least raw.  ``max_arity``
     restricts the result words, never individual cells.
     """
     if inner.cod.objects != outer.dom.objects:
@@ -699,7 +703,7 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: Optional[int] = N
             continue
         glabels = outer.cells[(mid, z)]
         for blocks in plan.block_tuples(mid):
-            if max_arity is not None and sum(len(b) for b in blocks) > max_arity:
+            if sum(len(b) for b in blocks) > max_arity:
                 continue
             concat = tuple(o for b in blocks for o in b)
             fcells = [inner.cells[(b, y)] for b, y in zip(blocks, mid)]
@@ -1200,12 +1204,11 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
         raise InputError(
             f"arity window {arity_bound} is below the outer operad's arity bound {b.arity_bound}"
         )
-    x = FinGroupoid.discrete(a.sorts)
-    y = FinGroupoid.discrete(b.sorts)
-    expz = exp_object(x, y, length_bound)
-    evdata = ev_catsym(x, y, expz, length_bound)
     acat = cat_from_symseq(a.carrier)
     bcat = cat_from_symseq(b.carrier)
+    x, y = acat.dom, bcat.dom
+    expz = exp_object(x, y, length_bound)
+    evdata = ev_catsym(x, y, expz, length_bound)
     idz = cat_id(expz)
     idx = cat_id(x)
     idy = cat_id(y)

@@ -70,6 +70,7 @@ from .symseq import (
 )
 
 DEFAULT_BUDGET = 2_000_000
+ISO_SEARCH_BUDGET = 100_000   # candidate cell-map tuples per sort map in operad_iso
 
 
 @dataclass
@@ -1031,7 +1032,7 @@ def restrict_algebra(phi: OperadMorphism, alg: Algebra) -> Algebra:
 # ---------------------------------------------------------------------------
 
 
-def operad_iso(p: Operad, q: Operad, sort_map: Optional[dict] = None, budget: int = 100_000):
+def operad_iso(p: Operad, q: Operad, sort_map: Optional[dict] = None):
     """Search for an isomorphism of operads, returned as (sort map, cell maps)."""
     if len(p.sorts) != len(q.sorts):
         return None
@@ -1062,7 +1063,7 @@ def operad_iso(p: Operad, q: Operad, sort_map: Optional[dict] = None, budget: in
                 break
             per_cell.append(isos)
             count *= len(isos)
-            if count > budget:
+            if count > ISO_SEARCH_BUDGET:
                 raise BudgetError("operad isomorphism search exceeded its budget")
         if not ok:
             continue

@@ -563,7 +563,8 @@ class FinGroupoid:
                 self.src[f] = a
                 self.dst[f] = b
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
-        # word-level data read off this groupoid alone, filled by catsym:
+        # word-level data read off this groupoid alone, filled by catsym,
+        # and its unions with other groupoids (disjoint_union):
         # kind -> {key: value}; no value holds the groupoid, and it is not
         # a field, so it takes no part in equality
         self.memo: defaultdict = defaultdict(dict)
@@ -618,7 +619,17 @@ class FinGroupoid:
 
 
 def disjoint_union(x: FinGroupoid, y: FinGroupoid) -> FinGroupoid:
-    """Coproduct groupoid with objects tagged ('l', _) and ('r', _)."""
+    """Coproduct groupoid with objects tagged ('l', _) and ('r', _).
+
+    The union of two instances is built once and kept in ``x.memo``, keyed by
+    ``id(y)`` and holding ``y``, so the id is not reused while the entry
+    lives, and every composite over ``x u y`` shares one memo of plans.  A
+    union of a groupoid with itself is built afresh: kept in its own memo it
+    would make a cycle that only the cyclic collector frees.
+    """
+    kept = x.memo["disjoint_union"].get(id(y))
+    if kept is not None:
+        return kept[1]
 
     def tag_obj(t, o):
         return (t, o)
@@ -642,4 +653,7 @@ def disjoint_union(x: FinGroupoid, y: FinGroupoid) -> FinGroupoid:
             ident[tag_obj(t, o)] = tag_arr(t, f)
         for f, fi in g.inv.items():
             inv[tag_arr(t, f)] = tag_arr(t, fi)
-    return FinGroupoid(objects, hom, comp, ident, inv)
+    union = FinGroupoid(objects, hom, comp, ident, inv)
+    if x is not y:
+        x.memo["disjoint_union"][id(y)] = (y, union)
+    return union

@@ -234,18 +234,18 @@ def test_criterion_07_bim_laws():
         assert lu.is_bijective(), f"left unitor not bijective on sample {trial}"
         ru, _ = rel_right_unitor(m)
         assert ru.is_bijective(), f"right unitor not bijective on sample {trial}"
-        nm = relative_compose(n, m, validate=False)
-        ml = relative_compose(m, l, validate=False)
-        pn = relative_compose(p, n, validate=False)
-        nm_l = relative_compose(nm.bimodule, l, validate=False)
-        n_ml = relative_compose(n, ml.bimodule, validate=False)
-        pn_m = relative_compose(pn.bimodule, m, validate=False)
-        p_nm = relative_compose(p, nm.bimodule, validate=False)
-        pnm_l = relative_compose(pn_m.bimodule, l, validate=False)
-        p_nm_l = relative_compose(p_nm.bimodule, l, validate=False)
-        p__nm_l = relative_compose(p, nm_l.bimodule, validate=False)
-        p__n_ml = relative_compose(p, n_ml.bimodule, validate=False)
-        pn__ml = relative_compose(pn.bimodule, ml.bimodule, validate=False)
+        nm = relative_compose(n, m)
+        ml = relative_compose(m, l)
+        pn = relative_compose(p, n)
+        nm_l = relative_compose(nm.bimodule, l)
+        n_ml = relative_compose(n, ml.bimodule)
+        pn_m = relative_compose(pn.bimodule, m)
+        p_nm = relative_compose(p, nm.bimodule)
+        pnm_l = relative_compose(pn_m.bimodule, l)
+        p_nm_l = relative_compose(p_nm.bimodule, l)
+        p__nm_l = relative_compose(p, nm_l.bimodule)
+        p__n_ml = relative_compose(p, n_ml.bimodule)
+        pn__ml = relative_compose(pn.bimodule, ml.bimodule)
         m1 = rel_hcompose(
             rel_associator(pn, pn_m, nm, p_nm), identity_map(l.carrier), pnm_l, p_nm_l
         )

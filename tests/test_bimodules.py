@@ -103,13 +103,48 @@ def test_perturbed_action_fails():
             }
             bad_rho_comp[key] = {k: perm[v] for k, v in m.items()}
             break
-    bad = Bimodule(
-        good.left, good.right, good.carrier, good.lam,
-        SymSeqMap(good.rho.src, good.rho.dst, bad_rho_comp),
-        good.window, good.bm, good.ma,
-    )
     with pytest.raises(ValidationError):
-        check_bimodule_laws(bad)
+        Bimodule(
+            good.left, good.right, good.carrier, good.lam,
+            SymSeqMap(good.rho.src, good.rho.dst, bad_rho_comp),
+            good.window, good.bm, good.ma,
+        )
+
+
+def test_every_bimodule_built_is_law_checked(monkeypatch):
+    # the unitor composites, the identity bimodules and the composites of both
+    # adjunctions are checked like any other bimodule: by their constructor
+    import opdbim.bimodules as bimodules
+    from opdbim.symseq import left_unitor, map_inverse, right_unitor
+
+    built, checked = [], []
+    init, check = Bimodule.__init__, bimodules.check_bimodule_laws
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_check(b):
+        checked.append(b)
+        check(b)
+
+    com = com_operad(2)
+    v = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("v",))})
+    m = free_bimodule(com, com, v, window=2)
+    f = id_symseq((STAR,))
+    ff = compose_symseq(f, f, max_arity=2)
+    u_bf = compose_symseq(f, compose_symseq(com.carrier, f, max_arity=2).seq, max_arity=2)
+    a_id = compose_symseq(com.carrier, f, max_arity=2)
+    xi = compose_maps(map_inverse(left_unitor(u_bf)), map_inverse(right_unitor(a_id)))
+    xi = SymSeqMap(com.carrier, u_bf.seq, xi.comp)
+    monkeypatch.setattr(Bimodule, "__init__", counting_init)
+    monkeypatch.setattr(bimodules, "check_bimodule_laws", counting_check)
+    rel_left_unitor(m)
+    rel_right_unitor(m)
+    adjunction_from_operad(com)
+    transport_adjunction(f, f, map_inverse(left_unitor(ff)), left_unitor(ff), com, com, xi, window=2)
+    assert len(built) == len(checked)
+    assert {id(b) for b in built} == {id(b) for b in checked}
 
 
 def test_relative_compose_unitors():
@@ -157,18 +192,18 @@ def test_rel_pentagon_sampled():
     n = rand_bimodule(rng, ops[3], ops[2], window)
     p = rand_bimodule(rng, ops[4], ops[3], window)
 
-    nm = relative_compose(n, m, validate=False)
-    ml = relative_compose(m, l, validate=False)
-    pn = relative_compose(p, n, validate=False)
-    nm_l = relative_compose(nm.bimodule, l, validate=False)
-    n_ml = relative_compose(n, ml.bimodule, validate=False)
-    pn_m = relative_compose(pn.bimodule, m, validate=False)
-    p_nm = relative_compose(p, nm.bimodule, validate=False)
-    pnm_l = relative_compose(pn_m.bimodule, l, validate=False)
-    p_nm_l = relative_compose(p_nm.bimodule, l, validate=False)
-    p__nm_l = relative_compose(p, nm_l.bimodule, validate=False)
-    p__n_ml = relative_compose(p, n_ml.bimodule, validate=False)
-    pn__ml = relative_compose(pn.bimodule, ml.bimodule, validate=False)
+    nm = relative_compose(n, m)
+    ml = relative_compose(m, l)
+    pn = relative_compose(p, n)
+    nm_l = relative_compose(nm.bimodule, l)
+    n_ml = relative_compose(n, ml.bimodule)
+    pn_m = relative_compose(pn.bimodule, m)
+    p_nm = relative_compose(p, nm.bimodule)
+    pnm_l = relative_compose(pn_m.bimodule, l)
+    p_nm_l = relative_compose(p_nm.bimodule, l)
+    p__nm_l = relative_compose(p, nm_l.bimodule)
+    p__n_ml = relative_compose(p, n_ml.bimodule)
+    pn__ml = relative_compose(pn.bimodule, ml.bimodule)
 
     a1 = rel_associator(pn, pn_m, nm, p_nm)
     m1 = rel_hcompose(a1, identity_map(l.carrier), pnm_l, p_nm_l)
@@ -345,12 +380,11 @@ def test_modules_subsume_algebras():
 def test_coequalizer_universal_property():
     com = com_operad(2)
     ib = identity_bimodule(com)
-    rel = relative_compose(ib, ib, validate=False)
+    l, rel = rel_left_unitor(ib)
     # the projection is surjective cellwise and the split-fork map factors it
     mu_map = restrict_map(com.mu, rel.nm.seq, com.carrier)
     for key, cm in rel.proj.comp.items():
         assert set(cm.values()) == set(range(len(rel.lift[key])))
-    l, _ = rel_left_unitor(ib, rel)
     assert map_equal(compose_maps(l, rel.proj), mu_map)
 
 
@@ -425,7 +459,7 @@ def test_lax_morphisms_compose_up_to_iso():
     r1 = lax_of(f1, a2, a1)   # ({d,e}, unit) -> ({a,b,c}, unit)
     composite_f = compose_symseq(f1, f0, max_arity=w)
     u = {x: u2[u1[x]] for x in ("a", "b", "c")}
-    rel = relative_compose(r1, r0, validate=False)
+    rel = relative_compose(r1, r0)
     r01 = lax_of(
         delta_seq(u, (STAR,), ("a", "b", "c")), a3, a1
     )

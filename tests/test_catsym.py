@@ -1008,6 +1008,25 @@ def _corrupted(m, e):
     return SymSeqMap(m.src, m.dst, {**m.comp, key: {**m.comp[key], lab: other}})
 
 
+def test_one_hom_monad_composes_over_one_union_groupoid(monkeypatch):
+    # Z u X is built once per pair of groupoids and an operad's embedding has
+    # one groupoid on both sides, so every sum and transpose of one hom monad
+    # shares one groupoid, and with it one memo of plans
+    import opdbim.catsym as catsym
+
+    built = []
+    for name in ("cat_sum", "transpose"):
+        def recording(*args, original=getattr(catsym, name)):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(catsym, name, recording)
+    hm = hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
+    w = hm.evdata.seq.dom
+    assert w is disjoint_union(hm.expz, hm.x)
+    assert len(built) > 2 and all(s.dom is w and (s.cod is w or s.cod is hm.y) for s in built)
+
+
 def test_a_corrupted_hom_monad_fails_naming_the_law_the_cell_and_the_class():
     hm = hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
     idz = cat_id(hm.expz)
