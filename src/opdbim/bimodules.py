@@ -17,9 +17,11 @@ triangle identities in Sym, on the composites they build the structure from.
 Relative composition quotients the plain composite by the two middle actions;
 a map out of the plain composite that coequalizes them induces the map out of
 the relative composite (:func:`descend`), which gives both unit isomorphisms
-(split-fork bijections) and the units and counits of the adjunctions.  The
-associator regroups representatives.  All laws are checked cell by cell
-within the smallest arity window of the participants.
+(split-fork bijections) and the units and counits of the adjunctions.  An
+action read once through an associator is applied inside it, raw by raw
+(``symseq.regroup``, ``symseq.ungroup``), so its other bracketing is not
+built.  All laws are checked cell by cell within the smallest arity window
+of the participants.
 """
 
 from __future__ import annotations
@@ -52,16 +54,19 @@ from .symseq import (
     identity_map,
     left_unitor,
     map_inverse,
+    mu_from_raws,
+    regroup,
+    regroup_map,
     require_equal,
     restrict_map,
     right_unitor,
+    ungroup,
 )
 from .operads import (
     Algebra,
     Operad,
     OperadMorphism,
     action_laws,
-    mu_from_raws,
     pulled_back_cells,
     pulled_back_outputs,
     reindex_raw,
@@ -123,15 +128,14 @@ def bimodule_laws(left: Operad, right: Operad, bm: Composite, ma: Composite, w: 
     """The check of actions ``lam: bm.seq -> M`` and ``rho: ma.seq -> M`` on one carrier ``M``.
 
     The composites the laws read, and the maps on them that read neither
-    action, are built here once; the returned ``check(lam, rho)`` runs each
-    action's laws and then checks that the two commute.
+    action, are built here once; the returned ``check(lam, rho)`` validates
+    both actions, so every regroup step reads equivariant maps, runs each
+    action's laws and then checks that the two commute on ``(B o M) o A``.
     """
     bc, ac = left.carrier, right.carrier
     left_laws = action_laws(left, bm, w, True, ("left action associativity", "left action unit"))
     right_laws = action_laws(right, ma, w, False, ("right action associativity", "right action unit"))
     bm_a = compose_symseq(bm.seq, ac, max_arity=w)
-    b_ma = compose_symseq(bc, ma.seq, max_arity=w)
-    asc = associator(bm, bm_a, ma, b_ma)
     id_b, id_a = identity_map(bc), identity_map(ac)
 
     def check(lam: SymSeqMap, rho: SymSeqMap) -> None:
@@ -140,7 +144,7 @@ def bimodule_laws(left: Operad, right: Operad, bm: Composite, ma: Composite, w: 
         left_laws(lam)
         right_laws(rho)
         path1 = compose_maps(rho, hcompose_maps(lam, id_a, bm_a, ma))
-        path2 = compose_maps(lam, compose_maps(hcompose_maps(id_b, rho, b_ma, bm), asc))
+        path2 = compose_maps(lam, regroup_map(bm, bm_a, ma, id_b, rho, bm))
         require_equal("commuting actions", path1, path2)
 
     return check
@@ -167,37 +171,23 @@ def identity_bimodule(op: Operad) -> Bimodule:
 def free_left_action(op: Operad, bf: Composite, w: int) -> tuple[Composite, SymSeqMap]:
     """``(B o (B o F), lam)``: the free left action of ``B = op`` on ``bf = B o F``.
 
-    ``lam: B o (B o F) -> B o F`` regroups to ``(B o B) o F`` and multiplies
-    there through ``mu``.
+    ``lam: B o (B o F) -> B o F`` takes each raw apart into ``(B o B) o F``,
+    which is not built, and multiplies there through ``mu``.
     """
-    f = bf.inner
     comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
-    bb_f = compose_symseq(comp2.seq, f, max_arity=w)
     b_bf = compose_symseq(op.carrier, bf.seq, max_arity=w)
-    mu = restrict_map(op.mu, comp2.seq)
-    lam = compose_maps(
-        hcompose_maps(mu, identity_map(f), bb_f, bf),
-        map_inverse(associator(comp2, bb_f, bf, b_bf)),
-    )
-    return b_bf, lam
+    return b_bf, mu_from_raws(b_bf, ungroup(comp2, bf, restrict_map(op.mu, comp2.seq), bf), bf.seq)
 
 
 def free_right_action(fa: Composite, op: Operad, w: int) -> tuple[Composite, SymSeqMap]:
     """``((F o A) o A, rho)``: the free right action of ``A = op`` on ``fa = F o A``.
 
-    ``rho: (F o A) o A -> F o A`` regroups to ``F o (A o A)`` and multiplies
-    there through ``mu``.
+    ``rho: (F o A) o A -> F o A`` regroups each raw into ``F o (A o A)``,
+    which is not built, and multiplies there through ``mu``.
     """
-    f = fa.outer
     comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
     fa_a = compose_symseq(fa.seq, op.carrier, max_arity=w)
-    f_aa = compose_symseq(f, comp2.seq, max_arity=w)
-    mu = restrict_map(op.mu, comp2.seq)
-    rho = compose_maps(
-        hcompose_maps(identity_map(f), mu, f_aa, fa),
-        associator(fa, fa_a, comp2, f_aa),
-    )
-    return fa_a, rho
+    return fa_a, regroup_map(fa, fa_a, comp2, identity_map(fa.outer), restrict_map(op.mu, comp2.seq), fa)
 
 
 def left_module(op: Operad, dom_sorts: Iterable, carrier: SymSeq, lam_fn: Callable, window: int) -> Bimodule:
@@ -226,11 +216,7 @@ def free_bimodule(left: Operad, right: Operad, v: SymSeq, window: int) -> Bimodu
     b_bva, lam = free_left_action(left, bva, window)
     va_a, inner = free_right_action(va, right, window)  # (V o A) o A -> V o A
     bva_a = compose_symseq(carrier, ac, max_arity=window)
-    b_vaa = compose_symseq(bc, va_a.seq, max_arity=window)
-    rho = compose_maps(
-        hcompose_maps(identity_map(bc), inner, b_vaa, bva),
-        associator(bva, bva_a, va_a, b_vaa),
-    )
+    rho = regroup_map(bva, bva_a, va_a, identity_map(bc), inner, bva)
     return Bimodule(left, right, carrier, lam, rho, window, b_bva, bva_a)
 
 
@@ -268,6 +254,9 @@ class RelCompose:
 def relative_compose(nb: Bimodule, mb: Bimodule) -> RelCompose:
     """Composite over the middle operad, by the reflexive-coequalizer quotient.
 
+    The second map of the pair and the induced actions (per raw of ``C o Q``
+    and ``Q o A``) apply ``N``'s and ``M``'s actions inside the regroup steps,
+    which read them as equivariant because both bimodules were law-checked.
     The relative composite is a :class:`Bimodule`, so its induced actions are
     law-checked when it is built.
     """
@@ -281,14 +270,8 @@ def relative_compose(nb: Bimodule, mb: Bimodule) -> RelCompose:
     nb_ = compose_symseq(n, nb.right.carrier, max_arity=w)
     nb_m = compose_symseq(nb_.seq, m, max_arity=w)
     b_m = compose_symseq(bmid.carrier, m, max_arity=w)
-    n_bm = compose_symseq(n, b_m.seq, max_arity=w)
-    rho_n = restrict_map(nb.rho, nb_.seq)
-    lam_m = restrict_map(mb.lam, b_m.seq)
-    e1 = hcompose_maps(rho_n, identity_map(m), nb_m, nm)
-    e2 = compose_maps(
-        hcompose_maps(identity_map(n), lam_m, n_bm, nm),
-        associator(nb_, nb_m, b_m, n_bm),
-    )
+    e1 = hcompose_maps(restrict_map(nb.rho, nb_.seq), identity_map(m), nb_m, nm)
+    e2 = regroup_map(nb_, nb_m, b_m, identity_map(n), restrict_map(mb.lam, b_m.seq), nm)
     carrier, proj = coequalize_maps(e1, e2)
     lift = {}
     for key, cm in proj.comp.items():
@@ -296,41 +279,28 @@ def relative_compose(nb: Bimodule, mb: Bimodule) -> RelCompose:
         for cls_nm, cls_rel in cm.items():
             sec[cls_rel] = min(sec.get(cls_rel, cls_nm), cls_nm)
 
-    # induced left action of the outer operad; when N is C acting on itself,
-    # C o (N o M) is n_bm and (C o N) o M is nb_m
+    # induced left action of the outer operad: a raw of C o Q lifts to one of
+    # C o (N o M), which is taken apart into (C o N) o M, acted on there and projected
     cc = nb.left.carrier
     c_q = compose_symseq(cc, carrier, max_arity=w)
-    c_nm = compose_symseq(cc, nm.seq, max_arity=w)
     c_n = compose_symseq(cc, n, max_arity=w)
-    cn_m = compose_symseq(c_n.seq, m, max_arity=w)
-    asc = associator(c_n, cn_m, nm, c_nm)
-    lam_n = restrict_map(nb.lam, c_n.seq)
-    chain_l = compose_maps(
-        proj, compose_maps(hcompose_maps(lam_n, identity_map(m), cn_m, nm), map_inverse(asc))
-    )
+    lam_step = ungroup(c_n, nm, restrict_map(nb.lam, c_n.seq), nm)
 
     def lam_fn(key, raw):
         mid, g, blocks, qs, sig = raw
         lifted = tuple(lift[(b, y)][q] for b, y, q in zip(blocks, mid, qs))
-        return chain_l.at(*key, c_nm.class_of(*key, (mid, g, blocks, lifted, sig)))
+        return proj.at(*key, lam_step(key, (mid, g, blocks, lifted, sig)))
 
-    # induced right action of the inner operad; when M is A acting on itself,
-    # (N o M) o A is nb_m and N o (M o A) is n_bm
+    # induced right action of the inner operad: a raw of Q o A lifts to one of
+    # (N o M) o A, which is regrouped into N o (M o A), acted on there and projected
     ac = mb.right.carrier
     q_a = compose_symseq(carrier, ac, max_arity=w)
-    nm_a = compose_symseq(nm.seq, ac, max_arity=w)
     m_a = compose_symseq(m, ac, max_arity=w)
-    n_ma = compose_symseq(n, m_a.seq, max_arity=w)
-    asc2 = associator(nm, nm_a, m_a, n_ma)
-    rho_m = restrict_map(mb.rho, m_a.seq)
-    chain_r = compose_maps(
-        proj, compose_maps(hcompose_maps(identity_map(n), rho_m, n_ma, nm), asc2)
-    )
+    rho_step = regroup(nm, m_a, identity_map(n), restrict_map(mb.rho, m_a.seq), nm)
 
     def rho_fn(key, raw):
         mid, q, blocks, as_, sig = raw
-        lifted = lift[(mid, key[1])][q]
-        return chain_r.at(*key, nm_a.class_of(*key, (mid, lifted, blocks, as_, sig)))
+        return proj.at(*key, rho_step(key, (mid, lift[(mid, key[1])][q], blocks, as_, sig)))
 
     lam_rel, rho_rel = mu_from_raws(c_q, lam_fn, carrier), mu_from_raws(q_a, rho_fn, carrier)
     return RelCompose(Bimodule(nb.left, mb.right, carrier, lam_rel, rho_rel, w, c_q, q_a), nm, proj, lift)

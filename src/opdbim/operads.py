@@ -7,10 +7,12 @@ identity sequence.  Monad laws are verified by exhaustive comparison of
 failure reports the first offending cell and label.  The associativity and
 unit laws of an action are checked in one place, ``action_laws``: it builds
 the composites the laws read once per carrier and returns the check of an
-action on them.  The monad laws are the operad's left action on its own
-carrier plus the right unit law, and a bimodule runs it once per side.  Every
-builder in this module law-checks what it builds; there is no switch to skip
-it.
+action on them.  Associativity reads the other bracketing through a regroup
+step and the unit laws read ``(eta; f)`` per label, so neither builds a
+composite only to read it once.  The monad laws are the operad's left action
+on its own carrier plus the right unit law, and a bimodule runs it once per
+side.  Every builder in this module law-checks what it builds; there is no
+switch to skip it.
 
 Change of base along a sort map ``u`` is written once: ``pulled_back_cells``
 gives the cells ``B[u(w); y]`` with the pulled-back Young action,
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from operator import getitem
 from typing import Callable, Iterable, Optional
 
@@ -55,18 +58,17 @@ from .symseq import (
     SymSeq,
     SymSeqMap,
     analytic_eval,
-    associator,
     compose_maps,
     compose_symseq,
     first_map_difference,
     hcompose_maps,
     id_symseq,
     identity_map,
-    left_unitor,
     map_equal,
+    mu_from_raws,
+    regroup_map,
     require_equal,
     restrict_map,
-    right_unitor,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -98,15 +100,6 @@ class Operad:
         )
 
 
-def mu_from_raws(comp: Composite, fn: Callable, target) -> SymSeqMap:
-    """The map ``comp.seq -> target`` given by ``fn(key, raw)`` on class representatives."""
-    return SymSeqMap(
-        comp.seq,
-        target,
-        {key: {idx: fn(key, raw) for idx, raw in enumerate(reps)} for key, reps in comp.reps.items()},
-    )
-
-
 def make_operad(
     carrier: SymSeq,
     mu_fn: Callable,
@@ -136,7 +129,10 @@ def make_operad(
 
 
 def check_monad_laws(op: Operad) -> None:
-    """The operad's left action on its own carrier, then the right unit law."""
+    """The operad's left action on its own carrier, then the right unit law.
+
+    ``mu`` and ``eta`` are validated first, so the laws read equivariant maps.
+    """
     op.mu.validate()
     op.eta.validate()
     n = op.arity_bound
@@ -154,37 +150,66 @@ def action_laws(op: Operad, om: Composite, w: int, left: bool, laws: tuple) -> C
 
     ``om`` is ``op o M`` for a left action (``left``) and ``M o op`` for a
     right one.  Everything up to arity ``w`` that does not read ``act`` is
-    built here, once per carrier.  Associativity compares, on ``(op o op) o M``
-    or ``(M o op) o op``, ``act`` after its inner step there (``mu o id`` or
-    ``act o id``) with ``act`` after the associator and the inner step of the
-    other bracketing (``id o act`` or ``id o mu``).  A failure names the law,
-    the first differing cell and class, and both values.
+    built here, once per carrier.  Associativity compares ``act`` after two
+    maps on every class of ``(op o op) o M`` or ``(M o op) o op``: the inner
+    step there (``mu o id`` or ``act o id``), and the regroup step
+    (:func:`.symseq.regroup_map`) whiskered by the other bracketing's inner
+    step (``id o act`` or ``id o mu``), so that bracketing is never built.
+    The regroup step is the whisker after the associator only for an
+    equivariant ``act``, so ``act`` must pass ``validate`` first, as in
+    :func:`check_monad_laws` and :func:`.bimodules.bimodule_laws`.  A failure
+    names the law, the first differing cell and class, and both values.
     """
     m = om.inner if left else om.outer
     comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
-    oo_m = compose_symseq(*_in_order(left, comp2.seq, m), max_arity=w)
-    o_om = compose_symseq(*_in_order(left, op.carrier, om.seq), max_arity=w)
-    by_mu = hcompose_maps(*_in_order(left, restrict_map(op.mu, comp2.seq), identity_map(m)), oo_m, om)
-    asc = associator(comp2, oo_m, om, o_om) if left else associator(om, o_om, comp2, oo_m)
-    fixed = by_mu if left else compose_maps(by_mu, asc)  # the side that does not read act
-    id_op, unit_law = identity_map(op.carrier), _unit_law(op, om, w, left, laws[1])
+    mu = restrict_map(op.mu, comp2.seq)
+    id_op = identity_map(op.carrier)
+    if left:  # on (op o op) o M: mu o id against id o act after the regroup
+        oo_m = compose_symseq(comp2.seq, m, max_arity=w)
+        fixed = hcompose_maps(mu, identity_map(m), oo_m, om)
+        by_act = partial(regroup_map, comp2, oo_m, om, id_op, dst=om)
+    else:  # on (M o op) o op: act o id against id o mu after the regroup
+        oo_m = compose_symseq(om.seq, op.carrier, max_arity=w)
+        fixed = regroup_map(om, oo_m, comp2, identity_map(m), mu, om)
+        by_act = partial(hcompose_maps, alpha=id_op, src=oo_m, dst=om)
+    unit_law = _unit_law(op, om, w, left, laws[1])
 
     def check(act: SymSeqMap) -> None:
-        by_act = hcompose_maps(*_in_order(left, id_op, act), o_om, om)
-        lhs, rhs = (fixed, compose_maps(by_act, asc)) if left else (by_act, fixed)
-        require_equal(laws[0], compose_maps(act, lhs), compose_maps(act, rhs))
+        require_equal(laws[0], *(compose_maps(act, side) for side in _in_order(left, fixed, by_act(act))))
         unit_law(act)
 
     return check
 
 
 def _unit_law(op: Operad, om: Composite, w: int, left: bool, law: str) -> Callable[[SymSeqMap], None]:
-    """The check that ``act`` after ``eta`` is the unitor of ``Id o M`` (``left``) or ``M o Id``."""
+    """The check that ``act`` sends the class of ``(eta; f)`` to ``f`` for every label ``f`` of ``M`` up to arity ``w``.
+
+    ``(eta; f)`` is the raw of ``om`` (``op o M`` if ``left``, else ``M o
+    op``) that puts ``f`` under the unit, or units under ``f``, with the
+    identity arrow: one per class of ``Id o M`` or ``M o Id``, which is not
+    built.  Every label is compared, least in its orbit or not.
+    """
     m = om.inner if left else om.outer
-    i_m = compose_symseq(*_in_order(left, op.ident, m), max_arity=w)
-    by_eta = hcompose_maps(*_in_order(left, op.eta, identity_map(m)), i_m, om)
-    unitor = left_unitor(i_m) if left else right_unitor(i_m)
-    return lambda act: require_equal(law, compose_maps(act, by_eta), unitor)
+
+    def unit_raw(v: Word, y, f) -> tuple:
+        if left:
+            return ((y,), op.eta_label(y), (v,), (f,), tuple(range(len(v))))
+        return (v, f, tuple((x,) for x in v), tuple(map(op.eta_label, v)), tuple(range(len(v))))
+
+    units = [
+        (key, f, om.class_of(*key, unit_raw(*key, f)))
+        for key in m.support()
+        if len(key[0]) <= w
+        for f in m.labels(*key)
+    ]
+
+    def check(act: SymSeqMap) -> None:
+        for key, f, cls in units:
+            value = act.at(*key, cls)
+            if value != f:
+                raise ValidationError(f"{law} fails at cell {key}, label {f!r}: {value!r} != {f!r}")
+
+    return check
 
 
 def same_operad(p: Operad, q: Operad) -> bool:

@@ -8,10 +8,12 @@ class is an orbit of ``Aut(mid) ⋉ ∏ Aut(block)``, and only its least raw in
 the enumeration order is built (sorted blocks, a label pair least in its
 orbit, an arrow least under the pair's stabilizer; see
 :func:`compose_symseq`).  ``Composite.class_of`` carries any other raw to
-that least raw before it looks it up.  Every coherence map
-(associator, unitors) is an explicit equivariant bijection on class
-representatives.  A composite records the cap it was built with, and each
-cap gets its own composite.
+that least raw before it looks it up.  The unitors are explicit equivariant
+bijections on class representatives.  The associator is the identity-whisker
+case of one regroup step (:func:`regroup`, inverse :func:`ungroup`), which
+whiskers each regrouped raw where it lands, so a map read once through the
+associator never builds the second bracketing.  A composite records the cap
+it was built with, and each cap gets its own composite.
 
 A plain composite is a value, shared by content (hash-consing): while anyone
 holds it, :func:`compose_symseq` returns it for every pair of factors with
@@ -23,7 +25,9 @@ built once per quadruple of composites and kept on ``(H o G) o F``.
 ``SymSeqMap`` is the one map type of both layers (this one and
 :mod:`.catsym`).  Every map is total on the cells it holds: reading a cell or
 label it lacks raises ``ValidationError`` naming both, and a map is inverted
-only when it is a bijection on every non-empty cell of either end.
+only when it is a bijection on every non-empty cell of either end.  Each
+composition checks by content token that its maps meet where both ends are
+plain sequences (``CatSymSeq`` has no token yet).
 
 Composite raw tuples have the shape ``(mid, g, blocks, fs, sigma)`` where
 ``mid`` is a canonical word over the middle sorts, ``g`` a label of the outer
@@ -250,8 +254,29 @@ def identity_map(f: SymSeq) -> SymSeqMap:
     return SymSeqMap(f, f, {key: {lab: lab for lab in f.labels(*key)} for key in f.cells})
 
 
+def _named(f: SymSeq) -> str:
+    """``f`` in a failure message: its sorts and its first cells with their sizes."""
+    cells = ", ".join(f"{key!r}: {f.size(*key)}" for key in f.support()[:4])
+    return f"SymSeq({f.dom!r} -> {f.cod!r}; {len(f.cells)} cells: {cells})"
+
+
+def _require_same(what: str, a, b) -> None:
+    """``ValidationError`` naming ``a`` and ``b`` if both are plain sequences of other contents."""
+    if type(a) is SymSeq and type(b) is SymSeq and a.content() is not b.content():
+        raise ValidationError(f"{what}: {_named(a)} is not {_named(b)}")
+
+
+def _require_fit(beta: SymSeqMap, alpha: SymSeqMap, outer, inner, dst_outer, dst_inner) -> None:
+    """Each 2-cell of a whisker ``beta o alpha`` starts and ends at the matching factor."""
+    _require_same("the outer 2-cell does not start at the outer factor", beta.src, outer)
+    _require_same("the outer 2-cell does not end at the target's outer factor", beta.dst, dst_outer)
+    _require_same("the inner 2-cell does not start at the inner factor", alpha.src, inner)
+    _require_same("the inner 2-cell does not end at the target's inner factor", alpha.dst, dst_inner)
+
+
 def compose_maps(second: SymSeqMap, first: SymSeqMap) -> SymSeqMap:
-    """``second`` after ``first`` on the cells ``first`` holds; ``second`` must hold every image."""
+    """``second`` after ``first`` on the cells ``first`` holds; ``second`` must start where ``first`` ends and hold every image."""
+    _require_same("maps do not compose: the first ends where the second does not start", first.dst, second.src)
     comp = {}
     for key, m in first.comp.items():
         m2 = second.comp.get(key, {})
@@ -696,9 +721,10 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
 
 
 def hcompose_maps(beta: SymSeqMap, alpha: SymSeqMap, src: Composite, dst: Composite) -> SymSeqMap:
-    """Horizontal composite of 2-cells of either layer, acting on class representatives."""
+    """Horizontal composite of 2-cells of either layer, from ``src``'s factors to ``dst``'s, on class representatives."""
     if alpha.src.dom != src.inner.dom or beta.src.cod != src.outer.cod:
         raise InputError("2-cells do not match the composite they are applied to")
+    _require_fit(beta, alpha, src.outer, src.inner, dst.outer, dst.inner)
     comp = {}
     for key, reps in src.reps.items():
         w, z = key
@@ -742,8 +768,57 @@ def right_unitor(fid: Composite) -> SymSeqMap:
     return SymSeqMap(fid.seq, f, comp)
 
 
+def mu_from_raws(comp: Composite, fn: Callable, target) -> SymSeqMap:
+    """The map ``comp.seq -> target`` given by ``fn(key, raw)`` on class representatives."""
+    return SymSeqMap(
+        comp.seq,
+        target,
+        {key: {idx: fn(key, raw) for idx, raw in enumerate(reps)} for key, reps in comp.reps.items()},
+    )
+
+
+def regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst: Composite) -> Callable:
+    """``step(key, raw)``: a raw of ``(H o G) o F`` regrouped, whiskered by ``beta o alpha``, classed in ``dst``.
+
+    ``hg`` is ``H o G``, ``gf`` is ``G o F``, ``beta: H -> H'``, ``alpha: G
+    o F -> K`` and ``dst`` is ``H' o K``.  Any raw, not only a
+    representative, goes through :func:`_regroup_plan` to its raw of ``H o
+    (G o F)``, which is never built.  This is the whisker after the
+    associator only if both 2-cells are equivariant (a raw and its
+    representative differ by a group element), so both must pass
+    ``SymSeqMap.validate`` before a law reads the step.
+    """
+    _require_fit(beta, alpha, hg.outer, gf.seq, dst.outer, dst.inner)
+    return _regroup(hg, gf, beta.at, alpha.at, dst)
+
+
+def regroup_map(hg: Composite, hg_f: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst: Composite) -> SymSeqMap:
+    """The map ``(H o G) o F -> dst`` of :func:`regroup` on every class of ``hg_f``."""
+    return mu_from_raws(hg_f, regroup(hg, gf, beta, alpha, dst), dst.seq)
+
+
+def _same_label(w: Word, y, label: Label) -> Label:
+    """The identity whisker, read like ``SymSeqMap.at``."""
+    return label
+
+
+def _regroup(hg: Composite, gf: Composite, beta_at: Callable, alpha_at: Callable, dst: Composite) -> Callable:
+    """The regroup loop of :func:`regroup` and :func:`associator`, with the whiskers as readers."""
+
+    def step(key, raw):
+        mid, q, blocks, fs, sig = raw
+        zmid, h, new_blocks, groups, move = _regroup_plan(hg.rep(mid, key[1], q), blocks)
+        new_fs = tuple(
+            alpha_at(e, zj, gf.class_of(e, zj, (d, gj, sub_blocks, pick(fs), kappa)))
+            for e, zj, d, gj, sub_blocks, pick, kappa in groups
+        )
+        return dst.class_of(*key, (zmid, beta_at(zmid, key[1], h), new_blocks, new_fs, move(sig)))
+
+    return step
+
+
 def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
-    """Canonical iso ``(H o G) o F -> H o (G o F)`` by regrouping blocks.
+    """Canonical iso ``(H o G) o F -> H o (G o F)``: the regroup step with identity whiskers.
 
     The regrouping of a raw ``(mid, q, blocks, fs, sig)`` of ``hg_f`` depends
     only on the ``H o G`` representative of class ``q`` and on ``blocks``.
@@ -759,21 +834,31 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
     held = hg_f.associators.get(quadruple)
     if held is not None:
         return held[-1]
-    comp = {}
-    for key, reps in hg_f.reps.items():
-        w, t_out = key
-        m = {}
-        for idx, (mid, q, blocks, fs, sig) in enumerate(reps):
-            zmid, h, new_blocks, groups, move = _regroup_plan(hg.rep(mid, t_out, q), blocks)
-            new_fs = tuple(
-                gf.class_of(e, zj, (d, gj, sub_blocks, pick(fs), kappa))
-                for e, zj, d, gj, sub_blocks, pick, kappa in groups
-            )
-            m[idx] = h_gf.class_of(w, t_out, (zmid, h, new_blocks, new_fs, move(sig)))
-        comp[key] = m
-    asc = SymSeqMap(hg_f.seq, h_gf.seq, comp)
+    asc = mu_from_raws(hg_f, _regroup(hg, gf, _same_label, _same_label, h_gf), h_gf.seq)
     hg_f.associators[quadruple] = (hg, gf, h_gf, asc)
     return asc
+
+
+def ungroup(hg: Composite, gf: Composite, beta: SymSeqMap, dst: Composite) -> Callable:
+    """``step(key, raw)``: a raw of ``H o (G o F)`` taken apart into ``(H o G) o F``, ``beta o F`` applied, classed in ``dst``.
+
+    The inverse of :func:`regroup`, with ``hg`` ``H o G``, ``gf`` ``G o F``,
+    ``beta: H o G -> H'`` equivariant and ``dst`` ``H' o F``; ``(H o G) o F``
+    is never built.
+    """
+    _require_same("the outer 2-cell does not start at the outer factor", beta.src, hg.seq)
+    _require_same("the outer 2-cell does not end at the target's outer factor", beta.dst, dst.outer)
+    _require_same("the inner factor is not the target's inner factor", gf.inner, dst.inner)
+
+    def step(key, raw):
+        t = key[1]
+        zmid, h, blocks, cs, sig = raw
+        reps = tuple(gf.rep(e, z, c) for e, z, c in zip(blocks, zmid, cs))
+        mid, yblocks, gs, tau, fblocks, fs, arrow = _ungrouped(reps, sig)
+        q = hg.class_of(mid, t, (zmid, h, yblocks, gs, tau))
+        return dst.class_of(*key, (mid, beta.at(mid, t, q), fblocks, fs, arrow))
+
+    return step
 
 
 @lru_cache(maxsize=4096)
@@ -812,6 +897,32 @@ def _regroup_plan(hg_raw, blocks: tuple):
             part[c] = src[r]
         combined += part
     return zmid, h, tuple(new_blocks), tuple(groups), _picker(tuple(combined))
+
+
+def _ungrouped(reps: tuple, sig: tuple) -> tuple:
+    """``(mid, ds, gs, tau, F blocks, F labels, arrow)`` of the ``(H o G) o F`` raw :func:`ungroup` builds.
+
+    ``reps[j] = (d, g, sub_blocks, fs, kappa)`` represents block ``j`` of an
+    ``H o (G o F)`` raw with arrow ``sig``.  ``mid`` is the canonical word of
+    the concatenated ``d`` and ``tau: mid -> concat(d)``; letter ``i`` of
+    that concatenation takes its ``F`` block and label to ``tau(i)``, and
+    ``sig`` is read at ``kappa_j`` of block ``j``.
+    """
+    ds = tuple(rep[0] for rep in reps)
+    mid, tau = canonical_word(tuple(s for d in ds for s in d))
+    tau = tau.images
+    fblocks, fs, arrows = [()] * len(tau), [None] * len(tau), [()] * len(tau)
+    i = eoff = 0
+    for _d, _g, sub_blocks, labels, kappa in reps:
+        subs = block_offsets([len(b) for b in sub_blocks])
+        for r, (b, f) in enumerate(zip(sub_blocks, labels)):
+            p = tau[i + r]
+            fblocks[p], fs[p] = b, f
+            arrows[p] = tuple(sig[eoff + kappa[c]] for c in range(subs[r], subs[r + 1]))
+        i += len(sub_blocks)
+        eoff += len(kappa)
+    arrow = tuple(v for part in arrows for v in part)
+    return mid, ds, tuple(rep[1] for rep in reps), tau, tuple(fblocks), tuple(fs), arrow
 
 
 # ---------------------------------------------------------------------------

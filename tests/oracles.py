@@ -22,7 +22,23 @@ from opdbim.perms import (
     skey,
     ssorted,
 )
-from opdbim.symseq import Composite, EvalResult, Family, SymSeq, SymSeqMap, analytic_eval
+from opdbim.symseq import (
+    Composite,
+    EvalResult,
+    Family,
+    SymSeq,
+    SymSeqMap,
+    analytic_eval,
+    associator,
+    coequalize_maps,
+    compose_maps,
+    compose_symseq,
+    hcompose_maps,
+    identity_map,
+    map_inverse,
+    mu_from_raws,
+    restrict_map,
+)
 
 
 @lru_cache(maxsize=65536)
@@ -226,3 +242,58 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[SymSeqMap]:
     for (key, la), lb in res.items():
         comp.setdefault(key, {})[la] = lb
     return SymSeqMap(f, g, comp)
+
+
+def relative_compose_chain(nb, mb) -> tuple:
+    """``(carrier, proj, lam, rho)`` of ``N o_B M`` by whiskers after built associators.
+
+    The chain ``relative_compose`` used before its regroup steps: both
+    bracketings of ``N o B o M``, ``C o N o M`` and ``N o M o A`` are built,
+    each map goes through the associator (or its inverse) between them, and
+    the induced actions are read at the class of each lifted raw.
+    """
+    w = min(nb.window, mb.window)
+    n, m = nb.carrier, mb.carrier
+    nm = compose_symseq(n, m, max_arity=w)
+    nb_ = compose_symseq(n, nb.right.carrier, max_arity=w)
+    nb_m = compose_symseq(nb_.seq, m, max_arity=w)
+    b_m = compose_symseq(mb.left.carrier, m, max_arity=w)
+    n_bm = compose_symseq(n, b_m.seq, max_arity=w)
+    e1 = hcompose_maps(restrict_map(nb.rho, nb_.seq), identity_map(m), nb_m, nm)
+    e2 = compose_maps(
+        hcompose_maps(identity_map(n), restrict_map(mb.lam, b_m.seq), n_bm, nm),
+        associator(nb_, nb_m, b_m, n_bm),
+    )
+    carrier, proj = coequalize_maps(e1, e2)
+    lift: dict = {}
+    for key, cm in proj.comp.items():
+        sec = lift.setdefault(key, {})
+        for cls_nm, cls_rel in cm.items():
+            sec[cls_rel] = min(sec.get(cls_rel, cls_nm), cls_nm)
+    cc, ac = nb.left.carrier, mb.right.carrier
+    c_q, c_nm = compose_symseq(cc, carrier, max_arity=w), compose_symseq(cc, nm.seq, max_arity=w)
+    c_n = compose_symseq(cc, n, max_arity=w)
+    cn_m = compose_symseq(c_n.seq, m, max_arity=w)
+    chain_l = compose_maps(proj, compose_maps(
+        hcompose_maps(restrict_map(nb.lam, c_n.seq), identity_map(m), cn_m, nm),
+        map_inverse(associator(c_n, cn_m, nm, c_nm)),
+    ))
+
+    def lam_fn(key, raw):
+        mid, g, blocks, qs, sig = raw
+        lifted = tuple(lift[(b, y)][q] for b, y, q in zip(blocks, mid, qs))
+        return chain_l.at(*key, c_nm.class_of(*key, (mid, g, blocks, lifted, sig)))
+
+    q_a, nm_a = compose_symseq(carrier, ac, max_arity=w), compose_symseq(nm.seq, ac, max_arity=w)
+    m_a = compose_symseq(m, ac, max_arity=w)
+    n_ma = compose_symseq(n, m_a.seq, max_arity=w)
+    chain_r = compose_maps(proj, compose_maps(
+        hcompose_maps(identity_map(n), restrict_map(mb.rho, m_a.seq), n_ma, nm),
+        associator(nm, nm_a, m_a, n_ma),
+    ))
+
+    def rho_fn(key, raw):
+        mid, q, blocks, as_, sig = raw
+        return chain_r.at(*key, nm_a.class_of(*key, (mid, lift[(mid, key[1])][q], blocks, as_, sig)))
+
+    return carrier, proj, mu_from_raws(c_q, lam_fn, carrier), mu_from_raws(q_a, rho_fn, carrier)

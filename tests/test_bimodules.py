@@ -722,3 +722,101 @@ def test_enumeration_matches_make_bimodule_on_one_unary_cell(left, right, expect
         accepted += 1
     assert accepted == expected
     assert enumerate_bimodules(a, b, {((STAR,), STAR): 2}) == expected
+
+
+# --- actions read through the regroup step --------------------------------------
+
+from dataclasses import replace
+
+from opdbim import symseq
+from opdbim.operads import _unit_law, assoc_operad
+from opdbim.bimodules import bimodule_laws
+from opdbim.symseq import hcompose_maps, regroup
+from oracles import relative_compose_chain
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_relative_composition_matches_the_chain_through_built_associators(seed):
+    # pentagon draws at window 2: the regroup steps give the carrier, projection
+    # and induced actions that the whiskers after built associators gave
+    rng = random.Random(seed)
+    ops = [rand_operad(rng, 2) for _ in range(4)]
+    l, m, n = (rand_bimodule(rng, ops[i + 1], ops[i], 2) for i in range(3))
+    nm = relative_compose(n, m)
+    pairs = [(n, m), (m, l), (nm.bimodule, l), (identity_bimodule(m.left), m), (m, identity_bimodule(m.right))]
+    for nb, mb in pairs:
+        rel = relative_compose(nb, mb)
+        carrier, proj, lam, rho = relative_compose_chain(nb, mb)
+        assert rel.bimodule.carrier.cells == carrier.cells
+        assert (rel.proj.comp, rel.bimodule.lam.comp, rel.bimodule.rho.comp) == (proj.comp, lam.comp, rho.comp)
+
+
+def _recording(comp):
+    """``comp`` with fresh class tables and a ``canon`` that records each raw it carries to its representative."""
+    seen = []
+    fresh = {key: {raw: idx for idx, raw in enumerate(reps)} for key, reps in comp.reps.items()}
+    return replace(comp, cls=fresh, canon=lambda w, y, raw: (seen.append(raw), comp.canon(w, y, raw))[1]), seen
+
+
+def test_a_left_action_wrong_where_the_regroup_reaches_it_only_through_canon_fails():
+    # assoc(3) acting on itself, with the action swapped on the orbit {2, 3} of
+    # binary classes of B o M that put the binary operation over two units; the
+    # action stays equivariant and the unit law holds, since those are not unit classes
+    b = identity_bimodule(assoc_operad(3))
+    key = ((STAR, STAR), STAR)
+    assert [raw[1] for raw in b.bm.reps[key][2:]] == [(0, 1), (0, 1)]
+    comp = {k: dict(m) for k, m in b.lam.comp.items()}
+    comp[key][2], comp[key][3] = comp[key][3], comp[key][2]
+    lam = SymSeqMap(b.bm.seq, b.carrier, comp)
+    lam.validate()
+    # every class of (B o B) o M where the two sides differ reaches B o M through canon
+    op, bm = b.left, b.bm
+    spy, seen = _recording(bm)
+    oo_m = compose_symseq(op.comp2.seq, b.carrier, max_arity=3)
+    fixed = hcompose_maps(restrict_map(op.mu, op.comp2.seq), identity_map(b.carrier), oo_m, bm)
+    step = regroup(op.comp2, bm, identity_map(op.carrier), lam, spy)
+    differing = []
+    for k, reps in oo_m.reps.items():
+        for idx, raw in enumerate(reps):
+            before = len(seen)
+            if lam.at(*k, step(k, raw)) != lam.at(*k, fixed.at(*k, idx)):
+                differing.append(len(seen) > before)
+    assert differing and all(differing)
+    with pytest.raises(ValidationError, match=r"^left action associativity fails at cell"):
+        Bimodule(b.left, b.right, b.carrier, lam, b.rho, b.window, b.bm, b.ma)
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_the_unit_law_reads_labels_that_are_not_least_in_their_orbit(left):
+    # assoc(2) acting on itself: the binary cell is one orbit {(0, 1), (1, 0)},
+    # whose least label is (0, 1); the action is wrong only at the class of
+    # (eta; (1, 0)), so it is not equivariant and only a check of every label sees it
+    op = assoc_operad(2)
+    key = ((STAR, STAR), STAR)
+    unit = {True: ((STAR,), (0,), ((STAR, STAR),), ((1, 0),), (0, 1)),
+            False: ((STAR, STAR), (1, 0), ((STAR,), (STAR,)), ((0,), (0,)), (0, 1))}[left]
+    comp = {k: dict(m) for k, m in op.mu.comp.items()}
+    comp[key][op.comp2.class_of(*key, unit)] = (0, 1)
+    act = SymSeqMap(op.comp2.seq, op.carrier, comp)
+    law = "left action unit" if left else "right action unit"
+    _unit_law(op, op.comp2, 2, left, law)(op.mu)
+    with pytest.raises(ValidationError, match=re.escape(f"{law} fails at cell {key!r}, label (1, 0): (0, 1) != (1, 0)")):
+        _unit_law(op, op.comp2, 2, left, law)(act)
+
+
+def test_a_non_equivariant_action_is_refused_before_any_regroup_step_reads_it(monkeypatch):
+    steps = []
+    original = symseq.regroup
+    monkeypatch.setattr(symseq, "regroup", lambda *args: (steps.append(args), original(*args))[1])
+    b = identity_bimodule(assoc_operad(2))
+    check = bimodule_laws(b.left, b.right, b.bm, b.ma, b.window)
+    built = len(steps)  # the right action's fixed side, which reads mu only
+    key = ((STAR, STAR), STAR)
+    comp = {k: dict(m) for k, m in b.lam.comp.items()}
+    comp[key][2] = comp[key][3]  # one class moved off its orbit's image
+    lam = SymSeqMap(b.bm.seq, b.carrier, comp)
+    with pytest.raises(ValidationError, match=r"^equivariance fails at cell"):
+        check(lam, b.rho)
+    assert len(steps) == built
+    check(b.lam, b.rho)
+    assert len(steps) > built

@@ -761,3 +761,129 @@ def test_the_associator_serves_only_its_own_quadruple():
     assert regrouped_map(hs[1]) == alone[1]
     assert symseq._regroup_plan.cache_info().misses == misses
 
+
+
+# --- the regroup step against the whisker after the associator -----------------
+
+from opdbim.samples import rand_equivariant_endo
+from opdbim.symseq import mu_from_raws, regroup, regroup_map, restrict_map, ungroup
+
+
+def _rand_endo(rng, f):
+    """An equivariant endomorphism of ``f``: random on cells of at most three labels, the identity elsewhere."""
+    return SymSeqMap(f, f, {
+        key: rand_equivariant_endo(rng, cell) if cell.size <= 3 else {lab: lab for lab in cell.labels}
+        for key, cell in f.cells.items()
+    })
+
+
+def _assert_fused_steps(h, g, f, cap, whiskers):
+    """The regroup step and its inverse equal the whiskers after the associator and its inverse.
+
+    ``whiskers(hg, gf)`` gives ``beta: H -> H'``, ``alpha: G o F -> K`` and
+    ``beta_hg: H o G -> H''``.  The steps are compared on every class, and
+    on every raw of ``(H o G) o F`` and ``H o (G o F)`` that the
+    brute-force oracle lists, representatives or not.
+    """
+    hg, hg_f, gf, h_gf = _regrouped(h, g, f, cap)
+    beta, alpha, beta_hg = whiskers(hg, gf)
+    asc = associator(hg, hg_f, gf, h_gf)
+    dst = compose_symseq(beta.dst, alpha.dst, max_arity=cap)
+    chain = compose_maps(hcompose_maps(beta, alpha, h_gf, dst), asc)
+    fused = regroup_map(hg, hg_f, gf, beta, alpha, dst)
+    assert (fused.src, fused.dst) == (hg_f.seq, dst.seq)
+    assert fused.comp == chain.comp
+    step = regroup(hg, gf, beta, alpha, dst)
+    for key, (raws, _q) in _oracle(hg.seq, f, cap).items():
+        assert all(step(key, raw) == chain.at(*key, hg_f.class_of(*key, raw)) for raw in raws), key
+    dst2 = compose_symseq(beta_hg.dst, f, max_arity=cap)
+    chain2 = compose_maps(hcompose_maps(beta_hg, identity_map(f), hg_f, dst2), map_inverse(asc))
+    back = ungroup(hg, gf, beta_hg, dst2)
+    assert mu_from_raws(h_gf, back, dst2.seq).comp == chain2.comp
+    for key, (raws, _q) in _oracle(h, gf.seq, cap).items():
+        assert all(back(key, raw) == chain2.at(*key, h_gf.class_of(*key, raw)) for raw in raws), key
+
+
+def _two_sorted_regrouping():
+    """``H``, ``G``, ``F`` over sorts ``a < b`` whose regroupings permute letters of both sorts.
+
+    ``H o G`` has the raw with blocks ``(b,)`` and ``(a, a)`` under ``H(a, b)``,
+    so the middle word ``(a, a, b)`` is reached from ``(b, a, a)`` by a
+    3-cycle, and ``G o F`` puts the blocks ``(b,)`` and ``(a,)`` under
+    ``G(a, a)``, whose concatenation is not canonical.
+    """
+    swap = YoungSet(("a", "a"), (0, 1), {0: {0: 1, 1: 0}})
+    h = SymSeq(("a", "b"), ("a", "b"), {(("a", "b"), "a"): YoungSet.trivial(("a", "b"), (0, 1))})
+    g = SymSeq(("a", "b"), ("a", "b"), {(("b",), "a"): YoungSet.trivial(("b",), (0, 1)), (("a", "a"), "b"): swap})
+    f = SymSeq(("a", "b"), ("a", "b"), {
+        (("a",), "a"): YoungSet.trivial(("a",), (0,)),
+        (("b",), "a"): YoungSet.trivial(("b",), (0, 1)),
+        (("b",), "b"): YoungSet.trivial(("b",), (0,)),
+    })
+    return h, g, f
+
+
+def test_the_regroup_step_is_the_whisker_after_the_associator_on_random_triples():
+    rng = random.Random(41)
+    _assert_fused_steps(*_two_sorted_regrouping(), 4, lambda hg, gf: (
+        _rand_endo(rng, hg.outer), _rand_endo(rng, gf.seq), _rand_endo(rng, hg.seq)))
+    for sorts in (("*",), ("a", "b")):
+        for _ in range(8):
+            h, g, f = (rand_symseq(rng, sorts=sorts, max_arity=2, max_labels=2, n_cells=2) for _ in range(3))
+            _assert_fused_steps(h, g, f, 3, lambda hg, gf: (
+                _rand_endo(rng, hg.outer), _rand_endo(rng, gf.seq), _rand_endo(rng, hg.seq)))
+
+
+@pytest.mark.parametrize("make", [com_operad, assoc_operad, magma_operad], ids=["com3", "assoc3", "magma3"])
+def test_the_regroup_step_is_the_whisker_after_the_associator_on_operads(make):
+    op = make(3)
+    a = op.carrier
+    rng = random.Random(5)
+    _assert_fused_steps(a, a, a, 3, lambda hg, gf: (
+        identity_map(a), restrict_map(op.mu, gf.seq), restrict_map(op.mu, hg.seq)))
+    _assert_fused_steps(a, a, a, 3, lambda hg, gf: (
+        _rand_endo(rng, a), _rand_endo(rng, gf.seq), _rand_endo(rng, hg.seq)))
+
+
+def test_the_regroup_step_is_the_whisker_after_the_associator_on_pentagon_bimodules():
+    # the shapes relative_compose and the action laws read: (B o M) o A, (N o B) o M, (B o B) o M
+    rng = random.Random(19)
+    window = 2
+    for _ in range(8):
+        ops = [rand_operad(rng, window) for _ in range(3)]
+        m = rand_bimodule(rng, ops[1], ops[0], window)
+        n = rand_bimodule(rng, ops[2], ops[1], window)
+        b, a = ops[1].carrier, ops[0].carrier
+        _assert_fused_steps(b, m.carrier, a, window, lambda hg, gf: (
+            identity_map(b), restrict_map(m.rho, gf.seq), restrict_map(m.lam, hg.seq)))
+        _assert_fused_steps(n.carrier, b, m.carrier, window, lambda hg, gf: (
+            identity_map(n.carrier), restrict_map(m.lam, gf.seq), restrict_map(n.rho, hg.seq)))
+        _assert_fused_steps(b, b, m.carrier, window, lambda hg, gf: (
+            _rand_endo(rng, b), restrict_map(m.lam, gf.seq), restrict_map(ops[1].mu, hg.seq)))
+
+
+# --- each composition checks its endpoints -------------------------------------
+
+
+def test_a_plain_composition_whose_ends_differ_names_both_sequences():
+    f, g = single({1: 1, 2: 2}), single({1: 1, 2: 3})
+    with pytest.raises(ValidationError) as err:
+        compose_maps(identity_map(g), identity_map(f))
+    assert str(err.value) == (
+        "maps do not compose: the first ends where the second does not start: "
+        "SymSeq(('*',) -> ('*',); 2 cells: (('*',), '*'): 1, (('*', '*'), '*'): 2) is not "
+        "SymSeq(('*',) -> ('*',); 2 cells: (('*',), '*'): 1, (('*', '*'), '*'): 3)"
+    )
+    # equal content is the same sequence: a twin composes
+    twin = SymSeq(f.dom, f.cod, dict(f.cells))
+    assert compose_maps(identity_map(twin), identity_map(f)).dst is twin
+    ff, gf = compose_symseq(f, f, max_arity=3), compose_symseq(g, f, max_arity=3)
+    with pytest.raises(ValidationError, match="^the outer 2-cell does not end at the target's outer factor"):
+        hcompose_maps(identity_map(f), identity_map(f), ff, gf)
+    with pytest.raises(ValidationError, match="^the inner 2-cell does not start at the inner factor"):
+        hcompose_maps(identity_map(f), identity_map(g), ff, ff)
+    fff = compose_symseq(ff.seq, f, max_arity=3)
+    with pytest.raises(ValidationError, match="^the inner 2-cell does not end at the target's inner factor"):
+        regroup(ff, ff, identity_map(f), identity_map(ff.seq), ff)
+    with pytest.raises(ValidationError, match="^the outer 2-cell does not start at the outer factor"):
+        ungroup(ff, ff, identity_map(fff.seq), ff)
