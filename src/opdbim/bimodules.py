@@ -67,6 +67,7 @@ from .operads import (
     Operad,
     OperadMorphism,
     action_laws,
+    held,
     pulled_back_cells,
     pulled_back_outputs,
     reindex_raw,
@@ -128,14 +129,17 @@ def bimodule_laws(left: Operad, right: Operad, bm: Composite, ma: Composite, w: 
     """The check of actions ``lam: bm.seq -> M`` and ``rho: ma.seq -> M`` on one carrier ``M``.
 
     The composites the laws read, and the maps on them that read neither
-    action, are built here once; the returned ``check(lam, rho)`` validates
-    both actions, so every regroup step reads equivariant maps, runs each
-    action's laws and then checks that the two commute on ``(B o M) o A``.
+    action, are fixtures held by the operads (:func:`.operads.held`):
+    ``(B o M) o A`` by ``left``, keyed by the contents of ``B o M`` and of
+    ``A``'s carrier and the window.  The returned ``check(lam, rho)``
+    validates both actions, so every regroup step reads equivariant maps,
+    runs each action's laws and then checks that the two commute on ``(B o
+    M) o A``.
     """
     bc, ac = left.carrier, right.carrier
     left_laws = action_laws(left, bm, w, True, ("left action associativity", "left action unit"))
     right_laws = action_laws(right, ma, w, False, ("right action associativity", "right action unit"))
-    bm_a = compose_symseq(bm.seq, ac, max_arity=w)
+    bm_a = held(left, ("commuting", bm.seq.content(), ac.content(), w), lambda: compose_symseq(bm.seq, ac, max_arity=w))
     id_b, id_a = identity_map(bc), identity_map(ac)
 
     def check(lam: SymSeqMap, rho: SymSeqMap) -> None:
@@ -360,31 +364,23 @@ def rel_associator(
     ml_rel: RelCompose,   # M o_B L
     n_ml: RelCompose,     # N o_C (M o_B L)
 ) -> SymSeqMap:
-    """Regrouping iso ``(N o_C M) o_B L -> N o_C (M o_B L)`` on representatives."""
-    nm = nm_rel.nm           # compose(N, M)
-    ml = ml_rel.nm           # compose(M, L)
-    # plain composites to route through
-    n_carrier = nm.outer
-    m_carrier = nm.inner
-    l_carrier = ml.inner
-    w = min(nm_l.bimodule.window, n_ml.bimodule.window)
-    nm_plain_l = compose_symseq(nm.seq, l_carrier, max_arity=w)
-    n_ml_plain = compose_symseq(n_carrier, ml.seq, max_arity=w)
-    asc = associator(nm, nm_plain_l, ml, n_ml_plain)
-    proj_inner = hcompose_maps(
-        identity_map(n_carrier), ml_rel.proj, n_ml_plain, n_ml.nm
-    )
+    """Regrouping iso ``(N o_C M) o_B L -> N o_C (M o_B L)`` on representatives.
+
+    Each relative class is read at its least lift, regrouped raw by raw
+    (``symseq.regroup``, whiskered by the projection onto ``M o_B L``), so
+    neither plain bracketing of ``N o M o L`` is built.
+    """
+    nm, ml = nm_rel.nm, ml_rel.nm   # N o M and M o L
+    # a raw of (N o_C M) o L lifts to one of (N o M) o L, which is regrouped into
+    # N o (M o L), projected to N o (M o_B L) there and on to N o_C (M o_B L)
+    step = regroup(nm, ml, identity_map(nm.outer), ml_rel.proj, n_ml.nm)
     comp = {}
     for key, sec in nm_l.lift.items():
         table = {}
         for cls, q1l_cls in sec.items():
             mid, q1, blocks, ls, sig = nm_l.nm.rep(*key, q1l_cls)
             lifted = nm_rel.lift[(mid, key[1])][q1]
-            raw3 = (mid, lifted, blocks, ls, sig)
-            c3 = nm_plain_l.class_of(*key, raw3)
-            c4 = asc.at(*key, c3)
-            c5 = proj_inner.at(*key, c4)
-            table[cls] = n_ml.proj.at(*key, c5)
+            table[cls] = n_ml.proj.at(*key, step(key, (mid, lifted, blocks, ls, sig)))
         comp[key] = table
     out = SymSeqMap(nm_l.bimodule.carrier, n_ml.bimodule.carrier, comp)
     if not out.is_bijective():

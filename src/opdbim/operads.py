@@ -5,9 +5,13 @@ materialized composite of its carrier with itself and a unit ``eta`` from the
 identity sequence.  Monad laws are verified by exhaustive comparison of
 2-cells on every composite cell of arity at most the operad's window; a
 failure reports the first offending cell and label.  The associativity and
-unit laws of an action are checked in one place, ``action_laws``: it builds
-the composites the laws read once per carrier and returns the check of an
-action on them.  Associativity reads the other bracketing through a regroup
+unit laws of an action are checked in one place, ``action_laws``: it returns
+the check of an action on the law-check fixtures of its carrier, everything
+the laws build before they read the action.  An operad keeps each fixture it
+has built in ``Operad.memo`` (:func:`held`), keyed by what the fixture reads,
+so a later check of equal carrier content builds none of it again; every
+check still validates the action and compares it on every class, and no
+verdict is kept.  Associativity reads the other bracketing through a regroup
 step and the unit laws read ``(eta; f)`` per label, so neither builds a
 composite only to read it once.  The monad laws are the operad's left action
 on its own carrier plus the right unit law, and a bimodule runs it once per
@@ -27,7 +31,7 @@ all go through these functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import getitem
 from typing import Callable, Iterable, Optional
@@ -77,6 +81,16 @@ ISO_SEARCH_BUDGET = 100_000   # candidate cell-map tuples per sort map in operad
 
 @dataclass
 class Operad:
+    """An operad: ``mu`` on ``carrier o carrier`` and ``eta`` from the identity, law-checked by :func:`make_operad`.
+
+    ``memo`` holds the law-check fixtures built against this operad
+    (:func:`held`): what :func:`action_laws` builds before it reads an
+    action, and the ``(B o M) o A`` of :func:`.bimodules.bimodule_laws`.  It
+    holds at most one fixture per distinct carrier content checked against
+    the operad, per cap, window and side, and nothing else; no fixture
+    holds the operad, so the memo is freed with it, by reference counting.
+    """
+
     sorts: tuple
     carrier: SymSeq
     mu: SymSeqMap            # comp2.seq -> carrier
@@ -85,6 +99,7 @@ class Operad:
     reduced: bool
     comp2: Composite
     ident: SymSeq            # the identity sequence on sorts
+    memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def eta_label(self, x):
         return self.eta.at((x,), x, ("id", x))
@@ -140,6 +155,24 @@ def check_monad_laws(op: Operad) -> None:
     _unit_law(op, op.comp2, n, False, "right unit law")(op.mu)
 
 
+def held(op: Operad, key: tuple, build: Callable):
+    """``build()`` once per ``key`` for as long as ``op`` lives, kept in ``op.memo``.
+
+    ``key`` names everything ``build`` reads besides the operad, by content
+    token where it reads a sequence, and ``build`` returns nothing that
+    holds ``op``, so the memo holds no cycle.
+    """
+    value = op.memo.get(key)
+    if value is None:
+        value = op.memo[key] = build()
+    return value
+
+
+def _fixture_key(kind: str, om: Composite, w: int, left: bool) -> tuple:
+    """What a fixture on ``om`` reads besides its operad: ``om`` by its factors' tokens and cap, the window and the side."""
+    return (kind, om.outer.content(), om.inner.content(), om.cap, w, left)
+
+
 def _in_order(left: bool, p, q) -> tuple:
     """``(p, q)`` for a left action and ``(q, p)`` for a right one: ``p`` is the operad's side."""
     return (p, q) if left else (q, p)
@@ -149,10 +182,13 @@ def action_laws(op: Operad, om: Composite, w: int, left: bool, laws: tuple) -> C
     """The check of associativity and unit, named by ``laws``, of an action ``act: om.seq -> M``.
 
     ``om`` is ``op o M`` for a left action (``left``) and ``M o op`` for a
-    right one.  Everything up to arity ``w`` that does not read ``act`` is
-    built here, once per carrier.  Associativity compares ``act`` after two
-    maps on every class of ``(op o op) o M`` or ``(M o op) o op``: the inner
-    step there (``mu o id`` or ``act o id``), and the regroup step
+    right one.  Everything up to arity ``w`` that does not read ``act`` is a
+    fixture, held by ``op`` (:func:`held`) and built once per carrier
+    content, cap, window and side; the law names are not part of its key,
+    so the monad-law fixture of ``op`` serves the left action of its
+    identity bimodule.  Associativity compares ``act`` after two maps on
+    every class of ``(op o op) o M`` or ``(M o op) o op``: the inner step
+    there (``mu o id`` or ``act o id``), and the regroup step
     (:func:`.symseq.regroup_map`) whiskered by the other bracketing's inner
     step (``id o act`` or ``id o mu``), so that bracketing is never built.
     The regroup step is the whisker after the associator only for an
@@ -160,18 +196,7 @@ def action_laws(op: Operad, om: Composite, w: int, left: bool, laws: tuple) -> C
     :func:`check_monad_laws` and :func:`.bimodules.bimodule_laws`.  A failure
     names the law, the first differing cell and class, and both values.
     """
-    m = om.inner if left else om.outer
-    comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
-    mu = restrict_map(op.mu, comp2.seq)
-    id_op = identity_map(op.carrier)
-    if left:  # on (op o op) o M: mu o id against id o act after the regroup
-        oo_m = compose_symseq(comp2.seq, m, max_arity=w)
-        fixed = hcompose_maps(mu, identity_map(m), oo_m, om)
-        by_act = partial(regroup_map, comp2, oo_m, om, id_op, dst=om)
-    else:  # on (M o op) o op: act o id against id o mu after the regroup
-        oo_m = compose_symseq(om.seq, op.carrier, max_arity=w)
-        fixed = regroup_map(om, oo_m, comp2, identity_map(m), mu, om)
-        by_act = partial(hcompose_maps, alpha=id_op, src=oo_m, dst=om)
+    fixed, by_act = held(op, _fixture_key("associativity", om, w, left), lambda: _associativity_fixture(op, om, w, left))
     unit_law = _unit_law(op, om, w, left, laws[1])
 
     def check(act: SymSeqMap) -> None:
@@ -181,27 +206,30 @@ def action_laws(op: Operad, om: Composite, w: int, left: bool, laws: tuple) -> C
     return check
 
 
+def _associativity_fixture(op: Operad, om: Composite, w: int, left: bool) -> tuple:
+    """``(fixed, by_act)``: the map of associativity that does not read ``act``, and the one that does, as a function of it."""
+    m = om.inner if left else om.outer
+    comp2 = compose_symseq(op.carrier, op.carrier, max_arity=w)
+    mu = restrict_map(op.mu, comp2.seq)
+    id_op = identity_map(op.carrier)
+    if left:  # on (op o op) o M: mu o id against id o act after the regroup
+        oo_m = compose_symseq(comp2.seq, m, max_arity=w)
+        return hcompose_maps(mu, identity_map(m), oo_m, om), partial(regroup_map, comp2, oo_m, om, id_op, dst=om)
+    # on (M o op) o op: act o id against id o mu after the regroup
+    oo_m = compose_symseq(om.seq, op.carrier, max_arity=w)
+    return regroup_map(om, oo_m, comp2, identity_map(m), mu, om), partial(hcompose_maps, alpha=id_op, src=oo_m, dst=om)
+
+
 def _unit_law(op: Operad, om: Composite, w: int, left: bool, law: str) -> Callable[[SymSeqMap], None]:
     """The check that ``act`` sends the class of ``(eta; f)`` to ``f`` for every label ``f`` of ``M`` up to arity ``w``.
 
     ``(eta; f)`` is the raw of ``om`` (``op o M`` if ``left``, else ``M o
     op``) that puts ``f`` under the unit, or units under ``f``, with the
     identity arrow: one per class of ``Id o M`` or ``M o Id``, which is not
-    built.  Every label is compared, least in its orbit or not.
+    built.  The classes are a fixture held by ``op``.  Every label is
+    compared, least in its orbit or not.
     """
-    m = om.inner if left else om.outer
-
-    def unit_raw(v: Word, y, f) -> tuple:
-        if left:
-            return ((y,), op.eta_label(y), (v,), (f,), tuple(range(len(v))))
-        return (v, f, tuple((x,) for x in v), tuple(map(op.eta_label, v)), tuple(range(len(v))))
-
-    units = [
-        (key, f, om.class_of(*key, unit_raw(*key, f)))
-        for key in m.support()
-        if len(key[0]) <= w
-        for f in m.labels(*key)
-    ]
+    units = held(op, _fixture_key("unit", om, w, left), lambda: _unit_classes(op, om, w, left))
 
     def check(act: SymSeqMap) -> None:
         for key, f, cls in units:
@@ -210,6 +238,23 @@ def _unit_law(op: Operad, om: Composite, w: int, left: bool, law: str) -> Callab
                 raise ValidationError(f"{law} fails at cell {key}, label {f!r}: {value!r} != {f!r}")
 
     return check
+
+
+def _unit_classes(op: Operad, om: Composite, w: int, left: bool) -> list:
+    """``(cell, f, class of (eta; f) in om)`` for every label ``f`` of ``M`` up to arity ``w``."""
+    m = om.inner if left else om.outer
+
+    def unit_raw(v: Word, y, f) -> tuple:
+        if left:
+            return ((y,), op.eta_label(y), (v,), (f,), tuple(range(len(v))))
+        return (v, f, tuple((x,) for x in v), tuple(map(op.eta_label, v)), tuple(range(len(v))))
+
+    return [
+        (key, f, om.class_of(*key, unit_raw(*key, f)))
+        for key in m.support()
+        if len(key[0]) <= w
+        for f in m.labels(*key)
+    ]
 
 
 def same_operad(p: Operad, q: Operad) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Optional
@@ -313,23 +314,68 @@ def embed_at(total: int, offset: int, p: Perm) -> Perm:
     return Perm(tuple(im))
 
 
+def _at_position(n: int, label) -> int:
+    """The position ``k < n`` with ``k == label``, read like a dict keyed ``0..n-1``; else ``KeyError``.
+
+    ``True`` and ``1.0`` are at position 1, as ``1 == True == 1.0`` in a
+    dict, and an unhashable label is a ``TypeError``, as in a dict.
+    """
+    if type(label) is int:
+        if 0 <= label < n:
+            return label
+    else:
+        hash(label)
+        if label in range(n):
+            return range(n).index(label)
+    raise KeyError(label)
+
+
+class RangeMap(Mapping):
+    """A map on the labels ``0..n-1``, held as the tuple of their images; it reads like the dict it replaces."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple):
+        self.images = images
+
+    def __getitem__(self, label):
+        return self.images[_at_position(len(self.images), label)]
+
+    def __iter__(self):
+        return iter(range(len(self.images)))
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __repr__(self) -> str:
+        return repr(dict(enumerate(self.images)))
+
+
 @dataclass
 class YoungSet:
     """One orbit cell: a label set with an action of the stabilizer of ``word``.
 
     The action is given on the adjacent transpositions that generate the
     Young subgroup and satisfies
-    ``act(act(x, g), h) == act(x, compose(h, g))``.
+    ``act(act(x, g), h) == act(x, compose(h, g))``.  A cell whose labels are
+    the ints ``0..n-1`` (every composite and coequalizer cell) keeps no
+    label-to-position dict, since a label is its position; its generator
+    maps may be :class:`RangeMap` tuples.  ``index`` and ``in`` answer as
+    the dict would.
     """
 
     word: Word
     labels: tuple
-    gen_maps: dict  # position i -> {label: label}
+    gen_maps: dict  # position i -> {label: label}, or a RangeMap on labels 0..n-1
 
     def __post_init__(self):
-        self._index = {lab: k for k, lab in enumerate(self.labels)}
-        if len(self._index) != len(self.labels):
-            raise InputError(f"duplicate labels in cell at {self.word}")
+        labels = self.labels
+        if all(type(lab) is int and lab == k for k, lab in enumerate(labels)):
+            self._index = None
+        else:
+            self._index = {lab: k for k, lab in enumerate(labels)}
+            if len(self._index) != len(labels):
+                raise InputError(f"duplicate labels in cell at {self.word}")
         self._hash = None
 
     def __hash__(self) -> int:
@@ -352,9 +398,17 @@ class YoungSet:
         return len(self.labels)
 
     def index(self, label: Label) -> int:
+        if self._index is None:
+            return _at_position(len(self.labels), label)
         return self._index[label]
 
     def __contains__(self, label) -> bool:
+        if self._index is None:
+            try:
+                _at_position(len(self.labels), label)
+            except KeyError:
+                return False
+            return True
         return label in self._index
 
     def act(self, label: Label, p: Perm) -> Label:

@@ -18,9 +18,11 @@ it was built with, and each cap gets its own composite.
 A plain composite is a value, shared by content (hash-consing): while anyone
 holds it, :func:`compose_symseq` returns it for every pair of factors with
 the same cells, type for type (``SymSeq.content``), and the same cap.  So its
-``outer`` and ``inner`` may be twins of a caller's factors, and ``cls``, which
-``class_of`` grows lazily, grows on the shared object.  Each associator is
-built once per quadruple of composites and kept on ``(H o G) o F``.
+``outer`` and ``inner`` may be twins of a caller's factors.  A composite
+holds nothing per raw beyond its representatives, and its cells, labelled
+``0..n-1``, keep their generator maps as tuples (``perms.RangeMap``).  Each
+associator is built once per quadruple of composites and kept on ``(H o G)
+o F``.
 
 ``SymSeqMap`` is the one map type of both layers (this one and
 :mod:`.catsym`).  Every map is total on the cells it holds: reading a cell or
@@ -50,6 +52,7 @@ from .perms import (
     InputError,
     Label,
     Perm,
+    RangeMap,
     ValidationError,
     Word,
     YoungSet,
@@ -262,7 +265,7 @@ def _named(f: SymSeq) -> str:
 
 def _require_same(what: str, a, b) -> None:
     """``ValidationError`` naming ``a`` and ``b`` if both are plain sequences of other contents."""
-    if type(a) is SymSeq and type(b) is SymSeq and a.content() is not b.content():
+    if a is not b and type(a) is SymSeq and type(b) is SymSeq and a.content() is not b.content():
         raise ValidationError(f"{what}: {_named(a)} is not {_named(b)}")
 
 
@@ -358,11 +361,13 @@ class Composite:
     enumeration order (middle word, block positions in ``support_words``,
     label positions, then the arrow's images here and its index in
     ``sw_arrows`` in :mod:`.catsym`).  ``raws[key]`` are the raws the kernel
-    built: in both layers exactly the representatives.  ``cls[key]`` maps raws
-    to classes: it starts with the representatives, and :meth:`class_of` adds
-    each other raw it is asked about once ``canon`` has carried that raw to
-    its representative.  ``canon(w, y, raw)`` returns ``None`` for anything
-    that is not a raw of cell ``(w, y)``.
+    built: in both layers exactly the representatives.  ``cls[key]`` maps
+    each representative to its class; here it is filled per cell on the
+    first :meth:`class_of` there, so a composite that is only read from
+    (the source of a map) keeps none.  :meth:`class_of` carries any other raw
+    to its representative through ``canon`` and keeps nothing of it.
+    ``canon(w, y, raw)`` returns ``None`` for anything that is not a raw of
+    cell ``(w, y)``.
 
     ``cap`` is the ``max_arity`` it was built with (``None``: no bound).  All
     raws of a cell have total arity ``len(w)`` and each cell is quotiented on
@@ -372,32 +377,32 @@ class Composite:
     A plain composite is a value: :func:`compose_symseq` keeps it by the
     content tokens of its factors and its cap, and hands it to every caller
     whose factors have those tokens, for as long as anyone holds it, so
-    ``outer`` and ``inner`` may be twins of a caller's factors, and ``cls``
-    grows on the shared object.  ``associators`` holds each associator whose
-    source it is (see :func:`associator`).
+    ``outer`` and ``inner`` may be twins of a caller's factors.
+    ``associators`` holds each associator whose source it is (see
+    :func:`associator`).
     """
 
     outer: SymSeq
     inner: SymSeq
     seq: SymSeq
     raws: dict   # (word, out) -> list of the raw tuples built: the representatives
-    cls: dict    # (word, out) -> {raw: class index}
+    cls: dict    # (word, out) -> {representative raw: class index}, of the cells read so far
     reps: dict   # (word, out) -> list of representative raws
     canon: Callable = field(repr=False)  # (word, out, raw) -> representative of raw, or None
     cap: Optional[int] = None
-    # (id(hg), id(gf), id(h_gf)) -> (hg, gf, h_gf, associator map)
+    # (id(hg), id(gf), id(h_gf)) -> (hg, gf, h_gf, associator map), with None for this composite itself
     associators: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def class_of(self, w: Word, y, raw) -> int:
         """Class of ``raw``; a raw outside the composite is a law failure."""
         table = self.cls.get((w, y))
+        if table is None and (w, y) in self.reps:
+            table = self.cls[(w, y)] = {rep: idx for idx, rep in enumerate(self.reps[(w, y)])}
         if table is not None:
             try:
                 idx = table.get(raw)
                 if idx is None:
                     idx = table.get(self.canon(w, y, raw))
-                    if idx is not None:
-                        table[raw] = idx
             except TypeError:  # a list or other unhashable part: a raw of no cell
                 idx = None
             if idx is not None:
@@ -412,7 +417,10 @@ def _picker(positions: tuple) -> Callable[[tuple], tuple]:
     """The function ``seq -> tuple(seq[p] for p in positions)``."""
     if len(positions) >= 2:
         return itemgetter(*positions)
-    return lambda seq: tuple(seq[p] for p in positions)
+    if positions:
+        p = positions[0]
+        return lambda seq: (seq[p],)
+    return lambda seq: ()
 
 
 @dataclass
@@ -679,12 +687,12 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
     again, so its ``outer`` and ``inner`` may be twins of the caller's
     factors.
     """
-    if set(inner.cod) != set(outer.dom):
-        raise InputError("composition sort mismatch")
     content = (outer.content(), inner.content(), max_arity)
     held = _COMPOSITES.get(content)
-    if held is not None:
+    if held is not None:  # its factors have these sorts, and they matched when it was built
         return held
+    if set(inner.cod) != set(outer.dom):
+        raise InputError("composition sort mismatch")
     built: dict = {}  # (word, out) -> (representatives, {t: targets by index})
     shapes: dict = {}  # (mid, out, blocks) -> plan
     for (mid, z) in outer.support():
@@ -706,16 +714,15 @@ def compose_symseq(outer: SymSeq, inner: SymSeq, max_arity: Optional[int] = None
                 reps += [(mid, g, blocks, fs, sig) for sig in arrows]
                 for t, js in moves:
                     targets.setdefault(t, []).extend(base + j for j in js)
-    cells, cls_out, reps_out = {}, {}, {}
+    cells, reps_out = {}, {}
     for key in sorted(built, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1]))):
         reps, targets = built[key]
-        gen_maps = {t: dict(enumerate(targets[t])) for t in stab_gens(key[0])}
+        gen_maps = {t: RangeMap(tuple(targets[t])) for t in stab_gens(key[0])}
         cells[key] = YoungSet(key[0], tuple(range(len(reps))), gen_maps)
-        cls_out[key] = {raw: idx for idx, raw in enumerate(reps)}
         reps_out[key] = reps
     seq = SymSeq(inner.dom, outer.cod, cells)
     canon = partial(least_raw, outer, inner, shapes)
-    comp = Composite(outer, inner, seq, reps_out, cls_out, reps_out, canon, max_arity)
+    comp = Composite(outer, inner, seq, reps_out, {}, reps_out, canon, max_arity)
     _COMPOSITES[content] = comp
     return comp
 
@@ -803,13 +810,24 @@ def _same_label(w: Word, y, label: Label) -> Label:
 
 
 def _regroup(hg: Composite, gf: Composite, beta_at: Callable, alpha_at: Callable, dst: Composite) -> Callable:
-    """The regroup loop of :func:`regroup` and :func:`associator`, with the whiskers as readers."""
+    """The regroup loop of :func:`regroup` and :func:`associator`, with the whiskers as readers.
+
+    One ``G o F`` raw recurs in the groups of many raws, so the step keeps
+    the class of each one it has met; that memo lives as long as the step.
+    """
+    inner: dict = {}  # (cell, G o F raw) -> its class in gf
+
+    def inner_class(e, zj, raw) -> int:
+        cls = inner.get((e, zj, raw))
+        if cls is None:
+            cls = inner[(e, zj, raw)] = gf.class_of(e, zj, raw)
+        return cls
 
     def step(key, raw):
         mid, q, blocks, fs, sig = raw
         zmid, h, new_blocks, groups, move = _regroup_plan(hg.rep(mid, key[1], q), blocks)
         new_fs = tuple(
-            alpha_at(e, zj, gf.class_of(e, zj, (d, gj, sub_blocks, pick(fs), kappa)))
+            alpha_at(e, zj, inner_class(e, zj, (d, gj, sub_blocks, pick(fs), kappa)))
             for e, zj, d, gj, sub_blocks, pick, kappa in groups
         )
         return dst.class_of(*key, (zmid, beta_at(zmid, key[1], h), new_blocks, new_fs, move(sig)))
@@ -829,13 +847,17 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
     with strong references to the other three, so their ids stay theirs and
     a later call on the very same four objects returns it.  Composites are
     shared by content (:func:`compose_symseq`), so that call is frequent.
+    Where one of the three is ``hg_f`` itself (equal content, so one shared
+    object), the entry holds ``None`` in its place: the id is ``hg_f``'s for
+    as long as the entry lives, and a composite that held itself would be
+    freed only by the cyclic collector.
     """
     quadruple = (id(hg), id(gf), id(h_gf))
     held = hg_f.associators.get(quadruple)
     if held is not None:
         return held[-1]
     asc = mu_from_raws(hg_f, _regroup(hg, gf, _same_label, _same_label, h_gf), h_gf.seq)
-    hg_f.associators[quadruple] = (hg, gf, h_gf, asc)
+    hg_f.associators[quadruple] = tuple(c if c is not hg_f else None for c in (hg, gf, h_gf)) + (asc,)
     return asc
 
 
@@ -1060,13 +1082,10 @@ def coequalize_maps(alpha: SymSeqMap, beta: SymSeqMap):
             for lab in src_cell.labels:
                 edges.append((alpha.at(*key, lab), beta.at(*key, lab)))
         q = quotient(cell.labels, edges)
-        gen_maps = {}
-        for i in stab_gens(key[0]):
-            m = {}
-            for idx in range(len(q.classes)):
-                rep = q.representative[idx]
-                m[idx] = q.class_index[cell.gen_maps[i][rep]]
-            gen_maps[i] = m
+        gen_maps = {
+            i: RangeMap(tuple(q.class_index[cell.gen_maps[i][rep]] for rep in q.representative))
+            for i in stab_gens(key[0])
+        }
         cells[key] = YoungSet(key[0], tuple(range(len(q.classes))), gen_maps)
         proj[key] = {lab: q.class_index[lab] for lab in cell.labels}
     qseq = SymSeq(f1.dom, f1.cod, cells)

@@ -297,3 +297,29 @@ def relative_compose_chain(nb, mb) -> tuple:
         return chain_r.at(*key, nm_a.class_of(*key, (mid, lift[(mid, key[1])][q], blocks, as_, sig)))
 
     return carrier, proj, mu_from_raws(c_q, lam_fn, carrier), mu_from_raws(q_a, rho_fn, carrier)
+
+
+def rel_associator_chain(nm_rel, nm_l, ml_rel, n_ml) -> SymSeqMap:
+    """``(N o_C M) o_B L -> N o_C (M o_B L)`` through built bracketings and a built associator.
+
+    The chain ``rel_associator`` used before it regrouped each lifted raw:
+    both plain bracketings ``(N o M) o L`` and ``N o (M o L)`` are built,
+    with the whole associator between them and ``id o proj`` over every
+    class of the second, and each relative class is read through them.
+    """
+    nm, ml = nm_rel.nm, ml_rel.nm
+    n_carrier, l_carrier = nm.outer, ml.inner
+    w = min(nm_l.bimodule.window, n_ml.bimodule.window)
+    nm_plain_l = compose_symseq(nm.seq, l_carrier, max_arity=w)
+    n_ml_plain = compose_symseq(n_carrier, ml.seq, max_arity=w)
+    asc = associator(nm, nm_plain_l, ml, n_ml_plain)
+    proj_inner = hcompose_maps(identity_map(n_carrier), ml_rel.proj, n_ml_plain, n_ml.nm)
+    comp: dict = {}
+    for key, sec in nm_l.lift.items():
+        table = comp[key] = {}
+        for cls, q1l_cls in sec.items():
+            mid, q1, blocks, ls, sig = nm_l.nm.rep(*key, q1l_cls)
+            raw3 = (mid, nm_rel.lift[(mid, key[1])][q1], blocks, ls, sig)
+            c4 = asc.at(*key, nm_plain_l.class_of(*key, raw3))
+            table[cls] = n_ml.proj.at(*key, proj_inner.at(*key, c4))
+    return SymSeqMap(nm_l.bimodule.carrier, n_ml.bimodule.carrier, comp)

@@ -591,6 +591,76 @@ def test_middle_operads_on_equal_cells_but_other_products_are_refused():
     relative_compose(identity_bimodule(z2), identity_bimodule(z2))
 
 
+def test_a_carrier_checked_before_still_has_every_action_law_checked():
+    # the first bimodule leaves the fixtures of the carrier {p, q} with Z2 and J;
+    # each later carrier of that content reads them, and every unlawful action
+    # on it is still refused, naming its law
+    z2, j = _z2(), _j()
+    _unary_bimodule(z2, j, _keep, lambda x, a: x)
+    held = {id(op): dict(op.memo) for op in (z2, j)}
+    assert all(held.values())
+
+    def swap(b, x):
+        return {"p": "q", "q": "p"}[x] if b == "a" else x
+
+    unlawful = [
+        ("left action unit", lambda b, x: "p", lambda x, a: x),
+        ("left action associativity", lambda b, x: "p" if b == "a" else x, lambda x, a: x),
+        ("right action unit", _keep, lambda x, a: "p"),
+        ("commuting actions", swap, lambda x, a: "p" if a == "a" else x),
+    ]
+    for law, lam, rho in unlawful:
+        with pytest.raises(ValidationError, match=rf"^{law} fails at cell {CELL}"):
+            _unary_bimodule(z2, j, lam, rho)
+    _unary_bimodule(z2, j, _keep, lambda x, a: x)
+    # no fixture was built again: each check read the ones the first carrier left
+    for op in (z2, j):
+        assert op.memo.keys() == held[id(op)].keys()
+        assert all(op.memo[k] is v for k, v in held[id(op)].items())
+
+
+def _fixture_parts(memo: dict) -> list:
+    """The composites and maps that the fixtures in an operad's memo hold."""
+    from functools import partial
+
+    from opdbim.symseq import Composite
+
+    parts, todo = [], list(memo.values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif isinstance(x, partial):
+            todo.extend(x.args)
+            todo.extend(x.keywords.values())
+        elif isinstance(x, (Composite, SymSeqMap)):
+            parts.append(x)
+    return parts
+
+
+def test_an_operad_its_bimodules_and_their_fixtures_are_freed_by_reference_counting():
+    # the fixtures live in the operad's memo and hold nothing that holds the
+    # operad, the identity bimodule's (left and right operad one object) included
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        com = com_operad(2)
+        v = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("v", "w"))})
+        m = free_bimodule(com, com, v, window=2)
+        ident = identity_bimodule(com)
+        rel = relative_compose(ident, m)
+        parts = _fixture_parts(com.memo)
+        assert len(parts) > 4
+        refs = [weakref.ref(x) for x in (com, m, ident, rel.bimodule, *parts)]
+        del com, v, m, ident, rel, parts
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 # --- (op)lax morphism and Sym adjunction laws: each failure names its law --------
 
 
@@ -733,6 +803,34 @@ from opdbim.operads import _unit_law, assoc_operad
 from opdbim.bimodules import bimodule_laws
 from opdbim.symseq import hcompose_maps, regroup
 from oracles import relative_compose_chain
+
+
+def _pentagon_draw(rng, window=2):
+    """Five operads and four bimodules ``l, m, n, p`` drawn as one pentagon sample draws them."""
+    ops = [rand_operad(rng, window) for _ in range(5)]
+    return [rand_bimodule(rng, ops[i + 1], ops[i], window) for i in range(4)]
+
+
+def _costliest_pentagon_draw(window=2):
+    """Five com operads and four free bimodules, each on one unary cell with two labels."""
+    ops = [com_operad(window) for _ in range(5)]
+    seed = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("s", "t"))})
+    return [free_bimodule(ops[i + 1], ops[i], seed, window=window) for i in range(4)]
+
+
+@pytest.mark.parametrize("seed", list(range(12)) + ["costliest"])
+def test_the_relative_associator_matches_the_chain_through_built_bracketings(seed):
+    # both associators of the pentagon that regroup (N o M) o L: the regroup
+    # step per lifted raw gives the map that the built associator gave
+    from oracles import rel_associator_chain
+
+    l, m, n, p = _costliest_pentagon_draw() if seed == "costliest" else _pentagon_draw(random.Random(seed))
+    for outer, mid, inner in ((n, m, l), (p, n, m)):
+        nm, ml = relative_compose(outer, mid), relative_compose(mid, inner)
+        nm_l, n_ml = relative_compose(nm.bimodule, inner), relative_compose(outer, ml.bimodule)
+        got = rel_associator(nm, nm_l, ml, n_ml)
+        assert got.comp == rel_associator_chain(nm, nm_l, ml, n_ml).comp
+        assert got.is_bijective()
 
 
 @pytest.mark.parametrize("seed", range(32))

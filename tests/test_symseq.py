@@ -721,6 +721,26 @@ def test_a_composite_nobody_holds_leaves_the_memo():
     assert key not in symseq._CONTENTS
 
 
+def test_a_composite_whose_associator_starts_at_itself_is_freed_by_reference_counting():
+    import weakref
+
+    # X o X has the content of X, so (X o X) o X, X o (X o X) and X o X are one
+    # shared composite, and its associator entry starts and ends at itself
+    x = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), (0,))})
+    gc.collect()
+    gc.disable()
+    try:
+        quadruple = _regrouped(x, x, x, 1)
+        assert all(c is quadruple[0] for c in quadruple)
+        asc = associator(*quadruple)
+        assert associator(*quadruple) is asc
+        ref = weakref.ref(quadruple[0])
+        del quadruple, asc
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_the_associator_serves_only_its_own_quadruple():
     from opdbim import symseq
 
