@@ -17,11 +17,12 @@ triangle identities in Sym, on the composites they build the structure from.
 Relative composition quotients the plain composite by the two middle actions;
 a map out of the plain composite that coequalizes them induces the map out of
 the relative composite (:func:`descend`), which gives both unit isomorphisms
-(split-fork bijections) and the units and counits of the adjunctions.  An
-action read once through an associator is applied inside it, raw by raw
-(``symseq.regroup``, ``symseq.ungroup``), so its other bracketing is not
-built.  All laws are checked cell by cell within the smallest arity window
-of the participants.
+(split-fork bijections) and the units and counits of the adjunctions.  Every
+plain associator here is applied inside the map that reads it, raw by raw
+(``symseq.regroup``, ``symseq.ungroup``), so the other bracketing is never
+built; those steps read raws that are not representatives, so each 2-cell
+they whisker by is validated (equivariant) first.  All laws are checked cell
+by cell within the smallest arity window of the participants.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .symseq import (
     Composite,
     SymSeq,
     SymSeqMap,
-    associator,
     coequalize_maps,
     compose_maps,
     compose_symseq,
@@ -396,26 +396,23 @@ def rel_associator(
 def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap, window: int) -> Bimodule:
     """Carrier ``F o A`` with the free right action and phi-twisted left action.
 
-    ``phi: B o F -> F o A`` must be a lax monad morphism.  Its square and unit
-    triangle are checked on the composites that build the actions, before
-    the bimodule laws.
+    ``phi: B o F -> F o A`` must be a lax monad morphism.  It is validated
+    first; its square and unit triangle are checked on the composites that
+    build the actions, before the bimodule laws.
     """
     ac, bc = a.carrier, b.carrier
     bf = compose_symseq(bc, f, max_arity=window)
     fa = compose_symseq(f, ac, max_arity=window)
     phi = restrict_map(phi, bf.seq, fa.seq)
+    phi.validate()
     fa_a, rho = free_right_action(fa, a, window)
     b_fa = compose_symseq(bc, fa.seq, max_arity=window)
-    bf_a = compose_symseq(bf.seq, ac, max_arity=window)
     # lam: B o (F o A) -> (B o F) o A -> (F o A) o A -> F o A
-    phi_a = hcompose_maps(phi, identity_map(ac), bf_a, fa_a)
-    lam = compose_maps(rho, compose_maps(phi_a, map_inverse(associator(bf, bf_a, fa, b_fa))))
+    lam = compose_maps(rho, mu_from_raws(b_fa, ungroup(bf, fa, phi, fa_a), fa_a.seq))
     comp2b = compose_symseq(bc, bc, max_arity=window)
     bb_f = compose_symseq(comp2b.seq, f, max_arity=window)
-    b_bf = compose_symseq(bc, bf.seq, max_arity=window)
     s1 = compose_maps(phi, hcompose_maps(restrict_map(b.mu, comp2b.seq), identity_map(f), bb_f, bf))
-    b_phi = hcompose_maps(identity_map(bc), phi, b_bf, b_fa)
-    s2 = compose_maps(lam, compose_maps(b_phi, associator(comp2b, bb_f, bf, b_bf)))
+    s2 = compose_maps(lam, regroup_map(comp2b, bb_f, bf, identity_map(bc), phi, b_fa))
     require_equal("lax morphism multiplication square", s1, s2)
     idf = compose_symseq(b.ident, f, max_arity=window)
     fid = compose_symseq(f, a.ident, max_arity=window)
@@ -431,20 +428,19 @@ def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap, window: int
 def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap, window: int) -> Bimodule:
     """Carrier ``B o F`` with the free left action and psi-twisted right action.
 
-    ``psi: F o A -> B o F`` must be an oplax monad morphism.  Its square and
-    unit triangle are checked on the composites that build the actions,
-    before the bimodule laws.
+    ``psi: F o A -> B o F`` must be an oplax monad morphism.  It is
+    validated first; its square and unit triangle are checked on the
+    composites that build the actions, before the bimodule laws.
     """
     ac, bc = a.carrier, b.carrier
     bf = compose_symseq(bc, f, max_arity=window)
     fa = compose_symseq(f, ac, max_arity=window)
     psi = restrict_map(psi, fa.seq, bf.seq)
+    psi.validate()
     b_bf, lam = free_left_action(b, bf, window)
     bf_a = compose_symseq(bf.seq, ac, max_arity=window)
-    b_fa = compose_symseq(bc, fa.seq, max_arity=window)
     # rho: (B o F) o A -> B o (F o A) -> B o (B o F) -> B o F
-    b_psi = hcompose_maps(identity_map(bc), psi, b_fa, b_bf)
-    rho = compose_maps(lam, compose_maps(b_psi, associator(bf, bf_a, fa, b_fa)))
+    rho = compose_maps(lam, regroup_map(bf, bf_a, fa, identity_map(bc), psi, b_bf))
     fa_a, free_rho = free_right_action(fa, a, window)
     s2 = compose_maps(rho, hcompose_maps(psi, identity_map(ac), fa_a, bf_a))
     require_equal("oplax morphism multiplication square", compose_maps(psi, free_rho), s2)
@@ -530,7 +526,8 @@ def transport_adjunction(
 ) -> BimAdjunction:
     """Lift an adjunction ``F -| U`` in Sym along a monad map ``xi: A -> U(BF)``.
 
-    ``xi`` lands in the composite bracketed as ``U o (B o F)``.  The triangle
+    ``xi`` lands in the composite bracketed as ``U o (B o F)``.  ``eta``,
+    ``eps`` and ``xi`` are validated once restricted.  The triangle
     identities of ``F -| U`` in Sym are checked first, on the ``F o U`` and
     the restricted ``eps`` that then build ``psi`` and ``phi``.
     """
@@ -539,27 +536,25 @@ def transport_adjunction(
     f_id = compose_symseq(f, id_symseq(f.dom), max_arity=window)
     id_f = compose_symseq(id_symseq(f.cod), f, max_arity=window)
     f_uf = compose_symseq(f, uf.seq, max_arity=window)
-    fu_f = compose_symseq(fu.seq, f, max_arity=window)
     eta = restrict_map(eta, id_symseq(f.dom), uf.seq)
     eps = restrict_map(eps, fu.seq, id_symseq(f.cod))
+    eta.validate()
+    eps.validate()
     m1 = hcompose_maps(identity_map(f), eta, f_id, f_uf)
-    asc = associator(fu, fu_f, uf, f_uf)
-    m2 = hcompose_maps(eps, identity_map(f), fu_f, id_f)
+    m2 = mu_from_raws(f_uf, ungroup(fu, uf, eps, id_f), id_f.seq)
     tri1 = compose_maps(
         left_unitor(id_f),
-        compose_maps(m2, compose_maps(map_inverse(asc), compose_maps(m1, map_inverse(right_unitor(f_id))))),
+        compose_maps(m2, compose_maps(m1, map_inverse(right_unitor(f_id)))),
     )
     require_equal("Sym adjunction triangle (left)", tri1, identity_map(f))
     u_id = compose_symseq(u, id_symseq(u.dom), max_arity=window)
     id_u = compose_symseq(id_symseq(u.cod), u, max_arity=window)
     uf_u = compose_symseq(uf.seq, u, max_arity=window)
-    u_fu = compose_symseq(u, fu.seq, max_arity=window)
     n1 = hcompose_maps(eta, identity_map(u), id_u, uf_u)
-    asc2 = associator(uf, uf_u, fu, u_fu)
-    n2 = hcompose_maps(identity_map(u), eps, u_fu, u_id)
+    n2 = regroup_map(uf, uf_u, fu, identity_map(u), eps, u_id)
     tri2 = compose_maps(
         right_unitor(u_id),
-        compose_maps(n2, compose_maps(asc2, compose_maps(n1, map_inverse(left_unitor(id_u))))),
+        compose_maps(n2, compose_maps(n1, map_inverse(left_unitor(id_u)))),
     )
     require_equal("Sym adjunction triangle (right)", tri2, identity_map(u))
 
@@ -567,43 +562,30 @@ def transport_adjunction(
     bf = compose_symseq(bc, f, max_arity=window)
     u_bf = compose_symseq(u, bf.seq, max_arity=window)
     xi = restrict_map(xi, a.carrier, u_bf.seq)
+    xi.validate()
 
     # psi: F o A -> B o F
     fa = compose_symseq(f, ac, max_arity=window)
     f_ubf = compose_symseq(f, u_bf.seq, max_arity=window)
-    fu_bf = compose_symseq(fu.seq, bf.seq, max_arity=window)
     id_bf = compose_symseq(id_symseq(f.cod), bf.seq, max_arity=window)
     psi = compose_maps(
         left_unitor(id_bf),
         compose_maps(
-            hcompose_maps(eps, identity_map(bf.seq), fu_bf, id_bf),
-            compose_maps(
-                map_inverse(associator(fu, fu_bf, u_bf, f_ubf)),
-                hcompose_maps(identity_map(f), xi, fa, f_ubf),
-            ),
+            mu_from_raws(f_ubf, ungroup(fu, u_bf, eps, id_bf), id_bf.seq),
+            hcompose_maps(identity_map(f), xi, fa, f_ubf),
         ),
     )
     # phi: A o U -> U o B
     au = compose_symseq(ac, u, max_arity=window)
     ubf_u = compose_symseq(u_bf.seq, u, max_arity=window)
     bf_u = compose_symseq(bf.seq, u, max_arity=window)
-    u_bfu = compose_symseq(u, bf_u.seq, max_arity=window)
-    b_fu = compose_symseq(bc, fu.seq, max_arity=window)
     b_id = compose_symseq(bc, id_symseq(f.cod), max_arity=window)
     ub = compose_symseq(u, bc, max_arity=window)
-    inner = compose_maps(
-        right_unitor(b_id),
-        compose_maps(
-            hcompose_maps(identity_map(bc), eps, b_fu, b_id),
-            associator(bf, bf_u, fu, b_fu),
-        ),
-    )  # (B o F) o U -> B
+    # (B o F) o U -> B
+    inner = compose_maps(right_unitor(b_id), regroup_map(bf, bf_u, fu, identity_map(bc), eps, b_id))
     phi = compose_maps(
-        hcompose_maps(identity_map(u), inner, u_bfu, ub),
-        compose_maps(
-            associator(u_bf, ubf_u, bf_u, u_bfu),
-            hcompose_maps(xi, identity_map(u), au, ubf_u),
-        ),
+        regroup_map(u_bf, ubf_u, bf_u, identity_map(u), inner, ub),
+        hcompose_maps(xi, identity_map(u), au, ubf_u),
     )
     fprime = bimodule_of_oplax(f, a, b, psi, window=window)
     gprime = bimodule_of_lax(u, b, a, phi, window=window)
@@ -612,32 +594,18 @@ def transport_adjunction(
 
     # unit: (U o B) o (B o F) -> U o (B o F) multiplies the middle through the
     # free left action of F' = B o F, and descends
-    u_b_bf = compose_symseq(u, fprime.bm.seq, max_arity=window)
-    m = compose_maps(
-        hcompose_maps(identity_map(u), fprime.lam, u_b_bf, u_bf),
-        associator(ub, gf.nm, fprime.bm, u_b_bf),
-    )
+    m = regroup_map(ub, gf.nm, fprime.bm, identity_map(u), fprime.lam, u_bf)
     unit_map = compose_maps(map_inverse(descend(gf, m, u_bf.seq)), xi)
 
     # counit: sigma: (B o F) o (U o B) -> B descends
     comp2b = compose_symseq(bc, bc, max_arity=window)
     f_ub = compose_symseq(f, ub.seq, max_arity=window)
-    b_fub = compose_symseq(bc, f_ub.seq, max_arity=window)
-    fu_b = compose_symseq(fu.seq, bc, max_arity=window)
     id_b = compose_symseq(id_symseq(f.cod), bc, max_arity=window)
-    inner2 = compose_maps(
-        left_unitor(id_b),
-        compose_maps(
-            hcompose_maps(eps, identity_map(bc), fu_b, id_b),
-            map_inverse(associator(fu, fu_b, ub, f_ub)),
-        ),
-    )  # F o (U o B) -> B
+    # F o (U o B) -> B
+    inner2 = compose_maps(left_unitor(id_b), mu_from_raws(f_ub, ungroup(fu, ub, eps, id_b), id_b.seq))
     sigma = compose_maps(
         restrict_map(b.mu, comp2b.seq),
-        compose_maps(
-            hcompose_maps(identity_map(bc), inner2, b_fub, comp2b),
-            associator(bf, fg.nm, f_ub, b_fub),
-        ),
+        regroup_map(bf, fg.nm, f_ub, identity_map(bc), inner2, comp2b),
     )
     adj = BimAdjunction(fprime, gprime, unit_map, descend(fg, sigma, bc), gf, fg)
     _check_triangles(adj)

@@ -9,20 +9,19 @@ the enumeration order is built (sorted blocks, a label pair least in its
 orbit, an arrow least under the pair's stabilizer; see
 :func:`compose_symseq`).  ``Composite.class_of`` carries any other raw to
 that least raw before it looks it up.  The unitors are explicit equivariant
-bijections on class representatives.  The associator is the identity-whisker
-case of one regroup step (:func:`regroup`, inverse :func:`ungroup`), which
-whiskers each regrouped raw where it lands, so a map read once through the
-associator never builds the second bracketing.  A composite records the cap
-it was built with, and each cap gets its own composite.
+bijections on class representatives.  The associator is applied as one
+regroup step (:func:`regroup`, inverse :func:`ungroup`) inside the map that
+reads it, which whiskers each regrouped raw where it lands, so no map of
+this layer builds the second bracketing; :func:`associator` is the step's
+identity-whisker case, kept for the coherence checks.  A composite records
+the cap it was built with, and each cap gets its own composite.
 
 A plain composite is a value, shared by content (hash-consing): while anyone
 holds it, :func:`compose_symseq` returns it for every pair of factors with
 the same cells, type for type (``SymSeq.content``), and the same cap.  So its
 ``outer`` and ``inner`` may be twins of a caller's factors.  A composite
 holds nothing per raw beyond its representatives, and its cells, labelled
-``0..n-1``, keep their generator maps as tuples (``perms.RangeMap``).  Each
-associator is built once per quadruple of composites and kept on ``(H o G)
-o F``.
+``0..n-1``, keep their generator maps as tuples (``perms.RangeMap``).
 
 ``SymSeqMap`` is the one map type of both layers (this one and
 :mod:`.catsym`).  Every map is total on the cells it holds: reading a cell or
@@ -377,9 +376,9 @@ class Composite:
     A plain composite is a value: :func:`compose_symseq` keeps it by the
     content tokens of its factors and its cap, and hands it to every caller
     whose factors have those tokens, for as long as anyone holds it, so
-    ``outer`` and ``inner`` may be twins of a caller's factors.
-    ``associators`` holds each associator whose source it is (see
-    :func:`associator`).
+    ``outer`` and ``inner`` may be twins of a caller's factors.  It holds
+    no map: a map that reads it through an associator applies the regroup
+    step inside itself (:func:`regroup`).
     """
 
     outer: SymSeq
@@ -390,8 +389,6 @@ class Composite:
     reps: dict   # (word, out) -> list of representative raws
     canon: Callable = field(repr=False)  # (word, out, raw) -> representative of raw, or None
     cap: Optional[int] = None
-    # (id(hg), id(gf), id(h_gf)) -> (hg, gf, h_gf, associator map), with None for this composite itself
-    associators: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def class_of(self, w: Word, y, raw) -> int:
         """Class of ``raw``; a raw outside the composite is a law failure."""
@@ -793,28 +790,12 @@ def regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst
     (G o F)``, which is never built.  This is the whisker after the
     associator only if both 2-cells are equivariant (a raw and its
     representative differ by a group element), so both must pass
-    ``SymSeqMap.validate`` before a law reads the step.
+    ``SymSeqMap.validate`` before a law reads the step.  One ``G o F`` raw
+    recurs in the groups of many raws, so the step keeps the class of each
+    one it has met; that memo lives as long as the step.
     """
     _require_fit(beta, alpha, hg.outer, gf.seq, dst.outer, dst.inner)
-    return _regroup(hg, gf, beta.at, alpha.at, dst)
-
-
-def regroup_map(hg: Composite, hg_f: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst: Composite) -> SymSeqMap:
-    """The map ``(H o G) o F -> dst`` of :func:`regroup` on every class of ``hg_f``."""
-    return mu_from_raws(hg_f, regroup(hg, gf, beta, alpha, dst), dst.seq)
-
-
-def _same_label(w: Word, y, label: Label) -> Label:
-    """The identity whisker, read like ``SymSeqMap.at``."""
-    return label
-
-
-def _regroup(hg: Composite, gf: Composite, beta_at: Callable, alpha_at: Callable, dst: Composite) -> Callable:
-    """The regroup loop of :func:`regroup` and :func:`associator`, with the whiskers as readers.
-
-    One ``G o F`` raw recurs in the groups of many raws, so the step keeps
-    the class of each one it has met; that memo lives as long as the step.
-    """
+    beta_at, alpha_at = beta.at, alpha.at
     inner: dict = {}  # (cell, G o F raw) -> its class in gf
 
     def inner_class(e, zj, raw) -> int:
@@ -835,30 +816,20 @@ def _regroup(hg: Composite, gf: Composite, beta_at: Callable, alpha_at: Callable
     return step
 
 
+def regroup_map(hg: Composite, hg_f: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst: Composite) -> SymSeqMap:
+    """The map ``(H o G) o F -> dst`` of :func:`regroup` on every class of ``hg_f``."""
+    return mu_from_raws(hg_f, regroup(hg, gf, beta, alpha, dst), dst.seq)
+
+
 def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
-    """Canonical iso ``(H o G) o F -> H o (G o F)``: the regroup step with identity whiskers.
+    """Canonical iso ``(H o G) o F -> H o (G o F)``: :func:`regroup_map` with identity whiskers.
 
-    The regrouping of a raw ``(mid, q, blocks, fs, sig)`` of ``hg_f`` depends
-    only on the ``H o G`` representative of class ``q`` and on ``blocks``.
-    Its plan (:func:`_regroup_plan`) is shared by value across associators
-    and applied to each raw by tuple indexing.
-
-    The map is built once per quadruple of composites: ``hg_f`` keeps it,
-    with strong references to the other three, so their ids stay theirs and
-    a later call on the very same four objects returns it.  Composites are
-    shared by content (:func:`compose_symseq`), so that call is frequent.
-    Where one of the three is ``hg_f`` itself (equal content, so one shared
-    object), the entry holds ``None`` in its place: the id is ``hg_f``'s for
-    as long as the entry lives, and a composite that held itself would be
-    freed only by the cyclic collector.
+    Nothing in this package calls it: each map that reads an associator
+    applies the regroup step (or :func:`ungroup`) inside itself instead.
+    It serves the coherence checks of the pentagon and triangle, and its
+    regroup plans (:func:`_regroup_plan`) are shared by value with every step.
     """
-    quadruple = (id(hg), id(gf), id(h_gf))
-    held = hg_f.associators.get(quadruple)
-    if held is not None:
-        return held[-1]
-    asc = mu_from_raws(hg_f, _regroup(hg, gf, _same_label, _same_label, h_gf), h_gf.seq)
-    hg_f.associators[quadruple] = tuple(c if c is not hg_f else None for c in (hg, gf, h_gf)) + (asc,)
-    return asc
+    return regroup_map(hg, hg_f, gf, identity_map(hg.outer), identity_map(gf.seq), h_gf)
 
 
 def ungroup(hg: Composite, gf: Composite, beta: SymSeqMap, dst: Composite) -> Callable:
@@ -885,7 +856,7 @@ def ungroup(hg: Composite, gf: Composite, beta: SymSeqMap, dst: Composite) -> Ca
 
 @lru_cache(maxsize=4096)
 def _regroup_plan(hg_raw, blocks: tuple):
-    """How :func:`associator` regroups the raws of one shape.
+    """How :func:`regroup` carries the raws of one shape to ``H o (G o F)``.
 
     ``hg_raw = (zmid, h, yblocks, gs, tau)`` is the representative of the
     ``H o G`` class.  The inner blocks are grouped by the outer block

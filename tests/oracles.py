@@ -4,6 +4,7 @@ import itertools
 from functools import lru_cache
 from typing import Optional
 
+from opdbim.bimodules import descend, free_left_action, free_right_action
 from opdbim.catsym import CatSymSeq
 from opdbim.perms import (
     FinGroupoid,
@@ -34,10 +35,13 @@ from opdbim.symseq import (
     compose_maps,
     compose_symseq,
     hcompose_maps,
+    id_symseq,
     identity_map,
+    left_unitor,
     map_inverse,
     mu_from_raws,
     restrict_map,
+    right_unitor,
 )
 
 
@@ -323,3 +327,101 @@ def rel_associator_chain(nm_rel, nm_l, ml_rel, n_ml) -> SymSeqMap:
             c4 = asc.at(*key, nm_plain_l.class_of(*key, raw3))
             table[cls] = n_ml.proj.at(*key, proj_inner.at(*key, c4))
     return SymSeqMap(nm_l.bimodule.carrier, n_ml.bimodule.carrier, comp)
+
+
+def lax_chain(f, a, b, phi, window) -> tuple:
+    """``(lam, s1, s2)`` of ``bimodule_of_lax`` through built associators.
+
+    The chain the builder used before its regroup steps: ``(B o F) o A`` and
+    ``B o (B o F)`` are built, ``lam`` is ``rho o (phi o A)`` after the inverse
+    associator, and the square's second side ``s2`` is ``lam o (B o phi)``
+    after the associator; ``s1`` is its first side, ``phi o (mu o F)``.
+    """
+    ac, bc = a.carrier, b.carrier
+    bf = compose_symseq(bc, f, max_arity=window)
+    fa = compose_symseq(f, ac, max_arity=window)
+    phi = restrict_map(phi, bf.seq, fa.seq)
+    fa_a, rho = free_right_action(fa, a, window)
+    b_fa = compose_symseq(bc, fa.seq, max_arity=window)
+    bf_a = compose_symseq(bf.seq, ac, max_arity=window)
+    phi_a = hcompose_maps(phi, identity_map(ac), bf_a, fa_a)
+    lam = compose_maps(rho, compose_maps(phi_a, map_inverse(associator(bf, bf_a, fa, b_fa))))
+    comp2b = compose_symseq(bc, bc, max_arity=window)
+    bb_f = compose_symseq(comp2b.seq, f, max_arity=window)
+    b_bf = compose_symseq(bc, bf.seq, max_arity=window)
+    s1 = compose_maps(phi, hcompose_maps(restrict_map(b.mu, comp2b.seq), identity_map(f), bb_f, bf))
+    b_phi = hcompose_maps(identity_map(bc), phi, b_bf, b_fa)
+    s2 = compose_maps(lam, compose_maps(b_phi, associator(comp2b, bb_f, bf, b_bf)))
+    return lam, s1, s2
+
+
+def oplax_rho_chain(f, a, b, psi, window) -> SymSeqMap:
+    """``rho`` of ``bimodule_of_oplax`` through a built ``B o (F o A)``: ``lam o (B o psi)`` after the associator."""
+    ac, bc = a.carrier, b.carrier
+    bf = compose_symseq(bc, f, max_arity=window)
+    fa = compose_symseq(f, ac, max_arity=window)
+    psi = restrict_map(psi, fa.seq, bf.seq)
+    b_bf, lam = free_left_action(b, bf, window)
+    bf_a = compose_symseq(bf.seq, ac, max_arity=window)
+    b_fa = compose_symseq(bc, fa.seq, max_arity=window)
+    b_psi = hcompose_maps(identity_map(bc), psi, b_fa, b_bf)
+    return compose_maps(lam, compose_maps(b_psi, associator(bf, bf_a, fa, b_fa)))
+
+
+def transport_chain(f, u, eps, a, b, xi, window, adj) -> tuple:
+    """``(psi, phi, unit, counit)`` of ``transport_adjunction`` through built associators.
+
+    Each map goes through the whole associator (or its inverse) between two
+    built bracketings and is whiskered on representatives after it.  The
+    unit and counit descend along ``adj``'s own relative composites and read
+    the free left action of ``adj.left``.
+    """
+    ac, bc = a.carrier, b.carrier
+    fu = compose_symseq(f, u, max_arity=window)
+    eps = restrict_map(eps, fu.seq, id_symseq(f.cod))
+    bf = compose_symseq(bc, f, max_arity=window)
+    u_bf = compose_symseq(u, bf.seq, max_arity=window)
+    xi = restrict_map(xi, a.carrier, u_bf.seq)
+    # psi: F o A -> F o (U o (B o F)) -> (F o U) o (B o F) -> Id o (B o F) -> B o F
+    fa = compose_symseq(f, ac, max_arity=window)
+    f_ubf = compose_symseq(f, u_bf.seq, max_arity=window)
+    fu_bf = compose_symseq(fu.seq, bf.seq, max_arity=window)
+    id_bf = compose_symseq(id_symseq(f.cod), bf.seq, max_arity=window)
+    psi = compose_maps(left_unitor(id_bf), compose_maps(
+        hcompose_maps(eps, identity_map(bf.seq), fu_bf, id_bf),
+        compose_maps(map_inverse(associator(fu, fu_bf, u_bf, f_ubf)), hcompose_maps(identity_map(f), xi, fa, f_ubf)),
+    ))
+    # phi: A o U -> (U o (B o F)) o U -> U o ((B o F) o U) -> U o B
+    au = compose_symseq(ac, u, max_arity=window)
+    ubf_u = compose_symseq(u_bf.seq, u, max_arity=window)
+    bf_u = compose_symseq(bf.seq, u, max_arity=window)
+    u_bfu = compose_symseq(u, bf_u.seq, max_arity=window)
+    b_fu = compose_symseq(bc, fu.seq, max_arity=window)
+    b_id = compose_symseq(bc, id_symseq(f.cod), max_arity=window)
+    ub = compose_symseq(u, bc, max_arity=window)
+    inner = compose_maps(right_unitor(b_id), compose_maps(
+        hcompose_maps(identity_map(bc), eps, b_fu, b_id), associator(bf, bf_u, fu, b_fu),
+    ))
+    phi = compose_maps(hcompose_maps(identity_map(u), inner, u_bfu, ub), compose_maps(
+        associator(u_bf, ubf_u, bf_u, u_bfu), hcompose_maps(xi, identity_map(u), au, ubf_u),
+    ))
+    # unit: (U o B) o (B o F) -> U o (B o (B o F)) -> U o (B o F), descended
+    fprime, gf, fg = adj.left, adj.gf, adj.fg
+    u_b_bf = compose_symseq(u, fprime.bm.seq, max_arity=window)
+    m = compose_maps(
+        hcompose_maps(identity_map(u), fprime.lam, u_b_bf, u_bf), associator(ub, gf.nm, fprime.bm, u_b_bf),
+    )
+    unit = compose_maps(map_inverse(descend(gf, m, u_bf.seq)), xi)
+    # counit: (B o F) o (U o B) -> B o (F o (U o B)) -> B o B -> B, descended
+    comp2b = compose_symseq(bc, bc, max_arity=window)
+    f_ub = compose_symseq(f, ub.seq, max_arity=window)
+    b_fub = compose_symseq(bc, f_ub.seq, max_arity=window)
+    fu_b = compose_symseq(fu.seq, bc, max_arity=window)
+    id_b = compose_symseq(id_symseq(f.cod), bc, max_arity=window)
+    inner2 = compose_maps(left_unitor(id_b), compose_maps(
+        hcompose_maps(eps, identity_map(bc), fu_b, id_b), map_inverse(associator(fu, fu_b, ub, f_ub)),
+    ))
+    sigma = compose_maps(restrict_map(b.mu, comp2b.seq), compose_maps(
+        hcompose_maps(identity_map(bc), inner2, b_fub, comp2b), associator(bf, fg.nm, f_ub, b_fub),
+    ))
+    return psi, phi, unit, descend(fg, sigma, bc)

@@ -16,6 +16,7 @@ from opdbim.symseq import (
     map_equal,
 )
 from opdbim.operads import (
+    assoc_operad,
     com_operad,
     enumerate_algebras,
     identity_morphism,
@@ -54,7 +55,7 @@ from opdbim.bimodules import (
     u_lower_circ,
 )
 from opdbim.samples import rand_bimodule, rand_operad
-from oracles import iso_symseq
+from oracles import iso_symseq, lax_chain, oplax_rho_chain, transport_chain
 
 STAR = "*"
 
@@ -183,15 +184,8 @@ def test_relative_compose_over_unit_is_plain():
         assert rel.bimodule.carrier.size(*key) == cell.size
 
 
-def test_rel_pentagon_sampled():
-    rng = random.Random(17)
-    window = 2
-    ops = [rand_operad(rng, window) for _ in range(5)]
-    l = rand_bimodule(rng, ops[1], ops[0], window)
-    m = rand_bimodule(rng, ops[2], ops[1], window)
-    n = rand_bimodule(rng, ops[3], ops[2], window)
-    p = rand_bimodule(rng, ops[4], ops[3], window)
-
+def _check_pentagon(l, m, n, p) -> None:
+    """The pentagon of relative associators on ``P o N o M o L`` commutes."""
     nm = relative_compose(n, m)
     ml = relative_compose(m, l)
     pn = relative_compose(p, n)
@@ -217,6 +211,47 @@ def test_rel_pentagon_sampled():
     assert map_equal(path1, path2)
 
 
+def test_rel_pentagon_sampled():
+    rng = random.Random(17)
+    window = 2
+    ops = [rand_operad(rng, window) for _ in range(5)]
+    _check_pentagon(*(rand_bimodule(rng, ops[i + 1], ops[i], window) for i in range(4)))
+
+
+def test_pentagon_builds_as_many_composites_without_the_cyclic_collector(monkeypatch):
+    # composites are shared by content while anyone holds them, so a cycle that
+    # keeps one alive until the collector runs changes how many are built again
+    import gc
+
+    from opdbim.symseq import Composite
+
+    built = [0]
+    init = Composite.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Composite, "__init__", counting)
+
+    def builds() -> int:
+        gc.collect()
+        built[0] = 0
+        for seed in range(6):
+            rng = random.Random(seed)
+            ops = [rand_operad(rng, 2) for _ in range(5)]
+            _check_pentagon(*(rand_bimodule(rng, ops[i + 1], ops[i], 2) for i in range(4)))
+        return built[0]
+
+    collected = builds()
+    gc.disable()
+    try:
+        kept = builds()
+    finally:
+        gc.enable()
+    assert collected == kept > 0
+
+
 def test_adjunction_from_operads():
     adjunction_from_operad(unit_operad((STAR,), 2))
     adj = adjunction_from_operad(com_operad(3))
@@ -224,23 +259,44 @@ def test_adjunction_from_operads():
     assert iso_symseq(adj.gf.bimodule.carrier, com_operad(3).carrier) is not None
 
 
-def test_bimodule_of_lax_identity():
-    com = com_operad(2)
-    # identity monad morphism: phi is the canonical iso B o Id -> Id o B sort of;
-    # here F = Id and phi transports along the two unitors
+def _identity_morphism_inputs(op):
+    """``(F, phi, psi)`` for ``F = Id``: phi and psi transport along the two unitors."""
     from opdbim.symseq import left_unitor, map_inverse, right_unitor
 
     f = id_symseq((STAR,))
-    bf = compose_symseq(com.carrier, f, max_arity=2)
-    fb = compose_symseq(f, com.carrier, max_arity=2)
+    bf = compose_symseq(op.carrier, f, max_arity=2)
+    fb = compose_symseq(f, op.carrier, max_arity=2)
     phi = compose_maps(map_inverse(left_unitor(fb)), right_unitor(bf))
+    return f, phi, compose_maps(map_inverse(right_unitor(bf)), left_unitor(fb))
+
+
+def test_bimodule_of_lax_identity():
+    com = com_operad(2)
+    # identity monad morphism: phi is the canonical iso B o Id -> Id o B sort of
+    f, phi, psi = _identity_morphism_inputs(com)
     lax = bimodule_of_lax(f, com, com, phi, window=2)
     assert iso_symseq(lax.carrier, com.carrier) is not None
-    oplax = bimodule_of_oplax(f, com, com, compose_maps(map_inverse(right_unitor(bf)), left_unitor(fb)), window=2)
+    oplax = bimodule_of_oplax(f, com, com, psi, window=2)
     assert iso_symseq(oplax.carrier, com.carrier) is not None
 
 
-def test_projection_lax_morphism_for_product():
+@pytest.mark.parametrize("builder, law", [(bimodule_of_lax, "phi"), (bimodule_of_oplax, "psi")])
+def test_morphism_builders_validate_their_two_cell(builder, law):
+    # the regroup step reads non-representative raws, so a 2-cell that is not
+    # equivariant must be refused before any law reads it: here every class of
+    # the arity-2 cell of assoc(2) goes to its least image
+    op = assoc_operad(2)
+    f, phi, psi = _identity_morphism_inputs(op)
+    twist = {"phi": phi, "psi": psi}[law]
+    key = ((STAR, STAR), STAR)
+    least = min(twist.comp[key].values())
+    comp = {**twist.comp, key: {lab: least for lab in twist.comp[key]}}
+    with pytest.raises(ValidationError, match=rf"^equivariance fails at cell {re.escape(str(key))}, generator 0, label 0$"):
+        builder(f, op, op, SymSeqMap(twist.src, twist.dst, comp), window=2)
+
+
+def _projection_inputs():
+    """``(F, A x B, A, phi)``: the projection of ``com(2) x com(2)`` onto its first factor as a lax morphism."""
     from opdbim.catsym import product_operad
 
     a = com_operad(2)
@@ -262,7 +318,12 @@ def test_projection_lax_morphism_for_product():
             prod_cell_raw = ((tag_a,), "p", (w,), (g,), Perm.identity(len(w)).images)
             m[idx] = fp.class_of(w, out, prod_cell_raw)
         phi_comp[key] = m
-    phi = SymSeqMap(bf.seq, fp.seq, phi_comp)
+    return f, prod, a, SymSeqMap(bf.seq, fp.seq, phi_comp)
+
+
+def test_projection_lax_morphism_for_product():
+    f, prod, a, phi = _projection_inputs()
+    tag_a = [s for s in prod.sorts if s[0] == "l"][0]
     lax = bimodule_of_lax(f, prod, a, phi, window=2)
     # the projection bimodule has cells P[w; tagged output]
     for (w, out), cell in lax.carrier.cells.items():
@@ -270,7 +331,8 @@ def test_projection_lax_morphism_for_product():
             assert prod.carrier.size(w, tag_a) == cell.size
 
 
-def test_transport_identity_adjunction():
+def _transport_identity_inputs():
+    """``(F, U, eta, eps, A, B, xi)`` of the identity adjunction over ``com(2)``."""
     com = com_operad(2)
     f = id_symseq((STAR,))
     ff = compose_symseq(f, f, max_arity=2)
@@ -285,23 +347,21 @@ def test_transport_identity_adjunction():
 
     a_id = compose_symseq(com.carrier, f, max_arity=2)
     xi = compose_maps(map_inverse(left_unitor(u_bf)), map_inverse(right_unitor(a_id)))
-    xi = SymSeqMap(com.carrier, u_bf.seq, xi.comp)
-    adj = transport_adjunction(f, f, eta, eps, com, com, xi, window=2)
+    return f, f, eta, eps, com, com, SymSeqMap(com.carrier, u_bf.seq, xi.comp)
+
+
+def test_transport_identity_adjunction():
+    inputs = _transport_identity_inputs()
+    com = inputs[4]
+    adj = transport_adjunction(*inputs, window=2)
     assert iso_symseq(adj.left.carrier, com.carrier) is not None
     assert iso_symseq(adj.right.carrier, com.carrier) is not None
 
 
-def test_transport_yields_circ_bimodules():
-    phi = make_morphism()
+def _transport_circ_inputs(phi):
+    """``(F, U, eta, eps, A, B, xi)`` of the adjunction ``delta^phi -| delta_phi`` that transports to ``u° -| u_o``."""
     a, b, u = phi.src, phi.dst, phi.u
-    uc = u_circ(phi)
-    ulc = u_lower_circ(phi)
     du, dl = delta_upper(phi), delta_lower(phi)
-    b_du = compose_symseq(b.carrier, du, max_arity=2)
-    dl_b = compose_symseq(dl, b.carrier, max_arity=2)
-    assert iso_symseq(uc.carrier, b_du.seq) is not None
-    assert iso_symseq(ulc.carrier, dl_b.seq) is not None
-
     uf = compose_symseq(dl, du, max_arity=2)
     fu = compose_symseq(du, dl, max_arity=2)
     eta_comp = {}
@@ -325,8 +385,20 @@ def test_transport_yields_circ_bimodules():
         bf_cls = bf.class_of(w, u[x], (c_y, 0, blocks, fs, taui.images))
         raw = ((u[x],), ("pt", x), (w,), (bf_cls,), Perm.identity(len(w)).images)
         xi_comp[(w, x)] = {lab: u_bf.class_of(w, x, raw) for lab in cell.labels}
-    xi = SymSeqMap(a.carrier, u_bf.seq, xi_comp)
-    adj = transport_adjunction(du, dl, eta, eps, a, b, xi, window=2)
+    return du, dl, eta, eps, a, b, SymSeqMap(a.carrier, u_bf.seq, xi_comp)
+
+
+def test_transport_yields_circ_bimodules():
+    phi = make_morphism()
+    b = phi.dst
+    uc = u_circ(phi)
+    ulc = u_lower_circ(phi)
+    du, dl = delta_upper(phi), delta_lower(phi)
+    b_du = compose_symseq(b.carrier, du, max_arity=2)
+    dl_b = compose_symseq(dl, b.carrier, max_arity=2)
+    assert iso_symseq(uc.carrier, b_du.seq) is not None
+    assert iso_symseq(ulc.carrier, dl_b.seq) is not None
+    adj = transport_adjunction(*_transport_circ_inputs(phi), window=2)
     assert iso_symseq(adj.left.carrier, uc.carrier) is not None
     assert iso_symseq(adj.right.carrier, ulc.carrier) is not None
 
@@ -431,8 +503,8 @@ def unique_map(src, dst):
     return SymSeqMap(src, dst, comp)
 
 
-def test_lax_morphisms_compose_up_to_iso():
-    # R(L1 o L0) ~ R(L1) o R(L0) for two sort collapses between unit operads
+def _collapse_inputs():
+    """``(F, A, B, phi)`` of the sort collapses ``L0``, ``L1`` and ``L1 o L0`` between unit operads, at window 2."""
     a1 = unit_operad(("a", "b", "c"), 2)
     a2 = unit_operad(("d", "e"), 2)
     a3 = unit_operad((STAR,), 2)
@@ -452,17 +524,20 @@ def test_lax_morphisms_compose_up_to_iso():
     def lax_of(f, src_op, dst_op):
         bf = compose_symseq(dst_op.carrier, f, max_arity=w)
         fa = compose_symseq(f, src_op.carrier, max_arity=w)
-        phi = unique_map(bf.seq, fa.seq)
-        return bimodule_of_lax(f, src_op, dst_op, phi, window=w)
+        return f, src_op, dst_op, unique_map(bf.seq, fa.seq)
 
-    r0 = lax_of(f0, a3, a2)   # ({*}, unit) -> ({d,e}, unit)
-    r1 = lax_of(f1, a2, a1)   # ({d,e}, unit) -> ({a,b,c}, unit)
-    composite_f = compose_symseq(f1, f0, max_arity=w)
     u = {x: u2[u1[x]] for x in ("a", "b", "c")}
+    return [
+        lax_of(f0, a3, a2),   # ({*}, unit) -> ({d,e}, unit)
+        lax_of(f1, a2, a1),   # ({d,e}, unit) -> ({a,b,c}, unit)
+        lax_of(delta_seq(u, (STAR,), ("a", "b", "c")), a3, a1),
+    ]
+
+
+def test_lax_morphisms_compose_up_to_iso():
+    # R(L1 o L0) ~ R(L1) o R(L0) for two sort collapses between unit operads
+    r0, r1, r01 = (bimodule_of_lax(*inputs, window=2) for inputs in _collapse_inputs())
     rel = relative_compose(r1, r0)
-    r01 = lax_of(
-        delta_seq(u, (STAR,), ("a", "b", "c")), a3, a1
-    )
     assert iso_symseq(rel.bimodule.carrier, r01.carrier) is not None
 
 
@@ -710,6 +785,49 @@ def test_sym_adjunction_left_triangle_is_named():
     law = r"^Sym adjunction triangle \(left\) fails at cell "
     with pytest.raises(ValidationError, match=law + CELL + r", class 'q': 'p' != 'q'$"):
         transport_adjunction(f, f, eta, eps, unit, unit, identity_map(unit.carrier), window=1)
+
+
+# --- the (op)lax and transport builders against the chains through built associators
+
+
+def _assert_lax_chain(lax, f, a, b, phi):
+    lam, s1, s2 = lax_chain(f, a, b, phi, 2)
+    assert lax.lam.comp == lam.comp
+    assert map_equal(s1, s2)
+
+
+def test_lax_and_oplax_actions_match_the_chains_through_built_associators():
+    com = com_operad(2)
+    f, phi, psi = _identity_morphism_inputs(com)
+    for inputs in [(f, com, com, phi), _projection_inputs(), *_collapse_inputs()]:
+        _assert_lax_chain(bimodule_of_lax(*inputs, window=2), *inputs)
+    assert bimodule_of_oplax(f, com, com, psi, window=2).rho.comp == oplax_rho_chain(f, com, com, psi, 2).comp
+
+
+@pytest.mark.parametrize("inputs", [_transport_identity_inputs, lambda: _transport_circ_inputs(make_morphism())],
+                         ids=["identity", "circ"])
+def test_transport_matches_the_chains_through_built_associators(monkeypatch, inputs):
+    import opdbim.bimodules
+
+    given = {}
+
+    def recording(builder):
+        def record(f, a, b, m, window):
+            given[builder.__name__] = m
+            return builder(f, a, b, m, window=window)
+        return record
+
+    for builder in (bimodule_of_lax, bimodule_of_oplax):
+        monkeypatch.setattr(opdbim.bimodules, builder.__name__, recording(builder))
+    f, u, eta, eps, a, b, xi = inputs()
+    adj = transport_adjunction(f, u, eta, eps, a, b, xi, window=2)
+    psi, phi, unit, counit = transport_chain(f, u, eps, a, b, xi, 2, adj)
+    assert given["bimodule_of_oplax"].comp == psi.comp
+    assert given["bimodule_of_lax"].comp == phi.comp
+    assert adj.left.rho.comp == oplax_rho_chain(f, a, b, psi, 2).comp
+    _assert_lax_chain(adj.right, u, b, a, phi)
+    assert adj.unit.comp == unit.comp
+    assert adj.counit.comp == counit.comp
 
 
 # --- each law composite is built once -------------------------------------------
