@@ -5,15 +5,16 @@ Words over a groupoid form the free symmetric monoidal groupoid: an arrow
 permutation with ``comps[i]: v[images[i]] -> w[i]`` componentwise.  Diagram
 order composition matches the permutation convention of :mod:`.perms`.
 
-A categorical symmetric sequence stores, per cell, a plain label tuple plus
-transports along every word arrow between canonical words (contravariant)
-and every codomain arrow (covariant).  Every builder gives them one way
-(:func:`_read_on_demand`): a callback that reads the transport along any
-arrow, called on the labels of a cell the first time its table along that
-arrow is read, which is then kept.  Only a small share of the tables is
-ever read: the ``exponential`` benchmark's six operations read 592, where
-filling every table built 3,402 and ``cat_sum`` copied 1,000 more.  The
-tables cannot be iterated: a check along every arrow enumerates the arrows.
+A categorical symmetric sequence is a generalised species: a functor that
+sends words over the domain groupoid (contravariantly) and codomain
+objects (covariantly) to finite sets.  It stores, per cell, a plain label
+tuple, and its action as the builder's two callbacks, which move one label
+along a word arrow from a support word or along a codomain arrow.
+:meth:`CatSymSeq.dom_at` and :meth:`CatSymSeq.cod_at` read one label at a
+time and keep each label they move in one memo per sequence, so no label
+is moved before it is read: the unitors, the associator and ``canon`` read
+one label per raw, along arrows that change from raw to raw.  A check along
+every arrow enumerates the arrows (``dom_arrows``, ``cod_arrows``).
 Composition, coherence maps, the evaluation 1-cell and the transpose
 bijection follow the same raw-tuple discipline as :mod:`.symseq`, and
 composition builds one raw per coend class.  A coend over a finite groupoid
@@ -218,11 +219,22 @@ def sw_embed_at(gpd: FinGroupoid, concat: Word, offset: int, a: Arrow, blocklen:
 
 @dataclass
 class CatSymSeq:
+    """A functor from words over ``dom`` and objects of ``cod`` to finite sets, given one label at a time.
+
+    ``dom_fn`` and ``cod_fn`` are the builder's transports: ``dom_fn((w, y),
+    v, a, l)`` moves label ``l`` of cell ``(w, y)`` along an arrow ``a: v ->
+    w`` from a support word (contravariant), and ``cod_fn((w, y), b, l)``
+    along an arrow ``b`` out of ``y`` (covariant).  They are read through
+    :meth:`dom_at` and :meth:`cod_at`, which keep each label they move in
+    one memo.  Neither callback may hold the sequence, so reference counting
+    alone frees it.
+    """
+
     dom: FinGroupoid
     cod: FinGroupoid
-    cells: dict     # (canonical word, out object) -> labels tuple
-    dom_tr: object  # [(word, out)][(src word, arrow)] -> {label: label}; not iterable
-    cod_tr: object  # [(word, out)][cod arrow] -> {label: label}; not iterable
+    cells: dict        # (canonical word, out object) -> labels tuple
+    dom_fn: Callable   # ((w, y), v, a, label) -> label of (v, y), for a: v -> w
+    cod_fn: Callable   # ((w, y), b, label) -> label of (w, dst b)
 
     def __post_init__(self):
         # cells are never changed once the sequence is built, so sort the
@@ -232,6 +244,47 @@ class CatSymSeq:
         for w, y in self._support:
             words.setdefault(y, []).append(w)
         self._support_words = {y: tuple(ws) for y, ws in words.items()}
+        self._moved: dict = {}      # (key, v, a, label) or (key, b, label) -> the label it moves to
+        self._positions: dict = {}  # key -> {label: position}
+
+    def dom_at(self, key, v: Word, a: Arrow, label):
+        """Label ``label`` of cell ``key = (w, y)`` moved along ``a: v -> w`` from the support word ``v``.
+
+        A cell outside the support, an arrow that is not one ``v -> w`` from a
+        support word, or a label outside the cell raises ``KeyError``.
+        """
+        memo_key = (key, v, a, label)
+        moved = self._moved.get(memo_key, _UNREAD)
+        if moved is _UNREAD:
+            self._require(key, label, (v, a),
+                          lambda: self.cells.get((v, key[1])) and a in _arrow_index(self.dom, v, key[0]))
+            moved = self._moved[memo_key] = self.dom_fn(key, v, a, label)
+        return moved
+
+    def cod_at(self, key, b, label):
+        """Label ``label`` of cell ``key`` moved along the codomain arrow ``b``; ``KeyError`` as :meth:`dom_at`."""
+        memo_key = (key, b, label)
+        moved = self._moved.get(memo_key, _UNREAD)
+        if moved is _UNREAD:
+            self._require(key, label, b, lambda: self.cod.src.get(b) == key[1])
+            moved = self._moved[memo_key] = self.cod_fn(key, b, label)
+        return moved
+
+    def _require(self, key, label, arrow, is_arrow: Callable) -> None:
+        """``KeyError`` naming the first of the cell ``key``, the arrow and the label that is not there."""
+        if not self.cells.get(key):
+            raise KeyError(key)
+        if not is_arrow():
+            raise KeyError(arrow)
+        if label not in self.positions(key):
+            raise KeyError(label)
+
+    def positions(self, key) -> dict:
+        """``label -> its position`` in cell ``key``, built on first read and kept."""
+        pos = self._positions.get(key)
+        if pos is None:
+            pos = self._positions[key] = {lab: i for i, lab in enumerate(self.cells[key])}
+        return pos
 
     def labels(self, w: Word, y) -> tuple:
         return self.cells.get((w, y), ())
@@ -259,93 +312,45 @@ class CatSymSeq:
         return [b for y2 in self.cod.objects for b in self.cod.arrows(key[1], y2)]
 
     def validate(self) -> None:
-        """Identity, typing, functoriality and interchange of the transports along every arrow."""
-        dom, cod, dtr, ctr = self.dom, self.cod, self.dom_tr, self.cod_tr
+        """Identity, typing, functoriality and interchange of the transports along every arrow, label by label."""
+        dom, cod, d, c = self.dom, self.cod, self.dom_at, self.cod_at
         for key in self.support():
             (w, y), labels = key, self.cells[key]
-            if any(dtr[key][(w, sw_id(dom, w))][l] != l for l in labels):
+            if any(d(key, w, sw_id(dom, w), l) != l for l in labels):
                 raise ValidationError(f"identity transport wrong at {key}")
             for v, a in self.dom_arrows(key):
-                m = dtr[key][(v, a)]
-                if set(m) != set(labels) or not set(m.values()) <= set(self.labels(v, y)):
+                if not {d(key, v, a, l) for l in labels} <= set(self.labels(v, y)):
                     raise ValidationError(f"dom transport mistyped at {key} along {a}")
                 for u, b in self.dom_arrows((v, y)):
-                    if any(dtr[(v, y)][(u, b)][m[l]] != dtr[key][(u, sw_compose(dom, b, a))][l] for l in labels):
+                    if any(d((v, y), u, b, d(key, v, a, l)) != d(key, u, sw_compose(dom, b, a), l) for l in labels):
                         raise ValidationError(f"dom functoriality fails at {key}")
             for b in self.cod_arrows(key):
-                y2, m = cod.dst[b], ctr[key][b]
-                if set(m) != set(labels) or not set(m.values()) <= set(self.labels(w, y2)):
+                y2 = cod.dst[b]
+                if not {c(key, b, l) for l in labels} <= set(self.labels(w, y2)):
                     raise ValidationError(f"cod transport mistyped at {key} along {b}")
                 for b2 in self.cod_arrows((w, y2)):
-                    if any(ctr[(w, y2)][b2][m[l]] != ctr[key][cod.compose(b2, b)][l] for l in labels):
+                    if any(c((w, y2), b2, c(key, b, l)) != c(key, cod.compose(b2, b), l) for l in labels):
                         raise ValidationError(f"cod functoriality fails at {key}")
                 for v, a in self.dom_arrows(key):
-                    if any(ctr[(v, y)][b][dtr[key][(v, a)][l]] != dtr[(w, y2)][(v, a)][m[l]] for l in labels):
+                    if any(c((v, y), b, d(key, v, a, l)) != d((w, y2), v, a, c(key, b, l)) for l in labels):
                         raise ValidationError(f"dom/cod interchange fails at {key}")
 
     def check_equivariance(self, m: SymSeqMap) -> None:
         """``ValidationError`` unless ``m``, total on ``self``, commutes with the transport along every arrow."""
+        other = m.dst
         for key in self.support():
-            labels, mk = self.cells[key], m.comp[key]
-            moves = [((v, key[1]), a, self.dom_tr[key][(v, a)], m.dst.dom_tr[key][(v, a)])
-                     for v, a in self.dom_arrows(key)]
-            moves += [((key[0], self.cod.dst[b]), b, self.cod_tr[key][b], m.dst.cod_tr[key][b])
-                      for b in self.cod_arrows(key)]
-            for key2, arrow, tm, other in moves:
-                if any(m.comp[key2][tm[l]] != other[mk[l]] for l in labels):
-                    raise ValidationError(f"equivariance fails at cell {key} along {arrow}")
+            (w, y), labels, mk = key, self.cells[key], m.comp[key]
+            for v, a in self.dom_arrows(key):
+                mv = m.comp[(v, y)]
+                if any(mv[self.dom_at(key, v, a, l)] != other.dom_at(key, v, a, mk[l]) for l in labels):
+                    raise ValidationError(f"equivariance fails at cell {key} along {a}")
+            for b in self.cod_arrows(key):
+                mb = m.comp[(w, self.cod.dst[b])]
+                if any(mb[self.cod_at(key, b, l)] != other.cod_at(key, b, mk[l]) for l in labels):
+                    raise ValidationError(f"equivariance fails at cell {key} along {b}")
 
 
-class _Tables:
-    """A mapping that builds each value when first read, by ``build(arg)``, and keeps it.
-
-    It cannot be iterated, so no walk sees only the values read so far.
-    """
-
-    __slots__ = ("build", "built")
-    __iter__ = None
-
-    def __init__(self, build: Callable):
-        self.build, self.built = build, {}
-
-    def __getitem__(self, arg):
-        value = self.built.get(arg)
-        if value is None:
-            value = self.built[arg] = self.build(arg)
-        return value
-
-
-def _read_on_demand(seq: CatSymSeq, dom_fn: Callable, cod_fn: Callable) -> CatSymSeq:
-    """``seq`` with tables built when first read: ``dom_tr[(w, y)][(v, a)]`` holds ``dom_fn((w, y), v, a, l)``
-    for an arrow ``a: v -> w`` from a support word, ``cod_tr[(w, y)][b]`` holds ``cod_fn((w, y), b, l)`` for an
-    arrow ``b`` out of ``y``, on each label ``l``; any other key or arrow raises ``KeyError``.
-
-    Neither callback may hold ``seq``, so reference counting alone frees it.
-    """
-    dom, cod, cells = seq.dom, seq.cod, seq.cells
-
-    def on_read(fn, is_arrow):
-        def cell(key):
-            labels = cells.get(key)
-            if not labels:
-                raise KeyError(key)
-
-            def along(arrow):
-                if not is_arrow(key, arrow):
-                    raise KeyError(arrow)
-                return {l: fn(key, arrow, l) for l in labels}
-
-            return _Tables(along)
-
-        return _Tables(cell)
-
-    def is_dom_arrow(key, arrow):
-        (v, a), w = arrow, key[0]
-        return len(v) == len(w) and bool(cells.get((v, key[1]))) and a in _arrow_index(dom, v, w)
-
-    seq.dom_tr = on_read(lambda key, arrow, label: dom_fn(key, *arrow, label), is_dom_arrow)
-    seq.cod_tr = on_read(cod_fn, lambda key, b: cod.src.get(b) == key[1])
-    return seq
+_UNREAD = object()  # a memo miss of CatSymSeq.dom_at and cod_at
 
 
 def cat_from_symseq(f: SymSeq) -> CatSymSeq:
@@ -353,7 +358,6 @@ def cat_from_symseq(f: SymSeq) -> CatSymSeq:
     dom = FinGroupoid.discrete(f.dom)
     cod = dom if f.cod == f.dom else FinGroupoid.discrete(f.cod)
     cells = {key: cell.labels for key, cell in f.cells.items() if cell.size}
-    seq = CatSymSeq(dom, cod, cells, {}, {})
 
     def dom_fn(key, v, a, label):
         # discrete: v == key word and the arrow is a pure stabilizer permutation
@@ -362,7 +366,7 @@ def cat_from_symseq(f: SymSeq) -> CatSymSeq:
     def cod_fn(key, b, label):
         return label
 
-    return _read_on_demand(seq, dom_fn, cod_fn)
+    return CatSymSeq(dom, cod, cells, dom_fn, cod_fn)
 
 
 def cat_id(gpd: FinGroupoid) -> CatSymSeq:
@@ -373,7 +377,6 @@ def cat_id(gpd: FinGroupoid) -> CatSymSeq:
             arrows = gpd.arrows(o1, o2)
             if arrows:
                 cells[((o1,), o2)] = tuple(arrows)
-    seq = CatSymSeq(gpd, gpd, cells, {}, {})
 
     def dom_fn(key, v, a, label):
         return gpd.compose(label, a[1][0])
@@ -381,7 +384,7 @@ def cat_id(gpd: FinGroupoid) -> CatSymSeq:
     def cod_fn(key, b, label):
         return gpd.compose(b, label)
 
-    return _read_on_demand(seq, dom_fn, cod_fn)
+    return CatSymSeq(gpd, gpd, cells, dom_fn, cod_fn)
 
 
 def cat_sum(f: CatSymSeq, g: CatSymSeq) -> CatSymSeq:
@@ -395,17 +398,16 @@ def cat_sum(f: CatSymSeq, g: CatSymSeq) -> CatSymSeq:
         (tuple((tag, o) for o in w), (tag, y)): labels
         for tag, part in parts.items() for (w, y), labels in part.cells.items() if labels
     }
-    seq = CatSymSeq(disjoint_union(f.dom, g.dom), disjoint_union(f.cod, g.cod), cells, {}, {})
 
     def dom_fn(key, v, a, label):
         (w, (tag, y)) = key
-        return parts[tag].dom_tr[(_untag(w), y)][(_untag(v), (a[0], _untag(a[1])))][label]
+        return parts[tag].dom_at((_untag(w), y), _untag(v), (a[0], _untag(a[1])), label)
 
     def cod_fn(key, b, label):
         (w, (tag, y)) = key
-        return parts[tag].cod_tr[(_untag(w), y)][b[1]][label]
+        return parts[tag].cod_at((_untag(w), y), b[1], label)
 
-    return _read_on_demand(seq, dom_fn, cod_fn)
+    return CatSymSeq(disjoint_union(f.dom, g.dom), disjoint_union(f.cod, g.cod), cells, dom_fn, cod_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +514,9 @@ def _same(a):
     return a
 
 
-def _label_perm(table: dict, pos: dict) -> tuple:
-    """A transport table on the labels of one cell, as a permutation of their positions."""
-    return tuple(pos[table[lab]] for lab in pos)
+def _label_perm(move: Callable, pos: dict) -> tuple:
+    """A transport of one cell onto itself, read label by label, as a permutation of their positions."""
+    return tuple(pos[move(lab)] for lab in pos)
 
 
 class _CatPlan:
@@ -544,24 +546,15 @@ class _CatPlan:
         self.least_block = _least_words(inner, _components(inner.dom))
         outs = {y for _w, y in inner.support()}
         self.rank = {(w, y): i for y in outs for i, w in enumerate(inner.support_words(y))}
-        self.gpos: dict = {}     # outer cell -> {label: position}
-        self.fpos: dict = {}     # inner cell -> {label: position}
         self.shapes: dict = {}   # (mid, out, blocks) -> _Shape
 
     def forget(self) -> None:
-        """Drop the slices' shapes and label positions; ``canon`` plans again the few slices read later.
+        """Drop the slices' shapes; ``canon`` plans again the few slices read later.
 
         They are kept only while the composite is built, so that a composite
         holds no more than its representatives once it is built.
         """
-        for memo in (self.shapes, self.gpos, self.fpos):
-            memo.clear()
-
-    def positions(self, cache: dict, seq: CatSymSeq, key) -> dict:
-        pos = cache.get(key)
-        if pos is None:
-            pos = cache[key] = {lab: i for i, lab in enumerate(seq.cells[key])}
-        return pos
+        self.shapes.clear()
 
     def block_tuples(self, mid: Word):
         """Tuples of least block words over ``mid``, sorted within each run, in product order."""
@@ -585,17 +578,17 @@ class _CatPlan:
         if shape is not None:
             return shape
         outer, inner, dom, mgpd = self.outer, self.inner, self.dom, self.outer.dom
-        gpos = self.positions(self.gpos, outer, (mid, z))
+        gpos = outer.positions((mid, z))
+        g_along = functools.partial(outer.dom_at, (mid, z), mid)
         fkeys = tuple(zip(blocks, mid))
-        fpos = [self.positions(self.fpos, inner, k) for k in fkeys]
+        fpos = [inner.positions(k) for k in fkeys]
         concat = tuple(o for b in blocks for o in b)
         offs = block_offsets(len(b) for b in blocks)
-        gtr = outer.dom_tr[(mid, z)]
         swaps = []
         for t in stab_gens(mid):
             if blocks[t] == blocks[t + 1]:
                 swap = Perm.transposition(len(mid), t)
-                g_back = gtr[(mid, sw_perm_arrow(mgpd, mid, swap))]  # the swap is its own inverse
+                g_back = functools.partial(g_along, sw_perm_arrow(mgpd, mid, swap))  # the swap is its own inverse
                 swaps.append((t, _label_perm(g_back, gpos), sw_block_perm(dom, list(blocks), swap)))
         moves = []
         idmid = tuple(mgpd.ident[o] for o in mid)
@@ -603,13 +596,12 @@ class _CatPlan:
             for a in mgpd.arrows(y, y):
                 if a != mgpd.ident[y]:
                     back = (tuple(range(len(mid))), idmid[:p] + (mgpd.inv[a],) + idmid[p + 1 :])
-                    f_fwd = inner.cod_tr[fkeys[p]][a]
-                    moves.append((p, _label_perm(gtr[(mid, back)], gpos), _label_perm(f_fwd, fpos[p]), None))
+                    g_back, f_fwd = functools.partial(g_along, back), functools.partial(inner.cod_at, fkeys[p], a)
+                    moves.append((p, _label_perm(g_back, gpos), _label_perm(f_fwd, fpos[p]), None))
         fixed = tuple(range(len(gpos)))
         for k, b in enumerate(blocks):
-            ftr = inner.dom_tr[fkeys[k]]
             for beta in _aut_generators(dom, b):
-                f_back = ftr[(b, sw_inverse(dom, beta))]
+                f_back = functools.partial(inner.dom_at, fkeys[k], b, sw_inverse(dom, beta))
                 emb = sw_embed_at(dom, concat, offs[k], beta, len(b))
                 moves.append((k, fixed, _label_perm(f_back, fpos[k]), emb))
         sizes = (len(gpos),) + tuple(len(f) for f in fpos)
@@ -621,8 +613,8 @@ class _CatPlan:
         """``raw`` moved along the middle arrow ``psi: mid -> mid2``: whole blocks move, labels transport."""
         mid, g, blocks, fs, arr = raw
         order = psi[0]  # block k of the result is block order[k] of raw; psi[1][k]: mid[order[k]] -> mid2[k]
-        g2 = self.outer.dom_tr[(mid, z)][(mid2, sw_inverse(self.outer.dom, psi))][g]
-        fs2 = tuple(self.inner.cod_tr[(blocks[j], mid[j])][c][fs[j]] for j, c in zip(order, psi[1]))
+        g2 = self.outer.dom_at((mid, z), mid2, sw_inverse(self.outer.dom, psi), g)
+        fs2 = tuple(self.inner.cod_at((blocks[j], mid[j]), c, fs[j]) for j, c in zip(order, psi[1]))
         arr2 = sw_compose(self.dom, arr, sw_block_perm(self.dom, list(blocks), Perm(order)))
         return mid2, g2, tuple(blocks[j] for j in order), fs2, arr2
 
@@ -641,10 +633,10 @@ class _CatPlan:
         mid, g, blocks, fs, arr = raw
         if not outer.cells.get((mid, z)) or type(blocks) is not tuple or type(fs) is not tuple:
             return None
-        if not len(mid) == len(blocks) == len(fs) or g not in self.positions(self.gpos, outer, (mid, z)):
+        if not len(mid) == len(blocks) == len(fs) or g not in outer.positions((mid, z)):
             return None
         for key, f in zip(zip(blocks, mid), fs):
-            if not inner.cells.get(key) or f not in self.positions(self.fpos, inner, key):
+            if not inner.cells.get(key) or f not in inner.positions(key):
                 return None
         if arr not in _arrow_index(dom, w, tuple(o for b in blocks for o in b)):
             return None
@@ -656,7 +648,7 @@ class _CatPlan:
             b, b0 = blocks[k], self.least_block[(blocks[k], y)]
             if b0 != b:
                 rho = sw_arrows(dom, b0, b)[0]
-                fs[k] = inner.dom_tr[(b, y)][(b0, rho)][fs[k]]
+                fs[k] = inner.dom_at((b, y), b0, rho, fs[k])
                 concat = tuple(o for x in blocks for o in x)
                 offset = sum(len(x) for x in blocks[:k])
                 arr = sw_compose(dom, arr, sw_embed_at(dom, concat, offset, sw_inverse(dom, rho), len(b)))
@@ -668,7 +660,7 @@ class _CatPlan:
         mid, g, blocks, fs, arr = raw
         fkeys = tuple(zip(blocks, mid))
         shape = self.shape(mid, z, blocks)
-        pair = (self.gpos[(mid, z)][g], tuple(self.fpos[k][f] for k, f in zip(fkeys, fs)))
+        pair = (outer.positions((mid, z))[g], tuple(inner.positions(k)[f] for k, f in zip(fkeys, fs)))
         least, h = shape.locate(pair)
         if h is not shape.one:
             arr = sw_compose(dom, arr, sw_inverse(dom, h))
@@ -725,8 +717,6 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: int) -> Composite
         reps = reps_out[key] = built[key][0]
         cells[key] = tuple(range(len(reps)))
         cls_out[key] = {raw: idx for idx, raw in enumerate(reps)}
-    seq = CatSymSeq(dom, outer.cod, cells, {}, {})
-    comp = Composite(outer, inner, seq, reps_out, cls_out, reps_out, plan.least_raw, max_arity)
 
     def dom_fn(key, v, a, cls):
         # only the arrow moves, so the slice and the least pair stay
@@ -736,12 +726,13 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: int) -> Composite
         return first[(v, group)] + label[_arrow_index(dom, v, concat)[sw_compose(dom, a, reps_out[key][cls][4])]]
 
     def cod_fn(key, b, cls):
-        # reads cls_out and the plan, not comp, so that the tables hold no cycle
+        # reads cls_out and the plan, not comp, so that the sequence holds no cycle
         mid, g, blocks, fs, arr = reps_out[key][cls]
         key2 = (key[0], outer.cod.dst[b])
-        return cls_out[key2][plan.least_raw(*key2, (mid, outer.cod_tr[(mid, key[1])][b][g], blocks, fs, arr))]
+        return cls_out[key2][plan.least_raw(*key2, (mid, outer.cod_at((mid, key[1]), b, g), blocks, fs, arr))]
 
-    _read_on_demand(seq, dom_fn, cod_fn)
+    seq = CatSymSeq(dom, outer.cod, cells, dom_fn, cod_fn)
+    comp = Composite(outer, inner, seq, reps_out, cls_out, reps_out, plan.least_raw, max_arity)
     plan.forget()
     return comp
 
@@ -757,8 +748,8 @@ def cat_left_unitor(idf: Composite) -> SymSeqMap:
             mid, g, blocks, fs, arr = raw
             # g: mid[0] -> y in the codomain groupoid; block word realizes F at w
             b = blocks[0]
-            lab = f.dom_tr[(b, mid[0])][(w, arr)][fs[0]]
-            m[idx] = f.cod_tr[(w, mid[0])][g][lab]
+            lab = f.dom_at((b, mid[0]), w, arr, fs[0])
+            m[idx] = f.cod_at((w, mid[0]), g, lab)
         comp[key] = m
     return SymSeqMap(idf.seq, f, comp)
 
@@ -776,7 +767,7 @@ def cat_right_unitor(fid: Composite) -> SymSeqMap:
             # arr: w -> concat(blocks); then letterwise arrows into mid
             d = (tuple(range(len(mid))), tuple(fs))
             total = sw_compose(dom, arr, d)
-            m[idx] = f.dom_tr[(mid, y)][(w, total)][g]
+            m[idx] = f.dom_at((mid, y), w, total, g)
         comp[key] = m
     return SymSeqMap(fid.seq, f, comp)
 
@@ -801,7 +792,7 @@ def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composit
                     i = sigma_tau(p)
                     comp_arrow = tau[1][p]  # mid[i] -> (+yblocks)[p]
                     sub_blocks.append(blocks[i])
-                    sub_fs.append(f.cod_tr[(blocks[i], mid[i])][comp_arrow][fs[i]])
+                    sub_fs.append(f.cod_at((blocks[i], mid[i]), comp_arrow, fs[i]))
                 u = tuple(o for bl in sub_blocks for o in bl)
                 e, kap = sw_canonical(dom, u)
                 kap_arrow = sw_perm_arrow(dom, u, kap)
@@ -925,7 +916,6 @@ def ev_catsym(x: FinGroupoid, y: FinGroupoid, expz: FinGroupoid, length_bound: i
         cells[key] = tuple(range(len(q.classes)))
         reps[key] = list(q.representative)
         cls[key] = q.class_index
-    seq = CatSymSeq(w_gpd, y, cells, {}, {})
 
     def dom_fn(key, v, a, cidx):
         x0, gamma = reps[key][cidx]
@@ -941,9 +931,7 @@ def ev_catsym(x: FinGroupoid, y: FinGroupoid, expz: FinGroupoid, length_bound: i
         )
         return cls[(key[0], y.dst[b])][(x0, sw_compose(w_gpd, gamma, move))]
 
-    data = EvData(seq, reps, cls)
-    _read_on_demand(seq, dom_fn, cod_fn)
-    return data
+    return EvData(CatSymSeq(w_gpd, y, cells, dom_fn, cod_fn), reps, cls)
 
 
 def transpose(f: CatSymSeq, x: FinGroupoid, y: FinGroupoid) -> CatSymSeq:
@@ -956,7 +944,6 @@ def transpose(f: CatSymSeq, x: FinGroupoid, y: FinGroupoid) -> CatSymSeq:
         if not sw_is_canonical(x, xw) or not labels:
             continue
         cells[(merge_words(vw, xw), yo)] = labels
-    seq = CatSymSeq(w_gpd, y, cells, {}, {})
 
     def dom_fn(key, src_word, a, label):
         w, yo = key
@@ -966,17 +953,17 @@ def transpose(f: CatSymSeq, x: FinGroupoid, y: FinGroupoid) -> CatSymSeq:
         im, comps = a
         b_arrow = (tuple(im[:nl]), tuple(c[1] for c in comps[:nl]))
         alpha = (tuple(i - nl for i in im[nl:]), tuple(c[1] for c in comps[nl:]))
-        lab = f.dom_tr[(vw, (xw, yo))][(vw2, b_arrow)][label]
+        lab = f.dom_at((vw, (xw, yo)), vw2, b_arrow, label)
         exp_arrow = ("e", alpha, y.ident[yo])
-        return f.cod_tr[(vw2, (xw, yo))][exp_arrow][lab]
+        return f.cod_at((vw2, (xw, yo)), exp_arrow, lab)
 
     def cod_fn(key, b, label):
         w, yo = key
         vw, xw, _p = split_word(w)
         exp_arrow = ("e", sw_id(x, xw), b)
-        return f.cod_tr[(vw, (xw, yo))][exp_arrow][label]
+        return f.cod_at((vw, (xw, yo)), exp_arrow, label)
 
-    return _read_on_demand(seq, dom_fn, cod_fn)
+    return CatSymSeq(w_gpd, y, cells, dom_fn, cod_fn)
 
 
 def untranspose(g: CatSymSeq, v_gpd: FinGroupoid, x: FinGroupoid, expz: FinGroupoid,
@@ -993,7 +980,6 @@ def untranspose(g: CatSymSeq, v_gpd: FinGroupoid, x: FinGroupoid, expz: FinGroup
             if xw2 != cxw:
                 continue
             cells[(vw, obj)] = labels
-    seq = CatSymSeq(v_gpd, expz, cells, {}, {})
 
     def g_key(vw, obj):
         xw, yo = obj
@@ -1009,7 +995,7 @@ def untranspose(g: CatSymSeq, v_gpd: FinGroupoid, x: FinGroupoid, expz: FinGroup
             tuple(im) + tuple(len(vw) + i for i in range(len(cxw))),
             tuple(("l", c) for c in comps) + tuple(("r", x.ident[o]) for o in cxw),
         )
-        return g.dom_tr[g_key(vw, obj)][(g_key(src_word, obj)[0], lifted)][label]
+        return g.dom_at(g_key(vw, obj), g_key(src_word, obj)[0], lifted, label)
 
     def cod_fn(key, earrow, label):
         vw, obj = key
@@ -1030,10 +1016,10 @@ def untranspose(g: CatSymSeq, v_gpd: FinGroupoid, x: FinGroupoid, expz: FinGroup
             tuple(range(len(vw))) + tuple(len(vw) + i for i in a_can[0]),
             tuple(("l", v_gpd.ident[o]) for o in vw) + tuple(("r", c) for c in a_can[1]),
         )
-        lab = g.dom_tr[g_key(vw, obj)][(g_key(vw, (xw2, yo))[0], lifted)][label]
-        return g.cod_tr[g_key(vw, (xw2, yo))][b][lab]
+        lab = g.dom_at(g_key(vw, obj), g_key(vw, (xw2, yo))[0], lifted, label)
+        return g.cod_at(g_key(vw, (xw2, yo)), b, lab)
 
-    return _read_on_demand(seq, dom_fn, cod_fn)
+    return CatSymSeq(v_gpd, expz, cells, dom_fn, cod_fn)
 
 
 def _exp_arrow_source_word(x: FinGroupoid, alpha: Arrow, target_word: Word) -> Word:
@@ -1129,14 +1115,14 @@ def collapse_map(
             e_total = expz.compose(e1, e0)
             vb = tuple(o for (_t, o) in blocks[p0])
             obj0 = mid[p0][1]
-            f1 = f.cod_tr[(vb, obj0)][e_total][ss[p0]]
+            f1 = f.cod_at((vb, obj0), e_total, ss[p0])
             rho_im, rho_comps = [], []
             for t in range(len(vb)):
                 q = offs[p0] + t
                 rho_im.append(sa[q])
                 rho_comps.append(comps_a[q][1])
             rho = (tuple(rho_im), tuple(rho_comps))
-            m[idx] = f.dom_tr[(vb, (xpart, yo))][(vpart, rho)][f1]
+            m[idx] = f.dom_at((vb, (xpart, yo)), vpart, rho, f1)
         comp[key] = m
     return SymSeqMap(compc.seq, target, comp)
 
@@ -1161,7 +1147,7 @@ class HomMonad:
 def _on_window(m: SymSeqMap) -> SymSeqMap:
     """``m`` between the cells it holds: both ends restricted to those cells."""
     src, dst = (
-        CatSymSeq(s.dom, s.cod, {k: s.cells[k] for k in m.comp if k in s.cells}, s.dom_tr, s.cod_tr)
+        CatSymSeq(s.dom, s.cod, {k: s.cells[k] for k in m.comp if k in s.cells}, s.dom_fn, s.cod_fn)
         for s in (m.src, m.dst)
     )
     return SymSeqMap(src, dst, m.comp)
@@ -1380,8 +1366,8 @@ def _untranspose_map(on_t: SymSeqMap, src: CatSymSeq, dst: CatSymSeq, x: FinGrou
         m = on_t.cell(merge_words(zw, obj0[0]), obj[1])
         if obj0 != obj:
             c = expz.arrows(obj, obj0)[0]
-            there, back = src.cod_tr[(zw, obj)][c], dst.cod_tr[(zw, obj0)][expz.inv[c]]
-            m = {lab: back[m[there[lab]]] for lab in labels}
+            back = expz.inv[c]
+            m = {lab: dst.cod_at((zw, obj0), back, m[src.cod_at((zw, obj), c, lab)]) for lab in labels}
         comp[(zw, obj)] = dict(m)
     return SymSeqMap(src, dst, comp)
 
@@ -1427,7 +1413,7 @@ def operad_of_monad(expz: FinGroupoid, e: CatSymSeq, mu: SymSeqMap, eta: SymSeqM
         for i in stab_gens(w):
             p = Perm.transposition(len(w), i)
             arrow = sw_perm_arrow(expz, w, p)
-            gen_maps[i] = dict(e.dom_tr[(w, obj)][(w, arrow)])
+            gen_maps[i] = {lab: e.dom_at((w, obj), w, arrow, lab) for lab in labels}
         cells[(w, obj)] = YoungSet(w, labels, gen_maps)
     sorts = ssorted(expz.objects)
     carrier = SymSeq(sorts, sorts, cells)

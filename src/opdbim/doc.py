@@ -408,7 +408,9 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
     carrier = symseqs[_name(bdata["carrier"], "bimodule carrier")]
     window = positive_int(bdata.get("window", min(left.arity_bound, right.arity_bound)), "bimodule window")
 
-    def action_fn(entries):
+    def action_fn(side):
+        """The explicit table of ``side`` as ``fn(key, raw)`` on representatives, or None if induced."""
+        entries = bdata[side]
         if entries == "induced":
             return None
         table = {}
@@ -418,25 +420,31 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
             x = dec(entry["out"])
             raw = dec_raw(entry["rep"])
             table[(w, x, raw)] = dec(entry["to"])
-        return table
 
-    lam_table = action_fn(bdata["lambda"])
-    rho_table = action_fn(bdata["rho"])
+        def fn(key, raw):
+            if (*key, raw) not in table:
+                raise InputError(f"{side} entry missing for the class of {raw!r} at {key}")
+            return table[(*key, raw)]
+
+        return fn
+
+    lam_fn = action_fn("lambda")
+    rho_fn = action_fn("rho")
 
     bm = compose_symseq(left.carrier, carrier, max_arity=window)
     ma = compose_symseq(carrier, right.carrier, max_arity=window)
-    if lam_table is None:
+    if lam_fn is None:
         if not left.is_unit_operad():
             raise InputError("induced left action requires a unit operad")
         lam = left_unitor(bm)
     else:
-        lam = mu_from_raws(bm, lambda key, raw: lam_table[(*key, raw)], carrier)
-    if rho_table is None:
+        lam = mu_from_raws(bm, lam_fn, carrier)
+    if rho_fn is None:
         if not right.is_unit_operad():
             raise InputError("induced right action requires a unit operad")
         rho = right_unitor(ma)
     else:
-        rho = mu_from_raws(ma, lambda key, raw: rho_table[(*key, raw)], carrier)
+        rho = mu_from_raws(ma, rho_fn, carrier)
     return Bimodule(left, right, carrier, lam, rho, window, bm, ma)
 
 

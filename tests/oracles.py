@@ -202,9 +202,9 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[SymSeqMap]:
         while queue:
             key, la = queue.pop()
             lb = mapping[(key, la)]
-            moves = [((v, key[1]), f.dom_tr[key][(v, a)][la], g.dom_tr[key][(v, a)][lb])
+            moves = [((v, key[1]), f.dom_at(key, v, a, la), g.dom_at(key, v, a, lb))
                      for v, a in f.dom_arrows(key)]
-            moves += [((key[0], f.cod.dst[b]), f.cod_tr[key][b][la], g.cod_tr[key][b][lb])
+            moves += [((key[0], f.cod.dst[b]), f.cod_at(key, b, la), g.cod_at(key, b, lb))
                       for b in f.cod_arrows(key)]
             for key2, xa, xb in moves:
                 node = (key2, xa)

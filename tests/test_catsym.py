@@ -18,7 +18,6 @@ from opdbim.operads import (
 from opdbim.catsym import (
     CatSymSeq,
     _enumerate_arrows,
-    _read_on_demand,
     cat_compose,
     cat_from_symseq,
     cat_id,
@@ -94,14 +93,7 @@ def test_cat_map_validate_checks_every_transport():
     g = two_object_iso_groupoid()
     ident = cat_id(g)
     identity_map(ident).validate()
-    # two copies (arrow, 0) and (arrow, 1) of each label of Id, transported copywise
-    cells = {key: tuple((l, c) for c in (0, 1) for l in labs) for key, labs in ident.cells.items()}
-    double = CatSymSeq(g, g, cells, {}, {})
-    _read_on_demand(
-        double,
-        lambda key, v, a, lab: (ident.dom_tr[key][(v, a)][lab[0]], lab[1]),
-        lambda key, b, lab: (ident.cod_tr[key][b][lab[0]], lab[1]),
-    )
+    double = _doubled()
     double.validate()
     first = {key: {l: (l, 0) for l in labels} for key, labels in ident.cells.items()}
     SymSeqMap(ident, double, first).validate()
@@ -334,7 +326,7 @@ def _meets(first, then) -> bool:
     a, b = first.dst, then.src
     if a is b:
         return True
-    return a.dom_tr is b.dom_tr and (
+    return a.dom_fn is b.dom_fn and a.cod_fn is b.cod_fn and (
         a.cells.items() <= b.cells.items() or b.cells.items() <= a.cells.items()
     )
 
@@ -428,19 +420,17 @@ def _all_arrow_edges(outer, inner, z, raws):
         for i, b in enumerate(blocks):
             for b2 in inner.support_words(mid[i]):
                 for beta in sw_arrows(dom, b, b2):
-                    t_beta = inner.dom_tr[(b2, mid[i])][(b, beta)]
-                    f2 = {v: k for k, v in t_beta.items()}[fs[i]]
+                    f2 = next(f for f in inner.labels(b2, mid[i]) if inner.dom_at((b2, mid[i]), b, beta, f) == fs[i])
                     arr2 = sw_compose(dom, arr, sw_embed_at(dom, concat, offs[i], beta, len(b)))
                     blocks2 = blocks[:i] + (b2,) + blocks[i + 1 :]
                     edges.append((raw, (mid, g, blocks2, fs[:i] + (f2,) + fs[i + 1 :], arr2)))
         for mid2 in outer.support_words(z):
             for psi in sw_arrows(outer.dom, mid, mid2):
-                t_psi = outer.dom_tr[(mid2, z)][(mid, psi)]
-                g2 = {v: k for k, v in t_psi.items()}[g]
+                g2 = next(g2 for g2 in outer.labels(mid2, z) if outer.dom_at((mid2, z), mid, psi, g2) == g)
                 sigma = Perm(psi[0])
                 order = [sigma(i) for i in range(len(blocks))]
                 fs2 = tuple(
-                    inner.cod_tr[(blocks[j], mid[j])][psi[1][i]][fs[j]] for i, j in enumerate(order)
+                    inner.cod_at((blocks[j], mid[j]), psi[1][i], fs[j]) for i, j in enumerate(order)
                 )
                 arr2 = sw_compose(dom, arr, sw_block_perm(dom, list(blocks), sigma))
                 edges.append((raw, (mid2, g2, tuple(blocks[j] for j in order), fs2, arr2)))
@@ -496,15 +486,14 @@ def _assert_matches_cat_oracle(comp):
         for v, a in comp.seq.dom_arrows(key):
             index = oracle[(v, z)][1].class_index
             want = {i: index[(m, g, b, fs, sw_compose(dom, a, arr))] for i, (m, g, b, fs, arr) in enumerate(q.representative)}
-            assert comp.seq.dom_tr[key][(v, a)] == want, (key, v, a)
+            assert {i: comp.seq.dom_at(key, v, a, i) for i in want} == want, (key, v, a)
         for b in comp.seq.cod_arrows(key):
-            table = comp.seq.cod_tr[key][b]
             index = oracle[(w, outer.cod.dst[b])][1].class_index
             want = {
-                i: index[(m, outer.cod_tr[(m, z)][b][g], bl, fs, arr)]
+                i: index[(m, outer.cod_at((m, z), b, g), bl, fs, arr)]
                 for i, (m, g, bl, fs, arr) in enumerate(q.representative)
             }
-            assert table == want, (key, b)
+            assert {i: comp.seq.cod_at(key, b, i) for i in want} == want, (key, b)
         for raw in raws:
             assert comp.class_of(*key, raw) == q.class_index[raw], (key, raw)
 
@@ -681,27 +670,26 @@ def test_support_and_composite_cells_stay_in_skey_order(make):
     gpd, letters = make()
     out = FinGroupoid.discrete(("o", 2, ("o", 1)))
     words = [w for n in range(3) for w in itertools.product(letters, repeat=n)]
-    seq = CatSymSeq(gpd, out, {(w, y): ("c",) for w in words for y in out.objects}, {}, {})
-    _read_on_demand(seq, lambda key, v, a, lab: lab, lambda key, b, lab: lab)  # every arrow acts trivially
+    cells = {(w, y): ("c",) for w in words for y in out.objects}
+    seq = CatSymSeq(gpd, out, cells, lambda key, v, a, lab: lab, lambda key, b, lab: lab)  # every arrow is trivial
     comp = cat_compose(cat_id(out), seq, max_arity=2)
     for keys in (seq.support(), comp.seq.support(), comp.reps):
         assert list(keys) == sorted(keys, key=lambda k: (len(k[0]), skey(k[0]), skey(k[1])))
 
 
 def _read_through(seq, dom, cod):
-    """``seq`` over groupoids equal to its own, reading its tables."""
-    copy = CatSymSeq(dom, cod, dict(seq.cells), {}, {})
-    return _read_on_demand(
-        copy, lambda key, v, a, lab: seq.dom_tr[key][(v, a)][lab], lambda key, b, lab: seq.cod_tr[key][b][lab]
-    )
+    """``seq`` over groupoids equal to its own, reading its transports."""
+    return CatSymSeq(dom, cod, dict(seq.cells), seq.dom_at, seq.cod_at)
 
 
 def _twisted(gpd, twist):
     """Two labels on each of ``(p,)`` and ``(q,)``; an arrow swaps them iff ``twist`` and its automorphism
     part is not the identity."""
     y = FinGroupoid.discrete(("y",))
-    seq = CatSymSeq(gpd, y, {(("p",), "y"): (0, 1), (("q",), "y"): (0, 1)}, {}, {})
-    return _read_on_demand(seq, lambda key, v, a, lab: lab ^ (twist and a[1][0][-1] == "1"), lambda key, b, lab: lab)
+    cells = {(("p",), "y"): (0, 1), (("q",), "y"): (0, 1)}
+    return CatSymSeq(
+        gpd, y, cells, lambda key, v, a, lab: lab ^ (twist and a[1][0][-1] == "1"), lambda key, b, lab: lab
+    )
 
 
 def _twisted_composites(gpd):
@@ -809,7 +797,7 @@ def test_a_support_not_closed_under_isomorphism_is_refused():
     # be (p, p) or (q, q); with (p, q) alone its swap with components would
     # be missing from the generators of its automorphisms
     g = two_object_iso_groupoid()
-    lonely = CatSymSeq(g, g, {(("p", "q"), "p"): ("c",)}, {}, {})
+    lonely = CatSymSeq(g, g, {(("p", "q"), "p"): ("c",)}, None, None)
     with pytest.raises(ValidationError, match="not closed under isomorphism"):
         cat_compose(cat_id(g), lonely, max_arity=2)
 
@@ -839,60 +827,55 @@ def test_cat_unitors_send_each_unit_raw_to_its_label(make_f):
             assert ru.at(w, y, fid.class_of(w, y, (w, lab) + units + (one,))) == lab
 
 
-# --- transport tables are built when first read, from the builder's callbacks ---
-
-
-def _complete_transports(seq, dom_arrow_fn, cod_arrow_fn):
-    """Fill ``dom_tr``/``cod_tr`` by calling the callbacks along every arrow between support words."""
-    by_out: dict = {}
-    for (w, y), labels in seq.cells.items():
-        by_out.setdefault(y, []).append(w)
-    for key, labels in seq.cells.items():
-        w, y = key
-        seq.dom_tr[key] = {}
-        for v in by_out.get(y, []):
-            if len(v) != len(w):
-                continue
-            for a in sw_arrows(seq.dom, v, w):
-                seq.dom_tr[key][(v, a)] = {l: dom_arrow_fn(key, v, a, l) for l in labels}
-        seq.cod_tr[key] = {}
-        for y2 in seq.cod.objects:
-            for b in seq.cod.arrows(y, y2):
-                seq.cod_tr[key][b] = {l: cod_arrow_fn(key, b, l) for l in labels}
+# --- transports are read one label at a time, from the builder's callbacks ---
 
 
 def _read_along_every_arrow(seq):
-    """Every table of ``seq``, read along the arrows it enumerates, as nested lists (entry order counts)."""
+    """Every transport of ``seq`` along the arrows it enumerates, read label by label, as nested lists."""
     return (
-        [(key, sorted((arrow, list(seq.dom_tr[key][arrow].items())) for arrow in seq.dom_arrows(key)))
+        [(key, sorted((arrow, [(l, seq.dom_at(key, *arrow, l)) for l in seq.cells[key]])
+                      for arrow in seq.dom_arrows(key)))
          for key in seq.support()],
-        [(key, sorted((b, list(seq.cod_tr[key][b].items())) for b in seq.cod_arrows(key)))
+        [(key, sorted((b, [(l, seq.cod_at(key, b, l)) for l in seq.cells[key]]) for b in seq.cod_arrows(key)))
          for key in seq.support()],
     )
 
 
+def _every_transport(seq, dom_fn, cod_fn):
+    """The callbacks called along every arrow between support words of ``seq``, found apart from its own
+    enumeration, in the shape of :func:`_read_along_every_arrow`."""
+    words: dict = {}
+    for w, y in seq.support():
+        words.setdefault(y, []).append(w)
+    dom_reads, cod_reads = [], []
+    for key in seq.support():
+        (w, y), labels = key, seq.cells[key]
+        arrows = [(v, a) for v in words[y] if len(v) == len(w) for a in _fresh_arrows(seq.dom, v, w)]
+        dom_reads.append((key, sorted((arrow, [(l, dom_fn(key, *arrow, l)) for l in labels]) for arrow in arrows)))
+        cods = [b for y2 in seq.cod.objects for b in seq.cod.arrows(y, y2)]
+        cod_reads.append((key, sorted((b, [(l, cod_fn(key, b, l)) for l in labels]) for b in cods)))
+    return dom_reads, cod_reads
+
+
 def _checked_reads(monkeypatch, build):
-    """The builders of the sequences ``build()`` makes, each read along every arrow and checked
-    against :func:`_complete_transports` run on the builder's own callbacks."""
+    """The builders of the sequences ``build()`` makes, each read along every arrow and checked against
+    the callbacks the builder passed when it constructed the sequence."""
     import opdbim.catsym as catsym
 
     made = []
-    original = catsym._read_on_demand
+    original = catsym.CatSymSeq
 
-    def recording(seq, dom_fn, cod_fn):
-        made.append((seq, dom_fn, cod_fn))
-        return original(seq, dom_fn, cod_fn)
+    def recording(dom, cod, cells, dom_fn, cod_fn):
+        made.append((original(dom, cod, cells, dom_fn, cod_fn), dom_fn, cod_fn))
+        return made[-1][0]
 
-    monkeypatch.setattr(catsym, "_read_on_demand", recording)
+    monkeypatch.setattr(catsym, "CatSymSeq", recording)
     build()
     monkeypatch.undo()
     builders = []
     for seq, dom_fn, cod_fn in made:
         builder = dom_fn.__qualname__.split(".")[0]
-        oracle = CatSymSeq(seq.dom, seq.cod, seq.cells, {}, {})
-        _complete_transports(oracle, dom_fn, cod_fn)
-        assert _read_along_every_arrow(seq) == _read_along_every_arrow(oracle), builder
-        assert all(set(seq.dom_arrows(k)) == set(oracle.dom_tr[k]) for k in seq.support()), builder
+        assert _read_along_every_arrow(seq) == _every_transport(seq, dom_fn, cod_fn), builder
         builders.append(builder)
     return builders
 
@@ -924,53 +907,85 @@ def test_transport_tables_match_the_tables_along_every_arrow(monkeypatch, build,
     assert sorted(set(_checked_reads(monkeypatch, build))) == want
 
 
-def test_no_table_is_built_before_its_first_read():
-    seq = cat_from_symseq(assoc_operad(3).carrier)
-    assert seq.dom_tr.built == {} and seq.cod_tr.built == {}
-    key = ((STAR,) * 3, STAR)
-    swap = seq.dom_arrows(key)[1]
-    table = seq.dom_tr[key][swap]
-    assert seq.dom_tr[key][swap] is table  # kept once built
-    assert list(seq.dom_tr.built) == [key] and list(seq.dom_tr[key].built) == [swap]
-    assert seq.cod_tr.built == {}
-    # an arrow between other words, or into another cell, is no arrow of this cell
-    for bad in (((STAR, STAR), swap[1]), (key[0], sw_id(seq.dom, (STAR, STAR)))):
-        with pytest.raises(KeyError):
-            seq.dom_tr[key][bad]
-    with pytest.raises(KeyError):
-        seq.cod_tr[key][("id", "nowhere")]
-
-
-def test_transport_tables_cannot_be_iterated():
-    # iterating a table built on read would walk only the tables read so far
-    seq = cat_from_symseq(com_operad(2).carrier)
-    key = seq.support()[-1]
-    for tables in (seq.dom_tr, seq.dom_tr[key], seq.cod_tr, seq.cod_tr[key]):
-        with pytest.raises(TypeError):
-            iter(tables)
-        assert not hasattr(tables, "items")
-
-
-def _lazy_copy(seq, wrong=False):
-    """A fresh copy of ``seq``, none of its tables read; ``wrong`` leaves each label in place along
-    every arrow between two different words."""
+def _counted(seq):
+    """A fresh copy of ``seq`` reading its transports, and the list of every label its callbacks move."""
+    calls = []
 
     def dom_fn(key, v, a, lab):
-        return lab if wrong and v != key[0] else seq.dom_tr[key][(v, a)][lab]
+        calls.append((key, v, a, lab))
+        return seq.dom_at(key, v, a, lab)
 
-    copy = CatSymSeq(seq.dom, seq.cod, dict(seq.cells), {}, {})
-    _read_on_demand(copy, dom_fn, lambda key, b, lab: seq.cod_tr[key][b][lab])
-    return copy
+    def cod_fn(key, b, lab):
+        calls.append((key, b, lab))
+        return seq.cod_at(key, b, lab)
+
+    return CatSymSeq(seq.dom, seq.cod, dict(seq.cells), dom_fn, cod_fn), calls
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: cat_from_symseq(assoc_operad(3).carrier), lambda: cat_id(two_object_iso_groupoid())],
+    ids=["assoc3", "iso-groupoid"],
+)
+def test_no_label_is_transported_before_it_is_read_and_each_once(make):
+    seq, calls = _counted(make())
+    assert calls == []
+    key = max(seq.support(), key=lambda k: len(seq.cells[k]))
+    v, a = seq.dom_arrows(key)[-1]
+    first = seq.cells[key][0]
+    moved = seq.dom_at(key, v, a, first)
+    assert seq.dom_at(key, v, a, first) == moved
+    assert calls == [(key, v, a, first)]  # no other label of the cell, and no other arrow
+    # validate reads every label along every arrow, most of them many times
+    seq.validate()
+    seq.validate()
+    assert len(calls) == len(set(calls)) == sum(
+        len(seq.cells[k]) * (len(seq.dom_arrows(k)) + len(seq.cod_arrows(k))) for k in seq.support()
+    )
+
+
+def test_a_read_along_a_non_arrow_or_of_a_label_outside_the_cell_raises_key_error():
+    seq, calls = _counted(cat_from_symseq(assoc_operad(3).carrier))
+    key = ((STAR,) * 3, STAR)
+    v, swap = seq.dom_arrows(key)[1]
+    label = seq.cells[key][0]
+    two = (STAR, STAR)
+    refused = [
+        # an arrow from a word of another arity, one into another word, and one out of another output
+        (lambda: seq.dom_at(key, two, swap, label), (two, swap)),
+        (lambda: seq.dom_at(key, v, sw_id(seq.dom, two), label), (v, sw_id(seq.dom, two))),
+        (lambda: seq.cod_at(key, ("id", "nowhere"), label), ("id", "nowhere")),
+        # a label outside the cell, and a cell outside the support
+        (lambda: seq.dom_at(key, v, swap, "no label"), "no label"),
+        (lambda: seq.cod_at(key, ("id", STAR), "no label"), "no label"),
+        (lambda: seq.dom_at(((STAR,) * 4, STAR), v, swap, label), ((STAR,) * 4, STAR)),
+    ]
+    for read, bad in refused:
+        with pytest.raises(KeyError) as err:
+            read()
+        assert err.value.args == (bad,)
+    assert calls == []  # a refused read calls no callback and keeps nothing
+    assert seq.dom_at(key, v, swap, label) == seq.cells[key][1] and len(calls) == 1
+
+
+def _lazy_copy(seq, dom_fn=None, cod_fn=None):
+    """A fresh copy of ``seq``, none of its labels moved yet, reading its transports where ``dom_fn`` or
+    ``cod_fn`` does not take their place."""
+    return CatSymSeq(seq.dom, seq.cod, dict(seq.cells), dom_fn or seq.dom_at, cod_fn or seq.cod_at)
+
+
+def _stays_across_words(seq):
+    """A fresh copy of ``seq`` that leaves each label in place along every arrow between two different words."""
+    return _lazy_copy(seq, lambda key, v, a, lab: lab if v != key[0] else seq.dom_at(key, v, a, lab))
 
 
 def test_checks_along_every_arrow_read_the_tables_never_read_before():
-    # each check must enumerate the arrows itself: on fresh copies no table
-    # has been read, so a check that walked the tables read so far passes
+    # each check must enumerate the arrows itself: on fresh copies no label
+    # has been moved, so a check that walked the labels moved so far passes
     ident = cat_id(two_object_iso_groupoid())
     _lazy_copy(ident).validate()
     with pytest.raises(ValidationError, match="dom transport mistyped"):
-        _lazy_copy(ident, wrong=True).validate()
-    src, dst = _lazy_copy(ident), _lazy_copy(ident, wrong=True)
+        _stays_across_words(ident).validate()
+    src, dst = _lazy_copy(ident), _stays_across_words(ident)
     with pytest.raises(ValidationError, match="equivariance fails"):
         src.check_equivariance(SymSeqMap(src, dst, {k: {l: l for l in labs} for k, labs in src.cells.items()}))
     # assoc(2) and a sequence of the same sizes on which the swap acts trivially
@@ -979,6 +994,41 @@ def test_checks_along_every_arrow_read_the_tables_never_read_before():
     trivial = cat_from_symseq(SymSeq((STAR,), (STAR,), cells))
     assert cat_iso(_lazy_copy(swapped), _lazy_copy(swapped)) is not None
     assert cat_iso(_lazy_copy(swapped), _lazy_copy(trivial)) is None
+
+
+def _doubled(dom_flip=None, cod_flip=None):
+    """Two copies ``(l, 0)`` and ``(l, 1)`` of each label ``l`` of ``Id`` on two isomorphic objects, moved
+    copywise, except that a move turns the copy over where ``dom_flip(key, a)`` or ``cod_flip(b)`` holds."""
+    ident = cat_id(two_object_iso_groupoid())
+    cells = {key: tuple((l, c) for c in (0, 1) for l in labs) for key, labs in ident.cells.items()}
+
+    def dom_fn(key, v, a, lab):
+        return ident.dom_at(key, v, a, lab[0]), lab[1] ^ bool(dom_flip and dom_flip(key, a))
+
+    def cod_fn(key, b, lab):
+        return ident.cod_at(key, b, lab[0]), lab[1] ^ bool(cod_flip and cod_flip(b))
+
+    return CatSymSeq(ident.dom, ident.cod, cells, dom_fn, cod_fn)
+
+
+@pytest.mark.parametrize(
+    "make, refusal",
+    [
+        (lambda: _doubled(dom_flip=lambda key, a: True), "identity transport wrong"),
+        # along f: p -> q but not back along g
+        (lambda: _doubled(dom_flip=lambda key, a: a[1] == ("f",)), "dom functoriality fails"),
+        (lambda: _lazy_copy(_doubled(), cod_fn=lambda key, b, lab: lab), "cod transport mistyped"),
+        (lambda: _doubled(cod_flip=lambda b: b == "f"), "cod functoriality fails"),
+        # each functorial, but only the cells at output p flip along f and g
+        (lambda: _doubled(dom_flip=lambda key, a: a[1][0] in "fg" and key[1] == "p"), "dom/cod interchange fails"),
+    ],
+    ids=["identity", "dom-functoriality", "cod-mistyped", "cod-functoriality", "interchange"],
+)
+def test_validate_refuses_each_broken_law_of_a_functor(make, refusal):
+    _doubled().validate()
+    with pytest.raises(ValidationError) as err:
+        make().validate()
+    assert str(err.value).startswith(f"{refusal} at (('p',), 'p')")
 
 
 def test_composites_and_transposes_are_freed_by_reference_counting():

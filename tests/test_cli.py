@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -431,3 +432,72 @@ def test_count_cells_declared_twice_is_input_error(tmp_path, capsys):
     code, out = run_cli(["count", path, "bimodules", "U1", "U2", "--cells", json.dumps(cells)], capsys)
     assert code == 2
     assert out.startswith("input error:") and "cell (('x', 'x'), 'y') is declared twice" in out
+
+
+def _action_entry(rep, to):
+    return {"word": ["x", "x"], "out": "y", "rep": rep, "to": to}
+
+
+# the induced actions of the bimodule M of perfbench/cli_doc.json, written out as explicit tables
+M_TABLES = {
+    "lambda": [
+        _action_entry({"mid": ["y"], "outer": {"t": ["id", "y"]}, "blocks": [["x", "x"]], "inner": [g],
+                       "sigma": [0, 1]}, g)
+        for g in ("g0", "g1")
+    ],
+    "rho": [
+        _action_entry({"mid": ["x", "x"], "outer": g, "blocks": [["x"], ["x"]], "inner": [{"t": ["id", "x"]}] * 2,
+                       "sigma": [0, 1]}, g)
+        for g in ("g0", "g1")
+    ],
+}
+
+
+def test_explicit_bimodule_action_tables_are_parsed_and_checked(tmp_path, capsys):
+    code, out = run_cli(["check", write_doc(tmp_path, _doc_with_bimodule(**M_TABLES))], capsys)
+    assert code == 0 and "bimodule M: ok" in out
+    swapped = {**M_TABLES, "rho": [{**e, "to": {"g0": "g1", "g1": "g0"}[e["to"]]} for e in M_TABLES["rho"]]}
+    code, out = run_cli(["check", write_doc(tmp_path, _doc_with_bimodule(**swapped))], capsys)
+    assert code == 1 and "bimodule M: FAIL right action associativity" in out
+
+
+def test_a_missing_bimodule_action_entry_is_input_error(tmp_path, capsys):
+    # it used to print the bare KeyError of the table lookup: parse error (('x', 'x'), 'y', (...))
+    dropped = {**M_TABLES, "lambda": M_TABLES["lambda"][:1]}
+    code, out = run_cli(["check", write_doc(tmp_path, _doc_with_bimodule(**dropped))], capsys)
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "bimodule M: parse error lambda entry missing for the class of "
+        "(('y',), ('id', 'y'), (('x', 'x'),), ('g1',), (0, 1)) at (('x', 'x'), 'y')"
+    )
+
+
+def _com3_algebra(unary=lambda v: v, binary=min, ternary=min):
+    """The operad com(3) and an algebra on {0, 1} given by its unary, binary and ternary operations."""
+    data = json.loads(json.dumps(BASE_DOC))
+    data["families"]["B"] = {"*": [0, 1]}
+    action = [
+        {"word": ["*"] * n, "out": "*", "label": 0, "args": list(args), "to": op(*args)}
+        for n, op in ((1, unary), (2, binary), (3, ternary)) if op is not None
+        for args in itertools.product((0, 1), repeat=n)
+    ]
+    data["algebras"] = {"L": {"operad": "C", "family": "B", "action": action}}
+    return data
+
+
+@pytest.mark.parametrize(
+    "fields, failure",
+    [
+        ({"ternary": max}, "associativity fails at (('*', '*', '*'), '*'), class 1, inputs (0, 0, 1): 1 != 0"),
+        ({"unary": lambda v: 1 - v}, "unit law fails at sort '*': 0 -> 1"),
+        ({"binary": lambda a, b: 7}, "action value 7 outside carrier at (('*', '*'), '*')"),
+        ({"ternary": None}, "action missing on cell (('*', '*', '*'), '*')"),
+    ],
+    ids=["associativity", "unit", "outside-carrier", "missing-cell"],
+)
+def test_an_algebra_breaking_a_law_fails_its_check(tmp_path, capsys, fields, failure):
+    code, out = run_cli(["check", write_doc(tmp_path, _com3_algebra())], capsys)
+    assert code == 0 and "algebra L: ok" in out  # the meet-semilattice on {0, 1}
+    code, out = run_cli(["check", write_doc(tmp_path, _com3_algebra(**fields))], capsys)
+    assert code == 1
+    assert f"algebra L: FAIL {failure}" in out.splitlines()
