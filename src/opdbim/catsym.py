@@ -12,8 +12,8 @@ tuple, and its action as the builder's two callbacks, which move one label
 along a word arrow from a support word or along a codomain arrow.
 :meth:`CatSymSeq.dom_at` and :meth:`CatSymSeq.cod_at` read one label at a
 time and keep each label they move in one memo per sequence, so no label
-is moved before it is read: the unitors, the associator and ``canon`` read
-one label per raw, along arrows that change from raw to raw.  A check along
+is moved before it is read: the unitors, the regroup steps and ``canon``
+read one label per raw, along arrows that change from raw to raw.  A check along
 every arrow enumerates the arrows (``dom_arrows``, ``cod_arrows``).
 Composition, coherence maps, the evaluation 1-cell and the transpose
 bijection follow the same raw-tuple discipline as :mod:`.symseq`, and
@@ -38,12 +38,11 @@ share its identity, composites, equality and inverse; an inverse unitor is
 ``map_inverse`` of the unitor.  Every map is total on
 the cells it holds.  Reading a cell or label a map lacks, or a raw outside a
 composite, raises ``ValidationError`` naming the cell; nothing is skipped.
-Two maps of the hom monad are windowed: ``cat_sum_split`` leaves a cell out
-iff the untagged cell is not a cell of the part composite, and the
-associator ``(B o B) o Ev_A -> B o T`` misses the cells of ``B o T`` above
-the window of ``B o B``.  Before either is inverted, ``_on_window``
-restricts both ends to the cells the map holds, so ``map_inverse`` still
-checks a bijection.
+``cat_sum_split`` is windowed: it leaves a cell out iff the untagged cell is
+not a cell of the part composite, and before it is inverted ``_on_window``
+restricts both ends to the cells it holds, so ``map_inverse`` still checks a
+bijection.  No associator is built: a map that reads one applies a regroup
+or ungroup step inside itself (:func:`cat_regroup`, :func:`cat_ungroup`).
 """
 
 from __future__ import annotations
@@ -118,10 +117,6 @@ def sw_canonical(gpd: FinGroupoid, word: Word) -> tuple[Word, Perm]:
     for j, i in enumerate(order):
         t[i] = j
     return cw, Perm(tuple(t))
-
-
-def sw_is_canonical(gpd: FinGroupoid, word: Word) -> bool:
-    return all(gpd.obj_index(word[i]) <= gpd.obj_index(word[i + 1]) for i in range(len(word) - 1))
 
 
 @_per_groupoid
@@ -772,41 +767,84 @@ def cat_right_unitor(fid: Composite) -> SymSeqMap:
     return SymSeqMap(fid.seq, f, comp)
 
 
-def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
-    dom = gf.inner.dom
-    f = gf.inner
-    comp = {}
-    for key, reps in hg_f.reps.items():
-        w, t_out = key
-        m = {}
-        for idx, raw in enumerate(reps):
-            mid, q, blocks, fs, arr = raw
-            zmid, h, yblocks, gs, tau = hg.rep(mid, t_out, q)
-            sigma_tau = Perm(tau[0])
-            yoffs = block_offsets([len(d) for d in yblocks])
-            new_blocks, new_fs, kappas, group_words = [], [], [], []
-            for j, d in enumerate(yblocks):
-                # cod-transport the inner labels along the components of tau
-                sub_blocks, sub_fs = [], []
-                for p in range(yoffs[j], yoffs[j + 1]):
-                    i = sigma_tau(p)
-                    comp_arrow = tau[1][p]  # mid[i] -> (+yblocks)[p]
-                    sub_blocks.append(blocks[i])
-                    sub_fs.append(f.cod_at((blocks[i], mid[i]), comp_arrow, fs[i]))
-                u = tuple(o for bl in sub_blocks for o in bl)
-                e, kap = sw_canonical(dom, u)
-                kap_arrow = sw_perm_arrow(dom, u, kap)
-                gf_raw = (d, gs[j], tuple(sub_blocks), tuple(sub_fs), kap_arrow)
-                new_blocks.append(e)
-                new_fs.append(gf.class_of(e, zmid[j], gf_raw))
-                kappas.append(kap_arrow)
-                group_words.append(u)
-            rearrange = sw_block_perm(dom, list(blocks), sigma_tau)
-            chi = sw_block_diag(dom, [sw_inverse(dom, k) for k in kappas], group_words)
-            arr2 = sw_compose(dom, sw_compose(dom, arr, rearrange), chi)
-            m[idx] = h_gf.class_of(w, t_out, (zmid, h, tuple(new_blocks), tuple(new_fs), arr2))
-        comp[key] = m
-    return SymSeqMap(hg_f.seq, h_gf.seq, comp)
+def _require_meets(what: str, a: CatSymSeq, b: CatSymSeq) -> None:
+    """``ValidationError`` naming ``a`` and ``b`` by their first cells, unless they are one
+    sequence or have the same callbacks and one's cells are among the other's (``_on_window``)."""
+    if a is not b and not (a.dom_fn is b.dom_fn and a.cod_fn is b.cod_fn and (
+            a.cells.items() <= b.cells.items() or b.cells.items() <= a.cells.items())):
+        named = [", ".join(f"{key!r}: {f.size(*key)}" for key in f.support()[:3]) for f in (a, b)]
+        raise ValidationError(f"{what}: the sequence with cells {named[0]} is not the one with cells {named[1]}")
+
+
+def cat_regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst: Composite) -> Callable:
+    """``step(key, raw)``: a raw of ``(H o G) o F`` regrouped, whiskered by ``beta o alpha``, classed in ``dst``.
+
+    The twin of :func:`.symseq.regroup`, with ``hg`` ``H o G``, ``gf`` ``G o
+    F``, ``beta: H -> H'``, ``alpha: G o F -> K`` and ``dst`` ``H' o K``;
+    ``H o (G o F)`` is never built.  Group ``j`` takes the ``F`` blocks at
+    the letters of block ``j`` of the ``H o G`` representative, their labels
+    moved along its arrow, as a raw of ``G o F`` at the canonical word of
+    their concatenation ``u``: ``G o F`` has cells at canonical words only,
+    and ``u`` is not one when a block of a later letter is less than one of
+    an earlier letter (``hom_monad(unit(x,2), com(3), 2, 3)`` has such raws).
+    """
+    _require_meets("the outer 2-cell does not start at the outer factor", beta.src, hg.outer)
+    _require_meets("the outer 2-cell does not end at the target's outer factor", beta.dst, dst.outer)
+    _require_meets("the inner 2-cell does not start at the inner factor", alpha.src, gf.seq)
+    _require_meets("the inner 2-cell does not end at the target's inner factor", alpha.dst, dst.inner)
+    f, dom = gf.inner, gf.inner.dom
+
+    def step(key, raw):
+        mid, q, blocks, fs, arr = raw
+        zmid, h, yblocks, gs, tau = hg.rep(mid, key[1], q)
+        order = tau[0]  # letter p of concat(yblocks) is mid[order[p]] moved along tau[1][p]
+        moved = [f.cod_at((blocks[i], mid[i]), c, fs[i]) for i, c in zip(order, tau[1])]
+        offs = block_offsets(len(d) for d in yblocks)
+        new_blocks, new_fs, words, kappas = [], [], [], []
+        for j, d in enumerate(yblocks):
+            sub = tuple(blocks[i] for i in order[offs[j] : offs[j + 1]])
+            u = tuple(o for b in sub for o in b)
+            e, kappa = sw_canonical(dom, u)
+            kappa = sw_perm_arrow(dom, u, kappa)  # e -> u
+            cls = gf.class_of(e, zmid[j], (d, gs[j], sub, tuple(moved[offs[j] : offs[j + 1]]), kappa))
+            new_blocks.append(e)
+            new_fs.append(alpha.at(e, zmid[j], cls))
+            words.append(u)
+            kappas.append(sw_inverse(dom, kappa))
+        arr2 = sw_compose(dom, arr, sw_block_perm(dom, list(blocks), Perm(order)))
+        arr2 = sw_compose(dom, arr2, sw_block_diag(dom, kappas, words))
+        return dst.class_of(*key, (zmid, beta.at(zmid, key[1], h), tuple(new_blocks), tuple(new_fs), arr2))
+
+    return step
+
+
+def cat_ungroup(hg: Composite, gf: Composite, beta: SymSeqMap, dst: Composite) -> Callable:
+    """``step(key, raw)``: a raw of ``H o (G o F)`` taken apart into ``(H o G) o F``, ``beta o F`` applied, classed in ``dst``.
+
+    The twin of :func:`.symseq.ungroup` and the inverse of :func:`cat_regroup`,
+    with ``hg`` ``H o G``, ``gf`` ``G o F``, ``beta: H o G -> H'`` and ``dst``
+    ``H' o F``; ``(H o G) o F`` is never built.  The ``G`` words of the
+    blocks' representatives, concatenated, go to their canonical word.
+    """
+    _require_meets("the outer 2-cell does not start at the outer factor", beta.src, hg.seq)
+    _require_meets("the outer 2-cell does not end at the target's outer factor", beta.dst, dst.outer)
+    _require_meets("the inner factor is not the target's inner factor", gf.inner, dst.inner)
+    dom, gdom = gf.inner.dom, hg.inner.dom
+
+    def step(key, raw):
+        zmid, h, blocks, cs, sig = raw
+        reps = [gf.rep(e, z, c) for e, z, c in zip(blocks, zmid, cs)]
+        ds, gs, subs, labels, kappas = (tuple(rep[i] for rep in reps) for i in range(5))
+        letters = tuple(o for d in ds for o in d)
+        mid, t = sw_canonical(gdom, letters)  # letters[i] == mid[t(i)]
+        q = hg.class_of(mid, key[1], (zmid, h, ds, gs, sw_perm_arrow(gdom, letters, t)))
+        subs, labels, back = [b for sub in subs for b in sub], [f for fs in labels for f in fs], t.inverse().images
+        arrow = sw_compose(dom, sig, sw_block_diag(dom, kappas, blocks))
+        arrow = sw_compose(dom, arrow, sw_block_perm(dom, subs, Perm(back)))
+        fblocks, fs = tuple(subs[i] for i in back), tuple(labels[i] for i in back)
+        return dst.class_of(*key, (mid, beta.at(mid, key[1], q), fblocks, fs, arrow))
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -866,27 +904,14 @@ def ev_catsym(x: FinGroupoid, y: FinGroupoid, expz: FinGroupoid, length_bound: i
     def target_word(x0: Word, yo) -> Word:
         return (("l", (x0, yo)),) + tuple(("r", o) for o in x0)
 
-    x0_words = []
-    for n in range(length_bound + 1):
-        for combo in itertools.combinations_with_replacement(
-            sorted(x.objects, key=x.obj_index), n
-        ):
-            x0_words.append(tuple(combo))
+    x0_words = [w for n in range(length_bound + 1) for w in itertools.combinations_with_replacement(x.objects, n)]
     # candidate source words: everything isomorphic to some target word
     elems_by_cell: dict = {}
     for x0 in x0_words:
         for yo in y.objects:
             tgt = target_word(x0, yo)
-            heads = [
-                ("l", (w2, y2))
-                for (w2, y2) in expz.objects
-                if expz.arrows((w2, y2), (x0, yo))
-            ]
-            tail_sets = []
-            for o in x0:
-                tail_sets.append(
-                    [("r", o2) for o2 in x.objects if x.arrows(o2, o)]
-                )
+            heads = [("l", o) for o in expz.objects if expz.arrows(o, (x0, yo))]
+            tail_sets = [[("r", o2) for o2 in x.objects if x.arrows(o2, o)] for o in x0]
             for head in heads:
                 for tail in itertools.product(*tail_sets):
                     src = (head,) + tail
@@ -906,10 +931,7 @@ def ev_catsym(x: FinGroupoid, y: FinGroupoid, expz: FinGroupoid, length_bound: i
                     # head: exp arrow (x0, yo) -> (x0b, yo) built from beta
                     head = ("l", ("e", sw_inverse(x, beta), y.ident[yo]))
                     bi, bc = beta
-                    move = (
-                        (0,) + tuple(1 + i for i in bi),
-                        (head,) + tuple(("r", c) for c in bc),
-                    )
+                    move = ((0,) + tuple(1 + i for i in bi), (head,) + tuple(("r", c) for c in bc))
                     gamma2 = sw_compose(w_gpd, gamma, move)
                     edges.append(((x0, gamma), (x0b, gamma2)))
         q = quotient(elems, edges)
@@ -925,10 +947,7 @@ def ev_catsym(x: FinGroupoid, y: FinGroupoid, expz: FinGroupoid, length_bound: i
         x0, gamma = reps[key][cidx]
         n0 = len(x0)
         head = ("l", ("e", sw_id(x, x0), b))
-        move = (
-            tuple(range(n0 + 1)),
-            (head,) + tuple(("r", x.ident[o]) for o in x0),
-        )
+        move = (tuple(range(n0 + 1)), (head,) + tuple(("r", x.ident[o]) for o in x0))
         return cls[(key[0], y.dst[b])][(x0, sw_compose(w_gpd, gamma, move))]
 
     return EvData(CatSymSeq(w_gpd, y, cells, dom_fn, cod_fn), reps, cls)
@@ -941,7 +960,7 @@ def transpose(f: CatSymSeq, x: FinGroupoid, y: FinGroupoid) -> CatSymSeq:
     cells = {}
     for (vw, obj), labels in f.cells.items():
         xw, yo = obj
-        if not sw_is_canonical(x, xw) or not labels:
+        if sw_canonical(x, xw)[0] != xw or not labels:
             continue
         cells[(merge_words(vw, xw), yo)] = labels
 
@@ -1158,6 +1177,16 @@ def _chain(maps: list) -> SymSeqMap:
     return functools.reduce(lambda first, then: compose_maps(then, first), maps)
 
 
+def _then(first: SymSeqMap, comp: Composite, step: Callable, target: CatSymSeq) -> SymSeqMap:
+    """``first`` followed by ``step`` at the representative of each class of ``comp`` that ``first`` reaches."""
+    _require_meets("the step does not start where the map ends", first.dst, comp.seq)
+    out = {}
+    for key, m in first.comp.items():
+        moved = {v: step(key, comp.rep(*key, v)) for v in dict.fromkeys(m.values())}
+        out[key] = {lab: moved[v] for lab, v in m.items()}
+    return SymSeqMap(first.src, target, out)
+
+
 def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomMonad:
     """The monad on ``[X, Y]`` whose algebras are the (B, A)-bimodules.
 
@@ -1167,19 +1196,19 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     ``arity_bound`` the arity at which the monad laws are verified.
 
     With ``S = E u Id_X``, ``A~ = Id_Z u A``, ``Ev_A = ev o A~`` and
-    ``T = B o Ev_A = transpose(E)``, the multiplication on ``T`` is eight
-    steps: (1) the inverse collapse ``transpose(E o E) -> ev o (E o E u
+    ``T = B o Ev_A = transpose(E)``, the multiplication on ``T`` is five
+    steps, each associator a regroup or ungroup step inside the map that
+    reads it: (1) the inverse collapse ``transpose(E o E) -> ev o (E o E u
     Id_X)``; (2) ``ev o`` the inverse sum split, into ``ev o (S o S)``; (3)
-    an inverse associator; (4) the collapse ``ev o S -> T``, then ``o S``;
-    (5) an associator, into ``B o (Ev_A o S)``; (6) ``B o`` the steps inside
-    ``B o -``: an associator, ``ev o`` the interchange ``A~ o S -> S o A~``,
-    an inverse associator, the collapse then ``o A~``, an associator into
-    ``B o (Ev_A o A~)``, and ``B o`` (an associator, then ``ev o`` the
-    multiplication of ``A~``); (7) the inverse of the windowed associator
-    ``(B o B) o Ev_A -> B o T``; (8) ``B``'s multiplication, then ``o Ev_A``.
-    Whiskering is functorial, ``(B o f) ; (B o g) = B o (f ; g)``, so each
-    run of steps inside ``B o -`` is composed first and whiskered once, and
-    no composite is built only to carry one step to the next.
+    an ungroup through the collapse ``ev o S -> T``, into ``T o S``; (4) a
+    regroup into ``B o T`` whose inner 2-cell is the map ``Ev_A o S -> T``
+    composed of a regroup through ``ev o`` the interchange ``A~ o S -> S o
+    A~``, an ungroup through the collapse into ``T o A~``, and a regroup
+    into ``T`` whose inner 2-cell is a regroup through ``ev o`` the
+    multiplication of ``A~``; (5) an ungroup through ``B``'s multiplication,
+    into ``T``, on the classes (4) reaches, as ``B o B`` is built only up to
+    ``B``'s arity bound.  No composite is built only to carry one step to
+    the next.
     """
     if length_bound < 1 or arity_bound < 1:
         raise InputError("window parameters must be at least 1")
@@ -1222,28 +1251,13 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     smap = cat_sum_maps(identity_map(ee.seq), u_idid, cat_sum(ee.seq, idxx.seq), sum_ee)
     split_total = compose_maps(smap, split1)
     c2 = cat_compose(evdata.seq, ss.seq, max_arity=capt)
-    m2 = hcompose_maps(
-        identity_map(evdata.seq), map_inverse(_on_window(split_total)), c1, c2
-    )
-
+    m2 = hcompose_maps(identity_map(evdata.seq), map_inverse(_on_window(split_total)), c1, c2)
     evs = cat_compose(evdata.seq, s_e, max_arity=capt)
-    c3 = cat_compose(evs.seq, s_e, max_arity=capt)
-    m3 = map_inverse(cat_associator(evs, c3, ss, c2))
-
     col_e = collapse_map(e, x, y, expz, evdata, evs, tc.seq)
     c4 = cat_compose(tc.seq, s_e, max_arity=capt)
-    m4 = hcompose_maps(col_e, identity_map(s_e), c3, c4)
-
-    evas = cat_compose(ev_a.seq, s_e, max_arity=capt)
-    c5 = cat_compose(bcat, evas.seq, max_arity=capt)
-    m5 = cat_associator(tc, c4, evas, c5)
-
-    # the steps inside B o -, composed into one map Ev_A o S -> T (step 6)
-    atil_s = cat_compose(atil, s_e, max_arity=capt)
-    ev_atils = cat_compose(evdata.seq, atil_s.seq, max_arity=capt)
-    assoc2 = cat_associator(ev_a, evas, atil_s, ev_atils)
 
     # interchange (Id u A) o (E u Id)  ->  (E u Id) o (Id u A)
+    atil_s = cat_compose(atil, s_e, max_arity=capt)
     idz_e = cat_compose(idz, e, max_arity=arity_bound)
     a_idx = cat_compose(acat, idx, max_arity=capt)
     e_idz = cat_compose(e, idz, max_arity=arity_bound)
@@ -1260,19 +1274,9 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     )
     unsplit = map_inverse(_on_window(cat_sum_split(satil, e_idz, idx_a)))
     swap = compose_maps(unsplit, compose_maps(step2, compose_maps(step, split_as)))
-    ev_satil = cat_compose(evdata.seq, satil.seq, max_arity=capt)
-
-    evs_atil = cat_compose(evs.seq, atil, max_arity=capt)
-    assoc3 = cat_associator(evs, evs_atil, satil, ev_satil)
-    t_atil = cat_compose(tc.seq, atil, max_arity=capt)
-    eva_atil = cat_compose(ev_a.seq, atil, max_arity=capt)
-    b_evaatil = cat_compose(bcat, eva_atil.seq, max_arity=capt)
-
-    atil2 = cat_compose(atil, atil, max_arity=capt)
-    ev_atil2 = cat_compose(evdata.seq, atil2.seq, max_arity=capt)
-    assoc4 = cat_associator(ev_a, eva_atil, atil2, ev_atil2)
 
     # mu of (Id u A): unitor on the left part, operad multiplication on the right
+    atil2 = cat_compose(atil, atil, max_arity=capt)
     idz2 = cat_compose(idz, idz, max_arity=2)
     a2 = cat_compose(acat, acat, max_arity=a.arity_bound)
     split_aa = cat_sum_split(atil2, idz2, a2)
@@ -1280,28 +1284,26 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
         cat_sum_maps(cat_left_unitor(idz2), _operad_mu(a, a2, acat), cat_sum(idz2.seq, a2.seq), atil),
         split_aa,
     )
+
+    # the steps inside B o -, composed into one map Ev_A o S -> T (step 4)
+    evas = cat_compose(ev_a.seq, s_e, max_arity=capt)
+    ev_satil = cat_compose(evdata.seq, satil.seq, max_arity=capt)
+    t_atil = cat_compose(tc.seq, atil, max_arity=capt)
+    eva_atil = cat_compose(ev_a.seq, atil, max_arity=capt)
+    ev_mu = mu_from_raws(eva_atil, cat_regroup(ev_a, atil2, identity_map(evdata.seq), mu_atil, ev_a), ev_a.seq)
     inner = [
-        assoc2,
-        hcompose_maps(identity_map(evdata.seq), swap, ev_atils, ev_satil),
-        map_inverse(assoc3),
-        hcompose_maps(col_e, identity_map(atil), evs_atil, t_atil),
-        cat_associator(tc, t_atil, eva_atil, b_evaatil),
-        hcompose_maps(
-            identity_map(bcat),
-            compose_maps(hcompose_maps(identity_map(evdata.seq), mu_atil, ev_atil2, ev_a), assoc4),
-            b_evaatil, tc,
-        ),
+        mu_from_raws(evas, cat_regroup(ev_a, atil_s, identity_map(evdata.seq), swap, ev_satil), ev_satil.seq),
+        mu_from_raws(ev_satil, cat_ungroup(evs, satil, col_e, t_atil), t_atil.seq),
+        mu_from_raws(t_atil, cat_regroup(tc, eva_atil, identity_map(bcat), ev_mu, tc), tc.seq),
     ]
     b_t = cat_compose(bcat, tc.seq, max_arity=capt)
     b2 = cat_compose(bcat, bcat, max_arity=b.arity_bound)
-    bb_eva = cat_compose(b2.seq, ev_a.seq, max_arity=capt)
     chain = [
-        m1, m2, m3, m4, m5,
-        hcompose_maps(identity_map(bcat), _chain(inner), c5, b_t),
-        map_inverse(_on_window(cat_associator(b2, bb_eva, tc, b_t))),
-        hcompose_maps(_operad_mu(b, b2, bcat), identity_map(ev_a.seq), bb_eva, tc),
+        m1, m2,
+        mu_from_raws(c2, cat_ungroup(evs, ss, col_e, c4), c4.seq),
+        mu_from_raws(c4, cat_regroup(tc, evas, identity_map(bcat), _chain(inner), b_t), b_t.seq),
     ]
-    mu_on_t = _chain(chain)
+    mu_on_t = _then(_chain(chain), b_t, cat_ungroup(b2, tc, _operad_mu(b, b2, bcat), tc), tc.seq)
 
     mu_e = _untranspose_map(mu_on_t, ee.seq, e, x)
 
@@ -1322,10 +1324,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     }
     eta_atil = SymSeqMap(idw, atil, eta_atil_comp)
     idy_eva = cat_compose(idy, ev_a.seq, max_arity=capt)
-    eta_b_comp = {
-        key: {lab: b.eta_label(key[1]) for lab in labels}
-        for key, labels in idy.cells.items()
-    }
+    eta_b_comp = {key: {lab: b.eta_label(key[1]) for lab in labels} for key, labels in idy.cells.items()}
     eta_b_cat = SymSeqMap(idy, bcat, eta_b_comp)
     eta_on_t = _chain([
         map_inverse(r1),
@@ -1380,12 +1379,10 @@ def check_cat_monad(hm: HomMonad, cap: int, ide: Composite, eid: Composite) -> N
     """
     e, mu, eta, ee = hm.e, hm.mu, hm.eta, hm.ee
     eee_l = cat_compose(ee.seq, e, max_arity=cap)
-    eee_r = cat_compose(e, ee.seq, max_arity=cap)
-    asc = cat_associator(ee, eee_l, ee, eee_r)
     require_equal(
         "hom monad associativity",
         compose_maps(mu, hcompose_maps(mu, identity_map(e), eee_l, ee)),
-        compose_maps(mu, compose_maps(hcompose_maps(identity_map(e), mu, eee_r, ee), asc)),
+        compose_maps(mu, mu_from_raws(eee_l, cat_regroup(ee, ee, identity_map(e), mu, ee), ee.seq)),
     )
     require_equal(
         "hom monad left unit law",

@@ -229,24 +229,41 @@ def parse_explicit_operad(data: dict) -> Operad:
     """
     carrier = parse_symseq(data["carrier"])
     n = positive_int(data["arity_bound"], "operad arity_bound")
-    table: dict = {}
-    for entry in _array(data["mu"], "mu"):
-        entry = _object(entry, "mu entry")
-        w = dec_word(entry["word"])
-        x = dec(entry["out"])
-        raw = dec_raw(entry["rep"])
-        rep = least_raw(carrier, carrier, {}, w, x, raw) if len(w) <= n and is_canonical(w) else None
-        if rep is None:
-            raise InputError(f"mu entry {entry['rep']} is not a raw of cell {(w, x)!r}")
-        table[(w, x, rep)] = dec(entry["to"])
 
-    def mu_fn(key, raw):
-        if (*key, raw) not in table:
-            raise InputError(f"mu entry missing for the class of {raw!r} at {key}")
-        return table[(*key, raw)]
+    def least(w, x, raw):
+        return least_raw(carrier, carrier, {}, w, x, raw) if len(w) <= n and is_canonical(w) else None
 
+    mu_fn = _explicit_table(data["mu"], "mu", least)
     eta_labels = {dec(a): dec(b) for a, b in _pairs(data["eta"], "eta")}
     return make_operad(carrier, mu_fn, eta_labels, n)
+
+
+def _explicit_table(entries, name: str, resolve: Callable) -> Callable:
+    """The explicit table ``name`` (``mu``, ``lambda`` or ``rho``) as ``fn(key, representative)``.
+
+    ``resolve(w, x, raw)`` is the representative of the class of ``raw`` in
+    cell ``(w, x)``, or ``None`` if ``raw`` is not a raw there.  Each entry
+    is resolved so: an entry that is not a raw of its cell, or one for a
+    class an earlier entry gave, is an ``InputError``, and so is a read of a
+    class no entry gives.
+    """
+    table: dict = {}
+    for entry in _array(entries, name):
+        entry = _object(entry, f"{name} entry")
+        w, x, raw = dec_word(entry["word"]), dec(entry["out"]), dec_raw(entry["rep"])
+        rep = resolve(w, x, raw)
+        if rep is None:
+            raise InputError(f"{name} entry {entry['rep']} is not a raw of cell {(w, x)!r}")
+        if (w, x, rep) in table:
+            raise InputError(f"{name} entry {entry['rep']} is a second entry for the class of {rep!r} at {(w, x)!r}")
+        table[(w, x, rep)] = dec(entry["to"])
+
+    def fn(key, raw):
+        if (*key, raw) not in table:
+            raise InputError(f"{name} entry missing for the class of {raw!r} at {key}")
+        return table[(*key, raw)]
+
+    return fn
 
 
 @dataclass
@@ -408,31 +425,19 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
     carrier = symseqs[_name(bdata["carrier"], "bimodule carrier")]
     window = positive_int(bdata.get("window", min(left.arity_bound, right.arity_bound)), "bimodule window")
 
-    def action_fn(side):
-        """The explicit table of ``side`` as ``fn(key, raw)`` on representatives, or None if induced."""
-        entries = bdata[side]
-        if entries == "induced":
-            return None
-        table = {}
-        for entry in _array(entries, "bimodule action"):
-            entry = _object(entry, "bimodule action entry")
-            w = dec_word(entry["word"])
-            x = dec(entry["out"])
-            raw = dec_raw(entry["rep"])
-            table[(w, x, raw)] = dec(entry["to"])
-
-        def fn(key, raw):
-            if (*key, raw) not in table:
-                raise InputError(f"{side} entry missing for the class of {raw!r} at {key}")
-            return table[(*key, raw)]
-
-        return fn
-
-    lam_fn = action_fn("lambda")
-    rho_fn = action_fn("rho")
-
     bm = compose_symseq(left.carrier, carrier, max_arity=window)
     ma = compose_symseq(carrier, right.carrier, max_arity=window)
+
+    def action_fn(side, comp):
+        """The explicit table of ``side`` on the classes of ``comp``, or None if induced."""
+        if bdata[side] == "induced":
+            return None
+        return _explicit_table(
+            bdata[side], side, lambda w, x, raw: comp.canon(w, x, raw) if (w, x) in comp.reps else None
+        )
+
+    lam_fn = action_fn("lambda", bm)
+    rho_fn = action_fn("rho", ma)
     if lam_fn is None:
         if not left.is_unit_operad():
             raise InputError("induced left action requires a unit operad")

@@ -5,7 +5,15 @@ from functools import lru_cache
 from typing import Optional
 
 from opdbim.bimodules import descend, free_left_action, free_right_action
-from opdbim.catsym import CatSymSeq
+from opdbim.catsym import (
+    CatSymSeq,
+    sw_block_diag,
+    sw_block_perm,
+    sw_canonical,
+    sw_compose,
+    sw_inverse,
+    sw_perm_arrow,
+)
 from opdbim.perms import (
     FinGroupoid,
     InputError,
@@ -246,6 +254,48 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[SymSeqMap]:
     for (key, la), lb in res.items():
         comp.setdefault(key, {})[la] = lb
     return SymSeqMap(f, g, comp)
+
+
+def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
+    """Canonical iso ``(H o G) o F -> H o (G o F)`` on every class of ``hg_f``, both bracketings built.
+
+    The reference for :func:`opdbim.catsym.cat_regroup` and ``cat_ungroup``,
+    which apply it inside the map that reads it.
+    """
+    dom = gf.inner.dom
+    f = gf.inner
+    comp = {}
+    for key, reps in hg_f.reps.items():
+        w, t_out = key
+        m = {}
+        for idx, raw in enumerate(reps):
+            mid, q, blocks, fs, arr = raw
+            zmid, h, yblocks, gs, tau = hg.rep(mid, t_out, q)
+            sigma_tau = Perm(tau[0])
+            yoffs = block_offsets([len(d) for d in yblocks])
+            new_blocks, new_fs, kappas, group_words = [], [], [], []
+            for j, d in enumerate(yblocks):
+                # cod-transport the inner labels along the components of tau
+                sub_blocks, sub_fs = [], []
+                for p in range(yoffs[j], yoffs[j + 1]):
+                    i = sigma_tau(p)
+                    comp_arrow = tau[1][p]  # mid[i] -> (+yblocks)[p]
+                    sub_blocks.append(blocks[i])
+                    sub_fs.append(f.cod_at((blocks[i], mid[i]), comp_arrow, fs[i]))
+                u = tuple(o for bl in sub_blocks for o in bl)
+                e, kap = sw_canonical(dom, u)
+                kap_arrow = sw_perm_arrow(dom, u, kap)
+                gf_raw = (d, gs[j], tuple(sub_blocks), tuple(sub_fs), kap_arrow)
+                new_blocks.append(e)
+                new_fs.append(gf.class_of(e, zmid[j], gf_raw))
+                kappas.append(kap_arrow)
+                group_words.append(u)
+            rearrange = sw_block_perm(dom, list(blocks), sigma_tau)
+            chi = sw_block_diag(dom, [sw_inverse(dom, k) for k in kappas], group_words)
+            arr2 = sw_compose(dom, sw_compose(dom, arr, rearrange), chi)
+            m[idx] = h_gf.class_of(w, t_out, (zmid, h, tuple(new_blocks), tuple(new_fs), arr2))
+        comp[key] = m
+    return SymSeqMap(hg_f.seq, h_gf.seq, comp)
 
 
 def relative_compose_chain(nb, mb) -> tuple:

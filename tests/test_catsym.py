@@ -11,7 +11,7 @@ import pytest
 from opdbim.perms import (
     FinGroupoid, Perm, ValidationError, YoungSet, block_offsets, disjoint_union, quotient, skey,
 )
-from opdbim.symseq import SymSeq, SymSeqMap, compose_symseq, identity_map
+from opdbim.symseq import SymSeq, SymSeqMap, compose_symseq, hcompose_maps, identity_map, map_inverse
 from opdbim.operads import (
     assoc_operad, com_operad, enumerate_algebras, magma_operad, operad_iso, terminal_operad, unit_operad,
 )
@@ -22,8 +22,10 @@ from opdbim.catsym import (
     cat_from_symseq,
     cat_id,
     cat_left_unitor,
+    cat_regroup,
     cat_right_unitor,
     cat_sum,
+    cat_ungroup,
     check_cat_monad,
     ev_catsym,
     exp_object,
@@ -44,7 +46,7 @@ from opdbim.catsym import (
     untranspose,
 )
 from opdbim.samples import rand_symseq
-from oracles import cat_iso, product_object
+from oracles import cat_associator, cat_iso, product_object
 
 STAR = "*"
 
@@ -310,6 +312,14 @@ HOM_MONAD_TABLES = {
         "26102e7f28ed86e3076d3137225ae753b5f50dddf8cce31c6ac12e809d4fcf56",
         "601992d1aca97f5a89a3444abe21bde9902d07f33ddcf91d53f114d04c9554fa",
     ),
+    # recorded from the eight-step chain that built both bracketings of each
+    # associator: its regroup steps group F blocks whose concatenation is not
+    # a canonical word, where G o F has no cell
+    "x2-com3-2-3": (
+        lambda: (unit_operad(("x",), 2), com_operad(3), 2, 3),
+        "f9497282f3b665623791deb30f7ef7231ca2796b87783d2ef90deba5deba5fcb",
+        "dae2416729ce04c9efe3b10f3b351a7fdc342dd952e0770ccf9636b481ef38cd",
+    ),
 }
 
 
@@ -318,6 +328,152 @@ def test_hom_monad_tables_match_the_recorded_ones(name):
     args, mu_digest, eta_digest = HOM_MONAD_TABLES[name]
     hm = hom_monad(*args())
     assert (_table_digest(hm.mu.comp), _table_digest(hm.eta.comp)) == (mu_digest, eta_digest)
+
+
+def _recorded_steps(monkeypatch, build) -> list:
+    """``(builder name, its arguments, the step)`` of every regroup and ungroup step built during ``build()``."""
+    import opdbim.catsym as catsym
+
+    steps = []
+    for name in ("cat_regroup", "cat_ungroup"):
+        def recording(*args, _name=name, _original=getattr(catsym, name)):
+            step = _original(*args)
+            steps.append((_name, args, step))
+            return step
+
+        monkeypatch.setattr(catsym, name, recording)
+    build()
+    return steps
+
+
+# the steps in the order hom_monad and check_cat_monad build them: ev o mu of A~
+# (the inner 2-cell of the T o A~ regroup), ev o the interchange, the ungroup
+# through the collapse o A~, the T o A~ regroup, the ungroup of ev o (S o S),
+# the regroup into B o T, the ungroup through B's multiplication, and the
+# associativity law's regroup
+STEP_KINDS = ["cat_regroup", "cat_regroup", "cat_ungroup", "cat_regroup",
+              "cat_ungroup", "cat_regroup", "cat_ungroup", "cat_regroup"]
+
+
+@pytest.mark.parametrize("name", list(HOM_MONAD_TABLES))
+def test_each_regroup_and_ungroup_step_is_the_associator_then_its_whisker(monkeypatch, name):
+    # a regroup step on a class of (H o G) o F is the whisker at its class
+    # under the associator; an ungroup step on the associator's image of a
+    # class is the whisker beta o F at that class
+    steps = _recorded_steps(monkeypatch, lambda: hom_monad(*HOM_MONAD_TABLES[name][0]()))
+    assert [kind for kind, _args, _step in steps] == STEP_KINDS
+    for kind, step_args, step in steps:
+        (hg, gf, beta), dst = step_args[:3], step_args[-1]
+        hg_f = cat_compose(hg.seq, gf.inner, max_arity=dst.cap)
+        h_gf = cat_compose(hg.outer, gf.seq, max_arity=dst.cap)
+        assoc = cat_associator(hg, hg_f, gf, h_gf)
+        if kind == "cat_regroup":
+            whisker = hcompose_maps(beta, step_args[3], h_gf, dst)
+        else:
+            whisker = hcompose_maps(beta, identity_map(gf.inner), hg_f, dst)
+        for key, reps in hg_f.reps.items():
+            classes = range(len(reps))
+            if kind == "cat_regroup":
+                assert [step(key, raw) for raw in reps] == [whisker.at(*key, assoc.at(*key, c)) for c in classes]
+            else:
+                assert [step(key, h_gf.rep(*key, assoc.at(*key, c))) for c in classes] == [whisker.at(*key, c) for c in classes]
+
+
+def _arrows_to(gpd, *targets):
+    """At cell ``(w, y)`` with ``w`` of length at most 2, a label ``(k, a)`` for each arrow ``a: w -> word(y)``
+    of ``(word, move) = targets[k]``, moved by composing: with the arrow moved along, or with ``move(b):
+    word(y) -> word(y2)`` for a codomain arrow ``b: y -> y2``."""
+    cells = {}
+    for w in itertools.chain.from_iterable(itertools.combinations_with_replacement(gpd.objects, n) for n in range(3)):
+        for y in gpd.objects:
+            labels = tuple((k, a) for k, (word, _move) in enumerate(targets) for a in sw_arrows(gpd, w, word(y)))
+            if labels:
+                cells[(w, y)] = labels
+    return CatSymSeq(
+        gpd, gpd, cells,
+        lambda key, v, a, lab: (lab[0], sw_compose(gpd, a, lab[1])),
+        lambda key, b, lab: (lab[0], sw_compose(gpd, lab[1], targets[lab[0]][1](b))),
+    )
+
+
+def two_components():
+    """Objects ``a`` and ``b``, not isomorphic, each with one automorphism besides its identity."""
+    hom = {(o, o): (f"{o}0", f"{o}1") for o in "ab"}
+    comp = {(f"{o}{k}", f"{o}{j}"): f"{o}{(j + k) % 2}" for o in "ab" for j in (0, 1) for k in (0, 1)}
+    return FinGroupoid(("a", "b"), hom, comp, {"a": "a0", "b": "b0"}, {f: f for arrows in hom.values() for f in arrows})
+
+
+def _unary_and_binary(gpd):
+    """``H = G = F``: the arrows into ``(y,)`` and into ``(y, y)``."""
+    f = _arrows_to(gpd, (lambda y: (y,), lambda b: ((0,), (b,))), (lambda y: (y, y), lambda b: ((0, 1), (b, b))))
+    return f, f, f
+
+
+def _nullary_and_unary(gpd):
+    """``H = G = F``: the arrows into ``()`` and into ``(y,)``; an ``H o (G o F)`` raw may have no blocks."""
+    f = _arrows_to(gpd, (lambda y: (), lambda b: ((), ())), (lambda y: (y,), lambda b: ((0,), (b,))))
+    return f, f, f
+
+
+def _across_components(gpd):
+    """``H``: the arrows into ``(y,)`` and into ``(a, b)``, whatever ``y``; ``G``: the arrows into ``(y',)`` and
+    ``(y', y')``, with ``y'`` the object of the other component; ``F``: the arrows into ``(y,)``."""
+    other = {"a": "b", "b": "a", "a0": "b0", "a1": "b1", "b0": "a0", "b1": "a1"}
+    unary = (lambda y: (y,), lambda b: ((0,), (b,)))
+    h = _arrows_to(gpd, unary, (lambda y: ("a", "b"), lambda b: ((0, 1), ("a0", "b0"))))
+    g = _arrows_to(gpd, (lambda y: (other[y],), lambda b: ((0,), (other[b],))),
+                   (lambda y: (other[y],) * 2, lambda b: ((0, 1), (other[b],) * 2)))
+    return h, g, _arrows_to(gpd, unary)
+
+
+@pytest.mark.parametrize(
+    "make, factors",
+    [(two_object_iso_groupoid, _unary_and_binary), (two_components, _across_components),
+     (two_object_iso_groupoid, _nullary_and_unary)],
+    ids=["iso-only", "two-components", "nullary"],
+)
+def test_regroup_and_ungroup_are_the_associator_and_its_inverse_on_every_related_raw(make, factors):
+    # the hom monad's steps read only representatives, never move a label
+    # along a non-identity arrow of the H o G representative, and never sort
+    # the G words by a permutation that is not its own inverse; here the
+    # steps read each raw one coend relation away from a representative, and
+    # both happen
+    h, g, f = factors(make())
+    for seq in (h, g, f):
+        seq.validate()
+    # nullary blocks make a middle word longer than its composite's arity
+    hg, gf = cat_compose(h, g, max_arity=5), cat_compose(g, f, max_arity=5)
+    hg_f, h_gf = cat_compose(hg.seq, f, max_arity=3), cat_compose(h, gf.seq, max_arity=3)
+    assoc = cat_associator(hg, hg_f, gf, h_gf)
+    regroup = cat_regroup(hg, gf, identity_map(h), identity_map(gf.seq), h_gf)
+    ungroup = cat_ungroup(hg, gf, identity_map(hg.seq), hg_f)
+    for step, comp, outer, inner, m in (
+        (regroup, hg_f, hg.seq, f, assoc), (ungroup, h_gf, h, gf.seq, map_inverse(assoc)),
+    ):
+        for key, reps in comp.reps.items():
+            for c, rep in enumerate(reps):
+                related = [rep] + [raw for _rep, raw in _all_arrow_edges(outer, inner, key[1], [rep])]
+                assert {step(key, raw) for raw in related} == {m.at(*key, c)}, (key, rep)
+
+
+def test_a_step_whose_ends_do_not_meet_its_factors_is_refused(monkeypatch):
+    # three wrong chains once passed every table pin and the monad laws, as
+    # the steps they change send each class to the class of the same index:
+    # the interchange left out, the inverse associator turned round and the
+    # T o A~ associator left out; restated on the steps, each is refused
+    steps = _recorded_steps(monkeypatch, lambda: hom_monad(*HOM_MONAD_TABLES["x2-com2-2-2"][0]()))
+    # the interchange left out: ev o (A~ o S) regrouped into ev o (S o A~) under the identity
+    hg, gf, beta, _swap, dst = steps[1][1]
+    with pytest.raises(ValidationError, match="the inner 2-cell does not end at the target's inner factor"):
+        cat_regroup(hg, gf, beta, identity_map(gf.seq), dst)
+    # the ungroup turned round: ev o (S o A~) -> T o A~ built as a regroup
+    hg, gf, col_e, dst = steps[2][1]
+    with pytest.raises(ValidationError, match="the outer 2-cell does not start at the outer factor"):
+        cat_regroup(hg, gf, col_e, identity_map(gf.seq), dst)
+    # the T o A~ regroup replaced by the plain whisker B o (ev o mu of A~)
+    hg, gf, beta, alpha, dst = steps[3][1]
+    with pytest.raises(ValidationError, match="map undefined at cell"):
+        hcompose_maps(beta, alpha, cat_compose(hg.seq, gf.inner, max_arity=dst.cap), dst)
 
 
 def _meets(first, then) -> bool:
@@ -332,10 +488,8 @@ def _meets(first, then) -> bool:
 
 
 def test_each_step_of_the_hom_monad_starts_where_the_last_one_ends(monkeypatch):
-    # on every source the kernel accepts today, the interchange, the inverse
-    # associator and the T o A~ associator send each class to the class of
-    # the same index, so the tables above do not see them left out or turned
-    # round; the sequences they run between do
+    # each regroup and ungroup step checks its own ends; the maps of each
+    # chain must meet too
     import opdbim.catsym as catsym
 
     chains = []
@@ -351,8 +505,9 @@ def test_each_step_of_the_hom_monad_starts_where_the_last_one_ends(monkeypatch):
     for maps in chains:
         for i, (first, then) in enumerate(zip(maps, maps[1:])):
             assert _meets(first, then), f"step {i + 1} ends where step {i + 2} does not start"
-    # mu: inside B o -, then the whole chain; eta: the transposed unit, then the whole chain
-    assert [len(maps) for maps in chains] == [6, 8, 3, 5] * 3
+    # mu: inside B o -, then the chain up to B o T, before the ungroup through
+    # B's multiplication; eta: the transposed unit, then the whole chain
+    assert [len(maps) for maps in chains] == [3, 4, 3, 5] * 3
 
 
 def test_hom_monad_whiskers_the_steps_inside_b_once(monkeypatch):
@@ -361,7 +516,7 @@ def test_hom_monad_whiskers_the_steps_inside_b_once(monkeypatch):
     built = _recorded_composites(
         monkeypatch, lambda: hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
     )
-    assert len(built) <= 36
+    assert len(built) <= 28
 
 
 def test_exponential_requires_reduced():

@@ -391,6 +391,17 @@ def test_a_mu_entry_that_is_not_a_raw_exits_2(tmp_path, capsys, rep):
     assert "is not a raw of cell" in out
 
 
+def test_a_second_mu_entry_for_a_class_exits_2(tmp_path, capsys):
+    # the last entry for a class used to win
+    data = json.loads(json.dumps(BASE_DOC))
+    entry = {"word": ["*"], "out": "*", "to": "i",
+             "rep": {"mid": ["*"], "outer": "i", "blocks": [["*"]], "inner": ["i"], "sigma": [0]}}
+    data["operads"]["E"] = {"carrier": "I", "eta": [["*", "i"]], "mu": [entry, entry]}
+    code, out = run_cli(["check", write_doc(tmp_path, data)], capsys)
+    assert code == 2
+    assert "is a second entry for the class of (('*',), 'i', (('*',),), ('i',), (0,)) at (('*',), '*')" in out
+
+
 def _doc_with_bimodule(**fields):
     data = json.loads(json.dumps(BASE_DOC))
     data["symseqs"]["G"] = {
@@ -470,6 +481,40 @@ def test_a_missing_bimodule_action_entry_is_input_error(tmp_path, capsys):
         "bimodule M: parse error lambda entry missing for the class of "
         "(('y',), ('id', 'y'), (('x', 'x'),), ('g1',), (0, 1)) at (('x', 'x'), 'y')"
     )
+
+
+@pytest.mark.parametrize(
+    "side, entry, refusal",
+    [
+        ("lambda", _action_entry({"mid": ["nowhere"], "outer": 5, "blocks": [], "inner": [], "sigma": []}, "g0"),
+         "lambda entry {'mid': ['nowhere'], 'outer': 5, 'blocks': [], 'inner': [], 'sigma': []} "
+         "is not a raw of cell (('x', 'x'), 'y')"),
+        ("rho", M_TABLES["rho"][0], "rho entry {'mid': ['x', 'x'], 'outer': 'g0', 'blocks': [['x'], ['x']], "
+         "'inner': [{'t': ['id', 'x']}, {'t': ['id', 'x']}], 'sigma': [0, 1]} is a second entry for the class of "
+         "(('x', 'x'), 'g0', (('x',), ('x',)), (('id', 'x'), ('id', 'x')), (0, 1)) at (('x', 'x'), 'y')"),
+    ],
+    ids=["not-a-raw", "second-entry"],
+)
+def test_an_action_entry_that_is_no_raw_of_its_cell_or_repeats_a_class_is_input_error(
+    tmp_path, capsys, side, entry, refusal
+):
+    # both used to pass with exit 0: only the representatives were looked up,
+    # so an entry keyed on any other raw was never read, and the last entry
+    # for a class won
+    tables = {**M_TABLES, side: M_TABLES[side] + [entry]}
+    code, out = run_cli(["check", write_doc(tmp_path, _doc_with_bimodule(**tables))], capsys)
+    assert code == 2
+    assert out.splitlines()[-1] == f"bimodule M: parse error {refusal}"
+
+
+def test_an_action_entry_keyed_on_another_raw_of_its_class_is_read(tmp_path, capsys):
+    # resolved to the representative of its class, as a mu entry is; it used
+    # to be stored under its own raw and never read: rho entry missing, exit 2
+    first = M_TABLES["rho"][0]
+    moved = {**first, "rep": {**first["rep"], "sigma": [1, 0]}}
+    tables = {**M_TABLES, "rho": [moved] + M_TABLES["rho"][1:]}
+    code, out = run_cli(["check", write_doc(tmp_path, _doc_with_bimodule(**tables))], capsys)
+    assert code == 0 and "bimodule M: ok" in out
 
 
 def _com3_algebra(unary=lambda v: v, binary=min, ternary=min):
