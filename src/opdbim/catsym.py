@@ -12,7 +12,7 @@ tuple, and its action as the builder's two callbacks, which move one label
 along a word arrow from a support word or along a codomain arrow.
 :meth:`CatSymSeq.dom_at` and :meth:`CatSymSeq.cod_at` read one label at a
 time and keep each label they move in one memo per sequence, so no label
-is moved before it is read: the unitors, the regroup steps and ``canon``
+is moved before it is read: the unit and regroup steps and ``canon``
 read one label per raw, along arrows that change from raw to raw.  A check along
 every arrow enumerates the arrows (``dom_arrows``, ``cod_arrows``).
 Composition, coherence maps, the evaluation 1-cell and the transpose
@@ -34,15 +34,17 @@ orbits and the least pairs of each slice, so composites over one groupoid
 share them.
 
 Maps are :class:`.symseq.SymSeqMap`, the one map type of both layers, and
-share its identity, composites, equality and inverse; an inverse unitor is
-``map_inverse`` of the unitor.  Every map is total on
+share its identity, composites, equality and inverse.  Every map is total on
 the cells it holds.  Reading a cell or label a map lacks, or a raw outside a
 composite, raises ``ValidationError`` naming the cell; nothing is skipped.
 ``cat_sum_split`` is windowed: it leaves a cell out iff the untagged cell is
-not a cell of the part composite, and before it is inverted ``_on_window``
-restricts both ends to the cells it holds, so ``map_inverse`` still checks a
-bijection.  No associator is built: a map that reads one applies a regroup
-or ungroup step inside itself (:func:`cat_regroup`, :func:`cat_ungroup`).
+not a cell of the part of its target, and before the split of ``S o S`` is
+inverted ``_on_window`` restricts both ends to the cells it holds, so
+``map_inverse`` still checks a bijection.  No associator or unitor is built:
+a map that reads one applies a step inside itself, a regroup or ungroup
+(:func:`cat_regroup`, :func:`cat_ungroup`) or a unit step
+(:func:`cat_left_unit`, :func:`cat_right_unit`), and a map that reads an
+inverse unitor an insertion (:func:`cat_left_insert`, :func:`cat_right_insert`).
 """
 
 from __future__ import annotations
@@ -732,39 +734,52 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: int) -> Composite
     return comp
 
 
-def cat_left_unitor(idf: Composite) -> SymSeqMap:
-    """``Id o F -> F``: transport along the shuffle, then along the unary arrow."""
-    f = idf.inner
-    comp = {}
-    for key, reps in idf.reps.items():
-        w, y = key
-        m = {}
-        for idx, raw in enumerate(reps):
-            mid, g, blocks, fs, arr = raw
-            # g: mid[0] -> y in the codomain groupoid; block word realizes F at w
-            b = blocks[0]
-            lab = f.dom_at((b, mid[0]), w, arr, fs[0])
-            m[idx] = f.cod_at((w, mid[0]), g, lab)
-        comp[key] = m
-    return SymSeqMap(idf.seq, f, comp)
+def cat_left_unit(f: CatSymSeq) -> Callable:
+    """``step(key, raw)``: the label of ``F`` that any raw of ``Id o F`` names, ``Id o F`` never built.
+
+    The unit twin of :func:`cat_regroup`: the inner label is moved along the
+    raw's arrow, then along its outer label, an arrow of ``F``'s codomain.
+    """
+    def step(key, raw):
+        mid, g, blocks, fs, arr = raw
+        return f.cod_at((key[0], mid[0]), g, f.dom_at((blocks[0], mid[0]), key[0], arr, fs[0]))
+
+    return step
 
 
-def cat_right_unitor(fid: Composite) -> SymSeqMap:
-    """``F o Id -> F``: absorb the unary arrows and the shuffle."""
-    f = fid.outer
-    dom = f.dom
-    comp = {}
-    for key, reps in fid.reps.items():
+def cat_right_unit(f: CatSymSeq) -> Callable:
+    """``step(key, raw)``: the label of ``F`` that any raw of ``F o Id`` names: the outer label moved
+    along the raw's arrow, then along the letterwise arrows that are its inner labels."""
+    def step(key, raw):
+        mid, g, blocks, fs, arr = raw
+        return f.dom_at((mid, key[1]), key[0], sw_compose(f.dom, arr, (tuple(range(len(mid))), fs)), g)
+
+    return step
+
+
+def cat_left_insert(dst: Composite, unit: Callable) -> Callable:
+    """``insert(key, label)``: the class at cell ``key = (w, y)`` of ``dst`` of the raw that puts
+    ``label`` under ``unit(y)``; the inverse of :func:`cat_left_unit` when ``unit`` gives identities."""
+    def insert(key, label):
         w, y = key
-        m = {}
-        for idx, raw in enumerate(reps):
-            mid, g, blocks, fs, arr = raw
-            # arr: w -> concat(blocks); then letterwise arrows into mid
-            d = (tuple(range(len(mid))), tuple(fs))
-            total = sw_compose(dom, arr, d)
-            m[idx] = f.dom_at((mid, y), w, total, g)
-        comp[key] = m
-    return SymSeqMap(fid.seq, f, comp)
+        return dst.class_of(w, y, ((y,), unit(y), (w,), (label,), sw_id(dst.inner.dom, w)))
+
+    return insert
+
+
+def cat_right_insert(dst: Composite, unit: Callable) -> Callable:
+    """``insert(key, label)``: the class at ``key`` of ``dst`` of the raw that puts ``label`` over
+    ``unit(o)`` at each letter ``o``; the inverse of :func:`cat_right_unit` when ``unit`` gives identities."""
+    def insert(key, label):
+        w, y = key
+        return dst.class_of(w, y, (w, label, tuple((o,) for o in w), tuple(map(unit, w)), sw_id(dst.inner.dom, w)))
+
+    return insert
+
+
+def _labelwise(src: CatSymSeq, fn: Callable, target: CatSymSeq) -> SymSeqMap:
+    """The map ``src -> target`` given by ``fn(key, label)`` on every label."""
+    return SymSeqMap(src, target, {key: {lab: fn(key, lab) for lab in labels} for key, labels in src.cells.items()})
 
 
 def _require_meets(what: str, a: CatSymSeq, b: CatSymSeq) -> None:
@@ -1059,35 +1074,30 @@ def _untag(w: Word) -> Word:
     return tuple(o for (_t, o) in w)
 
 
-def cat_sum_split(sumcomp: Composite, left: Composite, right: Composite) -> SymSeqMap:
-    """Canonical iso ``(F1 u G1) o (F2 u G2) -> (F1 o F2) u (G1 o G2)`` on a window.
+def _untag_raw(key, raw) -> tuple:
+    """A cell of a composite of sums and a raw there, read in the part their tags name."""
+    (w, (_tag, z)), (mid, g, blocks, fs, arr) = key, raw
+    return (_untag(w), z), (_untag(mid), g, tuple(_untag(b) for b in blocks), fs, (arr[0], _untag(arr[1])))
 
-    A windowed map: a cell ``(w, (tag, z))`` of the sum composite is left
-    out iff ``(untagged w, z)`` is not a cell of the part composite (``left``
-    for tag ``l``, ``right`` for tag ``r``).  Every raw of a kept cell must
-    have a class in the part, else ``ValidationError``.
+
+def cat_sum_split(sumcomp: Composite, left: Callable, right: Callable, dst: CatSymSeq) -> SymSeqMap:
+    """Canonical iso ``(F1 u G1) o (F2 u G2) -> F u G`` on a window, through a step on each part.
+
+    ``dst`` is the sum ``F u G``; ``left(key, raw)`` gives the label of ``F``
+    that a raw of ``F1 o F2`` names, read untagged, and ``right`` the label
+    of ``G`` for ``G1 o G2``: its class in the part composite, a unit step
+    or a multiplication.  A windowed map: a cell ``(w, (tag, z))`` of the
+    sum composite is left out iff ``(untagged w, z)`` is not a cell of the
+    part of ``dst`` (``F`` for tag ``l``, ``G`` for tag ``r``).  Every raw of
+    a kept cell goes through its part's step; one outside the part composite
+    a step classes it in is a ``ValidationError``.
     """
     comp = {}
     for key, reps in sumcomp.reps.items():
-        w, z = key
-        part = left if z[0] == "l" else right
-        w2 = _untag(w)
-        if (w2, z[1]) not in part.seq.cells:
-            continue
-        m = {}
-        for idx, (mid, g, blocks, fs, arr) in enumerate(reps):
-            raw2 = (_untag(mid), g, tuple(_untag(b) for b in blocks), fs, (arr[0], _untag(arr[1])))
-            m[idx] = part.class_of(w2, z[1], raw2)
-        comp[key] = m
-    return SymSeqMap(sumcomp.seq, cat_sum(left.seq, right.seq), comp)
-
-
-def cat_sum_maps(ml: SymSeqMap, mr: SymSeqMap, src_sum: CatSymSeq, dst_sum: CatSymSeq) -> SymSeqMap:
-    comp = {
-        (w, z): dict((ml if z[0] == "l" else mr).cell(_untag(w), z[1]))
-        for (w, z), labels in src_sum.cells.items() if labels
-    }
-    return SymSeqMap(src_sum, dst_sum, comp)
+        if key in dst.cells:  # the letters of a cell of a sum carry the tag of its output
+            step = left if key[1][0] == "l" else right
+            comp[key] = {idx: step(*_untag_raw(key, raw)) for idx, raw in enumerate(reps)}
+    return SymSeqMap(sumcomp.seq, dst, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,8 +1217,14 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     into ``T`` whose inner 2-cell is a regroup through ``ev o`` the
     multiplication of ``A~``; (5) an ungroup through ``B``'s multiplication,
     into ``T``, on the classes (4) reaches, as ``B o B`` is built only up to
-    ``B``'s arity bound.  No composite is built only to carry one step to
-    the next.
+    ``B``'s arity bound.  Each unitor is a unit step or an insertion inside
+    the map that reads it: the split in (2) and the multiplication of ``A~``
+    read ``Id_X o Id_X`` and ``Id_Z o Id_Z`` by a left unit step, and the
+    interchange puts the label of ``E`` or ``A`` that a raw of ``Id_Z o E``
+    or ``A o Id_X`` names over identities or under one.  The unit ``ev ->
+    T`` puts ev's labels over the units of ``A~``, then under ``B``'s, after
+    the inverse of ``transpose(Id_Z) -> ev``, ev's labels over identities,
+    collapsed.  No composite is built only to carry one step to the next.
     """
     if length_bound < 1 or arity_bound < 1:
         raise InputError("window parameters must be at least 1")
@@ -1226,9 +1242,14 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     evdata = ev_catsym(x, y, expz, length_bound)
     idz = cat_id(expz)
     idx = cat_id(x)
-    idy = cat_id(y)
     w_gpd = evdata.seq.dom
     capt = arity_bound + length_bound
+
+    def ident(o):  # the identity at a tagged letter, untagged, as Id_Z and Id_X hold it
+        return w_gpd.ident[o][1]
+
+    def eta_atil(o):  # the unit of A~ at a tagged letter
+        return ident(o) if o[0] == "l" else a.eta_label(o[1])
 
     atil = cat_sum(idz, acat)
     ev_a = cat_compose(evdata.seq, atil, max_arity=capt)
@@ -1245,45 +1266,29 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     m1 = map_inverse(col_ee)
 
     ss = cat_compose(s_e, s_e, max_arity=capt)
-    idxx = cat_compose(idx, idx, max_arity=capt)
-    split1 = cat_sum_split(ss, ee, idxx)
-    u_idid = cat_left_unitor(idxx)
-    smap = cat_sum_maps(identity_map(ee.seq), u_idid, cat_sum(ee.seq, idxx.seq), sum_ee)
-    split_total = compose_maps(smap, split1)
+    split_ss = cat_sum_split(ss, lambda key, raw: ee.class_of(*key, raw), cat_left_unit(idx), sum_ee)
     c2 = cat_compose(evdata.seq, ss.seq, max_arity=capt)
-    m2 = hcompose_maps(identity_map(evdata.seq), map_inverse(_on_window(split_total)), c1, c2)
+    m2 = hcompose_maps(identity_map(evdata.seq), map_inverse(_on_window(split_ss)), c1, c2)
     evs = cat_compose(evdata.seq, s_e, max_arity=capt)
     col_e = collapse_map(e, x, y, expz, evdata, evs, tc.seq)
     c4 = cat_compose(tc.seq, s_e, max_arity=capt)
 
-    # interchange (Id u A) o (E u Id)  ->  (E u Id) o (Id u A)
+    # the interchange (Id u A) o (E u Id) -> (E u Id) o (Id u A): the label of
+    # E or A that a raw names, put over identities or under one
     atil_s = cat_compose(atil, s_e, max_arity=capt)
-    idz_e = cat_compose(idz, e, max_arity=arity_bound)
-    a_idx = cat_compose(acat, idx, max_arity=capt)
-    e_idz = cat_compose(e, idz, max_arity=arity_bound)
-    idx_a = cat_compose(idx, acat, max_arity=capt)
     satil = cat_compose(s_e, atil, max_arity=capt)
-    split_as = cat_sum_split(atil_s, idz_e, a_idx)
-    step = cat_sum_maps(
-        cat_left_unitor(idz_e), cat_right_unitor(a_idx),
-        cat_sum(idz_e.seq, a_idx.seq), cat_sum(e, acat),
-    )
-    step2 = cat_sum_maps(
-        map_inverse(cat_right_unitor(e_idz)), map_inverse(cat_left_unitor(idx_a)),
-        cat_sum(e, acat), cat_sum(e_idz.seq, idx_a.seq),
-    )
-    unsplit = map_inverse(_on_window(cat_sum_split(satil, e_idz, idx_a)))
-    swap = compose_maps(unsplit, compose_maps(step2, compose_maps(step, split_as)))
+    units = {"l": cat_left_unit(e), "r": cat_right_unit(acat)}
+    inserts = {"l": cat_right_insert(satil, ident), "r": cat_left_insert(satil, ident)}
 
-    # mu of (Id u A): unitor on the left part, operad multiplication on the right
+    def interchange(key, raw):
+        tag = key[1][0]
+        return inserts[tag](key, units[tag](*_untag_raw(key, raw)))
+
+    swap = mu_from_raws(atil_s, interchange, satil.seq)
+
+    # mu of (Id u A): a unit step on the left part, operad multiplication on the right
     atil2 = cat_compose(atil, atil, max_arity=capt)
-    idz2 = cat_compose(idz, idz, max_arity=2)
-    a2 = cat_compose(acat, acat, max_arity=a.arity_bound)
-    split_aa = cat_sum_split(atil2, idz2, a2)
-    mu_atil = compose_maps(
-        cat_sum_maps(cat_left_unitor(idz2), _operad_mu(a, a2, acat), cat_sum(idz2.seq, a2.seq), atil),
-        split_aa,
-    )
+    mu_atil = cat_sum_split(atil2, cat_left_unit(idz), _operad_step(a), atil)
 
     # the steps inside B o -, composed into one map Ev_A o S -> T (step 4)
     evas = cat_compose(ev_a.seq, s_e, max_arity=capt)
@@ -1303,51 +1308,36 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
         mu_from_raws(c2, cat_ungroup(evs, ss, col_e, c4), c4.seq),
         mu_from_raws(c4, cat_regroup(tc, evas, identity_map(bcat), _chain(inner), b_t), b_t.seq),
     ]
-    mu_on_t = _then(_chain(chain), b_t, cat_ungroup(b2, tc, _operad_mu(b, b2, bcat), tc), tc.seq)
+    mu_on_t = _then(_chain(chain), b_t, cat_ungroup(b2, tc, mu_from_raws(b2, _operad_step(b), bcat), tc), tc.seq)
 
     mu_e = _untranspose_map(mu_on_t, ee.seq, e, x)
 
     # --- unit ---------------------------------------------------------------
-    s_id = cat_sum(idz, idx)
-    c_id = cat_compose(evdata.seq, s_id, max_arity=capt)
-    t_id = transpose(idz, x, y)
-    col_id = collapse_map(idz, x, y, expz, evdata, c_id, t_id)
-    idw = cat_id(w_gpd)
-    ev_idw = cat_compose(evdata.seq, idw, max_arity=capt)
-    ru_inv = map_inverse(cat_right_unitor(ev_idw))
-    # Id_{Z u X} -> Id_Z u Id_X: strip the tags of the unary arrows
-    idsum = SymSeqMap(idw, s_id, {k: {l: l[1] for l in labels} for k, labels in idw.cells.items()})
-    r1 = _chain([ru_inv, hcompose_maps(identity_map(evdata.seq), idsum, ev_idw, c_id), col_id])
-    eta_atil_comp = {
-        key: {lab: lab[1] if key[0][0][0] == "l" else a.eta_label(key[0][0][1]) for lab in labels}
-        for key, labels in idw.cells.items()
-    }
-    eta_atil = SymSeqMap(idw, atil, eta_atil_comp)
-    idy_eva = cat_compose(idy, ev_a.seq, max_arity=capt)
-    eta_b_comp = {key: {lab: b.eta_label(key[1]) for lab in labels} for key, labels in idy.cells.items()}
-    eta_b_cat = SymSeqMap(idy, bcat, eta_b_comp)
+    # transpose(Id_Z) -> ev is the inverse of ev's labels over identities,
+    # collapsed; then ev -> T puts them over the units of A~ and under B's
+    c_id = cat_compose(evdata.seq, cat_sum(idz, idx), max_arity=capt)
+    col_id = collapse_map(idz, x, y, expz, evdata, c_id, transpose(idz, x, y))
+    r1 = _chain([_labelwise(evdata.seq, cat_right_insert(c_id, ident), c_id.seq), col_id])
     eta_on_t = _chain([
         map_inverse(r1),
-        ru_inv,
-        hcompose_maps(identity_map(evdata.seq), eta_atil, ev_idw, ev_a),
-        map_inverse(cat_left_unitor(idy_eva)),
-        hcompose_maps(eta_b_cat, identity_map(ev_a.seq), idy_eva, tc),
+        _labelwise(evdata.seq, cat_right_insert(ev_a, eta_atil), ev_a.seq),
+        _labelwise(ev_a.seq, cat_left_insert(tc, b.eta_label), tc.seq),
     ])
     eta_e = _untranspose_map(eta_on_t, idz, e, x)
 
     hm = HomMonad(x, y, expz, e, mu_e, eta_e, ee, evdata)
-    check_cat_monad(hm, arity_bound, idz_e, e_idz)
+    check_cat_monad(hm, arity_bound)
     return hm
 
 
-def _operad_mu(op: Operad, comp2: Composite, target: CatSymSeq) -> SymSeqMap:
-    """The multiplication of ``op`` on its embedded composite ``comp2``."""
+def _operad_step(op: Operad) -> Callable:
+    """``step(key, raw)``: the multiplication of ``op`` at a raw of its embedded ``op o op``, any raw."""
 
-    def fn(key, raw):
+    def step(key, raw):
         mid, g, blocks, fs, arr = raw
         return op.mu.at(*key, op.comp2.class_of(*key, (mid, g, blocks, fs, arr[0])))
 
-    return mu_from_raws(comp2, fn, target)
+    return step
 
 
 def _untranspose_map(on_t: SymSeqMap, src: CatSymSeq, dst: CatSymSeq, x: FinGroupoid) -> SymSeqMap:
@@ -1371,14 +1361,15 @@ def _untranspose_map(on_t: SymSeqMap, src: CatSymSeq, dst: CatSymSeq, x: FinGrou
     return SymSeqMap(src, dst, comp)
 
 
-def check_cat_monad(hm: HomMonad, cap: int, ide: Composite, eid: Composite) -> None:
+def check_cat_monad(hm: HomMonad, cap: int) -> None:
     """Associativity and both unit laws of ``hm`` up to arity ``cap``.
 
-    ``ide`` and ``eid`` are ``Id_Z o E`` and ``E o Id_Z`` at that cap, as
-    ``hom_monad`` has built them for the interchange step.
+    Each unit law is read on ``Id_Z o E`` or ``E o Id_Z``, built here over
+    the ``Id_Z`` that ``eta`` starts from, and compared with the unit step there.
     """
-    e, mu, eta, ee = hm.e, hm.mu, hm.eta, hm.ee
+    e, mu, eta, ee, idz = hm.e, hm.mu, hm.eta, hm.ee, hm.eta.src
     eee_l = cat_compose(ee.seq, e, max_arity=cap)
+    ide, eid = cat_compose(idz, e, max_arity=cap), cat_compose(e, idz, max_arity=cap)
     require_equal(
         "hom monad associativity",
         compose_maps(mu, hcompose_maps(mu, identity_map(e), eee_l, ee)),
@@ -1386,11 +1377,11 @@ def check_cat_monad(hm: HomMonad, cap: int, ide: Composite, eid: Composite) -> N
     )
     require_equal(
         "hom monad left unit law",
-        compose_maps(mu, hcompose_maps(eta, identity_map(e), ide, ee)), cat_left_unitor(ide),
+        compose_maps(mu, hcompose_maps(eta, identity_map(e), ide, ee)), mu_from_raws(ide, cat_left_unit(e), e),
     )
     require_equal(
         "hom monad right unit law",
-        compose_maps(mu, hcompose_maps(identity_map(e), eta, eid, ee)), cat_right_unitor(eid),
+        compose_maps(mu, hcompose_maps(identity_map(e), eta, eid, ee)), mu_from_raws(eid, cat_right_unit(e), e),
     )
 
 

@@ -256,6 +256,49 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[SymSeqMap]:
     return SymSeqMap(f, g, comp)
 
 
+def cat_left_unitor(idf: Composite) -> SymSeqMap:
+    """``Id o F -> F``: transport along the shuffle, then along the unary arrow.
+
+    The reference for :func:`opdbim.catsym.cat_left_unit`, the step a map
+    that reads it applies inside itself, and ``cat_left_insert``, its inverse.
+    """
+    f = idf.inner
+    comp = {}
+    for key, reps in idf.reps.items():
+        w, y = key
+        m = {}
+        for idx, raw in enumerate(reps):
+            mid, g, blocks, fs, arr = raw
+            # g: mid[0] -> y in the codomain groupoid; block word realizes F at w
+            b = blocks[0]
+            lab = f.dom_at((b, mid[0]), w, arr, fs[0])
+            m[idx] = f.cod_at((w, mid[0]), g, lab)
+        comp[key] = m
+    return SymSeqMap(idf.seq, f, comp)
+
+
+def cat_right_unitor(fid: Composite) -> SymSeqMap:
+    """``F o Id -> F``: absorb the unary arrows and the shuffle.
+
+    The reference for :func:`opdbim.catsym.cat_right_unit` and
+    ``cat_right_insert``.
+    """
+    f = fid.outer
+    dom = f.dom
+    comp = {}
+    for key, reps in fid.reps.items():
+        w, y = key
+        m = {}
+        for idx, raw in enumerate(reps):
+            mid, g, blocks, fs, arr = raw
+            # arr: w -> concat(blocks); then letterwise arrows into mid
+            d = (tuple(range(len(mid))), tuple(fs))
+            total = sw_compose(dom, arr, d)
+            m[idx] = f.dom_at((mid, y), w, total, g)
+        comp[key] = m
+    return SymSeqMap(fid.seq, f, comp)
+
+
 def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
     """Canonical iso ``(H o G) o F -> H o (G o F)`` on every class of ``hg_f``, both bracketings built.
 

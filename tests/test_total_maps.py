@@ -21,6 +21,7 @@ from opdbim.catsym import (
     cat_compose,
     cat_from_symseq,
     cat_id,
+    cat_left_unit,
     cat_sum,
     cat_sum_split,
     exponential_operad,
@@ -103,25 +104,27 @@ def untag(w):
 
 
 def test_cat_sum_split_omits_exactly_the_cells_missing_from_the_part():
-    # the split (E u Id_X) o (E u Id_X) -> (E o E) u (Id_X o Id_X) of the
-    # unit(x) / com(2) hom monad with both windows 2
+    # the split (E u Id_X) o (E u Id_X) -> (E o E) u Id_X of the unit(x) /
+    # com(2) hom monad with both windows 2: each E o E raw goes to its class,
+    # each Id_X o Id_X raw to the arrow it names (the left unit step)
     hm = hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
     idx = cat_id(hm.x)
     s_e = cat_sum(hm.e, idx)
     ss = cat_compose(s_e, s_e, max_arity=4)
-    idxx = cat_compose(idx, idx, max_arity=4)
-    split = cat_sum_split(ss, hm.ee, idxx)
-    parts = {"l": hm.ee, "r": idxx}
+    split = cat_sum_split(ss, lambda key, raw: hm.ee.class_of(*key, raw), cat_left_unit(idx), cat_sum(hm.ee.seq, idx))
+    parts = {"l": hm.ee.seq, "r": idx}
     kept = {
         (w, z) for (w, z) in ss.reps
-        if (untag(w), z[1]) in parts[z[0]].seq.cells
+        if (untag(w), z[1]) in parts[z[0]].cells
     }
     assert set(split.comp) == kept
     assert 0 < len(kept) < len(ss.reps)
+    # the cells of the part Id_X are those of the composite Id_X o Id_X the unit step reads
+    assert set(cat_compose(idx, idx, max_arity=4).seq.cells) == set(idx.cells)
     for key in kept:
         assert set(split.comp[key]) == set(range(len(ss.reps[key])))
         w, z = key
-        assert set(split.comp[key].values()) <= set(parts[z[0]].seq.cells[(untag(w), z[1])])
+        assert set(split.comp[key].values()) <= set(parts[z[0]].cells[(untag(w), z[1])])
 
 
 def test_exponential_of_a_two_sorted_source():
