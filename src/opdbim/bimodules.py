@@ -13,7 +13,9 @@ composites per carrier.  The free actions through ``mu`` are written once:
 ``(F o A) o A``; the free bimodule, the free left module and the bimodules of
 lax and oplax monad morphisms are built from them.  Those two builders check
 the morphism square and unit triangle, and :func:`transport_adjunction` the
-triangle identities in Sym, on the composites they build the structure from.
+triangle identities in Sym, on the composites they build the structure from;
+each unit triangle starts per label from an insertion (``symseq.left_insert``,
+``symseq.right_insert``), so no ``Id o F`` is built for it nor unitor inverted.
 Relative composition quotients the plain composite by the two middle actions;
 a map out of the plain composite that coequalizes them induces the map out of
 the relative composite (:func:`descend`), which gives both unit isomorphisms
@@ -52,6 +54,8 @@ from .symseq import (
     hcompose_maps,
     id_symseq,
     identity_map,
+    labelwise,
+    left_insert,
     left_unitor,
     map_inverse,
     mu_from_raws,
@@ -59,6 +63,7 @@ from .symseq import (
     regroup_map,
     require_equal,
     restrict_map,
+    right_insert,
     right_unitor,
     ungroup,
 )
@@ -414,14 +419,8 @@ def bimodule_of_lax(f: SymSeq, a: Operad, b: Operad, phi: SymSeqMap, window: int
     s1 = compose_maps(phi, hcompose_maps(restrict_map(b.mu, comp2b.seq), identity_map(f), bb_f, bf))
     s2 = compose_maps(lam, regroup_map(comp2b, bb_f, bf, identity_map(bc), phi, b_fa))
     require_equal("lax morphism multiplication square", s1, s2)
-    idf = compose_symseq(b.ident, f, max_arity=window)
-    fid = compose_symseq(f, a.ident, max_arity=window)
-    u1 = compose_maps(phi, hcompose_maps(b.eta, identity_map(f), idf, bf))
-    u2 = compose_maps(
-        hcompose_maps(identity_map(f), a.eta, fid, fa),
-        compose_maps(map_inverse(right_unitor(fid)), left_unitor(idf)),
-    )
-    require_equal("lax morphism unit triangle", u1, u2)
+    u1 = compose_maps(phi, labelwise(f, left_insert(bf, b.eta_label), bf.seq, window))
+    require_equal("lax morphism unit triangle", u1, labelwise(f, right_insert(fa, a.eta_label), fa.seq, window))
     return Bimodule(b, a, fa.seq, lam, rho, window, b_fa, fa_a)
 
 
@@ -444,14 +443,8 @@ def bimodule_of_oplax(f: SymSeq, a: Operad, b: Operad, psi: SymSeqMap, window: i
     fa_a, free_rho = free_right_action(fa, a, window)
     s2 = compose_maps(rho, hcompose_maps(psi, identity_map(ac), fa_a, bf_a))
     require_equal("oplax morphism multiplication square", compose_maps(psi, free_rho), s2)
-    fid = compose_symseq(f, a.ident, max_arity=window)
-    idf = compose_symseq(b.ident, f, max_arity=window)
-    u1 = compose_maps(psi, hcompose_maps(identity_map(f), a.eta, fid, fa))
-    u2 = compose_maps(
-        hcompose_maps(b.eta, identity_map(f), idf, bf),
-        compose_maps(map_inverse(left_unitor(idf)), right_unitor(fid)),
-    )
-    require_equal("oplax morphism unit triangle", u1, u2)
+    u1 = compose_maps(psi, labelwise(f, right_insert(fa, a.eta_label), fa.seq, window))
+    require_equal("oplax morphism unit triangle", u1, labelwise(f, left_insert(bf, b.eta_label), bf.seq, window))
     return Bimodule(b, a, bf.seq, lam, rho, window, b_bf, bf_a)
 
 
@@ -533,29 +526,21 @@ def transport_adjunction(
     """
     uf = compose_symseq(u, f, max_arity=window)
     fu = compose_symseq(f, u, max_arity=window)
-    f_id = compose_symseq(f, id_symseq(f.dom), max_arity=window)
     id_f = compose_symseq(id_symseq(f.cod), f, max_arity=window)
     f_uf = compose_symseq(f, uf.seq, max_arity=window)
     eta = restrict_map(eta, id_symseq(f.dom), uf.seq)
     eps = restrict_map(eps, fu.seq, id_symseq(f.cod))
     eta.validate()
     eps.validate()
-    m1 = hcompose_maps(identity_map(f), eta, f_id, f_uf)
-    m2 = mu_from_raws(f_uf, ungroup(fu, uf, eps, id_f), id_f.seq)
-    tri1 = compose_maps(
-        left_unitor(id_f),
-        compose_maps(m2, compose_maps(m1, map_inverse(right_unitor(f_id)))),
-    )
+    unit = {x: eta.at((x,), x, ("id", x)) for x in f.dom}.__getitem__  # eta's image of each identity
+    # each triangle starts from the insertion of a label over eta's images, or under one
+    to_f_uf = labelwise(f, right_insert(f_uf, unit), f_uf.seq, window)
+    tri1 = compose_maps(left_unitor(id_f), compose_maps(mu_from_raws(f_uf, ungroup(fu, uf, eps, id_f), id_f.seq), to_f_uf))
     require_equal("Sym adjunction triangle (left)", tri1, identity_map(f))
     u_id = compose_symseq(u, id_symseq(u.dom), max_arity=window)
-    id_u = compose_symseq(id_symseq(u.cod), u, max_arity=window)
     uf_u = compose_symseq(uf.seq, u, max_arity=window)
-    n1 = hcompose_maps(eta, identity_map(u), id_u, uf_u)
-    n2 = regroup_map(uf, uf_u, fu, identity_map(u), eps, u_id)
-    tri2 = compose_maps(
-        right_unitor(u_id),
-        compose_maps(n2, compose_maps(n1, map_inverse(left_unitor(id_u)))),
-    )
+    to_uf_u = labelwise(u, left_insert(uf_u, unit), uf_u.seq, window)
+    tri2 = compose_maps(right_unitor(u_id), compose_maps(regroup_map(uf, uf_u, fu, identity_map(u), eps, u_id), to_uf_u))
     require_equal("Sym adjunction triangle (right)", tri2, identity_map(u))
 
     ac, bc = a.carrier, b.carrier

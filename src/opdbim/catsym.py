@@ -44,14 +44,15 @@ inverted ``_on_window`` restricts both ends to the cells it holds, so
 a map that reads one applies a step inside itself, a regroup or ungroup
 (:func:`cat_regroup`, :func:`cat_ungroup`) or a unit step
 (:func:`cat_left_unit`, :func:`cat_right_unit`), and a map that reads an
-inverse unitor an insertion (:func:`cat_left_insert`, :func:`cat_right_insert`).
+inverse unitor an insertion (:func:`cat_left_insert`, :func:`cat_right_insert`),
+through which the hom monad's unit laws are read per label (``symseq.labelwise``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from .perms import (
@@ -75,10 +76,13 @@ from .symseq import (
     Composite,
     SymSeq,
     SymSeqMap,
+    _require_fit,
+    _require_same,
     _Shape,
     compose_maps,
     hcompose_maps,
     identity_map,
+    labelwise,
     map_inverse,
     require_equal,
     sum_symseq,
@@ -777,20 +781,6 @@ def cat_right_insert(dst: Composite, unit: Callable) -> Callable:
     return insert
 
 
-def _labelwise(src: CatSymSeq, fn: Callable, target: CatSymSeq) -> SymSeqMap:
-    """The map ``src -> target`` given by ``fn(key, label)`` on every label."""
-    return SymSeqMap(src, target, {key: {lab: fn(key, lab) for lab in labels} for key, labels in src.cells.items()})
-
-
-def _require_meets(what: str, a: CatSymSeq, b: CatSymSeq) -> None:
-    """``ValidationError`` naming ``a`` and ``b`` by their first cells, unless they are one
-    sequence or have the same callbacks and one's cells are among the other's (``_on_window``)."""
-    if a is not b and not (a.dom_fn is b.dom_fn and a.cod_fn is b.cod_fn and (
-            a.cells.items() <= b.cells.items() or b.cells.items() <= a.cells.items())):
-        named = [", ".join(f"{key!r}: {f.size(*key)}" for key in f.support()[:3]) for f in (a, b)]
-        raise ValidationError(f"{what}: the sequence with cells {named[0]} is not the one with cells {named[1]}")
-
-
 def cat_regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst: Composite) -> Callable:
     """``step(key, raw)``: a raw of ``(H o G) o F`` regrouped, whiskered by ``beta o alpha``, classed in ``dst``.
 
@@ -803,10 +793,7 @@ def cat_regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap,
     and ``u`` is not one when a block of a later letter is less than one of
     an earlier letter (``hom_monad(unit(x,2), com(3), 2, 3)`` has such raws).
     """
-    _require_meets("the outer 2-cell does not start at the outer factor", beta.src, hg.outer)
-    _require_meets("the outer 2-cell does not end at the target's outer factor", beta.dst, dst.outer)
-    _require_meets("the inner 2-cell does not start at the inner factor", alpha.src, gf.seq)
-    _require_meets("the inner 2-cell does not end at the target's inner factor", alpha.dst, dst.inner)
+    _require_fit(beta, alpha, hg.outer, gf.seq, dst.outer, dst.inner)
     f, dom = gf.inner, gf.inner.dom
 
     def step(key, raw):
@@ -841,9 +828,9 @@ def cat_ungroup(hg: Composite, gf: Composite, beta: SymSeqMap, dst: Composite) -
     ``H' o F``; ``(H o G) o F`` is never built.  The ``G`` words of the
     blocks' representatives, concatenated, go to their canonical word.
     """
-    _require_meets("the outer 2-cell does not start at the outer factor", beta.src, hg.seq)
-    _require_meets("the outer 2-cell does not end at the target's outer factor", beta.dst, dst.outer)
-    _require_meets("the inner factor is not the target's inner factor", gf.inner, dst.inner)
+    _require_same("the outer 2-cell does not start at the outer factor", beta.src, hg.seq)
+    _require_same("the outer 2-cell does not end at the target's outer factor", beta.dst, dst.outer)
+    _require_same("the inner factor is not the target's inner factor", gf.inner, dst.inner)
     dom, gdom = gf.inner.dom, hg.inner.dom
 
     def step(key, raw):
@@ -1175,10 +1162,7 @@ class HomMonad:
 
 def _on_window(m: SymSeqMap) -> SymSeqMap:
     """``m`` between the cells it holds: both ends restricted to those cells."""
-    src, dst = (
-        CatSymSeq(s.dom, s.cod, {k: s.cells[k] for k in m.comp if k in s.cells}, s.dom_fn, s.cod_fn)
-        for s in (m.src, m.dst)
-    )
+    src, dst = (replace(s, cells={k: s.cells[k] for k in m.comp if k in s.cells}) for s in (m.src, m.dst))
     return SymSeqMap(src, dst, m.comp)
 
 
@@ -1189,7 +1173,7 @@ def _chain(maps: list) -> SymSeqMap:
 
 def _then(first: SymSeqMap, comp: Composite, step: Callable, target: CatSymSeq) -> SymSeqMap:
     """``first`` followed by ``step`` at the representative of each class of ``comp`` that ``first`` reaches."""
-    _require_meets("the step does not start where the map ends", first.dst, comp.seq)
+    _require_same("the step does not start where the map ends", first.dst, comp.seq)
     out = {}
     for key, m in first.comp.items():
         moved = {v: step(key, comp.rep(*key, v)) for v in dict.fromkeys(m.values())}
@@ -1224,14 +1208,14 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     or ``A o Id_X`` names over identities or under one.  The unit ``ev ->
     T`` puts ev's labels over the units of ``A~``, then under ``B``'s, after
     the inverse of ``transpose(Id_Z) -> ev``, ev's labels over identities,
-    collapsed.  No composite is built only to carry one step to the next.
+    collapsed.  No composite is built only to carry a step or a unit law.
     """
     if length_bound < 1 or arity_bound < 1:
         raise InputError("window parameters must be at least 1")
     if not a.reduced or not b.reduced:
         raise InputError("the exponential pipeline requires reduced operads")
     if b.arity_bound > arity_bound:
-        # E has cells up to B's arity, above the window E o Id_Z is built to
+        # E has cells up to B's arity, above the window its unit laws are read to
         raise InputError(
             f"arity window {arity_bound} is below the outer operad's arity bound {b.arity_bound}"
         )
@@ -1317,11 +1301,11 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     # collapsed; then ev -> T puts them over the units of A~ and under B's
     c_id = cat_compose(evdata.seq, cat_sum(idz, idx), max_arity=capt)
     col_id = collapse_map(idz, x, y, expz, evdata, c_id, transpose(idz, x, y))
-    r1 = _chain([_labelwise(evdata.seq, cat_right_insert(c_id, ident), c_id.seq), col_id])
+    r1 = _chain([labelwise(evdata.seq, cat_right_insert(c_id, ident), c_id.seq, capt), col_id])
     eta_on_t = _chain([
         map_inverse(r1),
-        _labelwise(evdata.seq, cat_right_insert(ev_a, eta_atil), ev_a.seq),
-        _labelwise(ev_a.seq, cat_left_insert(tc, b.eta_label), tc.seq),
+        labelwise(evdata.seq, cat_right_insert(ev_a, eta_atil), ev_a.seq, capt),
+        labelwise(ev_a.seq, cat_left_insert(tc, b.eta_label), tc.seq, capt),
     ])
     eta_e = _untranspose_map(eta_on_t, idz, e, x)
 
@@ -1364,25 +1348,22 @@ def _untranspose_map(on_t: SymSeqMap, src: CatSymSeq, dst: CatSymSeq, x: FinGrou
 def check_cat_monad(hm: HomMonad, cap: int) -> None:
     """Associativity and both unit laws of ``hm`` up to arity ``cap``.
 
-    Each unit law is read on ``Id_Z o E`` or ``E o Id_Z``, built here over
-    the ``Id_Z`` that ``eta`` starts from, and compared with the unit step there.
+    Each unit law is read per label ``l`` of ``E`` up to ``cap``: ``mu`` of
+    the class of ``E o E`` that puts ``l`` under ``eta``'s unit, or over its
+    units (:func:`cat_left_insert`, :func:`cat_right_insert`), is ``l``.
+    Neither ``Id_Z o E`` nor ``E o Id_Z`` is built.
     """
-    e, mu, eta, ee, idz = hm.e, hm.mu, hm.eta, hm.ee, hm.eta.src
+    e, mu, eta, ee = hm.e, hm.mu, hm.eta, hm.ee
     eee_l = cat_compose(ee.seq, e, max_arity=cap)
-    ide, eid = cat_compose(idz, e, max_arity=cap), cat_compose(e, idz, max_arity=cap)
     require_equal(
         "hom monad associativity",
         compose_maps(mu, hcompose_maps(mu, identity_map(e), eee_l, ee)),
         compose_maps(mu, mu_from_raws(eee_l, cat_regroup(ee, ee, identity_map(e), mu, ee), ee.seq)),
     )
-    require_equal(
-        "hom monad left unit law",
-        compose_maps(mu, hcompose_maps(eta, identity_map(e), ide, ee)), mu_from_raws(ide, cat_left_unit(e), e),
-    )
-    require_equal(
-        "hom monad right unit law",
-        compose_maps(mu, hcompose_maps(identity_map(e), eta, eid, ee)), mu_from_raws(eid, cat_right_unit(e), e),
-    )
+    unit = {z: eta.at((z,), z, i) for z, i in hm.expz.ident.items()}.__getitem__  # eta at each identity
+    for law, insert in (("left", cat_left_insert), ("right", cat_right_insert)):
+        unit_law = compose_maps(mu, labelwise(e, insert(ee, unit), ee.seq, cap))
+        require_equal(f"hom monad {law} unit law", unit_law, identity_map(e))
 
 
 # ---------------------------------------------------------------------------

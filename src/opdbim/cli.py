@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (json.JSONDecodeError, FileNotFoundError, InputError, KeyError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError, InputError, KeyError) as e:
         print(f"input error: {e}")
         return INPUT_ERR
     except ValidationError as e:

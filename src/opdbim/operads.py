@@ -68,11 +68,14 @@ from .symseq import (
     hcompose_maps,
     id_symseq,
     identity_map,
+    labelwise,
+    left_insert,
     map_equal,
     mu_from_raws,
     regroup_map,
     require_equal,
     restrict_map,
+    right_insert,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -98,7 +101,6 @@ class Operad:
     arity_bound: int
     reduced: bool
     comp2: Composite
-    ident: SymSeq            # the identity sequence on sorts
     memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def eta_label(self, x):
@@ -138,7 +140,7 @@ def make_operad(
         carrier,
         {((x,), x): {("id", x): eta_labels[x]} for x in sorts},
     )
-    op = Operad(sorts, carrier, mu, eta, arity_bound, reduced, comp2, ident)
+    op = Operad(sorts, carrier, mu, eta, arity_bound, reduced, comp2)
     check_monad_laws(op)
     return op
 
@@ -225,36 +227,21 @@ def _unit_law(op: Operad, om: Composite, w: int, left: bool, law: str) -> Callab
 
     ``(eta; f)`` is the raw of ``om`` (``op o M`` if ``left``, else ``M o
     op``) that puts ``f`` under the unit, or units under ``f``, with the
-    identity arrow: one per class of ``Id o M`` or ``M o Id``, which is not
-    built.  The classes are a fixture held by ``op``.  Every label is
-    compared, least in its orbit or not.
+    identity arrow (:func:`.symseq.left_insert`, :func:`.symseq.right_insert`):
+    one per class of ``Id o M`` or ``M o Id``, which is not built.  The map
+    ``f -> (eta; f)`` is a fixture held by ``op``; every label is compared.
     """
-    units = held(op, _fixture_key("unit", om, w, left), lambda: _unit_classes(op, om, w, left))
+    m, insert = (om.inner, left_insert) if left else (om.outer, right_insert)
+    units = held(op, _fixture_key("unit", om, w, left), lambda: labelwise(m, insert(om, op.eta_label), om.seq, w))
 
     def check(act: SymSeqMap) -> None:
-        for key, f, cls in units:
-            value = act.at(*key, cls)
-            if value != f:
-                raise ValidationError(f"{law} fails at cell {key}, label {f!r}: {value!r} != {f!r}")
+        for key, classes in units.comp.items():
+            for f, cls in classes.items():
+                value = act.at(*key, cls)
+                if value != f:
+                    raise ValidationError(f"{law} fails at cell {key}, label {f!r}: {value!r} != {f!r}")
 
     return check
-
-
-def _unit_classes(op: Operad, om: Composite, w: int, left: bool) -> list:
-    """``(cell, f, class of (eta; f) in om)`` for every label ``f`` of ``M`` up to arity ``w``."""
-    m = om.inner if left else om.outer
-
-    def unit_raw(v: Word, y, f) -> tuple:
-        if left:
-            return ((y,), op.eta_label(y), (v,), (f,), tuple(range(len(v))))
-        return (v, f, tuple((x,) for x in v), tuple(map(op.eta_label, v)), tuple(range(len(v))))
-
-    return [
-        (key, f, om.class_of(*key, unit_raw(*key, f)))
-        for key in m.support()
-        if len(key[0]) <= w
-        for f in m.labels(*key)
-    ]
 
 
 def same_operad(p: Operad, q: Operad) -> bool:

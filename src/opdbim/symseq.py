@@ -9,7 +9,9 @@ the enumeration order is built (sorted blocks, a label pair least in its
 orbit, an arrow least under the pair's stabilizer; see
 :func:`compose_symseq`).  ``Composite.class_of`` carries any other raw to
 that least raw before it looks it up.  The unitors are explicit equivariant
-bijections on class representatives.  The associator is applied as one
+bijections on class representatives, read as actions; a unit law is read per
+label (:func:`labelwise`) through an insertion (:func:`left_insert`,
+:func:`right_insert`), so no unitor is inverted.  The associator is applied as one
 regroup step (:func:`regroup`, inverse :func:`ungroup`) inside the map that
 reads it, which whiskers each regrouped raw where it lands, so no map of
 this layer builds the second bracketing; :func:`associator` is the step's
@@ -27,8 +29,8 @@ holds nothing per raw beyond its representatives, and its cells, labelled
 :mod:`.catsym`).  Every map is total on the cells it holds: reading a cell or
 label it lacks raises ``ValidationError`` naming both, and a map is inverted
 only when it is a bijection on every non-empty cell of either end.  Each
-composition checks by content token that its maps meet where both ends are
-plain sequences (``CatSymSeq`` has no token yet).
+composition checks that its maps meet (:func:`_require_same`), plain ends by
+content token and categorical ends by callbacks and cells.
 
 Composite raw tuples have the shape ``(mid, g, blocks, fs, sigma)`` where
 ``mid`` is a canonical word over the middle sorts, ``g`` a label of the outer
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -256,15 +258,27 @@ def identity_map(f: SymSeq) -> SymSeqMap:
     return SymSeqMap(f, f, {key: {lab: lab for lab in f.labels(*key)} for key in f.cells})
 
 
-def _named(f: SymSeq) -> str:
-    """``f`` in a failure message: its sorts and its first cells with their sizes."""
+def _named(f) -> str:
+    """``f`` in a failure message: its layer, its sorts if plain, and its first cells with their sizes."""
     cells = ", ".join(f"{key!r}: {f.size(*key)}" for key in f.support()[:4])
-    return f"SymSeq({f.dom!r} -> {f.cod!r}; {len(f.cells)} cells: {cells})"
+    sorts = f"{f.dom!r} -> {f.cod!r}; " if type(f) is SymSeq else ""
+    return f"{type(f).__name__}({sorts}{len(f.cells)} cells: {cells})"
 
 
 def _require_same(what: str, a, b) -> None:
-    """``ValidationError`` naming ``a`` and ``b`` if both are plain sequences of other contents."""
-    if a is not b and type(a) is SymSeq and type(b) is SymSeq and a.content() is not b.content():
+    """``ValidationError`` naming ``a`` and ``b`` unless they are one object or, of one layer, one content.
+
+    A ``CatSymSeq`` has no content token: two are one when they share their
+    callbacks and one's cells are among the other's (``catsym._on_window``).
+    """
+    if a is b or type(a) is not type(b):
+        same = a is b
+    elif type(a) is SymSeq:
+        same = a.content() is b.content()
+    else:
+        cells = a.cells.items() <= b.cells.items() or b.cells.items() <= a.cells.items()
+        same = a.dom_fn is b.dom_fn and a.cod_fn is b.cod_fn and cells
+    if not same:
         raise ValidationError(f"{what}: {_named(a)} is not {_named(b)}")
 
 
@@ -772,6 +786,26 @@ def right_unitor(fid: Composite) -> SymSeqMap:
     return SymSeqMap(fid.seq, f, comp)
 
 
+def left_insert(dst: Composite, unit: Callable) -> Callable:
+    """``insert(key, label)``: the class at ``key = (w, y)`` of ``dst`` of the raw that puts ``label``
+    under ``unit(y)`` with the identity arrow; :func:`left_unitor` inverted where ``unit`` gives identities."""
+    def insert(key, label):
+        w, y = key
+        return dst.class_of(w, y, ((y,), unit(y), (w,), (label,), tuple(range(len(w)))))
+
+    return insert
+
+
+def right_insert(dst: Composite, unit: Callable) -> Callable:
+    """``insert(key, label)``: the class at ``key`` of ``dst`` of the raw that puts ``label`` over ``unit(x)``
+    at each letter ``x`` with the identity arrow; :func:`right_unitor` inverted where ``unit`` gives identities."""
+    def insert(key, label):
+        w, y = key
+        return dst.class_of(w, y, (w, label, tuple((x,) for x in w), tuple(map(unit, w)), tuple(range(len(w)))))
+
+    return insert
+
+
 def mu_from_raws(comp: Composite, fn: Callable, target) -> SymSeqMap:
     """The map ``comp.seq -> target`` given by ``fn(key, raw)`` on class representatives."""
     return SymSeqMap(
@@ -779,6 +813,16 @@ def mu_from_raws(comp: Composite, fn: Callable, target) -> SymSeqMap:
         target,
         {key: {idx: fn(key, raw) for idx, raw in enumerate(reps)} for key, reps in comp.reps.items()},
     )
+
+
+def labelwise(src, fn: Callable, target, window: int) -> SymSeqMap:
+    """The map ``src -> target`` of either layer given by ``fn(key, label)`` on every label up to arity ``window``.
+
+    It starts at ``src`` cut at the window: a law that compares it neither reads nor reports a cell above."""
+    keys = [key for key in src.support() if len(key[0]) <= window]
+    if any(len(w) > window for w, _y in src.cells):
+        src = replace(src, cells={key: src.cells[key] for key in keys})
+    return SymSeqMap(src, target, {key: {lab: fn(key, lab) for lab in src.labels(*key)} for key in keys})
 
 
 def regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst: Composite) -> Callable:
@@ -1026,6 +1070,8 @@ def series(f: SymSeq, bound: int) -> list[tuple]:
     """Rows ``(n, cell size, orbit count, size/n!)`` of a single-sorted sequence."""
     if len(f.dom) != 1 or len(f.cod) != 1 or set(f.dom) != set(f.cod):
         raise InputError("series requires a single-sorted endo sequence")
+    if bound < 0:
+        raise InputError(f"series bound must be a non-negative integer, got {bound}")
     x = f.dom[0]
     rows = []
     for n in range(bound + 1):

@@ -7,6 +7,7 @@ from typing import Optional
 from opdbim.bimodules import descend, free_left_action, free_right_action
 from opdbim.catsym import (
     CatSymSeq,
+    cat_compose,
     sw_block_diag,
     sw_block_perm,
     sw_canonical,
@@ -48,8 +49,10 @@ from opdbim.symseq import (
     left_unitor,
     map_inverse,
     mu_from_raws,
+    regroup_map,
     restrict_map,
     right_unitor,
+    ungroup,
 )
 
 
@@ -518,3 +521,70 @@ def transport_chain(f, u, eps, a, b, xi, window, adj) -> tuple:
         hcompose_maps(identity_map(bc), inner2, b_fub, comp2b), associator(bf, fg.nm, f_ub, b_fub),
     ))
     return psi, phi, unit, descend(fg, sigma, bc)
+
+
+# --- unit laws through built Id o F and F o Id and inverted unitors --------------
+
+
+def morphism_unit_chain(f, a, b, m, window, lax) -> tuple:
+    """The two sides of the unit triangle of a lax ``phi: B o F -> F o A`` (``lax``) or an oplax ``psi: F o A -> B o F``.
+
+    The chain ``bimodule_of_lax`` and ``bimodule_of_oplax`` used before they
+    read the triangle per label of ``F``: both sides start at a built ``Id o
+    F``, one side through ``eta o F``, the other through the left unitor,
+    the inverse of the right unitor of a built ``F o Id`` and ``F o eta``
+    (the oplax triangle is its mirror image).
+    """
+    bf = compose_symseq(b.carrier, f, max_arity=window)
+    fa = compose_symseq(f, a.carrier, max_arity=window)
+    idf = compose_symseq(b.eta.src, f, max_arity=window)
+    fid = compose_symseq(f, a.eta.src, max_arity=window)
+    b_eta = hcompose_maps(b.eta, identity_map(f), idf, bf)
+    a_eta = hcompose_maps(identity_map(f), a.eta, fid, fa)
+    if lax:
+        u2 = compose_maps(a_eta, compose_maps(map_inverse(right_unitor(fid)), left_unitor(idf)))
+        return compose_maps(restrict_map(m, bf.seq, fa.seq), b_eta), u2
+    u2 = compose_maps(b_eta, compose_maps(map_inverse(left_unitor(idf)), right_unitor(fid)))
+    return compose_maps(restrict_map(m, fa.seq, bf.seq), a_eta), u2
+
+
+def sym_triangle_chains(f, u, eta, eps, window) -> tuple:
+    """``(tri1, tri2)``: the triangle identities of ``F -| U`` in Sym, each to be the identity.
+
+    The chains ``transport_adjunction`` used before it started each triangle
+    from insertions of ``eta``'s images: ``F o eta`` on a built ``F o Id``
+    after the inverse right unitor, and ``eta o U`` on a built ``Id o U``
+    after the inverse left unitor.
+    """
+    uf = compose_symseq(u, f, max_arity=window)
+    fu = compose_symseq(f, u, max_arity=window)
+    eta = restrict_map(eta, id_symseq(f.dom), uf.seq)
+    eps = restrict_map(eps, fu.seq, id_symseq(f.cod))
+    f_id = compose_symseq(f, id_symseq(f.dom), max_arity=window)
+    id_f = compose_symseq(id_symseq(f.cod), f, max_arity=window)
+    f_uf = compose_symseq(f, uf.seq, max_arity=window)
+    m1 = hcompose_maps(identity_map(f), eta, f_id, f_uf)
+    m2 = mu_from_raws(f_uf, ungroup(fu, uf, eps, id_f), id_f.seq)
+    tri1 = compose_maps(left_unitor(id_f), compose_maps(m2, compose_maps(m1, map_inverse(right_unitor(f_id)))))
+    u_id = compose_symseq(u, id_symseq(u.dom), max_arity=window)
+    id_u = compose_symseq(id_symseq(u.cod), u, max_arity=window)
+    uf_u = compose_symseq(uf.seq, u, max_arity=window)
+    n1 = hcompose_maps(eta, identity_map(u), id_u, uf_u)
+    n2 = regroup_map(uf, uf_u, fu, identity_map(u), eps, u_id)
+    tri2 = compose_maps(right_unitor(u_id), compose_maps(n2, compose_maps(n1, map_inverse(left_unitor(id_u)))))
+    return tri1, tri2
+
+
+def cat_monad_unit_chains(hm, cap) -> tuple:
+    """The two sides of the left and of the right unit law of a hom monad, on built ``Id_Z o E`` and ``E o Id_Z``.
+
+    The chain ``check_cat_monad`` used before it read each unit law per
+    label of ``E``: ``mu`` after ``eta o E`` against the left unitor, and
+    ``mu`` after ``E o eta`` against the right unitor.
+    """
+    e, mu, eta, ee, idz = hm.e, hm.mu, hm.eta, hm.ee, hm.eta.src
+    ide, eid = cat_compose(idz, e, max_arity=cap), cat_compose(e, idz, max_arity=cap)
+    return (
+        (compose_maps(mu, hcompose_maps(eta, identity_map(e), ide, ee)), cat_left_unitor(ide)),
+        (compose_maps(mu, hcompose_maps(identity_map(e), eta, eid, ee)), cat_right_unitor(eid)),
+    )

@@ -55,7 +55,7 @@ from opdbim.bimodules import (
     u_lower_circ,
 )
 from opdbim.samples import rand_bimodule, rand_operad
-from oracles import iso_symseq, lax_chain, oplax_rho_chain, transport_chain
+from oracles import iso_symseq, lax_chain, morphism_unit_chain, oplax_rho_chain, sym_triangle_chains, transport_chain
 
 STAR = "*"
 
@@ -769,22 +769,82 @@ def test_morphism_laws_are_named(builder, lax, law):
     f, swap = _unary_twist(z2, {"e": "a", "a": "e"}, lax)
     with pytest.raises(ValidationError, match=rf"^{law} multiplication square fails at cell {CELL}, class 0: 1 != 0$"):
         builder(f, z2, z2, swap, window=1)
-    # a.a = a in J, so the constant map at a commutes with mu but not with eta
+    # a.a = a in J, so the constant map at a commutes with mu but not with eta;
+    # the triangle is read per label of F, here Id's one label
     f, const = _unary_twist(j, {"e": "a", "a": "a"}, lax)
-    with pytest.raises(ValidationError, match=rf"^{law} unit triangle fails at cell {CELL}, class 0: 1 != 0$"):
+    label = re.escape(repr(("id", STAR)))
+    with pytest.raises(ValidationError, match=rf"^{law} unit triangle fails at cell {CELL}, class {label}: 1 != 0$"):
         builder(f, j, j, const, window=1)
 
 
-def test_sym_adjunction_left_triangle_is_named():
+def _sym_left_triangle_mutant():
+    """``(F, U, eta, eps, A, B, xi)`` whose ``eta`` and ``eps`` break the left Sym triangle, at window 1."""
     f = SymSeq((STAR,), (STAR,), {((STAR,), STAR): YoungSet.trivial((STAR,), ("p", "q"))})
     ff = compose_symseq(f, f, max_arity=1)
     ident = id_symseq((STAR,))
     eta = SymSeqMap(ident, ff.seq, {((STAR,), STAR): {("id", STAR): 0}})
     eps = SymSeqMap(ff.seq, ident, {k: {c: ("id", STAR) for c in cell.labels} for k, cell in ff.seq.cells.items()})
     unit = _unit()
+    return f, f, eta, eps, unit, unit, identity_map(unit.carrier)
+
+
+def test_sym_adjunction_left_triangle_is_named():
     law = r"^Sym adjunction triangle \(left\) fails at cell "
     with pytest.raises(ValidationError, match=law + CELL + r", class 'q': 'p' != 'q'$"):
-        transport_adjunction(f, f, eta, eps, unit, unit, identity_map(unit.carrier), window=1)
+        transport_adjunction(*_sym_left_triangle_mutant(), window=1)
+
+
+# --- each unit law, read per label, against the chain through built Id o F and F o Id
+
+
+def test_unit_laws_read_per_label_accept_and_refuse_where_the_chains_through_built_unitors_do(monkeypatch):
+    # every law check of the builders records whether it holds and raises
+    # nothing, so a law read after a refused one is compared too; the (op)lax
+    # builders that transport_adjunction calls record their inputs
+    import opdbim.bimodules as bimodules
+
+    verdicts, morphisms = [], []
+    monkeypatch.setattr(bimodules, "require_equal", lambda law, a, b: verdicts.append((law, map_equal(a, b))))
+    for builder, lax in ((bimodule_of_lax, True), (bimodule_of_oplax, False)):
+        def recording(f, a, b, m, window, builder=builder, lax=lax):
+            morphisms.append((f, a, b, m, window, lax))
+            return builder(f, a, b, m, window=window)
+
+        monkeypatch.setattr(bimodules, builder.__name__, recording)
+
+    def unit_verdicts(build) -> list:
+        verdicts.clear()
+        try:
+            build()
+        except ValidationError:  # a law the builder does not record, such as an action law
+            pass
+        return [(law, holds) for law, holds in verdicts if "unit triangle" in law or "Sym" in law]
+
+    com, z2, j = com_operad(2), _z2(), _j()
+    f, phi, psi = _identity_morphism_inputs(com)
+    morphisms += [(f, com, com, phi, 2, True), (f, com, com, psi, 2, False)]
+    morphisms += [(*inputs, 2, True) for inputs in (_projection_inputs(), *_collapse_inputs())]
+    for op, label_map in ((z2, {"e": "e", "a": "a"}), (j, {"e": "a", "a": "a"})):  # the second is the constant mutant
+        for lax in (True, False):
+            f, m = _unary_twist(op, label_map, lax)
+            morphisms.append((f, op, op, m, 1, lax))
+    refused = 0
+    for f, u, eta, eps, a, b, xi, window in (
+        (*_transport_identity_inputs(), 2), (*_transport_circ_inputs(make_morphism()), 2), (*_sym_left_triangle_mutant(), 1),
+    ):
+        got = unit_verdicts(lambda: transport_adjunction(f, u, eta, eps, a, b, xi, window=window))
+        chains = sym_triangle_chains(f, u, eta, eps, window)
+        expected = [(f"Sym adjunction triangle ({side})", map_equal(tri, identity_map(seq)))
+                    for side, tri, seq in (("left", chains[0], f), ("right", chains[1], u))]
+        assert got[:2] == expected
+        refused += sum(not holds for _law, holds in expected)
+    for f, a, b, m, window, lax in list(morphisms):
+        builder = bimodule_of_lax if lax else bimodule_of_oplax
+        got = unit_verdicts(lambda: builder(f, a, b, m, window=window))
+        law = "lax morphism unit triangle" if lax else "oplax morphism unit triangle"
+        assert got == [(law, map_equal(*morphism_unit_chain(f, a, b, m, window, lax)))]
+        refused += not got[0][1]
+    assert len(morphisms) == 14 and refused == 4
 
 
 # --- the (op)lax and transport builders against the chains through built associators

@@ -101,6 +101,27 @@ def test_series_identity_row(tmp_path, capsys):
     assert lines[2] == "1\t1\t1\t1"
 
 
+def test_series_refuses_a_negative_bound(tmp_path, capsys):
+    # -1 used to print the header alone and exit 0; 0 gives the row n = 0
+    path = write_doc(tmp_path, BASE_DOC)
+    code, out = run_cli(["series", path, "I", "-1"], capsys)
+    assert (code, out) == (2, "input error: series bound must be a non-negative integer, got -1\n")
+    code, out = run_cli(["series", path, "I", "0"], capsys)
+    assert (code, out) == (0, "n\tsize\torbits\tegf\n0\t0\t0\t0\n")
+
+
+@pytest.mark.parametrize("command", [["check"], ["series", "I", "2"]], ids=["check", "series"])
+@pytest.mark.parametrize("name", [".", "latin1.json"], ids=["directory", "not-utf8"])
+def test_an_unreadable_input_file_is_an_input_error(tmp_path, capsys, command, name):
+    # a directory (IsADirectoryError) and bytes that are not UTF-8
+    # (UnicodeDecodeError) each used to end in a traceback with exit 1, the
+    # law-failure code
+    (tmp_path / "latin1.json").write_bytes('{"version": "1", "sorts": {"X": ["é"]}}'.encode("latin-1"))
+    code, out = run_cli([command[0], str(tmp_path / name), *command[1:]], capsys)
+    assert code == 2
+    assert out.startswith("input error: ") and out.count("\n") == 1
+
+
 def test_count_algebras(tmp_path, capsys):
     path = write_doc(tmp_path, BASE_DOC)
     code, out = run_cli(["count", path, "algebras", "A", "2"], capsys)
