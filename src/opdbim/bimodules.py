@@ -56,7 +56,7 @@ from .symseq import (
     identity_map,
     labelwise,
     left_insert,
-    left_unitor,
+    left_unit,
     map_inverse,
     mu_from_raws,
     regroup,
@@ -64,7 +64,7 @@ from .symseq import (
     require_equal,
     restrict_map,
     right_insert,
-    right_unitor,
+    right_unit,
     ungroup,
 )
 from .operads import (
@@ -204,7 +204,8 @@ def left_module(op: Operad, dom_sorts: Iterable, carrier: SymSeq, lam_fn: Callab
     unit = unit_operad(ssorted(dom_sorts), max(window, 2))
     bm = compose_symseq(op.carrier, carrier, max_arity=window)
     ma = compose_symseq(carrier, unit.carrier, max_arity=window)
-    return Bimodule(op, unit, carrier, mu_from_raws(bm, lam_fn, carrier), right_unitor(ma), window, bm, ma)
+    rho = mu_from_raws(ma, right_unit(carrier), carrier)
+    return Bimodule(op, unit, carrier, mu_from_raws(bm, lam_fn, carrier), rho, window, bm, ma)
 
 
 def free_left_module(op: Operad, dom_sorts: Iterable, v: SymSeq, window: int) -> Bimodule:
@@ -213,7 +214,7 @@ def free_left_module(op: Operad, dom_sorts: Iterable, v: SymSeq, window: int) ->
     a_av, lam = free_left_action(op, av, window)
     unit = unit_operad(ssorted(dom_sorts), max(window, 2))
     ma = compose_symseq(av.seq, unit.carrier, max_arity=window)
-    return Bimodule(op, unit, av.seq, lam, right_unitor(ma), window, a_av, ma)
+    return Bimodule(op, unit, av.seq, lam, mu_from_raws(ma, right_unit(av.seq), av.seq), window, a_av, ma)
 
 
 def free_bimodule(left: Operad, right: Operad, v: SymSeq, window: int) -> Bimodule:
@@ -495,8 +496,8 @@ def adjunction_from_operad(op: Operad) -> BimAdjunction:
     a = op.carrier
     a_id = compose_symseq(a, unit.carrier, max_arity=op.arity_bound)
     id_a = compose_symseq(unit.carrier, a, max_arity=op.arity_bound)
-    free = Bimodule(op, unit, a, op.mu, right_unitor(a_id), op.arity_bound, op.comp2, a_id)
-    forg = Bimodule(unit, op, a, left_unitor(id_a), op.mu, op.arity_bound, id_a, op.comp2)
+    free = Bimodule(op, unit, a, op.mu, mu_from_raws(a_id, right_unit(a), a), op.arity_bound, op.comp2, a_id)
+    forg = Bimodule(unit, op, a, mu_from_raws(id_a, left_unit(a), a), op.mu, op.arity_bound, id_a, op.comp2)
     gf = relative_compose(forg, free)   # A o_A A
     fg = relative_compose(free, forg)   # A o_1 A
     # unit: Id -> A o_A A through eta and the inverse of the map mu induces
@@ -535,12 +536,14 @@ def transport_adjunction(
     unit = {x: eta.at((x,), x, ("id", x)) for x in f.dom}.__getitem__  # eta's image of each identity
     # each triangle starts from the insertion of a label over eta's images, or under one
     to_f_uf = labelwise(f, right_insert(f_uf, unit), f_uf.seq, window)
-    tri1 = compose_maps(left_unitor(id_f), compose_maps(mu_from_raws(f_uf, ungroup(fu, uf, eps, id_f), id_f.seq), to_f_uf))
+    ungrouped = mu_from_raws(f_uf, ungroup(fu, uf, eps, id_f), id_f.seq)
+    tri1 = compose_maps(mu_from_raws(id_f, left_unit(f), f), compose_maps(ungrouped, to_f_uf))
     require_equal("Sym adjunction triangle (left)", tri1, identity_map(f))
     u_id = compose_symseq(u, id_symseq(u.dom), max_arity=window)
     uf_u = compose_symseq(uf.seq, u, max_arity=window)
     to_uf_u = labelwise(u, left_insert(uf_u, unit), uf_u.seq, window)
-    tri2 = compose_maps(right_unitor(u_id), compose_maps(regroup_map(uf, uf_u, fu, identity_map(u), eps, u_id), to_uf_u))
+    regrouped = regroup_map(uf, uf_u, fu, identity_map(u), eps, u_id)
+    tri2 = compose_maps(mu_from_raws(u_id, right_unit(u), u), compose_maps(regrouped, to_uf_u))
     require_equal("Sym adjunction triangle (right)", tri2, identity_map(u))
 
     ac, bc = a.carrier, b.carrier
@@ -554,7 +557,7 @@ def transport_adjunction(
     f_ubf = compose_symseq(f, u_bf.seq, max_arity=window)
     id_bf = compose_symseq(id_symseq(f.cod), bf.seq, max_arity=window)
     psi = compose_maps(
-        left_unitor(id_bf),
+        mu_from_raws(id_bf, left_unit(bf.seq), bf.seq),
         compose_maps(
             mu_from_raws(f_ubf, ungroup(fu, u_bf, eps, id_bf), id_bf.seq),
             hcompose_maps(identity_map(f), xi, fa, f_ubf),
@@ -567,7 +570,7 @@ def transport_adjunction(
     b_id = compose_symseq(bc, id_symseq(f.cod), max_arity=window)
     ub = compose_symseq(u, bc, max_arity=window)
     # (B o F) o U -> B
-    inner = compose_maps(right_unitor(b_id), regroup_map(bf, bf_u, fu, identity_map(bc), eps, b_id))
+    inner = compose_maps(mu_from_raws(b_id, right_unit(bc), bc), regroup_map(bf, bf_u, fu, identity_map(bc), eps, b_id))
     phi = compose_maps(
         regroup_map(u_bf, ubf_u, bf_u, identity_map(u), inner, ub),
         hcompose_maps(xi, identity_map(u), au, ubf_u),
@@ -587,7 +590,7 @@ def transport_adjunction(
     f_ub = compose_symseq(f, ub.seq, max_arity=window)
     id_b = compose_symseq(id_symseq(f.cod), bc, max_arity=window)
     # F o (U o B) -> B
-    inner2 = compose_maps(left_unitor(id_b), mu_from_raws(f_ub, ungroup(fu, ub, eps, id_b), id_b.seq))
+    inner2 = compose_maps(mu_from_raws(id_b, left_unit(bc), bc), mu_from_raws(f_ub, ungroup(fu, ub, eps, id_b), id_b.seq))
     sigma = compose_maps(
         restrict_map(b.mu, comp2b.seq),
         regroup_map(bf, fg.nm, f_ub, identity_map(bc), inner2, comp2b),

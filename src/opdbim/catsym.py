@@ -41,11 +41,10 @@ composite, raises ``ValidationError`` naming the cell; nothing is skipped.
 not a cell of the part of its target, and before the split of ``S o S`` is
 inverted ``_on_window`` restricts both ends to the cells it holds, so
 ``map_inverse`` still checks a bijection.  No associator or unitor is built:
-a map that reads one applies a step inside itself, a regroup or ungroup
-(:func:`cat_regroup`, :func:`cat_ungroup`) or a unit step
-(:func:`cat_left_unit`, :func:`cat_right_unit`), and a map that reads an
-inverse unitor an insertion (:func:`cat_left_insert`, :func:`cat_right_insert`),
-through which the hom monad's unit laws are read per label (``symseq.labelwise``).
+a map that reads one applies a coherence step of :mod:`.symseq` inside
+itself, a regroup or ungroup, a unit step or an insertion, over this
+layer's arrows (:func:`sw_words`); the hom monad's unit laws are read per
+label through an insertion (``symseq.labelwise``).
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 from .perms import (
@@ -76,16 +76,24 @@ from .symseq import (
     Composite,
     SymSeq,
     SymSeqMap,
-    _require_fit,
+    _picker,
     _require_same,
     _Shape,
     compose_maps,
+    diag_images,
     hcompose_maps,
     identity_map,
     labelwise,
+    left_insert,
+    left_unit,
     map_inverse,
+    plan_regroup,
+    regroup,
     require_equal,
+    right_insert,
+    right_unit,
     sum_symseq,
+    ungroup,
 )
 from .operads import Operad, make_operad, mu_from_raws
 
@@ -192,16 +200,6 @@ def sw_block_perm(gpd: FinGroupoid, blocks: list[Word], psi: Perm) -> Arrow:
     return (images, tuple(gpd.ident[o] for j in range(len(blocks)) for o in blocks[psi(j)]))
 
 
-def sw_block_diag(gpd: FinGroupoid, arrows: list[Arrow], sources: list[Word]) -> Arrow:
-    """Blockwise arrow ``concat(sources) -> concat(targets)``."""
-    offs = block_offsets([len(s) for s in sources])
-    images, comps = [], []
-    for k, (im, cs) in enumerate(arrows):
-        images.extend(offs[k] + i for i in im)
-        comps.extend(cs)
-    return (tuple(images), tuple(comps))
-
-
 def sw_embed_at(gpd: FinGroupoid, concat: Word, offset: int, a: Arrow, blocklen: int) -> Arrow:
     """Arrow acting as ``a`` inside one block of a concatenation."""
     im = list(range(len(concat)))
@@ -211,6 +209,35 @@ def sw_embed_at(gpd: FinGroupoid, concat: Word, offset: int, a: Arrow, blocklen:
         im[offset + t] = offset + ai[t]
         comps[offset + t] = ac[t]
     return (tuple(im), tuple(comps))
+
+
+def sw_words(gpd: FinGroupoid) -> SimpleNamespace:
+    """How the coherence steps of :mod:`.symseq` write and read arrows of words over ``gpd``, as
+    ``symseq.SORT_WORDS`` does over sorts: an arrow is ``(images, letter arrows)``, and ``along`` moves
+    labels of ``F`` along letter arrows.  Regroup plans read images alone and are kept once per groupoid."""
+    def picker(positions):
+        pick = _picker(positions)
+        return lambda a: (pick(a[0]), pick(a[1]))
+
+    def along(f, mid, blocks, fs, tau):
+        moved = list(fs)
+        for i, c in zip(*tau):  # c: mid[i] -> the letter at its position in tau's target
+            moved[i] = f.cod_at((blocks[i], mid[i]), c, fs[i])
+        return moved
+
+    return SimpleNamespace(
+        canonical=functools.partial(sw_canonical, gpd), then=functools.partial(sw_compose, gpd),
+        perm=functools.partial(sw_perm_arrow, gpd), ident=functools.partial(sw_id, gpd),
+        diag=lambda arrows: (diag_images([a[0] for a in arrows]), tuple(c for a in arrows for c in a[1])),
+        picker=picker, letterwise=lambda arr, arrows: sw_compose(gpd, arr, (tuple(range(len(arrows))), arrows)),
+        inverse=functools.partial(sw_inverse, gpd), along=along, regroup_plan=functools.partial(_regroup_plan, gpd),
+    )
+
+
+@_per_groupoid
+def _regroup_plan(gpd: FinGroupoid, hg_raw: tuple, blocks: tuple) -> tuple:
+    """:func:`.symseq.plan_regroup` over ``gpd``, once per shape: it reads the images of the ``H o G`` arrow only."""
+    return plan_regroup(sw_words(gpd), hg_raw, hg_raw[4][0], blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +330,10 @@ class CatSymSeq:
     def max_arity(self) -> int:
         return max((len(w) for (w, _y), v in self.cells.items() if v), default=0)
 
+    def words(self) -> SimpleNamespace:
+        """How the coherence steps write and read arrows of words over ``dom`` (:func:`sw_words`)."""
+        return sw_words(self.dom)
+
     def dom_arrows(self, key) -> list:
         """Every ``(v, a)`` with ``a: v -> w`` from a support word ``v`` at the output of ``key = (w, y)``."""
         w, y = key
@@ -360,14 +391,10 @@ def cat_from_symseq(f: SymSeq) -> CatSymSeq:
     cod = dom if f.cod == f.dom else FinGroupoid.discrete(f.cod)
     cells = {key: cell.labels for key, cell in f.cells.items() if cell.size}
 
-    def dom_fn(key, v, a, label):
-        # discrete: v == key word and the arrow is a pure stabilizer permutation
-        return f.cells[key].act(label, Perm(a[0]))
+    def dom_fn(key, v, a, label):  # discrete: v is the word of key, and a a permutation of it
+        return f.dom_at(key, v, a[0], label)
 
-    def cod_fn(key, b, label):
-        return label
-
-    return CatSymSeq(dom, cod, cells, dom_fn, cod_fn)
+    return CatSymSeq(dom, cod, cells, dom_fn, f.cod_at)
 
 
 def cat_id(gpd: FinGroupoid) -> CatSymSeq:
@@ -505,7 +532,7 @@ def _slice_shape(gpd: FinGroupoid, concat: Word, swaps, moves, least: dict) -> _
         return _same if b is None else functools.partial(sw_compose, gpd, a2=b)
 
     return _Shape(
-        sw_id(gpd, concat), functools.partial(sw_compose, gpd), functools.partial(sw_inverse, gpd),
+        sw_id(gpd, concat), sw_words(gpd),
         [(t, gp, step(b)) for t, gp, b in swaps], [(k, gp, fp, step(b)) for k, gp, fp, b in moves], least,
     )
 
@@ -736,117 +763,6 @@ def cat_compose(outer: CatSymSeq, inner: CatSymSeq, max_arity: int) -> Composite
     comp = Composite(outer, inner, seq, reps_out, cls_out, reps_out, plan.least_raw, max_arity)
     plan.forget()
     return comp
-
-
-def cat_left_unit(f: CatSymSeq) -> Callable:
-    """``step(key, raw)``: the label of ``F`` that any raw of ``Id o F`` names, ``Id o F`` never built.
-
-    The unit twin of :func:`cat_regroup`: the inner label is moved along the
-    raw's arrow, then along its outer label, an arrow of ``F``'s codomain.
-    """
-    def step(key, raw):
-        mid, g, blocks, fs, arr = raw
-        return f.cod_at((key[0], mid[0]), g, f.dom_at((blocks[0], mid[0]), key[0], arr, fs[0]))
-
-    return step
-
-
-def cat_right_unit(f: CatSymSeq) -> Callable:
-    """``step(key, raw)``: the label of ``F`` that any raw of ``F o Id`` names: the outer label moved
-    along the raw's arrow, then along the letterwise arrows that are its inner labels."""
-    def step(key, raw):
-        mid, g, blocks, fs, arr = raw
-        return f.dom_at((mid, key[1]), key[0], sw_compose(f.dom, arr, (tuple(range(len(mid))), fs)), g)
-
-    return step
-
-
-def cat_left_insert(dst: Composite, unit: Callable) -> Callable:
-    """``insert(key, label)``: the class at cell ``key = (w, y)`` of ``dst`` of the raw that puts
-    ``label`` under ``unit(y)``; the inverse of :func:`cat_left_unit` when ``unit`` gives identities."""
-    def insert(key, label):
-        w, y = key
-        return dst.class_of(w, y, ((y,), unit(y), (w,), (label,), sw_id(dst.inner.dom, w)))
-
-    return insert
-
-
-def cat_right_insert(dst: Composite, unit: Callable) -> Callable:
-    """``insert(key, label)``: the class at ``key`` of ``dst`` of the raw that puts ``label`` over
-    ``unit(o)`` at each letter ``o``; the inverse of :func:`cat_right_unit` when ``unit`` gives identities."""
-    def insert(key, label):
-        w, y = key
-        return dst.class_of(w, y, (w, label, tuple((o,) for o in w), tuple(map(unit, w)), sw_id(dst.inner.dom, w)))
-
-    return insert
-
-
-def cat_regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst: Composite) -> Callable:
-    """``step(key, raw)``: a raw of ``(H o G) o F`` regrouped, whiskered by ``beta o alpha``, classed in ``dst``.
-
-    The twin of :func:`.symseq.regroup`, with ``hg`` ``H o G``, ``gf`` ``G o
-    F``, ``beta: H -> H'``, ``alpha: G o F -> K`` and ``dst`` ``H' o K``;
-    ``H o (G o F)`` is never built.  Group ``j`` takes the ``F`` blocks at
-    the letters of block ``j`` of the ``H o G`` representative, their labels
-    moved along its arrow, as a raw of ``G o F`` at the canonical word of
-    their concatenation ``u``: ``G o F`` has cells at canonical words only,
-    and ``u`` is not one when a block of a later letter is less than one of
-    an earlier letter (``hom_monad(unit(x,2), com(3), 2, 3)`` has such raws).
-    """
-    _require_fit(beta, alpha, hg.outer, gf.seq, dst.outer, dst.inner)
-    f, dom = gf.inner, gf.inner.dom
-
-    def step(key, raw):
-        mid, q, blocks, fs, arr = raw
-        zmid, h, yblocks, gs, tau = hg.rep(mid, key[1], q)
-        order = tau[0]  # letter p of concat(yblocks) is mid[order[p]] moved along tau[1][p]
-        moved = [f.cod_at((blocks[i], mid[i]), c, fs[i]) for i, c in zip(order, tau[1])]
-        offs = block_offsets(len(d) for d in yblocks)
-        new_blocks, new_fs, words, kappas = [], [], [], []
-        for j, d in enumerate(yblocks):
-            sub = tuple(blocks[i] for i in order[offs[j] : offs[j + 1]])
-            u = tuple(o for b in sub for o in b)
-            e, kappa = sw_canonical(dom, u)
-            kappa = sw_perm_arrow(dom, u, kappa)  # e -> u
-            cls = gf.class_of(e, zmid[j], (d, gs[j], sub, tuple(moved[offs[j] : offs[j + 1]]), kappa))
-            new_blocks.append(e)
-            new_fs.append(alpha.at(e, zmid[j], cls))
-            words.append(u)
-            kappas.append(sw_inverse(dom, kappa))
-        arr2 = sw_compose(dom, arr, sw_block_perm(dom, list(blocks), Perm(order)))
-        arr2 = sw_compose(dom, arr2, sw_block_diag(dom, kappas, words))
-        return dst.class_of(*key, (zmid, beta.at(zmid, key[1], h), tuple(new_blocks), tuple(new_fs), arr2))
-
-    return step
-
-
-def cat_ungroup(hg: Composite, gf: Composite, beta: SymSeqMap, dst: Composite) -> Callable:
-    """``step(key, raw)``: a raw of ``H o (G o F)`` taken apart into ``(H o G) o F``, ``beta o F`` applied, classed in ``dst``.
-
-    The twin of :func:`.symseq.ungroup` and the inverse of :func:`cat_regroup`,
-    with ``hg`` ``H o G``, ``gf`` ``G o F``, ``beta: H o G -> H'`` and ``dst``
-    ``H' o F``; ``(H o G) o F`` is never built.  The ``G`` words of the
-    blocks' representatives, concatenated, go to their canonical word.
-    """
-    _require_same("the outer 2-cell does not start at the outer factor", beta.src, hg.seq)
-    _require_same("the outer 2-cell does not end at the target's outer factor", beta.dst, dst.outer)
-    _require_same("the inner factor is not the target's inner factor", gf.inner, dst.inner)
-    dom, gdom = gf.inner.dom, hg.inner.dom
-
-    def step(key, raw):
-        zmid, h, blocks, cs, sig = raw
-        reps = [gf.rep(e, z, c) for e, z, c in zip(blocks, zmid, cs)]
-        ds, gs, subs, labels, kappas = (tuple(rep[i] for rep in reps) for i in range(5))
-        letters = tuple(o for d in ds for o in d)
-        mid, t = sw_canonical(gdom, letters)  # letters[i] == mid[t(i)]
-        q = hg.class_of(mid, key[1], (zmid, h, ds, gs, sw_perm_arrow(gdom, letters, t)))
-        subs, labels, back = [b for sub in subs for b in sub], [f for fs in labels for f in fs], t.inverse().images
-        arrow = sw_compose(dom, sig, sw_block_diag(dom, kappas, blocks))
-        arrow = sw_compose(dom, arrow, sw_block_perm(dom, subs, Perm(back)))
-        fblocks, fs = tuple(subs[i] for i in back), tuple(labels[i] for i in back)
-        return dst.class_of(*key, (mid, beta.at(mid, key[1], q), fblocks, fs, arrow))
-
-    return step
 
 
 # ---------------------------------------------------------------------------
@@ -1209,6 +1125,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     T`` puts ev's labels over the units of ``A~``, then under ``B``'s, after
     the inverse of ``transpose(Id_Z) -> ev``, ev's labels over identities,
     collapsed.  No composite is built only to carry a step or a unit law.
+    The steps are the plain layer's (:mod:`.symseq`), over this layer's arrows.
     """
     if length_bound < 1 or arity_bound < 1:
         raise InputError("window parameters must be at least 1")
@@ -1250,7 +1167,7 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     m1 = map_inverse(col_ee)
 
     ss = cat_compose(s_e, s_e, max_arity=capt)
-    split_ss = cat_sum_split(ss, lambda key, raw: ee.class_of(*key, raw), cat_left_unit(idx), sum_ee)
+    split_ss = cat_sum_split(ss, lambda key, raw: ee.class_of(*key, raw), left_unit(idx), sum_ee)
     c2 = cat_compose(evdata.seq, ss.seq, max_arity=capt)
     m2 = hcompose_maps(identity_map(evdata.seq), map_inverse(_on_window(split_ss)), c1, c2)
     evs = cat_compose(evdata.seq, s_e, max_arity=capt)
@@ -1261,8 +1178,8 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     # E or A that a raw names, put over identities or under one
     atil_s = cat_compose(atil, s_e, max_arity=capt)
     satil = cat_compose(s_e, atil, max_arity=capt)
-    units = {"l": cat_left_unit(e), "r": cat_right_unit(acat)}
-    inserts = {"l": cat_right_insert(satil, ident), "r": cat_left_insert(satil, ident)}
+    units = {"l": left_unit(e), "r": right_unit(acat)}
+    inserts = {"l": right_insert(satil, ident), "r": left_insert(satil, ident)}
 
     def interchange(key, raw):
         tag = key[1][0]
@@ -1272,27 +1189,27 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
 
     # mu of (Id u A): a unit step on the left part, operad multiplication on the right
     atil2 = cat_compose(atil, atil, max_arity=capt)
-    mu_atil = cat_sum_split(atil2, cat_left_unit(idz), _operad_step(a), atil)
+    mu_atil = cat_sum_split(atil2, left_unit(idz), _operad_step(a), atil)
 
     # the steps inside B o -, composed into one map Ev_A o S -> T (step 4)
     evas = cat_compose(ev_a.seq, s_e, max_arity=capt)
     ev_satil = cat_compose(evdata.seq, satil.seq, max_arity=capt)
     t_atil = cat_compose(tc.seq, atil, max_arity=capt)
     eva_atil = cat_compose(ev_a.seq, atil, max_arity=capt)
-    ev_mu = mu_from_raws(eva_atil, cat_regroup(ev_a, atil2, identity_map(evdata.seq), mu_atil, ev_a), ev_a.seq)
+    ev_mu = mu_from_raws(eva_atil, regroup(ev_a, atil2, identity_map(evdata.seq), mu_atil, ev_a), ev_a.seq)
     inner = [
-        mu_from_raws(evas, cat_regroup(ev_a, atil_s, identity_map(evdata.seq), swap, ev_satil), ev_satil.seq),
-        mu_from_raws(ev_satil, cat_ungroup(evs, satil, col_e, t_atil), t_atil.seq),
-        mu_from_raws(t_atil, cat_regroup(tc, eva_atil, identity_map(bcat), ev_mu, tc), tc.seq),
+        mu_from_raws(evas, regroup(ev_a, atil_s, identity_map(evdata.seq), swap, ev_satil), ev_satil.seq),
+        mu_from_raws(ev_satil, ungroup(evs, satil, col_e, t_atil), t_atil.seq),
+        mu_from_raws(t_atil, regroup(tc, eva_atil, identity_map(bcat), ev_mu, tc), tc.seq),
     ]
     b_t = cat_compose(bcat, tc.seq, max_arity=capt)
     b2 = cat_compose(bcat, bcat, max_arity=b.arity_bound)
     chain = [
         m1, m2,
-        mu_from_raws(c2, cat_ungroup(evs, ss, col_e, c4), c4.seq),
-        mu_from_raws(c4, cat_regroup(tc, evas, identity_map(bcat), _chain(inner), b_t), b_t.seq),
+        mu_from_raws(c2, ungroup(evs, ss, col_e, c4), c4.seq),
+        mu_from_raws(c4, regroup(tc, evas, identity_map(bcat), _chain(inner), b_t), b_t.seq),
     ]
-    mu_on_t = _then(_chain(chain), b_t, cat_ungroup(b2, tc, mu_from_raws(b2, _operad_step(b), bcat), tc), tc.seq)
+    mu_on_t = _then(_chain(chain), b_t, ungroup(b2, tc, mu_from_raws(b2, _operad_step(b), bcat), tc), tc.seq)
 
     mu_e = _untranspose_map(mu_on_t, ee.seq, e, x)
 
@@ -1301,11 +1218,11 @@ def hom_monad(a: Operad, b: Operad, length_bound: int, arity_bound: int) -> HomM
     # collapsed; then ev -> T puts them over the units of A~ and under B's
     c_id = cat_compose(evdata.seq, cat_sum(idz, idx), max_arity=capt)
     col_id = collapse_map(idz, x, y, expz, evdata, c_id, transpose(idz, x, y))
-    r1 = _chain([labelwise(evdata.seq, cat_right_insert(c_id, ident), c_id.seq, capt), col_id])
+    r1 = _chain([labelwise(evdata.seq, right_insert(c_id, ident), c_id.seq, capt), col_id])
     eta_on_t = _chain([
         map_inverse(r1),
-        labelwise(evdata.seq, cat_right_insert(ev_a, eta_atil), ev_a.seq, capt),
-        labelwise(ev_a.seq, cat_left_insert(tc, b.eta_label), tc.seq, capt),
+        labelwise(evdata.seq, right_insert(ev_a, eta_atil), ev_a.seq, capt),
+        labelwise(ev_a.seq, left_insert(tc, b.eta_label), tc.seq, capt),
     ])
     eta_e = _untranspose_map(eta_on_t, idz, e, x)
 
@@ -1346,24 +1263,29 @@ def _untranspose_map(on_t: SymSeqMap, src: CatSymSeq, dst: CatSymSeq, x: FinGrou
 
 
 def check_cat_monad(hm: HomMonad, cap: int) -> None:
-    """Associativity and both unit laws of ``hm`` up to arity ``cap``.
+    """Associativity and both unit laws of ``hm`` up to arity ``cap``, then that ``eta`` and ``mu`` validate.
 
     Each unit law is read per label ``l`` of ``E`` up to ``cap``: ``mu`` of
     the class of ``E o E`` that puts ``l`` under ``eta``'s unit, or over its
-    units (:func:`cat_left_insert`, :func:`cat_right_insert`), is ``l``.
-    Neither ``Id_Z o E`` nor ``E o Id_Z`` is built.
+    units (``symseq.left_insert``, ``symseq.right_insert``), is ``l``.
+    Neither ``Id_Z o E`` nor ``E o Id_Z`` is built.  The laws read ``eta``
+    at identities only and ``mu`` at the classes they reach, so a map that
+    is not natural along every arrow can pass them; ``SymSeqMap.validate``
+    refuses it.
     """
     e, mu, eta, ee = hm.e, hm.mu, hm.eta, hm.ee
     eee_l = cat_compose(ee.seq, e, max_arity=cap)
     require_equal(
         "hom monad associativity",
         compose_maps(mu, hcompose_maps(mu, identity_map(e), eee_l, ee)),
-        compose_maps(mu, mu_from_raws(eee_l, cat_regroup(ee, ee, identity_map(e), mu, ee), ee.seq)),
+        compose_maps(mu, mu_from_raws(eee_l, regroup(ee, ee, identity_map(e), mu, ee), ee.seq)),
     )
     unit = {z: eta.at((z,), z, i) for z, i in hm.expz.ident.items()}.__getitem__  # eta at each identity
-    for law, insert in (("left", cat_left_insert), ("right", cat_right_insert)):
+    for law, insert in (("left", left_insert), ("right", right_insert)):
         unit_law = compose_maps(mu, labelwise(e, insert(ee, unit), ee.seq, cap))
         require_equal(f"hom monad {law} unit law", unit_law, identity_map(e))
+    eta.validate()
+    mu.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -1389,10 +1311,7 @@ def operad_of_monad(expz: FinGroupoid, e: CatSymSeq, mu: SymSeqMap, eta: SymSeqM
 
     def mu_fn(key, raw):
         mid, g, blocks, fs, sig = raw
-        arr = (
-            sig,
-            tuple(expz.ident[o] for b in blocks for o in b),
-        )
+        arr = sw_perm_arrow(expz, tuple(o for b in blocks for o in b), Perm(sig))
         cls = ee.class_of(key[0], key[1], (mid, g, blocks, fs, arr))
         return mu.at(key[0], key[1], cls)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .perms import InputError, ValidationError, YoungSet, is_canonical, skey, ssorted, stab_gens
-from .symseq import Family, SymSeq, compose_symseq, least_raw, left_unitor, right_unitor
+from .symseq import Family, SymSeq, compose_symseq, least_raw, left_unit, right_unit
 from .operads import (
     Algebra,
     Operad,
@@ -441,15 +441,13 @@ def _parse_bimodule(bdata: dict, operads: dict, symseqs: dict) -> Bimodule:
     if lam_fn is None:
         if not left.is_unit_operad():
             raise InputError("induced left action requires a unit operad")
-        lam = left_unitor(bm)
-    else:
-        lam = mu_from_raws(bm, lam_fn, carrier)
+        lam_fn = left_unit(carrier)
+    lam = mu_from_raws(bm, lam_fn, carrier)
     if rho_fn is None:
         if not right.is_unit_operad():
             raise InputError("induced right action requires a unit operad")
-        rho = right_unitor(ma)
-    else:
-        rho = mu_from_raws(ma, rho_fn, carrier)
+        rho_fn = right_unit(carrier)
+    rho = mu_from_raws(ma, rho_fn, carrier)
     return Bimodule(left, right, carrier, lam, rho, window, bm, ma)
 
 

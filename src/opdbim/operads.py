@@ -45,7 +45,6 @@ from .perms import (
     YoungSet,
     block_offsets,
     block_perm,
-    block_diag,
     canonical_word,
     compose,
     enumerate_equivariant_maps,
@@ -64,6 +63,7 @@ from .symseq import (
     analytic_eval,
     compose_maps,
     compose_symseq,
+    diag_images,
     first_map_difference,
     hcompose_maps,
     id_symseq,
@@ -983,7 +983,7 @@ def reindex_raw(raw, w: Word, u_mid: Optional[dict], u_blocks: Optional[dict]):
     canons = [_sorted_image(u_blocks, blocks[back(j)]) for j in range(len(blocks))]
     cw, tau_w = _sorted_image(u_blocks, w)
     move = block_perm([len(b) for b in blocks], back)
-    sort_blocks = block_diag([t.inverse() for _c, t in canons])
+    sort_blocks = Perm(diag_images([t.inverse().images for _c, t in canons]))
     sig_y = compose(compose(compose(tau_w, Perm(sig)), move), sort_blocks)
     raw_y = (
         mid_y,

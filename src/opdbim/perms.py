@@ -297,15 +297,6 @@ def block_perm(lengths: list[int], psi: Perm) -> Perm:
     return Perm(tuple(im))
 
 
-def block_diag(perms: list[Perm]) -> Perm:
-    """Blockwise permutation acting independently inside each block."""
-    offs = block_offsets([p.degree for p in perms])
-    im = []
-    for k, p in enumerate(perms):
-        im.extend(offs[k] + p(i) for i in range(p.degree))
-    return Perm(tuple(im))
-
-
 def embed_at(total: int, offset: int, p: Perm) -> Perm:
     """Permutation acting as ``p`` on ``[offset, offset+deg)`` and trivially elsewhere."""
     im = list(range(total))

@@ -8,15 +8,16 @@ class is an orbit of ``Aut(mid) ⋉ ∏ Aut(block)``, and only its least raw in
 the enumeration order is built (sorted blocks, a label pair least in its
 orbit, an arrow least under the pair's stabilizer; see
 :func:`compose_symseq`).  ``Composite.class_of`` carries any other raw to
-that least raw before it looks it up.  The unitors are explicit equivariant
-bijections on class representatives, read as actions; a unit law is read per
-label (:func:`labelwise`) through an insertion (:func:`left_insert`,
-:func:`right_insert`), so no unitor is inverted.  The associator is applied as one
-regroup step (:func:`regroup`, inverse :func:`ungroup`) inside the map that
-reads it, which whiskers each regrouped raw where it lands, so no map of
-this layer builds the second bracketing; :func:`associator` is the step's
-identity-whisker case, kept for the coherence checks.  A composite records
-the cap it was built with, and each cap gets its own composite.
+that least raw before it looks it up.  Each coherence step is written once
+for both layers, over the word arrows of its factors (``SORT_WORDS`` here,
+``catsym.sw_words`` over a groupoid): the unit steps (:func:`left_unit`,
+:func:`right_unit`), whose maps are the unitors; the insertions
+(:func:`left_insert`, :func:`right_insert`), through which a unit law is read
+per label (:func:`labelwise`); and the regroup step (:func:`regroup`, inverse
+:func:`ungroup`), applied inside the map that reads an associator, so no map
+builds the second bracketing (:func:`associator` is its identity-whisker
+case).  A composite records the cap it was built with, and each cap gets its
+own composite.
 
 A plain composite is a value, shared by content (hash-consing): while anyone
 holds it, :func:`compose_symseq` returns it for every pair of factors with
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
 from .perms import (
@@ -149,6 +151,18 @@ class SymSeq:
     def size(self, w: Word, y) -> int:
         cell = self.cells.get((w, y))
         return cell.size if cell else 0
+
+    def words(self) -> SimpleNamespace:
+        """How the coherence steps write and read arrows of words over the sorts (``SORT_WORDS``)."""
+        return SORT_WORDS
+
+    def dom_at(self, key, v: Word, a: tuple, label: Label) -> Label:
+        """Label ``label`` of cell ``key`` moved along the arrow ``a: v -> w`` of images; ``v`` is ``w`` here."""
+        return self.cells[key].act(label, Perm(a))
+
+    def cod_at(self, key, b, label: Label) -> Label:
+        """``label``: a set of sorts has identity arrows only."""
+        return label
 
     def validate(self) -> None:
         for cell in self.cells.values():
@@ -456,8 +470,7 @@ class _Shape:
     """
 
     one: tuple          # pi of the identity element
-    then: Callable      # (pi, pi2) -> pi followed by pi2
-    inverse: Callable   # pi -> its inverse
+    words: SimpleNamespace  # the layer's arrows (``SORT_WORDS`` or ``catsym.sw_words``): then, inverse
     swaps: list
     moves: list
     least: dict
@@ -492,7 +505,7 @@ class _Shape:
                     pis[y] = py
                     queue.append(y)
                 elif old != py:
-                    schreier.add(self.then(py, self.inverse(old)))
+                    schreier.add(self.words.then(py, self.words.inverse(old)))
         return pis, schreier
 
     def least_pairs(self, sizes: tuple):
@@ -561,7 +574,7 @@ def _plan_shape(gcell: YoungSet, fcells: tuple, mid: Word, blocks: tuple) -> _Sh
         for k, b in enumerate(blocks)
         for t in stab_gens(b)
     ]
-    shape = _SHAPES[key] = _Shape(tuple(range(n)), _then_images, inverse_images, swaps, moves, {})
+    shape = _SHAPES[key] = _Shape(tuple(range(n)), SORT_WORDS, swaps, moves, {})
     for x0, schreier in shape.least_pairs((gcell.size,) + tuple(c.size for c in fcells)):
         table = sims_table(tuple(sorted(schreier)), n)
         shape.least[x0] = (table, _least_arrows(w, concat, table))
@@ -756,52 +769,48 @@ def hcompose_maps(beta: SymSeqMap, alpha: SymSeqMap, src: Composite, dst: Compos
     return SymSeqMap(src.seq, dst.seq, comp)
 
 
-def left_unitor(idf: Composite) -> SymSeqMap:
-    """Canonical iso ``Id o F -> F``: collapse the singleton outer label."""
-    f = idf.inner
-    comp = {}
-    for key, reps in idf.reps.items():
-        w, y = key
-        cell = f.cell(w, y)
-        m = {}
-        for idx, raw in enumerate(reps):
-            _mid, _g, blocks, fs, sig = raw
-            m[idx] = cell.act(fs[0], Perm(sig))
-        comp[key] = m
-    return SymSeqMap(idf.seq, f, comp)
+def left_unit(f) -> Callable:
+    """``step(key, raw)``: the label of ``F`` that any raw of ``Id o F`` names: the inner label moved along
+    the raw's arrow, then along its outer label, an arrow of ``F``'s codomain.  Its map is the left unitor."""
+    def step(key, raw):
+        mid, g, blocks, fs, arr = raw
+        return f.cod_at((key[0], mid[0]), g, f.dom_at((blocks[0], mid[0]), key[0], arr, fs[0]))
+
+    return step
 
 
-def right_unitor(fid: Composite) -> SymSeqMap:
-    """Canonical iso ``F o Id -> F``: strip the identity blocks."""
-    f = fid.outer
-    comp = {}
-    for key, reps in fid.reps.items():
-        w, y = key
-        cell = f.cell(w, y)
-        m = {}
-        for idx, raw in enumerate(reps):
-            mid, g, _blocks, _fs, sig = raw
-            m[idx] = cell.act(g, Perm(sig))
-        comp[key] = m
-    return SymSeqMap(fid.seq, f, comp)
+def right_unit(f) -> Callable:
+    """``step(key, raw)``: the label of ``F`` that any raw of ``F o Id`` names: the outer label moved
+    along the raw's arrow, then along the letter arrows that are its inner labels."""
+    letterwise = f.words().letterwise
+
+    def step(key, raw):
+        mid, g, blocks, fs, arr = raw
+        return f.dom_at((mid, key[1]), key[0], letterwise(arr, fs), g)
+
+    return step
 
 
 def left_insert(dst: Composite, unit: Callable) -> Callable:
     """``insert(key, label)``: the class at ``key = (w, y)`` of ``dst`` of the raw that puts ``label``
-    under ``unit(y)`` with the identity arrow; :func:`left_unitor` inverted where ``unit`` gives identities."""
+    under ``unit(y)`` with the identity arrow; the inverse of :func:`left_unit` where ``unit`` gives identities."""
+    ident = dst.inner.words().ident
+
     def insert(key, label):
         w, y = key
-        return dst.class_of(w, y, ((y,), unit(y), (w,), (label,), tuple(range(len(w)))))
+        return dst.class_of(w, y, ((y,), unit(y), (w,), (label,), ident(w)))
 
     return insert
 
 
 def right_insert(dst: Composite, unit: Callable) -> Callable:
     """``insert(key, label)``: the class at ``key`` of ``dst`` of the raw that puts ``label`` over ``unit(x)``
-    at each letter ``x`` with the identity arrow; :func:`right_unitor` inverted where ``unit`` gives identities."""
+    at each letter ``x`` with the identity arrow; the inverse of :func:`right_unit` where ``unit`` gives identities."""
+    ident = dst.inner.words().ident
+
     def insert(key, label):
         w, y = key
-        return dst.class_of(w, y, (w, label, tuple((x,) for x in w), tuple(map(unit, w)), tuple(range(len(w)))))
+        return dst.class_of(w, y, (w, label, tuple((x,) for x in w), tuple(map(unit, w)), ident(w)))
 
     return insert
 
@@ -830,16 +839,18 @@ def regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst
 
     ``hg`` is ``H o G``, ``gf`` is ``G o F``, ``beta: H -> H'``, ``alpha: G
     o F -> K`` and ``dst`` is ``H' o K``.  Any raw, not only a
-    representative, goes through :func:`_regroup_plan` to its raw of ``H o
-    (G o F)``, which is never built.  This is the whisker after the
-    associator only if both 2-cells are equivariant (a raw and its
-    representative differ by a group element), so both must pass
-    ``SymSeqMap.validate`` before a law reads the step.  One ``G o F`` raw
-    recurs in the groups of many raws, so the step keeps the class of each
-    one it has met; that memo lives as long as the step.
+    representative, goes through the plan of its shape (:func:`plan_regroup`)
+    to its raw of ``H o (G o F)``, which is never built, with its ``F``
+    labels moved along the letter arrows of the ``H o G`` representative.
+    This is the whisker after the associator only if both 2-cells are
+    equivariant (a raw and its representative differ by a group element),
+    so both must pass ``SymSeqMap.validate`` before a law reads the step.
+    The step keeps the class of each ``G o F`` raw it has met, for as long as it lives.
     """
     _require_fit(beta, alpha, hg.outer, gf.seq, dst.outer, dst.inner)
-    beta_at, alpha_at = beta.at, alpha.at
+    f = gf.inner
+    words = f.words()
+    plan, along, beta_at, alpha_at = words.regroup_plan, words.along, beta.at, alpha.at
     inner: dict = {}  # (cell, G o F raw) -> its class in gf
 
     def inner_class(e, zj, raw) -> int:
@@ -849,13 +860,15 @@ def regroup(hg: Composite, gf: Composite, beta: SymSeqMap, alpha: SymSeqMap, dst
         return cls
 
     def step(key, raw):
-        mid, q, blocks, fs, sig = raw
-        zmid, h, new_blocks, groups, move = _regroup_plan(hg.rep(mid, key[1], q), blocks)
+        mid, q, blocks, fs, arr = raw
+        hg_raw = hg.rep(mid, key[1], q)
+        zmid, h, new_blocks, groups, move = plan(hg_raw, blocks)
+        fs = along(f, mid, blocks, fs, hg_raw[4])
         new_fs = tuple(
             alpha_at(e, zj, inner_class(e, zj, (d, gj, sub_blocks, pick(fs), kappa)))
             for e, zj, d, gj, sub_blocks, pick, kappa in groups
         )
-        return dst.class_of(*key, (zmid, beta_at(zmid, key[1], h), new_blocks, new_fs, move(sig)))
+        return dst.class_of(*key, (zmid, beta_at(zmid, key[1], h), new_blocks, new_fs, move(arr)))
 
     return step
 
@@ -870,8 +883,7 @@ def associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -
 
     Nothing in this package calls it: each map that reads an associator
     applies the regroup step (or :func:`ungroup`) inside itself instead.
-    It serves the coherence checks of the pentagon and triangle, and its
-    regroup plans (:func:`_regroup_plan`) are shared by value with every step.
+    It serves the coherence checks of the pentagon and triangle.
     """
     return regroup_map(hg, hg_f, gf, identity_map(hg.outer), identity_map(gf.seq), h_gf)
 
@@ -881,85 +893,80 @@ def ungroup(hg: Composite, gf: Composite, beta: SymSeqMap, dst: Composite) -> Ca
 
     The inverse of :func:`regroup`, with ``hg`` ``H o G``, ``gf`` ``G o F``,
     ``beta: H o G -> H'`` equivariant and ``dst`` ``H' o F``; ``(H o G) o F``
-    is never built.
+    is never built.  The ``G`` words of the blocks' representatives go to
+    the canonical word of their concatenation, and the raw's arrow is
+    followed by the representatives' arrows, then by the block move.
     """
     _require_same("the outer 2-cell does not start at the outer factor", beta.src, hg.seq)
     _require_same("the outer 2-cell does not end at the target's outer factor", beta.dst, dst.outer)
     _require_same("the inner factor is not the target's inner factor", gf.inner, dst.inner)
+    mids, words = hg.inner.words(), gf.inner.words()
 
     def step(key, raw):
-        t = key[1]
         zmid, h, blocks, cs, sig = raw
-        reps = tuple(gf.rep(e, z, c) for e, z, c in zip(blocks, zmid, cs))
-        mid, yblocks, gs, tau, fblocks, fs, arrow = _ungrouped(reps, sig)
-        q = hg.class_of(mid, t, (zmid, h, yblocks, gs, tau))
-        return dst.class_of(*key, (mid, beta.at(mid, t, q), fblocks, fs, arrow))
+        reps = [gf.rep(e, z, c) for e, z, c in zip(blocks, zmid, cs)]
+        ds = tuple(rep[0] for rep in reps)
+        letters = tuple(s for d in ds for s in d)
+        mid, t = mids.canonical(letters)  # letters[i] == mid[t(i)]
+        q = hg.class_of(mid, key[1], (zmid, h, ds, tuple(rep[1] for rep in reps), mids.perm(letters, t)))
+        subs, labels = [b for rep in reps for b in rep[2]], [f for rep in reps for f in rep[3]]
+        back, offs = inverse_images(t.images), block_offsets([len(b) for b in subs])
+        arrow = words.then(sig, words.diag([rep[4] for rep in reps]))
+        arrow = words.picker(tuple(p for i in back for p in range(offs[i], offs[i + 1])))(arrow)
+        fblocks, fs = tuple(subs[i] for i in back), tuple(labels[i] for i in back)
+        return dst.class_of(*key, (mid, beta.at(mid, key[1], q), fblocks, fs, arrow))
 
     return step
 
 
-@lru_cache(maxsize=4096)
-def _regroup_plan(hg_raw, blocks: tuple):
-    """How :func:`regroup` carries the raws of one shape to ``H o (G o F)``.
+def plan_regroup(words, hg_raw, order: tuple, blocks: tuple):
+    """How :func:`regroup` carries the raws of one shape to ``H o (G o F)``, with the arrows of ``words``.
 
     ``hg_raw = (zmid, h, yblocks, gs, tau)`` is the representative of the
-    ``H o G`` class.  The inner blocks are grouped by the outer block
-    structure: group ``j`` picks the blocks ``tau(p)`` for ``p`` in block
-    ``j`` of ``yblocks``, and ``kappa`` sorts their concatenation ``u`` to its
-    canonical word ``e``.  Returns ``(zmid, h, new blocks, groups, move)``:
-    each group is ``(e, zmid[j], yblocks[j], gs[j], picked blocks, picker of
-    the picked labels, kappa)``, and ``move`` reads a raw's arrow ``sig`` at
-    the images of ``rearrange o chi`` (the blocks moved into group order,
-    then each group sorted by the inverse of its ``kappa``).
-
-    Plans are cached by value, so a plan made for label ``1`` serves
-    ``True``: its labels only reach :meth:`Composite.class_of`, which
-    compares labels by value too and returns class indices.
+    ``H o G`` class and ``order`` the images of ``tau``.  Group ``j`` picks
+    the blocks ``order(p)`` for ``p`` in block ``j`` of ``yblocks``, and
+    ``kappa`` sorts their concatenation ``u`` to its canonical word ``e``.
+    Returns ``(zmid, h, new blocks, groups, move)``: each group is ``(e,
+    zmid[j], yblocks[j], gs[j], picked blocks, picker of the picked labels,
+    kappa's arrow)``, and ``move`` reads a raw's arrow at the images of
+    ``rearrange o chi`` (the blocks moved into group order, then each group
+    sorted by the inverse of its ``kappa``), letter arrows and all.
     """
-    zmid, h, yblocks, gs, tau = hg_raw
+    zmid, h, yblocks, gs, _tau = hg_raw
     offs = block_offsets([len(b) for b in blocks])
     yoffs = block_offsets([len(d) for d in yblocks])
     groups, new_blocks, combined = [], [], []
     for j, d in enumerate(yblocks):
-        picks = tau[yoffs[j] : yoffs[j + 1]]
+        picks = order[yoffs[j] : yoffs[j + 1]]
         u = tuple(s for i in picks for s in blocks[i])
-        e, kappa = canonical_word(u)
-        sub_blocks = tuple(blocks[i] for i in picks)
-        groups.append((e, zmid[j], d, gs[j], sub_blocks, _picker(picks), kappa.images))
+        e, kappa = words.canonical(u)
+        groups.append((e, zmid[j], d, gs[j], tuple(blocks[i] for i in picks), _picker(picks), words.perm(u, kappa)))
         new_blocks.append(e)
         # letter r of u sits at position src[r] of concat(blocks) and at kappa(r) of e
         src = [p for i in picks for p in range(offs[i], offs[i + 1])]
-        part = [0] * len(u)
-        for r, c in enumerate(kappa.images):
-            part[c] = src[r]
-        combined += part
-    return zmid, h, tuple(new_blocks), tuple(groups), _picker(tuple(combined))
+        combined += [src[r] for r in inverse_images(kappa.images)]
+    return zmid, h, tuple(new_blocks), tuple(groups), words.picker(tuple(combined))
 
 
-def _ungrouped(reps: tuple, sig: tuple) -> tuple:
-    """``(mid, ds, gs, tau, F blocks, F labels, arrow)`` of the ``(H o G) o F`` raw :func:`ungroup` builds.
+@lru_cache(maxsize=4096)
+def _regroup_plan(hg_raw, blocks: tuple):
+    """:func:`plan_regroup` over sorts, cached by value: a plan made for label ``1`` serves ``True``, as
+    its labels reach only :meth:`Composite.class_of`, which compares labels by value and returns indices."""
+    return plan_regroup(SORT_WORDS, hg_raw, hg_raw[4], blocks)
 
-    ``reps[j] = (d, g, sub_blocks, fs, kappa)`` represents block ``j`` of an
-    ``H o (G o F)`` raw with arrow ``sig``.  ``mid`` is the canonical word of
-    the concatenated ``d`` and ``tau: mid -> concat(d)``; letter ``i`` of
-    that concatenation takes its ``F`` block and label to ``tau(i)``, and
-    ``sig`` is read at ``kappa_j`` of block ``j``.
-    """
-    ds = tuple(rep[0] for rep in reps)
-    mid, tau = canonical_word(tuple(s for d in ds for s in d))
-    tau = tau.images
-    fblocks, fs, arrows = [()] * len(tau), [None] * len(tau), [()] * len(tau)
-    i = eoff = 0
-    for _d, _g, sub_blocks, labels, kappa in reps:
-        subs = block_offsets([len(b) for b in sub_blocks])
-        for r, (b, f) in enumerate(zip(sub_blocks, labels)):
-            p = tau[i + r]
-            fblocks[p], fs[p] = b, f
-            arrows[p] = tuple(sig[eoff + kappa[c]] for c in range(subs[r], subs[r + 1]))
-        i += len(sub_blocks)
-        eoff += len(kappa)
-    arrow = tuple(v for part in arrows for v in part)
-    return mid, ds, tuple(rep[1] for rep in reps), tau, tuple(fblocks), tuple(fs), arrow
+
+def diag_images(arrows: list) -> tuple:
+    """The images of the blockwise arrow of ``arrows``, given by their images."""
+    return tuple(offset + i for offset, a in zip(block_offsets(len(a) for a in arrows), arrows) for i in a)
+
+
+# how the coherence steps write and read arrows of words over sorts: images alone, every letter arrow an
+# identity; catsym._GroupoidWords answers the same calls over a groupoid
+SORT_WORDS = SimpleNamespace(
+    canonical=canonical_word, then=_then_images, diag=diag_images, picker=_picker, regroup_plan=_regroup_plan,
+    perm=lambda word, p: p.images, ident=lambda word: tuple(range(len(word))), inverse=inverse_images,
+    letterwise=lambda arr, arrows: arr, along=lambda f, mid, blocks, fs, tau: fs,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from opdbim.bimodules import descend, free_left_action, free_right_action
 from opdbim.catsym import (
     CatSymSeq,
     cat_compose,
-    sw_block_diag,
     sw_block_perm,
     sw_canonical,
     sw_compose,
@@ -46,12 +45,12 @@ from opdbim.symseq import (
     hcompose_maps,
     id_symseq,
     identity_map,
-    left_unitor,
+    left_unit,
     map_inverse,
     mu_from_raws,
     regroup_map,
     restrict_map,
-    right_unitor,
+    right_unit,
     ungroup,
 )
 
@@ -259,11 +258,31 @@ def cat_iso(f: CatSymSeq, g: CatSymSeq) -> Optional[SymSeqMap]:
     return SymSeqMap(f, g, comp)
 
 
+def left_unitor(idf: Composite) -> SymSeqMap:
+    """``Id o F -> F`` on every class: the left unit step, which a map that reads the unitor applies inside itself."""
+    return mu_from_raws(idf, left_unit(idf.inner), idf.inner)
+
+
+def right_unitor(fid: Composite) -> SymSeqMap:
+    """``F o Id -> F`` on every class: the right unit step."""
+    return mu_from_raws(fid, right_unit(fid.outer), fid.outer)
+
+
+def block_diag_arrow(arrows: list) -> tuple:
+    """Blockwise groupoid arrow ``concat(sources) -> concat(targets)`` of ``arrows``."""
+    images, comps = [], []
+    for im, cs in arrows:
+        offset = len(images)
+        images.extend(offset + i for i in im)
+        comps.extend(cs)
+    return (tuple(images), tuple(comps))
+
+
 def cat_left_unitor(idf: Composite) -> SymSeqMap:
     """``Id o F -> F``: transport along the shuffle, then along the unary arrow.
 
-    The reference for :func:`opdbim.catsym.cat_left_unit`, the step a map
-    that reads it applies inside itself, and ``cat_left_insert``, its inverse.
+    The reference for :func:`opdbim.symseq.left_unit`, the step a map
+    that reads it applies inside itself, and ``left_insert``, its inverse.
     """
     f = idf.inner
     comp = {}
@@ -283,8 +302,8 @@ def cat_left_unitor(idf: Composite) -> SymSeqMap:
 def cat_right_unitor(fid: Composite) -> SymSeqMap:
     """``F o Id -> F``: absorb the unary arrows and the shuffle.
 
-    The reference for :func:`opdbim.catsym.cat_right_unit` and
-    ``cat_right_insert``.
+    The reference for :func:`opdbim.symseq.right_unit` and
+    ``right_insert``.
     """
     f = fid.outer
     dom = f.dom
@@ -305,7 +324,7 @@ def cat_right_unitor(fid: Composite) -> SymSeqMap:
 def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composite) -> SymSeqMap:
     """Canonical iso ``(H o G) o F -> H o (G o F)`` on every class of ``hg_f``, both bracketings built.
 
-    The reference for :func:`opdbim.catsym.cat_regroup` and ``cat_ungroup``,
+    The reference for :func:`opdbim.symseq.regroup` and ``ungroup``,
     which apply it inside the map that reads it.
     """
     dom = gf.inner.dom
@@ -337,7 +356,7 @@ def cat_associator(hg: Composite, hg_f: Composite, gf: Composite, h_gf: Composit
                 kappas.append(kap_arrow)
                 group_words.append(u)
             rearrange = sw_block_perm(dom, list(blocks), sigma_tau)
-            chi = sw_block_diag(dom, [sw_inverse(dom, k) for k in kappas], group_words)
+            chi = block_diag_arrow([sw_inverse(dom, k) for k in kappas])
             arr2 = sw_compose(dom, sw_compose(dom, arr, rearrange), chi)
             m[idx] = h_gf.class_of(w, t_out, (zmid, h, tuple(new_blocks), tuple(new_fs), arr2))
         comp[key] = m

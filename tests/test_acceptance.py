@@ -24,9 +24,7 @@ from opdbim.symseq import (
     hcompose_maps,
     id_symseq,
     identity_map,
-    left_unitor,
     map_equal,
-    right_unitor,
 )
 from opdbim.operads import (
     assoc_operad,
@@ -60,7 +58,7 @@ from opdbim.samples import (
     rand_symseq,
     reflexive_pair,
 )
-from oracles import analytic_compose_iso, iso_symseq
+from oracles import analytic_compose_iso, iso_symseq, left_unitor, right_unitor
 
 STAR = "*"
 

@@ -75,7 +75,7 @@ def test_identity_bimodule_laws():
 
 def test_unit_operads_any_symseq_is_bimodule():
     # over unit operads the actions are forced, any sequence qualifies
-    from opdbim.symseq import left_unitor, right_unitor
+    from oracles import left_unitor, right_unitor
 
     u1 = unit_operad(("a",), 2)
     u2 = unit_operad(("b",), 2)
@@ -116,7 +116,8 @@ def test_every_bimodule_built_is_law_checked(monkeypatch):
     # the unitor composites, the identity bimodules and the composites of both
     # adjunctions are checked like any other bimodule: by their constructor
     import opdbim.bimodules as bimodules
-    from opdbim.symseq import left_unitor, map_inverse, right_unitor
+    from opdbim.symseq import map_inverse
+    from oracles import left_unitor, right_unitor
 
     built, checked = [], []
     init, check = Bimodule.__init__, bimodules.check_bimodule_laws
@@ -168,7 +169,7 @@ def test_relative_compose_over_unit_is_plain():
     u3 = unit_operad(("c",), 2)
     m_car = SymSeq(("a",), ("b",), {(("a",), "b"): YoungSet.trivial(("a",), ("m0", "m1"))})
     n_car = SymSeq(("b",), ("c",), {(("b",), "c"): YoungSet.trivial(("b",), ("n0",))})
-    from opdbim.symseq import left_unitor, right_unitor
+    from oracles import left_unitor, right_unitor
 
     def as_bim(left, right, car):
         bm = compose_symseq(left.carrier, car, max_arity=2)
@@ -261,7 +262,8 @@ def test_adjunction_from_operads():
 
 def _identity_morphism_inputs(op):
     """``(F, phi, psi)`` for ``F = Id``: phi and psi transport along the two unitors."""
-    from opdbim.symseq import left_unitor, map_inverse, right_unitor
+    from opdbim.symseq import map_inverse
+    from oracles import left_unitor, right_unitor
 
     f = id_symseq((STAR,))
     bf = compose_symseq(op.carrier, f, max_arity=2)
@@ -336,14 +338,15 @@ def _transport_identity_inputs():
     com = com_operad(2)
     f = id_symseq((STAR,))
     ff = compose_symseq(f, f, max_arity=2)
-    from opdbim.symseq import left_unitor, map_inverse
+    from opdbim.symseq import map_inverse
+    from oracles import left_unitor
 
     eta = map_inverse(left_unitor(ff))
     eps = left_unitor(ff)
     # xi: A -> Id o (A o Id): reindex along the unitors
     bf = compose_symseq(com.carrier, f, max_arity=2)
     u_bf = compose_symseq(f, bf.seq, max_arity=2)
-    from opdbim.symseq import right_unitor
+    from oracles import right_unitor
 
     a_id = compose_symseq(com.carrier, f, max_arity=2)
     xi = compose_maps(map_inverse(left_unitor(u_bf)), map_inverse(right_unitor(a_id)))
@@ -464,7 +467,7 @@ def test_bim_extends_sym_fully_faithfully():
     # between unit operads the relative and plain composites agree on the nose
     u1 = unit_operad(("a",), 2)
     m_car = SymSeq(("a",), ("a",), {(("a", "a"), "a"): YoungSet.trivial(("a", "a"), ("m",))})
-    from opdbim.symseq import left_unitor, right_unitor
+    from oracles import left_unitor, right_unitor
 
     bm = compose_symseq(u1.carrier, m_car, max_arity=2)
     ma = compose_symseq(m_car, u1.carrier, max_arity=2)
@@ -747,7 +750,8 @@ def _unary_twist(op, label_map, lax):
 
     It reads the ``op`` label through the unitors and sends it along ``label_map``.
     """
-    from opdbim.symseq import left_unitor, map_inverse, right_unitor
+    from opdbim.symseq import map_inverse
+    from oracles import left_unitor, right_unitor
 
     f = id_symseq((STAR,))
     bf = compose_symseq(op.carrier, f, max_arity=1)
@@ -933,7 +937,8 @@ def composite_builds(monkeypatch):
 
 
 def test_no_composite_is_built_twice(composite_builds):
-    from opdbim.symseq import left_unitor, map_inverse, right_unitor
+    from opdbim.symseq import map_inverse
+    from oracles import left_unitor, right_unitor
 
     com = com_operad(2)
     f = id_symseq((STAR,))

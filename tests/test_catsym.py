@@ -12,7 +12,8 @@ from opdbim.perms import (
     FinGroupoid, Perm, ValidationError, YoungSet, block_offsets, disjoint_union, quotient, skey,
 )
 from opdbim.symseq import (
-    SymSeq, SymSeqMap, compose_symseq, hcompose_maps, identity_map, map_equal, map_inverse, mu_from_raws,
+    SymSeq, SymSeqMap, compose_symseq, hcompose_maps, identity_map, left_insert, left_unit, map_equal, map_inverse,
+    mu_from_raws, regroup, right_insert, right_unit, ungroup,
 )
 from opdbim.operads import (
     assoc_operad, com_operad, enumerate_algebras, magma_operad, operad_iso, terminal_operad, unit_operad,
@@ -23,13 +24,7 @@ from opdbim.catsym import (
     cat_compose,
     cat_from_symseq,
     cat_id,
-    cat_left_insert,
-    cat_left_unit,
-    cat_regroup,
-    cat_right_insert,
-    cat_right_unit,
     cat_sum,
-    cat_ungroup,
     check_cat_monad,
     ev_catsym,
     exp_object,
@@ -127,11 +122,11 @@ def test_cat_unit_laws():
     ident = cat_id(g)
     f = cat_id(g)
     idf = cat_compose(ident, f, max_arity=2)
-    lu = mu_from_raws(idf, cat_left_unit(f), f)
+    lu = mu_from_raws(idf, left_unit(f), f)
     lu.validate()
     assert lu.is_bijective()
     fid = cat_compose(f, ident, max_arity=2)
-    ru = mu_from_raws(fid, cat_right_unit(f), f)
+    ru = mu_from_raws(fid, right_unit(f), f)
     assert ru.is_bijective()
     assert cat_iso(idf.seq, f) is not None
 
@@ -235,7 +230,7 @@ def test_operad_of_monad_on_identity():
     z = exp_object(x, y, 2)
     idz = cat_id(z)
     ee = cat_compose(idz, idz, max_arity=1)
-    mu = mu_from_raws(ee, cat_left_unit(idz), idz)
+    mu = mu_from_raws(ee, left_unit(idz), idz)
     eta = identity_map(idz)
     op = operad_of_monad(z, idz, mu, eta, ee, 1)
     sizes = {s: {0: 1, 1: 1, 2: 2}[len(s[0])] for s in op.sorts}
@@ -368,7 +363,7 @@ def _recorded_steps(monkeypatch, build) -> list:
     import opdbim.catsym as catsym
 
     steps = []
-    for name in ("cat_regroup", "cat_ungroup"):
+    for name in ("regroup", "ungroup"):
         def recording(*args, _name=name, _original=getattr(catsym, name)):
             step = _original(*args)
             steps.append((_name, args, step))
@@ -384,8 +379,8 @@ def _recorded_steps(monkeypatch, build) -> list:
 # through the collapse o A~, the T o A~ regroup, the ungroup of ev o (S o S),
 # the regroup into B o T, the ungroup through B's multiplication, and the
 # associativity law's regroup
-STEP_KINDS = ["cat_regroup", "cat_regroup", "cat_ungroup", "cat_regroup",
-              "cat_ungroup", "cat_regroup", "cat_ungroup", "cat_regroup"]
+STEP_KINDS = ["regroup", "regroup", "ungroup", "regroup",
+              "ungroup", "regroup", "ungroup", "regroup"]
 
 
 @pytest.mark.parametrize("name", list(HOM_MONAD_TABLES))
@@ -400,13 +395,13 @@ def test_each_regroup_and_ungroup_step_is_the_associator_then_its_whisker(monkey
         hg_f = cat_compose(hg.seq, gf.inner, max_arity=dst.cap)
         h_gf = cat_compose(hg.outer, gf.seq, max_arity=dst.cap)
         assoc = cat_associator(hg, hg_f, gf, h_gf)
-        if kind == "cat_regroup":
+        if kind == "regroup":
             whisker = hcompose_maps(beta, step_args[3], h_gf, dst)
         else:
             whisker = hcompose_maps(beta, identity_map(gf.inner), hg_f, dst)
         for key, reps in hg_f.reps.items():
             classes = range(len(reps))
-            if kind == "cat_regroup":
+            if kind == "regroup":
                 assert [step(key, raw) for raw in reps] == [whisker.at(*key, assoc.at(*key, c)) for c in classes]
             else:
                 assert [step(key, h_gf.rep(*key, assoc.at(*key, c))) for c in classes] == [whisker.at(*key, c) for c in classes]
@@ -478,16 +473,47 @@ def test_regroup_and_ungroup_are_the_associator_and_its_inverse_on_every_related
     hg, gf = cat_compose(h, g, max_arity=5), cat_compose(g, f, max_arity=5)
     hg_f, h_gf = cat_compose(hg.seq, f, max_arity=3), cat_compose(h, gf.seq, max_arity=3)
     assoc = cat_associator(hg, hg_f, gf, h_gf)
-    regroup = cat_regroup(hg, gf, identity_map(h), identity_map(gf.seq), h_gf)
-    ungroup = cat_ungroup(hg, gf, identity_map(hg.seq), hg_f)
+    regroup_step = regroup(hg, gf, identity_map(h), identity_map(gf.seq), h_gf)
+    ungroup_step = ungroup(hg, gf, identity_map(hg.seq), hg_f)
     for step, comp, outer, inner, m in (
-        (regroup, hg_f, hg.seq, f, assoc), (ungroup, h_gf, h, gf.seq, map_inverse(assoc)),
+        (regroup_step, hg_f, hg.seq, f, assoc), (ungroup_step, h_gf, h, gf.seq, map_inverse(assoc)),
     ):
         for key, reps in comp.reps.items():
             for c, rep in enumerate(reps):
                 related = [rep] + [raw for _rep, raw in _all_arrow_edges(outer, inner, key[1], [rep])]
                 assert {step(key, raw) for raw in related} == {m.at(*key, c)}, (key, rep)
 
+
+def test_a_categorical_regroup_step_plans_each_shape_once_per_groupoid_and_the_plans_die_with_it():
+    # the plans over a groupoid are kept in its memo, not in the plain plan
+    # cache: a second step over the same groupoid plans nothing, and once the
+    # groupoid goes, reference counting frees it with its plans
+    from opdbim import symseq
+
+    plain = symseq._regroup_plan.cache_info().currsize
+    gc.collect()
+    gc.disable()
+    try:
+        gpd = two_object_iso_groupoid()
+        h, g, f = _unary_and_binary(gpd)
+        hg, gf = cat_compose(h, g, max_arity=5), cat_compose(g, f, max_arity=5)
+        hg_f, h_gf = cat_compose(hg.seq, f, max_arity=3), cat_compose(h, gf.seq, max_arity=3)
+
+        def regrouped():
+            return mu_from_raws(hg_f, regroup(hg, gf, identity_map(h), identity_map(gf.seq), h_gf), h_gf.seq)
+
+        first = regrouped()
+        plans = dict(gpd.memo["_regroup_plan"])
+        assert plans
+        assert regrouped().comp == first.comp
+        assert gpd.memo["_regroup_plan"].keys() == plans.keys()
+        assert all(gpd.memo["_regroup_plan"][key] is plan for key, plan in plans.items())
+        assert symseq._regroup_plan.cache_info().currsize == plain
+        ref = weakref.ref(gpd)
+        del gpd, h, g, f, hg, gf, hg_f, h_gf, regrouped, first, plans
+        assert ref() is None
+    finally:
+        gc.enable()
 
 def test_a_step_whose_ends_do_not_meet_its_factors_is_refused(monkeypatch):
     # three wrong chains once passed every table pin and the monad laws, as
@@ -498,11 +524,11 @@ def test_a_step_whose_ends_do_not_meet_its_factors_is_refused(monkeypatch):
     # the interchange left out: ev o (A~ o S) regrouped into ev o (S o A~) under the identity
     hg, gf, beta, _swap, dst = steps[1][1]
     with pytest.raises(ValidationError, match="the inner 2-cell does not end at the target's inner factor"):
-        cat_regroup(hg, gf, beta, identity_map(gf.seq), dst)
+        regroup(hg, gf, beta, identity_map(gf.seq), dst)
     # the ungroup turned round: ev o (S o A~) -> T o A~ built as a regroup
     hg, gf, col_e, dst = steps[2][1]
     with pytest.raises(ValidationError, match="the outer 2-cell does not start at the outer factor"):
-        cat_regroup(hg, gf, col_e, identity_map(gf.seq), dst)
+        regroup(hg, gf, col_e, identity_map(gf.seq), dst)
     # the T o A~ regroup replaced by the plain whisker B o (ev o mu of A~):
     # hcompose_maps compares categorical ends too, so B's identity, which does
     # not start at the outer factor T, is refused before any cell is read
@@ -1026,7 +1052,7 @@ def test_cat_unitors_send_each_unit_raw_to_its_label(make_f):
     f = make_f()
     dom, cod = f.dom, f.cod
     idf, fid = _unit_composites(f)
-    lu, ru = cat_left_unit(f), cat_right_unit(f)
+    lu, ru = left_unit(f), right_unit(f)
     for (w, y), labels in f.cells.items():
         one = sw_id(dom, w)
         units = (tuple((o,) for o in w), tuple(dom.ident[o] for o in w))
@@ -1046,8 +1072,8 @@ def test_unit_steps_and_insertions_are_the_unitors_and_their_inverses_on_every_r
     f.validate()
     idf, fid = _unit_composites(f)
     for comp, step, insert, unitor in (
-        (idf, cat_left_unit(f), cat_left_insert(idf, f.cod.ident.__getitem__), cat_left_unitor(idf)),
-        (fid, cat_right_unit(f), cat_right_insert(fid, f.dom.ident.__getitem__), cat_right_unitor(fid)),
+        (idf, left_unit(f), left_insert(idf, f.cod.ident.__getitem__), cat_left_unitor(idf)),
+        (fid, right_unit(f), right_insert(fid, f.dom.ident.__getitem__), cat_right_unitor(fid)),
     ):
         assert unitor.is_bijective()
         for key, reps in comp.reps.items():
@@ -1320,6 +1346,31 @@ def test_a_corrupted_hom_monad_fails_naming_the_law_the_cell_and_the_class():
         check_cat_monad(dataclasses.replace(hm, eta=_corrupted(hm.eta, hm.e)), 2)
 
 
+
+def test_check_cat_monad_refuses_an_eta_that_passes_the_laws_but_is_no_map():
+    # eta's label at the swap of (('x', 'x'), '*') sent to the identity's image:
+    # the unit laws read eta at identities only, so validation alone sees it
+    hm = hom_monad(unit_operad(("x",), 2), com_operad(2), 2, 2)
+    z = (("x", "x"), STAR)
+    key, swap = ((z,), z), ("e", ((1, 0), (("id", "x"), ("id", "x"))), ("id", STAR))
+    assert hm.eta.comp[key] == {hm.expz.ident[z]: 0, swap: 1}
+    eta = SymSeqMap(hm.eta.src, hm.eta.dst, {**hm.eta.comp, key: {**hm.eta.comp[key], swap: 0}})
+    with pytest.raises(ValidationError, match=r"^equivariance fails at cell \(\(\(\('x', 'x'\), '\*'\),\), "):
+        check_cat_monad(dataclasses.replace(hm, eta=eta), 2)
+
+
+def test_check_cat_monad_refuses_a_mu_that_passes_the_laws_but_is_no_map():
+    # one label of mu moved along the swap of its output (('*', '*'), '*'): the
+    # laws of this monad read mu there only where both sides move alike
+    hm = hom_monad(assoc_operad(3), com_operad(2), 2, 2)
+    key = ((((), STAR), ((STAR,), STAR)), ((STAR, STAR), STAR))
+    swap = ("e", ((1, 0), (("id", STAR), ("id", STAR))), ("id", STAR))
+    moved = hm.e.cod_at(key, swap, hm.mu.comp[key][0])
+    assert moved != hm.mu.comp[key][0]
+    mu = SymSeqMap(hm.mu.src, hm.mu.dst, {**hm.mu.comp, key: {**hm.mu.comp[key], 0: moved}})
+    with pytest.raises(ValidationError, match="^equivariance fails at cell "):
+        check_cat_monad(dataclasses.replace(hm, mu=mu), 2)
+
 # every hom monad input of the tier-1 tests besides those of HOM_MONAD_TABLES:
 # sources cut above what the chain reads, and a window of length 1
 OTHER_HOM_MONAD_INPUTS = [
@@ -1333,7 +1384,10 @@ OTHER_HOM_MONAD_INPUTS = [
 
 def test_hom_monad_unit_laws_read_per_label_accept_and_refuse_where_the_chains_on_id_o_e_do(monkeypatch):
     # each law check records whether it holds and raises nothing, so the
-    # right unit law of the corrupted eta is compared too
+    # right unit law of the corrupted eta is compared too; the corrupted eta
+    # is no map, which validation, run after the laws, refuses
+    import contextlib
+
     import opdbim.catsym as catsym
 
     verdicts = []
@@ -1344,7 +1398,9 @@ def test_hom_monad_unit_laws_read_per_label_accept_and_refuse_where_the_chains_o
     hms.append((dataclasses.replace(hm, eta=_corrupted(hm.eta, hm.e)), cap))
     for hm, cap in hms:
         verdicts.clear()
-        check_cat_monad(hm, cap)
+        refused = pytest.raises(ValidationError, match="^equivariance fails") if hm is hms[-1][0] else contextlib.nullcontext()
+        with refused:
+            check_cat_monad(hm, cap)
         expected = [map_equal(*sides) for sides in cat_monad_unit_chains(hm, cap)]
         assert verdicts[1:] == [("hom monad left unit law", expected[0]), ("hom monad right unit law", expected[1])]
     assert expected == [False, False]

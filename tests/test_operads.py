@@ -35,6 +35,18 @@ from opdbim.operads import (
 )
 from oracles import iso_symseq, relabelled
 
+
+@pytest.fixture(scope="module", autouse=True)
+def _free_the_cached_operads():
+    """Clear the operad caches of this module once its tests are done.
+
+    A cached operad holds its fixtures, and composites are shared by content,
+    so it would keep alive what a later module expects reference counting to free.
+    """
+    yield
+    oracle_operad.cache_clear()
+    burnside_operad.cache_clear()
+
 STAR = "*"
 ASSOC_REL = (
     ("g", "b", (("g", "b", (("v", 0), ("v", 1))), ("v", 2))),

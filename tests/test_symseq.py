@@ -18,16 +18,15 @@ from opdbim.symseq import (
     hcompose_maps,
     id_symseq,
     identity_map,
-    left_unitor,
     map_equal,
     map_inverse,
-    right_unitor,
     series,
     sum_symseq,
 )
 from opdbim.samples import rand_small_symseq, rand_symseq, reflexive_pair
 from oracles import (
-    analytic_compose_iso, eval_general, family_map_image, iso_symseq, relabelled, transport, word_arrows,
+    analytic_compose_iso, eval_general, family_map_image, iso_symseq, left_unitor, relabelled, right_unitor, transport,
+    word_arrows,
 )
 
 STAR = "*"

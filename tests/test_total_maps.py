@@ -14,6 +14,7 @@ from opdbim.symseq import (
     first_map_difference,
     hcompose_maps,
     identity_map,
+    left_unit,
     map_equal,
 )
 from opdbim.operads import assoc_operad, com_operad, unit_operad
@@ -21,7 +22,6 @@ from opdbim.catsym import (
     cat_compose,
     cat_from_symseq,
     cat_id,
-    cat_left_unit,
     cat_sum,
     cat_sum_split,
     exponential_operad,
@@ -111,7 +111,7 @@ def test_cat_sum_split_omits_exactly_the_cells_missing_from_the_part():
     idx = cat_id(hm.x)
     s_e = cat_sum(hm.e, idx)
     ss = cat_compose(s_e, s_e, max_arity=4)
-    split = cat_sum_split(ss, lambda key, raw: hm.ee.class_of(*key, raw), cat_left_unit(idx), cat_sum(hm.ee.seq, idx))
+    split = cat_sum_split(ss, lambda key, raw: hm.ee.class_of(*key, raw), left_unit(idx), cat_sum(hm.ee.seq, idx))
     parts = {"l": hm.ee.seq, "r": idx}
     kept = {
         (w, z) for (w, z) in ss.reps
